@@ -6,7 +6,11 @@ for even integer p, and dyadically refined until the value stabilizes
 otherwise.  The sup norm is the grid maximum with the identity node always
 present; for central positive-type functions (all coefficients nonnegative
 multiples of the identity, e.g. Dirichlet kernels) the maximum sits at the
-identity and the value is exact.
+identity and the value is exact.  One grid ladder serves both the L^p norms
+and the Triebel-Lizorkin pointwise aggregate.  Each value carries a
+provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin
+values carry the weakest certification over their blocks and ladder levels,
+with the largest grid, and coefficient-only norms are "exact" with nodes 0.
 
 Sequence-space norms weight the Hilbert-Schmidt size of each coefficient by
 powers of the representation dimension:
@@ -91,6 +95,8 @@ class NormSpec:
             val = getattr(self, key)
             if val is not None and not val > 0:
                 raise NormSpecError(f"parameter {key} must be positive, got {val}")
+        if self.r is not None and not math.isfinite(self.r):
+            raise NormSpecError(f"parameter r must be finite, got {self.r}")
         if self.family == "tl" and self.p == INF:
             raise NormSpecError("tl requires p < inf")
 
@@ -205,6 +211,77 @@ def _even_level(p: float) -> int | None:
     return None
 
 
+# Certifications from strongest to weakest; a merged record keeps the weakest.
+_CERT_ORDER = ("exact (identity-pinned)", "exact", "refined", "capped")
+
+
+def _provenance(certified: str, nodes: int = 0, bandlimit: float = 0.0) -> dict:
+    return {"certified": certified, "nodes": nodes, "bandlimit": bandlimit}
+
+
+def _merge_provenance(records: list[dict]) -> dict:
+    # Weakest certification over the records, together with the largest grid.
+    return _provenance(
+        max((rec["certified"] for rec in records), key=_CERT_ORDER.index, default="exact"),
+        max((rec["nodes"] for rec in records), default=0),
+        max((rec["bandlimit"] for rec in records), default=0.0),
+    )
+
+
+def _ladder(
+    F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None
+) -> dict[float, tuple[float, dict]]:
+    """L^p norms of the nonnegative node values values_of(rule) on a grid ladder.
+
+    Level j integrates on the quadrature rule of band W * 2^j, W the largest
+    weight in the support of F (at least 1).  exact_levels maps each exponent
+    to the level at which its integrand is band-limited (one exact evaluation
+    there) or to None, which refines until the stop rule holds.  Returns
+    {p: (value, provenance)}.
+    """
+    results: dict[float, tuple[float, dict]] = {}
+    pending: dict[float, float | None] = dict.fromkeys(exact_levels)  # previous value
+    levels = exact_levels.values()
+    level = 0 if None in levels else min(levels, default=0)
+    w = max(F.max_weight(), 1.0)
+    grid = (0, 0.0)  # nodes and band of the finest grid built so far
+    while pending:
+        band = w * (2.0**level)
+        try:
+            rule = quadrature(F.group, band, max_nodes)
+        except ResourceLimitError:
+            if any(lvl is not None and lvl >= level for lvl in levels):
+                raise  # an exact evaluation was promised but cannot be built
+            if any(prev is None for prev in pending.values()):
+                raise  # not even the base grid fits under the cap
+            for p, prev in pending.items():
+                results[p] = (prev, _provenance("capped", *grid))
+            break
+        vals = values_of(rule)
+        grid = (rule.node_count, band)
+        for p, prev in list(pending.items()):
+            lvl = exact_levels[p]
+            if lvl is not None and level < lvl:
+                continue
+            if p == INF:
+                cur = float(vals.max())
+            else:
+                cur = float(np.dot(rule.weights, vals**p) ** (1.0 / p))
+            if lvl is not None:
+                certified = "exact"
+            elif prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
+                certified = "refined"
+            elif level >= MAX_REFINE_LEVELS:
+                certified = "capped"
+            else:
+                pending[p] = cur
+                continue
+            results[p] = (cur, _provenance(certified, *grid))
+            del pending[p]
+        level += 1
+    return results
+
+
 def lp_norms(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, tuple[float, dict]]:
@@ -219,80 +296,18 @@ def lp_norms(
     for p in ps:
         if not p > 0:
             raise DomainError(f"Lebesgue exponent must be positive, got {p}")
-    results: dict[float, tuple[float, dict]] = {}
     if not F:
-        return {
-            p: (0.0, {"certified": "exact", "nodes": 0, "bandlimit": 0.0}) for p in ps
-        }
-    w = max(F.max_weight(), 1.0)
-    pending: dict[float, float | None] = {}
+        return {p: (0.0, _provenance("exact")) for p in ps}
+    results: dict[float, tuple[float, dict]] = {}
+    exact_levels: dict[float, int | None] = {}
     for p in ps:
         if p == INF and _is_positive_central(F):
-            results[p] = (
-                _identity_value(F),
-                {"certified": "exact (identity-pinned)", "nodes": 1, "bandlimit": 0.0},
-            )
+            results[p] = (_identity_value(F), _provenance("exact (identity-pinned)", 1))
         else:
-            pending[p] = None  # previous ladder value
-    target_levels = {p: _even_level(p) for p in pending}
-    level = 0
-    last_nodes = 0
-    last_band = 0.0
-    while pending:
-        band = w * (2.0**level)
-        try:
-            rule = quadrature(F.group, band, max_nodes)
-        except ResourceLimitError:
-            if any(lvl is not None and lvl >= level for lvl in target_levels.values()):
-                raise  # an exact evaluation was promised but cannot be built
-            if any(prev is None for prev in pending.values()):
-                raise  # not even the base grid fits under the cap
-            for p, prev in pending.items():
-                results[p] = (
-                    prev,
-                    {"certified": "capped", "nodes": last_nodes, "bandlimit": last_band},
-                )
-            break
-        absv = np.abs(_synth_values(F, rule))
-        weights = rule.weights
-        done = []
-        for p, prev in pending.items():
-            if p == INF:
-                cur = float(absv.max())
-            else:
-                cur = float(np.dot(weights, absv**p) ** (1.0 / p))
-            lvl = target_levels[p]
-            if lvl is not None:
-                if level == lvl:
-                    results[p] = (
-                        cur,
-                        {
-                            "certified": "exact",
-                            "nodes": rule.node_count,
-                            "bandlimit": band,
-                        },
-                    )
-                    done.append(p)
-                continue
-            if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
-                results[p] = (
-                    cur,
-                    {"certified": "refined", "nodes": rule.node_count, "bandlimit": band},
-                )
-                done.append(p)
-            elif level >= MAX_REFINE_LEVELS:
-                results[p] = (
-                    cur,
-                    {"certified": "capped", "nodes": rule.node_count, "bandlimit": band},
-                )
-                done.append(p)
-            else:
-                pending[p] = cur
-        for p in done:
-            pending.pop(p)
-        last_nodes = rule.node_count
-        last_band = band
-        level += 1
+            exact_levels[p] = _even_level(p)
+    results.update(
+        _ladder(F, lambda rule: np.abs(_synth_values(F, rule)), exact_levels, max_nodes)
+    )
     return results
 
 
@@ -338,8 +353,7 @@ def sobolev_norm(
     F: SpectralFunction, r: float, p: float, max_nodes: int | None = None
 ) -> float:
     """Bessel-potential norm: scale each coefficient by <xi>^r, then L^p."""
-    scaled = F.scaled(lambda xi: float(weight_sq(F.group, xi)) ** (r / 2.0))
-    return lp_norm(scaled, p, max_nodes)
+    return norm_info(F, NormSpec("sobolev", r=r, p=p), max_nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,25 +377,49 @@ def dyadic_blocks(F: SpectralFunction) -> dict[int, SpectralFunction]:
     return {s: SpectralFunction(F.group, c) for s, c in sorted(buckets.items())}
 
 
+def _shell_weight(s: int, r: float) -> float:
+    # 2^(s r), the smoothness weight of dyadic shell s.
+    try:
+        return 2.0 ** (s * r)
+    except OverflowError:
+        raise DomainError(f"shell weight 2^({s}*{r:g}) leaves float range") from None
+
+
 def _lq_aggregate(terms: list[float], q: float) -> float:
     if not terms:
         return 0.0
     if q == INF:
         return max(terms)
-    return float(sum(t**q for t in terms) ** (1.0 / q))
+    try:
+        return float(sum(t**q for t in terms) ** (1.0 / q))
+    except OverflowError:
+        raise DomainError(f"l^{q:g} aggregate leaves float range") from None
 
 
 def besov_norm(
     F: SpectralFunction, r: float, p: float, q: float, max_nodes: int | None = None
 ) -> float:
     """l^q over shells of 2^(sr) times the block L^p norm."""
-    if not q > 0:
-        raise DomainError(f"Besov aggregation exponent must be positive, got {q}")
+    return norm_info(F, NormSpec("besov", r=r, p=p, q=q), max_nodes)[0]
+
+
+def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dict]:
+    p, q = spec.p, spec.q
     blocks = dyadic_blocks(F)
-    terms = [
-        2.0 ** (s * r) * lp_norm(block, p, max_nodes) for s, block in blocks.items()
-    ]
-    return _lq_aggregate(terms, q)
+    if not F:
+        return 0.0, _provenance("exact")
+    weights = {s: _shell_weight(s, spec.r) for s in blocks}
+
+    def aggregate(rule) -> np.ndarray:
+        arr = np.stack(
+            [weights[s] * np.abs(_synth_values(b, rule)) for s, b in blocks.items()], axis=0
+        )
+        if q == INF:
+            return arr.max(axis=0)
+        return np.sum(arr**q, axis=0) ** (1.0 / q)
+
+    exact_level = _even_level(p) if q == 2.0 else None
+    return _ladder(F, aggregate, {p: exact_level}, max_nodes)[p]
 
 
 def tl_norm(
@@ -393,43 +431,7 @@ def tl_norm(
     is a single exact evaluation (at p = 2 it coincides with the Besov
     norm); other parameters refine dyadically under the usual stop rule.
     """
-    if p == INF:
-        raise DomainError("tl_norm requires p < inf")
-    if not p > 0 or not q > 0:
-        raise DomainError("tl_norm exponents must be positive")
-    blocks = dyadic_blocks(F)
-    if not blocks or not F:
-        return 0.0
-    w = max(F.max_weight(), 1.0)
-    exact_level = _even_level(p) if q == 2.0 else None
-    prev = None
-    level = exact_level if exact_level is not None else 0
-    while True:
-        band = w * (2.0**level)
-        try:
-            rule = quadrature(F.group, band, max_nodes)
-        except ResourceLimitError:
-            if exact_level is not None or prev is None:
-                raise
-            return prev
-        stacks = [
-            2.0 ** (s * r) * np.abs(_synth_values(block, rule))
-            for s, block in blocks.items()
-        ]
-        arr = np.stack(stacks, axis=0)
-        if q == INF:
-            agg = arr.max(axis=0)
-        else:
-            agg = np.sum(arr**q, axis=0) ** (1.0 / q)
-        cur = float(np.dot(rule.weights, agg**p) ** (1.0 / p))
-        if exact_level is not None:
-            return cur
-        if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
-            return cur
-        if level >= MAX_REFINE_LEVELS:
-            return cur
-        prev = cur
-        level += 1
+    return norm_info(F, NormSpec("tl", r=r, p=p, q=q), max_nodes)[0]
 
 
 def wiener_norm(F: SpectralFunction, beta: float) -> float:
@@ -438,22 +440,19 @@ def wiener_norm(F: SpectralFunction, beta: float) -> float:
 
 
 def _tail_sups(F: SpectralFunction) -> list[float]:
-    # t_s = sup over <xi> >= 2^s of d^(-1/2) ||fhat(xi)||_HS, until empty.
-    entries = [
-        (weight_sq(F.group, xi), rep_dim(F.group, xi) ** -0.5 * _hs_norm(mat))
-        for xi, mat in F.items()
-    ]
-    if not entries:
-        return []
+    # t_s = sup over <xi> >= 2^s of d^(-1/2) ||fhat(xi)||_HS, until empty:
+    # a suffix maximum over the per-shell maxima.
+    shell_max: dict[int, float] = {}
+    for xi, mat in F.items():
+        s = block_of(weight_sq(F.group, xi))
+        v = rep_dim(F.group, xi) ** -0.5 * _hs_norm(mat)
+        shell_max[s] = max(shell_max.get(s, v), v)
     sups = []
-    s = 0
-    while True:
-        tail = [v for wsq, v in entries if wsq >= 4**s]
-        if not tail:
-            break
-        sups.append(max(tail))
-        s += 1
-    return sups
+    running = -INF
+    for s in range(max(shell_max, default=-1), -1, -1):
+        running = max(running, shell_max.get(s, -INF))
+        sups.append(running)
+    return sups[::-1]
 
 
 def beurling_norm(F: SpectralFunction, beta: float) -> float:
@@ -478,14 +477,8 @@ def beurling_r_norm(F: SpectralFunction, r: float, beta: float) -> float:
     """
     if not beta > 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    sups = _tail_sups(F)
-    if not sups:
-        return 0.0
     n = F.group.dim
-    terms = [2.0 ** (r * n * s) * t for s, t in enumerate(sups)]
-    if beta == INF:
-        return max(terms)
-    return float(sum(t**beta for t in terms) ** (1.0 / beta))
+    return _lq_aggregate([_shell_weight(s, r * n) * t for s, t in enumerate(_tail_sups(F))], beta)
 
 
 # ---------------------------------------------------------------------------
@@ -495,33 +488,41 @@ def beurling_r_norm(F: SpectralFunction, r: float, beta: float) -> float:
 def norm_info(
     F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
 ) -> tuple[float, dict]:
-    """Evaluate a NormSpec; returns (value, provenance)."""
+    """Evaluate a NormSpec; returns (value, provenance).
+
+    A Besov value carries the merged provenance of its block L^p norms.
+    """
     fam = spec.family
     if fam == "Lp":
         return lp_norm_info(F, spec.p, max_nodes)
-    plain = {"certified": "exact", "nodes": 0, "bandlimit": 0.0}
-    if fam == "seq":
-        return seq_lp_norm(F, spec.p), plain
     if fam == "sobolev":
-        scaled = F.scaled(lambda xi: float(weight_sq(F.group, xi)) ** (spec.r / 2.0))
+        try:
+            scaled = F.scaled(lambda xi: float(weight_sq(F.group, xi)) ** (spec.r / 2.0))
+        except OverflowError:
+            raise DomainError(f"Sobolev weight <xi>^{spec.r:g} leaves float range") from None
         return lp_norm_info(scaled, spec.p, max_nodes)
     if fam == "besov":
-        return (
-            besov_norm(F, spec.r, spec.p, spec.q, max_nodes),
-            {"certified": "blockwise", "nodes": 0, "bandlimit": 0.0},
-        )
+        terms = []
+        records = []
+        for s, block in dyadic_blocks(F).items():
+            weight = _shell_weight(s, spec.r)
+            value, info = lp_norm_info(block, spec.p, max_nodes)
+            terms.append(weight * value)
+            records.append(info)
+        return _lq_aggregate(terms, spec.q), _merge_provenance(records)
     if fam == "tl":
-        return (
-            tl_norm(F, spec.r, spec.p, spec.q, max_nodes),
-            {"certified": "shared-grid", "nodes": 0, "bandlimit": 0.0},
-        )
-    if fam == "wiener":
-        return wiener_norm(F, spec.beta), plain
-    if fam == "beurling":
-        return beurling_norm(F, spec.beta), plain
-    if fam == "beurlingR":
-        return beurling_r_norm(F, spec.r, spec.beta), plain
-    raise NormSpecError(f"unknown family {fam!r}")
+        return _tl_info(F, spec, max_nodes)
+    if fam == "seq":
+        value = seq_lp_norm(F, spec.p)
+    elif fam == "wiener":
+        value = wiener_norm(F, spec.beta)
+    elif fam == "beurling":
+        value = beurling_norm(F, spec.beta)
+    elif fam == "beurlingR":
+        value = beurling_r_norm(F, spec.r, spec.beta)
+    else:
+        raise NormSpecError(f"unknown family {fam!r}")
+    return value, _provenance("exact")
 
 
 def norm_value(

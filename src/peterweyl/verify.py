@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +58,7 @@ from .norms import (
     besov_norm,
     beurling_norm,
     beurling_r_norm,
+    block_of,
     dyadic_blocks,
     lp_norm,
     lp_norms,
@@ -546,7 +547,7 @@ def _ring_kernel(group: GroupId, s: int) -> SpectralFunction:
     keep = [
         xi
         for xi in enumerate_dual(group, hi)
-        if 4**s <= weight_sq(group, xi) < 4 ** (s + 1)
+        if block_of(weight_sq(group, xi)) == s
     ]
     return SpectralFunction(
         group, {xi: np.eye(rep_dim(group, xi), dtype=complex) for xi in keep}
@@ -800,14 +801,7 @@ class RunConfig:
             return v
 
         return {
-            k: clean(getattr(self, k))
-            for k in (
-                "suite", "groups", "seed", "corpus_count", "profile", "bandlimits",
-                "p_grid", "q_grid", "hy_p_grid", "sharpness_L", "dirichlet_grids",
-                "weyl_grids", "weyl_slope_tol", "corollary_L", "betas", "r_grid",
-                "tol_exact", "tol_grid", "tol_identity", "slope_max",
-                "support_threshold", "max_nodes",
-            )
+            f.name: clean(getattr(self, f.name)) for f in fields(self) if f.name != "out"
         }
 
 

@@ -127,3 +127,36 @@ def test_violation_exit_code(tmp_path, monkeypatch):
         ]
     )
     assert code == EXIT_VIOLATION
+
+
+@pytest.fixture()
+def two_shell_file(tmp_path):
+    # Dirichlet kernel on T^1 reaching dyadic shells s = 0, 1, 2
+    path = tmp_path / "d16.spectral"
+    save_spectral(dirichlet(torus(1), 6.0), path)
+    return str(path)
+
+
+def test_norm_prints_besov_certification_and_grid(two_shell_file, capsys):
+    assert main(["norm", two_shell_file, "besov:r=0.5,p=2,q=2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "certification: exact\n" in out
+    assert "grid: " in out and " nodes (band " in out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["besov:r=nan,p=2,q=2", "besov:r=1e6,p=2,q=2", "besov:r=300,p=2,q=2", "sobolev:r=1e6,p=2"],
+)
+def test_norm_bad_smoothness_exit_2(two_shell_file, spec, capsys):
+    assert main(["norm", two_shell_file, spec]) == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
+def test_verify_huge_r_exit_2(tmp_path, capsys):
+    code = main(
+        ["verify", "embeddings", "--group", "torus:1", "--r", "1e6",
+         "--out", str(tmp_path / "r.txt")]
+    )
+    assert code == EXIT_USAGE
+    assert "float range" in capsys.readouterr().err

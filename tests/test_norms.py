@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peterweyl import norms
 from peterweyl.fourier import SpectralFunction, dirichlet, zero_spectral
-from peterweyl.groups import enumerate_dual, rep_info, su2, torus
+from peterweyl.groups import DomainError, enumerate_dual, rep_dim, rep_info, su2, torus, weight_sq
 from peterweyl.norms import (
     INF,
     NormSpec,
@@ -21,12 +22,14 @@ from peterweyl.norms import (
     lp_norm,
     lp_norm_info,
     lp_norms,
+    norm_info,
     parse_norm_spec,
     seq_lp_norm,
     sobolev_norm,
     tl_norm,
     wiener_norm,
 )
+from peterweyl.verify import PROFILES, make_corpus
 
 T1 = torus(1)
 SU2 = su2()
@@ -276,3 +279,113 @@ def test_quasi_norm_range_p_below_one():
     assert besov_norm(G, 0.3, 0.5, 0.5) == pytest.approx(
         3.0 * besov_norm(F, 0.3, 0.5, 0.5), rel=1e-5
     )
+
+
+# ---------------------------------------------------------------------------
+# provenance of grid-evaluated norms
+
+
+NIKOLSKII_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 4.0, INF)
+
+
+def test_lp_norms_shared_ladder_matches_single_exponent():
+    # one ladder for several exponents gives each the value and provenance
+    # it gets on its own
+    for F in (_random_spectral(T1, 6.0, 4), _random_spectral(SU2, 2.0, 4)):
+        shared = lp_norms(F, NIKOLSKII_EXPONENTS)
+        for p in NIKOLSKII_EXPONENTS:
+            assert shared[p] == lp_norms(F, [p])[p]
+
+
+def test_besov_tl_provenance_reports_capped_grids():
+    F = make_corpus(torus(2), 4.0, 1, 7).functions[0]
+    for text in ("besov:r=0.5,p=1,q=2", "tl:r=0.5,p=2,q=4"):
+        _, info = norm_info(F, parse_norm_spec(text), 20000)
+        assert info["certified"] == "capped"
+        assert info["nodes"] > 0
+    for text in ("besov:r=0.5,p=2,q=2", "tl:r=0.5,p=2,q=2"):
+        _, info = norm_info(F, parse_norm_spec(text), 20000)
+        assert info["certified"] == "exact"
+        assert info["nodes"] > 0
+
+
+def test_besov_provenance_is_weakest_block_with_largest_grid():
+    F = make_corpus(torus(2), 4.0, 1, 7).functions[0]
+    blocks = [lp_norm_info(b, 1.0, 20000)[1] for b in dyadic_blocks(F).values()]
+    _, info = norm_info(F, parse_norm_spec("besov:r=0.5,p=1,q=2"), 20000)
+    assert info["nodes"] == max(b["nodes"] for b in blocks)
+    assert info["bandlimit"] == max(b["bandlimit"] for b in blocks)
+    # Dirichlet blocks are positive central: every block sup is pinned
+    _, pinned = norm_info(dirichlet(T1, 6.0), parse_norm_spec("besov:r=1,p=inf,q=2"))
+    assert pinned["certified"] == "exact (identity-pinned)"
+
+
+def test_merge_provenance_keeps_weakest_certification():
+    order = ["exact (identity-pinned)", "exact", "refined", "capped"]
+    for i, weakest in enumerate(order):
+        records = [norms._provenance(c, 10 * j, 2.0 * j) for j, c in enumerate(order[: i + 1])]
+        merged = norms._merge_provenance(records[::-1])
+        assert merged == {"certified": weakest, "nodes": 10 * i, "bandlimit": 2.0 * i}
+    assert norms._merge_provenance([]) == {"certified": "exact", "nodes": 0, "bandlimit": 0.0}
+
+
+def test_tl_even_p_q2_is_exact_from_one_grid(monkeypatch):
+    F = _random_spectral(T1, 6.0, 8)
+    quadrature = norms.quadrature
+    built = []
+
+    def counting_quadrature(group, band, max_nodes=None):
+        built.append(band)
+        return quadrature(group, band, max_nodes)
+
+    monkeypatch.setattr(norms, "quadrature", counting_quadrature)
+    value, info = norm_info(F, NormSpec("tl", r=0.5, p=4.0, q=2.0))
+    assert info["certified"] == "exact"
+    assert built == [2.0 * F.max_weight()] == [info["bandlimit"]]
+    assert value == tl_norm(F, 0.5, 4.0, 2.0)
+
+
+def test_coefficient_norms_carry_exact_provenance():
+    F = _random_spectral(SU2, 2.0, 6)
+    for text in ("seq:1.5", "wiener:1", "beurling:0.5", "beurlingR:r=0.5,beta=2"):
+        _, info = norm_info(F, parse_norm_spec(text))
+        assert info == {"certified": "exact", "nodes": 0, "bandlimit": 0.0}
+
+
+def test_spec_rejects_non_finite_r():
+    for text in ("besov:r=nan,p=2,q=2", "tl:r=inf,p=2,q=2", "sobolev:r=-inf,p=2"):
+        with pytest.raises(NormSpecError, match="finite"):
+            parse_norm_spec(text)
+    with pytest.raises(NormSpecError):
+        besov_norm(E3, math.nan, 2.0, 2.0)
+
+
+def test_weights_out_of_float_range_raise_domain_error():
+    F = dirichlet(T1, 6.0)
+    for text in ("besov:r=1e6,p=2,q=2", "tl:r=1e6,p=2,q=2", "sobolev:r=1e6,p=2",
+                 "beurlingR:r=1e6,beta=2"):
+        with pytest.raises(DomainError, match="float range"):
+            norm_info(F, parse_norm_spec(text))
+
+
+def _tail_sups_by_scan(F):
+    # reference: t_s = max over entries with <xi>^2 >= 4^s, until empty
+    entries = [
+        (weight_sq(F.group, xi), rep_dim(F.group, xi) ** -0.5 * norms._hs_norm(m))
+        for xi, m in F.items()
+    ]
+    sups = []
+    s = 0
+    while any(wsq >= 4**s for wsq, _ in entries):
+        sups.append(max(v for wsq, v in entries if wsq >= 4**s))
+        s += 1
+    return sups
+
+
+def test_tail_sups_match_tail_scan():
+    for group, L in ((torus(1), 12.0), (torus(2), 6.0), (torus(3), 3.0), (SU2, 3.0)):
+        funcs = [dirichlet(group, L)]
+        for profile in PROFILES:
+            funcs += make_corpus(group, L, 2, 5, profile).functions
+        for F in funcs:
+            assert norms._tail_sups(F) == _tail_sups_by_scan(F)

@@ -348,3 +348,15 @@ def test_render_report_stable_and_complete():
 def test_unknown_suite():
     with pytest.raises(DomainError):
         run_suite("bogus", RunConfig())
+
+
+def test_run_config_header_lists_every_setting():
+    # the report header embeds every RunConfig field except the output path
+    keys = {
+        "suite", "groups", "seed", "corpus_count", "profile", "bandlimits",
+        "p_grid", "q_grid", "hy_p_grid", "sharpness_L", "dirichlet_grids",
+        "weyl_grids", "weyl_slope_tol", "corollary_L", "betas", "r_grid",
+        "tol_exact", "tol_grid", "tol_identity", "slope_max",
+        "support_threshold", "max_nodes",
+    }
+    assert set(RunConfig().to_dict()) == keys
