@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .groups import (
@@ -29,7 +28,7 @@ from .groups import (
     rep_info,
     weyl_count,
 )
-from .fourier import read_spectral, save_spectral
+from .fourier import read_spectral, save_spectral, write_atomic
 from .norms import norm_info, parse_norm_spec
 from .verify import (
     SUITES,
@@ -93,19 +92,6 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     cfg.suite = args.suite
@@ -152,7 +138,7 @@ def cmd_verify(args) -> int:
     reports = run_suite(cfg.suite, cfg)
     content = render_report(reports, cfg)
     if cfg.out:
-        _write_atomic(cfg.out, content)
+        write_atomic(cfg.out, content)
         print(f"wrote {len(reports)} records to {cfg.out}")
     else:
         sys.stdout.write(content)

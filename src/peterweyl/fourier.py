@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import secrets
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -402,20 +405,52 @@ def load_spectral(text: str) -> SpectralFunction:
         if parts[0] != "rep" or len(parts) < 3:
             raise DomainError(f"bad record {ln!r}")
         xi = _parse_index(group, parts[1])
-        d = int(parts[2])
-        vals = parts[3:]
+        if xi in coeffs:
+            raise DomainError(f"duplicate record for rep {parts[1]}")
+        try:
+            d = int(parts[2])
+            vals = [float(v) for v in parts[3:]]
+        except ValueError:
+            raise DomainError(f"rep {parts[1]}: bad number in {ln!r}") from None
+        if d < 1:
+            raise DomainError(f"rep {parts[1]}: dimension must be positive, got {d}")
         if len(vals) != 2 * d * d:
             raise DomainError(
                 f"rep {parts[1]}: expected {2 * d * d} entries, got {len(vals)}"
             )
-        nums = np.array([float(v) for v in vals])
+        if not all(map(math.isfinite, vals)):
+            raise DomainError(f"rep {parts[1]}: entries must be finite")
+        nums = np.array(vals)
         coeffs[xi] = (nums[0::2] + 1j * nums[1::2]).reshape(d, d)
     return SpectralFunction(group, coeffs)
 
 
+def write_atomic(path, content: str) -> None:
+    """Write text through a temporary file in the target directory and
+    os.replace, so the path holds either the old file or the whole new one.
+
+    The file gets the mode a plain open() would leave: an existing target's
+    mode, else 0o666 less the umask.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".peterweyl-{os.getpid()}-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(content)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_spectral(F: SpectralFunction, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_spectral(F))
+    write_atomic(path, dump_spectral(F))
 
 
 def read_spectral(path) -> SpectralFunction:

@@ -11,6 +11,14 @@ and the Triebel-Lizorkin pointwise aggregate.  Each value carries a
 provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin
 values carry the weakest certification over their blocks and ladder levels,
 with the largest grid, and coefficient-only norms are "exact" with nodes 0.
+A value that is not a finite float (coefficients too large or not finite)
+raises DomainError.
+
+Finished L^p values (per exponent), Triebel-Lizorkin values (per spec),
+dyadic splits and synthesized node values are process-local memos keyed by
+the function's content digest and, for norm values, the node cap.  They are
+bounded, least recently used entries go first, and they affect only speed:
+a hit returns what a fresh evaluation would, with its own provenance dict.
 
 Sequence-space norms weight the Hilbert-Schmidt size of each coefficient by
 powers of the representation dimension:
@@ -30,6 +38,7 @@ Parameters q and beta equal to inf uniformly mean sup-aggregation.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -159,26 +168,84 @@ def parse_norm_spec(text: str) -> NormSpec:
 # ---------------------------------------------------------------------------
 # Lebesgue norms: the grid ladder
 
-# Process-local memo of synthesized node values keyed by content digest and
-# rule band.  Purely an evaluation cache: concurrent callers may duplicate
-# work, never observe wrong values.  The budget bounds retained entries.
-_VALUE_CACHE: OrderedDict = OrderedDict()
+class _Memo:
+    """Bounded least-recently-used map with a running size total.
+
+    An evaluation cache only: a hit returns what a miss would compute.  The
+    lock guards the map and the total, never a computation, so concurrent
+    callers may duplicate work but never see a torn entry.  An entry larger
+    than the whole budget is not kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.size = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, size)
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, size: int = 1) -> None:
+        if size > self.budget:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.size -= old[1]
+            while self.size + size > self.budget:
+                _, (_, freed) = self._entries.popitem(last=False)
+                self.size -= freed
+            self._entries[key] = (value, size)
+            self.size += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.size = 0
+
+
+# Synthesized node values keyed by content digest and rule band, sized in
+# nodes.
 _VALUE_CACHE_BUDGET = 4_000_000
+_VALUE_CACHE = _Memo(_VALUE_CACHE_BUDGET)
+
+# Finished evaluations: L^p values keyed by (digest, p, node cap) and
+# Triebel-Lizorkin values by (digest, spec, node cap), each of size 1, and
+# dyadic splits keyed by digest, sized in stored coefficient entries.
+_MEMO_BUDGET = 100_000
+_MEMO = _Memo(_MEMO_BUDGET)
+
+
+def clear_memos() -> None:
+    """Empty the evaluation memos; later calls evaluate from scratch."""
+    _VALUE_CACHE.clear()
+    _MEMO.clear()
+
+
+def _recall(key) -> tuple[float, dict] | None:
+    # A memoized (value, provenance) with its own provenance dict, so no
+    # caller can change what the next hit returns.
+    hit = _MEMO.get(key)
+    return None if hit is None else (hit[0], dict(hit[1]))
+
+
+def _remember(key, value: float, info: dict) -> None:
+    _MEMO.put(key, (value, dict(info)))
 
 
 def _synth_values(F: SpectralFunction, rule) -> np.ndarray:
     key = (F.digest, str(rule.group), rule.bandlimit)
-    cached = _VALUE_CACHE.get(key)
-    if cached is not None:
-        _VALUE_CACHE.move_to_end(key)
-        return cached
-    vals = synthesize(F, rule).values
-    vals.setflags(write=False)
-    _VALUE_CACHE[key] = vals
-    total = sum(v.size for v in _VALUE_CACHE.values())
-    while total > _VALUE_CACHE_BUDGET and len(_VALUE_CACHE) > 1:
-        _, old = _VALUE_CACHE.popitem(last=False)
-        total -= old.size
+    vals = _VALUE_CACHE.get(key)
+    if vals is None:
+        vals = synthesize(F, rule).values
+        vals.setflags(write=False)
+        _VALUE_CACHE.put(key, vals, vals.size)
     return vals
 
 
@@ -267,6 +334,7 @@ def _ladder(
                 cur = float(vals.max())
             else:
                 cur = float(np.dot(rule.weights, vals**p) ** (1.0 / p))
+            _finite(cur, f"L^{p:g} value on {rule.node_count} nodes")
             if lvl is not None:
                 certified = "exact"
             elif prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
@@ -301,13 +369,22 @@ def lp_norms(
     results: dict[float, tuple[float, dict]] = {}
     exact_levels: dict[float, int | None] = {}
     for p in ps:
-        if p == INF and _is_positive_central(F):
-            results[p] = (_identity_value(F), _provenance("exact (identity-pinned)", 1))
+        hit = _recall(("lp", F.digest, p, max_nodes))
+        if hit is not None:
+            results[p] = hit
         else:
             exact_levels[p] = _even_level(p)
-    results.update(
-        _ladder(F, lambda rule: np.abs(_synth_values(F, rule)), exact_levels, max_nodes)
-    )
+    fresh: dict[float, tuple[float, dict]] = {}
+    if INF in exact_levels and _is_positive_central(F):
+        del exact_levels[INF]
+        fresh[INF] = (_identity_value(F), _provenance("exact (identity-pinned)", 1))
+    if exact_levels:
+        fresh.update(
+            _ladder(F, lambda rule: np.abs(_synth_values(F, rule)), exact_levels, max_nodes)
+        )
+    for p, (value, info) in fresh.items():
+        _remember(("lp", F.digest, p, max_nodes), value, info)
+    results.update(fresh)
     return results
 
 
@@ -326,6 +403,13 @@ def lp_norm(F: SpectralFunction, p: float, max_nodes: int | None = None) -> floa
 # Sequence-space norms
 
 
+def _finite(value: float, what: str) -> float:
+    # Norm values are finite floats; overflow or non-finite input lands here.
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite: coefficients too large or not finite")
+    return value
+
+
 def _hs_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(mat) ** 2)))
 
@@ -335,18 +419,24 @@ def seq_lp_norm(F: SpectralFunction, p: float) -> float:
     if not p > 0:
         raise DomainError(f"sequence exponent must be positive, got {p}")
     if p == INF:
-        return max(
-            (
-                rep_dim(F.group, xi) ** -0.5 * _hs_norm(mat)
-                for xi, mat in F.coeffs.items()
+        return _finite(
+            max(
+                (
+                    rep_dim(F.group, xi) ** -0.5 * _hs_norm(mat)
+                    for xi, mat in F.coeffs.items()
+                ),
+                default=0.0,
             ),
-            default=0.0,
+            "l^inf sequence norm",
         )
     expo = p * (2.0 / p - 0.5)
     total = 0.0
-    for xi, mat in F.items():
-        total += rep_dim(F.group, xi) ** expo * _hs_norm(mat) ** p
-    return total ** (1.0 / p)
+    try:
+        for xi, mat in F.items():
+            total += rep_dim(F.group, xi) ** expo * _hs_norm(mat) ** p
+    except OverflowError:
+        total = INF
+    return _finite(total ** (1.0 / p), f"l^{p:g} sequence norm")
 
 
 def sobolev_norm(
@@ -361,20 +451,26 @@ def sobolev_norm(
 
 
 def block_of(wsq) -> int:
-    """Dyadic shell index s with 4^s <= <xi>^2 < 4^(s+1), decided exactly."""
-    s = 0
-    while 4 ** (s + 1) <= wsq:
-        s += 1
-    return s
+    """Dyadic shell index s with 4^s <= <xi>^2 < 4^(s+1), decided exactly.
+
+    4^(s+1) is an integer, so 4^(s+1) <= wsq exactly when 4^(s+1) <=
+    floor(wsq); the bit length of floor(wsq) gives the largest such power.
+    """
+    return max(0, (int(wsq).bit_length() - 1) // 2)
 
 
 def dyadic_blocks(F: SpectralFunction) -> dict[int, SpectralFunction]:
     """Split the support into dyadic shells; empty shells are absent."""
-    buckets: dict[int, dict] = {}
-    for xi, mat in F.coeffs.items():
-        s = block_of(weight_sq(F.group, xi))
-        buckets.setdefault(s, {})[xi] = mat
-    return {s: SpectralFunction(F.group, c) for s, c in sorted(buckets.items())}
+    key = ("blocks", F.digest)
+    blocks = _MEMO.get(key)
+    if blocks is None:
+        buckets: dict[int, dict] = {}
+        for xi, mat in F.coeffs.items():
+            s = block_of(weight_sq(F.group, xi))
+            buckets.setdefault(s, {})[xi] = mat
+        blocks = {s: SpectralFunction(F.group, c) for s, c in sorted(buckets.items())}
+        _MEMO.put(key, blocks, max(1, sum(mat.size for mat in F.coeffs.values())))
+    return dict(blocks)
 
 
 def _shell_weight(s: int, r: float) -> float:
@@ -389,9 +485,9 @@ def _lq_aggregate(terms: list[float], q: float) -> float:
     if not terms:
         return 0.0
     if q == INF:
-        return max(terms)
+        return _finite(max(terms), "l^inf aggregate")
     try:
-        return float(sum(t**q for t in terms) ** (1.0 / q))
+        return _finite(float(sum(t**q for t in terms) ** (1.0 / q)), f"l^{q:g} aggregate")
     except OverflowError:
         raise DomainError(f"l^{q:g} aggregate leaves float range") from None
 
@@ -405,9 +501,13 @@ def besov_norm(
 
 def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dict]:
     p, q = spec.p, spec.q
-    blocks = dyadic_blocks(F)
     if not F:
         return 0.0, _provenance("exact")
+    key = ("tl", F.digest, spec, max_nodes)
+    hit = _recall(key)
+    if hit is not None:
+        return hit
+    blocks = dyadic_blocks(F)
     weights = {s: _shell_weight(s, spec.r) for s in blocks}
 
     def aggregate(rule) -> np.ndarray:
@@ -419,7 +519,9 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
         return np.sum(arr**q, axis=0) ** (1.0 / q)
 
     exact_level = _even_level(p) if q == 2.0 else None
-    return _ladder(F, aggregate, {p: exact_level}, max_nodes)[p]
+    value, info = _ladder(F, aggregate, {p: exact_level}, max_nodes)[p]
+    _remember(key, value, info)
+    return value, info
 
 
 def tl_norm(
@@ -464,10 +566,12 @@ def beurling_norm(F: SpectralFunction, beta: float) -> float:
         return 0.0
     n = F.group.dim
     if beta == INF:
-        return max(sups)
-    return float(
-        sum(2.0 ** (n * s) * t**beta for s, t in enumerate(sups)) ** (1.0 / beta)
-    )
+        return _finite(max(sups), "beurling norm")
+    try:
+        total = sum(2.0 ** (n * s) * t**beta for s, t in enumerate(sups))
+    except OverflowError:
+        total = INF
+    return _finite(float(total ** (1.0 / beta)), "beurling norm")
 
 
 def beurling_r_norm(F: SpectralFunction, r: float, beta: float) -> float:

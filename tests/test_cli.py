@@ -160,3 +160,76 @@ def test_verify_huge_r_exit_2(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "float range" in capsys.readouterr().err
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", ["Lp:3", "Lp:2", "seq:2", "wiener:1", "beurling:2",
+                                  "besov:r=0.5,p=2,q=1", "tl:r=0.5,p=2,q=2"])
+def test_norm_of_huge_coefficients_exit_2(tmp_path, spec, capsys):
+    # |f|^p and the coefficient sums leave float range: an error, not "inf ... exact"
+    path = _write(tmp_path, "big.spectral",
+                  "specfun v1\ngroup torus:1\nrep 0 1 1e200 0\nrep 3 1 1e200 0\n")
+    assert main(["norm", path, spec]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err or "float range" in captured.err
+    assert "inf" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ("rep 1 1 1 0\nrep 1 1 2 0\n", "duplicate record for rep 1"),
+        ("rep 1 1 nan 0\n", "entries must be finite"),
+        ("rep 1 1 0 inf\n", "entries must be finite"),
+        ("rep 1 1 -inf 0\n", "entries must be finite"),
+        ("rep 1 1 1 x\n", "bad number"),
+        ("rep 1 0\n", "dimension must be positive"),
+    ],
+)
+def test_norm_rejects_malformed_records_exit_2(tmp_path, records, message, capsys):
+    path = _write(tmp_path, "bad.spectral", "specfun v1\ngroup torus:1\n" + records)
+    assert main(["norm", path, "seq:2"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_corpus_writes_through_atomic_replace(tmp_path, monkeypatch):
+    import peterweyl.fourier as fourier
+
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((os.path.dirname(src), os.path.basename(dst)))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(fourier.os, "replace", recording_replace)
+    out = tmp_path / "c"
+    assert main(["corpus", "--group", "torus:1", "--bandlimit", "3", "--count", "2",
+                 "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert replaced == [(str(out), "fn_000.spectral"), (str(out), "fn_001.spectral")]
+    assert sorted(os.listdir(out)) == ["fn_000.spectral", "fn_001.spectral"]
+
+
+def test_written_files_get_the_mode_open_would_give(tmp_path):
+    # a new file gets 0o666 less the umask; a rewritten file keeps its mode
+    out = tmp_path / "c"
+    report = tmp_path / "report.txt"
+    report.write_text("old\n")
+    report.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        assert main(["corpus", "--group", "torus:1", "--bandlimit", "3", "--count", "1",
+                     "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert main(["verify", "weyl", "--group", "torus:1", "--out", str(report)]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert (out / "fn_000.spectral").stat().st_mode & 0o777 == 0o644
+    assert report.stat().st_mode & 0o777 == 0o640
+    assert report.read_text() != "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["c", "report.txt"]

@@ -1,6 +1,7 @@
 """Norm functionals: closed-form values, identities, spec-string grammar."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -290,10 +291,12 @@ NIKOLSKII_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 4.0, INF)
 
 def test_lp_norms_shared_ladder_matches_single_exponent():
     # one ladder for several exponents gives each the value and provenance
-    # it gets on its own
+    # it gets on its own; the memo is cleared so both sides are evaluated
     for F in (_random_spectral(T1, 6.0, 4), _random_spectral(SU2, 2.0, 4)):
+        norms.clear_memos()
         shared = lp_norms(F, NIKOLSKII_EXPONENTS)
         for p in NIKOLSKII_EXPONENTS:
+            norms.clear_memos()
             assert shared[p] == lp_norms(F, [p])[p]
 
 
@@ -389,3 +392,175 @@ def test_tail_sups_match_tail_scan():
             funcs += make_corpus(group, L, 2, 5, profile).functions
         for F in funcs:
             assert norms._tail_sups(F) == _tail_sups_by_scan(F)
+
+
+# ---------------------------------------------------------------------------
+# memo of finished evaluations
+
+
+TL_SPEC = NormSpec("tl", r=0.5, p=3.0, q=2.0)
+
+
+def _evaluations(F, max_nodes=None):
+    return (
+        lp_norms(F, [1.0, 2.0, 3.0, INF], max_nodes),
+        norm_info(F, TL_SPEC, max_nodes),
+        norm_info(F, parse_norm_spec("besov:r=0.5,p=1,q=2"), max_nodes),
+        {s: block.digest for s, block in dyadic_blocks(F).items()},
+    )
+
+
+def test_memo_hit_equals_fresh_evaluation(monkeypatch):
+    F = make_corpus(torus(2), 2.0, 1, 3).functions[0]
+    norms.clear_memos()
+    first = _evaluations(F)
+    quadrature = norms.quadrature
+    built = []
+
+    def counting_quadrature(group, band, max_nodes=None):
+        built.append(band)
+        return quadrature(group, band, max_nodes)
+
+    monkeypatch.setattr(norms, "quadrature", counting_quadrature)
+    assert _evaluations(F) == first
+    assert built == []  # served from the memo
+    norms.clear_memos()
+    assert _evaluations(F) == first  # evaluated from scratch
+    certs = {info["certified"] for _, info in first[0].values()}
+    assert certs == {"exact", "refined"}
+    # a small node cap gives capped values under their own key
+    capped = _evaluations(F, 300)
+    assert capped[0][1.0][1] == {"certified": "capped", "nodes": 225, "bandlimit": 2.0 * F.max_weight()}
+    assert _evaluations(F, 300) == capped
+    norms.clear_memos()
+    assert _evaluations(F, 300) == capped
+    # the default cap does not reuse the capped value
+    value, info = lp_norms(F, [1.0])[1.0]
+    assert info["certified"] == "refined" and info["nodes"] > 300
+    assert (value, info) == first[0][1.0] != capped[0][1.0]
+
+
+def test_lp_norms_hit_on_a_subset_of_exponents():
+    F = _random_spectral(SU2, 1.5, 11)
+    norms.clear_memos()
+    both = lp_norms(F, [1.5, 4.0])
+    hits = (lp_norms(F, [1.5]), lp_norms(F, [4.0, 3.0]))
+    assert hits[0] == {1.5: both[1.5]}
+    assert hits[1][4.0] == both[4.0]
+    # the hits equal evaluations from scratch of each exponent on its own
+    for p, (value, info) in both.items():
+        norms.clear_memos()
+        assert lp_norms(F, [p]) == {p: (value, info)}
+    norms.clear_memos()
+    assert lp_norms(F, [4.0, 3.0]) == hits[1]
+
+
+def test_memo_hits_return_fresh_provenance():
+    F = _random_spectral(T1, 5.0, 12)
+    norms.clear_memos()
+    saved = None
+    for _ in range(3):  # a miss, then two hits
+        got = [lp_norms(F, [3.0])[3.0], norm_info(F, TL_SPEC)]
+        assert saved is None or got == saved
+        saved = [(value, dict(info)) for value, info in got]
+        for _, info in got:
+            info["certified"] = "tampered"
+            info["nodes"] = -1
+        blocks = dyadic_blocks(F)
+        assert sorted(blocks) == [0, 1, 2]
+        blocks.clear()
+    assert saved[0][1]["certified"] == "refined"
+
+
+def _entry_sizes(memo):
+    return sum(size for _, size in memo._entries.values())
+
+
+def test_memo_budget_is_never_exceeded(monkeypatch):
+    memo = norms._Memo(10)
+    for i in range(30):
+        memo.put(("k", i), i, 1 + i % 4)
+        assert memo.size == _entry_sizes(memo) <= 10
+    assert memo.get(("k", 29)) == 29 and memo.get(("k", 0)) is None
+    memo.put("big", 0, 11)  # larger than the whole budget: not kept
+    assert memo.get("big") is None and memo.size <= 10
+    memo.put(("k", 29), 1, 2)  # replacing an entry counts its size once
+    assert memo.get(("k", 29)) == 1 and memo.size == _entry_sizes(memo) <= 10
+
+    # the norm memos under small budgets, sized in entries / coefficients / nodes
+    small_memo, small_values = norms._Memo(40), norms._Memo(5000)
+    monkeypatch.setattr(norms, "_MEMO", small_memo)
+    monkeypatch.setattr(norms, "_VALUE_CACHE", small_values)
+    for F in make_corpus(torus(1), 6.0, 6, 21).functions + (dirichlet(T1, 9.0),):
+        reference = None
+        for _ in range(2):
+            got = (_evaluations(F), sobolev_norm(F, 1.0, 3.0))
+            assert reference is None or got == reference
+            reference = got
+            for memo, budget in ((small_memo, 40), (small_values, 5000)):
+                assert memo.size == _entry_sizes(memo) <= budget
+    assert len(small_memo._entries) > 1 and len(small_values._entries) > 1
+
+
+def test_memo_stress_shared_across_threads(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    funcs = list(make_corpus(torus(1), 6.0, 4, 31).functions)
+    funcs += list(make_corpus(SU2, 1.0, 2, 31).functions) + [dirichlet(T1, 8.0)]
+    norms.clear_memos()
+    expected = [_evaluations(F) for F in funcs]
+    # budgets small enough that the threads evict each other's entries
+    monkeypatch.setattr(norms, "_MEMO", norms._Memo(30))
+    monkeypatch.setattr(norms, "_VALUE_CACHE", norms._Memo(3000))
+    jobs = [i % len(funcs) for i in range(6 * len(funcs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside memo updates too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda i: _evaluations(funcs[i]), jobs, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected[i] for i in jobs]
+    for memo in (norms._MEMO, norms._VALUE_CACHE):
+        assert memo.size == _entry_sizes(memo) <= memo.budget
+
+    # the bare map under many small updates: a lost update breaks the total
+    memo = norms._Memo(50)
+
+    def churn(seed):
+        for i in range(20_000):
+            key = (seed * i) % 97
+            if memo.get(key) is None:
+                memo.put(key, i, 1 + key % 7)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(churn, seed) for seed in (1, 3, 5, 7)]:
+                future.result(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert memo.size == _entry_sizes(memo) <= 50
+
+
+def _block_of_by_loop(wsq):
+    # the earlier definition: climb powers of 4 on the exact rational
+    s = 0
+    while 4 ** (s + 1) <= wsq:
+        s += 1
+    return s
+
+
+def test_block_of_matches_power_of_four_loop():
+    from fractions import Fraction
+
+    for group, L in ((torus(1), 64.0), (torus(2), 32.0), (torus(3), 16.0), (SU2, 20.0)):
+        for xi in enumerate_dual(group, L):
+            wsq = weight_sq(group, xi)
+            assert block_of(wsq) == _block_of_by_loop(wsq), (group, xi)
+    for k in range(40):
+        for wsq in (4**k, 4**k - 1, 4**k + 1, Fraction(4**k) - Fraction(1, 4),
+                    Fraction(4**k) + Fraction(1, 4), 2 * 4**k):
+            if wsq >= 1:
+                assert block_of(wsq) == _block_of_by_loop(wsq), wsq
