@@ -31,7 +31,10 @@ membership is decided on the exact rational <xi>^2 against integer powers
 of 4.  Besov norms take an l^q aggregate of weighted block Lebesgue norms,
 Triebel-Lizorkin norms take the Lebesgue norm of the pointwise l^q
 aggregate, Wiener norms reuse the sequence-space formula, and the Beurling
-family weights tail suprema of d^(-1/2) ||fhat||_HS over dyadic shells.
+family weights tail suprema of d^(-1/2) ||fhat||_HS over dyadic shells: a
+suffix maximum of the l^inf norms of the blocks.  dyadic_blocks is the one
+place that assigns reps to shells; Besov, Triebel-Lizorkin and Beurling
+norms all read its memoized split.
 Parameters q and beta equal to inf uniformly mean sup-aggregation.
 """
 
@@ -543,16 +546,13 @@ def wiener_norm(F: SpectralFunction, beta: float) -> float:
 
 def _tail_sups(F: SpectralFunction) -> list[float]:
     # t_s = sup over <xi> >= 2^s of d^(-1/2) ||fhat(xi)||_HS, until empty:
-    # a suffix maximum over the per-shell maxima.
-    shell_max: dict[int, float] = {}
-    for xi, mat in F.items():
-        s = block_of(weight_sq(F.group, xi))
-        v = rep_dim(F.group, xi) ** -0.5 * _hs_norm(mat)
-        shell_max[s] = max(shell_max.get(s, v), v)
+    # a suffix maximum of the shells' l^inf norms over the dyadic split.
+    blocks = dyadic_blocks(F)
     sups = []
-    running = -INF
-    for s in range(max(shell_max, default=-1), -1, -1):
-        running = max(running, shell_max.get(s, -INF))
+    running = 0.0
+    for s in range(max(blocks, default=-1), -1, -1):
+        if s in blocks:
+            running = max(running, seq_lp_norm(blocks[s], INF))
         sups.append(running)
     return sups[::-1]
 

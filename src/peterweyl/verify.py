@@ -58,7 +58,6 @@ from .norms import (
     besov_norm,
     beurling_norm,
     beurling_r_norm,
-    block_of,
     dyadic_blocks,
     lp_norm,
     lp_norms,
@@ -93,30 +92,26 @@ class InequalityReport:
             "name": self.name,
             "suite": self.suite,
             "instance": self.instance,
-            "lhs": _num(self.lhs),
-            "rhs": _num(self.rhs),
-            "ratio": _num(self.ratio),
+            "lhs": _json_safe(float(self.lhs)),
+            "rhs": _json_safe(float(self.rhs)),
+            "ratio": _json_safe(float(self.ratio)),
             "holds": self.holds,
-            "tol": _num(self.tol),
+            "tol": _json_safe(float(self.tol)),
             "notes": self.notes,
         }
 
 
-def _num(x):
-    x = float(x)
-    return x if math.isfinite(x) else repr(x)
-
-
-def _clean_instance(instance: dict) -> dict:
-    out = {}
-    for key in sorted(instance):
-        val = instance[key]
-        if isinstance(val, float) and not math.isfinite(val):
-            val = repr(val)
-        elif isinstance(val, (tuple, list)):
-            val = [repr(v) if isinstance(v, float) and not math.isfinite(v) else v for v in val]
-        out[key] = val
-    return out
+def _json_safe(v):
+    # JSON form of a report value.  JSON has no inf or nan, so non-finite
+    # floats become their repr strings; tuples become lists and dicts are
+    # key-sorted, recursively.
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    if isinstance(v, (tuple, list)):
+        return [_json_safe(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in sorted(v.items())}
+    return v
 
 
 def _report(name, suite, instance, lhs, rhs, tol, notes="") -> InequalityReport:
@@ -135,7 +130,7 @@ def _report(name, suite, instance, lhs, rhs, tol, notes="") -> InequalityReport:
     return InequalityReport(
         name=name,
         suite=suite,
-        instance=_clean_instance(instance),
+        instance=_json_safe(instance),
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
@@ -187,14 +182,12 @@ def nikolskii_check(
     """
     if not 0 < p < q or not q <= INF:
         raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
-    if p == INF:
-        raise DomainError("p must be finite")
     rho = rho_of(p)
     counts = _counts if _counts is not None else _support_counts(T, rho, threshold, max_nodes)
     norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
     lhs, lhs_info = norms[q]
     base, base_info = norms[p]
-    expo = 1.0 / p - (0.0 if q == INF else 1.0 / q)
+    expo = 1.0 / p - 1.0 / q
     rhs = counts["count"] ** expo * base
     inst = dict(instance or {})
     inst.update({"group": str(T.group), "p": p, "q": q, "rho": rho})
@@ -222,7 +215,7 @@ def nikolskii_remark_check(
     Requires the support of T to sit inside weight <= L; the notes record
     the chain support-count <= N(L) <= N(rho L).
     """
-    if not 0 < p < q or not q <= INF or p == INF:
+    if not 0 < p < q or not q <= INF:
         raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
     if T.max_weight_sq() > Fraction(L) ** 2:
         raise DomainError(f"support of T exceeds the stated band L={L}")
@@ -230,7 +223,7 @@ def nikolskii_remark_check(
     norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
     lhs, lhs_info = norms[q]
     base, _ = norms[p]
-    expo = 1.0 / p - (0.0 if q == INF else 1.0 / q)
+    expo = 1.0 / p - 1.0 / q
     n_rho_l = weyl_count(T.group, rho * L)
     rhs = n_rho_l ** expo * base
     inst = dict(instance or {})
@@ -265,6 +258,11 @@ def sharpness_check(
 # Hausdorff-Young and Plancherel
 
 
+def _conjugate(p: float) -> float:
+    """Hoelder conjugate p' with 1/p + 1/p' = 1; p = 1 gives inf."""
+    return INF if p == 1 else p / (p - 1.0)
+
+
 def hausdorff_young_checks(
     F: SpectralFunction,
     p: float,
@@ -277,7 +275,7 @@ def hausdorff_young_checks(
     """Both directions at one exponent 1 <= p <= 2 (p' conjugate)."""
     if not 1 <= p <= 2:
         raise DomainError(f"Hausdorff-Young needs 1 <= p <= 2, got {p}")
-    pp = INF if p == 1 else p / (p - 1.0)
+    pp = _conjugate(p)
     norms = _norms if _norms is not None else lp_norms(F, [p, pp], max_nodes)
     inst = dict(instance or {})
     inst.update({"group": str(F.group), "p": p, "p_conj": pp})
@@ -341,7 +339,7 @@ def corollary_decay(
     """
     if not (1 <= p < q <= INF):
         raise DomainError(f"need 1 <= p < q <= inf, got p={p}, q={q}")
-    inv_q = 0.0 if q == INF else 1.0 / q
+    inv_q = 1.0 / q
     if not (1.0 / p > inv_q + 0.5):
         raise DomainError(
             f"decay requires 1/p > 1/q + 1/2, got p={p}, q={q}"
@@ -403,9 +401,7 @@ def besov_besov_pair(
     _require(0 < p1 <= p2 <= INF, f"need 0 < p1 <= p2 <= inf, got {p1}, {p2}")
     _require(0 < q <= INF, f"need 0 < q <= inf, got {q}")
     n = group.dim
-    inv1 = 0.0 if p1 == INF else 1.0 / p1
-    inv2 = 0.0 if p2 == INF else 1.0 / p2
-    derived = r1 - n * (inv1 - inv2)
+    derived = r1 - n * (1.0 / p1 - 1.0 / p2)
     if r2 is not None and abs(r2 - derived) > 1e-12:
         raise DomainError(
             f"exponent relation violated: r2 must be r1 - n(1/p1 - 1/p2) = {derived}, got {r2}"
@@ -435,7 +431,7 @@ def besov_lq_pair(group: GroupId, p: float, q: float, r: float | None = None) ->
 def besov_linf_pair(group: GroupId, p: float) -> EmbeddingPair:
     """Critical summability into the sup norm: B^{n/p}_{p,1} -> L^inf."""
     _require(0 < p <= INF, f"need 0 < p <= inf, got {p}")
-    r = 0.0 if p == INF else group.dim / p
+    r = group.dim / p
     return EmbeddingPair(
         label=f"besov({r:g},{p:g},1)->Linf",
         target=NormSpec("Lp", p=INF),
@@ -466,8 +462,7 @@ def wiener_beta(group: GroupId, alpha: float, p: float) -> float:
     """Solve 1/beta = n/alpha + 1/p' for the Wiener-Besov exponent."""
     _require(alpha > 0, f"need alpha > 0, got {alpha}")
     _require(1 < p < INF, f"need 1 < p < inf, got {p}")
-    pp = p / (p - 1.0)
-    return 1.0 / (group.dim / alpha + 1.0 / pp)
+    return 1.0 / (group.dim / alpha + 1.0 / _conjugate(p))
 
 
 def wiener_besov_pair(group: GroupId, alpha: float, p: float, direction: str) -> EmbeddingPair:
@@ -503,8 +498,7 @@ def beurling_pairs(group: GroupId, beta: float, p: float) -> list[EmbeddingPair]
     _require(p >= 2, f"need p >= 2, got {p}")
     _require(0 < beta < INF, f"need 0 < beta < inf, got {beta}")
     n = group.dim
-    pp = p / (p - 1.0)
-    r_left = n * (1.0 / beta - 1.0 / pp)
+    r_left = n * (1.0 / beta - 1.0 / _conjugate(p))
     note = "negative smoothness" if r_left < 0 else ""
     return [
         EmbeddingPair(
@@ -542,16 +536,8 @@ def chain_pairs(group: GroupId, beta: float) -> list[EmbeddingPair]:
 
 def _ring_kernel(group: GroupId, s: int) -> SpectralFunction:
     # Dirichlet-type kernel of one dyadic shell: identity coefficients on
-    # every rep with 2^s <= <xi> < 2^(s+1).
-    hi = 2.0 ** (s + 1) * 1.01
-    keep = [
-        xi
-        for xi in enumerate_dual(group, hi)
-        if block_of(weight_sq(group, xi)) == s
-    ]
-    return SpectralFunction(
-        group, {xi: np.eye(rep_dim(group, xi), dtype=complex) for xi in keep}
-    )
+    # every rep with 2^s <= <xi> < 2^(s+1).  Shell s is never empty here.
+    return dyadic_blocks(dirichlet(group, 2.0 ** (s + 1)))[s]
 
 
 def embedding_suite(
@@ -689,12 +675,12 @@ def make_corpus(
         raise DomainError(f"corpus count must be >= 1, got {count}")
     if profile not in PROFILES:
         raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
-    reps = enumerate_dual(group, bandlimit)
-    entries = count * sum(rep_dim(group, xi) ** 2 for xi in reps)
+    entries = count * weyl_count(group, bandlimit)
     if entries > _CORPUS_ENTRY_CAP:
         raise ResourceLimitError(
             f"corpus would hold {entries} coefficient entries, cap is {_CORPUS_ENTRY_CAP}"
         )
+    reps = enumerate_dual(group, bandlimit)
     rng = np.random.default_rng(seed)
     functions = []
     for _ in range(count):
@@ -791,17 +777,8 @@ class RunConfig:
     out: str | None = None
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            if isinstance(v, tuple):
-                return [clean(x) for x in v]
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in sorted(v.items())}
-            return v
-
         return {
-            f.name: clean(getattr(self, f.name)) for f in fields(self) if f.name != "out"
+            f.name: _json_safe(getattr(self, f.name)) for f in fields(self) if f.name != "out"
         }
 
 
@@ -850,7 +827,7 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                 dom = _report(
                     "nikolskii-remark-dominance",
                     "nikolskii",
-                    {**_clean_instance(inst), "group": str(group), "p": p, "q": q},
+                    {**_json_safe(inst), "group": str(group), "p": p, "q": q},
                     rep.rhs,
                     remark.rhs,
                     0.0,
@@ -859,13 +836,13 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                 cts = counts[rho_of(p)]
                 verdicts = set()
                 for key in ("count", "count_x10", "count_d10"):
-                    expo = 1.0 / p - (0.0 if q == INF else 1.0 / q)
+                    expo = 1.0 / p - 1.0 / q
                     rhs_alt = cts[key] ** expo * norms[p][0]
                     verdicts.add(rep.lhs <= rhs_alt * (1.0 + cfg.tol_grid))
                 sens = _report(
                     "nikolskii-sensitivity-stable",
                     "nikolskii",
-                    {**_clean_instance(inst), "group": str(group), "p": p, "q": q},
+                    {**_json_safe(inst), "group": str(group), "p": p, "q": q},
                     float(len(verdicts) - 1),
                     0.5,
                     0.0,
@@ -892,7 +869,7 @@ def hausdorff_young_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
         exps = set()
         for p in cfg.hy_p_grid:
             exps.add(p)
-            exps.add(INF if p == 1 else p / (p - 1.0))
+            exps.add(_conjugate(p))
         exps.add(2.0)
         for idx, F in enumerate(corpus.functions):
             if not F:
@@ -1031,35 +1008,58 @@ def _structural_reports(cfg: RunConfig) -> list[InequalityReport]:
     return reports
 
 
+def _embedding_pairs(group: GroupId) -> list[EmbeddingPair]:
+    n = group.dim
+    pairs = [
+        besov_besov_pair(group, 1.0, 2.0, 2.0, r1=1.0),
+        besov_besov_pair(group, 2.0, 4.0, 1.0, r1=n),
+        besov_lq_pair(group, 2.0, 4.0),
+        besov_lq_pair(group, 1.5, 3.0),
+        besov_linf_pair(group, 1.0),
+        besov_linf_pair(group, 2.0),
+    ]
+    pairs += tl_sandwich_pairs(group, 0.5, 2.0, 4.0)
+    pairs += tl_sandwich_pairs(group, 0.5, 2.0, 1.0)
+    return pairs
+
+
+def _wiener_chain_pairs(group: GroupId) -> list[EmbeddingPair]:
+    n = group.dim
+    pairs = [
+        wiener_besov_pair(group, float(n), 2.0, "into-wiener"),
+        wiener_besov_pair(group, 2.0 * n, 1.5, "into-wiener"),
+        wiener_besov_pair(group, float(n), 2.0, "from-wiener"),
+        wiener_besov_pair(group, float(n), 3.0, "from-wiener"),
+    ]
+    for beta in (1.0, 2.0):
+        pairs += beurling_pairs(group, beta, 2.0)
+        pairs += beurling_pairs(group, beta, 3.0)
+        pairs += chain_pairs(group, beta)
+    return pairs
+
+
+def _family_reports(
+    cfg: RunConfig, group: GroupId, suite: str, pairs_of, corpus: Corpus | None = None
+) -> list[InequalityReport]:
+    # Each pair of pairs_of(group) over the Dirichlet scaling family, then over
+    # the corpus.  The families run on the tori; su2 is covered by sharpness.
+    if group.kind == "su2":
+        return []
+    pairs = pairs_of(group)
+    reports = embedding_suite(
+        group, "dirichlet", pairs, L_grid=cfg.dirichlet_grids[str(group)],
+        slope_max=cfg.slope_max, max_nodes=cfg.max_nodes, suite=suite,
+    )
+    return reports + embedding_suite(
+        group, "corpus", pairs, corpus=corpus or _corpus_for(cfg, group),
+        max_nodes=cfg.max_nodes, suite=suite,
+    )
+
+
 def embeddings_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = _structural_reports(cfg)
     for group in _config_groups(cfg):
-        if group.kind == "su2":
-            continue  # scaling families run on the tori; su2 is covered by sharpness
-        n = group.dim
-        pairs = [
-            besov_besov_pair(group, 1.0, 2.0, 2.0, r1=1.0),
-            besov_besov_pair(group, 2.0, 4.0, 1.0, r1=n),
-            besov_lq_pair(group, 2.0, 4.0),
-            besov_lq_pair(group, 1.5, 3.0),
-            besov_linf_pair(group, 1.0),
-            besov_linf_pair(group, 2.0),
-        ]
-        pairs += tl_sandwich_pairs(group, 0.5, 2.0, 4.0)
-        pairs += tl_sandwich_pairs(group, 0.5, 2.0, 1.0)
-        grid = cfg.dirichlet_grids[str(group)]
-        reports.extend(
-            embedding_suite(
-                group, "dirichlet", pairs, L_grid=grid,
-                slope_max=cfg.slope_max, max_nodes=cfg.max_nodes,
-            )
-        )
-        corpus = _corpus_for(cfg, group)
-        reports.extend(
-            embedding_suite(
-                group, "corpus", pairs, corpus=corpus, max_nodes=cfg.max_nodes,
-            )
-        )
+        reports.extend(_family_reports(cfg, group, "embeddings", _embedding_pairs))
     return reports
 
 
@@ -1098,30 +1098,8 @@ def wiener_chain_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                         abs(av - rv), cfg.tol_identity * max(av, 1e-300), 0.0,
                     )
                 )
-        if group.kind == "su2":
-            continue  # scaling families on the tori, as in the embeddings suite
-        pairs = [
-            wiener_besov_pair(group, float(n), 2.0, "into-wiener"),
-            wiener_besov_pair(group, 2.0 * n, 1.5, "into-wiener"),
-            wiener_besov_pair(group, float(n), 2.0, "from-wiener"),
-            wiener_besov_pair(group, float(n), 3.0, "from-wiener"),
-        ]
-        for beta in (1.0, 2.0):
-            pairs += beurling_pairs(group, beta, 2.0)
-            pairs += beurling_pairs(group, beta, 3.0)
-            pairs += chain_pairs(group, beta)
-        grid = cfg.dirichlet_grids[str(group)]
         reports.extend(
-            embedding_suite(
-                group, "dirichlet", pairs, L_grid=grid, slope_max=cfg.slope_max,
-                max_nodes=cfg.max_nodes, suite="wiener-chain",
-            )
-        )
-        reports.extend(
-            embedding_suite(
-                group, "corpus", pairs, corpus=corpus, max_nodes=cfg.max_nodes,
-                suite="wiener-chain",
-            )
+            _family_reports(cfg, group, "wiener-chain", _wiener_chain_pairs, corpus)
         )
     return reports
 

@@ -87,6 +87,16 @@ def test_verify_resource_cap_exit_3(tmp_path, capsys):
         ]
     )
     assert code == EXIT_RESOURCE
+    # the corpus entry cap reads the Weyl count before the dual is enumerated
+    out = tmp_path / "corpus"
+    code = main(
+        [
+            "corpus", "--group", "torus:2", "--bandlimit", "1e4", "--count", "1",
+            "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert code == EXIT_RESOURCE
+    assert not out.exists()
 
 
 def test_verify_reports_byte_identical(tmp_path):

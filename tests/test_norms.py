@@ -258,6 +258,29 @@ def test_spec_round_trip(text):
     assert format_norm_spec(parse_norm_spec(text)) == text
 
 
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _norm_specs(draw):
+    family = draw(st.sampled_from(sorted(norms._FAMILY_KEYS)))
+    params = {}
+    for key in norms._FAMILY_KEYS[family]:
+        if key == "r":
+            params[key] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        elif family == "tl" and key == "p":
+            params[key] = draw(_POSITIVE)
+        else:
+            params[key] = draw(st.one_of(st.just(INF), _POSITIVE))
+    return NormSpec(family, **params)
+
+
+@given(_norm_specs())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_spec_format_parse_round_trip(spec):
+    assert parse_norm_spec(format_norm_spec(spec)) == spec
+
+
 def test_spec_parse_errors_name_rule():
     with pytest.raises(NormSpecError, match="family"):
         parse_norm_spec("frobnitz:1")
@@ -392,6 +415,11 @@ def test_tail_sups_match_tail_scan():
             funcs += make_corpus(group, L, 2, 5, profile).functions
         for F in funcs:
             assert norms._tail_sups(F) == _tail_sups_by_scan(F)
+    # shell 1 empty, shell 2 holding only an all-zero matrix
+    gap = SpectralFunction(
+        T1, {(1,): np.array([[2.0]]), (4,): np.zeros((1, 1)), (8,): np.array([[0.5j]])}
+    )
+    assert norms._tail_sups(gap) == _tail_sups_by_scan(gap) == [2.0, 0.5, 0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------

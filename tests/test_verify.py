@@ -1,15 +1,25 @@
 """Inequality checkers, corpora, fits, and suite drivers."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from peterweyl.fourier import SpectralFunction, dirichlet
-from peterweyl.groups import DomainError, enumerate_dual, su2, torus, weyl_count
-from peterweyl.norms import INF, NormSpec, lp_norm, seq_lp_norm
+from peterweyl.groups import (
+    DomainError,
+    enumerate_dual,
+    rep_dim,
+    su2,
+    torus,
+    weight_sq,
+    weyl_count,
+)
+from peterweyl.norms import INF, NormSpec, block_of, lp_norm, seq_lp_norm
 from peterweyl.verify import (
     RunConfig,
+    _ring_kernel,
     besov_besov_pair,
     besov_linf_pair,
     besov_lq_pair,
@@ -240,6 +250,30 @@ def test_embedding_suite_single_block_family():
     assert all(r.holds for r in reports)
 
 
+def _ring_kernel_by_filter(group, s):
+    # reference: enumerate past the shell's outer edge, keep the reps of shell s
+    keep = [
+        xi
+        for xi in enumerate_dual(group, 2.0 ** (s + 1) * 1.01)
+        if block_of(weight_sq(group, xi)) == s
+    ]
+    return SpectralFunction(
+        group, {xi: np.eye(rep_dim(group, xi), dtype=complex) for xi in keep}
+    )
+
+
+@pytest.mark.parametrize("group", [T1, T2, torus(3), SU2], ids=str)
+def test_ring_kernel_matches_enumerate_and_filter(group):
+    for s in range(4):
+        ref = _ring_kernel_by_filter(group, s)
+        got = _ring_kernel(group, s)
+        assert ref
+        assert list(got.coeffs) == list(ref.coeffs)
+        for xi, mat in ref.coeffs.items():
+            assert np.array_equal(got.coeffs[xi], mat)
+        assert got.digest == ref.digest
+
+
 # ---------------------------------------------------------------------------
 # Weyl fits
 
@@ -343,6 +377,17 @@ def test_render_report_stable_and_complete():
     assert text1.startswith("# peterweyl report v1\n")
     assert "# config {" in text1
     assert "# overall: pass=" in text1
+
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # non-finite floats (q = inf in the config) are spelled as strings
+    assert '"inf"' in text1
+    for line in text1.splitlines():
+        if line.startswith("# config "):
+            json.loads(line[len("# config "):], parse_constant=strict)
+        elif not line.startswith("#"):
+            json.loads(line, parse_constant=strict)
 
 
 def test_unknown_suite():
