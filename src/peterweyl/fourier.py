@@ -10,12 +10,16 @@ synthesis evaluates the Fourier series
 
     f(x) = sum_xi d_xi Tr(fhat(xi) xi(x)).
 
-On the torus both directions reduce to FFTs on the uniform product grid.
-On SU(2) they factor through the Euler angles: dense phase contractions over
-alpha and gamma, and a Wigner-d contraction over the cos(beta) nodes.  Both
-paths are exact for band-limited inputs on rules whose band covers the
-support, and deterministic (fixed contraction order) so serialized outputs
-are byte-stable.
+On the torus, analysis is one FFT over the uniform product grid.  Synthesis
+on T^2 and T^3 packs the support into its dense index box and contracts it
+one axis at a time against phase tables reduced mod the axis length in
+integers: m^n K work for a box K wide on an m^n grid, and no zero-padded
+m^n spectrum.  On T^1, where such a table would outgrow the grid it fills,
+synthesis stays an inverse FFT.  On SU(2) both directions factor through the
+Euler angles: dense phase contractions over alpha and gamma, and a Wigner-d
+contraction over the cos(beta) nodes.  All paths are exact for band-limited
+inputs on rules whose band covers the support, and deterministic (fixed
+contraction order) so serialized outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -213,6 +217,37 @@ def _su2_analyze(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Torus synthesis on T^2 and T^3
+#
+# The support is packed into its dense index box [kmin, kmax], K_a wide on
+# axis a, and contracted one axis at a time against the m_a x K_a table
+# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a).  The work is
+# m^n K multiply-adds, against m^n log m for an inverse FFT of the whole
+# zero-padded grid, and no m^n spectrum is built.
+
+
+def _torus_phases(m: int, kmin: int, width: int) -> np.ndarray:
+    # The phase is reduced mod m in integers, as FFT twiddles are, so large
+    # products x k lose no accuracy to the float angle.
+    turns = np.outer(np.arange(m), np.arange(kmin, kmin + width)) % m
+    return np.exp((2j * math.pi / m) * turns)
+
+
+def _torus_synthesize(F: SpectralFunction, rule: QuadratureRule) -> np.ndarray:
+    items = F.items()
+    ks = np.array([k for k, _ in items])  # (S, n)
+    kmin = ks.min(axis=0)
+    box = np.zeros(tuple(ks.max(axis=0) - kmin + 1), dtype=complex)
+    box[tuple((ks - kmin).T)] = [mat[0, 0] for _, mat in items]
+    # Each step contracts the leading K axis and appends its grid axis, so
+    # (K_0, ..., K_{n-1}) ends as (m_0, ..., m_{n-1}) in C order.
+    values = box
+    for m, k0, width in zip(rule.shape, kmin, box.shape):
+        values = np.tensordot(values, _torus_phases(m, int(k0), width), axes=([0], [1]))
+    return values
+
+
 def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
     """Evaluate the Fourier series of F at every node of the rule.
 
@@ -232,14 +267,16 @@ def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
         )
     if not F.support():
         return GridFunction(rule, np.zeros(rule.node_count, dtype=complex))
-    if rule.group.kind == "torus":
-        shape = rule.shape
-        spec = np.zeros(shape, dtype=complex)
-        for k, mat in F.items():
-            spec[tuple(ki % m for ki, m in zip(k, shape))] = mat[0, 0]
-        values = ifftn(spec) * rule.node_count
-        return GridFunction(rule, values.ravel())
-    return GridFunction(rule, _su2_synthesize(F, rule).ravel())
+    if rule.group.kind == "su2":
+        return GridFunction(rule, _su2_synthesize(F, rule).ravel())
+    if rule.group.dim > 1:
+        return GridFunction(rule, _torus_synthesize(F, rule).ravel())
+    # On T^1 an m x K phase table would outgrow the m values it fills.
+    (m,) = rule.shape
+    spec = np.zeros(m, dtype=complex)
+    for (k,), mat in F.items():
+        spec[k % m] = mat[0, 0]
+    return GridFunction(rule, ifftn(spec) * m)
 
 
 def _analyze_reps(f: GridFunction, reps: list, threshold: float) -> SpectralFunction:

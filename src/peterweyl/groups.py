@@ -49,6 +49,11 @@ SU2_CASIMIR_SCALE = Fraction(1)
 # Default cap on quadrature grid sizes; callers may override per operation.
 MAX_NODES_DEFAULT = 4_000_000
 
+# Cap on the coefficient entries (sums of d^2 over the dual, so rows of a
+# torus dual) that a dual listing or a generated corpus may hold; callers
+# compare weyl_count against it before they enumerate.
+MAX_DUAL_ENTRIES = 50_000_000
+
 
 class DomainError(ValueError):
     """Invalid mathematical input: out-of-range parameter or malformed index."""
@@ -178,13 +183,19 @@ def _lattice_points(budget: Fraction, dims: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _lattice_count(budget: Fraction, dims: int) -> int:
-    if budget < 0:
+def _lattice_count(budget: Fraction | int, dims: int) -> int:
+    # Squared norms are integers, so the floored budget admits the same
+    # points; the recursion then runs on plain ints, counting k and -k once.
+    b = math.floor(budget)
+    if b < 0:
         return 0
+    kmax = math.isqrt(b)
     if dims == 1:
-        return 2 * math.isqrt(math.floor(budget)) + 1
-    kmax = math.isqrt(math.floor(budget))
-    return sum(_lattice_count(budget - k * k, dims - 1) for k in range(-kmax, kmax + 1))
+        return 2 * kmax + 1
+    rest = dims - 1
+    return _lattice_count(b, rest) + 2 * sum(
+        _lattice_count(b - k * k, rest) for k in range(1, kmax + 1)
+    )
 
 
 def enumerate_dual(group: GroupId, L: float) -> list:

@@ -213,8 +213,8 @@ class _Memo:
             self.size = 0
 
 
-# Synthesized node values keyed by content digest and rule band, sized in
-# nodes.
+# Moduli |f| of synthesized node values (read-only float64: every reader
+# takes the modulus) keyed by content digest and rule band, sized in nodes.
 _VALUE_CACHE_BUDGET = 4_000_000
 _VALUE_CACHE = _Memo(_VALUE_CACHE_BUDGET)
 
@@ -243,10 +243,11 @@ def _remember(key, value: float, info: dict) -> None:
 
 
 def _synth_values(F: SpectralFunction, rule) -> np.ndarray:
+    # |f| at the nodes of the rule, memoized.
     key = (F.digest, str(rule.group), rule.bandlimit)
     vals = _VALUE_CACHE.get(key)
     if vals is None:
-        vals = synthesize(F, rule).values
+        vals = np.abs(synthesize(F, rule).values)
         vals.setflags(write=False)
         _VALUE_CACHE.put(key, vals, vals.size)
     return vals
@@ -383,7 +384,7 @@ def lp_norms(
         fresh[INF] = (_identity_value(F), _provenance("exact (identity-pinned)", 1))
     if exact_levels:
         fresh.update(
-            _ladder(F, lambda rule: np.abs(_synth_values(F, rule)), exact_levels, max_nodes)
+            _ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes)
         )
     for p, (value, info) in fresh.items():
         _remember(("lp", F.digest, p, max_nodes), value, info)
@@ -515,7 +516,7 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
 
     def aggregate(rule) -> np.ndarray:
         arr = np.stack(
-            [weights[s] * np.abs(_synth_values(b, rule)) for s, b in blocks.items()], axis=0
+            [weights[s] * _synth_values(b, rule) for s, b in blocks.items()], axis=0
         )
         if q == INF:
             return arr.max(axis=0)

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .groups import (
+    MAX_DUAL_ENTRIES,
     DomainError,
     GroupId,
     ResourceLimitError,
@@ -653,8 +654,6 @@ class Corpus:
 
 PROFILES = ("dense_gaussian", "sparse", "smooth_decay")
 
-_CORPUS_ENTRY_CAP = 50_000_000
-
 
 def make_corpus(
     group: GroupId,
@@ -676,9 +675,9 @@ def make_corpus(
     if profile not in PROFILES:
         raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
     entries = count * weyl_count(group, bandlimit)
-    if entries > _CORPUS_ENTRY_CAP:
+    if entries > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(
-            f"corpus would hold {entries} coefficient entries, cap is {_CORPUS_ENTRY_CAP}"
+            f"corpus would hold {entries} coefficient entries, cap is {MAX_DUAL_ENTRIES}"
         )
     reps = enumerate_dual(group, bandlimit)
     rng = np.random.default_rng(seed)

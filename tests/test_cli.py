@@ -97,6 +97,11 @@ def test_verify_resource_cap_exit_3(tmp_path, capsys):
     )
     assert code == EXIT_RESOURCE
     assert not out.exists()
+    # so does the dual listing, against the same cap
+    assert main(["dual", "--group", "torus:2", "--L", "1e5"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert "dual listing would hold" in captured.err
+    assert "index" not in captured.out
 
 
 def test_verify_reports_byte_identical(tmp_path):

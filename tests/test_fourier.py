@@ -1,9 +1,12 @@
 """Analysis/synthesis, distinguished kernels, powers, serialization."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.fft import ifftn
 
 from peterweyl.fourier import (
     BandLimitError,
@@ -121,6 +124,80 @@ def test_su2_synthesis_matches_trace_formula():
             for twoL, mat in F.items()
         )
         assert abs(vals[idx] - direct) < 1e-10
+
+
+def _ifftn_synthesis(F, rule):
+    # The inverse FFT over the zero-padded grid that torus synthesis used
+    # before the per-axis contraction; kept as the reference.
+    spec = np.zeros(rule.shape, dtype=complex)
+    for k, mat in F.items():
+        spec[tuple(ki % m for ki, m in zip(k, rule.shape))] = mat[0, 0]
+    return (ifftn(spec) * rule.node_count).ravel()
+
+
+def _direct_synthesis(F, rule, flat):
+    # sum_k c_k exp(i k.x) at the given flat node indices, one node at a
+    # time; node x_a = 2 pi j_a / m_a, so each axis phase k_a j_a is reduced
+    # mod m_a in integers before the float angle is formed.
+    idx = np.unravel_index(flat, rule.shape)
+    total = np.zeros(len(flat), dtype=complex)
+    for k, mat in F.items():
+        angle = sum(2.0 * math.pi * ((j * ka) % m) / m for j, ka, m in zip(idx, k, rule.shape))
+        total += mat[0, 0] * np.exp(1j * angle)
+    return total
+
+
+def _torus_case(group, support, seed):
+    n = group.dim
+    rng = np.random.default_rng(seed)
+    if support == "sparse":
+        ks = {tuple(int(v) for v in rng.integers(-20, 21, size=n)) for _ in range(6)}
+    elif support == "positive":  # kmin > 0 on every axis
+        ks = set(itertools.product(*[range(2 + a, 6 + a) for a in range(n)]))
+    elif support == "negative":  # kmax < 0 on every axis
+        ks = set(itertools.product(*[range(-7 - a, -3 + a) for a in range(n)]))
+    elif support == "single":  # far from 0, where the phases k_a x_a are large
+        ks = {(-339, 338)} if n == 2 else {(-20, 17, 9)}
+    else:  # zero matrices on a support with both signs
+        return SpectralFunction(group, {(k,) + (0,) * (n - 1): [[0.0]] for k in (-3, 1, 4)})
+    return SpectralFunction(
+        group, {k: [[complex(*rng.standard_normal(2))]] for k in sorted(ks)}
+    )
+
+
+_SUPPORTS = ("sparse", "positive", "negative", "single", "zeros")
+
+
+@pytest.mark.parametrize(
+    "group,support,band",
+    [(T2, s, None) for s in _SUPPORTS]  # exact rules
+    + [(T2, s, 257.0) for s in ("sparse", "positive", "zeros")]  # 1029^2
+    + [(T2, s, 480.0) for s in ("sparse", "negative", "single")]  # 1925^2
+    + [(T3, s, None) for s in _SUPPORTS]
+    + [(T3, s, 30.0) for s in ("sparse", "positive", "negative", "single")],
+    ids=str,
+)
+def test_torus_synthesis_matches_direct_sum_and_ifftn(group, support, band):
+    # Relative to max |f|, the contraction is about 1e-15 off both
+    # references; 1e-13 still catches phases taken without the mod-m
+    # reduction (3.5e-13 off at |k_a| = 339 on the 1925^2 grid).
+    F = _torus_case(group, support, seed=11)
+    rule = quadrature(group, band or max(F.max_weight(), 1.0))
+    if band == 257.0:
+        assert rule.shape == (1029, 1029)
+    if band == 480.0:
+        assert rule.shape == (1925, 1925)
+    vals = synthesize(F, rule).values
+    ref = _ifftn_synthesis(F, rule)
+    assert vals.shape == ref.shape
+    scale = float(np.abs(ref).max())
+    assert np.abs(vals - ref).max() <= 1e-13 * scale
+    flat = np.random.default_rng(5).integers(0, rule.node_count, size=200)
+    flat[0] = rule.node_count - 1
+    direct = _direct_synthesis(F, rule, flat)
+    assert np.abs(vals[flat] - direct).max() <= 1e-13 * scale
+    if support == "zeros":
+        assert not np.any(vals)
 
 
 @pytest.mark.parametrize(
@@ -281,6 +358,52 @@ def test_serialization_header_and_errors():
         load_spectral("nonsense\n")
     with pytest.raises(DomainError):
         load_spectral("specfun v1\ngroup torus:1\nrep 0 1 0.5\n")  # odd entry count
+
+
+_NUMBERS = st.floats(-1e3, 1e3).map(repr) | st.integers(-9, 9).map(str) | st.sampled_from(
+    ["-0", "1e308", "1e400", "-1e400", "1e-400", "nan", "inf", "-inf", "NaN", "1e", "0x10", "1_0"]
+)
+_BAD_INDICES = st.sampled_from([",", "1,", "a", "-1", "1,2,3,4", "99999999999", "0.5"])
+
+
+@st.composite
+def _spectral_texts(draw):
+    # Mostly well-formed so records get parsed; each part is corrupted now
+    # and then: header, group line, rep index, dimension, entries, truncation.
+    def sometimes(bad):
+        return draw(bad) if draw(st.integers(0, 7)) == 5 else None
+
+    group = draw(st.sampled_from(["torus:1", "torus:2", "torus:3", "su2"]))
+    lines = [
+        sometimes(st.sampled_from(["specfun", "specfun v2", "rep 0 1"])) or "specfun v1",
+        "group " + (sometimes(st.sampled_from(["torus:0", "torus:4", "torus:x", "su3"])) or group),
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        if group == "su2":
+            twoL = draw(st.integers(0, 2))
+            index, dim = str(twoL), twoL + 1
+        else:
+            ks = draw(st.lists(st.integers(-3, 3), min_size=int(group[-1]), max_size=int(group[-1])))
+            index, dim = ",".join(map(str, ks)), 1
+        nums = draw(st.lists(_NUMBERS, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        record = ["rep", sometimes(_BAD_INDICES) or index,
+                  sometimes(st.sampled_from(["0", "-1", "2", "1.5", "x"])) or str(dim)] + nums
+        lines.append(" ".join(record[: draw(st.integers(1, len(record)))]
+                              if draw(st.integers(0, 7)) == 5 else record))
+    if draw(st.integers(0, 7)) == 5:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=20)))
+    return "\n".join(lines)
+
+
+@given(_spectral_texts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_load_spectral_fuzz_returns_or_raises_domain_error(text):
+    try:
+        F = load_spectral(text)
+    except DomainError:
+        return
+    assert isinstance(F, SpectralFunction)
+    assert all(np.isfinite(mat).all() for mat in F.coeffs.values())
 
 
 def test_determinism_byte_identical():

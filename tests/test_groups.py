@@ -1,6 +1,7 @@
 """Group data: duals, weights, matrix coefficients, Haar quadrature."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 
 from peterweyl.groups import (
     DomainError,
+    _lattice_count,
     ResourceLimitError,
     compose,
     enumerate_dual,
@@ -120,6 +122,34 @@ def test_weyl_count_matches_enumeration():
     for g, L in [(T1, 7.3), (T2, 4.5), (SU2, 5.0)]:
         total = sum(rep_info(g, xi).dim ** 2 for xi in enumerate_dual(g, L))
         assert weyl_count(g, L) == total
+
+
+def _fraction_lattice_count(budget, dims):
+    # The Fraction-budget recursion that counted torus lattice points before
+    # the integer one; kept as the reference.
+    if budget < 0:
+        return 0
+    if dims == 1:
+        return 2 * math.isqrt(math.floor(budget)) + 1
+    kmax = math.isqrt(math.floor(budget))
+    return sum(
+        _fraction_lattice_count(budget - k * k, dims - 1) for k in range(-kmax, kmax + 1)
+    )
+
+
+def test_lattice_count_matches_fraction_recursion():
+    bands = [1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 5.0, 6.75, 7.3, 10.0, 10 / 3, 12.2]
+    for g in (T1, T2, T3):
+        for L in bands:
+            ref = _fraction_lattice_count(Fraction(L) ** 2 - 1, g.dim)
+            assert weyl_count(g, L) == ref, (g, L)
+    # budgets on and next to the dyadic edges 4^k, and below zero
+    for dims, kmax in ((1, 20), (2, 12), (3, 6)):
+        for k in range(kmax + 1):
+            for delta in (Fraction(-1), Fraction(-1, 4), 0, Fraction(1, 4), Fraction(1)):
+                budget = 4**k + delta
+                assert _lattice_count(budget, dims) == _fraction_lattice_count(budget, dims)
+        assert _lattice_count(Fraction(-1, 3), dims) == 0
 
 
 @given(st.floats(min_value=1.0, max_value=25.0), st.floats(min_value=0.0, max_value=10.0))
