@@ -10,16 +10,22 @@ synthesis evaluates the Fourier series
 
     f(x) = sum_xi d_xi Tr(fhat(xi) xi(x)).
 
-On the torus, analysis is one FFT over the uniform product grid.  Synthesis
-on T^2 and T^3 packs the support into its dense index box and contracts it
+Synthesis has one kernel, synthesize_slabs, which yields the node values in
+consecutive C-order slabs of about SLAB_NODES nodes along the leading grid
+axis; synthesize writes them into one array, and the norm ladder reduces
+them as they come, so no consumer needs the whole grid at once.  On T^2 and
+T^3 the kernel packs the support into its dense index box and contracts it
 one axis at a time against phase tables reduced mod the axis length in
-integers: m^n K work for a box K wide on an m^n grid, and no zero-padded
-m^n spectrum.  On T^1, where such a table would outgrow the grid it fills,
-synthesis stays an inverse FFT.  On SU(2) both directions factor through the
-Euler angles: dense phase contractions over alpha and gamma, and a Wigner-d
-contraction over the cos(beta) nodes.  All paths are exact for band-limited
-inputs on rules whose band covers the support, and deterministic (fixed
-contraction order) so serialized outputs are byte-stable.
+integers, the trailing axes once and the leading axis per slab: m^n K work
+for a box K wide on an m^n grid, and no zero-padded m^n spectrum.  On T^1,
+where such a table would outgrow the grid it fills, synthesis is one inverse
+FFT and one slab.  On SU(2) both directions factor through the Euler angles:
+dense phase contractions over alpha and gamma (in synthesis, alpha once and
+gamma per slab of alpha rows), and a Wigner-d contraction over the cos(beta)
+nodes.  On the torus, analysis is one FFT over the uniform product grid.
+All paths are exact for band-limited inputs on rules whose band covers the
+support, and deterministic (fixed contraction order and slab split) so
+serialized outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -53,6 +59,12 @@ from .groups import (
 SUPPORT_THRESHOLD = 1e-12
 
 SERIAL_HEADER = "specfun v1"
+
+# Nodes per slab of streamed synthesis (2^16 complex values, 1 MB): small
+# enough to stay in cache while a norm ladder reduces it, large enough that
+# per-slab overhead is negligible.  Slabs of 2^14 to 2^18 nodes time within
+# 15% of each other at the ladder's largest grids.
+SLAB_NODES = 1 << 16
 
 
 class BandLimitError(DomainError):
@@ -161,14 +173,38 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
+# Synthesis slabs
+
+
+def _slab_bounds(rule: QuadratureRule):
+    # (a, b, lo, hi): leading-axis rows [a, b) and their flat C-order nodes
+    # [lo, hi).  The split depends on the rule alone, so the slabs of two
+    # functions on one rule line up.  T^1 is one slab.
+    lead = rule.shape[0]
+    inner = rule.node_count // lead
+    rows = lead if rule.group.dim == 1 else max(1, SLAB_NODES // inner)
+    for a in range(0, lead, rows):
+        b = min(a + rows, lead)
+        yield a, b, a * inner, b * inner
+
+
+def _zero_slabs(rule: QuadratureRule):
+    for _, _, lo, hi in _slab_bounds(rule):
+        yield lo, hi, np.zeros(hi - lo, dtype=complex)
+
+
+# ---------------------------------------------------------------------------
 # SU(2) transform kernels
 #
 # With D^l_{mn} = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma) and the
 # trace pairing Tr(C D) = sum_{ij} C[i,j] D[j,i], synthesis collects, per
 # beta node, G[u, w] = sum_l d_l C[i,j] d^l_{m_j n_i}(beta), indexed by the
 # alpha frequency u = m_j and the gamma frequency w = n_i, then applies
-# dense phase matrices on both sides.  Analysis runs the adjoint phase
-# contractions first, then integrates against little-d tables over beta.
+# dense phase matrices on both sides: the alpha side once, the gamma side
+# per slab of alpha rows (the per-angle factorization of Kostelec &
+# Rockmore, "FFTs on the rotation group", JFAA 14, 2008).  Analysis runs
+# the adjoint phase contractions first, then integrates against little-d
+# tables over beta.
 # Node storage is C order over (alpha, beta, gamma).
 
 
@@ -178,8 +214,8 @@ def _phase_matrix(angles: np.ndarray, twoL_max: int) -> np.ndarray:
     return np.exp(-1j * np.outer(angles, ms))
 
 
-def _su2_synthesize(F: SpectralFunction, rule: QuadratureRule) -> np.ndarray:
-    na, nb, ng = rule.shape
+def _su2_slabs(F: SpectralFunction, rule: QuadratureRule):
+    nb = rule.shape[1]
     support = F.support()
     tl = max(support)
     tabs = rule.d_tables(tl)
@@ -190,11 +226,15 @@ def _su2_synthesize(F: SpectralFunction, rule: QuadratureRule) -> np.ndarray:
         term = dim * mat.T[:, :, None] * tabs[twoL]  # indexed [j, i, node]
         pos = tl + twoL - 2 * np.arange(dim)
         gmat[pos[:, None], pos[None, :], :] += term
+    # The alpha step once, as (na, nb, nfreq); then per alpha-slab the gamma
+    # contraction, whose rows come out in (alpha, beta, gamma) C order.
     e_alpha = _phase_matrix(rule.axes[0], tl)
-    e_gamma = _phase_matrix(rule.axes[2], tl)
-    step1 = np.tensordot(e_alpha, gmat, axes=([1], [0]))  # (na, nfreq, nb)
-    step2 = np.tensordot(step1, e_gamma, axes=([1], [1]))  # (na, nb, ng)
-    return step2
+    by_alpha = np.ascontiguousarray(
+        np.tensordot(e_alpha, gmat, axes=([1], [0])).transpose(0, 2, 1)
+    )
+    e_gamma = np.ascontiguousarray(_phase_matrix(rule.axes[2], tl).T)  # (nfreq, ng)
+    for a, b, lo, hi in _slab_bounds(rule):
+        yield lo, hi, (by_alpha[a:b].reshape(-1, nfreq) @ e_gamma).ravel()
 
 
 def _su2_analyze(
@@ -222,8 +262,9 @@ def _su2_analyze(
 #
 # The support is packed into its dense index box [kmin, kmax], K_a wide on
 # axis a, and contracted one axis at a time against the m_a x K_a table
-# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a).  The work is
-# m^n K multiply-adds, against m^n log m for an inverse FFT of the whole
+# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a): the trailing axes
+# once, the leading axis per slab of its rows.  The work is m^n K
+# multiply-adds, against m^n log m for an inverse FFT of the whole
 # zero-padded grid, and no m^n spectrum is built.
 
 
@@ -234,25 +275,43 @@ def _torus_phases(m: int, kmin: int, width: int) -> np.ndarray:
     return np.exp((2j * math.pi / m) * turns)
 
 
-def _torus_synthesize(F: SpectralFunction, rule: QuadratureRule) -> np.ndarray:
+def _torus_slabs(F: SpectralFunction, rule: QuadratureRule):
     items = F.items()
     ks = np.array([k for k, _ in items])  # (S, n)
     kmin = ks.min(axis=0)
     box = np.zeros(tuple(ks.max(axis=0) - kmin + 1), dtype=complex)
     box[tuple((ks - kmin).T)] = [mat[0, 0] for _, mat in items]
-    # Each step contracts the leading K axis and appends its grid axis, so
-    # (K_0, ..., K_{n-1}) ends as (m_0, ..., m_{n-1}) in C order.
-    values = box
-    for m, k0, width in zip(rule.shape, kmin, box.shape):
-        values = np.tensordot(values, _torus_phases(m, int(k0), width), axes=([0], [1]))
-    return values
+    # The trailing axes once: each step contracts axis 1, the next K axis,
+    # and appends its grid axis, so (K_0, ..., K_{n-1}) ends as
+    # (K_0, m_1, ..., m_{n-1}).  The leading axis is contracted per slab.
+    tail = box
+    for m, k0, width in zip(rule.shape[1:], kmin[1:], box.shape[1:]):
+        tail = np.tensordot(tail, _torus_phases(m, int(k0), width), axes=([1], [1]))
+    tail = tail.reshape(box.shape[0], -1)
+    lead = _torus_phases(rule.shape[0], int(kmin[0]), box.shape[0])
+    for a, b, lo, hi in _slab_bounds(rule):
+        yield lo, hi, (lead[a:b] @ tail).ravel()
 
 
-def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
-    """Evaluate the Fourier series of F at every node of the rule.
+def _line_slabs(F: SpectralFunction, rule: QuadratureRule):
+    # On T^1 an m x K phase table would outgrow the m values it fills: one
+    # slab, the inverse FFT.
+    (m,) = rule.shape
+    spec = np.zeros(m, dtype=complex)
+    for (k,), mat in F.items():
+        spec[k % m] = mat[0, 0]
+    yield 0, m, ifftn(spec) * m
 
-    The support must lie within the rule's exactness band so later grid
-    integrals of coefficient products stay exact.
+
+def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
+    """The Fourier series of F at the rule's nodes, as consecutive slabs.
+
+    Returns an iterator of (lo, hi, values): complex values at the flat
+    C-order nodes [lo, hi), which cover the grid in order.  Slabs split the
+    leading grid axis into runs of about SLAB_NODES nodes, the same for every
+    function on one rule; T^1 is one slab.  The support must lie within the
+    rule's exactness band so later grid integrals of coefficient products
+    stay exact; the checks run before the iterator is returned.
     """
     if F.group != rule.group:
         raise DomainError(
@@ -266,17 +325,23 @@ def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
             f"{rule.bandlimit:g}"
         )
     if not F.support():
-        return GridFunction(rule, np.zeros(rule.node_count, dtype=complex))
+        return _zero_slabs(rule)
     if rule.group.kind == "su2":
-        return GridFunction(rule, _su2_synthesize(F, rule).ravel())
+        return _su2_slabs(F, rule)
     if rule.group.dim > 1:
-        return GridFunction(rule, _torus_synthesize(F, rule).ravel())
-    # On T^1 an m x K phase table would outgrow the m values it fills.
-    (m,) = rule.shape
-    spec = np.zeros(m, dtype=complex)
-    for (k,), mat in F.items():
-        spec[k % m] = mat[0, 0]
-    return GridFunction(rule, ifftn(spec) * m)
+        return _torus_slabs(F, rule)
+    return _line_slabs(F, rule)
+
+
+def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
+    """Evaluate the Fourier series of F at every node of the rule.
+
+    The slabs of synthesize_slabs, written into one array.
+    """
+    values = np.empty(rule.node_count, dtype=complex)
+    for lo, hi, slab in synthesize_slabs(F, rule):
+        values[lo:hi] = slab
+    return GridFunction(rule, values)
 
 
 def _analyze_reps(f: GridFunction, reps: list, threshold: float) -> SpectralFunction:

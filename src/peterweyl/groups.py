@@ -198,6 +198,13 @@ def _lattice_count(budget: Fraction | int, dims: int) -> int:
     )
 
 
+def _weight_budget(L: float) -> Fraction:
+    # The exact squared weight cut L^2 of a finite band limit L >= 1.
+    if not 1 <= L < math.inf:
+        raise DomainError(f"band limit L must be finite and >= 1, got {L}")
+    return Fraction(L) ** 2
+
+
 def enumerate_dual(group: GroupId, L: float) -> list:
     """All rep indices with weight <xi> <= L, in canonical order.
 
@@ -205,9 +212,7 @@ def enumerate_dual(group: GroupId, L: float) -> list:
     twoL.  The trivial representation has weight exactly 1, so L < 1 is a
     domain error rather than an empty answer.
     """
-    if L < 1:
-        raise DomainError(f"band limit L must be >= 1, got {L}")
-    budget = Fraction(L) ** 2
+    budget = _weight_budget(L)
     if group.kind == "torus":
         return _lattice_points(budget - 1, group.dim)
     reps = []
@@ -220,9 +225,7 @@ def enumerate_dual(group: GroupId, L: float) -> list:
 
 def weyl_count(group: GroupId, L: float) -> int:
     """Weyl counting function N(L) = sum of d_xi^2 over weights <= L."""
-    if L < 1:
-        raise DomainError(f"band limit L must be >= 1, got {L}")
-    budget = Fraction(L) ** 2
+    budget = _weight_budget(L)
     if group.kind == "torus":
         return _lattice_count(budget - 1, group.dim)
     total = 0
@@ -540,8 +543,8 @@ def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -
     Deterministic for fixed inputs; raises ResourceLimitError before building
     a grid whose node count would exceed the cap.
     """
-    if bandlimit < 1:
-        raise DomainError(f"band limit must be >= 1, got {bandlimit}")
+    if not 1 <= bandlimit < math.inf:
+        raise DomainError(f"band limit must be finite and >= 1, got {bandlimit}")
     cap = MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes)
     total = int(np.prod(_axis_counts(group, float(bandlimit))))
     if total > cap:

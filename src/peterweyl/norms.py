@@ -7,18 +7,22 @@ otherwise.  The sup norm is the grid maximum with the identity node always
 present; for central positive-type functions (all coefficients nonnegative
 multiples of the identity, e.g. Dirichlet kernels) the maximum sits at the
 identity and the value is exact.  One grid ladder serves both the L^p norms
-and the Triebel-Lizorkin pointwise aggregate.  Each value carries a
-provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin
-values carry the weakest certification over their blocks and ladder levels,
-with the largest grid, and coefficient-only norms are "exact" with nodes 0.
-A value that is not a finite float (coefficients too large or not finite)
-raises DomainError.
+and the Triebel-Lizorkin pointwise aggregate.  Each level is one streaming
+pass over the slabs of fourier.synthesize_slabs: per slab the modulus, a
+running maximum for p = inf and a weighted sum of |f|^p for every pending
+finite p, with weights from the rule's per-axis factors, so no array of the
+grid's size is built.  Each value carries a provenance record {certified,
+nodes, bandlimit}; Besov and Triebel-Lizorkin values carry the weakest
+certification over their blocks and ladder levels, with the largest grid,
+and coefficient-only norms are "exact" with nodes 0.  A value that is not a
+finite float (coefficients too large or not finite) raises DomainError.
 
-Finished L^p values (per exponent), Triebel-Lizorkin values (per spec),
-dyadic splits and synthesized node values are process-local memos keyed by
-the function's content digest and, for norm values, the node cap.  They are
-bounded, least recently used entries go first, and they affect only speed:
-a hit returns what a fresh evaluation would, with its own provenance dict.
+Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
+dyadic splits are a process-local memo keyed by the function's content
+digest and, for norm values, the node cap.  It is bounded, least recently
+used entries go first, and it affects only speed: a hit returns what a
+fresh evaluation would, with its own provenance dict.  Node values are not
+kept; a level recomputes them slab by slab.
 
 Sequence-space norms weight the Hilbert-Schmidt size of each coefficient by
 powers of the representation dimension:
@@ -54,7 +58,7 @@ from .groups import (
     rep_dim,
     weight_sq,
 )
-from .fourier import SpectralFunction, synthesize
+from .fourier import SpectralFunction, synthesize_slabs
 
 INF = math.inf
 
@@ -213,11 +217,6 @@ class _Memo:
             self.size = 0
 
 
-# Moduli |f| of synthesized node values (read-only float64: every reader
-# takes the modulus) keyed by content digest and rule band, sized in nodes.
-_VALUE_CACHE_BUDGET = 4_000_000
-_VALUE_CACHE = _Memo(_VALUE_CACHE_BUDGET)
-
 # Finished evaluations: L^p values keyed by (digest, p, node cap) and
 # Triebel-Lizorkin values by (digest, spec, node cap), each of size 1, and
 # dyadic splits keyed by digest, sized in stored coefficient entries.
@@ -226,8 +225,7 @@ _MEMO = _Memo(_MEMO_BUDGET)
 
 
 def clear_memos() -> None:
-    """Empty the evaluation memos; later calls evaluate from scratch."""
-    _VALUE_CACHE.clear()
+    """Empty the evaluation memo; later calls evaluate from scratch."""
     _MEMO.clear()
 
 
@@ -242,15 +240,10 @@ def _remember(key, value: float, info: dict) -> None:
     _MEMO.put(key, (value, dict(info)))
 
 
-def _synth_values(F: SpectralFunction, rule) -> np.ndarray:
-    # |f| at the nodes of the rule, memoized.
-    key = (F.digest, str(rule.group), rule.bandlimit)
-    vals = _VALUE_CACHE.get(key)
-    if vals is None:
-        vals = np.abs(synthesize(F, rule).values)
-        vals.setflags(write=False)
-        _VALUE_CACHE.put(key, vals, vals.size)
-    return vals
+def _synth_values(F: SpectralFunction, rule):
+    # (lo, hi, |f|) over the node slabs of the rule, in order.
+    for lo, hi, values in synthesize_slabs(F, rule):
+        yield lo, hi, np.abs(values)
 
 
 def _is_positive_central(F: SpectralFunction) -> bool:
@@ -299,15 +292,47 @@ def _merge_provenance(records: list[dict]) -> dict:
     )
 
 
+def _level_reduce(slabs, rule, ps) -> dict:
+    """One pass over the node slabs of a ladder level.
+
+    slabs yields (lo, hi, v), nonnegative values at the flat C-order nodes
+    [lo, hi), whole rows of the leading grid axis.  Returns the maximum of v
+    for p = inf and the quadrature sum of v^p for each finite p; each weight
+    is the product of the rule's axis weights, taken leading rows times the
+    trailing product, so no weight vector of the grid's size is built.
+    """
+    lead = rule.axis_weights[0]
+    tail = np.ones(1)
+    for w in rule.axis_weights[1:]:
+        tail = np.multiply.outer(tail, w).ravel()
+    finite = [p for p in ps if p != INF]
+    sums = dict.fromkeys(finite, np.float64(0.0))
+    peak = None
+    for lo, hi, vals in slabs:
+        if INF in ps:
+            top = vals.max()  # nan propagates through np.maximum
+            peak = top if peak is None else np.maximum(peak, top)
+        if finite:
+            rows = vals.reshape(-1, tail.size)
+            w_rows = lead[lo // tail.size:hi // tail.size]
+            for p in finite:
+                sums[p] += w_rows @ (rows**p @ tail)
+    if INF in ps:
+        sums[INF] = peak
+    return sums
+
+
 def _ladder(
     F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None
 ) -> dict[float, tuple[float, dict]]:
-    """L^p norms of the nonnegative node values values_of(rule) on a grid ladder.
+    """L^p norms of nonnegative node values on a grid ladder.
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
-    weight in the support of F (at least 1).  exact_levels maps each exponent
-    to the level at which its integrand is band-limited (one exact evaluation
-    there) or to None, which refines until the stop rule holds.  Returns
+    weight in the support of F (at least 1); values_of(rule) yields the
+    level's values as (lo, hi, slab), which one pass reduces for every
+    exponent due there.  exact_levels maps each exponent to the level at
+    which its integrand is band-limited (one exact evaluation there) or to
+    None, which refines until the stop rule holds.  Returns
     {p: (value, provenance)}.
     """
     results: dict[float, tuple[float, dict]] = {}
@@ -328,16 +353,13 @@ def _ladder(
             for p, prev in pending.items():
                 results[p] = (prev, _provenance("capped", *grid))
             break
-        vals = values_of(rule)
         grid = (rule.node_count, band)
-        for p, prev in list(pending.items()):
+        due = [p for p in pending if exact_levels[p] is None or level >= exact_levels[p]]
+        sums = _level_reduce(values_of(rule), rule, due) if due else {}
+        for p in due:
+            prev = pending[p]
             lvl = exact_levels[p]
-            if lvl is not None and level < lvl:
-                continue
-            if p == INF:
-                cur = float(vals.max())
-            else:
-                cur = float(np.dot(rule.weights, vals**p) ** (1.0 / p))
+            cur = float(sums[p] if p == INF else sums[p] ** (1.0 / p))
             _finite(cur, f"L^{p:g} value on {rule.node_count} nodes")
             if lvl is not None:
                 certified = "exact"
@@ -415,7 +437,15 @@ def _finite(value: float, what: str) -> float:
 
 
 def _hs_norm(mat: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(mat) ** 2)))
+    norm = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
+    if norm == INF:
+        # Squares of entries above about 1e154 overflow although the norm is
+        # finite: rescale by the largest entry.  Values in normal range never
+        # take this path, so they keep their bytes.
+        big = float(np.abs(mat).max())
+        if math.isfinite(big):
+            norm = big * float(np.sqrt(np.sum((np.abs(mat) / big) ** 2)))
+    return norm
 
 
 def seq_lp_norm(F: SpectralFunction, p: float) -> float:
@@ -514,13 +544,21 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
     blocks = dyadic_blocks(F)
     weights = {s: _shell_weight(s, spec.r) for s in blocks}
 
-    def aggregate(rule) -> np.ndarray:
-        arr = np.stack(
-            [weights[s] * _synth_values(b, rule) for s, b in blocks.items()], axis=0
-        )
-        if q == INF:
-            return arr.max(axis=0)
-        return np.sum(arr**q, axis=0) ** (1.0 / q)
+    def aggregate(rule):
+        # The pointwise l^q aggregate, one slab of every block at a time;
+        # the blocks share the rule, so their slabs line up.
+        streams = [_synth_values(b, rule) for b in blocks.values()]
+        for parts in zip(*streams, strict=True):
+            lo, hi, _ = parts[0]
+            acc = None
+            for s, (_, _, vals) in zip(blocks, parts):
+                term = weights[s] * vals
+                if q == INF:
+                    acc = term if acc is None else np.maximum(acc, term)
+                else:
+                    term **= q
+                    acc = term if acc is None else acc + term
+            yield lo, hi, acc if q == INF else acc ** (1.0 / q)
 
     exact_level = _even_level(p) if q == 2.0 else None
     value, info = _ladder(F, aggregate, {p: exact_level}, max_nodes)[p]

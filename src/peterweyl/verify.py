@@ -260,8 +260,21 @@ def sharpness_check(
 
 
 def _conjugate(p: float) -> float:
-    """Hoelder conjugate p' with 1/p + 1/p' = 1; p = 1 gives inf."""
-    return INF if p == 1 else p / (p - 1.0)
+    """Hoelder conjugate p' with 1/p + 1/p' = 1; p = 1 gives inf.
+
+    Taken on the rational the float stands for: the closest fraction with
+    denominator at most 10^6 when it rounds back to p, else p's exact binary
+    value.  So 4/3 gives 4.0, whose even exponent has an exact grid, not
+    p / (p - 1) = 4.000000000000001.
+    """
+    if p == 1:
+        return INF
+    if p == INF:
+        return 1.0
+    r = Fraction(p).limit_denominator(10**6)
+    if float(r) != p:
+        r = Fraction(p)
+    return float(r / (r - 1))
 
 
 def hausdorff_young_checks(
@@ -927,10 +940,15 @@ def weyl_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
 def corollary_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
     group = parse_group("torus:1")
-    corpus = make_corpus(
-        group, cfg.bandlimits["torus:1"], cfg.corpus_count, cfg.seed, "smooth_decay"
-    )
     grid = [float(L) for L in cfg.corollary_L]
+    _require(
+        sum(L >= 8.0 for L in grid) >= 2,
+        f"corollary grid needs two band limits >= 8, got {grid}",
+    )
+    # The suite runs on torus:1 whatever the groups; a band override that
+    # names other groups only leaves it the default band.
+    band = cfg.bandlimits.get("torus:1", _default_bandlimits()["torus:1"])
+    corpus = make_corpus(group, band, cfg.corpus_count, cfg.seed, "smooth_decay")
     for idx, F in enumerate(corpus.functions):
         seq, stat = corollary_decay(F, 1.0, INF, grid, cfg.max_nodes)
         values = [a for _, a in seq]

@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from peterweyl.cli import (
     EXIT_OK,
@@ -13,6 +14,7 @@ from peterweyl.cli import (
 )
 from peterweyl.fourier import dirichlet, read_spectral, save_spectral
 from peterweyl.groups import torus
+from peterweyl.verify import SUITES
 
 
 @pytest.fixture()
@@ -67,7 +69,8 @@ def test_verify_sharpness_su2(tmp_path, capsys):
         ["verify", "sharpness", "--group", "su2", "--L", "2,4,8", "--out", out]
     )
     assert code == EXIT_OK
-    text = open(out).read()
+    with open(out) as fh:
+        text = fh.read()
     assert text.count('"name": "nikolskii-sharpness"') == 3
     assert '"holds": false' not in text
 
@@ -111,7 +114,8 @@ def test_verify_reports_byte_identical(tmp_path):
     b = str(tmp_path / "b.txt")
     assert main(args + ["--out", a]) == EXIT_OK
     assert main(args + ["--out", b]) == EXIT_OK
-    assert open(a, "rb").read() == open(b, "rb").read()
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_corpus_command_roundtrip(tmp_path):
@@ -126,9 +130,8 @@ def test_corpus_command_roundtrip(tmp_path):
     names = sorted(os.listdir(out1))
     assert names == ["fn_000.spectral", "fn_001.spectral", "fn_002.spectral"]
     for name in names:
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
-        assert a == b
+        with open(os.path.join(out1, name), "rb") as fa, open(os.path.join(out2, name), "rb") as fb:
+            assert fa.read() == fb.read()
     F = read_spectral(os.path.join(out1, "fn_000.spectral"))
     assert len(F.support()) == 15
 
@@ -183,17 +186,44 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+BIG = "specfun v1\ngroup torus:1\nrep 0 1 1e200 0\nrep 3 1 1e200 0\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("spec", ["Lp:3", "Lp:2", "seq:2", "wiener:1", "beurling:2",
+@pytest.mark.parametrize("spec", ["Lp:3", "Lp:2", "seq:2", "beurling:2",
                                   "besov:r=0.5,p=2,q=1", "tl:r=0.5,p=2,q=2"])
 def test_norm_of_huge_coefficients_exit_2(tmp_path, spec, capsys):
     # |f|^p and the coefficient sums leave float range: an error, not "inf ... exact"
-    path = _write(tmp_path, "big.spectral",
-                  "specfun v1\ngroup torus:1\nrep 0 1 1e200 0\nrep 3 1 1e200 0\n")
+    path = _write(tmp_path, "big.spectral", BIG)
     assert main(["norm", path, spec]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "not finite" in captured.err or "float range" in captured.err
     assert "inf" not in captured.out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
+    # each entry squared overflows, but the l^1 sum 2e200 is a finite float
+    path = _write(tmp_path, "big.spectral", BIG)
+    assert main(["norm", path, "wiener:1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "wiener:1 = 2e+200", "certification: exact"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dual", "--group", "su2", "--L", "inf"], ["dual", "--group", "torus:2", "--L", "nan"],
+     ["corpus", "--group", "torus:1", "--bandlimit", "1e400", "--count", "1", "--seed", "1"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,inf"],
+     ["verify", "corollary", "--L", "2,4"]],
+    ids=" ".join,
+)
+def test_non_finite_or_short_grids_exit_2(tmp_path, argv, capsys):
+    if argv[0] != "dual":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -248,3 +278,77 @@ def test_written_files_get_the_mode_open_would_give(tmp_path):
     assert report.stat().st_mode & 0o777 == 0o640
     assert report.read_text() != "old\n"
     assert sorted(os.listdir(tmp_path)) == ["c", "report.txt"]
+
+
+# Argument values for the CLI fuzz test, (mostly drawn, sometimes drawn):
+# small, malformed or non-finite, never a band or count whose grid or
+# listing is large.  Every verify run gets a node cap of at most 600, so a
+# suite ends after a few small grids.
+_FUZZ_NUMBERS = (("1", "2", "2.5", "2,4"),
+                 ("0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x", "", "2,inf", "1,nan"))
+_FUZZ_INTS = (("1", "2", "7"), ("0", "-3", "x", "1e3", "99999999999999999999"))
+_FUZZ_GROUPS = (("torus:1", "torus:2", "su2", "torus:1,su2"),
+                ("torus:0", "torus:4", "torus:x", "so3", ""))
+_FUZZ_SPECS = (("Lp:2", "Lp:3", "Lp:inf", "seq:1", "wiener:0.5", "beurling:inf",
+                "beurlingR:r=1,beta=2", "besov:r=1,p=2,q=inf", "tl:r=0.5,p=3,q=2"),
+               ("Lp:0", "Lp:nan", "Lp:1e400", "tl:r=1,p=inf,q=2", "sobolev:r=nan,p=2", "Lp",
+                "x:1", "besov:p=2", "besov:r=1,p=2,q=2,q=3", ""))
+_FUZZ_OPTIONS = {
+    "dual": (("--group", _FUZZ_GROUPS), ("--L", _FUZZ_NUMBERS)),
+    "norm": (("--max-nodes", _FUZZ_INTS),),
+    "corpus": (("--group", _FUZZ_GROUPS), ("--bandlimit", _FUZZ_NUMBERS),
+               ("--count", _FUZZ_INTS), ("--seed", _FUZZ_INTS),
+               ("--profile", (("sparse", "smooth_decay"), ("bogus",)))),
+    "verify": (("--group", _FUZZ_GROUPS), ("--seed", _FUZZ_INTS), ("--count", _FUZZ_INTS),
+               ("--profile", (("sparse",), ("bogus",))), ("--bandlimit", _FUZZ_NUMBERS),
+               ("--L", _FUZZ_NUMBERS), ("--p", _FUZZ_NUMBERS), ("--q", _FUZZ_NUMBERS),
+               ("--r", _FUZZ_NUMBERS), ("--beta", _FUZZ_NUMBERS),
+               ("--tol", (("exact=1e-9", "grid=1e-6"), ("grid=x", "bogus=1", "exact")))),
+    "bogus": (),
+}
+
+
+@st.composite
+def _cli_argvs(draw, files, out):
+    def value(choices):
+        good, bad = choices
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else good))
+
+    cmd = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [cmd]
+    if cmd == "norm":
+        argv += [draw(st.sampled_from(files)), value(_FUZZ_SPECS)]
+    elif cmd == "verify":
+        argv.append(draw(st.sampled_from(SUITES + ("bogus",))))
+    for flag, choices in draw(st.permutations(_FUZZ_OPTIONS[cmd])):
+        # dual and corpus options are required; leaving one out is a usage error
+        if cmd in ("dual", "corpus") and draw(st.integers(0, 7)) < 7 or draw(st.booleans()):
+            argv += [flag, value(choices)]
+    if cmd == "verify":
+        argv += ["--max-nodes", draw(st.sampled_from(("-1", "1", "64", "600")))]
+    if cmd in ("verify", "corpus"):
+        argv += ["--out", out]
+    if draw(st.integers(0, 7)) == 7:
+        argv.append(draw(st.sampled_from(("--frobnicate", "extra", "-", "--L"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    # Inputs shared by every example: a valid file on two groups, a
+    # malformed one and a missing path.
+    base = tmp_path_factory.mktemp("fuzz")
+    for name, group in (("t1", torus(1)), ("t2", torus(2))):
+        save_spectral(dirichlet(group, 2.0), base / f"{name}.spectral")
+    (base / "bad.spectral").write_text("specfun v1\ngroup su2\nrep 1 2 1 0\n")
+    paths = [str(base / f"{name}.spectral") for name in ("t1", "t2", "bad", "missing")]
+    return {"paths": tuple(paths), "out": str(base / "out")}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exits_0_to_3(fuzz_inputs, capsys, data):
+    argv = data.draw(_cli_argvs(fuzz_inputs["paths"], fuzz_inputs["out"]))
+    assert main(argv) in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_RESOURCE)
+    capsys.readouterr()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import ifftn
 
+from peterweyl import fourier
 from peterweyl.fourier import (
     BandLimitError,
     GridFunction,
@@ -20,6 +21,7 @@ from peterweyl.fourier import (
     pointwise_power,
     support_count,
     synthesize,
+    synthesize_slabs,
     zero_spectral,
 )
 from peterweyl.groups import (
@@ -198,6 +200,45 @@ def test_torus_synthesis_matches_direct_sum_and_ifftn(group, support, band):
     assert np.abs(vals[flat] - direct).max() <= 1e-13 * scale
     if support == "zeros":
         assert not np.any(vals)
+
+
+@pytest.mark.parametrize("slab_nodes", [1, 700, fourier.SLAB_NODES])
+@pytest.mark.parametrize(
+    "group,L,band", [(T1, 6.0, 6.0), (T2, 4.0, 9.0), (T3, 2.5, 3.0), (SU2, 3.0, 4.0)], ids=str
+)
+def test_synthesize_slabs_tile_the_grid(monkeypatch, group, L, band, slab_nodes):
+    # Slabs are whole leading-axis rows covering the grid in C order; their
+    # values do not depend on the split (T^1 is always one slab).
+    F = _random_spectral(group, L, seed=9)
+    rule = quadrature(group, band)
+    whole = synthesize(F, rule).values
+    monkeypatch.setattr(fourier, "SLAB_NODES", slab_nodes)
+    inner = rule.node_count // rule.shape[0]
+    rows = rule.shape[0] if group == T1 else max(1, slab_nodes // inner)
+    edges = [0]
+    parts = []
+    for lo, hi, values in synthesize_slabs(F, rule):
+        assert lo == edges[-1] and lo % inner == 0 and values.shape == (hi - lo,)
+        assert hi - lo == min(rows * inner, rule.node_count - lo)
+        edges.append(hi)
+        parts.append(values)
+    assert edges[-1] == rule.node_count
+    if slab_nodes == 700 and group != T1:
+        assert len(parts) > 1 and rule.shape[0] % rows  # a ragged last slab
+    scale = float(np.abs(whole).max())
+    assert np.abs(np.concatenate(parts) - whole).max() <= 1e-13 * scale
+    assert np.array_equal(synthesize(F, rule).values, np.concatenate(parts))
+    zeros = list(synthesize_slabs(zero_spectral(group), rule))
+    assert [(lo, hi) for lo, hi, _ in zeros] == list(zip(edges, edges[1:]))
+    assert not any(np.any(v) for _, _, v in zeros)
+
+
+def test_synthesize_slabs_checks_before_the_first_slab():
+    F = _random_spectral(SU2, 3.0, seed=1)
+    with pytest.raises(BandLimitError):
+        synthesize_slabs(F, quadrature(SU2, 2.0))
+    with pytest.raises(DomainError):
+        synthesize_slabs(F, quadrature(T1, 3.0))
 
 
 @pytest.mark.parametrize(

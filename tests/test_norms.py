@@ -7,9 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peterweyl import norms
-from peterweyl.fourier import SpectralFunction, dirichlet, zero_spectral
-from peterweyl.groups import DomainError, enumerate_dual, rep_dim, rep_info, su2, torus, weight_sq
+from peterweyl import fourier, norms
+from peterweyl.fourier import SpectralFunction, dirichlet, synthesize, zero_spectral
+from peterweyl.groups import (
+    DomainError,
+    QuadratureRule,
+    enumerate_dual,
+    quadrature,
+    rep_dim,
+    rep_info,
+    su2,
+    torus,
+    weight_sq,
+)
 from peterweyl.norms import (
     INF,
     NormSpec,
@@ -394,6 +404,19 @@ def test_weights_out_of_float_range_raise_domain_error():
             norm_info(F, parse_norm_spec(text))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_hs_norm_rescales_only_past_overflow():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5):
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        plain = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
+        assert norms._hs_norm(mat) == plain  # normal range: the same bytes
+        big = norms._hs_norm(mat * 1e200)
+        assert math.isfinite(big) and abs(big - 1e200 * plain) <= 1e-15 * big
+    assert norms._hs_norm(np.array([[1e200, 1e200]])) == math.sqrt(2.0) * 1e200
+    assert norms._hs_norm(np.array([[1.5e308, 1.5e308]])) == INF  # the norm itself overflows
+
+
 def _tail_sups_by_scan(F):
     # reference: t_s = max over entries with <xi>^2 >= 4^s, until empty
     entries = [
@@ -420,6 +443,93 @@ def test_tail_sups_match_tail_scan():
         T1, {(1,): np.array([[2.0]]), (4,): np.zeros((1, 1)), (8,): np.array([[0.5j]])}
     )
     assert norms._tail_sups(gap) == _tail_sups_by_scan(gap) == [2.0, 0.5, 0.5, 0.5]
+
+
+# ---------------------------------------------------------------------------
+# the slab ladder against full-grid reductions
+
+
+def _full_grid_lp(F, rule, p):
+    # The reduction the ladder made before it streamed slabs, kept as the
+    # reference: the whole modulus array against the flat weight vector.
+    v = np.abs(synthesize(F, rule).values)
+    return float(v.max()) if p == INF else float(np.dot(rule.weights, v**p) ** (1.0 / p))
+
+
+def _ragged(rule):
+    rows = [b - a for a, b, _, _ in fourier._slab_bounds(rule)]
+    return len(rows) > 1 and rows[-1] < rows[0]
+
+
+@pytest.mark.parametrize("small_slabs", [True, False])
+@pytest.mark.parametrize(
+    "group,L,cap,slab_nodes",  # slab_nodes: a small split with a ragged last slab
+    [(T1, 6.0, None, 700), (torus(2), 3.0, None, 700), (torus(2), 3.0, 2000, 100),
+     (torus(3), 2.0, None, 700), (SU2, 2.0, None, 700), (SU2, 2.0, 20000, 700)],
+    ids=str,
+)
+def test_slab_ladder_matches_full_grid_reduction(monkeypatch, group, L, cap, slab_nodes,
+                                                 small_slabs):
+    if small_slabs:
+        monkeypatch.setattr(fourier, "SLAB_NODES", slab_nodes)
+    F = _random_spectral(group, L, 21)
+    out = lp_norms(F, NIKOLSKII_EXPONENTS, cap)
+    rules = []
+    for p, (value, info) in out.items():
+        rules.append(quadrature(group, info["bandlimit"]))
+        assert rules[-1].node_count == info["nodes"]
+        ref = _full_grid_lp(F, rules[-1], p)
+        assert abs(value - ref) <= 1e-13 * ref, (p, value, ref)
+    certs = {info["certified"] for _, info in out.values()}
+    if cap:
+        assert certs == {"exact", "capped"}
+    else:
+        assert {"exact", "refined"} <= certs
+    if small_slabs and group != T1:
+        assert any(map(_ragged, rules))
+
+
+@pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
+def test_level_reduce_weights_each_slab_by_its_rows(monkeypatch, group):
+    # Random values and random positive axis weights (real rules have
+    # uniform leading-axis weights, which would hide a misaligned slab).
+    real = quadrature(group, 3.0)
+    rng = np.random.default_rng(4)
+    rule = QuadratureRule(group, real.bandlimit, real.axes,
+                          [rng.random(len(a)) + 0.5 for a in real.axes])
+    # three rows a slab, and a ragged last slab (T^1 is one slab)
+    monkeypatch.setattr(fourier, "SLAB_NODES", 3 * rule.node_count // rule.shape[0])
+    assert _ragged(rule) == (group != T1)
+    v = rng.random(rule.node_count) * 3.0
+    bounds = list(fourier._slab_bounds(rule))
+    slabs = ((lo, hi, v[lo:hi]) for _, _, lo, hi in bounds)
+    got = norms._level_reduce(slabs, rule, NIKOLSKII_EXPONENTS)
+    for p in NIKOLSKII_EXPONENTS:
+        ref = v.max() if p == INF else np.dot(rule.weights, v**p)
+        assert abs(got[p] - ref) <= 1e-13 * ref, p
+
+
+@pytest.mark.parametrize("slab_nodes", [700, fourier.SLAB_NODES])
+@pytest.mark.parametrize("r,p,q,cap", [(0.5, 3.0, 2.0, None), (0.5, 1.5, INF, None),
+                                       (1.0, 4.0, 2.0, None), (0.5, 1.0, 3.0, 3000)])
+@pytest.mark.parametrize("group,L", [(torus(2), 4.0), (SU2, 2.5)], ids=str)
+def test_tl_aggregate_matches_stacked_full_grids(monkeypatch, group, L, r, p, q, cap,
+                                                 slab_nodes):
+    monkeypatch.setattr(fourier, "SLAB_NODES", slab_nodes)
+    F = _random_spectral(group, L, 22)
+    value, info = norm_info(F, NormSpec("tl", r=r, p=p, q=q), cap)
+    rule = quadrature(group, info["bandlimit"])
+    assert rule.node_count == info["nodes"]
+    arr = np.stack([2.0 ** (s * r) * np.abs(synthesize(b, rule).values)
+                    for s, b in dyadic_blocks(F).items()])
+    agg = arr.max(axis=0) if q == INF else np.sum(arr**q, axis=0) ** (1.0 / q)
+    ref = float(np.dot(rule.weights, agg**p) ** (1.0 / p))
+    assert abs(value - ref) <= 1e-13 * ref
+    assert len(dyadic_blocks(F)) > 1
+    if cap or p != 4.0:
+        assert info["certified"] in (("capped",) if cap else ("refined", "capped"))
+    else:
+        assert info["certified"] == "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +625,17 @@ def test_memo_budget_is_never_exceeded(monkeypatch):
     memo.put(("k", 29), 1, 2)  # replacing an entry counts its size once
     assert memo.get(("k", 29)) == 1 and memo.size == _entry_sizes(memo) <= 10
 
-    # the norm memos under small budgets, sized in entries / coefficients / nodes
-    small_memo, small_values = norms._Memo(40), norms._Memo(5000)
+    # the norm memo under a small budget, sized in entries / coefficients
+    small_memo = norms._Memo(40)
     monkeypatch.setattr(norms, "_MEMO", small_memo)
-    monkeypatch.setattr(norms, "_VALUE_CACHE", small_values)
     for F in make_corpus(torus(1), 6.0, 6, 21).functions + (dirichlet(T1, 9.0),):
         reference = None
         for _ in range(2):
             got = (_evaluations(F), sobolev_norm(F, 1.0, 3.0))
             assert reference is None or got == reference
             reference = got
-            for memo, budget in ((small_memo, 40), (small_values, 5000)):
-                assert memo.size == _entry_sizes(memo) <= budget
-    assert len(small_memo._entries) > 1 and len(small_values._entries) > 1
+            assert small_memo.size == _entry_sizes(small_memo) <= 40
+    assert len(small_memo._entries) > 1
 
 
 def test_memo_stress_shared_across_threads(monkeypatch):
@@ -539,7 +647,6 @@ def test_memo_stress_shared_across_threads(monkeypatch):
     expected = [_evaluations(F) for F in funcs]
     # budgets small enough that the threads evict each other's entries
     monkeypatch.setattr(norms, "_MEMO", norms._Memo(30))
-    monkeypatch.setattr(norms, "_VALUE_CACHE", norms._Memo(3000))
     jobs = [i % len(funcs) for i in range(6 * len(funcs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside memo updates too
@@ -549,8 +656,7 @@ def test_memo_stress_shared_across_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected[i] for i in jobs]
-    for memo in (norms._MEMO, norms._VALUE_CACHE):
-        assert memo.size == _entry_sizes(memo) <= memo.budget
+    assert norms._MEMO.size == _entry_sizes(norms._MEMO) <= norms._MEMO.budget
 
     # the bare map under many small updates: a lost update breaks the total
     memo = norms._Memo(50)

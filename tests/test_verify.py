@@ -19,6 +19,7 @@ from peterweyl.groups import (
 from peterweyl.norms import INF, NormSpec, block_of, lp_norm, seq_lp_norm
 from peterweyl.verify import (
     RunConfig,
+    _conjugate,
     _ring_kernel,
     besov_besov_pair,
     besov_linf_pair,
@@ -26,6 +27,7 @@ from peterweyl.verify import (
     beurling_pairs,
     chain_pairs,
     corollary_decay,
+    corollary_suite_reports,
     embedding_ratio,
     embedding_suite,
     hausdorff_young_checks,
@@ -128,6 +130,24 @@ def test_hy_checks_hold():
                 assert rep.holds, (p, rep.ratio)
     with pytest.raises(DomainError):
         hausdorff_young_checks(corpus.functions[0], 3.0)
+
+
+def test_conjugate_is_taken_on_the_rational():
+    # 4/3 stands for the rational 4/3, whose conjugate is exactly 4
+    for p, pp in ((4.0 / 3.0, 4.0), (1.5, 3.0), (1.2, 6.0), (1.25, 5.0), (1.1, 11.0),
+                  (2.0, 2.0), (3.0, 1.5), (4.0, 4.0 / 3.0), (1.0, INF), (INF, 1.0)):
+        assert _conjugate(p) == pp, p
+    # a float that stands for no small fraction keeps its binary value
+    p = 1.0 + 2.0**-40
+    assert _conjugate(p) == 2.0**40 + 1.0
+
+
+def test_hy_at_four_thirds_reads_an_exact_l4_grid():
+    F = make_corpus(T2, 4.0, 1, seed=7).functions[0]
+    coeff, func = hausdorff_young_checks(F, 4.0 / 3.0)
+    assert coeff.instance["p_conj"] == func.instance["p_conj"] == 4.0
+    assert func.notes == "lhs grid exact"
+    assert func.lhs == lp_norm(F, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +375,20 @@ def _tiny_config():
     cfg.dirichlet_grids = {"torus:1": (4, 8, 16)}
     cfg.corollary_L = tuple(range(2, 33, 2))
     return cfg
+
+
+def test_corollary_suite_grid_and_band():
+    cfg = _tiny_config()
+    cfg.corollary_L = (2.0, 4.0, 8.0)  # one step ratio needs two points from L = 8
+    with pytest.raises(DomainError, match="two band limits >= 8"):
+        corollary_suite_reports(cfg)
+    # the suite runs on torus:1; a band override for other groups leaves it
+    # the default band
+    cfg.corollary_L = tuple(range(2, 33, 2))
+    cfg.bandlimits = {"su2": 2.0}
+    reports = corollary_suite_reports(cfg)
+    assert reports and all(r.holds for r in reports)
+    assert {r.instance["group"] for r in reports} == {"torus:1"}
 
 
 def test_run_suite_all_passes_tiny():
