@@ -309,7 +309,7 @@ _FUZZ_OPTIONS = {
 
 
 @st.composite
-def _cli_argvs(draw, files, out):
+def _cli_argvs(draw, files, base):
     def value(choices):
         good, bad = choices
         return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else good))
@@ -327,7 +327,7 @@ def _cli_argvs(draw, files, out):
     if cmd == "verify":
         argv += ["--max-nodes", draw(st.sampled_from(("-1", "1", "64", "600")))]
     if cmd in ("verify", "corpus"):
-        argv += ["--out", out]
+        argv += ["--out", os.path.join(base, "report.txt" if cmd == "verify" else "corpus")]
     if draw(st.integers(0, 7)) == 7:
         argv.append(draw(st.sampled_from(("--frobnicate", "extra", "-", "--L"))))
     return argv
@@ -342,13 +342,13 @@ def fuzz_inputs(tmp_path_factory):
         save_spectral(dirichlet(group, 2.0), base / f"{name}.spectral")
     (base / "bad.spectral").write_text("specfun v1\ngroup su2\nrep 1 2 1 0\n")
     paths = [str(base / f"{name}.spectral") for name in ("t1", "t2", "bad", "missing")]
-    return {"paths": tuple(paths), "out": str(base / "out")}
+    return {"paths": tuple(paths), "base": str(base)}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_fuzz_exits_0_to_3(fuzz_inputs, capsys, data):
-    argv = data.draw(_cli_argvs(fuzz_inputs["paths"], fuzz_inputs["out"]))
+    argv = data.draw(_cli_argvs(fuzz_inputs["paths"], fuzz_inputs["base"]))
     assert main(argv) in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_RESOURCE)
     capsys.readouterr()
