@@ -21,7 +21,6 @@ import sys
 
 from . import __version__
 from .groups import (
-    MAX_DUAL_ENTRIES,
     DomainError,
     ResourceLimitError,
     enumerate_dual,
@@ -69,13 +68,8 @@ def _fmt_float(x: float) -> str:
 
 def cmd_dual(args) -> int:
     group = parse_group(args.group)
-    count = weyl_count(group, args.L)
-    # A torus listing has N(L) rows (every d = 1); an SU(2) one has about 2L.
-    if group.kind == "torus" and count > MAX_DUAL_ENTRIES:
-        raise ResourceLimitError(
-            f"dual listing would hold {count} reps, cap is {MAX_DUAL_ENTRIES}"
-        )
     reps = enumerate_dual(group, args.L)
+    count = weyl_count(group, args.L)
     print(f"# dual of {group} up to weight {args.L:g}")
     print("index\td\tlambda\tweight")
     for xi in reps:

@@ -1,8 +1,12 @@
 """Fourier analysis and synthesis between grid and spectral representations.
 
 A SpectralFunction is a finitely supported map from rep indices to complex
-d x d coefficient matrices; a GridFunction holds complex values at the nodes
-of a Haar quadrature rule.  Analysis computes
+d x d coefficient matrices.  It owns the one coefficient layout: the support
+in canonical order as an index array, a dimension array, exact integer
+squared weights, and one complex buffer with per-rep offsets, built once at
+construction; norms and kernels reduce those arrays, and coeffs gives
+per-rep matrix views.  A GridFunction holds complex values at the nodes of a
+Haar quadrature rule.  Analysis computes
 
     fhat(xi) = integral f(x) xi(x)^* dx,
 
@@ -13,19 +17,16 @@ synthesis evaluates the Fourier series
 Synthesis has one kernel, synthesize_slabs, which yields the node values in
 consecutive C-order slabs of about SLAB_NODES nodes along the leading grid
 axis; synthesize writes them into one array, and the norm ladder reduces
-them as they come, so no consumer needs the whole grid at once.  On T^2 and
-T^3 the kernel packs the support into its dense index box and contracts it
-one axis at a time against phase tables reduced mod the axis length in
-integers, the trailing axes once and the leading axis per slab: m^n K work
-for a box K wide on an m^n grid, and no zero-padded m^n spectrum.  On T^1,
-where such a table would outgrow the grid it fills, synthesis is one inverse
-FFT and one slab.  On SU(2) both directions factor through the Euler angles:
-dense phase contractions over alpha and gamma (in synthesis, alpha once and
-gamma per slab of alpha rows), and a Wigner-d contraction over the cos(beta)
-nodes.  On the torus, analysis is one FFT over the uniform product grid.
-All paths are exact for band-limited inputs on rules whose band covers the
-support, and deterministic (fixed contraction order and slab split) so
-serialized outputs are byte-stable.
+them as they come.  On T^2 and T^3 the kernel scatters the support into its
+dense index box and contracts it one axis at a time against phase tables
+reduced mod the axis length in integers, the trailing axes once and the
+leading axis per slab: m^n K work for a box K wide on an m^n grid.  On T^1,
+where such a table would outgrow the grid, synthesis is one inverse FFT.  On
+SU(2) both directions factor through the Euler angles: dense phase
+contractions over alpha and gamma, and a Wigner-d contraction over the
+cos(beta) nodes.  On the torus, analysis is one FFT over the uniform product
+grid.  All paths are exact for band-limited inputs on rules whose band
+covers the support, and deterministic, so serialized outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -37,20 +38,21 @@ import secrets
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 from scipy.fft import fftn, ifftn
 
 from .groups import (
+    WEIGHT_SQ_DEN,
     DomainError,
     GroupId,
     QuadratureRule,
     enumerate_dual,
     parse_group,
     quadrature,
-    rep_dim,
+    rep_arrays,
     validate_rep,
-    weight_sq,
 )
 
 # Relative magnitude below which analyzed coefficient entries are stored as
@@ -71,56 +73,79 @@ class BandLimitError(DomainError):
     """Requested operation exceeds the exactness band of the quadrature rule."""
 
 
+def diagonal_mask(dims: np.ndarray) -> np.ndarray:
+    """Marks the diagonal entries of row-major d x d blocks laid end to end."""
+    sizes = dims * dims
+    pos = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pos % np.repeat(dims + 1, sizes) == 0
+
+
 class SpectralFunction:
     """Finitely supported rep-index -> coefficient-matrix association.
 
-    Absent indices mean zero matrices.  Coefficient arrays are copied on
-    construction and frozen; instances are immutable after construction and
-    safe for concurrent reads.
+    Read-only arrays in canonical order: index (an int64 rep index per row),
+    dims, wsq (the exact integers WEIGHT_SQ_DEN * <xi>^2), and entries, with
+    rep i's d x d matrix row-major in entries[offsets[i]:offsets[i + 1]].
+    Absent indices mean zero matrices.  Instances are immutable and safe
+    for concurrent reads.
     """
 
-    __slots__ = ("group", "coeffs", "_digest", "_max_wsq")
+    __slots__ = ("group", "index", "dims", "wsq", "offsets", "entries", "_coeffs", "_digest")
 
-    def __init__(self, group: GroupId, coeffs: dict):
-        object.__setattr__(self, "group", group)
-        frozen = {}
-        for xi, mat in coeffs.items():
+    def __new__(cls, group: GroupId, coeffs: dict):
+        for xi in coeffs:
             validate_rep(group, xi)
-            d = rep_dim(group, xi)
-            arr = np.ascontiguousarray(mat, dtype=complex)
-            if arr.shape != (d, d):
-                raise DomainError(
-                    f"coefficient for rep {xi!r} must be {d}x{d}, got {arr.shape}"
-                )
+        reps = sorted(coeffs)
+        index, dims, wsq = rep_arrays(group, reps)
+        mats = [np.asarray(coeffs[xi], dtype=complex) for xi in reps]
+        for xi, d, mat in zip(reps, dims.tolist(), mats):
+            if mat.shape != (d, d):
+                raise DomainError(f"coefficient for rep {xi!r} must be {d}x{d}, got {mat.shape}")
+        entries = np.concatenate([np.zeros(0, dtype=complex)] + [m.ravel() for m in mats])
+        return cls._packed(group, index, dims, wsq, entries)
+
+    @classmethod
+    def _packed(cls, group, index, dims, wsq, entries) -> "SpectralFunction":
+        # From arrays already checked and in canonical order.
+        F = object.__new__(cls)
+        offsets = np.concatenate(([0], np.cumsum(dims * dims)))
+        entries = np.ascontiguousarray(entries, dtype=complex)
+        for name, arr in zip(("index", "dims", "wsq", "offsets", "entries"),
+                             (index, dims, wsq, offsets, entries)):
             arr.setflags(write=False)
-            frozen[xi] = arr
-        object.__setattr__(self, "coeffs", frozen)
-        object.__setattr__(self, "_digest", None)
-        object.__setattr__(self, "_max_wsq", None)
+            object.__setattr__(F, name, arr)
+        for name, value in (("group", group), ("_coeffs", None), ("_digest", None)):
+            object.__setattr__(F, name, value)
+        return F
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralFunction is immutable")
 
+    @property
+    def coeffs(self):
+        """Read-only map of rep index -> d x d matrix view, in canonical order."""
+        if self._coeffs is None:
+            rows = self.index.tolist()
+            keys = map(tuple, rows) if self.group.kind == "torus" else (r[0] for r in rows)
+            mats = zip(np.split(self.entries, self.offsets[1:-1]), self.dims.tolist())
+            views = (mat.reshape(d, d) for mat, d in mats)
+            object.__setattr__(self, "_coeffs", MappingProxyType(dict(zip(keys, views))))
+        return self._coeffs
+
     def support(self) -> list:
         """Rep indices carrying a stored matrix, in canonical order."""
-        return sorted(self.coeffs)
+        return list(self.coeffs)
 
     def items(self):
         """(index, matrix) pairs in canonical order."""
-        return [(xi, self.coeffs[xi]) for xi in self.support()]
+        return list(self.coeffs.items())
 
     def __bool__(self) -> bool:
-        return any(np.any(mat) for mat in self.coeffs.values())
+        return bool(self.entries.any())
 
     def max_weight_sq(self) -> Fraction:
         """Exact <xi>^2 of the heaviest stored rep (0 for empty support)."""
-        if self._max_wsq is None:
-            wsq = max(
-                (weight_sq(self.group, xi) for xi in self.coeffs),
-                default=Fraction(0),
-            )
-            object.__setattr__(self, "_max_wsq", wsq)
-        return self._max_wsq
+        return Fraction(int(self.wsq.max(initial=0)), WEIGHT_SQ_DEN)
 
     def max_weight(self) -> float:
         return math.sqrt(float(self.max_weight_sq()))
@@ -130,26 +155,24 @@ class SpectralFunction:
         """Content hash; stable cache key for grid evaluations."""
         if self._digest is None:
             h = hashlib.blake2b(str(self.group).encode(), digest_size=16)
-            for xi, mat in self.items():
-                h.update(repr(xi).encode())
-                h.update(mat.tobytes())
+            h.update(len(self.dims).to_bytes(8, "little"))
+            h.update(self.index.tobytes())
+            h.update(self.entries.tobytes())
             object.__setattr__(self, "_digest", h.hexdigest())
         return self._digest
 
-    def scaled(self, factors) -> "SpectralFunction":
-        """New function with each coefficient multiplied by factors(xi)."""
-        return SpectralFunction(
-            self.group, {xi: factors(xi) * mat for xi, mat in self.coeffs.items()}
-        )
+    def scaled(self, factors: np.ndarray) -> "SpectralFunction":
+        """New function with rep i's coefficient multiplied by factors[i]."""
+        return self._packed(self.group, self.index, self.dims, self.wsq,
+                            self.entries * np.repeat(factors, np.diff(self.offsets)))
 
-    def restricted(self, keep) -> "SpectralFunction":
-        """New function keeping only the indices where keep(xi) is true."""
-        return SpectralFunction(
-            self.group, {xi: mat for xi, mat in self.coeffs.items() if keep(xi)}
-        )
+    def restricted(self, keep: np.ndarray) -> "SpectralFunction":
+        """New function keeping rep i where the boolean keep[i] is true."""
+        return self._packed(self.group, self.index[keep], self.dims[keep], self.wsq[keep],
+                            self.entries[np.repeat(keep, np.diff(self.offsets))])
 
     def __repr__(self) -> str:
-        return f"SpectralFunction({self.group}, support={len(self.coeffs)})"
+        return f"SpectralFunction({self.group}, support={len(self.dims)})"
 
 
 def zero_spectral(group: GroupId) -> SpectralFunction:
@@ -216,8 +239,7 @@ def _phase_matrix(angles: np.ndarray, twoL_max: int) -> np.ndarray:
 
 def _su2_slabs(F: SpectralFunction, rule: QuadratureRule):
     nb = rule.shape[1]
-    support = F.support()
-    tl = max(support)
+    tl = int(F.index.max())
     tabs = rule.d_tables(tl)
     nfreq = 2 * tl + 1
     gmat = np.zeros((nfreq, nfreq, nb), dtype=complex)
@@ -237,9 +259,8 @@ def _su2_slabs(F: SpectralFunction, rule: QuadratureRule):
         yield lo, hi, (by_alpha[a:b].reshape(-1, nfreq) @ e_gamma).ravel()
 
 
-def _su2_analyze(
-    values: np.ndarray, rule: QuadratureRule, reps: list[int]
-) -> dict[int, np.ndarray]:
+def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> np.ndarray:
+    # The coefficient matrices of the reps twoL in reps, row-major, end to end.
     na, nb, ng = rule.shape
     tl = max(reps)
     tabs = rule.d_tables(tl)
@@ -249,12 +270,12 @@ def _su2_analyze(
     t1 = np.tensordot(np.conj(e_alpha), mesh, axes=([0], [0])) / na  # (nf, nb, ng)
     h = np.tensordot(t1, np.conj(e_gamma), axes=([2], [0])) / ng  # (nf, nb, nf)
     wb = rule.axis_weights[1]
-    out = {}
+    out = []
     for twoL in reps:
         pos = tl + twoL - 2 * np.arange(twoL + 1)
         sub = h[np.ix_(pos, np.arange(nb), pos)]  # indexed [j, node, i]
-        out[twoL] = np.einsum("jbi,jib,b->ij", sub, tabs[twoL], wb, optimize=True)
-    return out
+        out.append(np.einsum("jbi,jib,b->ij", sub, tabs[twoL], wb, optimize=True).ravel())
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +297,10 @@ def _torus_phases(m: int, kmin: int, width: int) -> np.ndarray:
 
 
 def _torus_slabs(F: SpectralFunction, rule: QuadratureRule):
-    items = F.items()
-    ks = np.array([k for k, _ in items])  # (S, n)
+    ks = F.index  # (S, n); every d = 1, so entries holds one value per rep
     kmin = ks.min(axis=0)
     box = np.zeros(tuple(ks.max(axis=0) - kmin + 1), dtype=complex)
-    box[tuple((ks - kmin).T)] = [mat[0, 0] for _, mat in items]
+    box[tuple((ks - kmin).T)] = F.entries
     # The trailing axes once: each step contracts axis 1, the next K axis,
     # and appends its grid axis, so (K_0, ..., K_{n-1}) ends as
     # (K_0, m_1, ..., m_{n-1}).  The leading axis is contracted per slab.
@@ -298,8 +318,7 @@ def _line_slabs(F: SpectralFunction, rule: QuadratureRule):
     # slab, the inverse FFT.
     (m,) = rule.shape
     spec = np.zeros(m, dtype=complex)
-    for (k,), mat in F.items():
-        spec[k % m] = mat[0, 0]
+    spec[F.index[:, 0] % m] = F.entries
     yield 0, m, ifftn(spec) * m
 
 
@@ -324,7 +343,7 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
             f"support weight {F.max_weight():.6g} exceeds rule band "
             f"{rule.bandlimit:g}"
         )
-    if not F.support():
+    if not len(F.dims):
         return _zero_slabs(rule)
     if rule.group.kind == "su2":
         return _su2_slabs(F, rule)
@@ -344,40 +363,24 @@ def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
     return GridFunction(rule, values)
 
 
-def _analyze_reps(f: GridFunction, reps: list, threshold: float) -> SpectralFunction:
+def _analyze_reps(f: GridFunction, reps: SpectralFunction, threshold: float) -> SpectralFunction:
+    # The coefficients of f at the support of reps, which holds the trivial
+    # rep.  Entries below threshold relative to the largest become exact
+    # zeros and all-zero matrices are dropped; threshold <= 0 keeps them.
     rule = f.rule
-    group = rule.group
-    if not reps:
-        return zero_spectral(group)
-    if group.kind == "torus":
-        shape = rule.shape
-        fhat = fftn(f.values.reshape(shape)) / rule.node_count
-        raw = {
-            k: np.array([[fhat[tuple(ki % m for ki, m in zip(k, shape))]]])
-            for k in reps
-        }
+    if rule.group.kind == "torus":
+        fhat = fftn(f.values.reshape(rule.shape)) / rule.node_count
+        entries = fhat[tuple((reps.index % rule.shape).T)]
     else:
-        raw = _su2_analyze(f.values, rule, reps)
-    return _cleanup(group, raw, threshold)
-
-
-def _cleanup(group: GroupId, raw: dict, threshold: float) -> SpectralFunction:
-    gmax = 0.0
-    for mat in raw.values():
-        if mat.size:
-            gmax = max(gmax, float(np.abs(mat).max()))
-    if gmax == 0.0:
-        return zero_spectral(group)
-    kept = {}
-    for xi, mat in raw.items():
-        mat = np.array(mat, dtype=complex)
-        if threshold > 0.0:
-            mat[np.abs(mat) < threshold * gmax] = 0.0
-            if np.any(mat):
-                kept[xi] = mat
-        else:
-            kept[xi] = mat
-    return SpectralFunction(group, kept)
+        entries = _su2_analyze(f.values, rule, reps.index[:, 0].tolist())
+    mod = np.abs(entries)
+    if mod.max() == 0.0:
+        return zero_spectral(rule.group)
+    if threshold > 0.0:
+        entries = np.where(mod < threshold * mod.max(), 0.0, entries)
+    F = SpectralFunction._packed(rule.group, reps.index, reps.dims, reps.wsq, entries)
+    return F if threshold <= 0.0 else F.restricted(
+        np.logical_or.reduceat(entries != 0.0, F.offsets[:-1]))
 
 
 def analyze(
@@ -393,22 +396,18 @@ def analyze(
         raise BandLimitError(
             f"analysis band {L:g} exceeds rule band {f.rule.bandlimit:g}"
         )
-    reps = enumerate_dual(f.rule.group, L)
-    return _analyze_reps(f, reps, threshold)
+    return _analyze_reps(f, dirichlet(f.rule.group, L), threshold)
 
 
 def dirichlet(group: GroupId, L: float) -> SpectralFunction:
     """Dirichlet kernel: identity coefficient matrix at every weight <= L."""
-    return SpectralFunction(
-        group,
-        {xi: np.eye(rep_dim(group, xi), dtype=complex) for xi in enumerate_dual(group, L)},
-    )
+    index, dims, wsq = rep_arrays(group, enumerate_dual(group, L))
+    return SpectralFunction._packed(group, index, dims, wsq, diagonal_mask(dims))
 
 
 def partial_sum(F: SpectralFunction, L: float) -> SpectralFunction:
     """Restriction of the coefficients to weights <= L."""
-    budget = Fraction(L) ** 2
-    return F.restricted(lambda xi: weight_sq(F.group, xi) <= budget)
+    return F.restricted(F.wsq <= math.floor(WEIGHT_SQ_DEN * Fraction(L) ** 2))
 
 
 def pointwise_power(
@@ -429,32 +428,21 @@ def pointwise_power(
         raise DomainError(f"power must be a positive integer, got {rho!r}")
     if not T:
         return zero_spectral(T.group)
-    wsq = T.max_weight_sq()
-    w = math.sqrt(float(wsq))
+    w = T.max_weight()
     rule = quadrature(T.group, (rho + 1) * w, max_nodes)
     values = synthesize(T, rule).values ** rho
-    budget = rho * rho * wsq
-    reps = [
-        xi
-        for xi in enumerate_dual(T.group, rho * w * (1.0 + 1e-12))
-        if weight_sq(T.group, xi) <= budget
-    ]
+    reps = dirichlet(T.group, rho * w * (1.0 + 1e-12))
+    reps = reps.restricted(reps.wsq <= rho * rho * int(T.wsq.max()))
     return _analyze_reps(GridFunction(rule, values), reps, threshold)
 
 
 def support_count(F: SpectralFunction, threshold: float = SUPPORT_THRESHOLD) -> int:
     """Sum of d_xi^2 over reps whose matrix survives the relative threshold."""
-    gmax = 0.0
-    for mat in F.coeffs.values():
-        if mat.size:
-            gmax = max(gmax, float(np.abs(mat).max()))
+    peaks = np.maximum.reduceat(np.abs(F.entries), F.offsets[:-1])
+    gmax = peaks.max(initial=0.0)
     if gmax == 0.0:
         return 0
-    total = 0
-    for xi, mat in F.coeffs.items():
-        if float(np.abs(mat).max()) >= threshold * gmax:
-            total += rep_dim(F.group, xi) ** 2
-    return total
+    return int(np.sum(F.dims[peaks >= threshold * gmax] ** 2))
 
 
 # ---------------------------------------------------------------------------

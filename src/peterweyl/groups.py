@@ -49,10 +49,14 @@ SU2_CASIMIR_SCALE = Fraction(1)
 # Default cap on quadrature grid sizes; callers may override per operation.
 MAX_NODES_DEFAULT = 4_000_000
 
-# Cap on the coefficient entries (sums of d^2 over the dual, so rows of a
-# torus dual) that a dual listing or a generated corpus may hold; callers
-# compare weyl_count against it before they enumerate.
+# Cap on the rows of a dual listing and on the coefficient entries (sums of
+# d^2 over the dual) of a corpus; dual_size checks it before enumeration.
 MAX_DUAL_ENTRIES = 50_000_000
+
+# WEIGHT_SQ_DEN <xi>^2 is an integer on every group; the packed coefficient
+# layout stores it in int64, exact for valid indices (|k| <= MAX_REP_INDEX).
+WEIGHT_SQ_DEN = 4 * SU2_CASIMIR_SCALE.denominator
+MAX_REP_INDEX = 2**29
 
 
 class DomainError(ValueError):
@@ -137,14 +141,15 @@ def validate_rep(group: GroupId, xi) -> None:
         if (
             not isinstance(xi, tuple)
             or len(xi) != group.dim
-            or not all(isinstance(k, int) for k in xi)
+            or not all(isinstance(k, int) and abs(k) <= MAX_REP_INDEX for k in xi)
         ):
             raise DomainError(
-                f"torus rep index must be an int {group.dim}-tuple, got {xi!r}"
+                f"torus rep index must be an int {group.dim}-tuple within "
+                f"+-{MAX_REP_INDEX}, got {xi!r}"
             )
-    else:
-        if not isinstance(xi, int) or xi < 0:
-            raise DomainError(f"su2 rep index twoL must be an int >= 0, got {xi!r}")
+    elif not isinstance(xi, int) or not 0 <= xi <= MAX_REP_INDEX:
+        raise DomainError(f"su2 rep index twoL must be an int within [0, {MAX_REP_INDEX}], "
+                          f"got {xi!r}")
 
 
 def weight_sq(group: GroupId, xi) -> Fraction:
@@ -158,6 +163,23 @@ def weight_sq(group: GroupId, xi) -> Fraction:
 def rep_dim(group: GroupId, xi) -> int:
     validate_rep(group, xi)
     return 1 if group.kind == "torus" else xi + 1
+
+
+def rep_arrays(group: GroupId, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, dims, wsq) for a list of valid rep indices, in that order.
+
+    index is int64 of shape (len(reps), rank) and wsq holds the exact
+    integers WEIGHT_SQ_DEN * <xi>^2.
+    """
+    index = np.array(reps, dtype=np.int64).reshape(len(reps), group.rank)
+    if group.kind == "torus":
+        dims = np.ones(len(reps), dtype=np.int64)
+        wsq = WEIGHT_SQ_DEN * (1 + (index * index).sum(axis=1))
+    else:
+        twoL = index[:, 0]
+        dims = twoL + 1
+        wsq = WEIGHT_SQ_DEN + SU2_CASIMIR_SCALE.numerator * twoL * (twoL + 2)
+    return index, dims, wsq
 
 
 def rep_info(group: GroupId, xi) -> RepInfo:
@@ -205,22 +227,23 @@ def _weight_budget(L: float) -> Fraction:
     return Fraction(L) ** 2
 
 
+def _su2_rep_count(budget: Fraction) -> int:
+    # twoL is in band exactly when (twoL + 1)^2 <= 1 + 4 (L^2 - 1) / scale.
+    return math.isqrt(math.floor(1 + 4 * (budget - 1) / SU2_CASIMIR_SCALE))
+
+
 def enumerate_dual(group: GroupId, L: float) -> list:
     """All rep indices with weight <xi> <= L, in canonical order.
 
     Torus indices come out lexicographically; SU(2) indices by increasing
     twoL.  The trivial representation has weight exactly 1, so L < 1 is a
-    domain error rather than an empty answer.
+    domain error rather than an empty answer.  A listing past
+    MAX_DUAL_ENTRIES reps raises ResourceLimitError before it is built.
     """
-    budget = _weight_budget(L)
+    n = dual_size(group, L)
     if group.kind == "torus":
-        return _lattice_points(budget - 1, group.dim)
-    reps = []
-    twoL = 0
-    while weight_sq(group, twoL) <= budget:
-        reps.append(twoL)
-        twoL += 1
-    return reps
+        return _lattice_points(_weight_budget(L) - 1, group.dim)
+    return list(range(n))
 
 
 def weyl_count(group: GroupId, L: float) -> int:
@@ -228,12 +251,28 @@ def weyl_count(group: GroupId, L: float) -> int:
     budget = _weight_budget(L)
     if group.kind == "torus":
         return _lattice_count(budget - 1, group.dim)
-    total = 0
-    twoL = 0
-    while weight_sq(group, twoL) <= budget:
-        total += (twoL + 1) ** 2
-        twoL += 1
-    return total
+    n = _su2_rep_count(budget)
+    return n * (n + 1) * (2 * n + 1) // 6
+
+
+def dual_size(group: GroupId, L: float) -> int:
+    """The number of reps with weight <= L: the rows of a dual listing.
+
+    Past MAX_DUAL_ENTRIES reps this raises ResourceLimitError.  On a torus,
+    where counting takes time growing with L, the exact lower bound (2k+1)^n
+    with k = isqrt(floor((L^2 - 1) / n)) is checked before the count.
+    """
+    budget = _weight_budget(L)
+    if group.kind == "torus":
+        n = group.dim
+        least = (2 * math.isqrt(math.floor((budget - 1) / n)) + 1) ** n
+        reps = None if least > MAX_DUAL_ENTRIES else _lattice_count(budget - 1, n)
+    else:
+        reps = _su2_rep_count(budget)
+    if reps is None or reps > MAX_DUAL_ENTRIES:
+        raise ResourceLimitError(f"dual listing would hold more than {MAX_DUAL_ENTRIES} "
+                                 f"reps (the cap): {group} up to weight {L:g}")
+    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -24,21 +24,20 @@ used entries go first, and it affects only speed: a hit returns what a
 fresh evaluation would, with its own provenance dict.  Node values are not
 kept; a level recomputes them slab by slab.
 
-Sequence-space norms weight the Hilbert-Schmidt size of each coefficient by
-powers of the representation dimension:
+Coefficient-only norms are array reductions over the packed layout of
+SpectralFunction (dims, wsq, and the Hilbert-Schmidt norm of each rep's
+segment of entries), with no loop over reps:
 
     ||fhat||_p   = ( sum d^(p(2/p - 1/2)) ||fhat(xi)||_HS^p )^(1/p)
     ||fhat||_inf = sup d^(-1/2) ||fhat(xi)||_HS
 
-Smoothness scales enter through dyadic blocks 2^s <= <xi> < 2^(s+1); block
-membership is decided on the exact rational <xi>^2 against integer powers
-of 4.  Besov norms take an l^q aggregate of weighted block Lebesgue norms,
-Triebel-Lizorkin norms take the Lebesgue norm of the pointwise l^q
-aggregate, Wiener norms reuse the sequence-space formula, and the Beurling
-family weights tail suprema of d^(-1/2) ||fhat||_HS over dyadic shells: a
-suffix maximum of the l^inf norms of the blocks.  dyadic_blocks is the one
-place that assigns reps to shells; Besov, Triebel-Lizorkin and Beurling
-norms all read its memoized split.
+Smoothness scales enter through dyadic shells 2^s <= <xi> < 2^(s+1), which
+block_of assigns exactly from the integers floor(<xi>^2).  dyadic_blocks
+cuts a function into shells by mask, and Besov and Triebel-Lizorkin norms
+read its memoized split: an l^q aggregate of weighted block Lebesgue norms,
+and the Lebesgue norm of the pointwise l^q aggregate.  Wiener norms reuse
+the sequence-space formula; the Beurling family weights tail suprema of
+d^(-1/2) ||fhat||_HS over the shells, a suffix maximum of shell maxima.
 Parameters q and beta equal to inf uniformly mean sup-aggregation.
 """
 
@@ -52,13 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
+    WEIGHT_SQ_DEN,
     DomainError,
     ResourceLimitError,
     quadrature,
-    rep_dim,
-    weight_sq,
 )
-from .fourier import SpectralFunction, synthesize_slabs
+from .fourier import SpectralFunction, diagonal_mask, synthesize_slabs
 
 INF = math.inf
 
@@ -246,25 +244,15 @@ def _synth_values(F: SpectralFunction, rule):
         yield lo, hi, np.abs(values)
 
 
-def _is_positive_central(F: SpectralFunction) -> bool:
-    # Every coefficient a nonnegative real multiple of the identity; the
-    # synthesized function then peaks at the identity element with value
-    # sum d^2 c, which the sup norm can use exactly.
-    for xi, mat in F.coeffs.items():
-        d = mat.shape[0]
-        c = mat[0, 0]
-        if c.imag != 0.0 or c.real < 0.0:
-            return False
-        if not np.array_equal(mat, c.real * np.eye(d)):
-            return False
-    return True
-
-
-def _identity_value(F: SpectralFunction) -> float:
-    total = 0.0
-    for xi, mat in F.items():
-        total += rep_dim(F.group, xi) * float(np.trace(mat).real)
-    return total
+def _identity_value(F: SpectralFunction) -> float | None:
+    # f(e) = sum d^2 c when every coefficient is a nonnegative real multiple
+    # c of the identity: the function then peaks at the identity element,
+    # which the sup norm can use exactly.  None otherwise.
+    c = F.entries[F.offsets[:-1]].real
+    central = np.where(diagonal_mask(F.dims), np.repeat(c, np.diff(F.offsets)), 0.0)
+    if (c < 0.0).any() or not np.array_equal(F.entries, central):
+        return None
+    return float(np.sum(F.dims**2 * c))
 
 
 def _even_level(p: float) -> int | None:
@@ -401,9 +389,10 @@ def lp_norms(
         else:
             exact_levels[p] = _even_level(p)
     fresh: dict[float, tuple[float, dict]] = {}
-    if INF in exact_levels and _is_positive_central(F):
+    peak = _identity_value(F) if INF in exact_levels else None
+    if peak is not None:
         del exact_levels[INF]
-        fresh[INF] = (_identity_value(F), _provenance("exact (identity-pinned)", 1))
+        fresh[INF] = (peak, _provenance("exact (identity-pinned)", 1))
     if exact_levels:
         fresh.update(
             _ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes)
@@ -436,40 +425,33 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _hs_norm(mat: np.ndarray) -> float:
-    norm = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
-    if norm == INF:
-        # Squares of entries above about 1e154 overflow although the norm is
-        # finite: rescale by the largest entry.  Values in normal range never
-        # take this path, so they keep their bytes.
-        big = float(np.abs(mat).max())
-        if math.isfinite(big):
-            norm = big * float(np.sqrt(np.sum((np.abs(mat) / big) ** 2)))
-    return norm
+def _hs_norms(F: SpectralFunction) -> np.ndarray:
+    """||fhat(xi)||_HS of every stored rep, in canonical order."""
+    starts = F.offsets[:-1]
+    with np.errstate(over="ignore"):
+        mod = np.abs(F.entries)
+        hs = np.sqrt(np.add.reduceat(mod**2, starts))
+        over = np.isinf(hs)
+        if over.any():
+            # Squares of entries above about 1e154 overflow although the norm
+            # may be finite: rescale those reps by their largest entry.  Reps
+            # in normal range never take this path, so they keep their bytes.
+            big = np.maximum.reduceat(mod, starts)
+            over &= np.isfinite(big)
+            scale = np.repeat(np.where(over, big, 1.0), np.diff(F.offsets))
+            hs = np.where(over, big * np.sqrt(np.add.reduceat((mod / scale) ** 2, starts)), hs)
+    return hs
 
 
 def seq_lp_norm(F: SpectralFunction, p: float) -> float:
     """Norm of the coefficient sequence in l^p of the dual."""
     if not p > 0:
         raise DomainError(f"sequence exponent must be positive, got {p}")
+    hs = _hs_norms(F)
     if p == INF:
-        return _finite(
-            max(
-                (
-                    rep_dim(F.group, xi) ** -0.5 * _hs_norm(mat)
-                    for xi, mat in F.coeffs.items()
-                ),
-                default=0.0,
-            ),
-            "l^inf sequence norm",
-        )
-    expo = p * (2.0 / p - 0.5)
-    total = 0.0
-    try:
-        for xi, mat in F.items():
-            total += rep_dim(F.group, xi) ** expo * _hs_norm(mat) ** p
-    except OverflowError:
-        total = INF
+        return _finite(float((F.dims**-0.5 * hs).max(initial=0.0)), "l^inf sequence norm")
+    with np.errstate(over="ignore"):
+        total = float(np.sum(F.dims ** (p * (2.0 / p - 0.5)) * hs**p))
     return _finite(total ** (1.0 / p), f"l^{p:g} sequence norm")
 
 
@@ -484,13 +466,13 @@ def sobolev_norm(
 # Dyadic blocks and the Besov / Triebel-Lizorkin / Beurling scales
 
 
-def block_of(wsq) -> int:
+def block_of(wsq):
     """Dyadic shell index s with 4^s <= <xi>^2 < 4^(s+1), decided exactly.
 
-    4^(s+1) is an integer, so 4^(s+1) <= wsq exactly when 4^(s+1) <=
-    floor(wsq); the bit length of floor(wsq) gives the largest such power.
+    wsq is an exact <xi>^2 below 4^32, or an integer array of floor(<xi>^2)
+    (the edges 4^s are integers, so the floor decides the same).
     """
-    return max(0, (int(wsq).bit_length() - 1) // 2)
+    return np.searchsorted(4 ** np.arange(1, 32, dtype=np.int64), wsq, side="right")
 
 
 def dyadic_blocks(F: SpectralFunction) -> dict[int, SpectralFunction]:
@@ -498,12 +480,9 @@ def dyadic_blocks(F: SpectralFunction) -> dict[int, SpectralFunction]:
     key = ("blocks", F.digest)
     blocks = _MEMO.get(key)
     if blocks is None:
-        buckets: dict[int, dict] = {}
-        for xi, mat in F.coeffs.items():
-            s = block_of(weight_sq(F.group, xi))
-            buckets.setdefault(s, {})[xi] = mat
-        blocks = {s: SpectralFunction(F.group, c) for s, c in sorted(buckets.items())}
-        _MEMO.put(key, blocks, max(1, sum(mat.size for mat in F.coeffs.values())))
+        shells = block_of(F.wsq // WEIGHT_SQ_DEN)
+        blocks = {int(s): F.restricted(shells == s) for s in np.unique(shells)}
+        _MEMO.put(key, blocks, max(1, F.entries.size))
     return dict(blocks)
 
 
@@ -585,15 +564,11 @@ def wiener_norm(F: SpectralFunction, beta: float) -> float:
 
 def _tail_sups(F: SpectralFunction) -> list[float]:
     # t_s = sup over <xi> >= 2^s of d^(-1/2) ||fhat(xi)||_HS, until empty:
-    # a suffix maximum of the shells' l^inf norms over the dyadic split.
-    blocks = dyadic_blocks(F)
-    sups = []
-    running = 0.0
-    for s in range(max(blocks, default=-1), -1, -1):
-        if s in blocks:
-            running = max(running, seq_lp_norm(blocks[s], INF))
-        sups.append(running)
-    return sups[::-1]
+    # a suffix maximum of the shells' l^inf norms.
+    shells = block_of(F.wsq // WEIGHT_SQ_DEN)
+    tops = np.zeros(shells.max(initial=-1) + 1)
+    np.maximum.at(tops, shells, F.dims**-0.5 * _hs_norms(F))
+    return np.maximum.accumulate(tops[::-1])[::-1].tolist()
 
 
 def beurling_norm(F: SpectralFunction, beta: float) -> float:
@@ -639,11 +614,11 @@ def norm_info(
     if fam == "Lp":
         return lp_norm_info(F, spec.p, max_nodes)
     if fam == "sobolev":
-        try:
-            scaled = F.scaled(lambda xi: float(weight_sq(F.group, xi)) ** (spec.r / 2.0))
-        except OverflowError:
-            raise DomainError(f"Sobolev weight <xi>^{spec.r:g} leaves float range") from None
-        return lp_norm_info(scaled, spec.p, max_nodes)
+        with np.errstate(over="ignore"):
+            factors = (F.wsq / WEIGHT_SQ_DEN) ** (spec.r / 2.0)
+        if not np.isfinite(factors).all():
+            raise DomainError(f"Sobolev weight <xi>^{spec.r:g} leaves float range")
+        return lp_norm_info(F.scaled(factors), spec.p, max_nodes)
     if fam == "besov":
         terms = []
         records = []

@@ -39,6 +39,7 @@ from .groups import (
     DomainError,
     GroupId,
     ResourceLimitError,
+    dual_size,
     enumerate_dual,
     parse_group,
     rep_dim,
@@ -687,6 +688,7 @@ def make_corpus(
         raise DomainError(f"corpus count must be >= 1, got {count}")
     if profile not in PROFILES:
         raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
+    dual_size(group, bandlimit)  # refuses a huge band before anything is counted
     entries = count * weyl_count(group, bandlimit)
     if entries > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(

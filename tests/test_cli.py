@@ -105,6 +105,20 @@ def test_verify_resource_cap_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "dual listing would hold" in captured.err
     assert "index" not in captured.out
+    # huge finite bands are refused before anything is counted: on tori by a
+    # lower bound on the lattice count, on SU(2) by the closed-form count
+    for group in ("torus:2", "su2"):
+        assert main(["dual", "--group", group, "--L", "1e300"]) == EXIT_RESOURCE
+        assert "dual listing would hold" in capsys.readouterr().err
+    for group in ("su2", "torus:3"):
+        out = tmp_path / f"corpus-{group}"
+        assert main(["corpus", "--group", group, "--bandlimit", "1e300", "--count", "1",
+                     "--seed", "1", "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists()
+    # and so is any other listing of the dual, such as a Dirichlet kernel's
+    for group in ("su2", "torus:2"):
+        assert main(["verify", "sharpness", "--group", group, "--L", "1e300",
+                     "--out", str(tmp_path / "r.txt")]) == EXIT_RESOURCE
 
 
 def test_verify_reports_byte_identical(tmp_path):
@@ -201,14 +215,14 @@ def test_norm_of_huge_coefficients_exit_2(tmp_path, spec, capsys):
     assert "inf" not in captured.out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
-    # each entry squared overflows, but the l^1 sum 2e200 is a finite float
+    # each entry squared overflows, but the l^1 sum 2e200 is a finite float,
+    # and the overflow of the unscaled squares writes no warning
     path = _write(tmp_path, "big.spectral", BIG)
     assert main(["norm", path, "wiener:1"]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[:2] == [
-        "wiener:1 = 2e+200", "certification: exact"
-    ]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["wiener:1 = 2e+200", "certification: exact"]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

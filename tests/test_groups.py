@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from peterweyl import groups
 from peterweyl.groups import (
+    MAX_DUAL_ENTRIES,
+    MAX_REP_INDEX,
+    WEIGHT_SQ_DEN,
     DomainError,
     _lattice_count,
     ResourceLimitError,
     compose,
+    dual_size,
     enumerate_dual,
     euler_to_su2,
     identity_element,
@@ -20,10 +25,13 @@ from peterweyl.groups import (
     parse_group,
     quadrature,
     random_element,
+    rep_arrays,
+    rep_dim,
     rep_info,
     su2,
     su2_to_euler,
     torus,
+    validate_rep,
     weight_sq,
     weyl_count,
     wigner_d_matrix,
@@ -150,6 +158,71 @@ def test_lattice_count_matches_fraction_recursion():
                 budget = 4**k + delta
                 assert _lattice_count(budget, dims) == _fraction_lattice_count(budget, dims)
         assert _lattice_count(Fraction(-1, 3), dims) == 0
+
+
+def _su2_dual_by_loop(L):
+    # The scan over twoL that listed and counted the SU(2) dual before the
+    # closed form; kept as the reference.
+    budget = Fraction(L) ** 2
+    reps = []
+    while weight_sq(SU2, len(reps)) <= budget:
+        reps.append(len(reps))
+    return reps, sum((twoL + 1) ** 2 for twoL in reps)
+
+
+def test_su2_closed_form_matches_loop():
+    bands = [1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 10.0, 33.3, 100.0, 1234.5]
+    for twoL in range(40):  # every edge <xi> = sqrt(1 + l(l+1)), and its neighbours
+        edge = math.sqrt(float(weight_sq(SU2, twoL)))
+        bands += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    for L in bands:
+        if L < 1.0:
+            continue
+        reps, count = _su2_dual_by_loop(L)
+        assert enumerate_dual(SU2, L) == reps, L
+        assert weyl_count(SU2, L) == count, L
+        assert dual_size(SU2, L) == len(reps), L
+
+
+def test_dual_size_refuses_huge_bands_before_counting(monkeypatch):
+    for g, L in ((T1, 7.3), (T2, 40.0), (T3, 12.5), (SU2, 50.0)):
+        assert dual_size(g, L) == len(enumerate_dual(g, L))
+    for g in (T1, T2, T3, SU2):
+        for listing in (dual_size, enumerate_dual):
+            with pytest.raises(ResourceLimitError, match="dual listing would hold"):
+                listing(g, 1e300)
+    # torus:1 holds 2k + 1 reps: the largest odd count under the cap passes
+    k = (MAX_DUAL_ENTRIES - 1) // 2
+    assert dual_size(T1, k + 0.5) == 2 * k + 1 == weyl_count(T1, k + 0.5)
+    with pytest.raises(ResourceLimitError):
+        dual_size(T1, k + 1.5)
+    # torus:3 past the cap although its cube lower bound is under it
+    assert (2 * math.isqrt(math.floor((300.0**2 - 1) / 3)) + 1) ** 3 <= MAX_DUAL_ENTRIES
+    with pytest.raises(ResourceLimitError):
+        enumerate_dual(T3, 300.0)
+    # once the cube bound is past the cap, nothing is counted: on torus:2 the
+    # cube |k_a| <= 3536 holds 7073^2 > MAX_DUAL_ENTRIES points
+    assert 7073**2 > MAX_DUAL_ENTRIES
+    monkeypatch.setattr(groups, "_lattice_count", lambda *args: pytest.fail("counted"))
+    with pytest.raises(ResourceLimitError):
+        dual_size(T2, 3536 * 1.4143)
+
+
+def test_rep_arrays_are_exact_weights_and_dims():
+    for g, L in ((T1, 9.0), (T2, 6.0), (T3, 4.0), (SU2, 12.0)):
+        reps = enumerate_dual(g, L)
+        index, dims, wsq = rep_arrays(g, reps)
+        assert index.dtype == dims.dtype == wsq.dtype == np.int64
+        assert index.shape == (len(reps), g.rank)
+        assert dims.tolist() == [rep_dim(g, xi) for xi in reps]
+        assert wsq.tolist() == [WEIGHT_SQ_DEN * weight_sq(g, xi) for xi in reps]
+    # the largest valid indices keep their weights exact in int64
+    for g, top in ((T3, (-MAX_REP_INDEX,) * 3), (SU2, MAX_REP_INDEX)):
+        assert rep_arrays(g, [top])[2].tolist() == [WEIGHT_SQ_DEN * weight_sq(g, top)]
+    for g, xi in ((T1, (MAX_REP_INDEX + 1,)), (T2, (0, -MAX_REP_INDEX - 1)),
+                  (T1, (2**70,)), (T1, (-(2**63),)), (SU2, MAX_REP_INDEX + 1)):
+        with pytest.raises(DomainError, match="within"):
+            validate_rep(g, xi)
 
 
 @given(st.floats(min_value=1.0, max_value=25.0), st.floats(min_value=0.0, max_value=10.0))

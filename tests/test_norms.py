@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,25 +405,29 @@ def test_weights_out_of_float_range_raise_domain_error():
             norm_info(F, parse_norm_spec(text))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_hs_norm_rescales_only_past_overflow():
     rng = np.random.default_rng(3)
-    for d in (1, 2, 5):
-        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        plain = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
-        assert norms._hs_norm(mat) == plain  # normal range: the same bytes
-        big = norms._hs_norm(mat * 1e200)
-        assert math.isfinite(big) and abs(big - 1e200 * plain) <= 1e-15 * big
-    assert norms._hs_norm(np.array([[1e200, 1e200]])) == math.sqrt(2.0) * 1e200
-    assert norms._hs_norm(np.array([[1.5e308, 1.5e308]])) == INF  # the norm itself overflows
+    mats = {twoL: rng.standard_normal((twoL + 1,) * 2) + 1j * rng.standard_normal((twoL + 1,) * 2)
+            for twoL in (0, 1, 4)}
+    plain = norms._hs_norms(SpectralFunction(SU2, mats))
+    for i, twoL in enumerate(mats):
+        # one rep past overflow is rescaled; the others keep their bytes
+        big = norms._hs_norms(SpectralFunction(SU2, {**mats, twoL: mats[twoL] * 1e200}))
+        assert math.isfinite(big[i]) and abs(big[i] - 1e200 * plain[i]) <= 1e-15 * big[i]
+        assert np.array_equal(np.delete(big, i), np.delete(plain, i))
+    for i, mat in enumerate(mats.values()):
+        ref = _hs_norm_by_loop(mat)  # d <= 2 sums at most 4 entries in the loop's order
+        assert plain[i] == ref if len(mat) <= 2 else abs(plain[i] - ref) <= 1e-15 * ref
+    wide = SpectralFunction(SU2, {1: [[1e200, 1e200], [0.0, 0.0]]})
+    assert norms._hs_norms(wide).tolist() == [math.sqrt(2.0) * 1e200]
+    huge = SpectralFunction(SU2, {1: [[1.5e308, 1.5e308], [0.0, 0.0]]})
+    assert norms._hs_norms(huge).tolist() == [INF]  # the norm itself overflows
 
 
 def _tail_sups_by_scan(F):
     # reference: t_s = max over entries with <xi>^2 >= 4^s, until empty
-    entries = [
-        (weight_sq(F.group, xi), rep_dim(F.group, xi) ** -0.5 * norms._hs_norm(m))
-        for xi, m in F.items()
-    ]
+    values = F.dims**-0.5 * norms._hs_norms(F)
+    entries = [(weight_sq(F.group, xi), v) for xi, v in zip(F.support(), values)]
     sups = []
     s = 0
     while any(wsq >= 4**s for wsq, _ in entries):
@@ -443,6 +448,147 @@ def test_tail_sups_match_tail_scan():
         T1, {(1,): np.array([[2.0]]), (4,): np.zeros((1, 1)), (8,): np.array([[0.5j]])}
     )
     assert norms._tail_sups(gap) == _tail_sups_by_scan(gap) == [2.0, 0.5, 0.5, 0.5]
+
+
+# ---------------------------------------------------------------------------
+# the packed coefficient layout against the per-rep loops it replaced
+
+
+def _hs_norm_by_loop(mat):
+    # Hilbert-Schmidt norm of one matrix, rescaled by its largest entry only
+    # past overflow.
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
+        if norm == INF:
+            big = float(np.abs(mat).max())
+            if math.isfinite(big):
+                norm = big * float(np.sqrt(np.sum((np.abs(mat) / big) ** 2)))
+    return norm
+
+
+def _seq_lp_norm_by_loop(F, p):
+    # One Python term per rep, summed in canonical order.
+    if p == INF:
+        return max((rep_dim(F.group, xi) ** -0.5 * _hs_norm_by_loop(mat)
+                    for xi, mat in F.coeffs.items()), default=0.0)
+    total = 0.0
+    try:
+        for xi, mat in F.items():
+            total += rep_dim(F.group, xi) ** (p * (2.0 / p - 0.5)) * _hs_norm_by_loop(mat) ** p
+    except OverflowError:
+        total = INF
+    return total ** (1.0 / p)
+
+
+def _tail_sups_by_loop(F):
+    # The suffix-maximum scan on per-rep values computed one rep at a time.
+    entries = [(weight_sq(F.group, xi), rep_dim(F.group, xi) ** -0.5 * _hs_norm_by_loop(mat))
+               for xi, mat in F.items()]
+    sups = []
+    while any(wsq >= 4 ** len(sups) for wsq, _ in entries):
+        sups.append(max(v for wsq, v in entries if wsq >= 4 ** len(sups)))
+    return sups
+
+
+def _support_count_by_loop(F, threshold):
+    gmax = max((float(np.abs(mat).max()) for mat in F.coeffs.values()), default=0.0)
+    if gmax == 0.0:
+        return 0
+    return sum(rep_dim(F.group, xi) ** 2 for xi, mat in F.coeffs.items()
+               if float(np.abs(mat).max()) >= threshold * gmax)
+
+
+def _dyadic_split_by_loop(F):
+    buckets = {}
+    for xi, mat in F.items():
+        buckets.setdefault(_block_of_by_loop(weight_sq(F.group, xi)), {})[xi] = mat
+    return dict(sorted(buckets.items()))
+
+
+def _central_identity_value_by_loop(F):
+    # f(e) when every coefficient is a nonnegative real multiple of the identity
+    for mat in F.coeffs.values():
+        c = mat[0, 0]
+        if c.imag != 0.0 or c.real < 0.0 or not np.array_equal(mat, c.real * np.eye(len(mat))):
+            return None
+    return sum(rep_dim(F.group, xi) * float(np.trace(mat).real) for xi, mat in F.items())
+
+
+def _close(a, b, rel=1e-14):
+    return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@st.composite
+def _spectral_functions(draw):
+    # Few reps drawn from a dual, so shells are often empty, with zero
+    # matrices, one-rep supports, and entries near 1e154 and 1e200.
+    group = draw(st.sampled_from([T1, torus(2), torus(3), SU2]))
+    dual = enumerate_dual(group, draw(st.sampled_from([1.0, 2.5, 4.5, 9.0])))
+    reps = draw(st.lists(st.sampled_from(dual), max_size=12, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    central = draw(st.integers(0, 3)) == 0
+    coeffs = {}
+    for xi in reps:
+        d = rep_dim(group, xi)
+        scale = draw(st.sampled_from([0.0, 1.0, 1.0, 1e-9, 1e154, 1e200]))
+        if central:
+            c = draw(st.sampled_from([1.0, 2.5, 0.0, -1.0, 1j]))
+            coeffs[xi] = scale * c * np.eye(d)
+        else:
+            coeffs[xi] = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return SpectralFunction(group, coeffs)
+
+
+@given(_spectral_functions(), st.sampled_from([1.0, 2.0, math.sqrt(5.0), 3.0, 4.5, 100.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_packed_layout_matches_per_rep_loops(F, L):
+    group = F.group
+    exact = group.kind == "torus" or F.dims.max(initial=1) <= 2  # sums of at most 4 entries
+    assert F.max_weight_sq() == max((weight_sq(group, xi) for xi in F.coeffs), default=0)
+    for threshold in (1e-12, 1e-3, 0.0):
+        assert fourier.support_count(F, threshold) == _support_count_by_loop(F, threshold)
+    split = dyadic_blocks(F)
+    ref = _dyadic_split_by_loop(F)
+    assert list(split) == list(ref)
+    for s, block in split.items():
+        assert block.support() == list(ref[s])
+        assert all(np.array_equal(block.coeffs[xi], mat) for xi, mat in ref[s].items())
+    budget = Fraction(L) ** 2
+    kept = fourier.partial_sum(F, L)
+    assert kept.support() == [xi for xi in F.support() if weight_sq(group, xi) <= budget]
+    assert all(np.array_equal(mat, F.coeffs[xi]) for xi, mat in kept.items())
+    hs = norms._hs_norms(F).tolist()
+    ref_hs = [_hs_norm_by_loop(mat) for mat in F.coeffs.values()]
+    assert all(_close(a, b) for a, b in zip(hs, ref_hs)) and len(hs) == len(ref_hs)
+    if exact:
+        assert hs == ref_hs
+    for p in (0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, INF):
+        ref = _seq_lp_norm_by_loop(F, p)
+        if not math.isfinite(ref):
+            with pytest.raises(DomainError):
+                seq_lp_norm(F, p)
+            continue
+        got = seq_lp_norm(F, p)
+        assert _close(got, ref), (p, got, ref)
+        if p == INF and exact:
+            assert got == ref  # a maximum of the same per-rep values
+    sups, ref = norms._tail_sups(F), _tail_sups_by_loop(F)
+    assert len(sups) == len(ref) and all(_close(a, b) for a, b in zip(sups, ref))
+    if exact:
+        assert sups == ref
+    peak, ref = norms._identity_value(F), _central_identity_value_by_loop(F)
+    assert (peak is None) == (ref is None)
+    assert peak is None or _close(peak, ref)
+
+
+def test_digest_follows_content_not_construction():
+    F = _random_spectral(SU2, 2.5, 8)
+    shuffled = SpectralFunction(SU2, dict(reversed(F.items())))
+    assert shuffled.digest == F.digest
+    assert F.restricted(np.ones(len(F.dims), dtype=bool)).digest == F.digest
+    assert F.scaled(np.ones(len(F.dims))).digest == F.digest
+    assert F.restricted(F.dims > 1).digest != F.digest
+    assert SpectralFunction(SU2, {0: [[1.0]]}).digest != SpectralFunction(T1, {(0,): [[1.0]]}).digest
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +833,15 @@ def _block_of_by_loop(wsq):
 
 
 def test_block_of_matches_power_of_four_loop():
-    from fractions import Fraction
-
     for group, L in ((torus(1), 64.0), (torus(2), 32.0), (torus(3), 16.0), (SU2, 20.0)):
         for xi in enumerate_dual(group, L):
             wsq = weight_sq(group, xi)
             assert block_of(wsq) == _block_of_by_loop(wsq), (group, xi)
-    for k in range(40):
+    # edges up to the top of the int64 range the packed layout stores
+    for k in range(32):
         for wsq in (4**k, 4**k - 1, 4**k + 1, Fraction(4**k) - Fraction(1, 4),
                     Fraction(4**k) + Fraction(1, 4), 2 * 4**k):
-            if wsq >= 1:
+            if 1 <= wsq < 4**32:
                 assert block_of(wsq) == _block_of_by_loop(wsq), wsq
+    floors = np.array([4**k + d for k in range(1, 31) for d in (-1, 0, 1)] + [2**63 - 1])
+    assert block_of(floors).tolist() == [_block_of_by_loop(int(w)) for w in floors]
