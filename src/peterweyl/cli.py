@@ -69,7 +69,7 @@ def _fmt_float(x: float) -> str:
 def cmd_dual(args) -> int:
     group = parse_group(args.group)
     reps = enumerate_dual(group, args.L)
-    count = weyl_count(group, args.L)
+    count = len(reps) if group.kind == "torus" else weyl_count(group, args.L)
     print(f"# dual of {group} up to weight {args.L:g}")
     print("index\td\tlambda\tweight")
     for xi in reps:

@@ -166,11 +166,7 @@ def rep_dim(group: GroupId, xi) -> int:
 
 
 def rep_arrays(group: GroupId, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, dims, wsq) for a list of valid rep indices, in that order.
-
-    index is int64 of shape (len(reps), rank) and wsq holds the exact
-    integers WEIGHT_SQ_DEN * <xi>^2.
-    """
+    """int64 (index rows, dims, WEIGHT_SQ_DEN * <xi>^2) of valid reps, in order."""
     index = np.array(reps, dtype=np.int64).reshape(len(reps), group.rank)
     if group.kind == "torus":
         dims = np.ones(len(reps), dtype=np.int64)
@@ -240,10 +236,12 @@ def enumerate_dual(group: GroupId, L: float) -> list:
     domain error rather than an empty answer.  A listing past
     MAX_DUAL_ENTRIES reps raises ResourceLimitError before it is built.
     """
-    n = dual_size(group, L)
-    if group.kind == "torus":
-        return _lattice_points(_weight_budget(L) - 1, group.dim)
-    return list(range(n))
+    if group.kind == "su2":
+        return list(range(dual_size(group, L)))
+    budget = _weight_budget(L) - 1
+    if (2 * math.isqrt(math.floor(budget)) + 1) ** group.dim > MAX_DUAL_ENTRIES:
+        dual_size(group, L)  # only a box past the cap needs the lattice counted
+    return _lattice_points(budget, group.dim)
 
 
 def weyl_count(group: GroupId, L: float) -> int:
@@ -263,13 +261,12 @@ def dual_size(group: GroupId, L: float) -> int:
     with k = isqrt(floor((L^2 - 1) / n)) is checked before the count.
     """
     budget = _weight_budget(L)
-    if group.kind == "torus":
-        n = group.dim
-        least = (2 * math.isqrt(math.floor((budget - 1) / n)) + 1) ** n
-        reps = None if least > MAX_DUAL_ENTRIES else _lattice_count(budget - 1, n)
-    else:
+    if group.kind == "su2":
         reps = _su2_rep_count(budget)
-    if reps is None or reps > MAX_DUAL_ENTRIES:
+    else:
+        least = (2 * math.isqrt(math.floor((budget - 1) / group.dim)) + 1) ** group.dim
+        reps = least if least > MAX_DUAL_ENTRIES else _lattice_count(budget - 1, group.dim)
+    if reps > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(f"dual listing would hold more than {MAX_DUAL_ENTRIES} "
                                  f"reps (the cap): {group} up to weight {L:g}")
     return reps

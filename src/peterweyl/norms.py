@@ -466,13 +466,16 @@ def sobolev_norm(
 # Dyadic blocks and the Besov / Triebel-Lizorkin / Beurling scales
 
 
-def block_of(wsq):
-    """Dyadic shell index s with 4^s <= <xi>^2 < 4^(s+1), decided exactly.
+def block_of(floors) -> np.ndarray:
+    """Shells s with 4^s <= <xi>^2 < 4^(s+1) of an integer array of floor(<xi>^2).
 
-    wsq is an exact <xi>^2 below 4^32, or an integer array of floor(<xi>^2)
-    (the edges 4^s are integers, so the floor decides the same).
+    Exact on all of int64, which lies below the edge 4^32; past it, refused.
     """
-    return np.searchsorted(4 ** np.arange(1, 32, dtype=np.int64), wsq, side="right")
+    try:
+        floors = np.asarray(floors, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("<xi>^2 past the int64 range of the packed layout") from None
+    return np.searchsorted(4 ** np.arange(1, 32, dtype=np.int64), floors, side="right")
 
 
 def dyadic_blocks(F: SpectralFunction) -> dict[int, SpectralFunction]:

@@ -688,8 +688,8 @@ def make_corpus(
         raise DomainError(f"corpus count must be >= 1, got {count}")
     if profile not in PROFILES:
         raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
-    dual_size(group, bandlimit)  # refuses a huge band before anything is counted
-    entries = count * weyl_count(group, bandlimit)
+    n = dual_size(group, bandlimit)  # refuses a huge band before counting; d = 1 on tori
+    entries = count * (n if group.kind == "torus" else weyl_count(group, bandlimit))
     if entries > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(
             f"corpus would hold {entries} coefficient entries, cap is {MAX_DUAL_ENTRIES}"

@@ -257,6 +257,21 @@ def test_norm_rejects_malformed_records_exit_2(tmp_path, records, message, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "group, index",
+    [("torus:1", "536870913"), ("torus:3", "0,-536870913,0"), ("su2", "536870913")],
+)
+def test_norm_rejects_rep_index_past_bound_exit_2(tmp_path, group, index, capsys):
+    # The packed layout keeps 4<xi>^2 in int64, so |k| and twoL stop at 2^29;
+    # a file past the bound is refused even for coefficient-only norms.
+    path = _write(tmp_path, "far.spectral", f"specfun v1\ngroup {group}\nrep {index} 1 1 0\n")
+    assert main(["norm", path, "wiener:1"]) == EXIT_USAGE
+    assert "536870912" in capsys.readouterr().err
+    edge = _write(tmp_path, "edge.spectral", "specfun v1\ngroup torus:1\nrep 536870912 1 1 0\n")
+    assert main(["norm", edge, "wiener:1"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("wiener:1 = 1.0\n")
+
+
 def test_corpus_writes_through_atomic_replace(tmp_path, monkeypatch):
     import peterweyl.fourier as fourier
 

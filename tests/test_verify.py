@@ -16,7 +16,7 @@ from peterweyl.groups import (
     weight_sq,
     weyl_count,
 )
-from peterweyl.norms import INF, NormSpec, block_of, lp_norm, seq_lp_norm
+from peterweyl.norms import INF, NormSpec, lp_norm, seq_lp_norm
 from peterweyl.verify import (
     RunConfig,
     _conjugate,
@@ -275,7 +275,7 @@ def _ring_kernel_by_filter(group, s):
     keep = [
         xi
         for xi in enumerate_dual(group, 2.0 ** (s + 1) * 1.01)
-        if block_of(weight_sq(group, xi)) == s
+        if 4**s <= weight_sq(group, xi) < 4 ** (s + 1)
     ]
     return SpectralFunction(
         group, {xi: np.eye(rep_dim(group, xi), dtype=complex) for xi in keep}
