@@ -21,12 +21,11 @@ import sys
 
 from . import __version__
 from .groups import (
+    WEIGHT_SQ_DEN,
     DomainError,
     ResourceLimitError,
-    enumerate_dual,
+    dual_arrays,
     parse_group,
-    rep_info,
-    weyl_count,
 )
 from .fourier import read_spectral, save_spectral, write_atomic
 from .norms import norm_info, parse_norm_spec
@@ -56,29 +55,21 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _fmt_index(group, xi) -> str:
+def _fmt_index(group, row) -> str:
     if group.kind == "torus":
-        return "(" + ",".join(str(k) for k in xi) + ")"
-    return f"l={xi // 2}" if xi % 2 == 0 else f"l={xi}/2"
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
+        return "(" + ",".join(str(k) for k in row) + ")"
+    return f"l={row[0] // 2}" if row[0] % 2 == 0 else f"l={row[0]}/2"
 
 
 def cmd_dual(args) -> int:
     group = parse_group(args.group)
-    reps = enumerate_dual(group, args.L)
-    count = len(reps) if group.kind == "torus" else weyl_count(group, args.L)
+    index, dims, wsq = (a.tolist() for a in dual_arrays(group, args.L))
     print(f"# dual of {group} up to weight {args.L:g}")
     print("index\td\tlambda\tweight")
-    for xi in reps:
-        info = rep_info(group, xi)
-        print(
-            f"{_fmt_index(group, xi)}\t{info.dim}\t{_fmt_float(info.casimir)}\t"
-            f"{_fmt_float(info.weight)}"
-        )
-    print(f"N({args.L:g}) = {count}")
+    for row, d, w in zip(index, dims, wsq):  # w = WEIGHT_SQ_DEN <xi>^2, exact
+        print(f"{_fmt_index(group, row)}\t{d}\t{(w - WEIGHT_SQ_DEN) / WEIGHT_SQ_DEN:.12g}\t"
+              f"{math.sqrt(w / WEIGHT_SQ_DEN):.12g}")
+    print(f"N({args.L:g}) = {sum(d * d for d in dims)}")
     return EXIT_OK
 
 

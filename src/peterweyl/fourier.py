@@ -48,7 +48,8 @@ from .groups import (
     DomainError,
     GroupId,
     QuadratureRule,
-    enumerate_dual,
+    band_budget,
+    dual_arrays,
     parse_group,
     quadrature,
     rep_arrays,
@@ -401,13 +402,13 @@ def analyze(
 
 def dirichlet(group: GroupId, L: float) -> SpectralFunction:
     """Dirichlet kernel: identity coefficient matrix at every weight <= L."""
-    index, dims, wsq = rep_arrays(group, enumerate_dual(group, L))
+    index, dims, wsq = dual_arrays(group, L)
     return SpectralFunction._packed(group, index, dims, wsq, diagonal_mask(dims))
 
 
 def partial_sum(F: SpectralFunction, L: float) -> SpectralFunction:
     """Restriction of the coefficients to weights <= L."""
-    return F.restricted(F.wsq <= math.floor(WEIGHT_SQ_DEN * Fraction(L) ** 2))
+    return F.restricted(F.wsq <= band_budget(L))
 
 
 def pointwise_power(

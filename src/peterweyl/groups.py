@@ -20,9 +20,9 @@ Conventions
   exp(-i n gamma), rows ordered m = l, l-1, ..., -l (so D^(1/2) has
   cos(beta/2) in the top-left corner).
 * The weight of a representation is <xi> = sqrt(1 + lambda_xi), the
-  eigenvalue of (I - Laplacian)^(1/2) on its matrix coefficients.  Band
-  comparisons <xi> <= L are decided on the exact rational <xi>^2 so grid
-  boundaries never drift.
+  eigenvalue of (I - Laplacian)^(1/2) on its matrix coefficients.
+  WEIGHT_SQ_DEN <xi>^2 is an integer, and band membership <xi> <= L is the
+  integer comparison with band_budget(L), so band edges never drift.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ SU2_CASIMIR_SCALE = Fraction(1)
 # Default cap on quadrature grid sizes; callers may override per operation.
 MAX_NODES_DEFAULT = 4_000_000
 
-# Cap on the rows of a dual listing and on the coefficient entries (sums of
-# d^2 over the dual) of a corpus; dual_size checks it before enumeration.
+# Cap on dual listings, corpus coefficient entries (sums of d^2 over the dual)
+# and the values a torus weyl_count walks, each checked before the work starts.
 MAX_DUAL_ENTRIES = 50_000_000
 
 # WEIGHT_SQ_DEN <xi>^2 is an integer on every group; the packed coefficient
@@ -187,18 +187,23 @@ def rep_info(group: GroupId, xi) -> RepInfo:
     )
 
 
-def _lattice_points(budget: Fraction, dims: int) -> list[tuple[int, ...]]:
-    # Integer tuples with squared euclidean norm <= budget, lexicographic.
-    if budget < 0:
-        return []
-    kmax = math.isqrt(math.floor(budget))
+def band_budget(L: float) -> int:
+    """floor(WEIGHT_SQ_DEN L^2), exact: rep xi is in band L iff its packed wsq <= this."""
+    if not 1 <= L < math.inf:
+        raise DomainError(f"band limit L must be finite and >= 1, got {L}")
+    return math.floor(WEIGHT_SQ_DEN * Fraction(L) ** 2)
+
+
+def _lattice_rows(b: int, dims: int) -> np.ndarray:
+    # int64 rows k with |k|^2 <= b, lexicographic: each first-axis value a
+    # keeps the (dims-1)-axis rows within b - a^2, and np.nonzero reads that
+    # mask in C order, a first.
+    line = np.arange(-math.isqrt(b), math.isqrt(b) + 1, dtype=np.int64)
     if dims == 1:
-        return [(k,) for k in range(-kmax, kmax + 1)]
-    out = []
-    for k in range(-kmax, kmax + 1):
-        for rest in _lattice_points(budget - k * k, dims - 1):
-            out.append((k,) + rest)
-    return out
+        return line[:, None]
+    rest = _lattice_rows(b, dims - 1)
+    a, j = np.nonzero((rest * rest).sum(axis=1) <= b - line[:, None] ** 2)
+    return np.column_stack((line[a], rest[j]))
 
 
 def _lattice_count(budget: Fraction | int, dims: int) -> int:
@@ -216,41 +221,41 @@ def _lattice_count(budget: Fraction | int, dims: int) -> int:
     )
 
 
-def _weight_budget(L: float) -> Fraction:
-    # The exact squared weight cut L^2 of a finite band limit L >= 1.
-    if not 1 <= L < math.inf:
-        raise DomainError(f"band limit L must be finite and >= 1, got {L}")
-    return Fraction(L) ** 2
+def _su2_rep_count(budget: int) -> int:
+    # twoL is in band exactly when WEIGHT_SQ_DEN + num twoL (twoL + 2) <= budget,
+    # num the numerator of SU2_CASIMIR_SCALE.
+    return math.isqrt(1 + (budget - WEIGHT_SQ_DEN) // SU2_CASIMIR_SCALE.numerator)
 
 
-def _su2_rep_count(budget: Fraction) -> int:
-    # twoL is in band exactly when (twoL + 1)^2 <= 1 + 4 (L^2 - 1) / scale.
-    return math.isqrt(math.floor(1 + 4 * (budget - 1) / SU2_CASIMIR_SCALE))
+def dual_arrays(group: GroupId, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rep_arrays of the reps with weight <xi> <= L: lexicographic on tori, by twoL on SU(2).
+
+    L < 1 is a DomainError (the trivial rep has weight 1); a listing past
+    MAX_DUAL_ENTRIES reps raises ResourceLimitError before it is built.
+    """
+    reps = dual_size(group, L)
+    if group.kind == "su2":
+        return rep_arrays(group, np.arange(reps))
+    return rep_arrays(group, _lattice_rows(band_budget(L) // WEIGHT_SQ_DEN - 1, group.dim))
 
 
 def enumerate_dual(group: GroupId, L: float) -> list:
-    """All rep indices with weight <xi> <= L, in canonical order.
-
-    Torus indices come out lexicographically; SU(2) indices by increasing
-    twoL.  The trivial representation has weight exactly 1, so L < 1 is a
-    domain error rather than an empty answer.  A listing past
-    MAX_DUAL_ENTRIES reps raises ResourceLimitError before it is built.
-    """
-    if group.kind == "su2":
-        return list(range(dual_size(group, L)))
-    budget = _weight_budget(L) - 1
-    if (2 * math.isqrt(math.floor(budget)) + 1) ** group.dim > MAX_DUAL_ENTRIES:
-        dual_size(group, L)  # only a box past the cap needs the lattice counted
-    return _lattice_points(budget, group.dim)
+    """The rep indices of dual_arrays(group, L), as tuples on tori and twoL on SU(2)."""
+    rows = dual_arrays(group, L)[0].tolist()
+    return [tuple(r) for r in rows] if group.kind == "torus" else [r[0] for r in rows]
 
 
 def weyl_count(group: GroupId, L: float) -> int:
     """Weyl counting function N(L) = sum of d_xi^2 over weights <= L."""
-    budget = _weight_budget(L)
-    if group.kind == "torus":
-        return _lattice_count(budget - 1, group.dim)
-    n = _su2_rep_count(budget)
-    return n * (n + 1) * (2 * n + 1) // 6
+    budget = band_budget(L)
+    if group.kind == "su2":
+        n = _su2_rep_count(budget)
+        return n * (n + 1) * (2 * n + 1) // 6
+    b = budget // WEIGHT_SQ_DEN - 1
+    if (math.isqrt(b) + 1) ** (group.dim - 1) > MAX_DUAL_ENTRIES:  # bounds the walk's values
+        raise ResourceLimitError(f"counting {group} up to weight {L:g} would walk more "
+                                 f"than {MAX_DUAL_ENTRIES} lattice values (the cap)")
+    return _lattice_count(b, group.dim)
 
 
 def dual_size(group: GroupId, L: float) -> int:
@@ -260,12 +265,13 @@ def dual_size(group: GroupId, L: float) -> int:
     where counting takes time growing with L, the exact lower bound (2k+1)^n
     with k = isqrt(floor((L^2 - 1) / n)) is checked before the count.
     """
-    budget = _weight_budget(L)
+    budget = band_budget(L)
     if group.kind == "su2":
         reps = _su2_rep_count(budget)
     else:
-        least = (2 * math.isqrt(math.floor((budget - 1) / group.dim)) + 1) ** group.dim
-        reps = least if least > MAX_DUAL_ENTRIES else _lattice_count(budget - 1, group.dim)
+        b = budget // WEIGHT_SQ_DEN - 1
+        least = (2 * math.isqrt(b // group.dim) + 1) ** group.dim
+        reps = least if least > MAX_DUAL_ENTRIES else _lattice_count(b, group.dim)
     if reps > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(f"dual listing would hold more than {MAX_DUAL_ENTRIES} "
                                  f"reps (the cap): {group} up to weight {L:g}")

@@ -36,14 +36,13 @@ import numpy as np
 from . import __version__
 from .groups import (
     MAX_DUAL_ENTRIES,
+    WEIGHT_SQ_DEN,
     DomainError,
     GroupId,
     ResourceLimitError,
+    band_budget,
     dual_size,
-    enumerate_dual,
     parse_group,
-    rep_dim,
-    weight_sq,
     weyl_count,
 )
 from .fourier import (
@@ -219,7 +218,7 @@ def nikolskii_remark_check(
     """
     if not 0 < p < q or not q <= INF:
         raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
-    if T.max_weight_sq() > Fraction(L) ** 2:
+    if T.wsq.max(initial=0) > band_budget(L):
         raise DomainError(f"support of T exceeds the stated band L={L}")
     rho = rho_of(p)
     norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
@@ -367,13 +366,15 @@ def corollary_decay(
         n_l = weyl_count(F.group, L)
         seq.append((float(L), n_l ** (inv_q - 1.0 / p) * nq))
         sup_terms.append((n_l, nq / n_l))
-    kmax = max(n for n, _ in sup_terms)
-    stat = 0.0
-    for k in range(1, kmax + 1):
-        tail = [v for n, v in sup_terms if n >= k]
-        if not tail:
-            break
-        stat += k ** ((1.0 - 1.0 / p + inv_q) * p - 1.0) * max(tail) ** p
+    sup_terms.sort()
+    if sup_terms[-1][0] > MAX_DUAL_ENTRIES:
+        raise ResourceLimitError(f"weighted sum past {MAX_DUAL_ENTRIES} terms N(L) (the cap)")
+    stat, start = 0.0, 1
+    for i, (n, _) in enumerate(sup_terms):
+        peak = max(v for _, v in sup_terms[i:])  # the sup over N(L) >= k for k in [start, n]
+        for k in range(start, n + 1):
+            stat += k ** ((1.0 - 1.0 / p + inv_q) * p - 1.0) * peak ** p
+        start = n + 1
     return seq, stat ** (1.0 / p)
 
 
@@ -646,7 +647,10 @@ def weyl_fit(group: GroupId, L_grid) -> tuple[float, float, float]:
             "degenerate grid: need >= 5 strictly increasing points with max >= 10"
         )
     logs_l = np.log(grid)
-    logs_n = np.log([weyl_count(group, L) for L in grid])
+    try:
+        logs_n = np.log([float(weyl_count(group, L)) for L in grid])
+    except OverflowError:
+        raise DomainError(f"N(L) on {group} leaves float range over {grid}") from None
     slope, intercept = np.polyfit(logs_l, logs_n, 1)
     residual = float(np.sqrt(np.mean((logs_n - (slope * logs_l + intercept)) ** 2)))
     return float(slope), float(intercept), residual
@@ -691,32 +695,30 @@ def make_corpus(
     n = dual_size(group, bandlimit)  # refuses a huge band before counting; d = 1 on tori
     entries = count * (n if group.kind == "torus" else weyl_count(group, bandlimit))
     if entries > MAX_DUAL_ENTRIES:
-        raise ResourceLimitError(
-            f"corpus would hold {entries} coefficient entries, cap is {MAX_DUAL_ENTRIES}"
-        )
-    reps = enumerate_dual(group, bandlimit)
+        raise ResourceLimitError(f"corpus would hold {entries} coefficient entries, "
+                                 f"cap is {MAX_DUAL_ENTRIES}")
+    kernel = dirichlet(group, bandlimit)
     rng = np.random.default_rng(seed)
     functions = []
     for _ in range(count):
-        coeffs = {}
+        active = kernel
         if profile == "sparse":
-            mask = rng.random(len(reps)) < 0.1
+            mask = rng.random(len(kernel.dims)) < 0.1
             if not mask.any():
-                mask[int(rng.integers(len(reps)))] = True
-            active = [xi for xi, keep in zip(reps, mask) if keep]
-        else:
-            active = reps
-        for xi in active:
-            d = rep_dim(group, xi)
-            if profile == "smooth_decay":
-                phases = rng.uniform(0.0, 2.0 * math.pi, size=(d, d))
-                scale = math.exp(-math.sqrt(float(weight_sq(group, xi))))
-                coeffs[xi] = scale * np.exp(1j * phases)
-            else:
-                coeffs[xi] = (
-                    rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                ) / math.sqrt(2.0)
-        functions.append(SpectralFunction(group, coeffs))
+                mask[int(rng.integers(len(kernel.dims)))] = True
+            active = kernel.restricted(mask)
+        sizes = np.diff(active.offsets)
+        if profile == "smooth_decay":  # d^2 phases per rep
+            phases = rng.uniform(0.0, 2.0 * math.pi, size=len(active.entries))
+            # exp(-<xi>) by math.exp per rep: np.exp can differ from libm in the last bit
+            scale = [math.exp(-math.sqrt(w / WEIGHT_SQ_DEN)) for w in active.wsq.tolist()]
+            entries = np.repeat(scale, sizes) * np.exp(1j * phases)
+        else:  # d^2 real draws, then d^2 imaginary draws, per rep
+            draws = rng.standard_normal(2 * len(active.entries))
+            real = np.arange(len(active.entries)) + np.repeat(active.offsets[:-1], sizes)
+            entries = (draws[real] + 1j * draws[real + np.repeat(sizes, sizes)]) / math.sqrt(2.0)
+        functions.append(SpectralFunction._packed(group, active.index, active.dims,
+                                                  active.wsq, entries))
     return Corpus(seed, group, float(bandlimit), profile, tuple(functions))
 
 

@@ -13,7 +13,7 @@ from peterweyl.cli import (
     main,
 )
 from peterweyl.fourier import dirichlet, read_spectral, save_spectral
-from peterweyl.groups import torus
+from peterweyl.groups import enumerate_dual, parse_group, rep_info, torus
 from peterweyl.verify import SUITES
 
 
@@ -35,6 +35,25 @@ def test_dual_su2(capsys):
     assert main(["dual", "--group", "su2", "--L", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "l=1/2" in out and "N(2) = 14" in out
+
+
+@pytest.mark.parametrize("group", ["torus:1", "torus:2", "torus:3", "su2"])
+def test_dual_table_matches_rep_info_rows(group, capsys):
+    # the table as it was printed from rep_info row by row, kept as the reference
+    g = parse_group(group)
+    for L in (1.0, 2.5, 7.0):
+        assert main(["dual", "--group", group, "--L", repr(L)]) == EXIT_OK
+        reps = enumerate_dual(g, L)
+        lines = [f"# dual of {g} up to weight {L:g}", "index\td\tlambda\tweight"]
+        for xi in reps:
+            if g.kind == "torus":
+                label = "(" + ",".join(str(k) for k in xi) + ")"
+            else:
+                label = f"l={xi // 2}" if xi % 2 == 0 else f"l={xi}/2"
+            info = rep_info(g, xi)
+            lines.append(f"{label}\t{info.dim}\t{info.casimir:.12g}\t{info.weight:.12g}")
+        lines.append(f"N({L:g}) = {sum(rep_info(g, xi).dim ** 2 for xi in reps)}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_dual_domain_error_exit_2(capsys):
@@ -119,6 +138,23 @@ def test_verify_resource_cap_exit_3(tmp_path, capsys):
     for group in ("su2", "torus:2"):
         assert main(["verify", "sharpness", "--group", group, "--L", "1e300",
                      "--out", str(tmp_path / "r.txt")]) == EXIT_RESOURCE
+
+
+def test_verify_weyl_and_corollary_answer_or_refuse_huge_bands(tmp_path, capsys):
+    # a huge last band is refused at once where the count would walk the
+    # lattice (tori of rank >= 2), leave float range (SU(2)) or feed the
+    # corollary sum too many terms; T^1 counts it in closed form
+    out = str(tmp_path / "r.txt")
+    grid = "10,20,30,40,1e300"
+    for group, code in (("torus:2", EXIT_RESOURCE), ("torus:3", EXIT_RESOURCE),
+                        ("su2", EXIT_USAGE)):
+        assert main(["verify", "weyl", "--group", group, "--L", grid, "--out", out]) == code
+        assert "error:" in capsys.readouterr().err
+    assert main(["verify", "weyl", "--group", "torus:1", "--L", grid, "--out", out]) == EXIT_OK
+    with open(out) as fh:
+        assert '"name": "weyl-slope"' in fh.read()
+    assert main(["verify", "corollary", "--L", "2,4,8,16,1e300", "--out", out]) == EXIT_RESOURCE
+    assert "weighted sum" in capsys.readouterr().err
 
 
 def test_verify_reports_byte_identical(tmp_path):
@@ -310,11 +346,13 @@ def test_written_files_get_the_mode_open_would_give(tmp_path):
 
 
 # Argument values for the CLI fuzz test, (mostly drawn, sometimes drawn):
-# small, malformed or non-finite, never a band or count whose grid or
-# listing is large.  Every verify run gets a node cap of at most 600, so a
-# suite ends after a few small grids.
+# small, malformed or non-finite, and huge finite bands, which every command
+# must refuse or answer at once; never a count whose grid or listing is
+# large.  Every verify run gets a node cap of at most 600, so a suite ends
+# after a few small grids.
 _FUZZ_NUMBERS = (("1", "2", "2.5", "2,4"),
-                 ("0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x", "", "2,inf", "1,nan"))
+                 ("0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x", "", "2,inf", "1,nan",
+                  "1e300", "10,20,30,40,1e300"))
 _FUZZ_INTS = (("1", "2", "7"), ("0", "-3", "x", "1e3", "99999999999999999999"))
 _FUZZ_GROUPS = (("torus:1", "torus:2", "su2", "torus:1,su2"),
                 ("torus:0", "torus:4", "torus:x", "so3", ""))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from peterweyl import groups
+from peterweyl.fourier import dirichlet, partial_sum
 from peterweyl.groups import (
     MAX_DUAL_ENTRIES,
     MAX_REP_INDEX,
@@ -16,7 +17,9 @@ from peterweyl.groups import (
     DomainError,
     _lattice_count,
     ResourceLimitError,
+    band_budget,
     compose,
+    dual_arrays,
     dual_size,
     enumerate_dual,
     euler_to_su2,
@@ -182,6 +185,79 @@ def test_su2_closed_form_matches_loop():
         assert enumerate_dual(SU2, L) == reps, L
         assert weyl_count(SU2, L) == count, L
         assert dual_size(SU2, L) == len(reps), L
+
+
+def _fraction_lattice_points(budget, dims):
+    # The Fraction-budget recursion that listed torus lattice points as
+    # tuples before the integer walk; kept as the reference.
+    if budget < 0:
+        return []
+    kmax = math.isqrt(math.floor(budget))
+    if dims == 1:
+        return [(k,) for k in range(-kmax, kmax + 1)]
+    return [(k,) + rest for k in range(-kmax, kmax + 1)
+            for rest in _fraction_lattice_points(budget - k * k, dims - 1)]
+
+
+def _edge_bands(g, top):
+    # Every weight <xi> <= top (sqrt(m) on tori, the twoL edges on SU(2)),
+    # and the float neighbours on both sides of it.
+    if g.kind == "torus":
+        squares = range(1, top * top + 1)
+    else:
+        squares = [weight_sq(g, twoL) for twoL in range(2 * top)]
+    bands = []
+    for w in squares:
+        edge = math.sqrt(float(w))
+        bands += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    return [L for L in bands if L >= 1.0]
+
+
+@pytest.mark.parametrize("g, top", [(T1, 12), (T2, 6), (T3, 4), (SU2, 10)])
+def test_band_membership_matches_fraction_reference(g, top):
+    outer = dirichlet(g, top + 1.0)
+    for L in _edge_bands(g, top):
+        budget = Fraction(L) ** 2
+        if g.kind == "torus":
+            reps = _fraction_lattice_points(budget - 1, g.dim)
+        else:
+            reps, _ = _su2_dual_by_loop(L)
+        assert band_budget(L) == math.floor(WEIGHT_SQ_DEN * budget)
+        assert enumerate_dual(g, L) == reps, L
+        D = dirichlet(g, L)
+        for got in (dual_arrays(g, L), (D.index, D.dims, D.wsq)):
+            assert [a.tolist() for a in got] == [a.tolist() for a in rep_arrays(g, reps)], L
+        assert dual_size(g, L) == len(reps)
+        assert weyl_count(g, L) == sum(rep_dim(g, xi) ** 2 for xi in reps)
+        inside = [xi for xi in outer.support() if weight_sq(g, xi) <= budget]
+        assert partial_sum(outer, L).support() == inside, L
+
+
+def test_band_budget_is_exact_and_refuses_bad_bands():
+    for L in (1, 1.0, 2.5, math.sqrt(2.0), 7071.0001, 1e300):
+        assert band_budget(L) == math.floor(WEIGHT_SQ_DEN * Fraction(L) ** 2)
+    assert band_budget(1.0) == WEIGHT_SQ_DEN
+    for L in (0.5, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite and >= 1"):
+            band_budget(L)
+
+
+def test_weyl_count_refuses_a_walk_past_the_cap(monkeypatch):
+    for g in (T2, T3):
+        with pytest.raises(ResourceLimitError, match="would walk"):
+            weyl_count(g, 1e300)
+    # T^1 needs no walk, so any finite band answers
+    assert weyl_count(T1, 1e300) == 2 * math.isqrt(math.floor(Fraction(1e300) ** 2) - 1) + 1
+    # the walk over the first n-1 axes visits at most (isqrt(b) + 1)^(n-1)
+    # values, b = L^2 - 1 floored; a walk of exactly the cap still runs
+    monkeypatch.setattr(groups, "_lattice_count", lambda b, dims: (b, dims))
+    assert weyl_count(T3, 2000.0) == (2000**2 - 1, 3)
+    assert (7070 + 1) ** 2 <= MAX_DUAL_ENTRIES < (7071 + 1) ** 2
+    assert weyl_count(T3, 7071.0) == (7071**2 - 1, 3)
+    assert weyl_count(T2, 5e7) == (25 * 10**14 - 1, 2)
+    for g, L in ((T3, 7071.0001), (T2, 5e7 + 1)):
+        with pytest.raises(ResourceLimitError, match="would walk"):
+            weyl_count(g, L)
 
 
 def test_dual_size_refuses_huge_bands_before_counting(monkeypatch):

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from peterweyl.fourier import SpectralFunction, dirichlet
+from peterweyl.fourier import SpectralFunction, dirichlet, dump_spectral, partial_sum
 from peterweyl.groups import (
     DomainError,
+    ResourceLimitError,
     enumerate_dual,
     rep_dim,
     su2,
@@ -18,6 +19,7 @@ from peterweyl.groups import (
 )
 from peterweyl.norms import INF, NormSpec, lp_norm, seq_lp_norm
 from peterweyl.verify import (
+    PROFILES,
     RunConfig,
     _conjugate,
     _ring_kernel,
@@ -116,6 +118,12 @@ def test_remark_support_guard():
     T = SpectralFunction(T1, {(5,): [[1.0]]})
     with pytest.raises(DomainError):
         nikolskii_remark_check(T, 1.0, 2.0, L=2.0)
+    # the guard is the exact band: T reaches weight sqrt(5) exactly
+    edge = math.sqrt(5.0)
+    T = dirichlet(T2, math.nextafter(edge, math.inf))
+    with pytest.raises(DomainError, match="exceeds the stated band"):
+        nikolskii_remark_check(T, 1.0, 2.0, L=math.nextafter(edge, 0.0))
+    assert nikolskii_remark_check(T, 1.0, 2.0, L=math.nextafter(edge, math.inf)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,32 @@ def test_corollary_preconditions():
         corollary_decay(F, 2.0, INF, [2, 4, 8])  # violates 1/p > 1/q + 1/2
     with pytest.raises(DomainError):
         corollary_decay(F, 2.0, 1.5, [2, 4, 8])  # needs p < q
+
+
+def _corollary_stat_by_scan(F, p, q, L_grid):
+    # The weighted sum as it was taken before suffix maxima, rebuilding the
+    # tail list for every k; kept as the reference.
+    sup_terms = []
+    for L in L_grid:
+        n_l = weyl_count(F.group, L)
+        sup_terms.append((n_l, lp_norm(partial_sum(F, L), q) / n_l))
+    stat = 0.0
+    for k in range(1, max(n for n, _ in sup_terms) + 1):
+        tail = [v for n, v in sup_terms if n >= k]
+        stat += k ** ((1.0 - 1.0 / p + 1.0 / q) * p - 1.0) * max(tail) ** p
+    return stat ** (1.0 / p)
+
+
+def test_corollary_sum_matches_tail_scan():
+    F = make_corpus(T1, 8.0, 1, seed=3, profile="smooth_decay").functions[0]
+    # grids out of order and with repeated N(L): N(8) = 15, N(8.5) = 17
+    for grid in ((2, 4, 8, 16), (16, 8, 8.5, 4, 8, 12), (8.0, 9.0)):
+        for q in (4.0, INF):
+            _, stat = corollary_decay(F, 1.0, q, grid)
+            assert stat == _corollary_stat_by_scan(F, 1.0, q, grid), (grid, q)
+    # a sum past the cap is refused before it starts
+    with pytest.raises(ResourceLimitError, match="weighted sum"):
+        corollary_decay(F, 1.0, INF, (8.0, 16.0, 1e300))
 
 
 def test_corollary_band_limited_decreasing():
@@ -316,18 +350,64 @@ def test_weyl_fit_degenerate_grid():
         weyl_fit(T1, [10, 10, 20, 30, 40])  # not strictly increasing
 
 
+def test_weyl_fit_huge_band():
+    # T^1 counts stay floats up to L = 1e300; SU(2) counts leave float range
+    slope, _, _ = weyl_fit(T1, [10, 20, 30, 40, 1e300])
+    assert abs(slope - 1.0) <= 0.05
+    with pytest.raises(DomainError, match="float range"):
+        weyl_fit(SU2, [10, 20, 30, 40, 1e300])
+
+
 # ---------------------------------------------------------------------------
 # corpora
 
 
 def test_corpus_determinism_and_count():
-    from peterweyl.fourier import dump_spectral
-
     a = make_corpus(T2, 3.0, 4, seed=13, profile="sparse")
     b = make_corpus(T2, 3.0, 4, seed=13, profile="sparse")
     assert len(a.functions) == 4
     for fa, fb in zip(a.functions, b.functions):
         assert dump_spectral(fa) == dump_spectral(fb)
+
+
+def _dict_corpus(group, bandlimit, count, seed, profile):
+    # make_corpus as it was before the packed build: per-rep dicts of
+    # validated rep indices; kept as the reference.
+    reps = enumerate_dual(group, bandlimit)
+    rng = np.random.default_rng(seed)
+    functions = []
+    for _ in range(count):
+        coeffs = {}
+        if profile == "sparse":
+            mask = rng.random(len(reps)) < 0.1
+            if not mask.any():
+                mask[int(rng.integers(len(reps)))] = True
+            active = [xi for xi, keep in zip(reps, mask) if keep]
+        else:
+            active = reps
+        for xi in active:
+            d = rep_dim(group, xi)
+            if profile == "smooth_decay":
+                phases = rng.uniform(0.0, 2.0 * math.pi, size=(d, d))
+                scale = math.exp(-math.sqrt(float(weight_sq(group, xi))))
+                coeffs[xi] = scale * np.exp(1j * phases)
+            else:
+                coeffs[xi] = (
+                    rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                ) / math.sqrt(2.0)
+        functions.append(SpectralFunction(group, coeffs))
+    return functions
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("group, band", [(T1, 8.0), (T2, 4.0), (torus(3), 3.0), (SU2, 2.5),
+                                         (SU2, 6.0)])
+def test_corpus_matches_per_rep_dict_reference(group, band, profile):
+    for seed in (0, 7, 101):
+        got = make_corpus(group, band, 4, seed, profile).functions
+        ref = _dict_corpus(group, band, 4, seed, profile)
+        assert [dump_spectral(F) for F in got] == [dump_spectral(F) for F in ref], seed
+        assert [F.digest for F in got] == [F.digest for F in ref]
 
 
 def test_corpus_validation():
