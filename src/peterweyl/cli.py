@@ -50,6 +50,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         if not tok:
             continue
         out.append(math.inf if tok == "inf" else float(tok))
+        if math.isnan(out[-1]):
+            raise DomainError(f"not a number in {text!r}")
     if not out:
         raise DomainError(f"empty number list {text!r}")
     return tuple(out)
@@ -120,7 +122,10 @@ def _config_from_args(args) -> RunConfig:
             raise DomainError(
                 f"bad --tol {item!r}; expected exact=..., grid=..., or identity=..."
             )
-        setattr(cfg, f"tol_{key}", float(val))
+        tol = float(val)
+        if math.isnan(tol):
+            raise DomainError(f"--tol {item!r} is not a number")
+        setattr(cfg, f"tol_{key}", tol)
     cfg.out = args.out
     return cfg
 

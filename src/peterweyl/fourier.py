@@ -37,7 +37,6 @@ import os
 import secrets
 import stat
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -144,12 +143,9 @@ class SpectralFunction:
     def __bool__(self) -> bool:
         return bool(self.entries.any())
 
-    def max_weight_sq(self) -> Fraction:
-        """Exact <xi>^2 of the heaviest stored rep (0 for empty support)."""
-        return Fraction(int(self.wsq.max(initial=0)), WEIGHT_SQ_DEN)
-
     def max_weight(self) -> float:
-        return math.sqrt(float(self.max_weight_sq()))
+        """<xi> of the heaviest stored rep (0 for empty support)."""
+        return math.sqrt(int(self.wsq.max(initial=0)) / WEIGHT_SQ_DEN)
 
     @property
     def digest(self) -> str:
@@ -329,17 +325,15 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
     Returns an iterator of (lo, hi, values): complex values at the flat
     C-order nodes [lo, hi), which cover the grid in order.  Slabs split the
     leading grid axis into runs of about SLAB_NODES nodes, the same for every
-    function on one rule; T^1 is one slab.  The support must lie within the
-    rule's exactness band so later grid integrals of coefficient products
-    stay exact; the checks run before the iterator is returned.
+    function on one rule; T^1 is one slab.  Every stored rep must have packed
+    weight wsq <= rule.degree^2, so later grid integrals of coefficient
+    products stay exact; the checks run before the iterator is returned.
     """
     if F.group != rule.group:
         raise DomainError(
             f"group mismatch: function on {F.group}, rule on {rule.group}"
         )
-    # The slack forgives the one-ulp loss of sqrt-then-square round trips;
-    # grid sizes carry far larger margins, so exactness is unaffected.
-    if F.max_weight_sq() > Fraction(rule.bandlimit) ** 2 * (1 + Fraction(1, 10**9)):
+    if int(F.wsq.max(initial=0)) > rule.degree**2:
         raise BandLimitError(
             f"support weight {F.max_weight():.6g} exceeds rule band "
             f"{rule.bandlimit:g}"
@@ -389,11 +383,11 @@ def analyze(
 ) -> SpectralFunction:
     """Fourier coefficients of f at every rep with weight <= L.
 
-    The rule's band limit must reach L.  Entries below threshold relative to
-    the largest coefficient entry are stored as exact zeros, and all-zero
-    matrices are dropped; threshold = 0 keeps every analyzed matrix.
+    band_budget(L) must not pass rule.degree^2.  Entries below threshold
+    relative to the largest coefficient entry are stored as exact zeros, and
+    all-zero matrices are dropped; threshold = 0 keeps every analyzed matrix.
     """
-    if L > f.rule.bandlimit * (1.0 + 1e-12):
+    if band_budget(L) > f.rule.degree**2:
         raise BandLimitError(
             f"analysis band {L:g} exceeds rule band {f.rule.bandlimit:g}"
         )
@@ -420,19 +414,18 @@ def pointwise_power(
     """Spectral coefficients of the pointwise power T(x)^rho.
 
     Computed on an oversampled grid with band (rho+1) * L_T by synthesis,
-    pointwise multiplication, and re-analysis; the analysis band is the
-    exact product budget rho^2 * L_T^2 in squared-weight terms, so boundary
-    reps are never misclassified.  threshold = 0 keeps every analyzed matrix
+    pointwise multiplication, and re-analysis at the reps with packed weight
+    wsq <= rho^2 max wsq of T, the exact product budget, so boundary reps
+    are never misclassified.  threshold = 0 keeps every analyzed matrix
     (support-count sensitivity checks rely on this).
     """
     if not isinstance(rho, int) or rho < 1:
         raise DomainError(f"power must be a positive integer, got {rho!r}")
     if not T:
         return zero_spectral(T.group)
-    w = T.max_weight()
-    rule = quadrature(T.group, (rho + 1) * w, max_nodes)
+    rule = quadrature(T.group, (rho + 1) * T.max_weight(), max_nodes)
     values = synthesize(T, rule).values ** rho
-    reps = dirichlet(T.group, rho * w * (1.0 + 1e-12))
+    reps = dirichlet(T.group, rule.bandlimit)
     reps = reps.restricted(reps.wsq <= rho * rho * int(T.wsq.max()))
     return _analyze_reps(GridFunction(rule, values), reps, threshold)
 

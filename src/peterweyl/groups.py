@@ -20,9 +20,13 @@ Conventions
   exp(-i n gamma), rows ordered m = l, l-1, ..., -l (so D^(1/2) has
   cos(beta/2) in the top-left corner).
 * The weight of a representation is <xi> = sqrt(1 + lambda_xi), the
-  eigenvalue of (I - Laplacian)^(1/2) on its matrix coefficients.
+  eigenvalue of (I - Laplacian)^(1/2) on its matrix coefficients, with
+  lambda_l = l(l + 1) on SU(2) (the round bi-invariant metric).
   WEIGHT_SQ_DEN <xi>^2 is an integer, and band membership <xi> <= L is the
   integer comparison with band_budget(L), so band edges never drift.
+* A quadrature rule's exactness is one integer, its degree c: products of
+  two matrix coefficients with WEIGHT_SQ_DEN <xi>^2 <= c^2 integrate
+  exactly.  quadrature(group, L) takes the least c with c^2 >= band_budget(L).
 """
 
 from __future__ import annotations
@@ -40,12 +44,6 @@ from scipy.special import roots_jacobi
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
-# Casimir normalization on SU(2): lambda_l = SU2_CASIMIR_SCALE * l * (l + 1),
-# the Laplace-Beltrami eigenvalue for the round bi-invariant metric.  Any
-# positive rescaling would only relabel the weights <xi>; this constant is
-# the single auditable place where the metric choice lives.
-SU2_CASIMIR_SCALE = Fraction(1)
-
 # Default cap on quadrature grid sizes; callers may override per operation.
 MAX_NODES_DEFAULT = 4_000_000
 
@@ -55,7 +53,7 @@ MAX_DUAL_ENTRIES = 50_000_000
 
 # WEIGHT_SQ_DEN <xi>^2 is an integer on every group; the packed coefficient
 # layout stores it in int64, exact for valid indices (|k| <= MAX_REP_INDEX).
-WEIGHT_SQ_DEN = 4 * SU2_CASIMIR_SCALE.denominator
+WEIGHT_SQ_DEN = 4
 MAX_REP_INDEX = 2**29
 
 
@@ -157,7 +155,7 @@ def weight_sq(group: GroupId, xi) -> Fraction:
     validate_rep(group, xi)
     if group.kind == "torus":
         return Fraction(1 + sum(k * k for k in xi))
-    return 1 + SU2_CASIMIR_SCALE * Fraction(xi * (xi + 2), 4)
+    return 1 + Fraction(xi * (xi + 2), WEIGHT_SQ_DEN)
 
 
 def rep_dim(group: GroupId, xi) -> int:
@@ -174,7 +172,7 @@ def rep_arrays(group: GroupId, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray
     else:
         twoL = index[:, 0]
         dims = twoL + 1
-        wsq = WEIGHT_SQ_DEN + SU2_CASIMIR_SCALE.numerator * twoL * (twoL + 2)
+        wsq = WEIGHT_SQ_DEN + twoL * (twoL + 2)
     return index, dims, wsq
 
 
@@ -206,25 +204,42 @@ def _lattice_rows(b: int, dims: int) -> np.ndarray:
     return np.column_stack((line[a], rest[j]))
 
 
+def _isqrt(r: np.ndarray) -> np.ndarray:
+    # Exact floor square roots of int64 values 0 <= r < 2^62: the float root
+    # is within one of the truth, so one step each way corrects it.
+    s = np.sqrt(r).astype(np.int64)
+    s -= s * s > r
+    s += (s + 1) * (s + 1) <= r
+    return s
+
+
 def _lattice_count(budget: Fraction | int, dims: int) -> int:
     # Squared norms are integers, so the floored budget admits the same
-    # points; the recursion then runs on plain ints, counting k and -k once.
+    # points.  The last axis holds 2 isqrt(r) + 1 of them for the budget r
+    # the other axes leave; those run as int64 arrays, the first axis in
+    # chunks of its values a >= 0, each counted for a and -a.
     b = math.floor(budget)
     if b < 0:
         return 0
     kmax = math.isqrt(b)
     if dims == 1:
         return 2 * kmax + 1
-    rest = dims - 1
-    return _lattice_count(b, rest) + 2 * sum(
-        _lattice_count(b - k * k, rest) for k in range(1, kmax + 1)
-    )
+    line = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    middle = line * line if dims == 3 else np.zeros(1, dtype=np.int64)
+    step = max(1, (1 << 14) // middle.size)
+    total = 0
+    for lo in range(0, kmax + 1, step):
+        a = np.arange(lo, min(lo + step, kmax + 1), dtype=np.int64)
+        rest = (b - a * a)[:, None] - middle
+        inside = rest >= 0
+        rows = np.where(inside, 2 * _isqrt(np.where(inside, rest, 0)) + 1, 0).sum(axis=1)
+        total += 2 * int(rows.sum()) - (int(rows[0]) if lo == 0 else 0)
+    return total
 
 
 def _su2_rep_count(budget: int) -> int:
-    # twoL is in band exactly when WEIGHT_SQ_DEN + num twoL (twoL + 2) <= budget,
-    # num the numerator of SU2_CASIMIR_SCALE.
-    return math.isqrt(1 + (budget - WEIGHT_SQ_DEN) // SU2_CASIMIR_SCALE.numerator)
+    # twoL is in band exactly when WEIGHT_SQ_DEN + twoL (twoL + 2) <= budget.
+    return math.isqrt(1 + budget - WEIGHT_SQ_DEN)
 
 
 def dual_arrays(group: GroupId, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -455,14 +470,14 @@ def matrix_coefficient(group: GroupId, xi, x: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Haar quadrature
 #
-# Rules are product grids sized so that the integral of any product
-# xi_ij(x) * conj(eta_kl(x)) with both weights <= bandlimit is exact:
-#   torus: uniform grids with 2*ceil(2B)+1 points per dimension;
-#   su2:   uniform alpha (2*ceil(2B)+1 points on [0, 2pi)), uniform gamma
-#          (4*ceil(2B)+2 points on [0, 4pi)), and ceil(2B)+2 Gauss-Lobatto
-#          nodes in cos(beta).  Lobatto (rather than Gauss-Legendre, at the
-#          cost of one extra node for the same exact degree) keeps the
-#          identity element in the node set with a positive weight.
+# A rule of degree c integrates any product xi_ij(x) * conj(eta_kl(x)) with
+# both packed weights WEIGHT_SQ_DEN <xi>^2 <= c^2 (so |k_a| <= c/2, twoL < c):
+#   torus: uniform grids with at least 2c+1 points per dimension;
+#   su2:   uniform alpha (2c+1 points on [0, 2pi)), uniform gamma (4c+2
+#          points on [0, 4pi)), and c+2 Gauss-Lobatto nodes in cos(beta).
+#          Lobatto (rather than Gauss-Legendre, at the cost of one extra
+#          node for the same exact degree) keeps the identity element in the
+#          node set with a positive weight.
 # The identity element is always node 0.
 
 
@@ -484,14 +499,16 @@ def _lobatto(npts: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureRule:
     """Product rule realizing normalized Haar integration on one group.
 
-    nodes/weights are exposed flat in C order over the axis grids; the
-    identity element sits at index 0.  All arrays are read-only; instances
-    are safe to share across threads.
+    Exact for products of reps with packed weight wsq <= degree^2, so to band
+    bandlimit = degree / 2.  nodes/weights are exposed flat in C order over
+    the axis grids; the identity element sits at index 0.  All arrays are
+    read-only; instances are safe to share across threads.
     """
 
-    def __init__(self, group: GroupId, bandlimit: float, axes, axis_weights, z=None):
+    def __init__(self, group: GroupId, degree: int, axes, axis_weights, z=None):
         self.group = group
-        self.bandlimit = float(bandlimit)
+        self.degree = degree
+        self.bandlimit = degree / 2
         self.axes = tuple(np.ascontiguousarray(a, dtype=float) for a in axes)
         self.axis_weights = tuple(
             np.ascontiguousarray(w, dtype=float) for w in axis_weights
@@ -544,14 +561,10 @@ class QuadratureRule:
         return self._dtabs
 
     def __repr__(self) -> str:
-        return (
-            f"QuadratureRule({self.group}, bandlimit={self.bandlimit:g}, "
-            f"shape={self.shape})"
-        )
+        return f"QuadratureRule({self.group}, degree={self.degree}, shape={self.shape})"
 
 
-def _axis_counts(group: GroupId, bandlimit: float) -> tuple[int, ...]:
-    c = math.ceil(2.0 * bandlimit)
+def _axis_counts(group: GroupId, c: int) -> tuple[int, ...]:
     if group.kind == "torus":
         # Any size >= 2c+1 keeps products in band alias-free; round up to an
         # FFT-friendly length so the transforms avoid prime-size fallbacks.
@@ -560,12 +573,12 @@ def _axis_counts(group: GroupId, bandlimit: float) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _build_rule(group: GroupId, bandlimit: float) -> QuadratureRule:
-    counts = _axis_counts(group, bandlimit)
+def _build_rule(group: GroupId, degree: int) -> QuadratureRule:
+    counts = _axis_counts(group, degree)
     if group.kind == "torus":
         axes = [TWO_PI * np.arange(m) / m for m in counts]
         axis_weights = [np.full(m, 1.0 / m) for m in counts]
-        return QuadratureRule(group, bandlimit, axes, axis_weights)
+        return QuadratureRule(group, degree, axes, axis_weights)
     na, nb, ng = counts
     alpha = TWO_PI * np.arange(na) / na
     gamma = FOUR_PI * np.arange(ng) / ng
@@ -576,22 +589,24 @@ def _build_rule(group: GroupId, bandlimit: float) -> QuadratureRule:
     beta = np.arccos(np.clip(z, -1.0, 1.0))
     axes = [alpha, beta, gamma]
     axis_weights = [np.full(na, 1.0 / na), w / 2.0, np.full(ng, 1.0 / ng)]
-    return QuadratureRule(group, bandlimit, axes, axis_weights, z=z)
+    return QuadratureRule(group, degree, axes, axis_weights, z=z)
 
 
 def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -> QuadratureRule:
-    """Haar rule exact for coefficient products up to the given band limit.
+    """Haar rule of least degree c with c^2 >= band_budget(bandlimit).
 
-    Deterministic for fixed inputs; raises ResourceLimitError before building
-    a grid whose node count would exceed the cap.
+    Cached per (group, degree): bands of one degree share a grid.  Raises
+    ResourceLimitError before building a grid past the node cap.
     """
-    if not 1 <= bandlimit < math.inf:
-        raise DomainError(f"band limit must be finite and >= 1, got {bandlimit}")
+    degree = math.isqrt(band_budget(bandlimit) - 1) + 1
     cap = MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes)
-    total = int(np.prod(_axis_counts(group, float(bandlimit))))
+    # (2c+1)^dim nodes at least: a huge band is refused before any FFT length.
+    total = (2 * degree + 1) ** group.dim
+    if total <= cap:
+        total = math.prod(_axis_counts(group, degree))
     if total > cap:
         raise ResourceLimitError(
-            f"quadrature for {group} at band {bandlimit:g} needs {total} nodes, "
-            f"cap is {cap}"
+            f"quadrature for {group} at band {bandlimit:g} needs more than the cap of "
+            f"{cap} nodes"
         )
-    return _build_rule(group, float(bandlimit))
+    return _build_rule(group, degree)

@@ -316,7 +316,7 @@ def _ladder(
     """L^p norms of nonnegative node values on a grid ladder.
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
-    weight in the support of F (at least 1); values_of(rule) yields the
+    weight in the support of F; values_of(rule) yields the
     level's values as (lo, hi, slab), which one pass reduces for every
     exponent due there.  exact_levels maps each exponent to the level at
     which its integrand is band-limited (one exact evaluation there) or to
@@ -327,7 +327,7 @@ def _ladder(
     pending: dict[float, float | None] = dict.fromkeys(exact_levels)  # previous value
     levels = exact_levels.values()
     level = 0 if None in levels else min(levels, default=0)
-    w = max(F.max_weight(), 1.0)
+    w = F.max_weight()
     grid = (0, 0.0)  # nodes and band of the finest grid built so far
     while pending:
         band = w * (2.0**level)
@@ -343,12 +343,13 @@ def _ladder(
             break
         grid = (rule.node_count, band)
         due = [p for p in pending if exact_levels[p] is None or level >= exact_levels[p]]
-        sums = _level_reduce(values_of(rule), rule, due) if due else {}
+        with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
+            sums = _level_reduce(values_of(rule), rule, due) if due else {}
+            roots = {p: float(sums[p] if p == INF else sums[p] ** (1.0 / p)) for p in due}
         for p in due:
             prev = pending[p]
             lvl = exact_levels[p]
-            cur = float(sums[p] if p == INF else sums[p] ** (1.0 / p))
-            _finite(cur, f"L^{p:g} value on {rule.node_count} nodes")
+            cur = _finite(roots[p], f"L^{p:g} value on {rule.node_count} nodes")
             if lvl is not None:
                 certified = "exact"
             elif prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
@@ -425,6 +426,14 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _root(total: float, p: float, what: str) -> float:
+    # total^(1/p) as a finite float; a tiny p can take it past float range.
+    try:
+        return _finite(float(total ** (1.0 / p)), what)
+    except OverflowError:
+        raise DomainError(f"{what} leaves float range") from None
+
+
 def _hs_norms(F: SpectralFunction) -> np.ndarray:
     """||fhat(xi)||_HS of every stored rep, in canonical order."""
     starts = F.offsets[:-1]
@@ -452,7 +461,7 @@ def seq_lp_norm(F: SpectralFunction, p: float) -> float:
         return _finite(float((F.dims**-0.5 * hs).max(initial=0.0)), "l^inf sequence norm")
     with np.errstate(over="ignore"):
         total = float(np.sum(F.dims ** (p * (2.0 / p - 0.5)) * hs**p))
-    return _finite(total ** (1.0 / p), f"l^{p:g} sequence norm")
+    return _root(total, p, f"l^{p:g} sequence norm")
 
 
 def sobolev_norm(
@@ -588,7 +597,7 @@ def beurling_norm(F: SpectralFunction, beta: float) -> float:
         total = sum(2.0 ** (n * s) * t**beta for s, t in enumerate(sups))
     except OverflowError:
         total = INF
-    return _finite(float(total ** (1.0 / beta)), "beurling norm")
+    return _root(total, beta, "beurling norm")
 
 
 def beurling_r_norm(F: SpectralFunction, r: float, beta: float) -> float:

@@ -814,12 +814,11 @@ def _corpus_for(cfg: RunConfig, group: GroupId, profile: str | None = None) -> C
 
 def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
+    pairs = [(p, q) for p in cfg.p_grid for q in cfg.q_grid if p < q]
+    _require(bool(pairs), f"nikolskii needs a pair p < q, got p {cfg.p_grid}, q {cfg.q_grid}")
     for group in _config_groups(cfg):
         corpus = _corpus_for(cfg, group)
         L = corpus.bandlimit
-        pairs = [
-            (p, q) for p in cfg.p_grid for q in cfg.q_grid if p < q
-        ]
         exponents = sorted({x for pq in pairs for x in pq})
         for idx, T in enumerate(corpus.functions):
             if not T:

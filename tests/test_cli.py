@@ -3,7 +3,7 @@
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from peterweyl.cli import (
     EXIT_OK,
@@ -214,11 +214,27 @@ def test_norm_prints_besov_certification_and_grid(two_shell_file, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    ["besov:r=nan,p=2,q=2", "besov:r=1e6,p=2,q=2", "besov:r=300,p=2,q=2", "sobolev:r=1e6,p=2"],
+    ["besov:r=nan,p=2,q=2", "besov:r=1e6,p=2,q=2", "besov:r=300,p=2,q=2", "sobolev:r=1e6,p=2",
+     "seq:1e-10", "wiener:1e-300", "beurling:0.001"],
 )
 def test_norm_bad_smoothness_exit_2(two_shell_file, spec, capsys):
     assert main(["norm", two_shell_file, spec]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_norm_exponents_past_float_range_or_every_grid(tmp_path, capsys):
+    # |f|^p summed to about 1, whose 1/p-th power leaves float range: exit 2
+    # with no numpy warning; an even p so large that no grid integrates
+    # |f|^p exactly: exit 3, refused before any grid is sized
+    out = str(tmp_path / "c")
+    assert main(["corpus", "--group", "torus:2", "--bandlimit", "3", "--count", "1",
+                 "--seed", "1", "--out", out]) == EXIT_OK
+    path = os.path.join(out, "fn_000.spectral")
+    capsys.readouterr()
+    assert main(["norm", path, "Lp:1e-300"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: L^1e-300 value")
+    assert main(["norm", path, "Lp:1e300"]) == EXIT_RESOURCE
+    assert "needs more than the cap" in capsys.readouterr().err
 
 
 def test_verify_huge_r_exit_2(tmp_path, capsys):
@@ -266,7 +282,14 @@ def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
     [["dual", "--group", "su2", "--L", "inf"], ["dual", "--group", "torus:2", "--L", "nan"],
      ["corpus", "--group", "torus:1", "--bandlimit", "1e400", "--count", "1", "--seed", "1"],
      ["verify", "sharpness", "--group", "torus:1", "--L", "2,inf"],
-     ["verify", "corollary", "--L", "2,4"]],
+     ["verify", "corollary", "--L", "2,4"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--tol", "exact=nan"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "nan"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "nan"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "5", "--q", "2"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "-1"],
+     ["verify", "wiener-chain", "--group", "torus:1", "--count", "1", "--beta", "0.001",
+      "--max-nodes", "600"]],
     ids=" ".join,
 )
 def test_non_finite_or_short_grids_exit_2(tmp_path, argv, capsys):
@@ -352,14 +375,15 @@ def test_written_files_get_the_mode_open_would_give(tmp_path):
 # after a few small grids.
 _FUZZ_NUMBERS = (("1", "2", "2.5", "2,4"),
                  ("0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "x", "", "2,inf", "1,nan",
-                  "1e300", "10,20,30,40,1e300"))
+                  "1e300", "10,20,30,40,1e300", "1e-3"))
 _FUZZ_INTS = (("1", "2", "7"), ("0", "-3", "x", "1e3", "99999999999999999999"))
 _FUZZ_GROUPS = (("torus:1", "torus:2", "su2", "torus:1,su2"),
                 ("torus:0", "torus:4", "torus:x", "so3", ""))
 _FUZZ_SPECS = (("Lp:2", "Lp:3", "Lp:inf", "seq:1", "wiener:0.5", "beurling:inf",
                 "beurlingR:r=1,beta=2", "besov:r=1,p=2,q=inf", "tl:r=0.5,p=3,q=2"),
                ("Lp:0", "Lp:nan", "Lp:1e400", "tl:r=1,p=inf,q=2", "sobolev:r=nan,p=2", "Lp",
-                "x:1", "besov:p=2", "besov:r=1,p=2,q=2,q=3", ""))
+                "x:1", "besov:p=2", "besov:r=1,p=2,q=2,q=3", "", "seq:1e-10", "beurling:0.001",
+                "Lp:1e300"))
 _FUZZ_OPTIONS = {
     "dual": (("--group", _FUZZ_GROUPS), ("--L", _FUZZ_NUMBERS)),
     "norm": (("--max-nodes", _FUZZ_INTS),),
@@ -370,13 +394,19 @@ _FUZZ_OPTIONS = {
                ("--profile", (("sparse",), ("bogus",))), ("--bandlimit", _FUZZ_NUMBERS),
                ("--L", _FUZZ_NUMBERS), ("--p", _FUZZ_NUMBERS), ("--q", _FUZZ_NUMBERS),
                ("--r", _FUZZ_NUMBERS), ("--beta", _FUZZ_NUMBERS),
-               ("--tol", (("exact=1e-9", "grid=1e-6"), ("grid=x", "bogus=1", "exact")))),
+               ("--tol", (("exact=1e-9", "grid=1e-6"),
+                          ("grid=x", "bogus=1", "exact", "exact=nan")))),
     "bogus": (),
 }
 
 
+# Inputs every example reads, relative to the fuzz directory: a valid file
+# on two groups, a malformed one and a missing path.
+_FUZZ_FILES = ("t1.spectral", "t2.spectral", "bad.spectral", "missing.spectral")
+
+
 @st.composite
-def _cli_argvs(draw, files, base):
+def _cli_argvs(draw):
     def value(choices):
         good, bad = choices
         return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else good))
@@ -384,7 +414,7 @@ def _cli_argvs(draw, files, base):
     cmd = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
     argv = [cmd]
     if cmd == "norm":
-        argv += [draw(st.sampled_from(files)), value(_FUZZ_SPECS)]
+        argv += [draw(st.sampled_from(_FUZZ_FILES)), value(_FUZZ_SPECS)]
     elif cmd == "verify":
         argv.append(draw(st.sampled_from(SUITES + ("bogus",))))
     for flag, choices in draw(st.permutations(_FUZZ_OPTIONS[cmd])):
@@ -394,28 +424,37 @@ def _cli_argvs(draw, files, base):
     if cmd == "verify":
         argv += ["--max-nodes", draw(st.sampled_from(("-1", "1", "64", "600")))]
     if cmd in ("verify", "corpus"):
-        argv += ["--out", os.path.join(base, "report.txt" if cmd == "verify" else "corpus")]
+        argv += ["--out", "report.txt" if cmd == "verify" else "corpus"]
     if draw(st.integers(0, 7)) == 7:
         argv.append(draw(st.sampled_from(("--frobnicate", "extra", "-", "--L"))))
     return argv
 
 
 @pytest.fixture(scope="module")
-def fuzz_inputs(tmp_path_factory):
-    # Inputs shared by every example: a valid file on two groups, a
-    # malformed one and a missing path.
+def fuzz_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
     for name, group in (("t1", torus(1)), ("t2", torus(2))):
         save_spectral(dirichlet(group, 2.0), base / f"{name}.spectral")
     (base / "bad.spectral").write_text("specfun v1\ngroup su2\nrep 1 2 1 0\n")
-    paths = [str(base / f"{name}.spectral") for name in ("t1", "t2", "bad", "missing")]
-    return {"paths": tuple(paths), "base": str(base)}
+    return base
 
 
+# Drawn argvs reach these only by chance, so they are pinned: huge last bands
+# on the suites that count the dual up to them, a grid past every FFT length,
+# and roots past float range for tiny exponents.
+@example(argv=["verify", "weyl", "--group", "torus:2", "--L", "10,20,30,40,1e300",
+               "--out", "report.txt"])
+@example(argv=["verify", "weyl", "--group", "su2", "--L", "10,20,30,40,1e300",
+               "--out", "report.txt"])
+@example(argv=["verify", "corollary", "--L", "10,20,30,40,1e300", "--out", "report.txt"])
+@example(argv=["norm", "t2.spectral", "Lp:1e300"])
+@example(argv=["norm", "t1.spectral", "seq:1e-10"])
+@example(argv=["verify", "wiener-chain", "--group", "torus:1", "--count", "1", "--beta", "1e-3",
+               "--max-nodes", "600", "--out", "report.txt"])
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_cli_fuzz_exits_0_to_3(fuzz_inputs, capsys, data):
-    argv = data.draw(_cli_argvs(fuzz_inputs["paths"], fuzz_inputs["base"]))
+@given(argv=_cli_argvs())
+def test_cli_fuzz_exits_0_to_3(fuzz_dir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(fuzz_dir)
     assert main(argv) in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_RESOURCE)
     capsys.readouterr()

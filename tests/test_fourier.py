@@ -26,6 +26,7 @@ from peterweyl.fourier import (
 )
 from peterweyl.groups import (
     DomainError,
+    band_budget,
     enumerate_dual,
     matrix_coefficient,
     quadrature,
@@ -249,6 +250,32 @@ def test_round_trip_random(group, L):
     rule = quadrature(group, L)
     back = analyze(synthesize(F, rule), L)
     assert _max_err(F, back) < 1e-9
+
+
+@pytest.mark.parametrize("c", [2, 3, 6, 9])
+@pytest.mark.parametrize("group", [T1, T2, SU2], ids=str)
+def test_band_edges_are_the_rule_degree(group, c):
+    # A rule of degree c synthesizes and analyzes every rep with packed
+    # weight wsq <= c^2, exactly, and refuses the next one.  wsq = c^2 is a
+    # rep at c = 2, and at c = 6 on T^2 (k = (2, 2)).
+    rule = quadrature(group, c / 2)
+    assert (rule.degree, rule.bandlimit) == (c, c / 2)
+    F = _random_spectral(group, c / 2, seed=c)
+    assert int(F.wsq.max()) <= c * c
+    assert _max_err(F, analyze(synthesize(F, rule), c / 2)) < 1e-12
+    outer = dirichlet(group, c / 2 + 1)
+    past = outer.restricted(outer.wsq == outer.wsq[outer.wsq > c * c].min())
+    with pytest.raises(BandLimitError):
+        synthesize_slabs(past, rule)
+    f = synthesize(F, rule)
+    L = math.sqrt(c * c + 1) / 2.0
+    while band_budget(L) <= c * c:
+        L = math.nextafter(L, math.inf)
+    with pytest.raises(BandLimitError):
+        analyze(f, L)
+    inside = math.nextafter(L, 0.0)
+    assert band_budget(inside) == c * c
+    assert _max_err(F, analyze(f, inside)) < 1e-12
 
 
 def test_analyze_band_guard():

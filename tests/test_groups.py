@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 from scipy.linalg import expm
 
 from peterweyl import groups
@@ -15,6 +16,7 @@ from peterweyl.groups import (
     MAX_REP_INDEX,
     WEIGHT_SQ_DEN,
     DomainError,
+    _isqrt,
     _lattice_count,
     ResourceLimitError,
     band_budget,
@@ -161,6 +163,28 @@ def test_lattice_count_matches_fraction_recursion():
                 budget = 4**k + delta
                 assert _lattice_count(budget, dims) == _fraction_lattice_count(budget, dims)
         assert _lattice_count(Fraction(-1, 3), dims) == 0
+
+
+def test_lattice_count_at_perfect_squares():
+    # budgets on and next to s^2, where a float root is most likely to be off
+    for dims, top in ((2, 40), (3, 12)):
+        for root in range(1, top):
+            for budget in (root * root - 1, root * root, root * root + 1):
+                assert _lattice_count(budget, dims) == _fraction_lattice_count(budget, dims)
+    # counts from the per-value walk the numpy pass replaced
+    assert weyl_count(T2, 1e7) == 314159265350529
+    assert weyl_count(T3, 2000.0) == 33510290243
+
+
+def test_isqrt_is_exact_near_squares_past_2_52():
+    # float(r) rounds once r passes 2^53; s^2 - 1 then reads as s^2
+    roots = np.unique(np.concatenate([
+        np.arange(2**26 - 50, 2**26 + 50), np.arange(2**31 - 100, 2**31),
+        np.geomspace(2**26, 2**31 - 1, 3000).astype(np.int64),
+    ]))
+    r = np.concatenate([roots * roots + d for d in (-2, -1, 0, 1, 2)])
+    assert r.max() < 2**62 and (r > 2**52).mean() > 0.9
+    assert _isqrt(r).tolist() == [math.isqrt(v) for v in r.tolist()]
 
 
 def _su2_dual_by_loop(L):
@@ -464,6 +488,49 @@ def test_quadrature_determinism_and_cap():
         quadrature(SU2, 50.0, max_nodes=1000)
     with pytest.raises(DomainError):
         quadrature(T1, 0.5)
+
+
+def _ceil_2b_counts(g, band):
+    # The grid sizes before rules were keyed by an integer degree: c =
+    # ceil(2B) from the float band; kept as the reference.
+    c = math.ceil(2.0 * band)
+    if g.kind == "torus":
+        return (int(next_fast_len(2 * c + 1)),) * g.dim
+    return (2 * c + 1, c + 2, 4 * c + 2)
+
+
+@pytest.mark.parametrize("g", [T1, T2, T3, SU2], ids=str)
+def test_degree_sizes_ladder_and_power_bands_as_ceil_2b(monkeypatch, g):
+    # The bands the norm ladder (W 2^j) and pointwise_power ((rho+1) W) ask
+    # for, W = max_weight of a support, get the grids ceil(2B) gave them.
+    monkeypatch.setattr(groups, "_build_rule", lambda group, degree: degree)
+    if g.kind == "torus":
+        weights = [WEIGHT_SQ_DEN * (1 + m) for m in range(2000)]  # every T^n weight up to it
+    else:
+        weights = rep_arrays(SU2, list(range(2000)))[2].tolist()
+    for wsq in weights:
+        w = math.sqrt(wsq / WEIGHT_SQ_DEN)  # SpectralFunction.max_weight
+        for band in [w * 2.0**j for j in range(7)] + [(rho + 1) * w for rho in range(1, 6)]:
+            degree = quadrature(g, band, max_nodes=10**40)
+            assert degree * degree >= band_budget(band) > (degree - 1) ** 2
+            assert groups._axis_counts(g, degree) == _ceil_2b_counts(g, band), (wsq, band)
+
+
+def test_quadrature_refuses_huge_bands_before_any_fft_length(monkeypatch):
+    for g in (T1, T2, T3, SU2):
+        with pytest.raises(ResourceLimitError):
+            quadrature(g, 1e200)
+    rule = quadrature(T2, 3.0)
+    assert quadrature(T2, 3.0, max_nodes=rule.node_count) is rule
+    with pytest.raises(ResourceLimitError):
+        quadrature(T2, 3.0, max_nodes=rule.node_count - 1)
+    # past the lower bound (2c+1)^n no FFT length is asked for
+    monkeypatch.setattr(groups, "next_fast_len", lambda n: pytest.fail(f"FFT length {n}"))
+    for g in (T1, T2, T3):
+        with pytest.raises(ResourceLimitError):
+            quadrature(g, 1e200)
+        with pytest.raises(ResourceLimitError):
+            quadrature(g, 3.0, max_nodes=12**g.dim)  # degree 6: 13^n nodes at least
 
 
 def test_weight_sq_exact_rationals():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from peterweyl import fourier, norms
 from peterweyl.fourier import SpectralFunction, dirichlet, synthesize, zero_spectral
 from peterweyl.groups import (
+    WEIGHT_SQ_DEN,
     DomainError,
     QuadratureRule,
     enumerate_dual,
@@ -459,15 +460,22 @@ def test_tail_sups_match_tail_scan():
 # the packed coefficient layout against the per-rep loops it replaced
 
 
+def _segment_sum(sq):
+    # The first entry plus the rest in order: how np.add.reduceat adds a
+    # segment of up to 8 entries.  np.sum adds ((a0 + a1) + a2) + a3, which
+    # can differ in the last bit from a0 + ((a1 + a2) + a3) on a 2x2 matrix.
+    return sq[0] + np.sum(sq[1:])
+
+
 def _hs_norm_by_loop(mat):
     # Hilbert-Schmidt norm of one matrix, rescaled by its largest entry only
     # past overflow.
     with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
+        norm = float(np.sqrt(_segment_sum(np.abs(mat).ravel() ** 2)))
         if norm == INF:
             big = float(np.abs(mat).max())
             if math.isfinite(big):
-                norm = big * float(np.sqrt(np.sum((np.abs(mat) / big) ** 2)))
+                norm = big * float(np.sqrt(_segment_sum((np.abs(mat).ravel() / big) ** 2)))
     return norm
 
 
@@ -549,7 +557,9 @@ def _spectral_functions(draw):
 def test_packed_layout_matches_per_rep_loops(F, L):
     group = F.group
     exact = group.kind == "torus" or F.dims.max(initial=1) <= 2  # sums of at most 4 entries
-    assert F.max_weight_sq() == max((weight_sq(group, xi) for xi in F.coeffs), default=0)
+    heaviest = max((weight_sq(group, xi) for xi in F.coeffs), default=0)
+    assert F.wsq.max(initial=0) == WEIGHT_SQ_DEN * heaviest
+    assert F.max_weight() == math.sqrt(heaviest)
     for threshold in (1e-12, 1e-3, 0.0):
         assert fourier.support_count(F, threshold) == _support_count_by_loop(F, threshold)
     split = dyadic_blocks(F)
@@ -646,7 +656,7 @@ def test_level_reduce_weights_each_slab_by_its_rows(monkeypatch, group):
     # uniform leading-axis weights, which would hide a misaligned slab).
     real = quadrature(group, 3.0)
     rng = np.random.default_rng(4)
-    rule = QuadratureRule(group, real.bandlimit, real.axes,
+    rule = QuadratureRule(group, real.degree, real.axes,
                           [rng.random(len(a)) + 0.5 for a in real.axes])
     # three rows a slab, and a ragged last slab (T^1 is one slab)
     monkeypatch.setattr(fourier, "SLAB_NODES", 3 * rule.node_count // rule.shape[0])
