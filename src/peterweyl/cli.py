@@ -7,9 +7,9 @@ Subcommands:
     corpus  generate seeded coefficient files
 
 Exit status: 0 all checks pass, 1 at least one inequality violated,
-2 usage or configuration error, 3 resource cap exceeded.  Reports embed the
-full run configuration and are byte-identical across reruns of the same
-configuration; output files are written atomically.
+2 usage or configuration error, 3 resource cap exceeded or memory exhausted.
+Reports embed the full run configuration and are byte-identical across
+reruns of the same configuration; output files are written atomically.
 """
 
 from __future__ import annotations
@@ -223,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:  # a grid under the node cap that memory cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

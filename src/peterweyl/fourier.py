@@ -21,7 +21,10 @@ them as they come.  On T^2 and T^3 the kernel scatters the support into its
 dense index box and contracts it one axis at a time against phase tables
 reduced mod the axis length in integers, the trailing axes once and the
 leading axis per slab: m^n K work for a box K wide on an m^n grid.  On T^1,
-where such a table would outgrow the grid, synthesis is one inverse FFT.  On
+where such a table would outgrow the grid, synthesis is one inverse FFT.  A
+folded torus rule (QuadratureRule.folded) keeps the nodes 0 <= i <= m // 2
+of each axis: the phase tables then hold only those rows, still reduced mod
+the full axis length m, and T^1 reads the first half of its FFT.  On
 SU(2) both directions factor through the Euler angles: dense phase
 contractions over alpha and gamma, and a Wigner-d contraction over the
 cos(beta) nodes.  On the torus, analysis is one FFT over the uniform product
@@ -286,10 +289,11 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # zero-padded grid, and no m^n spectrum is built.
 
 
-def _torus_phases(m: int, kmin: int, width: int) -> np.ndarray:
-    # The phase is reduced mod m in integers, as FFT twiddles are, so large
-    # products x k lose no accuracy to the float angle.
-    turns = np.outer(np.arange(m), np.arange(kmin, kmin + width)) % m
+def _torus_phases(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
+    # Nodes x < rows of an axis of length m.  The phase is reduced mod m in
+    # integers, as FFT twiddles are, so large products x k lose no accuracy
+    # to the float angle.
+    turns = np.outer(np.arange(rows), np.arange(kmin, kmin + width)) % m
     return np.exp((2j * math.pi / m) * turns)
 
 
@@ -302,21 +306,21 @@ def _torus_slabs(F: SpectralFunction, rule: QuadratureRule):
     # and appends its grid axis, so (K_0, ..., K_{n-1}) ends as
     # (K_0, m_1, ..., m_{n-1}).  The leading axis is contracted per slab.
     tail = box
-    for m, k0, width in zip(rule.shape[1:], kmin[1:], box.shape[1:]):
-        tail = np.tensordot(tail, _torus_phases(m, int(k0), width), axes=([1], [1]))
+    for m, rows, k0, width in zip(rule.moduli[1:], rule.shape[1:], kmin[1:], box.shape[1:]):
+        tail = np.tensordot(tail, _torus_phases(m, rows, int(k0), width), axes=([1], [1]))
     tail = tail.reshape(box.shape[0], -1)
-    lead = _torus_phases(rule.shape[0], int(kmin[0]), box.shape[0])
+    lead = _torus_phases(rule.moduli[0], rule.shape[0], int(kmin[0]), box.shape[0])
     for a, b, lo, hi in _slab_bounds(rule):
         yield lo, hi, (lead[a:b] @ tail).ravel()
 
 
 def _line_slabs(F: SpectralFunction, rule: QuadratureRule):
     # On T^1 an m x K phase table would outgrow the m values it fills: one
-    # slab, the inverse FFT.
-    (m,) = rule.shape
+    # slab, the inverse FFT, of which a folded rule keeps the first half.
+    (m,) = rule.moduli
     spec = np.zeros(m, dtype=complex)
     spec[F.index[:, 0] % m] = F.entries
-    yield 0, m, ifftn(spec) * m
+    yield 0, rule.node_count, ifftn(spec)[:rule.node_count] * m
 
 
 def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
@@ -325,9 +329,11 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
     Returns an iterator of (lo, hi, values): complex values at the flat
     C-order nodes [lo, hi), which cover the grid in order.  Slabs split the
     leading grid axis into runs of about SLAB_NODES nodes, the same for every
-    function on one rule; T^1 is one slab.  Every stored rep must have packed
-    weight wsq <= rule.degree^2, so later grid integrals of coefficient
-    products stay exact; the checks run before the iterator is returned.
+    function on one rule; T^1 is one slab.  On a folded rule the values are
+    those at its kept half-axis nodes, whatever the symmetry of F.  Every
+    stored rep must have packed weight wsq <= rule.degree^2, so later grid
+    integrals of coefficient products stay exact; the checks run before the
+    iterator is returned.
     """
     if F.group != rule.group:
         raise DomainError(
@@ -383,10 +389,13 @@ def analyze(
 ) -> SpectralFunction:
     """Fourier coefficients of f at every rep with weight <= L.
 
-    band_budget(L) must not pass rule.degree^2.  Entries below threshold
-    relative to the largest coefficient entry are stored as exact zeros, and
-    all-zero matrices are dropped; threshold = 0 keeps every analyzed matrix.
+    band_budget(L) must not pass rule.degree^2, and the rule must be a full
+    grid, not a folded one.  Entries below threshold relative to the largest
+    coefficient entry are stored as exact zeros, and all-zero matrices are
+    dropped; threshold = 0 keeps every analyzed matrix.
     """
+    if f.rule.is_folded:
+        raise DomainError(f"analysis needs a full grid, not {f.rule!r}")
     if band_budget(L) > f.rule.degree**2:
         raise BandLimitError(
             f"analysis band {L:g} exceeds rule band {f.rule.bandlimit:g}"

@@ -47,6 +47,10 @@ FOUR_PI = 4.0 * math.pi
 # Default cap on quadrature grid sizes; callers may override per operation.
 MAX_NODES_DEFAULT = 4_000_000
 
+# The most complex values one array can index: a grid past this cannot be
+# built whatever the cap says.
+MAX_GRID_NODES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
 # Cap on dual listings, corpus coefficient entries (sums of d^2 over the dual)
 # and the values a torus weyl_count walks, each checked before the work starts.
 MAX_DUAL_ENTRIES = 50_000_000
@@ -62,7 +66,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested grid would exceed the configured node cap."""
+    """A requested grid would exceed the configured node cap or any array."""
 
 
 @dataclass(frozen=True)
@@ -478,7 +482,8 @@ def matrix_coefficient(group: GroupId, xi, x: tuple) -> np.ndarray:
 #          Lobatto (rather than Gauss-Legendre, at the cost of one extra
 #          node for the same exact degree) keeps the identity element in the
 #          node set with a positive weight.
-# The identity element is always node 0.
+# The identity element is always node 0.  A torus rule folds onto its half
+# axes 0 <= i <= m // 2 for functions even in every coordinate (folded()).
 
 
 def _lobatto(npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -501,11 +506,14 @@ class QuadratureRule:
 
     Exact for products of reps with packed weight wsq <= degree^2, so to band
     bandlimit = degree / 2.  nodes/weights are exposed flat in C order over
-    the axis grids; the identity element sits at index 0.  All arrays are
-    read-only; instances are safe to share across threads.
+    the axis grids; the identity element sits at index 0.  On a torus, node
+    i of axis a is the angle 2 pi i / moduli[a]; moduli equals shape except
+    on a folded rule.  All arrays are read-only; instances are safe to share
+    across threads.
     """
 
-    def __init__(self, group: GroupId, degree: int, axes, axis_weights, z=None):
+    def __init__(self, group: GroupId, degree: int, axes, axis_weights, z=None,
+                 moduli=None):
         self.group = group
         self.degree = degree
         self.bandlimit = degree / 2
@@ -518,14 +526,20 @@ class QuadratureRule:
             arr.setflags(write=False)
         if self._z is not None:
             self._z.setflags(write=False)
+        self.moduli = self.shape if moduli is None else tuple(moduli)
         self._nodes = None
         self._weights = None
+        self._folded = None
         self._dtab_max = -1
         self._dtabs: list[np.ndarray] = []
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.axes)
+
+    @property
+    def is_folded(self) -> bool:
+        return self.moduli != self.shape
 
     @property
     def node_count(self) -> int:
@@ -560,8 +574,33 @@ class QuadratureRule:
             self._dtab_max = twoL_max
         return self._dtabs
 
+    def folded(self) -> "QuadratureRule":
+        """This torus rule on the nodes 0 <= i_a <= m_a // 2 of every axis.
+
+        A function even in every coordinate takes one value on each axis
+        orbit {i, m - i}, so weight mult(i) / m, with mult(i) = 2 except at
+        i = 0 and, for even m, at i = m / 2, integrates it as this rule does;
+        the maximum is over the same values.  Same degree; moduli keeps the
+        full axis lengths.  Built once per rule.
+        """
+        if self.group.kind != "torus" or self.is_folded:
+            raise DomainError(f"only a full torus rule folds, not {self!r}")
+        if self._folded is None:
+            axes, weights = [], []
+            for x, m in zip(self.axes, self.shape):
+                mult = np.full(m // 2 + 1, 2.0)
+                mult[0] = 1.0
+                if m % 2 == 0:
+                    mult[-1] = 1.0
+                axes.append(x[: m // 2 + 1])
+                weights.append(mult / m)
+            self._folded = QuadratureRule(self.group, self.degree, axes, weights,
+                                          moduli=self.shape)
+        return self._folded
+
     def __repr__(self) -> str:
-        return f"QuadratureRule({self.group}, degree={self.degree}, shape={self.shape})"
+        fold = f", folded from {self.moduli}" if self.is_folded else ""
+        return f"QuadratureRule({self.group}, degree={self.degree}, shape={self.shape}{fold})"
 
 
 def _axis_counts(group: GroupId, c: int) -> tuple[int, ...]:
@@ -596,10 +635,11 @@ def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -
     """Haar rule of least degree c with c^2 >= band_budget(bandlimit).
 
     Cached per (group, degree): bands of one degree share a grid.  Raises
-    ResourceLimitError before building a grid past the node cap.
+    ResourceLimitError before building a grid past the node cap, or past
+    MAX_GRID_NODES whatever the cap.
     """
     degree = math.isqrt(band_budget(bandlimit) - 1) + 1
-    cap = MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes)
+    cap = min(MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes), MAX_GRID_NODES)
     # (2c+1)^dim nodes at least: a huge band is refused before any FFT length.
     total = (2 * degree + 1) ** group.dim
     if total <= cap:

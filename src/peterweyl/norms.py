@@ -11,11 +11,19 @@ and the Triebel-Lizorkin pointwise aggregate.  Each level is one streaming
 pass over the slabs of fourier.synthesize_slabs: per slab the modulus, a
 running maximum for p = inf and a weighted sum of |f|^p for every pending
 finite p, with weights from the rule's per-axis factors, so no array of the
-grid's size is built.  Each value carries a provenance record {certified,
+grid's size is built.  A torus function whose coefficients equal their
+images under every coordinate sign flip, compared exactly, is even in every
+coordinate; its levels run on the folded rule (QuadratureRule.folded), the
+nodes 0 <= i_a <= m_a // 2 with orbit weights, 2^n times fewer nodes for the
+same sums up to reassociation and the same maximum.  Dirichlet and ring
+kernels, their dyadic blocks and Sobolev rescalings are such functions; all
+others keep the full grid.  Each value carries a provenance record {certified,
 nodes, bandlimit}; Besov and Triebel-Lizorkin values carry the weakest
 certification over their blocks and ladder levels, with the largest grid,
-and coefficient-only norms are "exact" with nodes 0.  A value that is not a
-finite float (coefficients too large or not finite) raises DomainError.
+and coefficient-only norms are "exact" with nodes 0; a folded level records
+the full rule's nodes and band.  A value that is not a finite float
+(coefficients too large or not finite, or a root 1/p past float range)
+raises DomainError.
 
 Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
@@ -255,6 +263,24 @@ def _identity_value(F: SpectralFunction) -> float | None:
     return float(np.sum(F.dims**2 * c))
 
 
+def _sign_even(F: SpectralFunction) -> bool:
+    # True when every nonzero torus coefficient equals, exactly, the one at
+    # its image under each coordinate sign flip; these flips generate all
+    # 2^n sign images.  The support is in lexicographic order, so an image
+    # matches it iff, sorted the same way, it lists the same rows.
+    if F.group.kind != "torus":
+        return False
+    keep = F.entries != 0
+    index, entries = F.index[keep], F.entries[keep]
+    for axis in range(F.group.dim):
+        image = index.copy()
+        image[:, axis] *= -1
+        order = np.lexsort(image.T[::-1])
+        if not (np.array_equal(image[order], index) and np.array_equal(entries[order], entries)):
+            return False
+    return True
+
+
 def _even_level(p: float) -> int | None:
     # Ladder level at which |f|^p is integrated exactly: |f|^p band-limited
     # needs rule band >= (p/2) * W, and level j provides W * 2^j.
@@ -316,19 +342,21 @@ def _ladder(
     """L^p norms of nonnegative node values on a grid ladder.
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
-    weight in the support of F; values_of(rule) yields the
-    level's values as (lo, hi, slab), which one pass reduces for every
-    exponent due there.  exact_levels maps each exponent to the level at
-    which its integrand is band-limited (one exact evaluation there) or to
-    None, which refines until the stop rule holds.  Returns
-    {p: (value, provenance)}.
+    weight in the support of F, folded when F is sign-even (its dyadic
+    blocks are too); values_of(rule) yields the level's values as (lo, hi,
+    slab), which one pass reduces for every exponent due there.
+    exact_levels maps each exponent to the level at which its integrand is
+    band-limited (one exact evaluation there) or to None, which refines
+    until the stop rule holds.  Returns {p: (value, provenance)}, with the
+    full rule's nodes and band.
     """
     results: dict[float, tuple[float, dict]] = {}
     pending: dict[float, float | None] = dict.fromkeys(exact_levels)  # previous value
     levels = exact_levels.values()
     level = 0 if None in levels else min(levels, default=0)
     w = F.max_weight()
-    grid = (0, 0.0)  # nodes and band of the finest grid built so far
+    even = _sign_even(F)
+    grid = (0, 0.0)  # nodes and band of the finest full grid built so far
     while pending:
         band = w * (2.0**level)
         try:
@@ -342,14 +370,16 @@ def _ladder(
                 results[p] = (prev, _provenance("capped", *grid))
             break
         grid = (rule.node_count, band)
+        if even:
+            rule = rule.folded()
         due = [p for p in pending if exact_levels[p] is None or level >= exact_levels[p]]
         with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
             sums = _level_reduce(values_of(rule), rule, due) if due else {}
-            roots = {p: float(sums[p] if p == INF else sums[p] ** (1.0 / p)) for p in due}
         for p in due:
             prev = pending[p]
             lvl = exact_levels[p]
-            cur = _finite(roots[p], f"L^{p:g} value on {rule.node_count} nodes")
+            what = f"L^{p:g} value on {grid[0]} nodes"
+            cur = _finite(float(sums[p]), what) if p == INF else _root(float(sums[p]), p, what)
             if lvl is not None:
                 certified = "exact"
             elif prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
@@ -431,7 +461,7 @@ def _root(total: float, p: float, what: str) -> float:
     try:
         return _finite(float(total ** (1.0 / p)), what)
     except OverflowError:
-        raise DomainError(f"{what} leaves float range") from None
+        raise DomainError(f"{what} leaves float range at the root 1/{p:g}") from None
 
 
 def _hs_norms(F: SpectralFunction) -> np.ndarray:
@@ -549,7 +579,13 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
                 else:
                     term **= q
                     acc = term if acc is None else acc + term
-            yield lo, hi, acc if q == INF else acc ** (1.0 / q)
+            if q != INF:
+                total, acc = acc, acc ** (1.0 / q)
+                # finite q-th powers whose root, to the power p, overflows
+                if not np.isfinite(acc.max() ** p) and np.isfinite(total).all():
+                    raise DomainError(f"pointwise l^{q:g} aggregate leaves float range at "
+                                      f"the root 1/{q:g}, to the power {p:g}")
+            yield lo, hi, acc
 
     exact_level = _even_level(p) if q == 2.0 else None
     value, info = _ladder(F, aggregate, {p: exact_level}, max_nodes)[p]

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -335,6 +336,9 @@ def plancherel_check(
 # ---------------------------------------------------------------------------
 # Partial-sum decay (the o(1) consequence)
 
+# Terms of the weighted sum built per numpy pass (0.5 MB of floats).
+_SUM_CHUNK = 1 << 16
+
 
 def corollary_decay(
     F: SpectralFunction,
@@ -369,11 +373,19 @@ def corollary_decay(
     sup_terms.sort()
     if sup_terms[-1][0] > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(f"weighted sum past {MAX_DUAL_ENTRIES} terms N(L) (the cap)")
+    expo = (1.0 - 1.0 / p + inv_q) * p - 1.0
     stat, start = 0.0, 1
     for i, (n, _) in enumerate(sup_terms):
-        peak = max(v for _, v in sup_terms[i:])  # the sup over N(L) >= k for k in [start, n]
-        for k in range(start, n + 1):
-            stat += k ** ((1.0 - 1.0 / p + inv_q) * p - 1.0) * peak ** p
+        peak_p = max(v for _, v in sup_terms[i:]) ** p  # the sup over N(L) >= k, k in [start, n]
+        for lo in range(start, n + 1, _SUM_CHUNK):
+            hi = min(lo + _SUM_CHUNK, n + 1)
+            # k^expo from the platform pow, as Python's ** computes it (numpy's
+            # vectorized power differs in the last bit), then the terms added
+            # one at a time after the running total, in the order of a loop.
+            terms = np.fromiter(map(math.pow, range(lo, hi), repeat(expo)), float, hi - lo)
+            terms *= peak_p
+            terms[0] += stat
+            stat = float(np.add.accumulate(terms, out=terms)[-1])
         start = n + 1
     return seq, stat ** (1.0 / p)
 

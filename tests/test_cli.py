@@ -5,6 +5,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from peterweyl import cli
 from peterweyl.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -232,9 +233,28 @@ def test_norm_exponents_past_float_range_or_every_grid(tmp_path, capsys):
     path = os.path.join(out, "fn_000.spectral")
     capsys.readouterr()
     assert main(["norm", path, "Lp:1e-300"]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: L^1e-300 value")
+    err = capsys.readouterr().err
+    assert err.startswith("error: L^1e-300 value")
+    assert "leaves float range at the root 1/1e-300" in err
+    assert main(["norm", path, "tl:r=1,p=2,q=0.001"]) == EXIT_USAGE
+    assert "l^0.001 aggregate leaves float range at the root 1/0.001" in capsys.readouterr().err
     assert main(["norm", path, "Lp:1e300"]) == EXIT_RESOURCE
     assert "needs more than the cap" in capsys.readouterr().err
+
+
+def test_norm_grids_no_array_can_hold_exit_3(two_shell_file, monkeypatch, capsys):
+    # a node cap past any array does not let through a grid past MAX_GRID_NODES
+    argv = ["norm", two_shell_file, "Lp:1e18", "--max-nodes", "99999999999999999999"]
+    assert main(argv) == EXIT_RESOURCE
+    assert "needs more than the cap" in capsys.readouterr().err
+    # a grid under the cap that memory cannot hold
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 81.6 TiB")
+
+    monkeypatch.setattr(cli, "norm_info", out_of_memory)
+    assert main(["norm", two_shell_file, "Lp:3"]) == EXIT_RESOURCE
+    assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
 def test_verify_huge_r_exit_2(tmp_path, capsys):
@@ -440,14 +460,16 @@ def fuzz_dir(tmp_path_factory):
 
 
 # Drawn argvs reach these only by chance, so they are pinned: huge last bands
-# on the suites that count the dual up to them, a grid past every FFT length,
-# and roots past float range for tiny exponents.
+# on the suites that count the dual up to them, a grid past every FFT length
+# (also under a node cap past any array), and roots past float range for
+# tiny exponents.
 @example(argv=["verify", "weyl", "--group", "torus:2", "--L", "10,20,30,40,1e300",
                "--out", "report.txt"])
 @example(argv=["verify", "weyl", "--group", "su2", "--L", "10,20,30,40,1e300",
                "--out", "report.txt"])
 @example(argv=["verify", "corollary", "--L", "10,20,30,40,1e300", "--out", "report.txt"])
 @example(argv=["norm", "t2.spectral", "Lp:1e300"])
+@example(argv=["norm", "t1.spectral", "Lp:1e18", "--max-nodes", "99999999999999999999"])
 @example(argv=["norm", "t1.spectral", "seq:1e-10"])
 @example(argv=["verify", "wiener-chain", "--group", "torus:1", "--count", "1", "--beta", "1e-3",
                "--max-nodes", "600", "--out", "report.txt"])

@@ -411,6 +411,24 @@ def test_support_count_thresholds():
 # serialization
 
 
+@pytest.mark.parametrize("group,L", [(T1, 6.0), (T2, 3.0), (T3, 2.0)], ids=str)
+def test_folded_rule_synthesizes_the_kept_nodes(group, L):
+    # Any function, sign-even or not: its values at the half-axis nodes of
+    # the full grid.  Analysis refuses the folded grid.
+    F = _random_spectral(group, L, 61)
+    parities = set()
+    for rule in (quadrature(group, f * L) for f in (1.0, 1.5, 2.0)):
+        half = rule.folded()
+        parities.add(rule.shape[0] % 2)
+        full = synthesize(F, rule).values.reshape(rule.shape)
+        kept = full[tuple(slice(0, h) for h in half.shape)].ravel()
+        got = synthesize(F, half).values
+        assert np.abs(got - kept).max() <= 1e-13 * np.abs(kept).max()
+        with pytest.raises(DomainError):
+            analyze(GridFunction(half, got), 1.0)
+    assert parities == {0, 1}
+
+
 def test_serialization_round_trip_bytes():
     for F in (_random_spectral(T2, 3.0, seed=2), _random_spectral(SU2, 2.5, seed=2)):
         text = dump_spectral(F)

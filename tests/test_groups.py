@@ -531,6 +531,34 @@ def test_quadrature_refuses_huge_bands_before_any_fft_length(monkeypatch):
             quadrature(g, 1e200)
         with pytest.raises(ResourceLimitError):
             quadrature(g, 3.0, max_nodes=12**g.dim)  # degree 6: 13^n nodes at least
+        # under a cap past any array, a grid no array can hold is refused too
+        with pytest.raises(ResourceLimitError):
+            quadrature(g, 1e18, max_nodes=10**20)
+
+
+@pytest.mark.parametrize("g", [T1, T2, T3], ids=str)
+def test_folded_rule_keeps_half_axes_with_orbit_weights(g):
+    parities = set()
+    for degree in range(1, 10):
+        full = groups._build_rule(g, degree)
+        half = full.folded()
+        assert half is full.folded()
+        assert (half.degree, half.moduli) == (full.degree, full.shape)
+        assert half.is_folded and not full.is_folded
+        assert half.shape == tuple(m // 2 + 1 for m in full.shape)
+        for x, w, full_x, m in zip(half.axes, half.axis_weights, full.axes, full.shape):
+            parities.add(m % 2)
+            assert np.array_equal(x, full_x[: m // 2 + 1])
+            # cos(k x) integrates as on the full axis: to 1 at k = 0, to 0
+            # for 0 < k < m
+            i = np.arange(m // 2 + 1)
+            for k in range(m):
+                assert abs(w @ np.cos(2 * np.pi * k * i / m) - (k == 0)) <= 1e-14, (m, k)
+        with pytest.raises(DomainError):
+            half.folded()
+    assert parities == {0, 1}
+    with pytest.raises(DomainError):
+        quadrature(SU2, 2.0).folded()
 
 
 def test_weight_sq_exact_rationals():

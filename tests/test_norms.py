@@ -694,6 +694,159 @@ def test_tl_aggregate_matches_stacked_full_grids(monkeypatch, group, L, r, p, q,
 
 
 # ---------------------------------------------------------------------------
+# the sign-even fold
+
+
+def _sign_even_random(group, L, seed):
+    # Random complex coefficients, one per sign orbit of the dual: even in
+    # every coordinate, but neither real nor positive-type.
+    rng = np.random.default_rng(seed)
+    orbit_values = {}
+    coeffs = {}
+    for k in enumerate_dual(group, L):
+        orbit = tuple(map(abs, k))
+        if orbit not in orbit_values:
+            orbit_values[orbit] = complex(rng.standard_normal(), rng.standard_normal())
+        coeffs[k] = [[orbit_values[orbit]]]
+    return SpectralFunction(group, coeffs)
+
+
+def _full_grid_root(slabs, rule, p):
+    # The ladder's reduction of one level on the full rule, kept as the
+    # reference for a folded level.
+    total = norms._level_reduce(slabs, rule, [p])[p]
+    return float(total) if p == INF else float(total ** (1.0 / p))
+
+
+@pytest.fixture()
+def ladder_spy(monkeypatch):
+    # The rule of every ladder level, and the quadrature calls, as they happen.
+    seen = {"levels": [], "quadrature": 0}
+    reduce, build = norms._level_reduce, norms.quadrature
+
+    def level(slabs, rule, ps):
+        seen["levels"].append(rule)
+        return reduce(slabs, rule, ps)
+
+    def rule_of(*args):
+        seen["quadrature"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(norms, "_level_reduce", level)
+    monkeypatch.setattr(norms, "quadrature", rule_of)
+    return seen
+
+
+def _fresh(evaluate, seen, fold=True):
+    # evaluate() from a cleared memo, with the fold on or off; returns its
+    # result, the level rules and the number of quadrature calls.
+    seen["levels"].clear()
+    seen["quadrature"] = 0
+    norms.clear_memos()
+    with pytest.MonkeyPatch.context() as m:
+        if not fold:
+            m.setattr(norms, "_sign_even", lambda F: False)
+        out = evaluate()
+    norms.clear_memos()
+    return out, list(seen["levels"]), seen["quadrature"]
+
+
+# Bands and node caps whose ladders end on axes of both parities per group;
+# the caps keep the T^2 and T^3 references small.
+_FOLD_BANDS = {1: [(3.0, None), (5.0, None)], 2: [(2.0, None), (3.0, 200_000)],
+               3: [(1.5, 300_000), (2.0, 300_000)]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fold_matches_full_grid_reference(ladder_spy, n):
+    group = torus(n)
+    parities = set()
+    for L, cap in _FOLD_BANDS[n]:
+        for F in (dirichlet(group, L), _sign_even_random(group, L, 30 + n)):
+            assert norms._sign_even(F)
+            out, levels, calls = _fresh(lambda: lp_norms(F, NIKOLSKII_EXPONENTS, cap), ladder_spy)
+            ref, full_levels, full_calls = _fresh(
+                lambda: lp_norms(F, NIKOLSKII_EXPONENTS, cap), ladder_spy, fold=False)
+            assert levels and all(rule.is_folded for rule in levels)
+            assert not any(rule.is_folded for rule in full_levels)
+            assert [r.moduli for r in levels] == [r.shape for r in full_levels]
+            assert calls == full_calls
+            for p, (value, info) in out.items():
+                assert info == ref[p][1], p  # certification, full grid nodes and band
+                if info["certified"] == "exact (identity-pinned)":
+                    continue
+                full = quadrature(group, info["bandlimit"])
+                assert full.node_count == info["nodes"]
+                parities.add(full.shape[0] % 2)
+                want = _full_grid_root(norms._synth_values(F, full), full, p)
+                assert abs(value - want) <= 1e-13 * want, (L, p, value, want)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("r,p,q", [(0.5, 3.0, 2.0), (0.5, 1.5, INF), (1.0, 4.0, 2.0),
+                                   (0.5, 1.0, 3.0)])
+@pytest.mark.parametrize("group,L,cap", [(T1, 9.0, None), (torus(2), 4.0, 300_000),
+                                         (torus(3), 2.5, 300_000)], ids=str)
+def test_fold_tl_aggregate_matches_full_grid_reference(ladder_spy, group, L, cap, r, p, q):
+    F = _sign_even_random(group, L, 40)
+    spec = NormSpec("tl", r=r, p=p, q=q)
+    (value, info), levels, calls = _fresh(lambda: norm_info(F, spec, cap), ladder_spy)
+    ref, _, full_calls = _fresh(lambda: norm_info(F, spec, cap), ladder_spy, fold=False)
+    assert levels and all(rule.is_folded for rule in levels)
+    assert info == ref[1] and calls == full_calls
+    full = quadrature(group, info["bandlimit"])
+    assert full.node_count == info["nodes"]
+    arr = np.stack([2.0 ** (s * r) * np.abs(synthesize(b, full).values)
+                    for s, b in dyadic_blocks(F).items()])
+    agg = arr.max(axis=0) if q == INF else np.sum(arr**q, axis=0) ** (1.0 / q)
+    want = _full_grid_root([(0, full.node_count, agg)], full, p)
+    assert abs(value - want) <= 1e-13 * want
+    assert len(dyadic_blocks(F)) > 1
+
+
+def _real_not_even(group, L, seed):
+    # c(-k) = conj(c(k)) with random complex c: real-valued, not even.
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for k in enumerate_dual(group, L):
+        if k not in coeffs:
+            c = complex(rng.standard_normal(), rng.standard_normal()) if any(k) else 1.0
+            coeffs[k] = [[c]]
+            coeffs[tuple(-a for a in k)] = [[c.conjugate()]]
+    return SpectralFunction(group, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
+    group = torus(n)
+    even = _sign_even_random(group, 2.5, 50)
+    cases = [_real_not_even(group, 2.5, 51)]
+    if n > 1:
+        # even in every coordinate but the last
+        cases.append(even.scaled(np.where(even.index[:, -1] > 0, 2.0, 1.0)))
+    for F in cases:
+        assert not norms._sign_even(F)
+        out, levels, _ = _fresh(lambda: lp_norms(F, NIKOLSKII_EXPONENTS, 100_000), ladder_spy)
+        assert levels and not any(rule.is_folded for rule in levels)
+        for p, (value, info) in out.items():
+            full = quadrature(group, info["bandlimit"])
+            assert value == _full_grid_root(norms._synth_values(F, full), full, p)
+
+
+def test_sign_even_is_decided_exactly():
+    F = _sign_even_random(torus(2), 3.0, 6)
+    assert norms._sign_even(F)
+    last = F.entries[-1]
+    nudged = F.entries.copy()
+    nudged[-1] = complex(np.nextafter(last.real, INF), last.imag)
+    assert not norms._sign_even(SpectralFunction._packed(F.group, F.index, F.dims, F.wsq, nudged))
+    # a stored zero without its images is the same function, still sign-even
+    assert norms._sign_even(SpectralFunction(F.group, {**F.coeffs, (5, 1): [[0.0]]}))
+    assert norms._sign_even(zero_spectral(torus(3)))
+    assert not norms._sign_even(dirichlet(SU2, 2.0))
+
+
+# ---------------------------------------------------------------------------
 # memo of finished evaluations
 
 
