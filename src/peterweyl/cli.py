@@ -81,6 +81,8 @@ def cmd_norm(args) -> int:
     value, info = norm_info(F, spec, args.max_nodes)
     print(f"{args.spec} = {value!r}")
     print(f"certification: {info['certified']}")
+    if "upper" in info:
+        print(f"enclosure: [{value!r}, {info['upper']!r}]")
     if info.get("nodes"):
         print(f"grid: {info['nodes']} nodes (band {info['bandlimit']:g})")
     return EXIT_OK

@@ -40,6 +40,7 @@ import os
 import secrets
 import stat
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -289,12 +290,16 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # zero-padded grid, and no m^n spectrum is built.
 
 
+@lru_cache(maxsize=32)
 def _torus_phases(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
     # Nodes x < rows of an axis of length m.  The phase is reduced mod m in
     # integers, as FFT twiddles are, so large products x k lose no accuracy
-    # to the float angle.
+    # to the float angle.  Read-only: the cache hands one array to every
+    # block, function and level that shares the four integers.
     turns = np.outer(np.arange(rows), np.arange(kmin, kmin + width)) % m
-    return np.exp((2j * math.pi / m) * turns)
+    table = np.exp((2j * math.pi / m) * turns)
+    table.setflags(write=False)
+    return table
 
 
 def _torus_slabs(F: SpectralFunction, rule: QuadratureRule):

@@ -331,11 +331,28 @@ def wigner_d_tables(twoL_max: int, z: np.ndarray) -> list[np.ndarray]:
     Returns tabs with tabs[twoL][i, j, :] = d^l_{m_i n_j}(beta), where
     m_i = l - i and n_j = l - j, vectorized over the node axis.
     """
-    if twoL_max < 0:
-        raise DomainError("twoL_max must be >= 0")
     z = np.asarray(z, dtype=float)
     c = np.sqrt(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
     s = np.sqrt(np.clip((1.0 - z) / 2.0, 0.0, 1.0))
+    return _wigner_d_recurrence(twoL_max, z, c, s)
+
+
+def wigner_d_half_angle_tables(twoL_max: int, c: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
+    """wigner_d_tables at the angles beta with cos(beta/2) = c, sin(beta/2) = s.
+
+    For points known by their half angles, e.g. the first column (a, b) of
+    an SU(2) matrix with c = |a|, s = |b|: near beta = 0 and pi the half
+    angles rebuilt from cos(beta) would lose half their digits.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    return _wigner_d_recurrence(twoL_max, (c - s) * (c + s), c, s)
+
+
+def _wigner_d_recurrence(twoL_max: int, z, c, s) -> list[np.ndarray]:
+    # The tables from z = cos(beta), c = cos(beta/2) and s = sin(beta/2).
+    if twoL_max < 0:
+        raise DomainError("twoL_max must be >= 0")
     tabs = [np.empty((tL + 1, tL + 1, z.size)) for tL in range(twoL_max + 1)]
     for twoM in range(-twoL_max, twoL_max + 1):
         for twoN in range(-twoL_max, twoL_max + 1):
@@ -631,12 +648,12 @@ def _build_rule(group: GroupId, degree: int) -> QuadratureRule:
     return QuadratureRule(group, degree, axes, axis_weights, z=z)
 
 
-def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -> QuadratureRule:
-    """Haar rule of least degree c with c^2 >= band_budget(bandlimit).
+def quadrature_degree(group: GroupId, bandlimit: float, max_nodes: int | None = None) -> int:
+    """Degree c of the rule quadrature(group, bandlimit, max_nodes) returns.
 
-    Cached per (group, degree): bands of one degree share a grid.  Raises
-    ResourceLimitError before building a grid past the node cap, or past
-    MAX_GRID_NODES whatever the cap.
+    The least integer with c^2 >= band_budget(bandlimit).  Raises
+    ResourceLimitError when that rule would pass the node cap, or
+    MAX_GRID_NODES whatever the cap; builds nothing.
     """
     degree = math.isqrt(band_budget(bandlimit) - 1) + 1
     cap = min(MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes), MAX_GRID_NODES)
@@ -649,4 +666,14 @@ def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -
             f"quadrature for {group} at band {bandlimit:g} needs more than the cap of "
             f"{cap} nodes"
         )
-    return _build_rule(group, degree)
+    return degree
+
+
+def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -> QuadratureRule:
+    """Haar rule of least degree c with c^2 >= band_budget(bandlimit).
+
+    Cached per (group, degree): bands of one degree share a grid.  Raises
+    ResourceLimitError before building a grid past the node cap, or past
+    MAX_GRID_NODES whatever the cap.
+    """
+    return _build_rule(group, quadrature_degree(group, bandlimit, max_nodes))

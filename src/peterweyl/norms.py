@@ -3,27 +3,72 @@
 Lebesgue norms are quadrature sums of |f|^p over Haar grids: exact (one
 evaluation on a sufficient grid) when |f|^p is itself band-limited, i.e.
 for even integer p, and dyadically refined until the value stabilizes
-otherwise.  The sup norm is the grid maximum with the identity node always
-present; for central positive-type functions (all coefficients nonnegative
-multiples of the identity, e.g. Dirichlet kernels) the maximum sits at the
-identity and the value is exact.  One grid ladder serves both the L^p norms
-and the Triebel-Lizorkin pointwise aggregate.  Each level is one streaming
-pass over the slabs of fourier.synthesize_slabs: per slab the modulus, a
-running maximum for p = inf and a weighted sum of |f|^p for every pending
-finite p, with weights from the rule's per-axis factors, so no array of the
-grid's size is built.  A torus function whose coefficients equal their
-images under every coordinate sign flip, compared exactly, is even in every
-coordinate; its levels run on the folded rule (QuadratureRule.folded), the
-nodes 0 <= i_a <= m_a // 2 with orbit weights, 2^n times fewer nodes for the
-same sums up to reassociation and the same maximum.  Dirichlet and ring
-kernels, their dyadic blocks and Sobolev rescalings are such functions; all
-others keep the full grid.  Each value carries a provenance record {certified,
-nodes, bandlimit}; Besov and Triebel-Lizorkin values carry the weakest
-certification over their blocks and ladder levels, with the largest grid,
-and coefficient-only norms are "exact" with nodes 0; a folded level records
-the full rule's nodes and band.  A value that is not a finite float
-(coefficients too large or not finite, or a root 1/p past float range)
-raises DomainError.
+otherwise.  One grid ladder serves both the L^p norms and the
+Triebel-Lizorkin pointwise aggregate.  Each level is one streaming pass
+over the slabs of fourier.synthesize_slabs: per slab the modulus and a
+weighted sum of |f|^p for every pending finite p, with weights from the
+rule's per-axis factors, so no array of the grid's size is built.  A torus
+function whose coefficients equal their images under every coordinate sign
+flip, compared exactly, is even in every coordinate; its levels run on the
+folded rule (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with
+orbit weights, 2^n times fewer nodes for the same sums up to reassociation
+and the same maximum.  Dirichlet and ring kernels, their dyadic blocks and
+Sobolev rescalings are such functions; all others keep the full grid.  Each
+value carries a provenance record {certified, nodes, bandlimit}; Besov and
+Triebel-Lizorkin values carry the weakest certification over their blocks
+and ladder levels, with the largest grid, and coefficient-only norms are
+"exact" with nodes 0; a folded level records the full rule's nodes and
+band.  A value that is not a finite float (coefficients too large or not
+finite, or a root 1/p past float range) raises DomainError.
+
+The sup norm is not refined.  For central positive-type functions (all
+coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
+it is f(e), exact.  Otherwise it is evaluated once, in the shared level
+pass, at the first level whose mesh factor 1 / sqrt(1 - tau^2 / 2) is at
+most 1 + SUP_ENCLOSURE.  The pass keeps the grid maximum M and the nodes of
+the SUP_SEEDS largest values; a batched Newton ascent of |f|^2 from them
+(_ascend, with analytic derivatives) gives lo >= M, the largest point value
+it sees, which is the reported value.  The provenance adds "upper":
+
+    hi = (M + SUP_ROUNDOFF A) / sqrt(1 - tau^2 / 2),
+
+certified "enclosed" when hi <= (1 + SUP_ENCLOSURE) lo.  When the node cap
+refuses that level, lo and hi come from the finest grid built and the value
+is "capped"; hi is inf where tau^2 / 2 >= 1.
+
+Why hi bounds the sup (Bernstein's inequality for entire functions of
+exponential type: Boas, Entire Functions, 1954, ch. 11; on compact
+homogeneous manifolds, Pesenson, J. Approx. Theory 150, 2008).  Let |f|^2
+peak at x*, with value S^2, and let y be a node with d(x*, y) <= delta, the
+grid's covering radius.  Along the geodesic x(t) from x* to y, h(t) =
+|f(x(t))|^2 is a finite sum of exponentials e^{i w t}, |w| <= sigma, defined
+on the whole line, with |h| <= S^2 there, h(0) = S^2 and h'(0) = 0 (x* is an
+interior maximum of a smooth function).  Bernstein's inequality gives
+|h''| <= sigma^2 S^2, so M^2 >= h(delta) >= S^2 (1 - tau^2 / 2) with tau =
+sigma delta, i.e. S <= M / sqrt(1 - tau^2 / 2) whenever tau^2 < 2.
+  * T^n: walk from x* to its nearest node y, d_a = y_a - x*_a with |d_a| <=
+    pi / m_a on the full axis lengths m_a (a folded rule holds the same
+    values: an even function takes each value of an orbit {i, m - i}).  On
+    x(t) = x* + t d, t in [0, 1], |f|^2 has frequencies (k - k').d, so tau =
+    sum_a pi (kmax_a - kmin_a) / m_a over the support.
+  * SU(2), in the metric of the unit sphere S^3: a unit-speed geodesic is
+    g exp(t X), X = sum x_a i sigma_a with |x| = 1, on which D^l has the
+    frequencies 2m, |2m| <= twoL, so |f|^2 has type sigma = 2 twoL_max.
+    The Euler coordinates move at speed 1/2 each (ds^2 = (d alpha^2 + d
+    beta^2 + d gamma^2 + 2 cos beta d alpha d gamma) / 4), so moving one at a
+    time to the nearest node of the cell reaches it within delta = (h_alpha
+    + h_beta + h_gamma) / 4: h the largest node gap on each axis, alpha over
+    its 2 pi period, gamma over its 4 pi period, beta between Lobatto nodes,
+    which include 0 and pi.  Crossing alpha = 2 pi lands on a node, since
+    (alpha + 2 pi, beta, gamma) = (alpha, beta, gamma + 2 pi) and the gamma
+    grid is invariant under a shift by 2 pi.  So tau = twoL_max (h_alpha +
+    h_beta + h_gamma) / 2.
+Roundoff: M is a synthesized value, off from the true node value by at most
+the summation error of the series.  Each node value sums terms bounded by A
+= sum over reps of d times the entrywise l^1 norm of the coefficient, which
+also bounds |f|; synthesized values match the series summed at the node to
+under 1e-14 A at the ladder's sizes, and SUP_ROUNDOFF = 1e-12 allows 100
+times that.  lo is a true point value up to the same roundoff.
 
 Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
@@ -55,14 +100,19 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .groups import (
+    FOUR_PI,
+    TWO_PI,
     WEIGHT_SQ_DEN,
     DomainError,
     ResourceLimitError,
     quadrature,
+    quadrature_degree,
+    wigner_d_half_angle_tables,
 )
 from .fourier import SpectralFunction, diagonal_mask, synthesize_slabs
 
@@ -72,6 +122,19 @@ INF = math.inf
 REFINE_STOP = 1e-6
 # Hard ceiling on doubling steps; the node cap normally binds first.
 MAX_REFINE_LEVELS = 12
+# A sup is evaluated once, at the first ladder level whose Bernstein mesh
+# factor is within 1 + SUP_ENCLOSURE: its enclosure [lo, hi] is then at most
+# 2% wide.
+SUP_ENCLOSURE = 0.02
+# Best grid nodes a sup keeps as seeds of its local ascent.
+SUP_SEEDS = 8
+# Roundoff allowance of a synthesized node value, relative to the sum A of
+# d |coefficient entry| over the support (see the module docstring).
+SUP_ROUNDOFF = 1e-12
+# Ceiling on ascent steps; the ascent ends before when no step's first-order
+# gain in |f|^2 passes ASCENT_GAIN times its value.
+ASCENT_STEPS = 30
+ASCENT_GAIN = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +353,14 @@ def _even_level(p: float) -> int | None:
 
 
 # Certifications from strongest to weakest; a merged record keeps the weakest.
-_CERT_ORDER = ("exact (identity-pinned)", "exact", "refined", "capped")
+_CERT_ORDER = ("exact (identity-pinned)", "exact", "enclosed", "refined", "capped")
 
 
-def _provenance(certified: str, nodes: int = 0, bandlimit: float = 0.0) -> dict:
-    return {"certified": certified, "nodes": nodes, "bandlimit": bandlimit}
+def _provenance(certified: str, nodes: int = 0, bandlimit: float = 0.0,
+                upper: float | None = None) -> dict:
+    # upper: the upper end of a sup's enclosure, carried by p = inf alone.
+    info = {"certified": certified, "nodes": nodes, "bandlimit": bandlimit}
+    return info if upper is None else {**info, "upper": upper}
 
 
 def _merge_provenance(records: list[dict]) -> dict:
@@ -310,10 +376,11 @@ def _level_reduce(slabs, rule, ps) -> dict:
     """One pass over the node slabs of a ladder level.
 
     slabs yields (lo, hi, v), nonnegative values at the flat C-order nodes
-    [lo, hi), whole rows of the leading grid axis.  Returns the maximum of v
-    for p = inf and the quadrature sum of v^p for each finite p; each weight
-    is the product of the rule's axis weights, taken leading rows times the
-    trailing product, so no weight vector of the grid's size is built.
+    [lo, hi), whole rows of the leading grid axis.  Returns the quadrature
+    sum of v^p for each finite p, each weight the product of the rule's axis
+    weights, taken leading rows times the trailing product, so no weight
+    vector of the grid's size is built; for p = inf, (the maximum of v, the
+    flat nodes of its SUP_SEEDS largest values).
     """
     lead = rule.axis_weights[0]
     tail = np.ones(1)
@@ -321,23 +388,206 @@ def _level_reduce(slabs, rule, ps) -> dict:
         tail = np.multiply.outer(tail, w).ravel()
     finite = [p for p in ps if p != INF]
     sums = dict.fromkeys(finite, np.float64(0.0))
-    peak = None
+    best, tops = np.zeros(0, dtype=np.intp), np.zeros(0)
     for lo, hi, vals in slabs:
         if INF in ps:
-            top = vals.max()  # nan propagates through np.maximum
-            peak = top if peak is None else np.maximum(peak, top)
+            # Only values above the k-th best so far can enter; nan always does.
+            floor = tops.min() if tops.size == SUP_SEEDS else -INF
+            fresh = np.flatnonzero(~(vals <= floor))
+            values = np.concatenate((tops, vals[fresh]))
+            keep = _largest(values, SUP_SEEDS)
+            best, tops = np.concatenate((best, fresh + lo))[keep], values[keep]
         if finite:
             rows = vals.reshape(-1, tail.size)
             w_rows = lead[lo // tail.size:hi // tail.size]
             for p in finite:
                 sums[p] += w_rows @ (rows**p @ tail)
     if INF in ps:
-        sums[INF] = peak
+        sums[INF] = (tops.max(), best)  # nan propagates through the maximum
     return sums
 
 
+def _largest(values: np.ndarray, k: int) -> np.ndarray:
+    # Positions of the k largest values (all of them when there are fewer).
+    if values.size <= k:
+        return np.arange(values.size)
+    return np.argpartition(values, -k)[-k:]
+
+
+# ---------------------------------------------------------------------------
+# Sup norms: grid maximum, local ascent and a Bernstein mesh bound
+
+
+def _mesh_tau(F: SpectralFunction, rule) -> float:
+    # tau of the module docstring: the exponential type of |f|^2 along
+    # geodesics times the covering radius of the rule's full grid.
+    if F.group.kind == "torus":
+        span = (F.index.max(axis=0) - F.index.min(axis=0)).tolist()
+        return sum(math.pi * k / m for k, m in zip(span, rule.moduli))
+    return int(F.index.max()) * sum(_su2_gaps(rule)) / 2.0
+
+
+def _su2_gaps(rule) -> tuple[float, float, float]:
+    # The largest node gap on each Euler axis: alpha over its 2 pi period,
+    # beta between Lobatto nodes (0 and pi among them), gamma over 4 pi.
+    na, _, ng = rule.shape
+    return TWO_PI / na, float(np.diff(rule.axes[1]).max()), FOUR_PI / ng
+
+
+def _mesh_factor(tau: float) -> float:
+    # 1 / sqrt(1 - tau^2 / 2) bounds sup |f| over the grid maximum; inf
+    # where the bound says nothing.
+    slack = 1.0 - tau * tau / 2.0
+    return 1.0 / math.sqrt(slack) if slack > 0.0 else INF
+
+
+def _abs_sum(F: SpectralFunction) -> float:
+    # sum over reps of d times the entrywise l^1 norm of the coefficient:
+    # bounds |f| and each term a synthesized value sums.
+    return float(np.abs(F.entries) @ np.repeat(F.dims, F.dims * F.dims))
+
+
+def _sup_enclosure(F: SpectralFunction, rule, peak, nodes, tau: float,
+                   node_count: int) -> tuple[float, float]:
+    """(lo, hi) around sup |f| from one level's grid maximum and best nodes.
+
+    lo is the largest point value a local ascent from the nodes sees, never
+    below the grid maximum M; hi = factor(tau) (M + SUP_ROUNDOFF A).
+    """
+    grid_max = _finite(float(peak), f"L^inf value on {node_count} nodes")
+    scale = _abs_sum(F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seen = _ascend(F, _node_points(rule, nodes), _node_gap(rule), scale).max()
+        seen = scale * math.sqrt(seen)
+        lo = _finite(max(grid_max, seen), f"L^inf ascent from {node_count} nodes")
+        hi = _mesh_factor(tau) * (grid_max + SUP_ROUNDOFF * scale)
+    return lo, hi
+
+
+def _node_gap(rule) -> float:
+    # The largest distance between neighbouring nodes along an axis, in the
+    # units of the ascent's chart: the ascent's first trust radius.
+    if rule.group.kind == "torus":
+        return TWO_PI / min(rule.moduli)
+    return max(_su2_gaps(rule)) / 2.0
+
+
+def _node_points(rule, nodes: np.ndarray) -> np.ndarray:
+    # Flat node indices as chart points: angle rows on a torus, and on SU(2)
+    # the first column (a, b) of the matrix Rz(alpha) Ry(beta) Rz(gamma).
+    idx = np.unravel_index(nodes, rule.shape)
+    angles = [axis[i] for axis, i in zip(rule.axes, idx)]
+    if rule.group.kind == "torus":
+        return np.stack(angles, axis=1)
+    alpha, beta, gamma = angles
+    return np.stack((np.exp(-0.5j * (alpha + gamma)) * np.cos(beta / 2.0),
+                     np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)), axis=1)
+
+
+def _ascend(F: SpectralFunction, points: np.ndarray, radius: float, scale: float) -> np.ndarray:
+    """|f / scale|^2 where a trust-region Newton ascent from each point ends.
+
+    All points move at once.  A step goes to the Newton point where the
+    Hessian of |f|^2 is negative definite and uphill along the gradient
+    elsewhere, at most the trust radius long; it is taken only where it
+    raises the value, so no point ends below its start.  A taken step
+    leaves the radius at least twice its length, a refused one a quarter.
+    """
+    def jet(pts):
+        f, grad, hess = _jet(F, pts)
+        return f / scale, grad / scale, hess / scale
+
+    f, grad, hess = jet(points)
+    value = np.abs(f) ** 2
+    trust = np.full(value.size, radius)
+    for _ in range(ASCENT_STEPS):
+        slope = 2.0 * (f.conj()[:, None] * grad).real
+        curv = 2.0 * (grad.conj()[:, :, None] * grad[:, None, :]
+                      + f.conj()[:, None, None] * hess).real
+        eig, vec = np.linalg.eigh(curv)
+        concave = eig.max(axis=1) < 0.0
+        newton = vec @ ((vec.transpose(0, 2, 1) @ slope[..., None])[..., 0]
+                        / np.where(concave[:, None], -eig, 1.0))[..., None]
+        norm = np.linalg.norm(slope, axis=1)
+        uphill = slope * (trust / np.where(norm > 0.0, norm, 1.0))[:, None]
+        step = np.where(concave[:, None], newton[..., 0], uphill)
+        length = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, trust / np.where(length > 0.0, length, 1.0))[:, None]
+        length = np.minimum(length, trust)
+        if (np.abs(np.sum(slope * step, axis=1)) <= ASCENT_GAIN * value).all():
+            break
+        moved = _chart_step(F.group, points, step)
+        f2, grad2, hess2 = jet(moved)
+        value2 = np.abs(f2) ** 2
+        up = value2 > value
+        points = np.where(up[:, None], moved, points)
+        f, grad, hess = (np.where(up.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+                         for new, old in ((f2, f), (grad2, grad), (hess2, hess)))
+        value = np.where(up, value2, value)
+        trust = np.where(up, np.maximum(trust, 2.0 * length), length / 4.0)
+    return value
+
+
+def _jet(F: SpectralFunction, points: np.ndarray):
+    """f, its gradient and Hessian at each point, in the chart x -> point exp(x).
+
+    On a torus the chart is the angle shift, and each coefficient c_k
+    differentiates to i k c_k.  On SU(2) it is x -> g exp(sum x_a i sigma_a),
+    unit speed on the unit sphere S^3; there D^l(g exp X) = D^l(g)
+    exp(d pi_l(X)) with d pi_l(i sigma_a) = 2 i J_a, the spin-l matrices.
+    """
+    if F.group.kind == "torus":
+        k = F.index.astype(float)
+        terms = np.exp(1j * (points @ k.T)) * F.entries
+        return terms.sum(axis=1), 1j * (terms @ k), -np.einsum("sj,ja,jb->sab", terms, k, k)
+    a, b = points.T
+    tabs = wigner_d_half_angle_tables(int(F.index.max()), abs(a), abs(b))
+    # D^l_mn(g) = exp(-i ((m + n) phi + (m - n) psi)) d^l_mn(beta), phi = -arg a, psi = arg b
+    phi, psi = -np.angle(a), np.angle(b)
+    f, grad, hess = 0.0, 0.0, 0.0
+    for twoL, mat in F.items():
+        ms = twoL / 2.0 - np.arange(twoL + 1)
+        turn = (np.multiply.outer(phi, np.add.outer(ms, ms))
+                + np.multiply.outer(psi, np.subtract.outer(ms, ms)))
+        cd = (twoL + 1) * mat @ (np.exp(-1j * turn) * tabs[twoL].transpose(2, 0, 1))
+        gens, sym = _spin_generators(twoL)
+        f = f + np.trace(cd, axis1=1, axis2=2)
+        grad = grad + np.einsum("sij,aji->sa", cd, gens)
+        hess = hess + np.einsum("sij,abji->sab", cd, sym)
+    return f, grad, hess
+
+
+@lru_cache(maxsize=64)
+def _spin_generators(twoL: int) -> tuple[np.ndarray, np.ndarray]:
+    # 2 i J_a of spin l = twoL / 2, rows m = l, ..., -l, and their
+    # symmetrized products (G_a G_b + G_b G_a) / 2, the chart's Hessian terms.
+    l = twoL / 2.0
+    ms = l - np.arange(twoL + 1)
+    raise_m = np.diag(np.sqrt(l * (l + 1.0) - ms[1:] * (ms[1:] + 1.0)), 1)
+    gens = 2j * np.stack(((raise_m + raise_m.T) / 2.0, (raise_m - raise_m.T) / 2j, np.diag(ms)))
+    pairs = gens[:, None] @ gens[None, :]
+    sym = (pairs + pairs.transpose(1, 0, 2, 3)) / 2.0
+    gens.setflags(write=False)
+    sym.setflags(write=False)
+    return gens, sym
+
+
+def _chart_step(group, points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # point exp(x): the angle shift on a torus; on SU(2), (a, b) times
+    # exp(i x.sigma) = [[p, -conj q], [q, conj p]], kept on the unit sphere.
+    if group.kind == "torus":
+        return points + x
+    r = np.linalg.norm(x, axis=1)
+    sinc = np.sinc(r / math.pi)
+    p = np.cos(r) + 1j * sinc * x[:, 2]
+    q = sinc * (-x[:, 1] + 1j * x[:, 0])
+    a, b = points.T
+    moved = np.stack((a * p - b.conj() * q, b * p + a.conj() * q), axis=1)
+    return moved / np.linalg.norm(moved, axis=1)[:, None]
+
+
 def _ladder(
-    F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None
+    F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None, sup: bool = False
 ) -> dict[float, tuple[float, dict]]:
     """L^p norms of nonnegative node values on a grid ladder.
 
@@ -345,41 +595,54 @@ def _ladder(
     weight in the support of F, folded when F is sign-even (its dyadic
     blocks are too); values_of(rule) yields the level's values as (lo, hi,
     slab), which one pass reduces for every exponent due there.
-    exact_levels maps each exponent to the level at which its integrand is
-    band-limited (one exact evaluation there) or to None, which refines
-    until the stop rule holds.  Returns {p: (value, provenance)}, with the
+    exact_levels maps each finite exponent to the level at which its
+    integrand is band-limited (one exact evaluation there) or to None, which
+    refines until the stop rule holds.  sup asks for p = inf too, of values
+    that are |f| for F itself: one evaluation (_sup_enclosure) at the first
+    level whose mesh factor is within 1 + SUP_ENCLOSURE, or at the last
+    level the node cap admits.  Returns {p: (value, provenance)}, with the
     full rule's nodes and band.
     """
     results: dict[float, tuple[float, dict]] = {}
     pending: dict[float, float | None] = dict.fromkeys(exact_levels)  # previous value
     levels = exact_levels.values()
-    level = 0 if None in levels else min(levels, default=0)
+    level = 0 if sup or None in levels else min(levels, default=0)
     w = F.max_weight()
     even = _sign_even(F)
     grid = (0, 0.0)  # nodes and band of the finest full grid built so far
-    while pending:
+    while pending or sup:
         band = w * (2.0**level)
         try:
             rule = quadrature(F.group, band, max_nodes)
         except ResourceLimitError:
             if any(lvl is not None and lvl >= level for lvl in levels):
                 raise  # an exact evaluation was promised but cannot be built
-            if any(prev is None for prev in pending.values()):
+            if sup or any(prev is None for prev in pending.values()):
                 raise  # not even the base grid fits under the cap
             for p, prev in pending.items():
                 results[p] = (prev, _provenance("capped", *grid))
             break
         grid = (rule.node_count, band)
+        tau = _mesh_tau(F, rule)
         if even:
             rule = rule.folded()
         due = [p for p in pending if exact_levels[p] is None or level >= exact_levels[p]]
+        last = sup and (level >= MAX_REFINE_LEVELS or not _fits(F.group, 2.0 * band, max_nodes))
+        if sup and (last or _mesh_factor(tau) <= 1.0 + SUP_ENCLOSURE):
+            due.append(INF)
         with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
             sums = _level_reduce(values_of(rule), rule, due) if due else {}
-        for p in due:
+        if INF in due:
+            lo, hi = _sup_enclosure(F, rule, *sums.pop(INF), tau, grid[0])
+            enclosed = hi <= (1.0 + SUP_ENCLOSURE) * lo
+            if enclosed or last:
+                certified = "enclosed" if enclosed else "capped"
+                results[INF] = (lo, _provenance(certified, *grid, upper=hi))
+                sup = False
+        for p in sums:
             prev = pending[p]
             lvl = exact_levels[p]
-            what = f"L^{p:g} value on {grid[0]} nodes"
-            cur = _finite(float(sums[p]), what) if p == INF else _root(float(sums[p]), p, what)
+            cur = _root(float(sums[p]), p, f"L^{p:g} value on {grid[0]} nodes")
             if lvl is not None:
                 certified = "exact"
             elif prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
@@ -395,22 +658,35 @@ def _ladder(
     return results
 
 
+def _fits(group, band: float, max_nodes: int | None) -> bool:
+    # Whether quadrature would build the rule of this band under the cap.
+    try:
+        quadrature_degree(group, band, max_nodes)
+    except ResourceLimitError:
+        return False
+    return True
+
+
 def lp_norms(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, tuple[float, dict]]:
     """Lebesgue norms for several exponents sharing one grid ladder.
 
     Returns {p: (value, provenance)} where provenance records the bandlimit,
-    node count, and certification: "exact" (polynomial integrand or pinned
-    identity maximum), "refined" (dyadic refinement met the stop rule), or
-    "capped" (node cap reached first; value from the finest grid built).
+    node count, and certification: "exact" (polynomial integrand, or a
+    pinned identity maximum), "enclosed" (p = inf: the sup lies between the
+    value and provenance["upper"], within a factor 1 + SUP_ENCLOSURE),
+    "refined" (dyadic refinement met the stop rule), or "capped" (node cap
+    reached first; value from the finest grid built).  Every p = inf
+    provenance carries "upper", inf where the finest grid the cap admits
+    is too coarse for a finite bound.
     """
     ps = list(ps)
     for p in ps:
         if not p > 0:
             raise DomainError(f"Lebesgue exponent must be positive, got {p}")
     if not F:
-        return {p: (0.0, _provenance("exact")) for p in ps}
+        return {p: (0.0, _provenance("exact", upper=0.0 if p == INF else None)) for p in ps}
     results: dict[float, tuple[float, dict]] = {}
     exact_levels: dict[float, int | None] = {}
     for p in ps:
@@ -420,13 +696,15 @@ def lp_norms(
         else:
             exact_levels[p] = _even_level(p)
     fresh: dict[float, tuple[float, dict]] = {}
-    peak = _identity_value(F) if INF in exact_levels else None
+    sup = INF in exact_levels
+    exact_levels.pop(INF, None)
+    peak = _identity_value(F) if sup else None
     if peak is not None:
-        del exact_levels[INF]
-        fresh[INF] = (peak, _provenance("exact (identity-pinned)", 1))
-    if exact_levels:
+        sup = False
+        fresh[INF] = (peak, _provenance("exact (identity-pinned)", 1, upper=peak))
+    if exact_levels or sup:
         fresh.update(
-            _ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes)
+            _ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes, sup)
         )
     for p, (value, info) in fresh.items():
         _remember(("lp", F.digest, p, max_nodes), value, info)

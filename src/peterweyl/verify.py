@@ -164,6 +164,15 @@ def _support_counts(T, rho, threshold, max_nodes):
     }
 
 
+def _lhs(norm: tuple[float, dict]) -> tuple[float, str]:
+    # The side of a Lebesgue norm a checker's lhs reads, and its note: for
+    # a sup the upper end of its enclosure, so the verdict is certified.
+    value, info = norm
+    if "upper" in info:
+        return info["upper"], f"lhs {info['certified']} [{value!r}, {info['upper']!r}]"
+    return value, f"lhs grid {info['certified']}"
+
+
 def nikolskii_check(
     T: SpectralFunction,
     p: float,
@@ -178,16 +187,17 @@ def nikolskii_check(
 ) -> InequalityReport:
     """Norm comparison with the spectral-support constant.
 
-    lhs = ||T||_q, rhs = (sum of d^2 over the support of the rho-th power's
-    coefficients)^(1/p - 1/q) * ||T||_p.  The support count and its
-    sensitivity to threshold x10 / x0.1 ride along in the notes.
+    lhs = ||T||_q, for q = inf the upper end of its enclosure, rhs = (sum
+    of d^2 over the support of the rho-th power's coefficients)^(1/p - 1/q)
+    * ||T||_p.  The support count and its sensitivity to threshold x10 /
+    x0.1 ride along in the notes.
     """
     if not 0 < p < q or not q <= INF:
         raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
     rho = rho_of(p)
     counts = _counts if _counts is not None else _support_counts(T, rho, threshold, max_nodes)
     norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
-    lhs, lhs_info = norms[q]
+    lhs, lhs_note = _lhs(norms[q])
     base, base_info = norms[p]
     expo = 1.0 / p - 1.0 / q
     rhs = counts["count"] ** expo * base
@@ -196,7 +206,7 @@ def nikolskii_check(
     notes = (
         f"support={counts['count']} (x10 -> {counts['count_x10']}, "
         f"x0.1 -> {counts['count_d10']}); "
-        f"lhs grid {lhs_info['certified']}, rhs grid {base_info['certified']}"
+        f"{lhs_note}, rhs grid {base_info['certified']}"
     )
     return _report("nikolskii", suite, inst, lhs, rhs, tol, notes)
 
@@ -223,14 +233,14 @@ def nikolskii_remark_check(
         raise DomainError(f"support of T exceeds the stated band L={L}")
     rho = rho_of(p)
     norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
-    lhs, lhs_info = norms[q]
+    lhs, lhs_note = _lhs(norms[q])
     base, _ = norms[p]
     expo = 1.0 / p - 1.0 / q
     n_rho_l = weyl_count(T.group, rho * L)
     rhs = n_rho_l ** expo * base
     inst = dict(instance or {})
     inst.update({"group": str(T.group), "p": p, "q": q, "rho": rho, "L": L})
-    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; lhs grid {lhs_info['certified']}"
+    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
     return _report("nikolskii-remark", suite, inst, lhs, rhs, tol, notes)
 
 
@@ -303,16 +313,8 @@ def hausdorff_young_checks(
         tol,
         notes=f"rhs grid {norms[p][1]['certified']}",
     )
-    func = _report(
-        "hy-function",
-        suite,
-        inst,
-        norms[pp][0],
-        seq_lp_norm(F, p),
-        tol,
-        notes=f"lhs grid {norms[pp][1]['certified']}"
-        + ("; lhs is a grid lower bound" if pp == INF else ""),
-    )
+    lhs, lhs_note = _lhs(norms[pp])
+    func = _report("hy-function", suite, inst, lhs, seq_lp_norm(F, p), tol, notes=lhs_note)
     return [coeff, func]
 
 
@@ -355,6 +357,19 @@ def corollary_decay(
     asserted: the true sum is infinite and the sup is under-approximated on
     a finite grid.
     """
+    return corollary_decays([F], p, q, L_grid, max_nodes)[0]
+
+
+def corollary_decays(
+    functions, p: float, q: float, L_grid, max_nodes: int | None = None
+) -> list[tuple[list[tuple[float, float]], float]]:
+    """corollary_decay of each function, all on one group and grid.
+
+    The weighted sums share their terms k^expo, which depend only on (p, q)
+    and the counts N(L): each chunk of them is computed once, and every
+    function's sum accumulates from it as one row, in the order a loop
+    over k would add them.
+    """
     if not (1 <= p < q <= INF):
         raise DomainError(f"need 1 <= p < q <= inf, got p={p}, q={q}")
     inv_q = 1.0 / q
@@ -362,32 +377,40 @@ def corollary_decay(
         raise DomainError(
             f"decay requires 1/p > 1/q + 1/2, got p={p}, q={q}"
         )
-    seq = []
-    sup_terms = []
-    for L in L_grid:
-        s = partial_sum(F, L)
-        nq = lp_norm(s, q, max_nodes)
-        n_l = weyl_count(F.group, L)
-        seq.append((float(L), n_l ** (inv_q - 1.0 / p) * nq))
-        sup_terms.append((n_l, nq / n_l))
-    sup_terms.sort()
-    if sup_terms[-1][0] > MAX_DUAL_ENTRIES:
+    functions, L_grid = list(functions), list(L_grid)
+    if not functions:
+        return []
+    if len({F.group for F in functions}) > 1:
+        raise DomainError("the functions of one weighted sum must share a group")
+    n_ls = [weyl_count(functions[0].group, L) for L in L_grid]
+    counts = sorted(set(n_ls))
+    if counts[-1] > MAX_DUAL_ENTRIES:
         raise ResourceLimitError(f"weighted sum past {MAX_DUAL_ENTRIES} terms N(L) (the cap)")
+    seqs, sups = [], []  # per function: a_L over the grid, and {N(L): largest ||S_L f||_q / N(L)}
+    for F in functions:
+        seq, sup = [], {}
+        for L, n_l in zip(L_grid, n_ls):
+            nq = lp_norm(partial_sum(F, L), q, max_nodes)
+            seq.append((float(L), n_l ** (inv_q - 1.0 / p) * nq))
+            sup[n_l] = max(sup.get(n_l, -INF), nq / n_l)
+        seqs.append(seq)
+        sups.append(sup)
     expo = (1.0 - 1.0 / p + inv_q) * p - 1.0
-    stat, start = 0.0, 1
-    for i, (n, _) in enumerate(sup_terms):
-        peak_p = max(v for _, v in sup_terms[i:]) ** p  # the sup over N(L) >= k, k in [start, n]
+    stats, start = np.zeros(len(seqs)), 1
+    for i, n in enumerate(counts):
+        # the sup over N(L) >= k, for k in [start, n], to the power p
+        peaks_p = np.array([max(sup[c] for c in counts[i:]) ** p for sup in sups])
         for lo in range(start, n + 1, _SUM_CHUNK):
             hi = min(lo + _SUM_CHUNK, n + 1)
             # k^expo from the platform pow, as Python's ** computes it (numpy's
-            # vectorized power differs in the last bit), then the terms added
-            # one at a time after the running total, in the order of a loop.
-            terms = np.fromiter(map(math.pow, range(lo, hi), repeat(expo)), float, hi - lo)
-            terms *= peak_p
-            terms[0] += stat
-            stat = float(np.add.accumulate(terms, out=terms)[-1])
+            # vectorized power differs in the last bit), then each function's
+            # terms added one at a time after its running total.
+            powers = np.fromiter(map(math.pow, range(lo, hi), repeat(expo)), float, hi - lo)
+            terms = np.multiply.outer(peaks_p, powers)
+            terms[:, 0] += stats
+            stats = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
         start = n + 1
-    return seq, stat ** (1.0 / p)
+    return [(seq, float(stat) ** (1.0 / p)) for seq, stat in zip(seqs, stats)]
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +987,8 @@ def corollary_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     # names other groups only leaves it the default band.
     band = cfg.bandlimits.get("torus:1", _default_bandlimits()["torus:1"])
     corpus = make_corpus(group, band, cfg.corpus_count, cfg.seed, "smooth_decay")
-    for idx, F in enumerate(corpus.functions):
-        seq, stat = corollary_decay(F, 1.0, INF, grid, cfg.max_nodes)
+    decays = corollary_decays(corpus.functions, 1.0, INF, grid, cfg.max_nodes)
+    for idx, (seq, stat) in enumerate(decays):
         values = [a for _, a in seq]
         inst = {"fn": idx, "seed": cfg.seed, "group": "torus:1", "p": 1.0, "q": INF,
                 "grid": grid}

@@ -287,6 +287,24 @@ def test_norm_of_huge_coefficients_exit_2(tmp_path, spec, capsys):
     assert "inf" not in captured.out
 
 
+def test_norm_prints_the_sup_enclosure(tmp_path, capsys):
+    path = _write(tmp_path, "t2.spectral", "specfun v1\ngroup torus:2\nrep 0,0 1 1 0\n"
+                  "rep 1,2 1 0 1\nrep -2,1 1 0.5 -0.5\n")
+    for cap, cert in ((None, "enclosed"), ("200", "capped")):
+        assert main(["norm", path, "Lp:inf"] + (["--max-nodes", cap] if cap else [])) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"certification: {cert}"
+        assert lines[2].startswith("enclosure: [") and lines[2].endswith("]")
+        lo, hi = map(float, lines[2][len("enclosure: ["):-1].split(", "))
+        assert lines[0] == f"Lp:inf = {lo!r}" and lo <= hi
+        assert (hi <= 1.02 * lo) == (cert == "enclosed")
+    # not pinned at the identity, entries near the top of float range
+    path = _write(tmp_path, "big.spectral", "specfun v1\ngroup torus:1\nrep 0 1 1e200 0\n"
+                  "rep 3 1 0 1e200\n")
+    assert main(["norm", path, "Lp:inf"]) == EXIT_OK
+    assert "certification: enclosed" in capsys.readouterr().out
+
+
 def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
     # each entry squared overflows, but the l^1 sum 2e200 is a finite float,
     # and the overflow of the unscaled squares writes no warning
@@ -469,6 +487,9 @@ def fuzz_dir(tmp_path_factory):
                "--out", "report.txt"])
 @example(argv=["verify", "corollary", "--L", "10,20,30,40,1e300", "--out", "report.txt"])
 @example(argv=["norm", "t2.spectral", "Lp:1e300"])
+@example(argv=["norm", "t2.spectral", "Lp:inf", "--max-nodes", "64"])
+@example(argv=["verify", "nikolskii", "--group", "su2", "--count", "1", "--max-nodes", "600",
+               "--out", "report.txt"])
 @example(argv=["norm", "t1.spectral", "Lp:1e18", "--max-nodes", "99999999999999999999"])
 @example(argv=["norm", "t1.spectral", "seq:1e-10"])
 @example(argv=["verify", "wiener-chain", "--group", "torus:1", "--count", "1", "--beta", "1e-3",

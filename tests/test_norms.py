@@ -15,10 +15,14 @@ from peterweyl.groups import (
     DomainError,
     QuadratureRule,
     enumerate_dual,
+    euler_to_su2,
+    matrix_coefficient,
     quadrature,
+    random_element,
     rep_dim,
     rep_info,
     su2,
+    su2_to_euler,
     torus,
     weight_sq,
 )
@@ -42,7 +46,7 @@ from peterweyl.norms import (
     tl_norm,
     wiener_norm,
 )
-from peterweyl.verify import PROFILES, make_corpus
+from peterweyl.verify import PROFILES, make_corpus, nikolskii_check
 
 T1 = torus(1)
 SU2 = su2()
@@ -359,7 +363,7 @@ def test_besov_provenance_is_weakest_block_with_largest_grid():
 
 
 def test_merge_provenance_keeps_weakest_certification():
-    order = ["exact (identity-pinned)", "exact", "refined", "capped"]
+    order = ["exact (identity-pinned)", "exact", "enclosed", "refined", "capped"]
     for i, weakest in enumerate(order):
         records = [norms._provenance(c, 10 * j, 2.0 * j) for j, c in enumerate(order[: i + 1])]
         merged = norms._merge_provenance(records[::-1])
@@ -640,7 +644,10 @@ def test_slab_ladder_matches_full_grid_reduction(monkeypatch, group, L, cap, sla
         rules.append(quadrature(group, info["bandlimit"]))
         assert rules[-1].node_count == info["nodes"]
         ref = _full_grid_lp(F, rules[-1], p)
-        assert abs(value - ref) <= 1e-13 * ref, (p, value, ref)
+        if p == INF:  # the grid maximum starts the enclosure's ascent
+            assert ref <= value <= info["upper"], (value, ref, info)
+        else:
+            assert abs(value - ref) <= 1e-13 * ref, (p, value, ref)
     certs = {info["certified"] for _, info in out.values()}
     if cap:
         assert certs == {"exact", "capped"}
@@ -665,8 +672,11 @@ def test_level_reduce_weights_each_slab_by_its_rows(monkeypatch, group):
     bounds = list(fourier._slab_bounds(rule))
     slabs = ((lo, hi, v[lo:hi]) for _, _, lo, hi in bounds)
     got = norms._level_reduce(slabs, rule, NIKOLSKII_EXPONENTS)
-    for p in NIKOLSKII_EXPONENTS:
-        ref = v.max() if p == INF else np.dot(rule.weights, v**p)
+    peak, nodes = got.pop(INF)
+    assert peak == v.max()
+    assert sorted(nodes) == sorted(np.argsort(v)[-norms.SUP_SEEDS:])
+    for p in got:
+        ref = np.dot(rule.weights, v**p)
         assert abs(got[p] - ref) <= 1e-13 * ref, p
 
 
@@ -715,7 +725,7 @@ def _full_grid_root(slabs, rule, p):
     # The ladder's reduction of one level on the full rule, kept as the
     # reference for a folded level.
     total = norms._level_reduce(slabs, rule, [p])[p]
-    return float(total) if p == INF else float(total ** (1.0 / p))
+    return float(total[0]) if p == INF else float(total ** (1.0 / p))
 
 
 @pytest.fixture()
@@ -772,14 +782,20 @@ def test_fold_matches_full_grid_reference(ladder_spy, n):
             assert [r.moduli for r in levels] == [r.shape for r in full_levels]
             assert calls == full_calls
             for p, (value, info) in out.items():
-                assert info == ref[p][1], p  # certification, full grid nodes and band
+                # certification, full grid nodes and band
+                assert {**info, "upper": 0} == {**ref[p][1], "upper": 0}, p
                 if info["certified"] == "exact (identity-pinned)":
                     continue
                 full = quadrature(group, info["bandlimit"])
                 assert full.node_count == info["nodes"]
                 parities.add(full.shape[0] % 2)
                 want = _full_grid_root(norms._synth_values(F, full), full, p)
-                assert abs(value - want) <= 1e-13 * want, (L, p, value, want)
+                if p == INF:  # the same grid maximum, then an ascent from it
+                    assert abs(info["upper"] - ref[p][1]["upper"]) <= 1e-13 * want
+                    assert want <= value <= info["upper"]
+                    assert abs(value - ref[p][0]) <= 1e-12 * want
+                else:
+                    assert abs(value - want) <= 1e-13 * want, (L, p, value, want)
     assert parities == {0, 1}
 
 
@@ -830,7 +846,8 @@ def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
         assert levels and not any(rule.is_folded for rule in levels)
         for p, (value, info) in out.items():
             full = quadrature(group, info["bandlimit"])
-            assert value == _full_grid_root(norms._synth_values(F, full), full, p)
+            want = _full_grid_root(norms._synth_values(F, full), full, p)
+            assert want <= value <= info["upper"] if p == INF else value == want
 
 
 def test_sign_even_is_decided_exactly():
@@ -844,6 +861,194 @@ def test_sign_even_is_decided_exactly():
     assert norms._sign_even(SpectralFunction(F.group, {**F.coeffs, (5, 1): [[0.0]]}))
     assert norms._sign_even(zero_spectral(torus(3)))
     assert not norms._sign_even(dirichlet(SU2, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# the sup enclosure
+
+
+def _reference_sup(F, band, seeds):
+    # max |f| on the rule of this band, raised by the ascent from its best
+    # nodes: the reference a sup enclosure must contain.
+    rule = quadrature(F.group, band)
+    v = np.abs(synthesize(F, rule).values)
+    scale = norms._abs_sum(F)
+    points = norms._node_points(rule, np.argsort(v)[-seeds:])
+    seen = norms._ascend(F, points, norms._node_gap(rule), scale).max()
+    return max(float(v.max()), scale * math.sqrt(seen))
+
+
+def _ladder_nodes(F, nodes):
+    # Node counts of the ladder's levels up to the one of this many nodes.
+    counts = [0]
+    while counts[-1] < nodes:
+        counts.append(quadrature(F.group, F.max_weight() * 2.0 ** (len(counts) - 1)).node_count)
+    return counts[1:]
+
+
+def _sup_cases():
+    cases = []
+    for group, L, even_L, sparse_L in ((T1, 6.0, 5.0, 12.0), (torus(2), 3.0, 3.0, 4.0),
+                                       (torus(3), 1.5, 2.0, None), (SU2, 2.0, None, 2.5)):
+        cases.append(_random_spectral(group, L, 60))
+        if even_L:
+            cases.append(_sign_even_random(group, even_L, 61))
+        if sparse_L:
+            cases.append(make_corpus(group, sparse_L, 1, 62, "sparse").functions[0])
+    return cases
+
+
+@pytest.mark.parametrize("F", _sup_cases(), ids=lambda F: f"{F.group}-{len(F.dims)}")
+def test_sup_enclosure_contains_the_maximum(F):
+    norms.clear_memos()
+    _, info = lp_norms(F, [INF])[INF]
+    assert info["certified"] == "enclosed"
+    # The reference grid: 8x the enclosure band, or 4x or 2x where that is
+    # past 2^22 nodes; the largest cases keep the enclosure grid, with 64 seeds.
+    counts = _ladder_nodes(F, info["nodes"])
+    k = next(k for k in (8, 4, 2, 1) if counts[-1] * k**F.group.dim <= 1 << 22)
+    ref = _reference_sup(F, k * info["bandlimit"], 8 if k > 1 else 64)
+    # and the levels one and three below, by the node cap
+    for cap in dict.fromkeys((None,) + tuple(counts[-1 - j] for j in (1, 3) if j < len(counts))):
+        norms.clear_memos()
+        lo, info = lp_norms(F, [INF], cap)[INF]
+        rule = quadrature(F.group, info["bandlimit"])
+        assert rule.node_count == info["nodes"]
+        assert np.abs(synthesize(F, rule).values).max() <= lo
+        assert lo <= ref * (1.0 + 1e-12) and ref <= info["upper"], (cap, lo, ref, info)
+        if cap is None:
+            assert info["upper"] <= 1.02 * lo
+            assert lo >= ref * (1.0 - 1e-12)  # the ascent found the maximum
+        else:
+            assert info["certified"] == "capped"
+
+
+@pytest.mark.parametrize("group", [T1, torus(2), torus(3)], ids=str)
+def test_sup_enclosure_holds_where_the_mesh_bound_is_tight(group):
+    # 1 + exp(i (x_0 - theta)) peaks at 2 on x_0 = theta; with theta = pi / m
+    # that is half a node gap from the nodes on either side, where the mesh
+    # bound has the least slack.  The level, which depends on the support
+    # alone, is found first; then the function is built for its m.
+    def peak(theta):
+        return SpectralFunction(group, {(0,) * group.dim: [[1.0]], (1,) + (0,) * (group.dim - 1):
+                                        [[complex(math.cos(theta), -math.sin(theta))]]})
+
+    _, info = lp_norms(peak(0.1), [INF])[INF]
+    for cap in _ladder_nodes(peak(0.1), info["nodes"])[::-1]:
+        _, info = lp_norms(peak(0.1), [INF], cap)[INF]
+        m = quadrature(group, info["bandlimit"]).shape[0]
+        lo, info = lp_norms(peak(math.pi / m), [INF], cap)[INF]
+        assert info["nodes"] == m**group.dim
+        grid_max = 2.0 * math.cos(math.pi / (2 * m))
+        assert grid_max <= lo <= 2.0 * (1.0 + 1e-15) <= info["upper"], (cap, lo, info)
+
+
+@pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
+def test_sup_enclosure_allows_for_roundoff(group):
+    # A complex constant: the mesh factor is 1, the ascent reads |c| from
+    # the series itself, and the synthesized grid may fall an ulp short.
+    rng = np.random.default_rng(63)
+    zero = (0,) * group.dim if group.kind == "torus" else 0
+    for _ in range(40):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        norms.clear_memos()
+        lo, info = lp_norms(SpectralFunction(group, {zero: [[c]]}), [INF])[INF]
+        assert info["certified"] == "enclosed"
+        assert abs(lo - abs(c)) <= 1e-15 * abs(c) and lo <= info["upper"] <= 1.02 * lo
+
+
+@pytest.mark.parametrize("group,L", [(T1, 6.0), (torus(2), 3.0), (SU2, 2.0)], ids=str)
+def test_sup_ascent_never_descends(monkeypatch, group, L):
+    # From random points, with a trust radius far past the node gap so that
+    # many proposed steps overshoot: no point may end below its start.
+    F = _random_spectral(group, L, 64)
+    rng = np.random.default_rng(65)
+    if group.kind == "torus":
+        points = rng.uniform(0.0, 2.0 * math.pi, (64, group.dim))
+    else:
+        q = rng.standard_normal((64, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        points = q[:, 0:2] + 1j * q[:, 2:4]
+    scale = norms._abs_sum(F)
+    start = np.abs(norms._jet(F, points)[0] / scale) ** 2
+    for steps in (1, 2, norms.ASCENT_STEPS):
+        monkeypatch.setattr(norms, "ASCENT_STEPS", steps)
+        end = norms._ascend(F, points, 1.0, scale)
+        assert (end >= start).all(), steps
+    assert (end > start * (1.0 + 1e-3)).mean() > 0.5  # and most of them climb
+
+
+def test_su2_jet_matches_the_matrix_coefficients():
+    # f, its gradient and Hessian in the chart g exp(sum x_a i sigma_a),
+    # against the series summed from groups.matrix_coefficient and central
+    # differences along unit-speed directions.
+    F = _random_spectral(SU2, 2.0, 66)
+
+    def series(angles):
+        return sum((d + 1) * np.trace(mat @ matrix_coefficient(SU2, d, angles))
+                   for d, mat in F.items())
+
+    rng = np.random.default_rng(67)
+    for _ in range(4):
+        angles = random_element(SU2, rng)
+        u = euler_to_su2(*angles)
+        point = np.array([[u[0, 0], u[1, 0]]])
+        f, grad, hess = norms._jet(F, point)
+        assert abs(f[0] - series(angles)) <= 1e-13 * norms._abs_sum(F)
+        for x in [*np.eye(3), rng.standard_normal(3)]:
+            x = x / np.linalg.norm(x)
+            h = 1e-4
+            moved = [norms._chart_step(SU2, point, t * h * x[None, :]) for t in (-1, 1)]
+            ends = [series(su2_to_euler(np.array([[a, -b.conjugate()], [b, a.conjugate()]])))
+                    for a, b in (m[0] for m in moved)]
+            # the chart is unit speed on the unit sphere S^3
+            assert abs(np.linalg.norm(moved[1] - point) - h) <= 1e-8
+            assert abs((ends[1] - ends[0]) / (2 * h) - grad[0] @ x) <= 1e-6 * norms._abs_sum(F)
+            second = (ends[1] - 2 * f[0] + ends[0]) / h**2
+            assert abs(second - x @ hess[0] @ x) <= 1e-4 * norms._abs_sum(F)
+    # at every node of a rule, the poles beta = 0 and pi included, where the
+    # half angles rebuilt from cos(beta) would lose half their digits
+    rule = quadrature(SU2, 6.0)
+    f = norms._jet(F, norms._node_points(rule, np.arange(rule.node_count)))[0]
+    assert np.abs(f - synthesize(F, rule).values).max() <= 1e-14 * norms._abs_sum(F)
+
+
+def test_mesh_tau_matches_its_derivation():
+    # T^n: sum over axes of pi (kmax - kmin) / m over the full moduli, so a
+    # folded rule gives the same tau; SU(2): twoL_max (h_alpha + h_beta +
+    # h_gamma) / 2, gamma's gap over its 4 pi period.
+    F = SpectralFunction(torus(2), {(-1, 2): [[1.0]], (3, -4): [[1.0]]})
+    rule = quadrature(torus(2), 5.0)
+    m = rule.shape
+    assert norms._mesh_tau(F, rule) == pytest.approx(math.pi * (4 / m[0] + 6 / m[1]), rel=1e-15)
+    assert norms._mesh_tau(F, rule.folded()) == norms._mesh_tau(F, rule)
+    G = _random_spectral(SU2, 2.0, 68)  # twoL <= 2
+    rule = quadrature(SU2, 6.0)
+    na, nb, ng = rule.shape
+    beta_gap = np.diff(np.sort(np.arccos(np.clip(rule._z, -1.0, 1.0)))).max()
+    want = 2 * (2 * math.pi / na + beta_gap + 4 * math.pi / ng) / 2
+    assert norms._mesh_tau(G, rule) == pytest.approx(want, rel=1e-12)
+    # the covering radius tau / (2 twoL_max) in the unit-S^3 metric bounds
+    # the distance from Haar-random points to the nearest node
+    nodes = norms._node_points(rule, np.arange(rule.node_count))
+    rng = np.random.default_rng(69)
+    for _ in range(200):
+        u = euler_to_su2(*random_element(SU2, rng))
+        inner = (nodes[:, 0].conj() * u[0, 0] + nodes[:, 1].conj() * u[1, 0]).real
+        assert math.acos(min(1.0, inner.max())) <= want / 4
+
+
+def test_sup_capped_below_every_finite_bound():
+    # A cap whose finest grid is too coarse for the mesh bound: capped, with
+    # upper inf, and the verdicts reading it fail rather than pass.
+    F = _random_spectral(torus(2), 3.0, 70)
+    base = quadrature(torus(2), F.max_weight())
+    lo, info = lp_norms(F, [INF], base.node_count)[INF]
+    assert info["certified"] == "capped" and info["upper"] == INF
+    assert lo >= np.abs(synthesize(F, base).values).max()
+    rep = nikolskii_check(F, 2.0, INF, _norms=lp_norms(F, [2.0, INF], base.node_count))
+    assert rep.lhs == INF and not rep.holds
+    assert rep.notes.endswith(f"lhs capped [{lo!r}, inf], rhs grid exact")
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +1084,7 @@ def test_memo_hit_equals_fresh_evaluation(monkeypatch):
     norms.clear_memos()
     assert _evaluations(F) == first  # evaluated from scratch
     certs = {info["certified"] for _, info in first[0].values()}
-    assert certs == {"exact", "refined"}
+    assert certs == {"exact", "enclosed", "refined"}
     # a small node cap gives capped values under their own key
     capped = _evaluations(F, 300)
     assert capped[0][1.0][1] == {"certified": "capped", "nodes": 225, "bandlimit": 2.0 * F.max_weight()}

@@ -18,7 +18,7 @@ from peterweyl.groups import (
     weight_sq,
     weyl_count,
 )
-from peterweyl.norms import INF, NormSpec, lp_norm, seq_lp_norm
+from peterweyl.norms import INF, NormSpec, lp_norm, lp_norm_info, seq_lp_norm
 from peterweyl.verify import (
     PROFILES,
     RunConfig,
@@ -30,6 +30,7 @@ from peterweyl.verify import (
     beurling_pairs,
     chain_pairs,
     corollary_decay,
+    corollary_decays,
     corollary_suite_reports,
     embedding_ratio,
     embedding_suite,
@@ -157,6 +158,11 @@ def test_hy_at_four_thirds_reads_an_exact_l4_grid():
     assert coeff.instance["p_conj"] == func.instance["p_conj"] == 4.0
     assert func.notes == "lhs grid exact"
     assert func.lhs == lp_norm(F, 4.0)
+    # at p = 1 the conjugate is inf: the lhs is the upper end of the sup's enclosure
+    _, func = hausdorff_young_checks(F, 1.0)
+    value, info = lp_norm_info(F, INF)
+    assert func.lhs == info["upper"] and value <= info["upper"] <= 1.02 * value
+    assert func.notes == f"lhs enclosed [{value!r}, {info['upper']!r}]"
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +175,9 @@ def test_corollary_preconditions():
         corollary_decay(F, 2.0, INF, [2, 4, 8])  # violates 1/p > 1/q + 1/2
     with pytest.raises(DomainError):
         corollary_decay(F, 2.0, 1.5, [2, 4, 8])  # needs p < q
+    with pytest.raises(DomainError, match="share a group"):
+        corollary_decays([F, dirichlet(T2, 2.0)], 1.0, INF, [2, 4, 8])
+    assert corollary_decays([], 1.0, INF, [2, 4, 8]) == []
 
 
 def _corollary_stat_by_scan(F, p, q, L_grid):
@@ -189,12 +198,16 @@ def test_corollary_sum_matches_tail_scan(monkeypatch):
     F = make_corpus(T1, 8.0, 1, seed=3, profile="smooth_decay").functions[0]
     # grids out of order and with repeated N(L): N(8) = 15, N(8.5) = 17;
     # bit for bit, also where the numpy passes split a segment
+    G = make_corpus(T1, 8.0, 2, seed=4, profile="smooth_decay").functions
     for chunk in (3, 7, verify._SUM_CHUNK):
         monkeypatch.setattr(verify, "_SUM_CHUNK", chunk)
         for grid in ((2, 4, 8, 16), (16, 8, 8.5, 4, 8, 12), (8.0, 9.0)):
             for q in (4.0, INF):
                 _, stat = corollary_decay(F, 1.0, q, grid)
                 assert stat == _corollary_stat_by_scan(F, 1.0, q, grid), (chunk, grid, q)
+                # several functions share the terms, each summed as on its own
+                together = corollary_decays([F, *G], 1.0, q, grid)
+                assert together == [corollary_decay(H, 1.0, q, grid) for H in (F, *G)]
     # a sum past the cap is refused before it starts
     with pytest.raises(ResourceLimitError, match="weighted sum"):
         corollary_decay(F, 1.0, INF, (8.0, 16.0, 1e300))
