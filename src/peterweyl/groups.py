@@ -648,6 +648,32 @@ def _build_rule(group: GroupId, degree: int) -> QuadratureRule:
     return QuadratureRule(group, degree, axes, axis_weights, z=z)
 
 
+def _node_cap(max_nodes: int | None) -> int:
+    return min(MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes), MAX_GRID_NODES)
+
+
+def degree_fits(group: GroupId, degree: int, max_nodes: int | None = None) -> bool:
+    """Whether the rule of this degree is within the node cap, and within
+    MAX_GRID_NODES whatever the cap; builds nothing."""
+    cap = _node_cap(max_nodes)
+    # (2c+1)^dim nodes at least: a huge degree is refused before any FFT length.
+    return (2 * degree + 1) ** group.dim <= cap and math.prod(_axis_counts(group, degree)) <= cap
+
+
+@lru_cache(maxsize=256)
+def axis_gaps(group: GroupId, degree: int) -> tuple[float, ...]:
+    """The largest gap between neighbouring nodes on each axis of the full
+    rule of this degree, in its angle: 2 pi / m on a torus axis of m nodes;
+    on SU(2), alpha over its 2 pi period, beta between Lobatto nodes (0 and
+    pi among them) and gamma over its 4 pi period.  Builds no grid."""
+    counts = _axis_counts(group, degree)
+    if group.kind == "torus":
+        return tuple(TWO_PI / m for m in counts)
+    na, nb, ng = counts
+    beta = np.arccos(np.clip(np.sort(_lobatto(nb)[0])[::-1], -1.0, 1.0))
+    return TWO_PI / na, float(np.diff(beta).max()), FOUR_PI / ng
+
+
 def quadrature_degree(group: GroupId, bandlimit: float, max_nodes: int | None = None) -> int:
     """Degree c of the rule quadrature(group, bandlimit, max_nodes) returns.
 
@@ -656,12 +682,8 @@ def quadrature_degree(group: GroupId, bandlimit: float, max_nodes: int | None = 
     MAX_GRID_NODES whatever the cap; builds nothing.
     """
     degree = math.isqrt(band_budget(bandlimit) - 1) + 1
-    cap = min(MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes), MAX_GRID_NODES)
-    # (2c+1)^dim nodes at least: a huge band is refused before any FFT length.
-    total = (2 * degree + 1) ** group.dim
-    if total <= cap:
-        total = math.prod(_axis_counts(group, degree))
-    if total > cap:
+    if not degree_fits(group, degree, max_nodes):
+        cap = _node_cap(max_nodes)
         raise ResourceLimitError(
             f"quadrature for {group} at band {bandlimit:g} needs more than the cap of "
             f"{cap} nodes"

@@ -23,18 +23,21 @@ finite, or a root 1/p past float range) raises DomainError.
 
 The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
-it is f(e), exact.  Otherwise it is evaluated once, in the shared level
-pass, at the first level whose mesh factor 1 / sqrt(1 - tau^2 / 2) is at
-most 1 + SUP_ENCLOSURE.  The pass keeps the grid maximum M and the nodes of
-the SUP_SEEDS largest values; a batched Newton ascent of |f|^2 from them
-(_ascend, with analytic derivatives) gives lo >= M, the largest point value
-it sees, which is the reported value.  The provenance adds "upper":
+it is f(e), exact.  Otherwise it is evaluated once, in a pass of its own,
+on the rule of least degree c, never below that of F's own rule, whose full
+grid has a mesh factor 1 / sqrt(1 - tau^2 / 2) of at most 1 +
+SUP_ENCLOSURE, on its fold when F is sign-even.  tau does not increase with
+c, so _sup_degree bisects on axis counts and builds no rule per candidate.
+The pass keeps the grid maximum M and the nodes of the SUP_SEEDS largest
+values; a batched Newton ascent of |f|^2 from them (_ascend, with analytic
+derivatives) gives lo >= M, the largest point value it sees, which is the
+reported value.  The provenance adds "upper":
 
     hi = (M + SUP_ROUNDOFF A) / sqrt(1 - tau^2 / 2),
 
-certified "enclosed" when hi <= (1 + SUP_ENCLOSURE) lo.  When the node cap
-refuses that level, lo and hi come from the finest grid built and the value
-is "capped"; hi is inf where tau^2 / 2 >= 1.
+certified "enclosed", so hi <= (1 + SUP_ENCLOSURE)(lo + SUP_ROUNDOFF A).
+When the node cap refuses that degree, lo and hi come from the largest
+degree it admits and the value is "capped"; hi is inf where tau^2 / 2 >= 1.
 
 Why hi bounds the sup (Bernstein's inequality for entire functions of
 exponential type: Boas, Entire Functions, 1954, ch. 11; on compact
@@ -69,6 +72,34 @@ the summation error of the series.  Each node value sums terms bounded by A
 also bounds |f|; synthesized values match the series summed at the node to
 under 1e-14 A at the ladder's sizes, and SUP_ROUNDOFF = 1e-12 allows 100
 times that.  lo is a true point value up to the same roundoff.
+
+Finite p that is not even also has bounds that need no refined ladder
+(lp_enclosures), from the even norms, which are exact, and the sup.  Let
+0 < a < p < b <= inf, under normalized Haar measure (total mass 1), and
+write N_x = ||f||_x.
+  * Monotonicity: N_a <= N_p (Hoelder with exponent p / a against the
+    constant 1, whose norm is 1 because the mass is 1).
+  * Lyapunov, the log-convexity of 1/x -> log N_x (Hoelder for |f|^(theta
+    p) |f|^((1 - theta) p) with conjugate exponents a / (theta p) and b /
+    ((1 - theta) p)): with
+    1/p = theta/a + (1 - theta)/b, 0 < theta < 1,
+        N_p <= N_a^theta N_b^(1 - theta).
+    With p at the bottom instead, p < b < c and 1/b = t/p + (1 - t)/c give
+    N_b <= N_p^t N_c^(1 - t), that is
+        N_p >= N_b (N_b / N_c)^((1 - t) / t).
+The anchors are N_2, N_4, N_6 and, for p > 4 only, the sup's hi.  hi is
+Lyapunov between the nearest anchors a < p < b (below 2, monotonicity: hi
+= N_2); lo is the larger of N_a (monotonicity, p > 2) and the second bound
+from the two nearest anchors b < c above p.  Both increase in every anchor
+but lo in N_c, so they hold when each anchor is replaced by an interval
+around it, [N - delta, N + delta] with delta = LP_ROUNDOFF A (the sup: its
+hi + delta).  Roundoff: each node value is within 1e-14 A of the series
+(above), so by Minkowski's inequality a computed norm is within 1e-14 A of
+the quadrature of the exact values; since A >= N_inf >= N_x, delta also
+covers a relative error of the nonnegative sums and the root up to 9e-14.
+On T^1 and T^2 corpora the computed N_2, N_4 and N_6 match the exact
+rational ||f^(x/2)||_2 (a coefficient convolution in fractions) to 6.2e-17
+A.  The bounds' own powers and roots add a few ulps, far below delta / N.
 
 Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
@@ -105,11 +136,11 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import (
-    FOUR_PI,
-    TWO_PI,
     WEIGHT_SQ_DEN,
     DomainError,
     ResourceLimitError,
+    axis_gaps,
+    degree_fits,
     quadrature,
     quadrature_degree,
     wigner_d_half_angle_tables,
@@ -122,15 +153,18 @@ INF = math.inf
 REFINE_STOP = 1e-6
 # Hard ceiling on doubling steps; the node cap normally binds first.
 MAX_REFINE_LEVELS = 12
-# A sup is evaluated once, at the first ladder level whose Bernstein mesh
-# factor is within 1 + SUP_ENCLOSURE: its enclosure [lo, hi] is then at most
-# 2% wide.
+# A sup is evaluated once, on the least degree whose Bernstein mesh factor
+# is within 1 + SUP_ENCLOSURE: its enclosure [lo, hi] is then at most 2%
+# wide, up to the roundoff allowance.
 SUP_ENCLOSURE = 0.02
 # Best grid nodes a sup keeps as seeds of its local ascent.
 SUP_SEEDS = 8
 # Roundoff allowance of a synthesized node value, relative to the sum A of
 # d |coefficient entry| over the support (see the module docstring).
 SUP_ROUNDOFF = 1e-12
+# Roundoff allowance of a computed even L^p norm, relative to the same sum A,
+# by which lp_enclosures widens each norm it builds on (module docstring).
+LP_ROUNDOFF = 1e-13
 # Ceiling on ascent steps; the ascent ends before when no step's first-order
 # gain in |f|^2 passes ASCENT_GAIN times its value.
 ASCENT_STEPS = 30
@@ -418,20 +452,15 @@ def _largest(values: np.ndarray, k: int) -> np.ndarray:
 # Sup norms: grid maximum, local ascent and a Bernstein mesh bound
 
 
-def _mesh_tau(F: SpectralFunction, rule) -> float:
+def _degree_tau(F: SpectralFunction, degree: int) -> float:
     # tau of the module docstring: the exponential type of |f|^2 along
-    # geodesics times the covering radius of the rule's full grid.
+    # geodesics times the covering radius of the full rule of this degree,
+    # sum_a sigma_a h_a / 2 over the axes' largest node gaps h_a.
+    gaps = axis_gaps(F.group, degree)
     if F.group.kind == "torus":
         span = (F.index.max(axis=0) - F.index.min(axis=0)).tolist()
-        return sum(math.pi * k / m for k, m in zip(span, rule.moduli))
-    return int(F.index.max()) * sum(_su2_gaps(rule)) / 2.0
-
-
-def _su2_gaps(rule) -> tuple[float, float, float]:
-    # The largest node gap on each Euler axis: alpha over its 2 pi period,
-    # beta between Lobatto nodes (0 and pi among them), gamma over 4 pi.
-    na, _, ng = rule.shape
-    return TWO_PI / na, float(np.diff(rule.axes[1]).max()), FOUR_PI / ng
+        return sum(k * h for k, h in zip(span, gaps)) / 2.0
+    return int(F.index.max()) * sum(gaps) / 2.0
 
 
 def _mesh_factor(tau: float) -> float:
@@ -467,9 +496,8 @@ def _sup_enclosure(F: SpectralFunction, rule, peak, nodes, tau: float,
 def _node_gap(rule) -> float:
     # The largest distance between neighbouring nodes along an axis, in the
     # units of the ascent's chart: the ascent's first trust radius.
-    if rule.group.kind == "torus":
-        return TWO_PI / min(rule.moduli)
-    return max(_su2_gaps(rule)) / 2.0
+    gap = max(axis_gaps(rule.group, rule.degree))
+    return gap if rule.group.kind == "torus" else gap / 2.0
 
 
 def _node_points(rule, nodes: np.ndarray) -> np.ndarray:
@@ -586,8 +614,54 @@ def _chart_step(group, points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return moved / np.linalg.norm(moved, axis=1)[:, None]
 
 
+def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
+    """The degree p = inf is evaluated at, and whether its mesh factor is
+    within 1 + SUP_ENCLOSURE there.
+
+    The least degree, not below that of F's own rule, whose full rule has a
+    mesh factor within 1 + SUP_ENCLOSURE, or else the largest degree the
+    node cap admits.  tau does not increase with the degree (no axis count
+    decreases), so doubling and then bisecting finds it from axis counts
+    alone, building no rule.  Raises ResourceLimitError when not even F's
+    own rule fits under the cap.
+    """
+    group = F.group
+    low = quadrature_degree(group, F.max_weight(), max_nodes)
+
+    def short(degree: int) -> bool:  # admitted by the cap, mesh factor too large
+        return (degree_fits(group, degree, max_nodes)
+                and _mesh_factor(_degree_tau(F, degree)) > 1.0 + SUP_ENCLOSURE)
+
+    if not short(low):
+        return low, True
+    high = 2 * low
+    while short(high):
+        low, high = high, 2 * high
+    while high - low > 1:  # short(low) holds and short(high) does not
+        mid = (low + high) // 2
+        low, high = (mid, high) if short(mid) else (low, mid)
+    if degree_fits(group, high, max_nodes):
+        return high, True
+    return low, False
+
+
+def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
+    # sup |f| from one pass over the rule of _sup_degree, on its fold when F
+    # is sign-even: "enclosed" at the least degree whose mesh factor is
+    # within 1 + SUP_ENCLOSURE, "capped" at the largest the cap admits.
+    degree, within = _sup_degree(F, max_nodes)
+    rule = quadrature(F.group, degree / 2.0, max_nodes)
+    grid = (rule.node_count, rule.bandlimit)
+    if _sign_even(F):
+        rule = rule.folded()
+    with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
+        peak, nodes = _level_reduce(_synth_values(F, rule), rule, [INF])[INF]
+    lo, hi = _sup_enclosure(F, rule, peak, nodes, _degree_tau(F, degree), grid[0])
+    return lo, _provenance("enclosed" if within else "capped", *grid, upper=hi)
+
+
 def _ladder(
-    F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None, sup: bool = False
+    F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None
 ) -> dict[float, tuple[float, dict]]:
     """L^p norms of nonnegative node values on a grid ladder.
 
@@ -597,48 +671,34 @@ def _ladder(
     slab), which one pass reduces for every exponent due there.
     exact_levels maps each finite exponent to the level at which its
     integrand is band-limited (one exact evaluation there) or to None, which
-    refines until the stop rule holds.  sup asks for p = inf too, of values
-    that are |f| for F itself: one evaluation (_sup_enclosure) at the first
-    level whose mesh factor is within 1 + SUP_ENCLOSURE, or at the last
-    level the node cap admits.  Returns {p: (value, provenance)}, with the
-    full rule's nodes and band.
+    refines until the stop rule holds.  Returns {p: (value, provenance)},
+    with the full rule's nodes and band.
     """
     results: dict[float, tuple[float, dict]] = {}
     pending: dict[float, float | None] = dict.fromkeys(exact_levels)  # previous value
     levels = exact_levels.values()
-    level = 0 if sup or None in levels else min(levels, default=0)
+    level = 0 if None in levels else min(levels, default=0)
     w = F.max_weight()
     even = _sign_even(F)
     grid = (0, 0.0)  # nodes and band of the finest full grid built so far
-    while pending or sup:
+    while pending:
         band = w * (2.0**level)
         try:
             rule = quadrature(F.group, band, max_nodes)
         except ResourceLimitError:
             if any(lvl is not None and lvl >= level for lvl in levels):
                 raise  # an exact evaluation was promised but cannot be built
-            if sup or any(prev is None for prev in pending.values()):
+            if any(prev is None for prev in pending.values()):
                 raise  # not even the base grid fits under the cap
             for p, prev in pending.items():
                 results[p] = (prev, _provenance("capped", *grid))
             break
         grid = (rule.node_count, band)
-        tau = _mesh_tau(F, rule)
         if even:
             rule = rule.folded()
         due = [p for p in pending if exact_levels[p] is None or level >= exact_levels[p]]
-        last = sup and (level >= MAX_REFINE_LEVELS or not _fits(F.group, 2.0 * band, max_nodes))
-        if sup and (last or _mesh_factor(tau) <= 1.0 + SUP_ENCLOSURE):
-            due.append(INF)
         with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
             sums = _level_reduce(values_of(rule), rule, due) if due else {}
-        if INF in due:
-            lo, hi = _sup_enclosure(F, rule, *sums.pop(INF), tau, grid[0])
-            enclosed = hi <= (1.0 + SUP_ENCLOSURE) * lo
-            if enclosed or last:
-                certified = "enclosed" if enclosed else "capped"
-                results[INF] = (lo, _provenance(certified, *grid, upper=hi))
-                sup = False
         for p in sums:
             prev = pending[p]
             lvl = exact_levels[p]
@@ -656,15 +716,6 @@ def _ladder(
             del pending[p]
         level += 1
     return results
-
-
-def _fits(group, band: float, max_nodes: int | None) -> bool:
-    # Whether quadrature would build the rule of this band under the cap.
-    try:
-        quadrature_degree(group, band, max_nodes)
-    except ResourceLimitError:
-        return False
-    return True
 
 
 def lp_norms(
@@ -696,16 +747,13 @@ def lp_norms(
         else:
             exact_levels[p] = _even_level(p)
     fresh: dict[float, tuple[float, dict]] = {}
-    sup = INF in exact_levels
-    exact_levels.pop(INF, None)
-    peak = _identity_value(F) if sup else None
-    if peak is not None:
-        sup = False
-        fresh[INF] = (peak, _provenance("exact (identity-pinned)", 1, upper=peak))
-    if exact_levels or sup:
-        fresh.update(
-            _ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes, sup)
-        )
+    if INF in exact_levels:
+        del exact_levels[INF]
+        peak = _identity_value(F)
+        fresh[INF] = (_sup(F, max_nodes) if peak is None
+                      else (peak, _provenance("exact (identity-pinned)", 1, upper=peak)))
+    if exact_levels:
+        fresh.update(_ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes))
     for p, (value, info) in fresh.items():
         _remember(("lp", F.digest, p, max_nodes), value, info)
     results.update(fresh)
@@ -721,6 +769,72 @@ def lp_norm_info(
 def lp_norm(F: SpectralFunction, p: float, max_nodes: int | None = None) -> float:
     """L^p(G) norm of the Fourier series of F under normalized Haar measure."""
     return lp_norm_info(F, p, max_nodes)[0]
+
+
+# The exponents whose norms lp_enclosures builds on: exact for even p, and
+# the sup's enclosure.
+_ANCHORS = (2.0, 4.0, 6.0, INF)
+
+
+def lp_enclosures(
+    F: SpectralFunction, ps, max_nodes: int | None = None
+) -> dict[float, tuple[float, dict]]:
+    """Two-sided bounds on Lebesgue norms with no refined ladder.
+
+    Returns {p: (lo, provenance)} with provenance["upper"] = hi and lo <=
+    ||f||_p <= hi.  Even p and p = inf are lp_norms' values (lo = hi for
+    even p).  Any other p is bounded from the memoized norms at 2, 4 and 6
+    and, for p > 4 only, the sup's enclosure, each widened by LP_ROUNDOFF A:
+    hi by Lyapunov between the exponents around p (below 2, monotonicity),
+    lo by Lyapunov from the two nearest above p and by monotonicity (module
+    docstring); certified "enclosed", or the weakest certification of the
+    norms it rests on.  A norm the node cap refuses, or that leaves float
+    range, bounds nothing ([0, inf]); one refused by the cap makes the
+    bound "capped".
+    """
+    ps = list(ps)
+    for p in ps:
+        if not p > 0:
+            raise DomainError(f"Lebesgue exponent must be positive, got {p}")
+    if not F:
+        return {p: (0.0, _provenance("exact", upper=0.0)) for p in ps}
+    direct = [p for p in ps if p == INF or _even_level(p) is not None]
+    out = {p: (value, {**info, "upper": info.get("upper", value)})
+           for p, (value, info) in lp_norms(F, direct, max_nodes).items()}
+    # the anchor below p, if any, and the (one or) two above it
+    bounded = {p: ([a for a in _ANCHORS if a < p][-1:], [a for a in _ANCHORS if a > p][:2])
+               for p in ps if p not in out}
+    slack = LP_ROUNDOFF * _abs_sum(F)
+    anchors = {a: _anchor(F, a, max_nodes, slack)
+               for a in sorted({a for below, above in bounded.values() for a in below + above})}
+    for p, (below, above) in bounded.items():
+        b = above[0]
+        b_lo, b_hi, _ = anchors[b]
+        lo, hi = 0.0, b_hi  # below 2: monotonicity
+        if below:
+            a = below[0]
+            a_lo, a_hi, _ = anchors[a]
+            theta = (1.0 / p - 1.0 / b) / (1.0 / a - 1.0 / b)
+            lo, hi = a_lo, a_hi**theta * b_hi ** (1.0 - theta)
+        if len(above) == 2:
+            c = above[1]
+            theta = (1.0 / b - 1.0 / c) / (1.0 / p - 1.0 / c)
+            lo = max(lo, b_lo * min(1.0, b_lo / anchors[c][1]) ** ((1.0 - theta) / theta))
+        info = _merge_provenance([_provenance("enclosed")] + [anchors[a][2] for a in below + above])
+        out[p] = (lo, {**info, "upper": hi})
+    return {p: out[p] for p in ps}
+
+
+def _anchor(F: SpectralFunction, a: float, max_nodes, slack: float) -> tuple[float, float, dict]:
+    # (lo, hi, provenance) around ||f||_a: its lp_norms value (the sup's
+    # upper end as hi), widened by slack; (0, inf) where it cannot be had.
+    try:
+        value, info = lp_norm_info(F, a, max_nodes)
+    except ResourceLimitError:
+        return 0.0, INF, _provenance("capped")
+    except DomainError:  # past float range: [0, inf] still encloses it
+        return 0.0, INF, _provenance("enclosed")
+    return max(0.0, value - slack), info.get("upper", value) + slack, info
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +1048,10 @@ def norm_info(
 ) -> tuple[float, dict]:
     """Evaluate a NormSpec; returns (value, provenance).
 
-    A Besov value carries the merged provenance of its block L^p norms.
+    A Besov value carries the merged provenance of its block L^p norms; at
+    p = inf also "upper", the same l^q aggregate of 2^(sr) times each
+    block's upper end, which bounds the norm since the aggregate increases
+    in each term (inf when a term, or the aggregate, is past float range).
     """
     fam = spec.family
     if fam == "Lp":
@@ -947,13 +1064,21 @@ def norm_info(
         return lp_norm_info(F.scaled(factors), spec.p, max_nodes)
     if fam == "besov":
         terms = []
+        uppers = []
         records = []
         for s, block in dyadic_blocks(F).items():
             weight = _shell_weight(s, spec.r)
             value, info = lp_norm_info(block, spec.p, max_nodes)
             terms.append(weight * value)
+            uppers.append(weight * info.get("upper", value))
             records.append(info)
-        return _lq_aggregate(terms, spec.q), _merge_provenance(records)
+        merged = _merge_provenance(records)
+        if spec.p == INF:
+            try:
+                merged["upper"] = _lq_aggregate(uppers, spec.q)
+            except DomainError:
+                merged["upper"] = INF
+        return _lq_aggregate(terms, spec.q), merged
     if fam == "tl":
         return _tl_info(F, spec, max_nodes)
     if fam == "seq":

@@ -61,6 +61,7 @@ from .norms import (
     beurling_norm,
     beurling_r_norm,
     dyadic_blocks,
+    lp_enclosures,
     lp_norm,
     lp_norms,
     norm_value,
@@ -164,13 +165,35 @@ def _support_counts(T, rho, threshold, max_nodes):
     }
 
 
-def _lhs(norm: tuple[float, dict]) -> tuple[float, str]:
-    # The side of a Lebesgue norm a checker's lhs reads, and its note: for
-    # a sup the upper end of its enclosure, so the verdict is certified.
+def _note(side: str, norm: tuple[float, dict]) -> str:
+    # How a Lebesgue norm on this side was had: its enclosure [lo, hi] where
+    # it has one that is not a single exact value, else its grid's word.
     value, info = norm
-    if "upper" in info:
-        return info["upper"], f"lhs {info['certified']} [{value!r}, {info['upper']!r}]"
-    return value, f"lhs grid {info['certified']}"
+    if "upper" in info and info["certified"] != "exact":
+        return f"{side} {info['certified']} [{value!r}, {info['upper']!r}]"
+    return f"{side} grid {info['certified']}"
+
+
+def _lhs(norm: tuple[float, dict]) -> tuple[float, str]:
+    # The side of a Lebesgue norm a checker's lhs reads, and its note: the
+    # upper end of its enclosure, so the verdict is certified.  (An rhs
+    # reads the value, the lower end.)
+    return norm[1].get("upper", norm[0]), _note("lhs", norm)
+
+
+def _settled(records_of, F: SpectralFunction, ps, max_nodes, enclosures: dict | None = None):
+    """The records of one instance, decided on L^p enclosures when all hold.
+
+    records_of(norms) builds every record of the instance from one norms
+    dict.  If any of them fails on lp_enclosures (or the given enclosures
+    of F), all are rebuilt from lp_norms values of the exponents ps, so an
+    enclosure never turns a verdict that holds into one that fails.
+    """
+    records = records_of(enclosures if enclosures is not None
+                         else lp_enclosures(F, ps, max_nodes))
+    if all(rep.holds for rep in records):
+        return records
+    return records_of(lp_norms(F, ps, max_nodes))
 
 
 def nikolskii_check(
@@ -187,26 +210,29 @@ def nikolskii_check(
 ) -> InequalityReport:
     """Norm comparison with the spectral-support constant.
 
-    lhs = ||T||_q, for q = inf the upper end of its enclosure, rhs = (sum
-    of d^2 over the support of the rho-th power's coefficients)^(1/p - 1/q)
-    * ||T||_p.  The support count and its sensitivity to threshold x10 /
-    x0.1 ride along in the notes.
+    lhs = ||T||_q, the upper end of its enclosure, rhs = (sum of d^2 over
+    the support of the rho-th power's coefficients)^(1/p - 1/q) * ||T||_p,
+    the lower end of its enclosure; from lp_norms values instead when that
+    fails (_settled), or from _norms when given.  The support count and its
+    sensitivity to threshold x10 / x0.1 ride along in the notes.
     """
     if not 0 < p < q or not q <= INF:
         raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
     rho = rho_of(p)
     counts = _counts if _counts is not None else _support_counts(T, rho, threshold, max_nodes)
-    norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
-    lhs, lhs_note = _lhs(norms[q])
-    base, base_info = norms[p]
+    if _norms is None:
+        return _settled(lambda norms: [nikolskii_check(
+            T, p, q, tol, threshold, max_nodes, suite, norms, counts, instance)],
+            T, [p, q], max_nodes)[0]
+    lhs, lhs_note = _lhs(_norms[q])
     expo = 1.0 / p - 1.0 / q
-    rhs = counts["count"] ** expo * base
+    rhs = counts["count"] ** expo * _norms[p][0]
     inst = dict(instance or {})
     inst.update({"group": str(T.group), "p": p, "q": q, "rho": rho})
     notes = (
         f"support={counts['count']} (x10 -> {counts['count_x10']}, "
         f"x0.1 -> {counts['count_d10']}); "
-        f"{lhs_note}, rhs grid {base_info['certified']}"
+        f"{lhs_note}, {_note('rhs', _norms[p])}"
     )
     return _report("nikolskii", suite, inst, lhs, rhs, tol, notes)
 
@@ -225,19 +251,21 @@ def nikolskii_remark_check(
     """Coarser bound using the full counting function N(rho L).
 
     Requires the support of T to sit inside weight <= L; the notes record
-    the chain support-count <= N(L) <= N(rho L).
+    the chain support-count <= N(L) <= N(rho L).  Sides as in
+    nikolskii_check.
     """
     if not 0 < p < q or not q <= INF:
         raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
     if T.wsq.max(initial=0) > band_budget(L):
         raise DomainError(f"support of T exceeds the stated band L={L}")
     rho = rho_of(p)
-    norms = _norms if _norms is not None else lp_norms(T, [p, q], max_nodes)
-    lhs, lhs_note = _lhs(norms[q])
-    base, _ = norms[p]
+    if _norms is None:
+        return _settled(lambda norms: [nikolskii_remark_check(
+            T, p, q, L, tol, max_nodes, suite, norms, instance)], T, [p, q], max_nodes)[0]
+    lhs, lhs_note = _lhs(_norms[q])
     expo = 1.0 / p - 1.0 / q
     n_rho_l = weyl_count(T.group, rho * L)
-    rhs = n_rho_l ** expo * base
+    rhs = n_rho_l ** expo * _norms[p][0]
     inst = dict(instance or {})
     inst.update({"group": str(T.group), "p": p, "q": q, "rho": rho, "L": L})
     notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
@@ -297,11 +325,19 @@ def hausdorff_young_checks(
     instance: dict | None = None,
     _norms: dict | None = None,
 ) -> list[InequalityReport]:
-    """Both directions at one exponent 1 <= p <= 2 (p' conjugate)."""
+    """Both directions at one exponent 1 <= p <= 2 (p' conjugate).
+
+    The function norm on the rhs is the lower end of its enclosure and the
+    one on the lhs the upper end; both records come from lp_norms values
+    when either fails on the enclosures (_settled), or from _norms when
+    given.
+    """
     if not 1 <= p <= 2:
         raise DomainError(f"Hausdorff-Young needs 1 <= p <= 2, got {p}")
     pp = _conjugate(p)
-    norms = _norms if _norms is not None else lp_norms(F, [p, pp], max_nodes)
+    if _norms is None:
+        return _settled(lambda norms: hausdorff_young_checks(
+            F, p, tol, max_nodes, suite, instance, norms), F, [p, pp], max_nodes)
     inst = dict(instance or {})
     inst.update({"group": str(F.group), "p": p, "p_conj": pp})
     coeff = _report(
@@ -309,11 +345,11 @@ def hausdorff_young_checks(
         suite,
         inst,
         seq_lp_norm(F, pp),
-        norms[p][0],
+        _norms[p][0],
         tol,
-        notes=f"rhs grid {norms[p][1]['certified']}",
+        notes=_note("rhs", _norms[p]),
     )
-    lhs, lhs_note = _lhs(norms[pp])
+    lhs, lhs_note = _lhs(_norms[pp])
     func = _report("hy-function", suite, inst, lhs, seq_lp_norm(F, p), tol, notes=lhs_note)
     return [coeff, func]
 
@@ -858,48 +894,56 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
         for idx, T in enumerate(corpus.functions):
             if not T:
                 continue
-            norms = lp_norms(T, exponents, cfg.max_nodes)
+            enclosures = lp_enclosures(T, exponents, cfg.max_nodes)
             counts = {
                 rho: _support_counts(T, rho, cfg.support_threshold, cfg.max_nodes)
                 for rho in sorted({rho_of(p) for p, _ in pairs})
             }
+            inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L}
             for p, q in pairs:
-                inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L}
-                rep = nikolskii_check(
-                    T, p, q, tol=cfg.tol_grid, threshold=cfg.support_threshold,
-                    max_nodes=cfg.max_nodes, _norms=norms,
-                    _counts=counts[rho_of(p)], instance=inst,
-                )
-                remark = nikolskii_remark_check(
-                    T, p, q, L, tol=cfg.tol_grid, max_nodes=cfg.max_nodes,
-                    _norms=norms, instance=inst,
-                )
-                dom = _report(
-                    "nikolskii-remark-dominance",
-                    "nikolskii",
-                    {**_json_safe(inst), "group": str(group), "p": p, "q": q},
-                    rep.rhs,
-                    remark.rhs,
-                    0.0,
-                    notes="remark bound must dominate the support bound",
-                )
-                cts = counts[rho_of(p)]
-                verdicts = set()
-                for key in ("count", "count_x10", "count_d10"):
-                    expo = 1.0 / p - 1.0 / q
-                    rhs_alt = cts[key] ** expo * norms[p][0]
-                    verdicts.add(rep.lhs <= rhs_alt * (1.0 + cfg.tol_grid))
-                sens = _report(
-                    "nikolskii-sensitivity-stable",
-                    "nikolskii",
-                    {**_json_safe(inst), "group": str(group), "p": p, "q": q},
-                    float(len(verdicts) - 1),
-                    0.5,
-                    0.0,
-                    notes=f"counts {cts}",
-                )
-                reports.extend([rep, remark, dom, sens])
+                reports.extend(_settled(
+                    lambda norms: _nikolskii_records(T, p, q, L, cfg, counts[rho_of(p)], inst,
+                                                     norms),
+                    T, [p, q], cfg.max_nodes, enclosures))
     return reports
+
+
+def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
+                       norms: dict) -> list[InequalityReport]:
+    # The records of one bulk instance, all from one norms dict: the support
+    # bound, the remark bound, the dominance of the second over the first
+    # and the stability of the verdict over the three support counts.
+    rep = nikolskii_check(
+        T, p, q, tol=cfg.tol_grid, threshold=cfg.support_threshold,
+        max_nodes=cfg.max_nodes, _norms=norms, _counts=cts, instance=inst,
+    )
+    remark = nikolskii_remark_check(
+        T, p, q, L, tol=cfg.tol_grid, max_nodes=cfg.max_nodes, _norms=norms, instance=inst,
+    )
+    dom = _report(
+        "nikolskii-remark-dominance",
+        "nikolskii",
+        {**_json_safe(inst), "group": str(T.group), "p": p, "q": q},
+        rep.rhs,
+        remark.rhs,
+        0.0,
+        notes="remark bound must dominate the support bound",
+    )
+    verdicts = set()
+    for key in ("count", "count_x10", "count_d10"):
+        expo = 1.0 / p - 1.0 / q
+        rhs_alt = cts[key] ** expo * norms[p][0]
+        verdicts.add(rep.lhs <= rhs_alt * (1.0 + cfg.tol_grid))
+    sens = _report(
+        "nikolskii-sensitivity-stable",
+        "nikolskii",
+        {**_json_safe(inst), "group": str(T.group), "p": p, "q": q},
+        float(len(verdicts) - 1),
+        0.5,
+        0.0,
+        notes=f"counts {cts}",
+    )
+    return [rep, remark, dom, sens]
 
 
 def sharpness_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
@@ -925,16 +969,15 @@ def hausdorff_young_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
             if not F:
                 continue
             inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile}
-            norms = lp_norms(F, sorted(exps), cfg.max_nodes)
+            enclosures = lp_enclosures(F, sorted(exps), cfg.max_nodes)
             reports.append(
                 plancherel_check(F, cfg.tol_exact, cfg.max_nodes, instance=inst)
             )
             for p in cfg.hy_p_grid:
-                reports.extend(
-                    hausdorff_young_checks(
-                        F, p, cfg.tol_exact, cfg.max_nodes, instance=inst, _norms=norms
-                    )
-                )
+                reports.extend(_settled(
+                    lambda norms: hausdorff_young_checks(
+                        F, p, cfg.tol_exact, cfg.max_nodes, instance=inst, _norms=norms),
+                    F, [p, _conjugate(p)], cfg.max_nodes, enclosures))
     return reports
 
 

@@ -15,7 +15,8 @@ from peterweyl.cli import (
 )
 from peterweyl.fourier import dirichlet, read_spectral, save_spectral
 from peterweyl.groups import enumerate_dual, parse_group, rep_info, torus
-from peterweyl.verify import SUITES
+from peterweyl.norms import lp_norm
+from peterweyl.verify import SUITES, make_corpus
 
 
 @pytest.fixture()
@@ -303,6 +304,44 @@ def test_norm_prints_the_sup_enclosure(tmp_path, capsys):
                   "rep 3 1 0 1e200\n")
     assert main(["norm", path, "Lp:inf"]) == EXIT_OK
     assert "certification: enclosed" in capsys.readouterr().out
+
+
+def _enclosure_line(line):
+    assert line.startswith("enclosure: [") and line.endswith("]")
+    return tuple(map(float, line[len("enclosure: ["):-1].split(", ")))
+
+
+def test_norm_prints_the_besov_sup_enclosure(tmp_path, capsys):
+    # p = inf blocks are enclosed: the Besov value carries the l^q aggregate
+    # of their upper ends, and says so
+    path = str(tmp_path / "f.spectral")
+    save_spectral(make_corpus(torus(2), 3.0, 1, 3).functions[0], path)
+    assert main(["norm", path, "besov:r=0.5,p=inf,q=2"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "certification: enclosed"
+    lo, hi = _enclosure_line(lines[2])
+    assert lines[0] == f"besov:r=0.5,p=inf,q=2 = {lo!r}" and lo < hi <= 1.02 * lo
+
+
+def test_norm_prints_the_lp_enclosure_of_a_finite_p(tmp_path, capsys):
+    path = str(tmp_path / "f.spectral")
+    F = make_corpus(torus(2), 3.0, 1, 3).functions[0]
+    save_spectral(F, path)
+    for p in ("1", "1.5", "3", "5"):
+        assert main(["norm", path, f"Lp:{p}"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        value = lp_norm(F, float(p))  # the value line stays the refined value
+        assert lines[0] == f"Lp:{p} = {value!r}" and lines[1] == "certification: refined"
+        lo, hi = _enclosure_line(lines[2])
+        assert lo < value < hi and lines[3].startswith("grid: ")
+    # an even p is exact, with no enclosure line
+    assert main(["norm", path, "Lp:4"]) == EXIT_OK
+    assert "enclosure" not in capsys.readouterr().out
+    # |f|^2 past float range: ||f||_1 is a finite value, whose enclosure
+    # then bounds nothing
+    path = _write(tmp_path, "big.spectral", BIG)
+    assert main(["norm", path, "Lp:1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2] == "enclosure: [0.0, inf]"
 
 
 def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):

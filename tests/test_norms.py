@@ -14,6 +14,7 @@ from peterweyl.groups import (
     WEIGHT_SQ_DEN,
     DomainError,
     QuadratureRule,
+    degree_fits,
     enumerate_dual,
     euler_to_su2,
     matrix_coefficient,
@@ -1020,14 +1021,15 @@ def test_mesh_tau_matches_its_derivation():
     F = SpectralFunction(torus(2), {(-1, 2): [[1.0]], (3, -4): [[1.0]]})
     rule = quadrature(torus(2), 5.0)
     m = rule.shape
-    assert norms._mesh_tau(F, rule) == pytest.approx(math.pi * (4 / m[0] + 6 / m[1]), rel=1e-15)
-    assert norms._mesh_tau(F, rule.folded()) == norms._mesh_tau(F, rule)
+    tau = norms._degree_tau(F, rule.degree)
+    assert tau == pytest.approx(math.pi * (4 / m[0] + 6 / m[1]), rel=1e-15)
+    assert rule.folded().degree == rule.degree
     G = _random_spectral(SU2, 2.0, 68)  # twoL <= 2
     rule = quadrature(SU2, 6.0)
     na, nb, ng = rule.shape
     beta_gap = np.diff(np.sort(np.arccos(np.clip(rule._z, -1.0, 1.0)))).max()
     want = 2 * (2 * math.pi / na + beta_gap + 4 * math.pi / ng) / 2
-    assert norms._mesh_tau(G, rule) == pytest.approx(want, rel=1e-12)
+    assert norms._degree_tau(G, rule.degree) == pytest.approx(want, rel=1e-12)
     # the covering radius tau / (2 twoL_max) in the unit-S^3 metric bounds
     # the distance from Haar-random points to the nearest node
     nodes = norms._node_points(rule, np.arange(rule.node_count))
@@ -1049,6 +1051,206 @@ def test_sup_capped_below_every_finite_bound():
     rep = nikolskii_check(F, 2.0, INF, _norms=lp_norms(F, [2.0, INF], base.node_count))
     assert rep.lhs == INF and not rep.holds
     assert rep.notes.endswith(f"lhs capped [{lo!r}, inf], rhs grid exact")
+
+
+def _sizing_cases():
+    return [_random_spectral(T1, 6.0, 80), _random_spectral(torus(2), 3.0, 81),
+            _sign_even_random(torus(2), 3.0, 82), _random_spectral(SU2, 2.0, 83)]
+
+
+def _factor(F, degree):
+    return norms._mesh_factor(norms._degree_tau(F, degree))
+
+
+@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
+def test_sup_is_evaluated_on_the_least_degree_its_mesh_bound_needs(monkeypatch, F):
+    own = quadrature(F.group, F.max_weight()).degree
+    degree, within = norms._sup_degree(F, None)
+    assert within and degree > own
+    assert _factor(F, degree) <= 1.0 + norms.SUP_ENCLOSURE < _factor(F, degree - 1)
+    # one pass, on that rule (its fold for sign-even functions), and
+    # provenance of the full rule
+    passes = []
+    reduce = norms._level_reduce
+    monkeypatch.setattr(norms, "_level_reduce",
+                        lambda slabs, rule, ps: passes.append((rule, ps)) or reduce(slabs, rule, ps))
+    norms.clear_memos()
+    lo, info = lp_norms(F, [INF])[INF]
+    [(rule, ps)] = passes
+    assert ps == [INF] and rule.degree == degree and rule.is_folded == norms._sign_even(F)
+    full = quadrature(F.group, info["bandlimit"])
+    assert (full.degree, full.node_count) == (degree, info["nodes"])
+    assert info["certified"] == "enclosed" and lo <= info["upper"] <= 1.02 * lo
+
+
+@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
+def test_sup_under_a_cap_takes_the_largest_degree_admitted(F):
+    degree, _ = norms._sup_degree(F, None)
+    own = quadrature(F.group, F.max_weight()).degree
+    for below in sorted({own, (own + degree) // 2, degree - 1}):
+        cap = quadrature(F.group, below / 2.0).node_count
+        norms.clear_memos()
+        lo, info = lp_norms(F, [INF], cap)[INF]
+        assert info["certified"] == "capped"
+        # the largest degree of at most this many nodes (torus degrees may
+        # share an FFT length)
+        got = quadrature(F.group, info["bandlimit"]).degree
+        assert got >= below and degree_fits(F.group, got, cap)
+        assert not degree_fits(F.group, got + 1, cap)
+        tau = norms._degree_tau(F, got)
+        assert (info["upper"] == INF) == (tau * tau / 2.0 >= 1.0)
+        assert lo <= info["upper"]
+
+
+@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
+def test_sized_sup_matches_the_ladder_level_sup(F):
+    # The level evaluation it replaces: the first ladder level (band W 2^j)
+    # whose mesh factor is within 1 + SUP_ENCLOSURE, on its fold when even.
+    level = 0
+    while True:
+        rule = quadrature(F.group, F.max_weight() * 2.0**level)
+        if _factor(F, rule.degree) <= 1.0 + norms.SUP_ENCLOSURE:
+            break
+        level += 1
+    tau = norms._degree_tau(F, rule.degree)
+    if norms._sign_even(F):
+        rule = rule.folded()
+    peak, nodes = norms._level_reduce(norms._synth_values(F, rule), rule, [INF])[INF]
+    want, _ = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
+    norms.clear_memos()
+    lo, info = lp_norms(F, [INF])[INF]
+    assert abs(lo - want) <= 1e-13 * want
+    assert info["nodes"] < quadrature(F.group, F.max_weight() * 2.0**level).node_count
+
+
+def test_tau_does_not_increase_with_the_degree():
+    # what the bisection of _sup_degree rests on
+    for group in (T1, torus(2), torus(3), SU2):
+        F = _random_spectral(group, 2.0, 84)
+        taus = [norms._degree_tau(F, c) for c in range(2, 300)]
+        assert all(b <= a for a, b in zip(taus, taus[1:])), group
+
+
+# ---------------------------------------------------------------------------
+# L^p enclosures from the exact even norms
+
+
+ENCLOSED_EXPONENTS = (0.5, 1.0, 4.0 / 3.0, 1.5, 3.0, 5.0, 7.0)
+
+
+def _enclosure_cases():
+    cases = []
+    for group, L in ((T1, 8.0), (torus(2), 3.0), (torus(3), 2.0), (SU2, 2.0)):
+        for profile in ("dense_gaussian", "sparse"):
+            cases.append(make_corpus(group, L, 1, 90, profile).functions[0])
+    return cases
+
+
+@pytest.mark.parametrize("F", _enclosure_cases(), ids=lambda F: f"{F.group}-{len(F.dims)}")
+def test_lp_enclosures_contain_the_refined_norms(F):
+    norms.clear_memos()
+    got = norms.lp_enclosures(F, ENCLOSED_EXPONENTS + (2.0, INF))
+    refined = lp_norms(F, ENCLOSED_EXPONENTS)
+    for p in ENCLOSED_EXPONENTS:
+        lo, info = got[p]
+        value = refined[p][0]
+        assert lo <= value * (1.0 + 1e-6) and value <= info["upper"] * (1.0 + 1e-6), (p, lo, value)
+        assert info["certified"] == "enclosed" and 0.0 < lo < info["upper"]
+    assert list(got) == list(ENCLOSED_EXPONENTS + (2.0, INF))
+
+
+def test_lp_enclosures_of_even_p_are_the_exact_values():
+    F = _random_spectral(torus(2), 2.0, 91)
+    got = norms.lp_enclosures(F, [2.0, 4.0, 6.0, 8.0])
+    for p, (lo, info) in got.items():
+        assert info["certified"] == "exact" and lo == info["upper"]
+        assert (lo, {k: v for k, v in info.items() if k != "upper"}) == lp_norms(F, [p])[p]
+
+
+@pytest.mark.parametrize("F", [SpectralFunction(T1, {(3,): [[2.0 - 1.0j]]}),
+                               SpectralFunction(torus(2), {(-2, 5): [[0.5j]]}),
+                               SpectralFunction(SU2, {0: [[-3.0]]})], ids=str)
+def test_lp_enclosures_of_a_character_are_tight(F):
+    # |f| is constant, so every norm is that constant: only the roundoff
+    # allowance separates lo and hi.  Lyapunov's exponents amplify it, up
+    # to 13 times at p = 1/2 and 5 times at p = 1.
+    one, _ = lp_norm_info(F, 1.0)
+    for p in ENCLOSED_EXPONENTS:
+        lo, info = norms.lp_enclosures(F, [p])[p]
+        for x in (lo, info["upper"]):
+            assert abs(x - one) <= (1e-12 if p == 1.0 else 2e-12) * one, (p, x, one)
+
+
+@pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
+def test_lp_enclosures_allow_for_roundoff(group):
+    # A complex constant c has ||f||_p = |c| for every p, exactly, while its
+    # computed even norms may be off by an ulp either way: lo and hi must
+    # still hold |c| with no tolerance.
+    rng = np.random.default_rng(93)
+    zero = (0,) * group.dim if group.kind == "torus" else 0
+    for _ in range(40):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        norms.clear_memos()
+        got = norms.lp_enclosures(SpectralFunction(group, {zero: [[c]]}), ENCLOSED_EXPONENTS)
+        for p, (lo, info) in got.items():
+            assert lo <= abs(c) <= info["upper"], (p, c, lo, info["upper"])
+
+
+def test_lp_enclosures_of_zero_and_identity_pinned_functions():
+    for group in (T1, SU2):
+        got = norms.lp_enclosures(zero_spectral(group), ENCLOSED_EXPONENTS + (INF,))
+        assert all(v == (0.0, {"certified": "exact", "nodes": 0, "bandlimit": 0.0, "upper": 0.0})
+                   for v in got.values())
+    # Dirichlet kernels peak at the identity: the sup is pinned, and p > 4
+    # builds on it
+    for F in (dirichlet(T1, 5.0), dirichlet(torus(2), 2.0), dirichlet(SU2, 2.0)):
+        got = norms.lp_enclosures(F, ENCLOSED_EXPONENTS + (INF,))
+        peak, info = got[INF]
+        assert info["certified"] == "exact (identity-pinned)" and info["upper"] == peak
+        for p in ENCLOSED_EXPONENTS:
+            value = lp_norm(F, p)
+            lo, info = got[p]
+            assert lo <= value * (1.0 + 1e-6) and value <= info["upper"] * (1.0 + 1e-6)
+            assert info["certified"] == "enclosed"
+
+
+def test_lp_enclosures_rest_on_what_the_cap_admits():
+    # A cap that admits ||f||_2 and ||f||_4 but refuses ||f||_6: p < 2 keeps
+    # its bounds, p = 3 keeps hi and falls back on ||f||_2 for lo, and both
+    # p = 3 and p = 5 (whose sup anchors are capped too) say "capped".
+    F = _random_spectral(torus(2), 3.0, 92)
+    cap = quadrature(torus(2), 2.0 * F.max_weight()).node_count
+    full = norms.lp_enclosures(F, [1.0, 3.0, 5.0])
+    norms.clear_memos()
+    got = norms.lp_enclosures(F, [1.0, 3.0, 5.0], cap)
+    assert got[1.0] == full[1.0]
+    lo, info = got[3.0]
+    assert info["certified"] == "capped" and info["upper"] == full[3.0][1]["upper"]
+    assert lo == pytest.approx(lp_norm(F, 2.0), rel=1e-12) and lo < full[3.0][0]
+    assert got[5.0][1]["certified"] == "capped"
+    for p, (lo, info) in got.items():
+        value = lp_norm(F, p)
+        assert lo <= value * (1.0 + 1e-6) and value <= info["upper"] * (1.0 + 1e-6)
+
+
+def test_besov_sup_carries_the_aggregate_of_its_block_enclosures():
+    F = make_corpus(torus(2), 3.0, 1, 3).functions[0]
+    for q in (1.0, 2.0, INF):
+        value, info = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=q))
+        ups, los = [], []
+        for s, block in dyadic_blocks(F).items():
+            lo, block_info = lp_norm_info(block, INF)
+            los.append(2.0 ** (s * 0.5) * lo)
+            ups.append(2.0 ** (s * 0.5) * block_info["upper"])
+        agg = max if q == INF else (lambda t: sum(x**q for x in t) ** (1.0 / q))
+        assert info["certified"] == "enclosed"
+        assert value == pytest.approx(agg(los), rel=1e-15)
+        assert info["upper"] == pytest.approx(agg(ups), rel=1e-15)
+        assert value <= info["upper"] <= 1.02 * value
+    # a capped block with no finite bound leaves the aggregate unbounded
+    base = quadrature(torus(2), F.max_weight()).node_count
+    _, info = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=2.0), base)
+    assert info["certified"] == "capped" and info["upper"] == INF
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,85 @@ def test_hy_at_four_thirds_reads_an_exact_l4_grid():
 
 
 # ---------------------------------------------------------------------------
+# verdicts on L^p enclosures, and the per-instance fallback
+
+
+def _fejer(N):
+    # Fejer kernel: nonnegative, ||F||_1 = 1, peaked at the identity
+    return SpectralFunction(T1, {(k,): [[1.0 - abs(k) / (N + 1)]] for k in range(-N, N + 1)})
+
+
+def _instances(reports, size):
+    return [reports[i:i + size] for i in range(0, len(reports), size)]
+
+
+def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_values(monkeypatch):
+    # On the Fejer kernel at p = 1 the lower end of ||T||_1 is 0.79 against
+    # 1, so a gate of 1 - 0.3 fails on the enclosure where the refined
+    # value holds at q = 2 (ratio 0.75 against 0.60), and settles q = inf
+    # (0.67).
+    T = _fejer(8)
+    corpus = verify.Corpus(7, T1, 9.0, "fejer", (T,))
+    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group, profile=None: corpus)
+    cfg = RunConfig(suite="nikolskii", groups=("torus:1",), tol_grid=-0.3)
+    reports = verify.nikolskii_suite_reports(cfg)
+    pairs = [(p, q) for p in cfg.p_grid for q in cfg.q_grid if p < q]
+    counts = {rho: verify._support_counts(T, rho, cfg.support_threshold, None) for rho in (1, 2)}
+    exponents = sorted({x for pq in pairs for x in pq})
+    settled = rescued = 0
+    for (p, q), got in zip(pairs, _instances(reports, 4), strict=True):
+        inst = {"fn": 0, "seed": 7, "profile": "fejer", "L": 9.0}
+
+        def records(norms):
+            return verify._nikolskii_records(T, p, q, 9.0, cfg, counts[rho_of(p)], inst, norms)
+
+        on_enclosures = records(verify.lp_enclosures(T, exponents))
+        want = on_enclosures
+        if not all(r.holds for r in on_enclosures):
+            want = records(verify.lp_norms(T, [p, q]))
+            rescued += all(r.holds for r in want)
+        else:
+            settled += 1
+        assert [r.to_record() for r in got] == [r.to_record() for r in want], (p, q)
+        assert got[2].lhs == got[0].rhs and got[2].rhs == got[1].rhs
+        assert got[2].lhs <= got[2].rhs  # the exact dominance
+    assert settled and rescued
+    # (1, 2) is one of those rescued, read on the refined ||T||_1 = 1
+    main = reports[4 * pairs.index((1.0, 2.0))]
+    assert main.holds and main.notes.endswith("rhs grid refined")
+    assert main.rhs == pytest.approx(math.sqrt(17.0), rel=1e-6)
+    assert "rhs enclosed [" in reports[4 * pairs.index((1.0, INF))].notes
+
+
+def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monkeypatch):
+    # f = 1 + 0.3 e^{ix}: ||fhat||_inf = 1 <= ||f||_1, but the lower end
+    # ||f||_2^3 / ||f||_4^2 of ||f||_1 is below 1.  Both records of p = 1
+    # then come from refined values; p = 4/3 and p = 2 settle.
+    F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.3]]})
+    inst = {"fn": 0, "seed": 7, "profile": "one-plus"}
+    on_enclosures = hausdorff_young_checks(F, 1.0, instance=inst,
+                                           _norms=verify.lp_enclosures(F, [1.0, INF]))
+    assert [r.holds for r in on_enclosures] == [False, True]
+    assert on_enclosures[0].notes.startswith("rhs enclosed [")
+    want = hausdorff_young_checks(F, 1.0, instance=inst, _norms=verify.lp_norms(F, [1.0, INF]))
+    assert all(r.holds for r in want) and want[0].notes == "rhs grid refined"
+    got = hausdorff_young_checks(F, 1.0, instance=inst)
+    assert [r.to_record() for r in got] == [r.to_record() for r in want]
+    # the same in the suite
+    corpus = verify.Corpus(7, T1, 1.0, "one-plus", (F,))
+    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group, profile=None: corpus)
+    reports = verify.hausdorff_young_suite_reports(RunConfig(groups=("torus:1",)))
+    assert [r.name for r in reports] == ["plancherel"] + ["hy-coefficient", "hy-function"] * 3
+    assert [r.to_record() for r in reports[1:3]] == [r.to_record() for r in want]
+    for p, got in zip((4.0 / 3.0, 2.0), _instances(reports[3:], 2)):
+        settled = hausdorff_young_checks(F, p, instance=inst,
+                                         _norms=verify.lp_enclosures(F, [p, _conjugate(p)]))
+        assert all(r.holds for r in got)
+        assert [r.to_record() for r in got] == [r.to_record() for r in settled]
+    assert reports[3].notes.startswith("rhs enclosed [")
+
+
+# ---------------------------------------------------------------------------
 # corollary decay
 
 
