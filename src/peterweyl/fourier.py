@@ -270,12 +270,12 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
     e_gamma = _phase_matrix(rule.axes[2], tl)
     t1 = np.tensordot(np.conj(e_alpha), mesh, axes=([0], [0])) / na  # (nf, nb, ng)
     h = np.tensordot(t1, np.conj(e_gamma), axes=([2], [0])) / ng  # (nf, nb, nf)
-    wb = rule.axis_weights[1]
+    h *= rule.axis_weights[1][:, None]  # the beta weights, folded in once
     out = []
     for twoL in reps:
         pos = tl + twoL - 2 * np.arange(twoL + 1)
         sub = h[np.ix_(pos, np.arange(nb), pos)]  # indexed [j, node, i]
-        out.append(np.einsum("jbi,jib,b->ij", sub, tabs[twoL], wb, optimize=True).ravel())
+        out.append(np.einsum("jbi,jib->ij", sub, tabs[twoL]).ravel())
     return np.concatenate(out)
 
 

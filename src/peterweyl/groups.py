@@ -217,6 +217,7 @@ def _isqrt(r: np.ndarray) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=256)
 def _lattice_count(budget: Fraction | int, dims: int) -> int:
     # Squared norms are integers, so the floored budget admits the same
     # points.  The last axis holds 2 isqrt(r) + 1 of them for the budget r

@@ -25,47 +25,47 @@ The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
 it is f(e), exact.  Otherwise it is evaluated once, in a pass of its own,
 on the rule of least degree c, never below that of F's own rule, whose full
-grid has a mesh factor 1 / sqrt(1 - tau^2 / 2) of at most 1 +
-SUP_ENCLOSURE, on its fold when F is sign-even.  tau does not increase with
-c, so _sup_degree bisects on axis counts and builds no rule per candidate.
-The pass keeps the grid maximum M and the nodes of the SUP_SEEDS largest
-values; a batched Newton ascent of |f|^2 from them (_ascend, with analytic
-derivatives) gives lo >= M, the largest point value it sees, which is the
-reported value.  The provenance adds "upper":
+grid has a mesh factor 1 / (1 - tau^2 / 8) of at most 1 + SUP_ENCLOSURE, on
+its fold when F is sign-even.  tau does not increase with c, so _sup_degree
+bisects on axis counts and builds no rule per candidate.  The pass keeps
+the grid maximum M and the nodes of the SUP_SEEDS largest values; a batched
+Newton ascent of |f|^2 from them (_ascend, with analytic derivatives) gives
+lo >= M, the largest point value it sees, which is the reported value.  The
+provenance adds "upper":
 
-    hi = (M + SUP_ROUNDOFF A) / sqrt(1 - tau^2 / 2),
+    hi = (M + SUP_ROUNDOFF A) / (1 - tau^2 / 8),
 
 certified "enclosed", so hi <= (1 + SUP_ENCLOSURE)(lo + SUP_ROUNDOFF A).
 When the node cap refuses that degree, lo and hi come from the largest
-degree it admits and the value is "capped"; hi is inf where tau^2 / 2 >= 1.
+degree it admits and the value is "capped"; hi is inf where tau^2 / 8 >= 1.
 
 Why hi bounds the sup (Bernstein's inequality for entire functions of
 exponential type: Boas, Entire Functions, 1954, ch. 11; on compact
-homogeneous manifolds, Pesenson, J. Approx. Theory 150, 2008).  Let |f|^2
-peak at x*, with value S^2, and let y be a node with d(x*, y) <= delta, the
-grid's covering radius.  Along the geodesic x(t) from x* to y, h(t) =
-|f(x(t))|^2 is a finite sum of exponentials e^{i w t}, |w| <= sigma, defined
-on the whole line, with |h| <= S^2 there, h(0) = S^2 and h'(0) = 0 (x* is an
-interior maximum of a smooth function).  Bernstein's inequality gives
-|h''| <= sigma^2 S^2, so M^2 >= h(delta) >= S^2 (1 - tau^2 / 2) with tau =
-sigma delta, i.e. S <= M / sqrt(1 - tau^2 / 2) whenever tau^2 < 2.
-  * T^n: walk from x* to its nearest node y, d_a = y_a - x*_a with |d_a| <=
-    pi / m_a on the full axis lengths m_a (a folded rule holds the same
-    values: an even function takes each value of an orbit {i, m - i}).  On
-    x(t) = x* + t d, t in [0, 1], |f|^2 has frequencies (k - k').d, so tau =
-    sum_a pi (kmax_a - kmin_a) / m_a over the support.
+homogeneous manifolds, Pesenson, J. Approx. Theory 150, 2008).  Let |f| peak
+at x* with value S, and let x(t), 0 <= t <= 1, run from x* to a node along
+which u(t) = e^{i c t} f(x(t)), for some real c, is a finite sum of e^{i w t},
+|w| <= tau / 2, on the whole line, where |u| = |f| <= S.  With phi = arg
+u(0), g = Re(e^{-i phi} u) is such a sum too, real, |g| <= S and g(0) = S, so
+g'(0) = 0.  Bernstein's inequality twice gives |g''| <= tau^2 S / 4, so M >=
+g(1) >= S (1 - tau^2 / 8): S <= M / (1 - tau^2 / 8) whenever tau^2 < 8.
+(tau is the type of |f|^2 along the path, twice that of g.)
+  * T^n: x(t) = x* + t d to the nearest node, |d_a| <= pi / m_a on the full
+    axis lengths m_a (a folded rule holds the same values: an even function
+    takes each value of an orbit {i, m - i}).  With k0 the centre of the box
+    [kmin, kmax] spanning the support, e^{-i k0.(x(t) - x*)} f(x(t)) is u, of
+    frequencies (k - k0).d, so tau = sum_a pi (kmax_a - kmin_a) / m_a.
   * SU(2), in the metric of the unit sphere S^3: a unit-speed geodesic is
     g exp(t X), X = sum x_a i sigma_a with |x| = 1, on which D^l has the
-    frequencies 2m, |2m| <= twoL, so |f|^2 has type sigma = 2 twoL_max.
-    The Euler coordinates move at speed 1/2 each (ds^2 = (d alpha^2 + d
-    beta^2 + d gamma^2 + 2 cos beta d alpha d gamma) / 4), so moving one at a
-    time to the nearest node of the cell reaches it within delta = (h_alpha
-    + h_beta + h_gamma) / 4: h the largest node gap on each axis, alpha over
-    its 2 pi period, gamma over its 4 pi period, beta between Lobatto nodes,
-    which include 0 and pi.  Crossing alpha = 2 pi lands on a node, since
+    frequencies 2m, |2m| <= twoL; so tau = 2 twoL_max delta on the geodesic
+    to a node at distance delta.  In Euler coordinates ds^2 = (d beta^2 + d
+    alpha^2 + d gamma^2 + 2 cos beta d alpha d gamma) / 4 <= (d beta^2 +
+    (|d alpha| + |d gamma|)^2) / 4, so the straight coordinate segment to the
+    nearest node on each axis, h its largest node gap (alpha over its 2 pi
+    period, gamma over its 4 pi period, beta between Lobatto nodes, which
+    include 0 and pi), is at most delta = sqrt(h_beta^2 + (h_alpha +
+    h_gamma)^2) / 4 long.  Crossing alpha = 2 pi lands on a node, since
     (alpha + 2 pi, beta, gamma) = (alpha, beta, gamma + 2 pi) and the gamma
-    grid is invariant under a shift by 2 pi.  So tau = twoL_max (h_alpha +
-    h_beta + h_gamma) / 2.
+    grid is invariant under a shift by 2 pi.
 Roundoff: M is a synthesized value, off from the true node value by at most
 the summation error of the series.  Each node value sums terms bounded by A
 = sum over reps of d times the entrywise l^1 norm of the coefficient, which
@@ -453,21 +453,19 @@ def _largest(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _degree_tau(F: SpectralFunction, degree: int) -> float:
-    # tau of the module docstring: the exponential type of |f|^2 along
-    # geodesics times the covering radius of the full rule of this degree,
-    # sum_a sigma_a h_a / 2 over the axes' largest node gaps h_a.
+    # tau of the module docstring from the largest node gaps h of the full
+    # rule of this degree.
     gaps = axis_gaps(F.group, degree)
     if F.group.kind == "torus":
         span = (F.index.max(axis=0) - F.index.min(axis=0)).tolist()
         return sum(k * h for k, h in zip(span, gaps)) / 2.0
-    return int(F.index.max()) * sum(gaps) / 2.0
+    return int(F.index.max()) * math.hypot(gaps[1], gaps[0] + gaps[2]) / 2.0
 
 
 def _mesh_factor(tau: float) -> float:
-    # 1 / sqrt(1 - tau^2 / 2) bounds sup |f| over the grid maximum; inf
-    # where the bound says nothing.
-    slack = 1.0 - tau * tau / 2.0
-    return 1.0 / math.sqrt(slack) if slack > 0.0 else INF
+    # 1 / (1 - tau^2 / 8) bounds sup |f| over the grid maximum (inf: no bound).
+    slack = 1.0 - tau * tau / 8.0
+    return 1.0 / slack if slack > 0.0 else INF
 
 
 def _abs_sum(F: SpectralFunction) -> float:

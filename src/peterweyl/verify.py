@@ -104,6 +104,10 @@ class InequalityReport:
         }
 
 
+class _JsonDict(dict):
+    """A dict already in the JSON form of _json_safe, which returns it as is."""
+
+
 def _json_safe(v):
     # JSON form of a report value.  JSON has no inf or nan, so non-finite
     # floats become their repr strings; tuples become lists and dicts are
@@ -113,8 +117,14 @@ def _json_safe(v):
     if isinstance(v, (tuple, list)):
         return [_json_safe(x) for x in v]
     if isinstance(v, dict):
-        return {k: _json_safe(x) for k, x in sorted(v.items())}
+        return v if isinstance(v, _JsonDict) else _JsonDict(
+            (k, _json_safe(x)) for k, x in sorted(v.items()))
     return v
+
+
+def _instance(base: dict | None, **fields) -> dict:
+    # base with fields added, in JSON form; a base already in it is not converted again.
+    return _JsonDict(sorted({**_json_safe(base or {}), **_json_safe(fields)}.items()))
 
 
 def _report(name, suite, instance, lhs, rhs, tol, notes="") -> InequalityReport:
@@ -227,8 +237,7 @@ def nikolskii_check(
     lhs, lhs_note = _lhs(_norms[q])
     expo = 1.0 / p - 1.0 / q
     rhs = counts["count"] ** expo * _norms[p][0]
-    inst = dict(instance or {})
-    inst.update({"group": str(T.group), "p": p, "q": q, "rho": rho})
+    inst = _instance(instance, group=str(T.group), p=p, q=q, rho=rho)
     notes = (
         f"support={counts['count']} (x10 -> {counts['count_x10']}, "
         f"x0.1 -> {counts['count_d10']}); "
@@ -266,8 +275,7 @@ def nikolskii_remark_check(
     expo = 1.0 / p - 1.0 / q
     n_rho_l = weyl_count(T.group, rho * L)
     rhs = n_rho_l ** expo * _norms[p][0]
-    inst = dict(instance or {})
-    inst.update({"group": str(T.group), "p": p, "q": q, "rho": rho, "L": L})
+    inst = _instance(instance, group=str(T.group), p=p, q=q, rho=rho, L=L)
     notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
     return _report("nikolskii-remark", suite, inst, lhs, rhs, tol, notes)
 
@@ -338,8 +346,7 @@ def hausdorff_young_checks(
     if _norms is None:
         return _settled(lambda norms: hausdorff_young_checks(
             F, p, tol, max_nodes, suite, instance, norms), F, [p, pp], max_nodes)
-    inst = dict(instance or {})
-    inst.update({"group": str(F.group), "p": p, "p_conj": pp})
+    inst = _instance(instance, group=str(F.group), p=p, p_conj=pp)
     coeff = _report(
         "hy-coefficient",
         suite,
@@ -363,8 +370,7 @@ def plancherel_check(
 ) -> InequalityReport:
     a = lp_norm(F, 2.0, max_nodes)
     b = seq_lp_norm(F, 2.0)
-    inst = dict(instance or {})
-    inst.update({"group": str(F.group)})
+    inst = _instance(instance, group=str(F.group))
     return _report(
         "plancherel", suite, inst, abs(a - b), tol * max(b, 1e-300), 0.0,
         notes=f"l2={a!r} seq2={b!r}",
@@ -899,7 +905,7 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                 rho: _support_counts(T, rho, cfg.support_threshold, cfg.max_nodes)
                 for rho in sorted({rho_of(p) for p, _ in pairs})
             }
-            inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L}
+            inst = _json_safe({"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L})
             for p, q in pairs:
                 reports.extend(_settled(
                     lambda norms: _nikolskii_records(T, p, q, L, cfg, counts[rho_of(p)], inst,
@@ -920,24 +926,23 @@ def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
     remark = nikolskii_remark_check(
         T, p, q, L, tol=cfg.tol_grid, max_nodes=cfg.max_nodes, _norms=norms, instance=inst,
     )
+    pair = _instance(inst, group=str(T.group), p=p, q=q)
     dom = _report(
         "nikolskii-remark-dominance",
         "nikolskii",
-        {**_json_safe(inst), "group": str(T.group), "p": p, "q": q},
+        pair,
         rep.rhs,
         remark.rhs,
         0.0,
         notes="remark bound must dominate the support bound",
     )
-    verdicts = set()
-    for key in ("count", "count_x10", "count_d10"):
-        expo = 1.0 / p - 1.0 / q
-        rhs_alt = cts[key] ** expo * norms[p][0]
-        verdicts.add(rep.lhs <= rhs_alt * (1.0 + cfg.tol_grid))
+    expo = 1.0 / p - 1.0 / q
+    verdicts = {rep.lhs <= cts[key] ** expo * norms[p][0] * (1.0 + cfg.tol_grid)
+                for key in ("count", "count_x10", "count_d10")}
     sens = _report(
         "nikolskii-sensitivity-stable",
         "nikolskii",
-        {**_json_safe(inst), "group": str(T.group), "p": p, "q": q},
+        pair,
         float(len(verdicts) - 1),
         0.5,
         0.0,

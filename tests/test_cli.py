@@ -1,6 +1,8 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -101,6 +103,21 @@ def test_verify_weyl_su2(capsys):
     out = capsys.readouterr().out
     assert '"name": "weyl-spot-su2"' in out
     assert '"holds": false' not in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # python -m peterweyl from a plain source checkout: the exit code and
+    # report of cli.main, run in this process.
+    argv = ["verify", "weyl", "--group", "torus:1"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "peterweyl", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert proc.stdout == captured.out and proc.stderr == captured.err
+    assert '"name": "weyl-slope"' in proc.stdout and '"holds": false' not in proc.stdout
 
 
 def test_verify_resource_cap_exit_3(tmp_path, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from peterweyl import fourier, norms
 from peterweyl.fourier import SpectralFunction, dirichlet, synthesize, zero_spectral
@@ -14,6 +15,7 @@ from peterweyl.groups import (
     WEIGHT_SQ_DEN,
     DomainError,
     QuadratureRule,
+    axis_gaps,
     degree_fits,
     enumerate_dual,
     euler_to_su2,
@@ -1016,8 +1018,8 @@ def test_su2_jet_matches_the_matrix_coefficients():
 
 def test_mesh_tau_matches_its_derivation():
     # T^n: sum over axes of pi (kmax - kmin) / m over the full moduli, so a
-    # folded rule gives the same tau; SU(2): twoL_max (h_alpha + h_beta +
-    # h_gamma) / 2, gamma's gap over its 4 pi period.
+    # folded rule gives the same tau; SU(2): twoL_max sqrt(h_beta^2 +
+    # (h_alpha + h_gamma)^2) / 2, gamma's gap over its 4 pi period.
     F = SpectralFunction(torus(2), {(-1, 2): [[1.0]], (3, -4): [[1.0]]})
     rule = quadrature(torus(2), 5.0)
     m = rule.shape
@@ -1028,7 +1030,7 @@ def test_mesh_tau_matches_its_derivation():
     rule = quadrature(SU2, 6.0)
     na, nb, ng = rule.shape
     beta_gap = np.diff(np.sort(np.arccos(np.clip(rule._z, -1.0, 1.0)))).max()
-    want = 2 * (2 * math.pi / na + beta_gap + 4 * math.pi / ng) / 2
+    want = 2 * math.sqrt(beta_gap**2 + (2 * math.pi / na + 4 * math.pi / ng) ** 2) / 2
     assert norms._degree_tau(G, rule.degree) == pytest.approx(want, rel=1e-12)
     # the covering radius tau / (2 twoL_max) in the unit-S^3 metric bounds
     # the distance from Haar-random points to the nearest node
@@ -1040,17 +1042,71 @@ def test_mesh_tau_matches_its_derivation():
         assert math.acos(min(1.0, inner.max())) <= want / 4
 
 
+def _coarse_case():
+    # Random coefficients on 0 and +-2 e_a of T^3: its own rule has 12 nodes
+    # an axis, so tau = 3 * 4 pi / 12 = pi there and tau^2 / 8 >= 1, too
+    # coarse for any finite mesh bound.
+    rng = np.random.default_rng(71)
+    support = [(0, 0, 0)] + [tuple(s * 2 * int(a == b) for b in range(3))
+                             for a in range(3) for s in (1, -1)]
+    return SpectralFunction(torus(3), {k: [[complex(*rng.standard_normal(2))]] for k in support})
+
+
+@pytest.mark.parametrize("group", [T1, torus(2)], ids=str)
+def test_sup_mesh_bound_is_sharp_to_second_order(group):
+    # On 1 + exp(i (x_0 - pi / m)), peaking at 2 half a node gap from the
+    # nodes on either side, the grid maximum is 2 cos(tau / 2) with tau = pi
+    # / m, so hi = 2 cos(tau / 2) / (1 - tau^2 / 8) = 2 (1 + tau^4 / 384 +
+    # ...); 2 cos(tau / 2) / sqrt(1 - tau^2 / 2) would be off by tau^2 / 8.
+    for degree in range(3, 60):
+        rule = quadrature(group, degree / 2.0)
+        m = rule.shape[0]
+        F = SpectralFunction(group, {(0,) * group.dim: [[1.0]], (1,) + (0,) * (group.dim - 1):
+                                     [[complex(math.cos(math.pi / m), -math.sin(math.pi / m))]]})
+        tau = norms._degree_tau(F, rule.degree)
+        assert tau == pytest.approx(math.pi / m, rel=1e-15)
+        peak, nodes = norms._level_reduce(norms._synth_values(F, rule), rule, [INF])[INF]
+        lo, hi = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
+        assert 2.0 * math.cos(tau / 2.0) <= lo <= 2.0 * (1.0 + 1e-15) <= hi
+        assert hi / 2.0 - 1.0 <= tau**4 / 300.0, (m, hi)
+
+
+@pytest.mark.parametrize("degree", [12, 24])
+def test_su2_nodes_cover_within_the_mesh_radius(degree):
+    # Every Haar-random point lies within delta = sqrt(h_beta^2 + (h_alpha +
+    # h_gamma)^2) / 4 of a node, in the metric of the unit sphere S^3; the
+    # chord 2 sin(d / 2) of the points in C^2 = R^4 is increasing in d.
+    rule = quadrature(SU2, degree / 2.0)
+    assert rule.degree == degree
+    h_alpha, h_beta, h_gamma = axis_gaps(SU2, degree)
+    delta = math.hypot(h_beta, h_alpha + h_gamma) / 4.0
+    nodes = norms._node_points(rule, np.arange(rule.node_count))
+    tree = cKDTree(np.column_stack((nodes.real, nodes.imag)))
+    rng = np.random.default_rng(72)
+    u = np.array([euler_to_su2(*random_element(SU2, rng))[:, 0] for _ in range(3000)])
+    chord, _ = tree.query(np.column_stack((u.real, u.imag)))
+    assert (2.0 * np.arcsin(chord / 2.0)).max() <= delta
+
+
 def test_sup_capped_below_every_finite_bound():
     # A cap whose finest grid is too coarse for the mesh bound: capped, with
     # upper inf, and the verdicts reading it fail rather than pass.
-    F = _random_spectral(torus(2), 3.0, 70)
-    base = quadrature(torus(2), F.max_weight())
+    F = _coarse_case()
+    base = quadrature(torus(3), F.max_weight())
+    assert norms._degree_tau(F, base.degree) ** 2 / 8.0 >= 1.0
     lo, info = lp_norms(F, [INF], base.node_count)[INF]
     assert info["certified"] == "capped" and info["upper"] == INF
     assert lo >= np.abs(synthesize(F, base).values).max()
     rep = nikolskii_check(F, 2.0, INF, _norms=lp_norms(F, [2.0, INF], base.node_count))
     assert rep.lhs == INF and not rep.holds
     assert rep.notes.endswith(f"lhs capped [{lo!r}, inf], rhs grid exact")
+    # a base grid with tau^2 / 8 < 1 is capped with a finite, if wide, bound
+    F = _random_spectral(torus(2), 3.0, 70)
+    base = quadrature(torus(2), F.max_weight())
+    assert norms._degree_tau(F, base.degree) ** 2 / 8.0 < 1.0
+    lo, info = lp_norms(F, [INF], base.node_count)[INF]
+    assert info["certified"] == "capped" and lo <= info["upper"] < INF
+    assert info["upper"] > 1.02 * lo
 
 
 def _sizing_cases():
@@ -1098,7 +1154,7 @@ def test_sup_under_a_cap_takes_the_largest_degree_admitted(F):
         assert got >= below and degree_fits(F.group, got, cap)
         assert not degree_fits(F.group, got + 1, cap)
         tau = norms._degree_tau(F, got)
-        assert (info["upper"] == INF) == (tau * tau / 2.0 >= 1.0)
+        assert (info["upper"] == INF) == (tau * tau / 8.0 >= 1.0)
         assert lo <= info["upper"]
 
 
@@ -1247,8 +1303,10 @@ def test_besov_sup_carries_the_aggregate_of_its_block_enclosures():
         assert value == pytest.approx(agg(los), rel=1e-15)
         assert info["upper"] == pytest.approx(agg(ups), rel=1e-15)
         assert value <= info["upper"] <= 1.02 * value
-    # a capped block with no finite bound leaves the aggregate unbounded
-    base = quadrature(torus(2), F.max_weight()).node_count
+    # a capped block with no finite bound leaves the aggregate unbounded:
+    # the shell of +-2 e_a has tau^2 / 8 >= 1 on the base grid
+    F = _coarse_case()
+    base = quadrature(torus(3), F.max_weight()).node_count
     _, info = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=2.0), base)
     assert info["certified"] == "capped" and info["upper"] == INF
 
