@@ -41,12 +41,14 @@ import secrets
 import stat
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from types import MappingProxyType
 
 import numpy as np
 from scipy.fft import fftn, ifftn
 
 from .groups import (
+    MAX_REP_INDEX,
     WEIGHT_SQ_DEN,
     DomainError,
     GroupId,
@@ -462,12 +464,6 @@ def support_count(F: SpectralFunction, threshold: float = SUPPORT_THRESHOLD) -> 
 # row-major re/im pairs in shortest round-trip decimal form.
 
 
-def _format_index(group: GroupId, xi) -> str:
-    if group.kind == "torus":
-        return ",".join(str(k) for k in xi)
-    return str(xi)
-
-
 def _parse_index(group: GroupId, text: str):
     try:
         if group.kind == "torus":
@@ -478,49 +474,121 @@ def _parse_index(group: GroupId, text: str):
 
 
 def dump_spectral(F: SpectralFunction) -> str:
+    nums = list(map(repr, F.entries.view(np.float64).tolist()))
+    ends = (2 * F.offsets).tolist()
     lines = [SERIAL_HEADER, f"group {F.group}"]
-    for xi, mat in F.items():
-        entries = []
-        for v in mat.ravel():
-            entries.append(repr(float(v.real)))
-            entries.append(repr(float(v.imag)))
-        lines.append(
-            f"rep {_format_index(F.group, xi)} {mat.shape[0]} " + " ".join(entries)
-        )
+    lines += [f"rep {','.join(map(str, row))} {d} " + " ".join(nums[a:b])
+              for row, d, a, b in zip(F.index.tolist(), F.dims.tolist(), ends, ends[1:])]
     return "\n".join(lines) + "\n"
 
 
+def _read_records(group: GroupId, records: list[str]):
+    # The checks a record passes on its own and against the records before
+    # it, over all records at once: shape, index syntax, duplicates, numbers,
+    # dimension sign, entry count and finiteness, each naming the first record
+    # that fails it.  Returns (keys, rep index ints, parsed indices, dims,
+    # numbers, numbers per record).
+    parts = [ln.split() for ln in records]
+    bad = [p[0] != "rep" or len(p) < 3 for p in parts]
+    if any(bad):
+        raise DomainError(f"bad record {records[bad.index(True)]!r}")
+    keys = [p[1] for p in parts]
+    torus = group.kind == "torus"
+    try:
+        ints = list(map(int, ",".join(keys).split(",") if torus else keys))
+    except ValueError:
+        for key in keys:
+            _parse_index(group, key)  # raises at the first bad index
+    xis = ints
+    if torus:  # the parsed tuples, of whatever length each record gave
+        widths = [k.count(",") + 1 for k in keys]
+        flat = iter(ints)
+        xis = (list(zip(*[flat] * group.dim)) if widths.count(group.dim) == len(keys)
+               else [tuple(islice(flat, w)) for w in widths])
+    if len(set(xis)) < len(xis):
+        seen = set()
+        for key, xi in zip(keys, xis):
+            if xi in seen:
+                raise DomainError(f"duplicate record for rep {key}")
+            seen.add(xi)
+    try:
+        ds = list(map(int, (p[2] for p in parts)))
+        vals = np.array(list(map(float, chain.from_iterable(p[3:] for p in parts))))
+    except ValueError:
+        for ln, p in zip(records, parts):
+            try:
+                int(p[2]), list(map(float, p[3:]))
+            except ValueError:
+                raise DomainError(f"rep {p[1]}: bad number in {ln!r}") from None
+    if min(ds) < 1:
+        i = next(i for i, d in enumerate(ds) if d < 1)
+        raise DomainError(f"rep {keys[i]}: dimension must be positive, got {ds[i]}")
+    lens = [len(p) - 3 for p in parts]
+    want = [2 * d * d for d in ds]
+    if lens != want:
+        i = next(i for i, (n, w) in enumerate(zip(lens, want)) if n != w)
+        raise DomainError(f"rep {keys[i]}: expected {want[i]} entries, got {lens[i]}")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.searchsorted(np.cumsum(lens), np.argmin(finite), side="right"))
+        raise DomainError(f"rep {keys[i]}: entries must be finite")
+    return keys, ints, xis, ds, vals, lens
+
+
 def load_spectral(text: str) -> SpectralFunction:
+    """Parse the line format of dump_spectral; records may come in any order.
+
+    Malformed input raises DomainError, with the message a record-by-record
+    reader gives: the first record that fails on its own or against those
+    before it, then the first rep index out of range in file order, then the
+    first dimension that does not match its rep in canonical order.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SERIAL_HEADER:
         raise DomainError(f"missing header line {SERIAL_HEADER!r}")
     if len(lines) < 2 or not lines[1].startswith("group "):
         raise DomainError("missing group line")
     group = parse_group(lines[1][len("group "):])
-    coeffs = {}
-    for ln in lines[2:]:
-        parts = ln.split()
-        if parts[0] != "rep" or len(parts) < 3:
-            raise DomainError(f"bad record {ln!r}")
-        xi = _parse_index(group, parts[1])
-        if xi in coeffs:
-            raise DomainError(f"duplicate record for rep {parts[1]}")
-        try:
-            d = int(parts[2])
-            vals = [float(v) for v in parts[3:]]
-        except ValueError:
-            raise DomainError(f"rep {parts[1]}: bad number in {ln!r}") from None
-        if d < 1:
-            raise DomainError(f"rep {parts[1]}: dimension must be positive, got {d}")
-        if len(vals) != 2 * d * d:
-            raise DomainError(
-                f"rep {parts[1]}: expected {2 * d * d} entries, got {len(vals)}"
-            )
-        if not all(map(math.isfinite, vals)):
-            raise DomainError(f"rep {parts[1]}: entries must be finite")
-        nums = np.array(vals)
-        coeffs[xi] = (nums[0::2] + 1j * nums[1::2]).reshape(d, d)
-    return SpectralFunction(group, coeffs)
+    records = lines[2:]
+    if not records:
+        return zero_spectral(group)
+    try:
+        keys, ints, xis, ds, vals, lens = _read_records(group, records)
+    except DomainError:
+        # records[:lo] passes and records[:hi] fails: bisect to the shortest
+        # failing prefix, whose last record is the one to name.
+        lo, hi = 0, len(records)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _read_records(group, records[:mid])
+                lo = mid
+            except DomainError:
+                hi = mid
+        _read_records(group, records[:hi])
+        raise
+    # Lengths and range before int64 packing; validate_rep names the first bad rep.
+    torus = group.kind == "torus"
+    if (torus and set(map(len, xis)) != {group.dim}) or max(ints) > MAX_REP_INDEX or (
+            min(ints) < (-MAX_REP_INDEX if torus else 0)):
+        for xi in xis:
+            validate_rep(group, xi)
+    rows = np.array(ints, dtype=np.int64).reshape(len(keys), group.rank)
+    order = np.lexsort(rows.T[::-1])
+    index, dims, wsq = rep_arrays(group, rows[order])
+    got = np.array(ds)[order]
+    wrong = np.flatnonzero(got != dims)
+    if wrong.size:
+        i = wrong[0]
+        xi = tuple(index[i].tolist()) if torus else int(index[i, 0])
+        raise DomainError(f"coefficient for rep {xi!r} must be {dims[i]}x{dims[i]}, "
+                          f"got {(int(got[i]), int(got[i]))}")
+    # The records' numbers in canonical order, re/im pairs read as complex.
+    starts = np.cumsum(lens) - lens
+    sizes = np.asarray(lens)[order]
+    take = np.repeat(starts[order] - np.cumsum(sizes) + sizes, sizes)
+    entries = vals[take + np.arange(take.size)].view(complex)
+    return SpectralFunction._packed(group, index, dims, wsq, entries)
 
 
 def write_atomic(path, content: str) -> None:

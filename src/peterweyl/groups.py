@@ -37,9 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 from scipy.fft import next_fast_len
-from scipy.special import roots_jacobi
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -193,7 +191,8 @@ def band_budget(L: float) -> int:
     """floor(WEIGHT_SQ_DEN L^2), exact: rep xi is in band L iff its packed wsq <= this."""
     if not 1 <= L < math.inf:
         raise DomainError(f"band limit L must be finite and >= 1, got {L}")
-    return math.floor(WEIGHT_SQ_DEN * Fraction(L) ** 2)
+    a, b = (L if isinstance(L, (int, float)) else Fraction(L)).as_integer_ratio()
+    return WEIGHT_SQ_DEN * a * a // (b * b)
 
 
 def _lattice_rows(b: int, dims: int) -> np.ndarray:
@@ -495,28 +494,51 @@ def matrix_coefficient(group: GroupId, xi, x: tuple) -> np.ndarray:
 # A rule of degree c integrates any product xi_ij(x) * conj(eta_kl(x)) with
 # both packed weights WEIGHT_SQ_DEN <xi>^2 <= c^2 (so |k_a| <= c/2, twoL < c):
 #   torus: uniform grids with at least 2c+1 points per dimension;
-#   su2:   uniform alpha (2c+1 points on [0, 2pi)), uniform gamma (4c+2
-#          points on [0, 4pi)), and c+2 Gauss-Lobatto nodes in cos(beta).
-#          Lobatto (rather than Gauss-Legendre, at the cost of one extra
-#          node for the same exact degree) keeps the identity element in the
-#          node set with a positive weight.
+#   su2:   c-1 uniform alpha points on [0, 2pi), 2c-3 uniform gamma points on
+#          [0, 4pi), and c // 2 + 1 Gauss-Lobatto nodes in cos(beta).  Since
+#          4 <xi>^2 = (twoL+1)^2 + 3 <= c^2, twoL <= c-2.  Alpha differences
+#          m - m' are at most c-2, so c-1 points sum them exactly; on [0, 4pi)
+#          the gamma differences are the integers 2(n - n'), at most 2c-4,
+#          so 2c-3 points sum integer and half-integer n - n' exactly, and a
+#          product of reps of opposite parity sums to zero there.  What the
+#          alpha and gamma sums leave is d^l_{mn} d^l'_{mn}, a polynomial of
+#          degree l + l' <= c-2 in cos(beta), which c // 2 + 1 Lobatto nodes
+#          integrate exactly (the per-angle factorization of Kostelec &
+#          Rockmore, JFAA 14, 2008).  Lobatto (rather than Gauss-Legendre,
+#          at the cost of one extra node for the same exact degree) keeps the
+#          identity element in the node set with a positive weight.
 # The identity element is always node 0.  A torus rule folds onto its half
 # axes 0 <= i <= m // 2 for functions even in every coordinate (folded()).
 
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (P_n(x), P_{n-1}(x)), n >= 1, by the three-term recurrence.
+    prev, cur = np.ones_like(x), x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return cur, prev
+
+
 def _lobatto(npts: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Lobatto nodes/weights on [-1, 1]; exact for degree <= 2*npts - 3.
+    # The interior nodes are the roots of P'_{n}, n = npts - 1, that is of
+    # the Jacobi polynomial P^(1,1)_{n-1}: the eigenvalues of its Jacobi
+    # matrix (Golub-Welsch), polished by one Newton step on P'_n, whose
+    # derivative comes from Legendre's equation.  Weights 2 / (n (n+1) P_n^2).
     if npts < 2:
         raise DomainError("lobatto rule needs at least 2 points")
     if npts == 2:
         return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
-    interior = roots_jacobi(npts - 2, 1.0, 1.0)[0]
-    x = np.concatenate(([-1.0], interior, [1.0]))
-    coeffs = np.zeros(npts)
-    coeffs[-1] = 1.0
-    p = legval(x, coeffs)  # P_{npts-1}(x)
-    w = 2.0 / (npts * (npts - 1) * p * p)
-    return x, w
+    n = npts - 1
+    k = np.arange(1.0, n - 1)
+    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p, q = _legendre_pair(n, x)
+    dp = n * (q - x * p) / (1.0 - x * x)
+    x = x - dp * (1.0 - x * x) / (2.0 * x * dp - n * (n + 1) * p)
+    x = np.concatenate(([-1.0], x, [1.0]))
+    p = _legendre_pair(n, x)[0]
+    return x, 2.0 / (n * (n + 1) * p * p)
 
 
 class QuadratureRule:
@@ -626,7 +648,7 @@ def _axis_counts(group: GroupId, c: int) -> tuple[int, ...]:
         # Any size >= 2c+1 keeps products in band alias-free; round up to an
         # FFT-friendly length so the transforms avoid prime-size fallbacks.
         return (int(next_fast_len(2 * c + 1)),) * group.dim
-    return (2 * c + 1, c + 2, 4 * c + 2)
+    return (c - 1, c // 2 + 1, 2 * c - 3)
 
 
 @lru_cache(maxsize=64)
@@ -657,6 +679,8 @@ def degree_fits(group: GroupId, degree: int, max_nodes: int | None = None) -> bo
     """Whether the rule of this degree is within the node cap, and within
     MAX_GRID_NODES whatever the cap; builds nothing."""
     cap = _node_cap(max_nodes)
+    if group.kind == "su2":
+        return math.prod(_axis_counts(group, degree)) <= cap
     # (2c+1)^dim nodes at least: a huge degree is refused before any FFT length.
     return (2 * degree + 1) ** group.dim <= cap and math.prod(_axis_counts(group, degree)) <= cap
 

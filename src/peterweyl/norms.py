@@ -513,11 +513,12 @@ def _node_points(rule, nodes: np.ndarray) -> np.ndarray:
 def _ascend(F: SpectralFunction, points: np.ndarray, radius: float, scale: float) -> np.ndarray:
     """|f / scale|^2 where a trust-region Newton ascent from each point ends.
 
-    All points move at once.  A step goes to the Newton point where the
-    Hessian of |f|^2 is negative definite and uphill along the gradient
-    elsewhere, at most the trust radius long; it is taken only where it
-    raises the value, so no point ends below its start.  A taken step
-    leaves the radius at least twice its length, a refused one a quarter.
+    All points move at once.  A step goes to the Newton point along the
+    eigendirections of negative curvature of the Hessian of |f|^2 and the
+    trust radius uphill along the gradient's part in the others, at most the
+    trust radius long in all; it is taken only where it raises the value, so
+    no point ends below its start.  A taken step leaves the radius at least
+    twice its length, a refused one a quarter.
     """
     def jet(pts):
         f, grad, hess = _jet(F, pts)
@@ -531,12 +532,15 @@ def _ascend(F: SpectralFunction, points: np.ndarray, radius: float, scale: float
         curv = 2.0 * (grad.conj()[:, :, None] * grad[:, None, :]
                       + f.conj()[:, None, None] * hess).real
         eig, vec = np.linalg.eigh(curv)
-        concave = eig.max(axis=1) < 0.0
-        newton = vec @ ((vec.transpose(0, 2, 1) @ slope[..., None])[..., 0]
-                        / np.where(concave[:, None], -eig, 1.0))[..., None]
-        norm = np.linalg.norm(slope, axis=1)
-        uphill = slope * (trust / np.where(norm > 0.0, norm, 1.0))[:, None]
-        step = np.where(concave[:, None], newton[..., 0], uphill)
+        down = eig < 0.0
+        coef = (vec.transpose(0, 2, 1) @ slope[..., None])[..., 0]
+        newton = vec @ np.where(down, coef / np.where(down, -eig, 1.0), 0.0)[..., None]
+        # the gradient's part off the negative eigendirections: the gradient
+        # itself where there are none, as it equals the projection onto all
+        rest = np.where(down.any(axis=1)[:, None],
+                        (vec @ np.where(down, 0.0, coef)[..., None])[..., 0], slope)
+        norm = np.linalg.norm(rest, axis=1)
+        step = newton[..., 0] + rest * (trust / np.where(norm > 0.0, norm, 1.0))[:, None]
         length = np.linalg.norm(step, axis=1)
         step *= np.minimum(1.0, trust / np.where(length > 0.0, length, 1.0))[:, None]
         length = np.minimum(length, trust)

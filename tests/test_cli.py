@@ -412,11 +412,13 @@ def test_norm_rejects_malformed_records_exit_2(tmp_path, records, message, capsy
 
 @pytest.mark.parametrize(
     "group, index",
-    [("torus:1", "536870913"), ("torus:3", "0,-536870913,0"), ("su2", "536870913")],
+    [("torus:1", "536870913"), ("torus:3", "0,-536870913,0"), ("su2", "536870913"),
+     ("torus:2", "1,99999999999999999999"), ("su2", "99999999999999999999")],
 )
 def test_norm_rejects_rep_index_past_bound_exit_2(tmp_path, group, index, capsys):
     # The packed layout keeps 4<xi>^2 in int64, so |k| and twoL stop at 2^29;
-    # a file past the bound is refused even for coefficient-only norms.
+    # a file past the bound is refused even for coefficient-only norms, and
+    # an index past int64 too, before it is packed.
     path = _write(tmp_path, "far.spectral", f"specfun v1\ngroup {group}\nrep {index} 1 1 0\n")
     assert main(["norm", path, "wiener:1"]) == EXIT_USAGE
     assert "536870912" in capsys.readouterr().err

@@ -25,11 +25,13 @@ from peterweyl.fourier import (
     zero_spectral,
 )
 from peterweyl.groups import (
+    MAX_REP_INDEX,
     DomainError,
     band_budget,
     enumerate_dual,
     matrix_coefficient,
     quadrature,
+    rep_dim,
     rep_info,
     su2,
     torus,
@@ -205,7 +207,7 @@ def test_torus_synthesis_matches_direct_sum_and_ifftn(group, support, band):
 
 @pytest.mark.parametrize("slab_nodes", [1, 700, fourier.SLAB_NODES])
 @pytest.mark.parametrize(
-    "group,L,band", [(T1, 6.0, 6.0), (T2, 4.0, 9.0), (T3, 2.5, 3.0), (SU2, 3.0, 4.0)], ids=str
+    "group,L,band", [(T1, 6.0, 6.0), (T2, 4.0, 9.0), (T3, 2.5, 3.0), (SU2, 3.0, 8.0)], ids=str
 )
 def test_synthesize_slabs_tile_the_grid(monkeypatch, group, L, band, slab_nodes):
     # Slabs are whole leading-axis rows covering the grid in C order; their
@@ -436,6 +438,52 @@ def test_serialization_round_trip_bytes():
         assert again == text
 
 
+def _per_rep_dump(F):
+    # The per-rep, per-scalar formatter dump_spectral replaced, kept as the
+    # reference for its bytes.
+    lines = ["specfun v1", f"group {F.group}"]
+    for xi, mat in F.items():
+        entries = []
+        for v in mat.ravel():
+            entries.append(repr(float(v.real)))
+            entries.append(repr(float(v.imag)))
+        index = ",".join(str(k) for k in xi) if F.group.kind == "torus" else str(xi)
+        lines.append(f"rep {index} {mat.shape[0]} " + " ".join(entries))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _spectral_functions(draw):
+    # Any finite entries, signed zeros and subnormals among them, on torus
+    # supports that reach the rep index bound.
+    group = draw(st.sampled_from([T1, T2, T3, SU2]))
+    if group.kind == "su2":
+        reps = draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
+    else:
+        k = st.integers(-3, 3) | st.sampled_from([-MAX_REP_INDEX, MAX_REP_INDEX])
+        reps = draw(st.lists(st.tuples(*[k] * group.dim), unique=True, max_size=6))
+    entry = st.floats(allow_nan=False, allow_infinity=False)
+    coeffs = {}
+    for xi in reps:
+        d = rep_dim(group, xi)
+        vals = draw(st.lists(entry, min_size=2 * d * d, max_size=2 * d * d))
+        coeffs[xi] = np.array(vals).view(complex).reshape(d, d)
+    return SpectralFunction(group, coeffs)
+
+
+@given(_spectral_functions(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_spectral_files_round_trip_bit_for_bit_in_any_record_order(F, rnd):
+    text = dump_spectral(F)
+    assert text == _per_rep_dump(F)
+    assert load_spectral(text).digest == F.digest
+    lines = text.splitlines()
+    records = lines[2:]
+    rnd.shuffle(records)
+    G = load_spectral("\n".join(lines[:2] + records) + "\n")
+    assert G.digest == F.digest and dump_spectral(G) == text
+
+
 def test_serialization_header_and_errors():
     F = _random_spectral(T1, 2.0, seed=0)
     text = dump_spectral(F)
@@ -444,6 +492,9 @@ def test_serialization_header_and_errors():
         load_spectral("nonsense\n")
     with pytest.raises(DomainError):
         load_spectral("specfun v1\ngroup torus:1\nrep 0 1 0.5\n")  # odd entry count
+    # index lengths that miss the rank even where their total matches it
+    with pytest.raises(DomainError, match=r"int 2-tuple .* got \(1, 2, 3\)"):
+        load_spectral("specfun v1\ngroup torus:2\nrep 1,2,3 1 1 0\nrep 4 1 1 0\n")
 
 
 _NUMBERS = st.floats(-1e3, 1e3).map(repr) | st.integers(-9, 9).map(str) | st.sampled_from(

@@ -1,6 +1,9 @@
 """Group data: duals, weights, matrix coefficients, Haar quadrature."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 from scipy.linalg import expm
+from scipy.special import roots_jacobi
 
 from peterweyl import groups
 from peterweyl.fourier import dirichlet, partial_sum
@@ -40,6 +44,7 @@ from peterweyl.groups import (
     weight_sq,
     weyl_count,
     wigner_d_matrix,
+    wigner_d_tables,
 )
 
 T1 = torus(1)
@@ -266,6 +271,19 @@ def test_band_budget_is_exact_and_refuses_bad_bands():
             band_budget(L)
 
 
+def _budget_reference(L):
+    # floor(WEIGHT_SQ_DEN L^2) in fractions, as band_budget once computed it.
+    return math.floor(WEIGHT_SQ_DEN * Fraction(L) ** 2)
+
+
+@given(st.floats(min_value=1.0, allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_band_budget_matches_the_fraction_reference(L):
+    assert band_budget(L) == _budget_reference(L)
+    for edge in (1.0 + 2.0**-52, math.sqrt(2.0), 1e300, math.nextafter(2.0, 0.0)):
+        assert band_budget(edge) == _budget_reference(edge)
+
+
 def test_weyl_count_refuses_a_walk_past_the_cap(monkeypatch):
     for g in (T2, T3):
         with pytest.raises(ResourceLimitError, match="would walk"):
@@ -480,6 +498,81 @@ def test_su2_character_normalization():
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
+def test_lobatto_matches_scipy_and_is_exact_to_degree_2n_minus_3():
+    # Golub-Welsch nodes with one Newton step, against scipy's Jacobi(1,1)
+    # roots; the weights integrate x^d exactly for d <= 2n - 3.
+    for n in range(2, 201):
+        x, w = groups._lobatto(n)
+        assert x[0] == -1.0 and x[-1] == 1.0 and (np.diff(x) > 0).all() and (w > 0).all()
+        if n > 2:
+            ref = roots_jacobi(n - 2, 1.0, 1.0)[0]
+            assert np.abs(x[1:-1] - ref).max() <= 4 * np.spacing(1.0), n
+        for d in range(2 * n - 2):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(w @ x**d - exact) <= 1e-14, (n, d)
+
+
+def _su2_edge_error(c, na, nb, ng):
+    # Largest deviation from Schur orthogonality, <D^l_mn, D^l'_m'n'> =
+    # delta / (2l + 1), on the product grid of na alpha, nb Lobatto beta and
+    # ng gamma nodes, over every entry of the two heaviest reps a degree-c
+    # rule covers: twoL = c - 2 and c - 3, one of each parity.  The alpha and
+    # gamma sums depend on 2(m - m') and 2(n - n') alone.
+    reps = [t for t in (c - 2, c - 3) if t >= 0]
+    t, i, j = (np.array(v) for v in zip(*[(t, i, j) for t in reps
+                                          for i in range(t + 1) for j in range(t + 1)]))
+    twoM, twoN = t - 2 * i, t - 2 * j
+    k = np.arange(-2 * c, 2 * c + 1)
+    alpha = 2.0 * np.pi * np.arange(na) / na
+    gamma = 4.0 * np.pi * np.arange(ng) / ng
+    a_sum = np.exp(-0.5j * np.outer(k, alpha)).mean(axis=1)
+    g_sum = np.exp(-0.5j * np.outer(k, gamma)).mean(axis=1)
+    z, w = groups._lobatto(nb)
+    tabs = wigner_d_tables(max(reps), z)
+    d = np.array([tabs[a][b, e] for a, b, e in zip(t, i, j)])
+    gram = (a_sum[np.subtract.outer(twoM, twoM) + 2 * c]
+            * g_sum[np.subtract.outer(twoN, twoN) + 2 * c] * ((d * w / 2.0) @ d.T))
+    return np.abs(gram - np.diag(1.0 / (t + 1))).max()
+
+
+def test_su2_rule_is_exact_at_its_band_edge_and_no_axis_can_lose_a_node():
+    # twoL = c - 2 is the heaviest rep with 4 <xi>^2 <= c^2: the counts
+    # (c - 1, c // 2 + 1, 2c - 3) integrate its products exactly, and from
+    # c = 4 on one node fewer on any axis breaks them.  (At c = 3 the two
+    # beta nodes are the poles, where the spin-1/2 entries that 1 alpha or 2
+    # gamma points would alias vanish.)
+    for c in range(2, 25):
+        counts = groups._axis_counts(SU2, c)
+        assert counts == (c - 1, c // 2 + 1, 2 * c - 3)
+        assert rep_arrays(SU2, [c - 2])[2][0] <= c * c < rep_arrays(SU2, [c - 1])[2][0]
+        rule = quadrature(SU2, c / 2.0)
+        assert rule.degree == c and rule.shape == counts
+        assert _su2_edge_error(c, *counts) <= 1e-13, c
+        for axis in range(3):
+            fewer = list(counts)
+            fewer[axis] -= 1
+            if c >= 4:
+                assert _su2_edge_error(c, *fewer) > 1e-3, (c, axis)
+
+
+def test_su2_rules_and_spectral_files_leave_scipy_linalg_unimported():
+    # Lobatto nodes come from numpy alone: importing the package, building an
+    # SU(2) rule and a dump/load round trip import no scipy.linalg.
+    code = ("import sys, peterweyl\n"
+            "from peterweyl import fourier, groups, verify\n"
+            "rule = groups.quadrature(groups.su2(), 8.0)\n"
+            "F = verify.make_corpus(groups.su2(), 8.0, 1, 7).functions[0]\n"
+            "G = fourier.load_spectral(fourier.dump_spectral(F))\n"
+            "assert G.digest == F.digest and rule.node_count == 3915\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(groups.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_quadrature_determinism_and_cap():
     a = quadrature(T2, 3.0)
     b = quadrature(T2, 3.0)
@@ -496,7 +589,7 @@ def _ceil_2b_counts(g, band):
     c = math.ceil(2.0 * band)
     if g.kind == "torus":
         return (int(next_fast_len(2 * c + 1)),) * g.dim
-    return (2 * c + 1, c + 2, 4 * c + 2)
+    return (c - 1, c // 2 + 1, 2 * c - 3)
 
 
 @pytest.mark.parametrize("g", [T1, T2, T3, SU2], ids=str)
