@@ -3,11 +3,11 @@
 Lebesgue norms are quadrature sums of |f|^p over Haar grids: exact (one
 evaluation on a sufficient grid) when |f|^p is itself band-limited, i.e.
 for even integer p, and dyadically refined until the value stabilizes
-otherwise.  One grid ladder serves both the L^p norms and the
-Triebel-Lizorkin pointwise aggregate.  Each level is one streaming pass
-over the slabs of fourier.synthesize_slabs: per slab the modulus and a
-weighted sum of |f|^p for every pending finite p, with weights from the
-rule's per-axis factors, so no array of the grid's size is built.  A torus
+otherwise.  One grid ladder, for one exponent at a time, serves both the
+L^p norms and the Triebel-Lizorkin pointwise aggregate.  Each level is one
+streaming pass over the slabs of fourier.synthesize_slabs: per slab the
+modulus and a weighted sum of its |f|^p, with weights from the rule's
+per-axis factors, so no array of the grid's size is built.  A torus
 function whose coefficients equal their images under every coordinate sign
 flip, compared exactly, is even in every coordinate; its levels run on the
 folded rule (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with
@@ -16,10 +16,11 @@ and the same maximum.  Dirichlet and ring kernels, their dyadic blocks and
 Sobolev rescalings are such functions; all others keep the full grid.  Each
 value carries a provenance record {certified, nodes, bandlimit}; Besov and
 Triebel-Lizorkin values carry the weakest certification over their blocks
-and ladder levels, with the largest grid, and coefficient-only norms are
-"exact" with nodes 0; a folded level records the full rule's nodes and
-band.  A value that is not a finite float (coefficients too large or not
-finite, or a root 1/p past float range) raises DomainError.
+and ladder levels, with the largest grid; coefficient-only norms and
+identity-pinned sups, which build no grid, are "exact" with nodes 0; a
+folded level records the full rule's nodes and band.  A value that is not
+a finite float (coefficients too large or not finite, or a root 1/p past
+float range) raises DomainError.
 
 The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
@@ -406,46 +407,22 @@ def _merge_provenance(records: list[dict]) -> dict:
     )
 
 
-def _level_reduce(slabs, rule, ps) -> dict:
-    """One pass over the node slabs of a ladder level.
+def _weighted_sum(slabs, rule, p: float) -> float:
+    """Quadrature sum of v^p over one pass of the node slabs of a rule.
 
     slabs yields (lo, hi, v), nonnegative values at the flat C-order nodes
-    [lo, hi), whole rows of the leading grid axis.  Returns the quadrature
-    sum of v^p for each finite p, each weight the product of the rule's axis
-    weights, taken leading rows times the trailing product, so no weight
-    vector of the grid's size is built; for p = inf, (the maximum of v, the
-    flat nodes of its SUP_SEEDS largest values).
+    [lo, hi), whole rows of the leading grid axis.  Each weight is the
+    product of the rule's axis weights, taken leading rows times the
+    trailing product, so no weight vector of the grid's size is built.
     """
     lead = rule.axis_weights[0]
     tail = np.ones(1)
     for w in rule.axis_weights[1:]:
         tail = np.multiply.outer(tail, w).ravel()
-    finite = [p for p in ps if p != INF]
-    sums = dict.fromkeys(finite, np.float64(0.0))
-    best, tops = np.zeros(0, dtype=np.intp), np.zeros(0)
+    total = np.float64(0.0)
     for lo, hi, vals in slabs:
-        if INF in ps:
-            # Only values above the k-th best so far can enter; nan always does.
-            floor = tops.min() if tops.size == SUP_SEEDS else -INF
-            fresh = np.flatnonzero(~(vals <= floor))
-            values = np.concatenate((tops, vals[fresh]))
-            keep = _largest(values, SUP_SEEDS)
-            best, tops = np.concatenate((best, fresh + lo))[keep], values[keep]
-        if finite:
-            rows = vals.reshape(-1, tail.size)
-            w_rows = lead[lo // tail.size:hi // tail.size]
-            for p in finite:
-                sums[p] += w_rows @ (rows**p @ tail)
-    if INF in ps:
-        sums[INF] = (tops.max(), best)  # nan propagates through the maximum
-    return sums
-
-
-def _largest(values: np.ndarray, k: int) -> np.ndarray:
-    # Positions of the k largest values (all of them when there are fewer).
-    if values.size <= k:
-        return np.arange(values.size)
-    return np.argpartition(values, -k)[-k:]
+        total += lead[lo // tail.size:hi // tail.size] @ (vals.reshape(-1, tail.size)**p @ tail)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +624,22 @@ def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
     return low, False
 
 
+def _grid_peak(slabs) -> tuple[float, np.ndarray]:
+    # The maximum of the values v over slabs (lo, hi, v), as _weighted_sum
+    # reads them, nan if any is nan, and the flat nodes of the SUP_SEEDS
+    # largest (all of them when there are fewer).
+    best, tops = np.zeros(0, dtype=np.intp), np.zeros(0)
+    for lo, hi, vals in slabs:
+        # Only values above the k-th best so far can enter; nan always does.
+        floor = tops.min() if tops.size == SUP_SEEDS else -INF
+        fresh = np.flatnonzero(~(vals <= floor))
+        values = np.concatenate((tops, vals[fresh]))
+        keep = (np.argpartition(values, -SUP_SEEDS)[-SUP_SEEDS:] if values.size > SUP_SEEDS
+                else slice(None))
+        best, tops = np.concatenate((best, fresh + lo))[keep], values[keep]
+    return tops.max(), best  # nan propagates through the maximum
+
+
 def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
     # sup |f| from one pass over the rule of _sup_degree, on its fold when F
     # is sign-even: "enclosed" at the least degree whose mesh factor is
@@ -657,82 +650,64 @@ def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
     if _sign_even(F):
         rule = rule.folded()
     with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
-        peak, nodes = _level_reduce(_synth_values(F, rule), rule, [INF])[INF]
+        peak, nodes = _grid_peak(_synth_values(F, rule))
     lo, hi = _sup_enclosure(F, rule, peak, nodes, _degree_tau(F, degree), grid[0])
     return lo, _provenance("enclosed" if within else "capped", *grid, upper=hi)
 
 
 def _ladder(
-    F: SpectralFunction, values_of, exact_levels: dict, max_nodes: int | None
-) -> dict[float, tuple[float, dict]]:
-    """L^p norms of nonnegative node values on a grid ladder.
+    F: SpectralFunction, values_of, p: float, exact_level: int | None, max_nodes: int | None
+) -> tuple[float, dict]:
+    """The L^p norm of nonnegative node values on a grid ladder.
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
     weight in the support of F, folded when F is sign-even (its dyadic
     blocks are too); values_of(rule) yields the level's values as (lo, hi,
-    slab), which one pass reduces for every exponent due there.
-    exact_levels maps each finite exponent to the level at which its
-    integrand is band-limited (one exact evaluation there) or to None, which
-    refines until the stop rule holds.  Returns {p: (value, provenance)},
-    with the full rule's nodes and band.
+    slab), which one pass reduces.  exact_level is the level at which the
+    integrand is band-limited, evaluated once and exact; None refines from
+    level 0 until the stop rule holds.  Returns (value, provenance), with
+    the full rule's nodes and band.
     """
-    results: dict[float, tuple[float, dict]] = {}
-    pending: dict[float, float | None] = dict.fromkeys(exact_levels)  # previous value
-    levels = exact_levels.values()
-    level = 0 if None in levels else min(levels, default=0)
+    level = exact_level or 0
     w = F.max_weight()
     even = _sign_even(F)
-    grid = (0, 0.0)  # nodes and band of the finest full grid built so far
-    while pending:
+    prev = None  # the last level's value
+    while True:
         band = w * (2.0**level)
         try:
             rule = quadrature(F.group, band, max_nodes)
         except ResourceLimitError:
-            if any(lvl is not None and lvl >= level for lvl in levels):
-                raise  # an exact evaluation was promised but cannot be built
-            if any(prev is None for prev in pending.values()):
-                raise  # not even the base grid fits under the cap
-            for p, prev in pending.items():
-                results[p] = (prev, _provenance("capped", *grid))
-            break
+            if exact_level is not None or prev is None:
+                raise  # the exact level, or not even the base grid, is past the cap
+            return prev, _provenance("capped", *grid)
         grid = (rule.node_count, band)
         if even:
             rule = rule.folded()
-        due = [p for p in pending if exact_levels[p] is None or level >= exact_levels[p]]
         with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
-            sums = _level_reduce(values_of(rule), rule, due) if due else {}
-        for p in sums:
-            prev = pending[p]
-            lvl = exact_levels[p]
-            cur = _root(float(sums[p]), p, f"L^{p:g} value on {grid[0]} nodes")
-            if lvl is not None:
-                certified = "exact"
-            elif prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
-                certified = "refined"
-            elif level >= MAX_REFINE_LEVELS:
-                certified = "capped"
-            else:
-                pending[p] = cur
-                continue
-            results[p] = (cur, _provenance(certified, *grid))
-            del pending[p]
-        level += 1
-    return results
+            total = _weighted_sum(values_of(rule), rule, p)
+        cur = _root(float(total), p, f"L^{p:g} value on {grid[0]} nodes")
+        if exact_level is not None:
+            return cur, _provenance("exact", *grid)
+        if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
+            return cur, _provenance("refined", *grid)
+        if level >= MAX_REFINE_LEVELS:
+            return cur, _provenance("capped", *grid)
+        prev, level = cur, level + 1
 
 
 def lp_norms(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, tuple[float, dict]]:
-    """Lebesgue norms for several exponents sharing one grid ladder.
+    """Lebesgue norms for several exponents, each evaluated on its own.
 
     Returns {p: (value, provenance)} where provenance records the bandlimit,
     node count, and certification: "exact" (polynomial integrand, or a
-    pinned identity maximum), "enclosed" (p = inf: the sup lies between the
-    value and provenance["upper"], within a factor 1 + SUP_ENCLOSURE),
-    "refined" (dyadic refinement met the stop rule), or "capped" (node cap
-    reached first; value from the finest grid built).  Every p = inf
-    provenance carries "upper", inf where the finest grid the cap admits
-    is too coarse for a finite bound.
+    pinned identity maximum, which builds no grid: nodes 0), "enclosed" (p =
+    inf: the sup lies between the value and provenance["upper"], within a
+    factor 1 + SUP_ENCLOSURE), "refined" (dyadic refinement met the stop
+    rule), or "capped" (node cap reached first; value from the finest grid
+    built).  Every p = inf provenance carries "upper", inf where the finest
+    grid the cap admits is too coarse for a finite bound.
     """
     ps = list(ps)
     for p in ps:
@@ -740,26 +715,24 @@ def lp_norms(
             raise DomainError(f"Lebesgue exponent must be positive, got {p}")
     if not F:
         return {p: (0.0, _provenance("exact", upper=0.0 if p == INF else None)) for p in ps}
-    results: dict[float, tuple[float, dict]] = {}
-    exact_levels: dict[float, int | None] = {}
-    for p in ps:
-        hit = _recall(("lp", F.digest, p, max_nodes))
-        if hit is not None:
-            results[p] = hit
-        else:
-            exact_levels[p] = _even_level(p)
-    fresh: dict[float, tuple[float, dict]] = {}
-    if INF in exact_levels:
-        del exact_levels[INF]
+    return {p: _lp_norm(F, p, max_nodes) for p in sorted(ps, key=lambda p: p != INF)}
+
+
+def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> tuple[float, dict]:
+    # One exponent of lp_norms: the memo, else the identity-pinned or
+    # enclosed sup, or the ladder, exact at the level _even_level names.
+    key = ("lp", F.digest, p, max_nodes)
+    hit = _recall(key)
+    if hit is not None:
+        return hit
+    if p == INF:
         peak = _identity_value(F)
-        fresh[INF] = (_sup(F, max_nodes) if peak is None
-                      else (peak, _provenance("exact (identity-pinned)", 1, upper=peak)))
-    if exact_levels:
-        fresh.update(_ladder(F, lambda rule: _synth_values(F, rule), exact_levels, max_nodes))
-    for p, (value, info) in fresh.items():
-        _remember(("lp", F.digest, p, max_nodes), value, info)
-    results.update(fresh)
-    return results
+        value, info = (_sup(F, max_nodes) if peak is None
+                       else (peak, _provenance("exact (identity-pinned)", upper=peak)))
+    else:
+        value, info = _ladder(F, lambda rule: _synth_values(F, rule), p, _even_level(p), max_nodes)
+    _remember(key, value, info)
+    return value, info
 
 
 def lp_norm_info(
@@ -981,8 +954,7 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
                                       f"the root 1/{q:g}, to the power {p:g}")
             yield lo, hi, acc
 
-    exact_level = _even_level(p) if q == 2.0 else None
-    value, info = _ladder(F, aggregate, {p: exact_level}, max_nodes)[p]
+    value, info = _ladder(F, aggregate, p, _even_level(p) if q == 2.0 else None, max_nodes)
     _remember(key, value, info)
     return value, info
 

@@ -74,6 +74,12 @@ def test_norm_infinity_flag(dirichlet_file, capsys):
     out = capsys.readouterr().out
     assert "Lp:inf = 3.0" in out
     assert "exact (identity-pinned)" in out
+    # the pinned sup reads f(e) from the coefficients and builds no grid,
+    # nor does a Besov sup whose blocks are all pinned
+    assert "grid:" not in out
+    assert main(["norm", dirichlet_file, "besov:r=0,p=inf,q=1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "exact (identity-pinned)" in out and "grid:" not in out
 
 
 def test_norm_seq_inf(dirichlet_file, capsys):

@@ -20,6 +20,7 @@ from peterweyl.groups import (
     enumerate_dual,
     euler_to_su2,
     matrix_coefficient,
+    parse_group,
     quadrature,
     random_element,
     rep_dim,
@@ -49,7 +50,7 @@ from peterweyl.norms import (
     tl_norm,
     wiener_norm,
 )
-from peterweyl.verify import PROFILES, make_corpus, nikolskii_check
+from peterweyl.verify import PROFILES, RunConfig, make_corpus, nikolskii_check
 
 T1 = torus(1)
 SU2 = su2()
@@ -331,15 +332,15 @@ def test_quasi_norm_range_p_below_one():
 NIKOLSKII_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 4.0, INF)
 
 
-def test_lp_norms_shared_ladder_matches_single_exponent():
-    # one ladder for several exponents gives each the value and provenance
-    # it gets on its own; the memo is cleared so both sides are evaluated
+def test_lp_norms_of_several_exponents_match_each_alone():
+    # several exponents in one call give each the value and provenance it
+    # gets on its own; the memo is cleared so both sides are evaluated
     for F in (_random_spectral(T1, 6.0, 4), _random_spectral(SU2, 2.0, 4)):
         norms.clear_memos()
-        shared = lp_norms(F, NIKOLSKII_EXPONENTS)
+        together = lp_norms(F, NIKOLSKII_EXPONENTS)
         for p in NIKOLSKII_EXPONENTS:
             norms.clear_memos()
-            assert shared[p] == lp_norms(F, [p])[p]
+            assert together[p] == lp_norms(F, [p])[p]
 
 
 def test_besov_tl_provenance_reports_capped_grids():
@@ -660,8 +661,22 @@ def test_slab_ladder_matches_full_grid_reduction(monkeypatch, group, L, cap, sla
         assert any(map(_ragged, rules))
 
 
+def test_ladder_stops_at_the_refinement_ceiling(monkeypatch):
+    # |1 + e^{ix}| has a kink at x = pi, so consecutive levels never agree
+    # exactly: with a zero stop tolerance the ladder runs to its last level
+    # and reports that level's value, nodes and band as capped.
+    monkeypatch.setattr(norms, "REFINE_STOP", 0.0)
+    F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1.0]]})
+    value, info = lp_norm_info(F, 1.0)
+    band = F.max_weight() * 2.0**norms.MAX_REFINE_LEVELS
+    rule = quadrature(T1, band)
+    assert info == {"certified": "capped", "nodes": rule.node_count, "bandlimit": band}
+    ref = _full_grid_lp(F, rule, 1.0)
+    assert abs(value - ref) <= 1e-13 * ref
+
+
 @pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
-def test_level_reduce_weights_each_slab_by_its_rows(monkeypatch, group):
+def test_level_reductions_weight_each_slab_by_its_rows(monkeypatch, group):
     # Random values and random positive axis weights (real rules have
     # uniform leading-axis weights, which would hide a misaligned slab).
     real = quadrature(group, 3.0)
@@ -673,14 +688,16 @@ def test_level_reduce_weights_each_slab_by_its_rows(monkeypatch, group):
     assert _ragged(rule) == (group != T1)
     v = rng.random(rule.node_count) * 3.0
     bounds = list(fourier._slab_bounds(rule))
-    slabs = ((lo, hi, v[lo:hi]) for _, _, lo, hi in bounds)
-    got = norms._level_reduce(slabs, rule, NIKOLSKII_EXPONENTS)
-    peak, nodes = got.pop(INF)
+
+    def slabs():
+        return ((lo, hi, v[lo:hi]) for _, _, lo, hi in bounds)
+
+    peak, nodes = norms._grid_peak(slabs())
     assert peak == v.max()
     assert sorted(nodes) == sorted(np.argsort(v)[-norms.SUP_SEEDS:])
-    for p in got:
+    for p in NIKOLSKII_EXPONENTS[:-1]:
         ref = np.dot(rule.weights, v**p)
-        assert abs(got[p] - ref) <= 1e-13 * ref, p
+        assert abs(norms._weighted_sum(slabs(), rule, p) - ref) <= 1e-13 * ref, p
 
 
 @pytest.mark.parametrize("slab_nodes", [700, fourier.SLAB_NODES])
@@ -727,33 +744,42 @@ def _sign_even_random(group, L, seed):
 def _full_grid_root(slabs, rule, p):
     # The ladder's reduction of one level on the full rule, kept as the
     # reference for a folded level.
-    total = norms._level_reduce(slabs, rule, [p])[p]
-    return float(total[0]) if p == INF else float(total ** (1.0 / p))
+    if p == INF:
+        return float(norms._grid_peak(slabs)[0])
+    return float(norms._weighted_sum(slabs, rule, p) ** (1.0 / p))
 
 
 @pytest.fixture()
 def ladder_spy(monkeypatch):
-    # The rule of every ladder level, and the quadrature calls, as they happen.
-    seen = {"levels": [], "quadrature": 0}
-    reduce, build = norms._level_reduce, norms.quadrature
+    # As they happen: the rule of every pass over node values (a ladder
+    # level, the sup's, or one block's at a Triebel-Lizorkin level), the
+    # exponent of every weighted sum, and the quadrature calls.
+    seen = {"levels": [], "sums": [], "quadrature": 0}
+    synth, weigh, build = norms._synth_values, norms._weighted_sum, norms.quadrature
 
-    def level(slabs, rule, ps):
+    def values(F, rule):
         seen["levels"].append(rule)
-        return reduce(slabs, rule, ps)
+        return synth(F, rule)
+
+    def weighted_sum(slabs, rule, p):
+        seen["sums"].append(p)
+        return weigh(slabs, rule, p)
 
     def rule_of(*args):
         seen["quadrature"] += 1
         return build(*args)
 
-    monkeypatch.setattr(norms, "_level_reduce", level)
+    monkeypatch.setattr(norms, "_synth_values", values)
+    monkeypatch.setattr(norms, "_weighted_sum", weighted_sum)
     monkeypatch.setattr(norms, "quadrature", rule_of)
     return seen
 
 
 def _fresh(evaluate, seen, fold=True):
     # evaluate() from a cleared memo, with the fold on or off; returns its
-    # result, the level rules and the number of quadrature calls.
+    # result, the pass rules and the number of quadrature calls.
     seen["levels"].clear()
+    seen["sums"].clear()
     seen["quadrature"] = 0
     norms.clear_memos()
     with pytest.MonkeyPatch.context() as m:
@@ -1065,7 +1091,7 @@ def test_sup_mesh_bound_is_sharp_to_second_order(group):
                                      [[complex(math.cos(math.pi / m), -math.sin(math.pi / m))]]})
         tau = norms._degree_tau(F, rule.degree)
         assert tau == pytest.approx(math.pi / m, rel=1e-15)
-        peak, nodes = norms._level_reduce(norms._synth_values(F, rule), rule, [INF])[INF]
+        peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
         lo, hi = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
         assert 2.0 * math.cos(tau / 2.0) <= lo <= 2.0 * (1.0 + 1e-15) <= hi
         assert hi / 2.0 - 1.0 <= tau**4 / 300.0, (m, hi)
@@ -1080,7 +1106,7 @@ def test_sup_ascent_reaches_the_peak_where_the_hessian_is_only_semidefinite():
         m = rule.shape[0]
         F = SpectralFunction(torus(2), {(0, 0): [[1.0]], (1, 0): [[complex(
             math.cos(math.pi / m), -math.sin(math.pi / m))]]})
-        peak, nodes = norms._level_reduce(norms._synth_values(F, rule), rule, [INF])[INF]
+        peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
         tau = norms._degree_tau(F, rule.degree)
         lo, _ = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
         assert abs(lo - 2.0) <= 4 * math.ulp(2.0), (degree, lo)
@@ -1134,21 +1160,17 @@ def _factor(F, degree):
 
 
 @pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
-def test_sup_is_evaluated_on_the_least_degree_its_mesh_bound_needs(monkeypatch, F):
+def test_sup_is_evaluated_on_the_least_degree_its_mesh_bound_needs(ladder_spy, F):
     own = quadrature(F.group, F.max_weight()).degree
     degree, within = norms._sup_degree(F, None)
     assert within and degree > own
     assert _factor(F, degree) <= 1.0 + norms.SUP_ENCLOSURE < _factor(F, degree - 1)
-    # one pass, on that rule (its fold for sign-even functions), and
-    # provenance of the full rule
-    passes = []
-    reduce = norms._level_reduce
-    monkeypatch.setattr(norms, "_level_reduce",
-                        lambda slabs, rule, ps: passes.append((rule, ps)) or reduce(slabs, rule, ps))
-    norms.clear_memos()
-    lo, info = lp_norms(F, [INF])[INF]
-    [(rule, ps)] = passes
-    assert ps == [INF] and rule.degree == degree and rule.is_folded == norms._sign_even(F)
+    # one pass, on that rule (its fold for sign-even functions), that sums
+    # no finite power, and provenance of the full rule
+    (lo, info), passes, _ = _fresh(lambda: lp_norms(F, [INF])[INF], ladder_spy)
+    [rule] = passes
+    assert ladder_spy["sums"] == [] and rule.degree == degree
+    assert rule.is_folded == norms._sign_even(F)
     full = quadrature(F.group, info["bandlimit"])
     assert (full.degree, full.node_count) == (degree, info["nodes"])
     assert info["certified"] == "enclosed" and lo <= info["upper"] <= 1.02 * lo
@@ -1186,7 +1208,7 @@ def test_sized_sup_matches_the_ladder_level_sup(F):
     tau = norms._degree_tau(F, rule.degree)
     if norms._sign_even(F):
         rule = rule.folded()
-    peak, nodes = norms._level_reduce(norms._synth_values(F, rule), rule, [INF])[INF]
+    peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
     want, _ = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
     norms.clear_memos()
     lo, info = lp_norms(F, [INF])[INF]
@@ -1236,6 +1258,21 @@ def test_lp_enclosures_of_even_p_are_the_exact_values():
     for p, (lo, info) in got.items():
         assert info["certified"] == "exact" and lo == info["upper"]
         assert (lo, {k: v for k, v in info.items() if k != "upper"}) == lp_norms(F, [p])[p]
+
+
+@pytest.mark.parametrize("group", RunConfig().groups)
+def test_lp_enclosures_make_one_pass_per_exact_norm_and_one_for_the_sup(ladder_spy, group):
+    # The bulk Nikolskii suite's exponents on the first function of its
+    # corpus: the sup's pass, then one pass for each even norm the bounds
+    # rest on, at its exact level, and no refined level.
+    cfg = RunConfig(suite="nikolskii")
+    F = make_corpus(parse_group(group), cfg.bandlimits[group], 1, cfg.seed,
+                    cfg.profile).functions[0]
+    exponents = sorted({x for p in cfg.p_grid for q in cfg.q_grid if p < q for x in (p, q)})
+    _, passes, _ = _fresh(lambda: norms.lp_enclosures(F, exponents), ladder_spy)
+    assert ladder_spy["sums"] == [2.0, 4.0, 6.0]
+    levels = [quadrature(F.group, F.max_weight() * 2.0**j).degree for j in range(3)]
+    assert [rule.degree for rule in passes] == [norms._sup_degree(F, None)[0]] + levels
 
 
 @pytest.mark.parametrize("F", [SpectralFunction(T1, {(3,): [[2.0 - 1.0j]]}),
