@@ -45,7 +45,6 @@ from itertools import chain, islice
 from types import MappingProxyType
 
 import numpy as np
-from scipy.fft import fftn, ifftn
 
 from .groups import (
     MAX_REP_INDEX,
@@ -327,7 +326,7 @@ def _line_slabs(F: SpectralFunction, rule: QuadratureRule):
     (m,) = rule.moduli
     spec = np.zeros(m, dtype=complex)
     spec[F.index[:, 0] % m] = F.entries
-    yield 0, rule.node_count, ifftn(spec)[:rule.node_count] * m
+    yield 0, rule.node_count, np.fft.ifft(spec)[:rule.node_count] * m
 
 
 def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
@@ -377,7 +376,10 @@ def _analyze_reps(f: GridFunction, reps: SpectralFunction, threshold: float) -> 
     # zeros and all-zero matrices are dropped; threshold <= 0 keeps them.
     rule = f.rule
     if rule.group.kind == "torus":
-        fhat = fftn(f.values.reshape(rule.shape)) / rule.node_count
+        # numpy works through the axes list last-first, so the reversed list
+        # transforms axis 0 first; the default order rounds differently.
+        grid = f.values.reshape(rule.shape)
+        fhat = np.fft.fftn(grid, axes=tuple(range(grid.ndim))[::-1]) / rule.node_count
         entries = fhat[tuple((reps.index % rule.shape).T)]
     else:
         entries = _su2_analyze(f.values, rule, reps.index[:, 0].tolist())

@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -643,11 +642,33 @@ class QuadratureRule:
         return f"QuadratureRule({self.group}, degree={self.degree}, shape={self.shape}{fold})"
 
 
+@lru_cache(maxsize=256)
+def _next_fast_len(n: int) -> int:
+    # The least 11-smooth integer >= n (no prime factor above 11): the least
+    # power-of-2 multiple >= n of each 3^a 5^b 7^c 11^d, starting from the
+    # power of 2 >= n.
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    best = min(best, p3 << ((n - 1) // p3).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _axis_counts(group: GroupId, c: int) -> tuple[int, ...]:
     if group.kind == "torus":
-        # Any size >= 2c+1 keeps products in band alias-free; round up to an
-        # FFT-friendly length so the transforms avoid prime-size fallbacks.
-        return (int(next_fast_len(2 * c + 1)),) * group.dim
+        # Any size >= 2c+1 keeps products in band alias-free; round up to the
+        # least 11-smooth length so the FFTs avoid prime-size fallbacks.
+        return (_next_fast_len(2 * c + 1),) * group.dim
     return (c - 1, c // 2 + 1, 2 * c - 3)
 
 

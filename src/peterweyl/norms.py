@@ -794,7 +794,8 @@ def lp_enclosures(
         if len(above) == 2:
             c = above[1]
             theta = (1.0 / b - 1.0 / c) / (1.0 / p - 1.0 / c)
-            lo = max(lo, b_lo * min(1.0, b_lo / anchors[c][1]) ** ((1.0 - theta) / theta))
+            if theta > 0.0:  # 0 once 1/p leaves float range: monotonicity's lo stands
+                lo = max(lo, b_lo * min(1.0, b_lo / anchors[c][1]) ** ((1.0 - theta) / theta))
         info = _merge_provenance([_provenance("enclosed")] + [anchors[a][2] for a in below + above])
         out[p] = (lo, {**info, "upper": hi})
     return {p: out[p] for p in ps}

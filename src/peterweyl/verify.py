@@ -206,6 +206,17 @@ def _settled(records_of, F: SpectralFunction, ps, max_nodes, enclosures: dict | 
     return records_of(lp_norms(F, ps, max_nodes))
 
 
+def _support_factor(count: int, p: float, q: float) -> float:
+    # count^(1/p - 1/q), the Nikolskii constant of a support of count.
+    try:
+        factor = count ** (1.0 / p - 1.0 / q)
+    except OverflowError:
+        factor = INF
+    if factor == INF:
+        raise DomainError(f"support factor {count}^(1/{p:g} - 1/{q:g}) leaves float range")
+    return factor
+
+
 def nikolskii_check(
     T: SpectralFunction,
     p: float,
@@ -235,8 +246,7 @@ def nikolskii_check(
             T, p, q, tol, threshold, max_nodes, suite, norms, counts, instance)],
             T, [p, q], max_nodes)[0]
     lhs, lhs_note = _lhs(_norms[q])
-    expo = 1.0 / p - 1.0 / q
-    rhs = counts["count"] ** expo * _norms[p][0]
+    rhs = _support_factor(counts["count"], p, q) * _norms[p][0]
     inst = _instance(instance, group=str(T.group), p=p, q=q, rho=rho)
     notes = (
         f"support={counts['count']} (x10 -> {counts['count_x10']}, "
@@ -272,9 +282,8 @@ def nikolskii_remark_check(
         return _settled(lambda norms: [nikolskii_remark_check(
             T, p, q, L, tol, max_nodes, suite, norms, instance)], T, [p, q], max_nodes)[0]
     lhs, lhs_note = _lhs(_norms[q])
-    expo = 1.0 / p - 1.0 / q
     n_rho_l = weyl_count(T.group, rho * L)
-    rhs = n_rho_l ** expo * _norms[p][0]
+    rhs = _support_factor(n_rho_l, p, q) * _norms[p][0]
     inst = _instance(instance, group=str(T.group), p=p, q=q, rho=rho, L=L)
     notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
     return _report("nikolskii-remark", suite, inst, lhs, rhs, tol, notes)
@@ -936,8 +945,7 @@ def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
         0.0,
         notes="remark bound must dominate the support bound",
     )
-    expo = 1.0 / p - 1.0 / q
-    verdicts = {rep.lhs <= cts[key] ** expo * norms[p][0] * (1.0 + cfg.tol_grid)
+    verdicts = {rep.lhs <= _support_factor(cts[key], p, q) * norms[p][0] * (1.0 + cfg.tol_grid)
                 for key in ("count", "count_x10", "count_d10")}
     sens = _report(
         "nikolskii-sensitivity-stable",

@@ -264,6 +264,12 @@ def test_norm_exponents_past_float_range_or_every_grid(tmp_path, capsys):
     assert "l^0.001 aggregate leaves float range at the root 1/0.001" in capsys.readouterr().err
     assert main(["norm", path, "Lp:1e300"]) == EXIT_RESOURCE
     assert "needs more than the cap" in capsys.readouterr().err
+    # 1/p itself past float range: the enclosure printed rests on
+    # monotonicity alone
+    dpath = str(tmp_path / "d.spectral")
+    save_spectral(dirichlet(torus(1), 2.0), dpath)
+    assert main(["norm", dpath, "Lp:1e-320"]) == EXIT_OK
+    assert "enclosure: [0.0, " in capsys.readouterr().out
 
 
 def test_norm_grids_no_array_can_hold_exit_3(two_shell_file, monkeypatch, capsys):
@@ -388,6 +394,7 @@ def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "nan"],
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "5", "--q", "2"],
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "-1"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "1e-300"],
      ["verify", "wiener-chain", "--group", "torus:1", "--count", "1", "--beta", "0.001",
       "--max-nodes", "600"]],
     ids=" ".join,

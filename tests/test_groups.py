@@ -556,21 +556,28 @@ def test_su2_rule_is_exact_at_its_band_edge_and_no_axis_can_lose_a_node():
 
 
 def test_su2_rules_and_spectral_files_leave_scipy_linalg_unimported():
-    # Lobatto nodes come from numpy alone: importing the package, building an
-    # SU(2) rule and a dump/load round trip import no scipy.linalg.
+    # numpy is the only runtime dependency: importing the package, building an
+    # SU(2) rule, a dump/load round trip, torus FFT synthesis and analysis,
+    # a pointwise power and a verify suite import no scipy module.
     code = ("import sys, peterweyl\n"
-            "from peterweyl import fourier, groups, verify\n"
+            "from peterweyl import cli, fourier, groups, verify\n"
             "rule = groups.quadrature(groups.su2(), 8.0)\n"
             "F = verify.make_corpus(groups.su2(), 8.0, 1, 7).functions[0]\n"
             "G = fourier.load_spectral(fourier.dump_spectral(F))\n"
             "assert G.digest == F.digest and rule.node_count == 3915\n"
-            "print('scipy.linalg' in sys.modules)\n")
+            "for g in ('torus:1', 'torus:2'):\n"
+            "    T = verify.make_corpus(groups.parse_group(g), 4.0, 1, 7).functions[0]\n"
+            "    f = fourier.synthesize(T, groups.quadrature(T.group, 4.0))\n"
+            "    fourier.analyze(f, 4.0)\n"
+            "    fourier.pointwise_power(T, 2)\n"
+            "assert cli.main(['verify', 'sharpness']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(groups.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_quadrature_determinism_and_cap():
@@ -609,6 +616,29 @@ def test_degree_sizes_ladder_and_power_bands_as_ceil_2b(monkeypatch, g):
             assert groups._axis_counts(g, degree) == _ceil_2b_counts(g, band), (wsq, band)
 
 
+def _is_11_smooth(m):
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_next_fast_len_is_the_least_11_smooth_length_at_least_n():
+    smooth = [m for m in range(1, 6000) if _is_11_smooth(m)]
+    for n in range(1, 5000):
+        assert groups._next_fast_len.__wrapped__(n) == min(m for m in smooth if m >= n), n
+
+
+def test_next_fast_len_matches_scipy():
+    # Every n below 20,000, then both sides of each step up to 200,000 (the
+    # 11-smooth lengths scipy lists) and a few lengths a huge node cap reaches.
+    steps = sorted({int(next_fast_len(n)) for n in range(1, 200_000)})
+    ns = set(range(1, 20_000)) | {s + d for s in steps for d in (0, 1)}
+    ns |= {10**9 + 7, 10**12 + 1, 5 * 10**17 + 3}
+    for n in sorted(ns):
+        assert groups._next_fast_len.__wrapped__(n) == next_fast_len(n), n
+
+
 def test_quadrature_refuses_huge_bands_before_any_fft_length(monkeypatch):
     for g in (T1, T2, T3, SU2):
         with pytest.raises(ResourceLimitError):
@@ -618,7 +648,7 @@ def test_quadrature_refuses_huge_bands_before_any_fft_length(monkeypatch):
     with pytest.raises(ResourceLimitError):
         quadrature(T2, 3.0, max_nodes=rule.node_count - 1)
     # past the lower bound (2c+1)^n no FFT length is asked for
-    monkeypatch.setattr(groups, "next_fast_len", lambda n: pytest.fail(f"FFT length {n}"))
+    monkeypatch.setattr(groups, "_next_fast_len", lambda n: pytest.fail(f"FFT length {n}"))
     for g in (T1, T2, T3):
         with pytest.raises(ResourceLimitError):
             quadrature(g, 1e200)

@@ -1322,6 +1322,14 @@ def test_lp_enclosures_of_zero_and_identity_pinned_functions():
             assert info["certified"] == "enclosed"
 
 
+def test_lp_enclosures_at_an_exponent_whose_reciprocal_leaves_float_range():
+    # 1/p = inf makes the second Lyapunov exponent 0; lo from monotonicity
+    # stands.
+    for F in (dirichlet(T1, 2.0), _random_spectral(torus(2), 2.0, 94)):
+        lo, info = norms.lp_enclosures(F, [1e-320])[1e-320]
+        assert 0.0 <= lo <= info["upper"] < INF, (F.group, lo, info)
+
+
 def test_lp_enclosures_rest_on_what_the_cap_admits():
     # A cap that admits ||f||_2 and ||f||_4 but refuses ||f||_6: p < 2 keeps
     # its bounds, p = 3 keeps hi and falls back on ||f||_2 for lo, and both
