@@ -23,13 +23,19 @@ reduced mod the axis length in integers, the trailing axes once and the
 leading axis per slab: m^n K work for a box K wide on an m^n grid.  On T^1,
 where such a table would outgrow the grid, synthesis is one inverse FFT.  A
 folded torus rule (QuadratureRule.folded) keeps the nodes 0 <= i <= m // 2
-of each axis: the phase tables then hold only those rows, still reduced mod
-the full axis length m, and T^1 reads the first half of its FFT.  On
-SU(2) both directions factor through the Euler angles: dense phase
-contractions over alpha and gamma, and a Wigner-d contraction over the
-cos(beta) nodes.  On the torus, analysis is one FFT over the uniform product
-grid.  All paths are exact for band-limited inputs on rules whose band
-covers the support, and deterministic, so serialized outputs are byte-stable.
+of each axis, and the tables hold only those rows, still reduced mod the
+full axis length m.  For a sign-even F (SpectralFunction.sign_even) a
+folded rule sums each sign orbit as one real term, c_k 2^#{a : k_a != 0}
+prod_a cos(2 pi x_a k_a / m_a) over the rows k >= 0, the structure of the
+DCT-I (Makhoul, IEEE Trans. ASSP 28, 1980): a box 2^n times narrower
+against real tables, and on T^1 one inverse real FFT of the half spectrum.
+Its slabs are real when every coefficient is.  Any other F on a folded
+rule sums the exponentials of its whole box at the kept nodes.  On SU(2)
+both directions factor through the Euler angles: dense phase contractions
+over alpha and gamma, and a Wigner-d contraction over the cos(beta) nodes.
+On the torus, analysis is one FFT over the uniform product grid.  All paths
+are exact for band-limited inputs on rules whose band covers the support,
+and deterministic, so serialized outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ SUPPORT_THRESHOLD = 1e-12
 
 SERIAL_HEADER = "specfun v1"
 
-# Nodes per slab of streamed synthesis (2^16 complex values, 1 MB): small
+# Nodes per slab of streamed synthesis (2^16 values, 1 MB if complex): small
 # enough to stay in cache while a norm ladder reduces it, large enough that
 # per-slab overhead is negligible.  Slabs of 2^14 to 2^18 nodes time within
 # 15% of each other at the ladder's largest grids.
@@ -95,7 +101,8 @@ class SpectralFunction:
     for concurrent reads.
     """
 
-    __slots__ = ("group", "index", "dims", "wsq", "offsets", "entries", "_coeffs", "_digest")
+    __slots__ = ("group", "index", "dims", "wsq", "offsets", "entries", "_coeffs", "_digest",
+                 "_sign_even")
 
     def __new__(cls, group: GroupId, coeffs: dict):
         for xi in coeffs:
@@ -119,7 +126,8 @@ class SpectralFunction:
                              (index, dims, wsq, offsets, entries)):
             arr.setflags(write=False)
             object.__setattr__(F, name, arr)
-        for name, value in (("group", group), ("_coeffs", None), ("_digest", None)):
+        for name, value in (("group", group), ("_coeffs", None), ("_digest", None),
+                            ("_sign_even", None)):
             object.__setattr__(F, name, value)
         return F
 
@@ -163,6 +171,15 @@ class SpectralFunction:
             object.__setattr__(self, "_digest", h.hexdigest())
         return self._digest
 
+    @property
+    def sign_even(self) -> bool:
+        """True for a torus function even in every coordinate: each nonzero
+        coefficient equals, exactly, the one at its image under every
+        coordinate sign flip.  Decided once per instance."""
+        if self._sign_even is None:
+            object.__setattr__(self, "_sign_even", _decide_sign_even(self))
+        return self._sign_even
+
     def scaled(self, factors: np.ndarray) -> "SpectralFunction":
         """New function with rep i's coefficient multiplied by factors[i]."""
         return self._packed(self.group, self.index, self.dims, self.wsq,
@@ -175,6 +192,24 @@ class SpectralFunction:
 
     def __repr__(self) -> str:
         return f"SpectralFunction({self.group}, support={len(self.dims)})"
+
+
+def _decide_sign_even(F: SpectralFunction) -> bool:
+    # SpectralFunction.sign_even: whether each nonzero coefficient equals
+    # its image under each coordinate sign flip; these flips generate all
+    # 2^n sign images.  The support is in lexicographic order, so an image
+    # matches it iff, sorted the same way, it lists the same rows.
+    if F.group.kind != "torus":
+        return False
+    keep = F.entries != 0
+    index, entries = F.index[keep], F.entries[keep]
+    for axis in range(F.group.dim):
+        image = index.copy()
+        image[:, axis] *= -1
+        order = np.lexsort(image.T[::-1])
+        if not (np.array_equal(image[order], index) and np.array_equal(entries[order], entries)):
+            return False
+    return True
 
 
 def zero_spectral(group: GroupId) -> SpectralFunction:
@@ -283,50 +318,87 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # ---------------------------------------------------------------------------
 # Torus synthesis on T^2 and T^3
 #
-# The support is packed into its dense index box [kmin, kmax], K_a wide on
-# axis a, and contracted one axis at a time against the m_a x K_a table
-# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a): the trailing axes
-# once, the leading axis per slab of its rows.  The work is m^n K
-# multiply-adds, against m^n log m for an inverse FFT of the whole
-# zero-padded grid, and no m^n spectrum is built.
+# The terms are packed into their dense index box [kmin, kmax], K_a wide on
+# axis a, and contracted one axis at a time against an m_a x K_a table at
+# the rule's rows x: the trailing axes once, the leading axis per slab of
+# its rows.  The work is m^n K multiply-adds, against m^n log m for an
+# inverse FFT of the whole zero-padded grid, and no m^n spectrum is built.
+# The terms are the support against the phases
+# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a), or, for a
+# sign-even F on a folded rule, the rows k >= 0 weighted by their orbit
+# sizes 2^#{a : k_a != 0} against the real cosines
+# C[x, j] = cos(2 pi ((x (kmin_a + j)) mod m_a) / m_a): a box 2^n times
+# narrower, summed in real arithmetic.  Complex terms against real cosines
+# are read as (re, im) float pairs, so the per-slab product stays real.
 
 
-@lru_cache(maxsize=32)
-def _torus_phases(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
-    # Nodes x < rows of an axis of length m.  The phase is reduced mod m in
-    # integers, as FFT twiddles are, so large products x k lose no accuracy
-    # to the float angle.  Read-only: the cache hands one array to every
-    # block, function and level that shares the four integers.
+def _axis_table(kernel, m: int, rows: int, kmin: int, width: int) -> np.ndarray:
+    # kernel at the nodes x < rows of an axis of length m.  The angle is
+    # reduced mod m in integers, as FFT twiddles are, so large products x k
+    # lose no accuracy to the float angle.  Read-only: the caches hand one
+    # array to every block, function and level that shares the four integers.
     turns = np.outer(np.arange(rows), np.arange(kmin, kmin + width)) % m
-    table = np.exp((2j * math.pi / m) * turns)
+    table = kernel((2.0 * math.pi / m) * turns)
     table.setflags(write=False)
     return table
 
 
-def _torus_slabs(F: SpectralFunction, rule: QuadratureRule):
-    ks = F.index  # (S, n); every d = 1, so entries holds one value per rep
+@lru_cache(maxsize=32)
+def _torus_phases(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
+    return _axis_table(lambda angle: np.exp(1j * angle), m, rows, kmin, width)
+
+
+@lru_cache(maxsize=32)
+def _torus_cosines(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
+    return _axis_table(np.cos, m, rows, kmin, width)
+
+
+def _cosine_terms(F: SpectralFunction) -> tuple[np.ndarray, np.ndarray]:
+    # A sign-even F's rows k >= 0 and their coefficients, real when every
+    # coefficient is: each row stands for its sign orbit.
+    keep = (F.index >= 0).all(axis=1)
+    coeffs = F.entries[keep]
+    return F.index[keep], (coeffs if coeffs.imag.any() else coeffs.real)
+
+
+def _torus_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, table):
     kmin = ks.min(axis=0)
-    box = np.zeros(tuple(ks.max(axis=0) - kmin + 1), dtype=complex)
-    box[tuple((ks - kmin).T)] = F.entries
+    box = np.zeros(tuple(ks.max(axis=0) - kmin + 1), dtype=coeffs.dtype)
+    box[tuple((ks - kmin).T)] = coeffs
     # The trailing axes once: each step contracts axis 1, the next K axis,
     # and appends its grid axis, so (K_0, ..., K_{n-1}) ends as
     # (K_0, m_1, ..., m_{n-1}).  The leading axis is contracted per slab.
     tail = box
     for m, rows, k0, width in zip(rule.moduli[1:], rule.shape[1:], kmin[1:], box.shape[1:]):
-        tail = np.tensordot(tail, _torus_phases(m, rows, int(k0), width), axes=([1], [1]))
-    tail = tail.reshape(box.shape[0], -1)
-    lead = _torus_phases(rule.moduli[0], rule.shape[0], int(kmin[0]), box.shape[0])
+        tail = np.tensordot(tail, table(m, rows, int(k0), width), axes=([1], [1]))
+    tail = np.ascontiguousarray(tail.reshape(box.shape[0], -1))
+    lead = table(rule.moduli[0], rule.shape[0], int(kmin[0]), box.shape[0])
+    pairs = lead.dtype != tail.dtype  # real cosines, complex sums
+    if pairs:
+        tail = tail.view(np.float64)
     for a, b, lo, hi in _slab_bounds(rule):
-        yield lo, hi, (lead[a:b] @ tail).ravel()
+        out = lead[a:b] @ tail
+        yield lo, hi, (out.view(complex) if pairs else out).ravel()
 
 
-def _line_slabs(F: SpectralFunction, rule: QuadratureRule):
+def _line_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, cosines: bool):
     # On T^1 an m x K phase table would outgrow the m values it fills: one
     # slab, the inverse FFT, of which a folded rule keeps the first half.
+    # For cosines, the inverse real FFT of the half spectrum c_k, k >= 0,
+    # f(x) = c_0 + 2 sum_{k > 0} c_k cos(2 pi k x / m), of the real and the
+    # imaginary parts apart when the coefficients are complex.
     (m,) = rule.moduli
-    spec = np.zeros(m, dtype=complex)
-    spec[F.index[:, 0] % m] = F.entries
-    yield 0, rule.node_count, np.fft.ifft(spec)[:rule.node_count] * m
+    n = rule.node_count
+    if not cosines:
+        spec = np.zeros(m, dtype=complex)
+        spec[ks[:, 0] % m] = coeffs
+        yield 0, n, np.fft.ifft(spec)[:n] * m
+        return
+    parts = np.stack((coeffs.real, coeffs.imag)) if coeffs.dtype == complex else coeffs[None]
+    spec = np.zeros((len(parts), m // 2 + 1))
+    spec[:, ks[:, 0]] = parts
+    vals = np.fft.irfft(spec, m)[:, :n] * m
+    yield 0, n, vals[0] if len(vals) == 1 else vals[0] + 1j * vals[1]
 
 
 def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
@@ -336,10 +408,12 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
     C-order nodes [lo, hi), which cover the grid in order.  Slabs split the
     leading grid axis into runs of about SLAB_NODES nodes, the same for every
     function on one rule; T^1 is one slab.  On a folded rule the values are
-    those at its kept half-axis nodes, whatever the symmetry of F.  Every
-    stored rep must have packed weight wsq <= rule.degree^2, so later grid
-    integrals of coefficient products stay exact; the checks run before the
-    iterator is returned.
+    those at its kept half-axis nodes, whatever the symmetry of F; when F is
+    sign-even they are summed as cosines and are float64 if every
+    coefficient is real.  Otherwise values are complex.  Every stored rep
+    must have packed weight wsq <= rule.degree^2, so later grid integrals of
+    coefficient products stay exact; the checks run before the iterator is
+    returned.
     """
     if F.group != rule.group:
         raise DomainError(
@@ -354,9 +428,17 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
         return _zero_slabs(rule)
     if rule.group.kind == "su2":
         return _su2_slabs(F, rule)
-    if rule.group.dim > 1:
-        return _torus_slabs(F, rule)
-    return _line_slabs(F, rule)
+    cosines = rule.is_folded and F.sign_even
+    # every torus d = 1, so entries holds one value per rep
+    ks, coeffs = _cosine_terms(F) if cosines else (F.index, F.entries)
+    if not len(ks):  # only stored zeros, all off the orthant
+        return _zero_slabs(rule)
+    if rule.group.dim == 1:
+        return _line_slabs(ks, coeffs, rule, cosines)
+    if not cosines:
+        return _torus_slabs(ks, coeffs, rule, _torus_phases)
+    # each row stands for its 2^#{a : k_a != 0} sign images, an exact scaling
+    return _torus_slabs(ks, coeffs * np.exp2(np.count_nonzero(ks, axis=1)), rule, _torus_cosines)
 
 
 def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:

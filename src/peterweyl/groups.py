@@ -565,6 +565,8 @@ class QuadratureRule:
             arr.setflags(write=False)
         if self._z is not None:
             self._z.setflags(write=False)
+        self.shape = tuple(len(a) for a in self.axes)
+        self.node_count = math.prod(self.shape)
         self.moduli = self.shape if moduli is None else tuple(moduli)
         self._nodes = None
         self._weights = None
@@ -573,16 +575,8 @@ class QuadratureRule:
         self._dtabs: list[np.ndarray] = []
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.axes)
-
-    @property
     def is_folded(self) -> bool:
         return self.moduli != self.shape
-
-    @property
-    def node_count(self) -> int:
-        return int(np.prod(self.shape))
 
     identity_index = 0
 

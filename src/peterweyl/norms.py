@@ -9,14 +9,17 @@ streaming pass over the slabs of fourier.synthesize_slabs: per slab the
 modulus and a weighted sum of its |f|^p, with weights from the rule's
 per-axis factors, so no array of the grid's size is built.  A torus
 function whose coefficients equal their images under every coordinate sign
-flip, compared exactly, is even in every coordinate; its levels run on the
-folded rule (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with
-orbit weights, 2^n times fewer nodes for the same sums up to reassociation
-and the same maximum.  Dirichlet and ring kernels, their dyadic blocks and
-Sobolev rescalings are such functions; all others keep the full grid.  Each
-value carries a provenance record {certified, nodes, bandlimit}; Besov and
-Triebel-Lizorkin values carry the weakest certification over their blocks
-and ladder levels, with the largest grid; coefficient-only norms and
+flip, compared exactly (SpectralFunction.sign_even, decided once per
+function), is even in every coordinate; its levels run on the folded rule
+(QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with orbit weights,
+2^n times fewer nodes for the same sums up to reassociation and the same
+maximum.  Synthesis sums such a function there as real cosines over the
+indices k >= 0, so its slabs are real when its coefficients are.  Dirichlet
+and ring kernels, their dyadic blocks and Sobolev rescalings are such
+functions; all others keep the full grid.  Each value carries a
+provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin
+values carry the weakest certification over their blocks and ladder
+levels, with the largest grid; coefficient-only norms and
 identity-pinned sups, which build no grid, are "exact" with nodes 0; a
 folded level records the full rule's nodes and band.  A value that is not
 a finite float (coefficients too large or not finite, or a root 1/p past
@@ -361,24 +364,6 @@ def _identity_value(F: SpectralFunction) -> float | None:
     return float(np.sum(F.dims**2 * c))
 
 
-def _sign_even(F: SpectralFunction) -> bool:
-    # True when every nonzero torus coefficient equals, exactly, the one at
-    # its image under each coordinate sign flip; these flips generate all
-    # 2^n sign images.  The support is in lexicographic order, so an image
-    # matches it iff, sorted the same way, it lists the same rows.
-    if F.group.kind != "torus":
-        return False
-    keep = F.entries != 0
-    index, entries = F.index[keep], F.entries[keep]
-    for axis in range(F.group.dim):
-        image = index.copy()
-        image[:, axis] *= -1
-        order = np.lexsort(image.T[::-1])
-        if not (np.array_equal(image[order], index) and np.array_equal(entries[order], entries)):
-            return False
-    return True
-
-
 def _even_level(p: float) -> int | None:
     # Ladder level at which |f|^p is integrated exactly: |f|^p band-limited
     # needs rule band >= (p/2) * W, and level j provides W * 2^j.
@@ -647,7 +632,7 @@ def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
     degree, within = _sup_degree(F, max_nodes)
     rule = quadrature(F.group, degree / 2.0, max_nodes)
     grid = (rule.node_count, rule.bandlimit)
-    if _sign_even(F):
+    if F.sign_even:
         rule = rule.folded()
     with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
         peak, nodes = _grid_peak(_synth_values(F, rule))
@@ -670,7 +655,6 @@ def _ladder(
     """
     level = exact_level or 0
     w = F.max_weight()
-    even = _sign_even(F)
     prev = None  # the last level's value
     while True:
         band = w * (2.0**level)
@@ -681,7 +665,7 @@ def _ladder(
                 raise  # the exact level, or not even the base grid, is past the cap
             return prev, _provenance("capped", *grid)
         grid = (rule.node_count, band)
-        if even:
+        if F.sign_even:
             rule = rule.folded()
         with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
             total = _weighted_sum(values_of(rule), rule, p)

@@ -37,6 +37,7 @@ from peterweyl.groups import (
     torus,
     weyl_count,
 )
+from test_norms import _sign_even_random
 
 T1 = torus(1)
 T2 = torus(2)
@@ -416,8 +417,12 @@ def test_support_count_thresholds():
 @pytest.mark.parametrize("group,L", [(T1, 6.0), (T2, 3.0), (T3, 2.0)], ids=str)
 def test_folded_rule_synthesizes_the_kept_nodes(group, L):
     # Any function, sign-even or not: its values at the half-axis nodes of
-    # the full grid.  Analysis refuses the folded grid.
+    # the full grid.  Sign-even ones, with real (dirichlet) or complex
+    # coefficients, are summed as cosines, real ones into float64 slabs.
+    # Analysis refuses the folded grid.
     F = _random_spectral(group, L, 61)
+    real, even = dirichlet(group, L), _sign_even_random(group, L, 62)
+    assert real.sign_even and even.sign_even and not F.sign_even
     parities = set()
     for rule in (quadrature(group, f * L) for f in (1.0, 1.5, 2.0)):
         half = rule.folded()
@@ -428,6 +433,13 @@ def test_folded_rule_synthesizes_the_kept_nodes(group, L):
         assert np.abs(got - kept).max() <= 1e-13 * np.abs(kept).max()
         with pytest.raises(DomainError):
             analyze(GridFunction(half, got), 1.0)
+        for G, dtype in ((real, np.float64), (even, np.complex128)):
+            full = synthesize(G, rule).values.reshape(rule.shape)
+            kept = full[tuple(slice(0, h) for h in half.shape)].ravel()
+            slabs = [v for _, _, v in synthesize_slabs(G, half)]
+            assert {v.dtype for v in slabs} == {np.dtype(dtype)}
+            got = np.concatenate(slabs)
+            assert np.abs(got - kept).max() <= 1e-13 * np.abs(kept).max()
     assert parities == {0, 1}
 
 

@@ -40,6 +40,7 @@ from peterweyl.norms import (
     block_of,
     dyadic_blocks,
     format_norm_spec,
+    lp_enclosures,
     lp_norm,
     lp_norm_info,
     lp_norms,
@@ -784,7 +785,7 @@ def _fresh(evaluate, seen, fold=True):
     norms.clear_memos()
     with pytest.MonkeyPatch.context() as m:
         if not fold:
-            m.setattr(norms, "_sign_even", lambda F: False)
+            m.setattr(SpectralFunction, "sign_even", property(lambda F: False))
         out = evaluate()
     norms.clear_memos()
     return out, list(seen["levels"]), seen["quadrature"]
@@ -802,7 +803,7 @@ def test_fold_matches_full_grid_reference(ladder_spy, n):
     parities = set()
     for L, cap in _FOLD_BANDS[n]:
         for F in (dirichlet(group, L), _sign_even_random(group, L, 30 + n)):
-            assert norms._sign_even(F)
+            assert F.sign_even
             out, levels, calls = _fresh(lambda: lp_norms(F, NIKOLSKII_EXPONENTS, cap), ladder_spy)
             ref, full_levels, full_calls = _fresh(
                 lambda: lp_norms(F, NIKOLSKII_EXPONENTS, cap), ladder_spy, fold=False)
@@ -870,7 +871,7 @@ def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
         # even in every coordinate but the last
         cases.append(even.scaled(np.where(even.index[:, -1] > 0, 2.0, 1.0)))
     for F in cases:
-        assert not norms._sign_even(F)
+        assert not F.sign_even
         out, levels, _ = _fresh(lambda: lp_norms(F, NIKOLSKII_EXPONENTS, 100_000), ladder_spy)
         assert levels and not any(rule.is_folded for rule in levels)
         for p, (value, info) in out.items():
@@ -881,15 +882,37 @@ def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
 
 def test_sign_even_is_decided_exactly():
     F = _sign_even_random(torus(2), 3.0, 6)
-    assert norms._sign_even(F)
+    assert F.sign_even
     last = F.entries[-1]
     nudged = F.entries.copy()
     nudged[-1] = complex(np.nextafter(last.real, INF), last.imag)
-    assert not norms._sign_even(SpectralFunction._packed(F.group, F.index, F.dims, F.wsq, nudged))
+    assert not SpectralFunction._packed(F.group, F.index, F.dims, F.wsq, nudged).sign_even
     # a stored zero without its images is the same function, still sign-even
-    assert norms._sign_even(SpectralFunction(F.group, {**F.coeffs, (5, 1): [[0.0]]}))
-    assert norms._sign_even(zero_spectral(torus(3)))
-    assert not norms._sign_even(dirichlet(SU2, 2.0))
+    assert SpectralFunction(F.group, {**F.coeffs, (5, 1): [[0.0]]}).sign_even
+    assert zero_spectral(torus(3)).sign_even
+    assert not dirichlet(SU2, 2.0).sign_even
+
+
+def test_sign_even_is_decided_once_per_function(monkeypatch):
+    # lp_enclosures reads it for the sup and every exact ladder of a bulk
+    # function; the property decides it on the first read.
+    calls = []
+    decide = fourier._decide_sign_even
+    monkeypatch.setattr(fourier, "_decide_sign_even", lambda F: calls.append(F) or decide(F))
+    (F,) = make_corpus(torus(2), 4.0, 1, 7).functions
+    lp_enclosures(F, NIKOLSKII_EXPONENTS)
+    assert calls == [F]
+
+
+def test_sign_even_ladder_builds_no_phase_table():
+    # A folded level of a sign-even function sums cosines: the ladder of a
+    # T^2 Dirichlet kernel reads no complex phase table.
+    fourier._torus_phases.cache_clear()
+    fourier._torus_cosines.cache_clear()
+    value, info = lp_norm_info(dirichlet(torus(2), 16.0), 1.0)
+    assert info["certified"] in ("refined", "capped") and value > 0.0
+    assert fourier._torus_phases.cache_info().misses == 0
+    assert fourier._torus_cosines.cache_info().misses > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1159,7 +1182,7 @@ def _factor(F, degree):
     return norms._mesh_factor(norms._degree_tau(F, degree))
 
 
-@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
+@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{F.sign_even}")
 def test_sup_is_evaluated_on_the_least_degree_its_mesh_bound_needs(ladder_spy, F):
     own = quadrature(F.group, F.max_weight()).degree
     degree, within = norms._sup_degree(F, None)
@@ -1170,13 +1193,13 @@ def test_sup_is_evaluated_on_the_least_degree_its_mesh_bound_needs(ladder_spy, F
     (lo, info), passes, _ = _fresh(lambda: lp_norms(F, [INF])[INF], ladder_spy)
     [rule] = passes
     assert ladder_spy["sums"] == [] and rule.degree == degree
-    assert rule.is_folded == norms._sign_even(F)
+    assert rule.is_folded == F.sign_even
     full = quadrature(F.group, info["bandlimit"])
     assert (full.degree, full.node_count) == (degree, info["nodes"])
     assert info["certified"] == "enclosed" and lo <= info["upper"] <= 1.02 * lo
 
 
-@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
+@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{F.sign_even}")
 def test_sup_under_a_cap_takes_the_largest_degree_admitted(F):
     degree, _ = norms._sup_degree(F, None)
     own = quadrature(F.group, F.max_weight()).degree
@@ -1195,7 +1218,7 @@ def test_sup_under_a_cap_takes_the_largest_degree_admitted(F):
         assert lo <= info["upper"]
 
 
-@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{norms._sign_even(F)}")
+@pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{F.sign_even}")
 def test_sized_sup_matches_the_ladder_level_sup(F):
     # The level evaluation it replaces: the first ladder level (band W 2^j)
     # whose mesh factor is within 1 + SUP_ENCLOSURE, on its fold when even.
@@ -1206,7 +1229,7 @@ def test_sized_sup_matches_the_ladder_level_sup(F):
             break
         level += 1
     tau = norms._degree_tau(F, rule.degree)
-    if norms._sign_even(F):
+    if F.sign_even:
         rule = rule.folded()
     peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
     want, _ = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
