@@ -24,13 +24,13 @@ leading axis per slab: m^n K work for a box K wide on an m^n grid.  On T^1,
 where such a table would outgrow the grid, synthesis is one inverse FFT.  A
 folded torus rule (QuadratureRule.folded) keeps the nodes 0 <= i <= m // 2
 of each axis, and the tables hold only those rows, still reduced mod the
-full axis length m.  For a sign-even F (SpectralFunction.sign_even) a
-folded rule sums each sign orbit as one real term, c_k 2^#{a : k_a != 0}
-prod_a cos(2 pi x_a k_a / m_a) over the rows k >= 0, the structure of the
-DCT-I (Makhoul, IEEE Trans. ASSP 28, 1980): a box 2^n times narrower
-against real tables, and on T^1 one inverse real FFT of the half spectrum.
-Its slabs are real when every coefficient is.  Any other F on a folded
-rule sums the exponentials of its whole box at the kept nodes.  On SU(2)
+full axis length m.  For a sign-even F (SpectralFunction.sign_even) with
+real coefficients a folded rule sums each sign orbit as one real term,
+c_k 2^#{a : k_a != 0} prod_a cos(2 pi x_a k_a / m_a) over the rows k >= 0,
+the structure of the DCT-I (Makhoul, IEEE Trans. ASSP 28, 1980): a box 2^n
+times narrower against real tables, and on T^1 one inverse real FFT of the
+half spectrum; its slabs are float64.  Any other F on a folded rule sums
+the exponentials of its whole box at the kept nodes.  On SU(2)
 both directions factor through the Euler angles: dense phase contractions
 over alpha and gamma, and a Wigner-d contraction over the cos(beta) nodes.
 On the torus, analysis is one FFT over the uniform product grid.  All paths
@@ -325,11 +325,10 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # inverse FFT of the whole zero-padded grid, and no m^n spectrum is built.
 # The terms are the support against the phases
 # E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a), or, for a
-# sign-even F on a folded rule, the rows k >= 0 weighted by their orbit
-# sizes 2^#{a : k_a != 0} against the real cosines
+# sign-even F with real coefficients on a folded rule, the rows k >= 0
+# weighted by their orbit sizes 2^#{a : k_a != 0} against the real cosines
 # C[x, j] = cos(2 pi ((x (kmin_a + j)) mod m_a) / m_a): a box 2^n times
-# narrower, summed in real arithmetic.  Complex terms against real cosines
-# are read as (re, im) float pairs, so the per-slab product stays real.
+# narrower, summed in real arithmetic.
 
 
 def _axis_table(kernel, m: int, rows: int, kmin: int, width: int) -> np.ndarray:
@@ -354,11 +353,10 @@ def _torus_cosines(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
 
 
 def _cosine_terms(F: SpectralFunction) -> tuple[np.ndarray, np.ndarray]:
-    # A sign-even F's rows k >= 0 and their coefficients, real when every
-    # coefficient is: each row stands for its sign orbit.
+    # A real sign-even F's rows k >= 0 and their real coefficients: each row
+    # stands for its sign orbit.
     keep = (F.index >= 0).all(axis=1)
-    coeffs = F.entries[keep]
-    return F.index[keep], (coeffs if coeffs.imag.any() else coeffs.real)
+    return F.index[keep], F.entries[keep].real
 
 
 def _torus_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, table):
@@ -371,22 +369,17 @@ def _torus_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, table
     tail = box
     for m, rows, k0, width in zip(rule.moduli[1:], rule.shape[1:], kmin[1:], box.shape[1:]):
         tail = np.tensordot(tail, table(m, rows, int(k0), width), axes=([1], [1]))
-    tail = np.ascontiguousarray(tail.reshape(box.shape[0], -1))
+    tail = tail.reshape(box.shape[0], -1)
     lead = table(rule.moduli[0], rule.shape[0], int(kmin[0]), box.shape[0])
-    pairs = lead.dtype != tail.dtype  # real cosines, complex sums
-    if pairs:
-        tail = tail.view(np.float64)
     for a, b, lo, hi in _slab_bounds(rule):
-        out = lead[a:b] @ tail
-        yield lo, hi, (out.view(complex) if pairs else out).ravel()
+        yield lo, hi, (lead[a:b] @ tail).ravel()
 
 
 def _line_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, cosines: bool):
     # On T^1 an m x K phase table would outgrow the m values it fills: one
     # slab, the inverse FFT, of which a folded rule keeps the first half.
-    # For cosines, the inverse real FFT of the half spectrum c_k, k >= 0,
-    # f(x) = c_0 + 2 sum_{k > 0} c_k cos(2 pi k x / m), of the real and the
-    # imaginary parts apart when the coefficients are complex.
+    # For cosines, the inverse real FFT of the real half spectrum c_k,
+    # k >= 0: f(x) = c_0 + 2 sum_{k > 0} c_k cos(2 pi k x / m).
     (m,) = rule.moduli
     n = rule.node_count
     if not cosines:
@@ -394,24 +387,22 @@ def _line_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, cosine
         spec[ks[:, 0] % m] = coeffs
         yield 0, n, np.fft.ifft(spec)[:n] * m
         return
-    parts = np.stack((coeffs.real, coeffs.imag)) if coeffs.dtype == complex else coeffs[None]
-    spec = np.zeros((len(parts), m // 2 + 1))
-    spec[:, ks[:, 0]] = parts
-    vals = np.fft.irfft(spec, m)[:, :n] * m
-    yield 0, n, vals[0] if len(vals) == 1 else vals[0] + 1j * vals[1]
+    spec = np.zeros(m // 2 + 1)
+    spec[ks[:, 0]] = coeffs
+    yield 0, n, np.fft.irfft(spec, m)[:n] * m
 
 
 def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
     """The Fourier series of F at the rule's nodes, as consecutive slabs.
 
-    Returns an iterator of (lo, hi, values): complex values at the flat
-    C-order nodes [lo, hi), which cover the grid in order.  Slabs split the
-    leading grid axis into runs of about SLAB_NODES nodes, the same for every
+    Returns an iterator of (lo, hi, values): the values at the flat C-order
+    nodes [lo, hi), which cover the grid in order.  Slabs split the leading
+    grid axis into runs of about SLAB_NODES nodes, the same for every
     function on one rule; T^1 is one slab.  On a folded rule the values are
     those at its kept half-axis nodes, whatever the symmetry of F; when F is
-    sign-even they are summed as cosines and are float64 if every
-    coefficient is real.  Otherwise values are complex.  Every stored rep
-    must have packed weight wsq <= rule.degree^2, so later grid integrals of
+    sign-even with real coefficients they are summed as cosines and are
+    float64.  Otherwise values are complex.  Every stored rep must have
+    packed weight wsq <= rule.degree^2, so later grid integrals of
     coefficient products stay exact; the checks run before the iterator is
     returned.
     """
@@ -428,7 +419,7 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
         return _zero_slabs(rule)
     if rule.group.kind == "su2":
         return _su2_slabs(F, rule)
-    cosines = rule.is_folded and F.sign_even
+    cosines = rule.is_folded and F.sign_even and not F.entries.imag.any()
     # every torus d = 1, so entries holds one value per rep
     ks, coeffs = _cosine_terms(F) if cosines else (F.index, F.entries)
     if not len(ks):  # only stored zeros, all off the orthant

@@ -13,8 +13,8 @@ flip, compared exactly (SpectralFunction.sign_even, decided once per
 function), is even in every coordinate; its levels run on the folded rule
 (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with orbit weights,
 2^n times fewer nodes for the same sums up to reassociation and the same
-maximum.  Synthesis sums such a function there as real cosines over the
-indices k >= 0, so its slabs are real when its coefficients are.  Dirichlet
+maximum.  When its coefficients are real too, synthesis sums it there as
+real cosines over the indices k >= 0, into real slabs.  Dirichlet
 and ring kernels, their dyadic blocks and Sobolev rescalings are such
 functions; all others keep the full grid.  Each value carries a
 provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin

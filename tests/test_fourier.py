@@ -37,7 +37,6 @@ from peterweyl.groups import (
     torus,
     weyl_count,
 )
-from test_norms import _sign_even_random
 
 T1 = torus(1)
 T2 = torus(2)
@@ -417,11 +416,13 @@ def test_support_count_thresholds():
 @pytest.mark.parametrize("group,L", [(T1, 6.0), (T2, 3.0), (T3, 2.0)], ids=str)
 def test_folded_rule_synthesizes_the_kept_nodes(group, L):
     # Any function, sign-even or not: its values at the half-axis nodes of
-    # the full grid.  Sign-even ones, with real (dirichlet) or complex
-    # coefficients, are summed as cosines, real ones into float64 slabs.
-    # Analysis refuses the folded grid.
+    # the full grid.  A sign-even one with real coefficients (dirichlet) is
+    # summed as cosines into float64 slabs; one with complex coefficients,
+    # a phase per sign orbit, sums exponentials.  Analysis refuses the
+    # folded grid.
     F = _random_spectral(group, L, 61)
-    real, even = dirichlet(group, L), _sign_even_random(group, L, 62)
+    real = dirichlet(group, L)
+    even = real.scaled(np.exp(1j * (np.abs(real.index) @ [1.0, 0.37, 0.11][:group.dim])))
     assert real.sign_even and even.sign_even and not F.sign_even
     parities = set()
     for rule in (quadrature(group, f * L) for f in (1.0, 1.5, 2.0)):
