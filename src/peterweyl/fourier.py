@@ -73,11 +73,16 @@ SUPPORT_THRESHOLD = 1e-12
 
 SERIAL_HEADER = "specfun v1"
 
-# Nodes per slab of streamed synthesis (2^16 values, 1 MB if complex): small
-# enough to stay in cache while a norm ladder reduces it, large enough that
-# per-slab overhead is negligible.  Slabs of 2^14 to 2^18 nodes time within
-# 15% of each other at the ladder's largest grids.
-SLAB_NODES = 1 << 16
+# Nodes per slab of streamed synthesis.  A slab is whole leading-axis rows,
+# at most SLAB_NODES nodes unless one row is longer (T^1 is one slab), so a
+# complex slab and each temporary made from it are at most 128 KiB, a real
+# (cosine) slab 64 KiB: within glibc malloc's default mmap threshold (128 KiB,
+# mallopt(3)), so the heap serves them.  At 2^16 nodes every 1 MiB slab took
+# freshly mapped pages and faulted them in: a 150-function bulk Nikolskii run
+# made about 35k minor faults and 0.08-0.14 s of system time, against 1.4k
+# faults and 0.01-0.02 s at 2^13 (2 cores).  2^14 still left 7.8k; 2^12
+# made no fewer and moved the run's report bytes at roundoff.
+SLAB_NODES = 1 << 13
 
 
 class BandLimitError(DomainError):

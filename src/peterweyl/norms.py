@@ -809,11 +809,15 @@ def _finite(value: float, what: str) -> float:
 
 
 def _root(total: float, p: float, what: str) -> float:
-    # total^(1/p) as a finite float; a tiny p can take it past float range.
+    # total^(1/p) as a finite float; a tiny p can take it past float range,
+    # above it or, for a positive total below 1, down to 0.0.
     try:
-        return _finite(float(total ** (1.0 / p)), what)
+        value = float(total ** (1.0 / p))
     except OverflowError:
-        raise DomainError(f"{what} leaves float range at the root 1/{p:g}") from None
+        value = None
+    if value is None or (value == 0.0 and total > 0):
+        raise DomainError(f"{what} leaves float range at the root 1/{p:g}")
+    return _finite(value, what)
 
 
 def _hs_norms(F: SpectralFunction) -> np.ndarray:

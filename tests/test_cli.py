@@ -264,12 +264,12 @@ def test_norm_exponents_past_float_range_or_every_grid(tmp_path, capsys):
     assert "l^0.001 aggregate leaves float range at the root 1/0.001" in capsys.readouterr().err
     assert main(["norm", path, "Lp:1e300"]) == EXIT_RESOURCE
     assert "needs more than the cap" in capsys.readouterr().err
-    # 1/p itself past float range: the enclosure printed rests on
-    # monotonicity alone
+    # 1/p itself past float range: a quadrature sum below 1 underflows at
+    # the root, refused rather than printed as a refined 0.0
     dpath = str(tmp_path / "d.spectral")
     save_spectral(dirichlet(torus(1), 2.0), dpath)
-    assert main(["norm", dpath, "Lp:1e-320"]) == EXIT_OK
-    assert "enclosure: [0.0, " in capsys.readouterr().out
+    assert main(["norm", dpath, "Lp:1e-320"]) == EXIT_USAGE
+    assert "leaves float range at the root" in capsys.readouterr().err
 
 
 def test_norm_grids_no_array_can_hold_exit_3(two_shell_file, monkeypatch, capsys):

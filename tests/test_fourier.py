@@ -205,9 +205,13 @@ def test_torus_synthesis_matches_direct_sum_and_ifftn(group, support, band):
         assert not np.any(vals)
 
 
-@pytest.mark.parametrize("slab_nodes", [1, 700, fourier.SLAB_NODES])
+# slab_nodes: one row a slab, a ragged split, a 1 MiB split (one slab for
+# the smaller grids), and the default
+@pytest.mark.parametrize("slab_nodes", [1, 700, 1 << 16, fourier.SLAB_NODES])
 @pytest.mark.parametrize(
-    "group,L,band", [(T1, 6.0, 6.0), (T2, 4.0, 9.0), (T3, 2.5, 3.0), (SU2, 3.0, 8.0)], ids=str
+    "group,L,band",  # T^2 band 36: 147^2 nodes, three slabs at the default
+    [(T1, 6.0, 6.0), (T2, 4.0, 9.0), (T2, 4.0, 36.0), (T3, 2.5, 3.0), (SU2, 3.0, 8.0)],
+    ids=str,
 )
 def test_synthesize_slabs_tile_the_grid(monkeypatch, group, L, band, slab_nodes):
     # Slabs are whole leading-axis rows covering the grid in C order; their

@@ -1,6 +1,9 @@
 """Norm functionals: closed-form values, identities, spec-string grammar."""
 
 import math
+import os
+import platform
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -52,6 +55,11 @@ from peterweyl.norms import (
     wiener_norm,
 )
 from peterweyl.verify import PROFILES, RunConfig, make_corpus, nikolskii_check
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 T1 = torus(1)
 SU2 = su2()
@@ -415,6 +423,16 @@ def test_weights_out_of_float_range_raise_domain_error():
             norm_info(F, parse_norm_spec(text))
 
 
+@pytest.mark.parametrize("L", [2.0, 8.0])
+@pytest.mark.parametrize("p", [1e-320, 1e-300, 1e-20, 1e-12])
+def test_root_that_underflows_raises_domain_error(L, p):
+    # The kernel vanishes at some nodes, so the quadrature sum of |f|^p is
+    # below 1 and its 1/p-th power underflows; two levels at 0.0 would
+    # "agree" and certify a refined 0.0 for a positive norm.
+    with pytest.raises(DomainError, match="leaves float range at the root"):
+        lp_norm_info(dirichlet(T1, L), p)
+
+
 def test_hs_norm_rescales_only_past_overflow():
     rng = np.random.default_rng(3)
     mats = {twoL: rng.standard_normal((twoL + 1,) * 2) + 1j * rng.standard_normal((twoL + 1,) * 2)
@@ -701,7 +719,7 @@ def test_level_reductions_weight_each_slab_by_its_rows(monkeypatch, group):
         assert abs(norms._weighted_sum(slabs(), rule, p) - ref) <= 1e-13 * ref, p
 
 
-@pytest.mark.parametrize("slab_nodes", [700, fourier.SLAB_NODES])
+@pytest.mark.parametrize("slab_nodes", [700, 1 << 16, fourier.SLAB_NODES])
 @pytest.mark.parametrize("r,p,q,cap", [(0.5, 3.0, 2.0, None), (0.5, 1.5, INF, None),
                                        (1.0, 4.0, 2.0, None), (0.5, 1.0, 3.0, 3000)])
 @pytest.mark.parametrize("group,L", [(torus(2), 4.0), (SU2, 2.5)], ids=str)
@@ -722,6 +740,31 @@ def test_tl_aggregate_matches_stacked_full_grids(monkeypatch, group, L, r, p, q,
         assert info["certified"] in (("capped",) if cap else ("refined", "capped"))
     else:
         assert info["certified"] == "exact"
+
+
+@pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc",
+                    reason="guards glibc malloc's mmap threshold")
+def test_slab_passes_take_their_temporaries_from_the_heap():
+    # Slabs stay within the default mmap threshold (128 KiB), so once a sup
+    # has warmed the heap, further sups fault in almost no pages: a handful,
+    # against about 6,000 for these nine with 1 MiB slabs.  A fresh
+    # interpreter starts a fresh heap.
+    code = (
+        "import resource\n"
+        "from peterweyl import groups, norms, verify\n"
+        "band = verify.RunConfig().bandlimits['su2']\n"
+        "F = verify.make_corpus(groups.su2(), band, 10, 7).functions\n"
+        "norms._sup(F[0], None)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for f in F[1:]:\n"
+        "    norms._sup(f, None)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(norms.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 500
 
 
 # ---------------------------------------------------------------------------
