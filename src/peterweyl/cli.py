@@ -57,6 +57,17 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _node_cap(text: str) -> int:
+    # argparse type of --max-nodes: a positive integer, or a usage error
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"node cap must be a positive integer, got {text!r}")
+    return cap
+
+
 def _fmt_index(group, row) -> str:
     if group.kind == "torus":
         return "(" + ",".join(str(k) for k in row) + ")"
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="evaluate a norm on a spectral file")
     p_norm.add_argument("input", help="path to a specfun v1 file")
     p_norm.add_argument("spec", help="norm spec, e.g. Lp:2 or besov:r=1.5,p=2,q=inf")
-    p_norm.add_argument("--max-nodes", type=int, default=None)
+    p_norm.add_argument("--max-nodes", type=_node_cap, default=None)
     p_norm.set_defaults(func=cmd_norm)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--beta", default=None, help="comma list of beta exponents")
     p_verify.add_argument("--tol", action="append", default=None,
                           help="override: exact=..., grid=..., identity=...")
-    p_verify.add_argument("--max-nodes", type=int, default=None)
+    p_verify.add_argument("--max-nodes", type=_node_cap, default=None)
     p_verify.add_argument("--out", default=None, help="report path (stdout if omitted)")
     p_verify.set_defaults(func=cmd_verify)
 

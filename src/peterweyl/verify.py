@@ -78,7 +78,11 @@ SLOPE_MAX = 0.1
 
 @dataclass
 class InequalityReport:
-    """One checked inequality instance, serializable as a single record."""
+    """One checked inequality instance, serializable as a single record.
+
+    instance holds plain values (q = inf stays a float); to_record makes
+    the JSON form, once per record.
+    """
 
     name: str
     suite: str
@@ -94,7 +98,7 @@ class InequalityReport:
         return {
             "name": self.name,
             "suite": self.suite,
-            "instance": self.instance,
+            "instance": _json_safe(self.instance),
             "lhs": _json_safe(float(self.lhs)),
             "rhs": _json_safe(float(self.rhs)),
             "ratio": _json_safe(float(self.ratio)),
@@ -104,27 +108,16 @@ class InequalityReport:
         }
 
 
-class _JsonDict(dict):
-    """A dict already in the JSON form of _json_safe, which returns it as is."""
-
-
 def _json_safe(v):
     # JSON form of a report value.  JSON has no inf or nan, so non-finite
-    # floats become their repr strings; tuples become lists and dicts are
-    # key-sorted, recursively.
+    # floats become their repr strings; tuples become lists, recursively.
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     if isinstance(v, (tuple, list)):
         return [_json_safe(x) for x in v]
     if isinstance(v, dict):
-        return v if isinstance(v, _JsonDict) else _JsonDict(
-            (k, _json_safe(x)) for k, x in sorted(v.items()))
+        return {k: _json_safe(x) for k, x in v.items()}
     return v
-
-
-def _instance(base: dict | None, **fields) -> dict:
-    # base with fields added, in JSON form; a base already in it is not converted again.
-    return _JsonDict(sorted({**_json_safe(base or {}), **_json_safe(fields)}.items()))
 
 
 def _report(name, suite, instance, lhs, rhs, tol, notes="") -> InequalityReport:
@@ -143,7 +136,7 @@ def _report(name, suite, instance, lhs, rhs, tol, notes="") -> InequalityReport:
     return InequalityReport(
         name=name,
         suite=suite,
-        instance=_json_safe(instance),
+        instance=instance,
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
@@ -197,7 +190,8 @@ def _settled(records_of, F: SpectralFunction, ps, max_nodes, enclosures: dict | 
     records_of(norms) builds every record of the instance from one norms
     dict.  If any of them fails on lp_enclosures (or the given enclosures
     of F), all are rebuilt from lp_norms values of the exponents ps, so an
-    enclosure never turns a verdict that holds into one that fails.
+    enclosure never turns a verdict that holds into one that fails.  This
+    is the one place the checkers fetch norms and fall back to lp_norms.
     """
     records = records_of(enclosures if enclosures is not None
                          else lp_enclosures(F, ps, max_nodes))
@@ -217,6 +211,19 @@ def _support_factor(count: int, p: float, q: float) -> float:
     return factor
 
 
+def _nikolskii(T, p, q, norms, counts, tol, suite, instance) -> InequalityReport:
+    # The support-bound record of one instance, from one norms dict.
+    lhs, lhs_note = _lhs(norms[q])
+    rhs = _support_factor(counts["count"], p, q) * norms[p][0]
+    inst = {**instance, "group": str(T.group), "p": p, "q": q, "rho": rho_of(p)}
+    notes = (
+        f"support={counts['count']} (x10 -> {counts['count_x10']}, "
+        f"x0.1 -> {counts['count_d10']}); "
+        f"{lhs_note}, {_note('rhs', norms[p])}"
+    )
+    return _report("nikolskii", suite, inst, lhs, rhs, tol, notes)
+
+
 def nikolskii_check(
     T: SpectralFunction,
     p: float,
@@ -225,8 +232,6 @@ def nikolskii_check(
     threshold: float = SUPPORT_THRESHOLD,
     max_nodes: int | None = None,
     suite: str = "nikolskii",
-    _norms: dict | None = None,
-    _counts: dict | None = None,
     instance: dict | None = None,
 ) -> InequalityReport:
     """Norm comparison with the spectral-support constant.
@@ -234,26 +239,24 @@ def nikolskii_check(
     lhs = ||T||_q, the upper end of its enclosure, rhs = (sum of d^2 over
     the support of the rho-th power's coefficients)^(1/p - 1/q) * ||T||_p,
     the lower end of its enclosure; from lp_norms values instead when that
-    fails (_settled), or from _norms when given.  The support count and its
-    sensitivity to threshold x10 / x0.1 ride along in the notes.
+    fails (_settled).  The support count and its sensitivity to threshold
+    x10 / x0.1 ride along in the notes.
     """
-    if not 0 < p < q or not q <= INF:
-        raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
+    _require(0 < p < q <= INF, f"need 0 < p < q <= inf, got p={p}, q={q}")
+    counts = _support_counts(T, rho_of(p), threshold, max_nodes)
+    return _settled(lambda norms: [_nikolskii(T, p, q, norms, counts, tol, suite, instance or {})],
+                    T, [p, q], max_nodes)[0]
+
+
+def _remark(T, p, q, L, norms, tol, instance) -> InequalityReport:
+    # The remark-bound record of one instance, from one norms dict.
+    lhs, lhs_note = _lhs(norms[q])
     rho = rho_of(p)
-    counts = _counts if _counts is not None else _support_counts(T, rho, threshold, max_nodes)
-    if _norms is None:
-        return _settled(lambda norms: [nikolskii_check(
-            T, p, q, tol, threshold, max_nodes, suite, norms, counts, instance)],
-            T, [p, q], max_nodes)[0]
-    lhs, lhs_note = _lhs(_norms[q])
-    rhs = _support_factor(counts["count"], p, q) * _norms[p][0]
-    inst = _instance(instance, group=str(T.group), p=p, q=q, rho=rho)
-    notes = (
-        f"support={counts['count']} (x10 -> {counts['count_x10']}, "
-        f"x0.1 -> {counts['count_d10']}); "
-        f"{lhs_note}, {_note('rhs', _norms[p])}"
-    )
-    return _report("nikolskii", suite, inst, lhs, rhs, tol, notes)
+    n_rho_l = weyl_count(T.group, rho * L)
+    rhs = _support_factor(n_rho_l, p, q) * norms[p][0]
+    inst = {**instance, "group": str(T.group), "p": p, "q": q, "rho": rho, "L": L}
+    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
+    return _report("nikolskii-remark", "nikolskii", inst, lhs, rhs, tol, notes)
 
 
 def nikolskii_remark_check(
@@ -263,8 +266,6 @@ def nikolskii_remark_check(
     L: float,
     tol: float = TOL_GRID,
     max_nodes: int | None = None,
-    suite: str = "nikolskii",
-    _norms: dict | None = None,
     instance: dict | None = None,
 ) -> InequalityReport:
     """Coarser bound using the full counting function N(rho L).
@@ -273,20 +274,11 @@ def nikolskii_remark_check(
     the chain support-count <= N(L) <= N(rho L).  Sides as in
     nikolskii_check.
     """
-    if not 0 < p < q or not q <= INF:
-        raise DomainError(f"need 0 < p < q <= inf, got p={p}, q={q}")
+    _require(0 < p < q <= INF, f"need 0 < p < q <= inf, got p={p}, q={q}")
     if T.wsq.max(initial=0) > band_budget(L):
         raise DomainError(f"support of T exceeds the stated band L={L}")
-    rho = rho_of(p)
-    if _norms is None:
-        return _settled(lambda norms: [nikolskii_remark_check(
-            T, p, q, L, tol, max_nodes, suite, norms, instance)], T, [p, q], max_nodes)[0]
-    lhs, lhs_note = _lhs(_norms[q])
-    n_rho_l = weyl_count(T.group, rho * L)
-    rhs = _support_factor(n_rho_l, p, q) * _norms[p][0]
-    inst = _instance(instance, group=str(T.group), p=p, q=q, rho=rho, L=L)
-    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
-    return _report("nikolskii-remark", suite, inst, lhs, rhs, tol, notes)
+    return _settled(lambda norms: [_remark(T, p, q, L, norms, tol, instance or {})],
+                    T, [p, q], max_nodes)[0]
 
 
 def sharpness_check(
@@ -333,41 +325,39 @@ def _conjugate(p: float) -> float:
     return float(r / (r - 1))
 
 
+def _hausdorff_young(F, p, pp, norms, tol, instance) -> list[InequalityReport]:
+    # Both records of one exponent, from one norms dict.
+    inst = {**instance, "group": str(F.group), "p": p, "p_conj": pp}
+    coeff = _report("hy-coefficient", "hausdorff-young", inst, seq_lp_norm(F, pp),
+                    norms[p][0], tol, notes=_note("rhs", norms[p]))
+    lhs, lhs_note = _lhs(norms[pp])
+    func = _report("hy-function", "hausdorff-young", inst, lhs, seq_lp_norm(F, p), tol,
+                   notes=lhs_note)
+    return [coeff, func]
+
+
+def _hy_exponent(p: float) -> float:
+    # The conjugate of a Hausdorff-Young exponent, which must lie in [1, 2].
+    _require(1 <= p <= 2, f"Hausdorff-Young needs 1 <= p <= 2, got {p}")
+    return _conjugate(p)
+
+
 def hausdorff_young_checks(
     F: SpectralFunction,
     p: float,
     tol: float = TOL_EXACT,
     max_nodes: int | None = None,
-    suite: str = "hausdorff-young",
     instance: dict | None = None,
-    _norms: dict | None = None,
 ) -> list[InequalityReport]:
     """Both directions at one exponent 1 <= p <= 2 (p' conjugate).
 
     The function norm on the rhs is the lower end of its enclosure and the
     one on the lhs the upper end; both records come from lp_norms values
-    when either fails on the enclosures (_settled), or from _norms when
-    given.
+    when either fails on the enclosures (_settled).
     """
-    if not 1 <= p <= 2:
-        raise DomainError(f"Hausdorff-Young needs 1 <= p <= 2, got {p}")
-    pp = _conjugate(p)
-    if _norms is None:
-        return _settled(lambda norms: hausdorff_young_checks(
-            F, p, tol, max_nodes, suite, instance, norms), F, [p, pp], max_nodes)
-    inst = _instance(instance, group=str(F.group), p=p, p_conj=pp)
-    coeff = _report(
-        "hy-coefficient",
-        suite,
-        inst,
-        seq_lp_norm(F, pp),
-        _norms[p][0],
-        tol,
-        notes=_note("rhs", _norms[p]),
-    )
-    lhs, lhs_note = _lhs(_norms[pp])
-    func = _report("hy-function", suite, inst, lhs, seq_lp_norm(F, p), tol, notes=lhs_note)
-    return [coeff, func]
+    pp = _hy_exponent(p)
+    return _settled(lambda norms: _hausdorff_young(F, p, pp, norms, tol, instance or {}),
+                    F, [p, pp], max_nodes)
 
 
 def plancherel_check(
@@ -379,7 +369,7 @@ def plancherel_check(
 ) -> InequalityReport:
     a = lp_norm(F, 2.0, max_nodes)
     b = seq_lp_norm(F, 2.0)
-    inst = _instance(instance, group=str(F.group))
+    inst = {**(instance or {}), "group": str(F.group)}
     return _report(
         "plancherel", suite, inst, abs(a - b), tol * max(b, 1e-300), 0.0,
         notes=f"l2={a!r} seq2={b!r}",
@@ -817,8 +807,10 @@ def _default_bandlimits():
 
 
 def _default_dirichlet_grids():
-    # Families start at L = 4: below that the dyadic block structure is
-    # degenerate (one or two shells) and the ratios are still transient.
+    # The torus families start at L = 4: below that the dyadic block structure
+    # is degenerate (one or two shells) and the ratios are still transient.
+    # The su2 grid starts at 2 and is never read: _family_reports returns
+    # early for su2, whose equality case the sharpness suite covers.
     return {
         "torus:1": (4, 8, 16, 32, 64),
         "torus:2": (4, 8, 16, 32),
@@ -914,7 +906,7 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                 rho: _support_counts(T, rho, cfg.support_threshold, cfg.max_nodes)
                 for rho in sorted({rho_of(p) for p, _ in pairs})
             }
-            inst = _json_safe({"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L})
+            inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L}
             for p, q in pairs:
                 reports.extend(_settled(
                     lambda norms: _nikolskii_records(T, p, q, L, cfg, counts[rho_of(p)], inst,
@@ -928,14 +920,9 @@ def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
     # The records of one bulk instance, all from one norms dict: the support
     # bound, the remark bound, the dominance of the second over the first
     # and the stability of the verdict over the three support counts.
-    rep = nikolskii_check(
-        T, p, q, tol=cfg.tol_grid, threshold=cfg.support_threshold,
-        max_nodes=cfg.max_nodes, _norms=norms, _counts=cts, instance=inst,
-    )
-    remark = nikolskii_remark_check(
-        T, p, q, L, tol=cfg.tol_grid, max_nodes=cfg.max_nodes, _norms=norms, instance=inst,
-    )
-    pair = _instance(inst, group=str(T.group), p=p, q=q)
+    rep = _nikolskii(T, p, q, norms, cts, cfg.tol_grid, "nikolskii", inst)
+    remark = _remark(T, p, q, L, norms, cfg.tol_grid, inst)
+    pair = {**inst, "group": str(T.group), "p": p, "q": q}
     dom = _report(
         "nikolskii-remark-dominance",
         "nikolskii",
@@ -971,26 +958,22 @@ def sharpness_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
 
 def hausdorff_young_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
+    conjugates = [(p, _hy_exponent(p)) for p in cfg.hy_p_grid]
+    exps = sorted({2.0, *(x for pp in conjugates for x in pp)})
     for group in _config_groups(cfg):
         corpus = _corpus_for(cfg, group)
-        exps = set()
-        for p in cfg.hy_p_grid:
-            exps.add(p)
-            exps.add(_conjugate(p))
-        exps.add(2.0)
         for idx, F in enumerate(corpus.functions):
             if not F:
                 continue
             inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile}
-            enclosures = lp_enclosures(F, sorted(exps), cfg.max_nodes)
+            enclosures = lp_enclosures(F, exps, cfg.max_nodes)
             reports.append(
                 plancherel_check(F, cfg.tol_exact, cfg.max_nodes, instance=inst)
             )
-            for p in cfg.hy_p_grid:
+            for p, pp in conjugates:
                 reports.extend(_settled(
-                    lambda norms: hausdorff_young_checks(
-                        F, p, cfg.tol_exact, cfg.max_nodes, instance=inst, _norms=norms),
-                    F, [p, _conjugate(p)], cfg.max_nodes, enclosures))
+                    lambda norms: _hausdorff_young(F, p, pp, norms, cfg.tol_exact, inst),
+                    F, [p, pp], cfg.max_nodes, enclosures))
     return reports
 
 

@@ -287,6 +287,37 @@ def test_norm_grids_no_array_can_hold_exit_3(two_shell_file, monkeypatch, capsys
     assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_node_cap_below_one_is_a_usage_error(tmp_path, dirichlet_file, monkeypatch, capsys, cap):
+    # refused by the parser, before any corpus is built or norm evaluated
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "norm_info", no_work)
+    out = tmp_path / "r.txt"
+    for argv in (["verify", "nikolskii", "--count", "1", "--max-nodes", cap, "--out", str(out)],
+                 ["verify", "weyl", "--group", "torus:1", "--L", "10,20,30,40,50",
+                  "--max-nodes", cap, "--out", str(out)],
+                 ["norm", dirichlet_file, "Lp:2", "--max-nodes", cap]):
+        assert main(argv) == EXIT_USAGE
+        assert f"node cap must be a positive integer, got '{cap}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_node_cap_of_one_is_accepted(tmp_path, dirichlet_file, capsys):
+    out = tmp_path / "r.txt"
+    argv = ["verify", "weyl", "--group", "torus:1", "--L", "10,20,30,40,50",
+            "--max-nodes", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert '"max_nodes": 1,' in out.read_text()
+    # a suite or norm needing a grid runs into the cap
+    argv = ["verify", "nikolskii", "--count", "1", "--max-nodes", "1", "--out", str(out)]
+    assert main(argv) == EXIT_RESOURCE
+    assert main(["norm", dirichlet_file, "Lp:2", "--max-nodes", "1"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.count("needs more than the cap of 1 nodes") == 2
+
+
 def test_verify_huge_r_exit_2(tmp_path, capsys):
     code = main(
         ["verify", "embeddings", "--group", "torus:1", "--r", "1e6",

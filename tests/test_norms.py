@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from peterweyl import fourier, norms
+from peterweyl import fourier, norms, verify
 from peterweyl.fourier import SpectralFunction, dirichlet, synthesize, zero_spectral
 from peterweyl.groups import (
     WEIGHT_SQ_DEN,
@@ -54,7 +54,7 @@ from peterweyl.norms import (
     tl_norm,
     wiener_norm,
 )
-from peterweyl.verify import PROFILES, RunConfig, make_corpus, nikolskii_check
+from peterweyl.verify import PROFILES, RunConfig, make_corpus
 
 try:
     import resource
@@ -1204,7 +1204,9 @@ def test_sup_capped_below_every_finite_bound():
     lo, info = lp_norms(F, [INF], base.node_count)[INF]
     assert info["certified"] == "capped" and info["upper"] == INF
     assert lo >= np.abs(synthesize(F, base).values).max()
-    rep = nikolskii_check(F, 2.0, INF, _norms=lp_norms(F, [2.0, INF], base.node_count))
+    counts = verify._support_counts(F, 1, verify.SUPPORT_THRESHOLD, None)
+    rep = verify._nikolskii(F, 2.0, INF, lp_norms(F, [2.0, INF], base.node_count), counts,
+                            verify.TOL_GRID, "nikolskii", {})
     assert rep.lhs == INF and not rep.holds
     assert rep.notes.endswith(f"lhs capped [{lo!r}, inf], rhs grid exact")
     # a base grid with tau^2 / 8 < 1 is capped with a finite, if wide, bound

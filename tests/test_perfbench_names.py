@@ -1,0 +1,50 @@
+"""The package names and shapes the benchmark harness's tracer relies on.
+
+perfbench/tracer.py wraps package functions by name in every timed run and
+reads lp_norms' provenance.  It is loaded here read-only (nothing installed),
+so a change that removes or renames one of those names fails a test rather
+than the traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import peterweyl
+import peterweyl.cli  # noqa: F401  (the tracer wraps cli.main)
+from peterweyl.fourier import SpectralFunction, dirichlet, zero_spectral
+from peterweyl.groups import torus
+from peterweyl.norms import INF, lp_norms
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists(tracer):
+    for mod, fn_name in tracer.SPANNED + tracer.COUNTED:
+        module = importlib.import_module(f"peterweyl.{mod}")
+        assert callable(getattr(module, fn_name, None)), f"{mod}.{fn_name}"
+    for mod in tracer.MODULES:
+        assert getattr(peterweyl, mod) is importlib.import_module(f"peterweyl.{mod}")
+    assert set(tracer.SUITES) == set(peterweyl.verify._SUITE_RUNNERS)
+
+
+def test_lp_norms_returns_value_and_provenance_per_exponent():
+    # exact, identity-pinned, enclosed, refined and capped values, and a zero function
+    F = SpectralFunction(torus(1), {(0,): [[1.0]], (1,): [[0.3]], (-2,): [[0.5j]]})
+    for G in (F, dirichlet(torus(2), 2.0), zero_spectral(torus(1))):
+        ps = [1.0, 2.0, 3.0, INF]
+        out = lp_norms(G, ps)
+        assert sorted(out) == ps
+        for p, (value, info) in out.items():
+            assert isinstance(value, float), p
+            assert type(info["certified"]) is str and info["certified"], p
+            assert type(info["nodes"]) is int, p

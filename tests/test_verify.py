@@ -99,6 +99,14 @@ def test_nikolskii_validation():
         nikolskii_check(T, INF, INF)
 
 
+def test_record_instance_holds_plain_values_and_to_record_the_json_form():
+    rep = nikolskii_check(dirichlet(T1, 2.0), 2.0, INF)
+    assert rep.instance["q"] == INF
+    record = rep.to_record()
+    assert record["instance"]["q"] == "inf" and rep.instance["q"] == INF
+    assert json.loads(json.dumps(record, allow_nan=False)) == record
+
+
 def test_sharpness_all_groups():
     for g in (T1, T2, SU2):
         reps = sharpness_check(g, 2.0)
@@ -126,6 +134,13 @@ def test_remark_support_guard():
     with pytest.raises(DomainError, match="exceeds the stated band"):
         nikolskii_remark_check(T, 1.0, 2.0, L=math.nextafter(edge, 0.0))
     assert nikolskii_remark_check(T, 1.0, 2.0, L=math.nextafter(edge, math.inf)).holds
+
+
+def test_remark_rejects_p_not_below_q_before_its_band_check():
+    T = SpectralFunction(T1, {(5,): [[1.0]]})  # outside the stated band L = 2
+    for p, q in ((2.0, 2.0), (3.0, 2.0)):
+        with pytest.raises(DomainError, match="need 0 < p < q"):
+            nikolskii_remark_check(T, p, q, L=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +237,12 @@ def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monke
     # then come from refined values; p = 4/3 and p = 2 settle.
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.3]]})
     inst = {"fn": 0, "seed": 7, "profile": "one-plus"}
-    on_enclosures = hausdorff_young_checks(F, 1.0, instance=inst,
-                                           _norms=verify.lp_enclosures(F, [1.0, INF]))
+    on_enclosures = verify._hausdorff_young(F, 1.0, INF, verify.lp_enclosures(F, [1.0, INF]),
+                                            verify.TOL_EXACT, inst)
     assert [r.holds for r in on_enclosures] == [False, True]
     assert on_enclosures[0].notes.startswith("rhs enclosed [")
-    want = hausdorff_young_checks(F, 1.0, instance=inst, _norms=verify.lp_norms(F, [1.0, INF]))
+    want = verify._hausdorff_young(F, 1.0, INF, verify.lp_norms(F, [1.0, INF]),
+                                   verify.TOL_EXACT, inst)
     assert all(r.holds for r in want) and want[0].notes == "rhs grid refined"
     got = hausdorff_young_checks(F, 1.0, instance=inst)
     assert [r.to_record() for r in got] == [r.to_record() for r in want]
@@ -237,8 +253,9 @@ def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monke
     assert [r.name for r in reports] == ["plancherel"] + ["hy-coefficient", "hy-function"] * 3
     assert [r.to_record() for r in reports[1:3]] == [r.to_record() for r in want]
     for p, got in zip((4.0 / 3.0, 2.0), _instances(reports[3:], 2)):
-        settled = hausdorff_young_checks(F, p, instance=inst,
-                                         _norms=verify.lp_enclosures(F, [p, _conjugate(p)]))
+        pp = _conjugate(p)
+        settled = verify._hausdorff_young(F, p, pp, verify.lp_enclosures(F, [p, pp]),
+                                          verify.TOL_EXACT, inst)
         assert all(r.holds for r in got)
         assert [r.to_record() for r in got] == [r.to_record() for r in settled]
     assert reports[3].notes.startswith("rhs enclosed [")
@@ -571,6 +588,8 @@ def test_run_suite_all_passes_tiny():
     cfg = _tiny_config()
     reports = run_suite("all", cfg)
     assert reports and all(r.holds for r in reports)
+    for rep in reports:  # every record's JSON form is strict JSON
+        json.dumps(rep.to_record(), allow_nan=False)
     counts = summarize(reports)
     assert set(counts) == {
         "sharpness", "nikolskii", "hausdorff-young", "weyl", "corollary",
