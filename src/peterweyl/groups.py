@@ -32,6 +32,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -299,29 +300,24 @@ def dual_size(group: GroupId, L: float) -> int:
 # ---------------------------------------------------------------------------
 # Wigner little-d matrices
 #
-# d^l_{mn}(beta) = <l m| exp(-i beta Jy) |l n>.  Evaluation is by the
-# three-term recurrence in l at fixed (m, n), seeded with the closed-form
-# value at l0 = max(|m|, |n|); the l0-1 term enters with coefficient zero.
-# Upward recurrence in l is the numerically stable direction and avoids the
-# factorial overflow of direct summation formulas past l ~ 15.
-
-
-def _wigner_seed(twoM: int, twoN: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # d^{l0}_{mn} at l0 = max(|m|, |n|), with c = cos(beta/2), s = sin(beta/2).
-    twoL0 = max(abs(twoM), abs(twoN))
-    if twoN >= abs(twoM):
-        k = (twoL0 - twoM) // 2
-        return math.sqrt(math.comb(twoL0, k)) * c ** ((twoL0 + twoM) // 2) * s**k
-    if -twoN >= abs(twoM):
-        k = (twoL0 + twoM) // 2
-        sign = -1.0 if k % 2 else 1.0
-        return sign * math.sqrt(math.comb(twoL0, k)) * c ** ((twoL0 - twoM) // 2) * s**k
-    if twoM >= abs(twoN):
-        k = (twoL0 - twoN) // 2
-        sign = -1.0 if k % 2 else 1.0
-        return sign * math.sqrt(math.comb(twoL0, k)) * c ** ((twoL0 + twoN) // 2) * s**k
-    k = (twoL0 + twoN) // 2
-    return math.sqrt(math.comb(twoL0, k)) * c ** ((twoL0 - twoN) // 2) * s**k
+# d^l_{mn}(beta) = <l m| exp(-i beta Jy) |l n>, rows and columns in the order
+# m_i = l - i.  The tables come from Risbo's recursion (Risbo, J. Geodesy 70,
+# 1996; McEwen & Wiaux, IEEE TSP 59(12), 2011), which adds one spin-1/2
+# factor per step.  Write n = twoL and |n, b> for the state with m = l - b.
+# Spin l is the top spin of (l - 1/2) x 1/2, with positive Clebsch-Gordan
+# coefficients:
+#     |n, b> = sqrt((n - b) / n) |n-1, b> |+>  +  sqrt(b / n) |n-1, b-1> |->.
+# exp(-i beta Jy) acts on the product as d^((n-1)/2) x d^(1/2), where
+# d^(1/2) = [[c, -s], [s, c]] with c = cos(beta/2) and s = sin(beta/2), so
+#     n d^(n)[a, b] = sqrt((n-a) (n-b)) c d^(n-1)[a, b]
+#                   - sqrt((n-a) b)     s d^(n-1)[a, b-1]
+#                   + sqrt(a (n-b))     s d^(n-1)[a-1, b]
+#                   + sqrt(a b)         c d^(n-1)[a-1, b-1]
+# from d^(0) = 1, with entries outside d^(n-1) taken as zero.  Each step is
+# four shifted array updates over every (a, b) and node at once.  Every d^l
+# is orthogonal, so its entries stay within [-1, 1]: nothing overflows and no
+# factorial is formed.  The step needs only the half angles, so callers that
+# know them (an SU(2) matrix's first column, an Euler beta) pass them exactly.
 
 
 def wigner_d_tables(twoL_max: int, z: np.ndarray) -> list[np.ndarray]:
@@ -333,7 +329,7 @@ def wigner_d_tables(twoL_max: int, z: np.ndarray) -> list[np.ndarray]:
     z = np.asarray(z, dtype=float)
     c = np.sqrt(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
     s = np.sqrt(np.clip((1.0 - z) / 2.0, 0.0, 1.0))
-    return _wigner_d_recurrence(twoL_max, z, c, s)
+    return wigner_d_half_angle_tables(twoL_max, c, s)
 
 
 def wigner_d_half_angle_tables(twoL_max: int, c: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
@@ -343,45 +339,28 @@ def wigner_d_half_angle_tables(twoL_max: int, c: np.ndarray, s: np.ndarray) -> l
     an SU(2) matrix with c = |a|, s = |b|: near beta = 0 and pi the half
     angles rebuilt from cos(beta) would lose half their digits.
     """
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return _wigner_d_recurrence(twoL_max, (c - s) * (c + s), c, s)
-
-
-def _wigner_d_recurrence(twoL_max: int, z, c, s) -> list[np.ndarray]:
-    # The tables from z = cos(beta), c = cos(beta/2) and s = sin(beta/2).
     if twoL_max < 0:
         raise DomainError("twoL_max must be >= 0")
-    tabs = [np.empty((tL + 1, tL + 1, z.size)) for tL in range(twoL_max + 1)]
-    for twoM in range(-twoL_max, twoL_max + 1):
-        for twoN in range(-twoL_max, twoL_max + 1):
-            if (twoM - twoN) % 2:
-                continue
-            twoL0 = max(abs(twoM), abs(twoN))
-            m = twoM / 2.0
-            n = twoN / 2.0
-            cur = _wigner_seed(twoM, twoN, c, s)
-            prev = np.zeros_like(cur)
-            tabs[twoL0][(twoL0 - twoM) // 2, (twoL0 - twoN) // 2] = cur
-            for twoL in range(twoL0, twoL_max - 1, 2):
-                ell = twoL / 2.0
-                lp = ell + 1.0
-                if twoL == 0:
-                    nxt = z * cur  # d^1_00 = cos(beta); the generic step is 0/0 here
-                else:
-                    denom = ell * math.sqrt((lp * lp - m * m) * (lp * lp - n * n))
-                    a1 = (2.0 * ell + 1.0) * (ell * lp * z - m * n)
-                    a2 = lp * math.sqrt((ell * ell - m * m) * (ell * ell - n * n))
-                    nxt = (a1 * cur - a2 * prev) / denom
-                tabs[twoL + 2][(twoL + 2 - twoM) // 2, (twoL + 2 - twoN) // 2] = nxt
-                prev, cur = cur, nxt
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    tabs = [np.ones((1, 1, c.size))]
+    for n in range(1, twoL_max + 1):
+        root = np.sqrt(np.arange(1.0, n + 1.0) / n)[:, None]
+        stay, flip = root[::-1], root  # sqrt((n - i) / n), sqrt((i + 1) / n), i < n
+        cd, sd = c * tabs[-1], s * tabs[-1]
+        cur = np.zeros((n + 1, n + 1, c.size))
+        cur[:n, :n] = (stay * stay.T)[:, :, None] * cd
+        cur[:n, 1:] -= (stay * flip.T)[:, :, None] * sd
+        cur[1:, :n] += (flip * stay.T)[:, :, None] * sd
+        cur[1:, 1:] += (flip * flip.T)[:, :, None] * cd
+        tabs.append(cur)
     return tabs
 
 
 def wigner_d_matrix(twoL: int, beta: float) -> np.ndarray:
     """Single little-d matrix d^l(beta), rows/cols ordered m = l..-l."""
-    tabs = wigner_d_tables(twoL, np.array([math.cos(beta)]))
-    return tabs[twoL][:, :, 0].copy()
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    return wigner_d_half_angle_tables(twoL, [c], [s])[twoL][:, :, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +665,14 @@ def _build_rule(group: GroupId, degree: int) -> QuadratureRule:
     return QuadratureRule(group, degree, axes, axis_weights, z=z)
 
 
+def check_node_cap(max_nodes: int | None) -> None:
+    """Raise DomainError unless the node cap is None (the default) or an integer >= 1."""
+    if max_nodes is not None and (not isinstance(max_nodes, numbers.Integral) or max_nodes < 1):
+        raise DomainError(f"node cap must be an integer >= 1, got {max_nodes!r}")
+
+
 def _node_cap(max_nodes: int | None) -> int:
+    check_node_cap(max_nodes)
     return min(MAX_NODES_DEFAULT if max_nodes is None else int(max_nodes), MAX_GRID_NODES)
 
 

@@ -42,6 +42,7 @@ from .groups import (
     GroupId,
     ResourceLimitError,
     band_budget,
+    check_node_cap,
     dual_size,
     parse_group,
     weyl_count,
@@ -1211,6 +1212,7 @@ _SUITE_RUNNERS = {
 
 def run_suite(suite: str, cfg: RunConfig) -> list[InequalityReport]:
     """Run one named suite (or all of them, in canonical order)."""
+    check_node_cap(cfg.max_nodes)
     if suite == "all":
         reports = []
         for name in (

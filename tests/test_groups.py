@@ -43,6 +43,7 @@ from peterweyl.groups import (
     validate_rep,
     weight_sq,
     weyl_count,
+    wigner_d_half_angle_tables,
     wigner_d_matrix,
     wigner_d_tables,
 )
@@ -369,9 +370,9 @@ def test_torus_character_value():
 def test_wigner_half_entry():
     beta = 0.7
     d = wigner_d_matrix(1, beta)
-    assert d[0, 0] == pytest.approx(math.cos(beta / 2), rel=1e-15)
+    assert d[0, 0] == pytest.approx(math.cos(beta / 2), rel=1e-15, abs=0.0)
     assert d[0, 1] == pytest.approx(-math.sin(beta / 2), rel=1e-15)
-    assert d[1, 0] == pytest.approx(math.sin(beta / 2), rel=1e-15)
+    assert d[1, 0] == pytest.approx(math.sin(beta / 2), rel=1e-15, abs=0.0)
 
 
 def _jy(twoL: int) -> np.ndarray:
@@ -386,13 +387,41 @@ def _jy(twoL: int) -> np.ndarray:
     return (jp - jp.conj().T) / 2j
 
 
-@pytest.mark.parametrize("twoL", [0, 1, 2, 3, 5, 8, 13, 20])
+@pytest.mark.parametrize("twoL", [0, 1, 2, 3, 5, 8, 13, 20, 40, 100])
 def test_wigner_d_against_exponential_oracle(twoL):
     rng = np.random.default_rng(42 + twoL)
     for beta in rng.uniform(0.0, math.pi, 4):
         ours = wigner_d_matrix(twoL, beta)
         oracle = expm(-1j * beta * _jy(twoL)).real
         assert np.abs(ours - oracle).max() < 1e-12
+
+
+def test_wigner_d_matrix_keeps_the_half_angles_at_the_poles():
+    # cos(beta) rounds to +-1 within 1e-8 of a pole, where the half angles
+    # rebuilt from it vanish; d^(1/2) reads them from beta itself.
+    for beta, entry, half in ((1e-9, (1, 0), math.sin(5e-10)), (1e-6, (1, 0), math.sin(5e-7)),
+                              (math.pi - 1e-9, (0, 0), math.cos((math.pi - 1e-9) / 2))):
+        assert wigner_d_matrix(1, beta)[entry] == pytest.approx(half, rel=1e-15, abs=0.0)
+
+
+def test_wigner_d_half_angle_tables_at_and_next_to_the_poles():
+    betas = np.array([0.0, 1e-9, math.pi - 1e-9, math.pi])
+    c, s = np.cos(betas / 2), np.sin(betas / 2)
+    tabs = wigner_d_half_angle_tables(8, c, s)
+    assert [t.shape for t in tabs] == [(t + 1, t + 1, 4) for t in range(9)]
+    half = np.array([[c, -s], [s, c]])  # d^(1/2) in closed form
+    assert np.array_equal(tabs[1], half)
+    for twoL in range(9):
+        for k, beta in enumerate(betas):
+            oracle = expm(-1j * beta * _jy(twoL)).real
+            assert np.abs(tabs[twoL][:, :, k] - oracle).max() < 1e-14, (twoL, beta)
+
+
+def test_wigner_d_tables_are_orthogonal_up_to_spin_100():
+    z = np.cos(np.random.default_rng(3).uniform(0.0, math.pi, 3))
+    for twoL, tab in enumerate(wigner_d_tables(200, z)):
+        gram = np.einsum("ijk,ljk->kil", tab, tab)  # tabs[t] @ tabs[t].T per node
+        assert np.abs(gram - np.eye(twoL + 1)).max() < 1e-12, twoL
 
 
 def test_unitarity_random_elements():

@@ -1,20 +1,22 @@
 """The package names and shapes the benchmark harness's tracer relies on.
 
-perfbench/tracer.py wraps package functions by name in every timed run and
-reads lp_norms' provenance.  It is loaded here read-only (nothing installed),
-so a change that removes or renames one of those names fails a test rather
-than the traced benchmark run.
+perfbench/tracer.py wraps package functions by name in every timed run,
+reads lp_norms' provenance and counts the entries of the Wigner-d tables.
+It is loaded here read-only (nothing installed), so a change that removes
+or renames one of those names, or changes one of those shapes, fails a test
+rather than the traced benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import peterweyl
 import peterweyl.cli  # noqa: F401  (the tracer wraps cli.main)
 from peterweyl.fourier import SpectralFunction, dirichlet, zero_spectral
-from peterweyl.groups import torus
+from peterweyl.groups import torus, wigner_d_tables
 from peterweyl.norms import INF, lp_norms
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -48,3 +50,14 @@ def test_lp_norms_returns_value_and_provenance_per_exponent():
             assert isinstance(value, float), p
             assert type(info["certified"]) is str and info["certified"], p
             assert type(info["nodes"]) is int, p
+
+
+def test_wigner_d_tables_returns_one_square_table_per_spin(tracer):
+    # the tracer's "entries" counter sums the sizes of the returned tables
+    z = np.linspace(-1.0, 1.0, 5)
+    for twoL_max in (0, 1, 4):
+        tabs = wigner_d_tables(twoL_max, z)
+        assert type(tabs) is list and len(tabs) == twoL_max + 1
+        assert [t.shape for t in tabs] == [(t + 1, t + 1, z.size) for t in range(twoL_max + 1)]
+        attrs = tracer._attrs("groups.wigner_d_tables", (twoL_max, z), tabs)
+        assert attrs == {"entries": z.size * sum((t + 1) ** 2 for t in range(twoL_max + 1))}

@@ -624,6 +624,17 @@ def test_unknown_suite():
         run_suite("bogus", RunConfig())
 
 
+@pytest.mark.parametrize("cap", [-1, 0, 2.5])
+def test_malformed_node_cap_is_a_domain_error(cap):
+    # weyl builds no grid and would write the cap into its header; sharpness
+    # and lp_norm would refuse every grid as past the cap.
+    for suite in ("weyl", "sharpness"):
+        with pytest.raises(DomainError, match="node cap"):
+            run_suite(suite, RunConfig(groups=("torus:1",), max_nodes=cap))
+    with pytest.raises(DomainError, match="node cap"):
+        lp_norm(dirichlet(T1, 3.0), 3.0, cap)
+
+
 def test_run_config_header_lists_every_setting():
     # the report header embeds every RunConfig field except the output path
     keys = {
