@@ -59,6 +59,7 @@ from .groups import (
     GroupId,
     QuadratureRule,
     band_budget,
+    check_node_cap,
     dual_arrays,
     parse_group,
     quadrature,
@@ -517,6 +518,7 @@ def pointwise_power(
     """
     if not isinstance(rho, int) or rho < 1:
         raise DomainError(f"power must be a positive integer, got {rho!r}")
+    check_node_cap(max_nodes)
     if not T:
         return zero_spectral(T.group)
     rule = quadrature(T.group, (rho + 1) * T.max_weight(), max_nodes)

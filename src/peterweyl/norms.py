@@ -31,11 +31,10 @@ it is f(e), exact.  Otherwise it is evaluated once, in a pass of its own,
 on the rule of least degree c, never below that of F's own rule, whose full
 grid has a mesh factor 1 / (1 - tau^2 / 8) of at most 1 + SUP_ENCLOSURE, on
 its fold when F is sign-even.  tau does not increase with c, so _sup_degree
-bisects on axis counts and builds no rule per candidate.  The pass keeps
-the grid maximum M and the nodes of the SUP_SEEDS largest values; a batched
-Newton ascent of |f|^2 from them (_ascend, with analytic derivatives) gives
-lo >= M, the largest point value it sees, which is the reported value.  The
-provenance adds "upper":
+bisects on axis counts and builds no rule per candidate.  The reported
+value is lo = M, the grid maximum, a point value up to roundoff.  No search
+for the peak runs between the nodes: every verdict on a sup reads its upper
+end, which the provenance adds as "upper":
 
     hi = (M + SUP_ROUNDOFF A) / (1 - tau^2 / 8),
 
@@ -75,7 +74,7 @@ the summation error of the series.  Each node value sums terms bounded by A
 = sum over reps of d times the entrywise l^1 norm of the coefficient, which
 also bounds |f|; synthesized values match the series summed at the node to
 under 1e-14 A at the ladder's sizes, and SUP_ROUNDOFF = 1e-12 allows 100
-times that.  lo is a true point value up to the same roundoff.
+times that.  So lo = M lies at most SUP_ROUNDOFF A above the sup.
 
 Finite p that is not even also has bounds that need no refined ladder
 (lp_enclosures), from the even norms, which are exact, and the sup.  Let
@@ -135,7 +134,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -144,10 +142,10 @@ from .groups import (
     DomainError,
     ResourceLimitError,
     axis_gaps,
+    check_node_cap,
     degree_fits,
     quadrature,
     quadrature_degree,
-    wigner_d_half_angle_tables,
 )
 from .fourier import SpectralFunction, diagonal_mask, synthesize_slabs
 
@@ -161,18 +159,12 @@ MAX_REFINE_LEVELS = 12
 # is within 1 + SUP_ENCLOSURE: its enclosure [lo, hi] is then at most 2%
 # wide, up to the roundoff allowance.
 SUP_ENCLOSURE = 0.02
-# Best grid nodes a sup keeps as seeds of its local ascent.
-SUP_SEEDS = 8
 # Roundoff allowance of a synthesized node value, relative to the sum A of
 # d |coefficient entry| over the support (see the module docstring).
 SUP_ROUNDOFF = 1e-12
 # Roundoff allowance of a computed even L^p norm, relative to the same sum A,
 # by which lp_enclosures widens each norm it builds on (module docstring).
 LP_ROUNDOFF = 1e-13
-# Ceiling on ascent steps; the ascent ends before when no step's first-order
-# gain in |f|^2 passes ASCENT_GAIN times its value.
-ASCENT_STEPS = 30
-ASCENT_GAIN = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +353,8 @@ def _identity_value(F: SpectralFunction) -> float | None:
     central = np.where(diagonal_mask(F.dims), np.repeat(c, np.diff(F.offsets)), 0.0)
     if (c < 0.0).any() or not np.array_equal(F.entries, central):
         return None
-    return float(np.sum(F.dims**2 * c))
+    with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
+        return _finite(float(np.sum(F.dims**2 * c)), "L^inf value at the identity")
 
 
 def _even_level(p: float) -> int | None:
@@ -411,7 +404,7 @@ def _weighted_sum(slabs, rule, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sup norms: grid maximum, local ascent and a Bernstein mesh bound
+# Sup norms: the grid maximum and a Bernstein mesh bound
 
 
 def _degree_tau(F: SpectralFunction, degree: int) -> float:
@@ -436,146 +429,15 @@ def _abs_sum(F: SpectralFunction) -> float:
     return float(np.abs(F.entries) @ np.repeat(F.dims, F.dims * F.dims))
 
 
-def _sup_enclosure(F: SpectralFunction, rule, peak, nodes, tau: float,
-                   node_count: int) -> tuple[float, float]:
-    """(lo, hi) around sup |f| from one level's grid maximum and best nodes.
+def _sup_enclosure(F: SpectralFunction, rule, tau: float, node_count: int) -> tuple[float, float]:
+    """(lo, hi) around sup |f| from one pass over the nodes of a rule.
 
-    lo is the largest point value a local ascent from the nodes sees, never
-    below the grid maximum M; hi = factor(tau) (M + SUP_ROUNDOFF A).
+    lo is the grid maximum M, a point value up to roundoff; hi = factor(tau)
+    (M + SUP_ROUNDOFF A).  node_count names the grid in a refusal.
     """
-    grid_max = _finite(float(peak), f"L^inf value on {node_count} nodes")
-    scale = _abs_sum(F)
-    with np.errstate(over="ignore", invalid="ignore"):
-        seen = _ascend(F, _node_points(rule, nodes), _node_gap(rule), scale).max()
-        seen = scale * math.sqrt(seen)
-        lo = _finite(max(grid_max, seen), f"L^inf ascent from {node_count} nodes")
-        hi = _mesh_factor(tau) * (grid_max + SUP_ROUNDOFF * scale)
-    return lo, hi
-
-
-def _node_gap(rule) -> float:
-    # The largest distance between neighbouring nodes along an axis, in the
-    # units of the ascent's chart: the ascent's first trust radius.
-    gap = max(axis_gaps(rule.group, rule.degree))
-    return gap if rule.group.kind == "torus" else gap / 2.0
-
-
-def _node_points(rule, nodes: np.ndarray) -> np.ndarray:
-    # Flat node indices as chart points: angle rows on a torus, and on SU(2)
-    # the first column (a, b) of the matrix Rz(alpha) Ry(beta) Rz(gamma).
-    idx = np.unravel_index(nodes, rule.shape)
-    angles = [axis[i] for axis, i in zip(rule.axes, idx)]
-    if rule.group.kind == "torus":
-        return np.stack(angles, axis=1)
-    alpha, beta, gamma = angles
-    return np.stack((np.exp(-0.5j * (alpha + gamma)) * np.cos(beta / 2.0),
-                     np.exp(0.5j * (alpha - gamma)) * np.sin(beta / 2.0)), axis=1)
-
-
-def _ascend(F: SpectralFunction, points: np.ndarray, radius: float, scale: float) -> np.ndarray:
-    """|f / scale|^2 where a trust-region Newton ascent from each point ends.
-
-    All points move at once.  A step goes to the Newton point along the
-    eigendirections of negative curvature of the Hessian of |f|^2 and the
-    trust radius uphill along the gradient's part in the others, at most the
-    trust radius long in all; it is taken only where it raises the value, so
-    no point ends below its start.  A taken step leaves the radius at least
-    twice its length, a refused one a quarter.
-    """
-    def jet(pts):
-        f, grad, hess = _jet(F, pts)
-        return f / scale, grad / scale, hess / scale
-
-    f, grad, hess = jet(points)
-    value = np.abs(f) ** 2
-    trust = np.full(value.size, radius)
-    for _ in range(ASCENT_STEPS):
-        slope = 2.0 * (f.conj()[:, None] * grad).real
-        curv = 2.0 * (grad.conj()[:, :, None] * grad[:, None, :]
-                      + f.conj()[:, None, None] * hess).real
-        eig, vec = np.linalg.eigh(curv)
-        down = eig < 0.0
-        coef = (vec.transpose(0, 2, 1) @ slope[..., None])[..., 0]
-        newton = vec @ np.where(down, coef / np.where(down, -eig, 1.0), 0.0)[..., None]
-        # the gradient's part off the negative eigendirections: the gradient
-        # itself where there are none, as it equals the projection onto all
-        rest = np.where(down.any(axis=1)[:, None],
-                        (vec @ np.where(down, 0.0, coef)[..., None])[..., 0], slope)
-        norm = np.linalg.norm(rest, axis=1)
-        step = newton[..., 0] + rest * (trust / np.where(norm > 0.0, norm, 1.0))[:, None]
-        length = np.linalg.norm(step, axis=1)
-        step *= np.minimum(1.0, trust / np.where(length > 0.0, length, 1.0))[:, None]
-        length = np.minimum(length, trust)
-        if (np.abs(np.sum(slope * step, axis=1)) <= ASCENT_GAIN * value).all():
-            break
-        moved = _chart_step(F.group, points, step)
-        f2, grad2, hess2 = jet(moved)
-        value2 = np.abs(f2) ** 2
-        up = value2 > value
-        points = np.where(up[:, None], moved, points)
-        f, grad, hess = (np.where(up.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-                         for new, old in ((f2, f), (grad2, grad), (hess2, hess)))
-        value = np.where(up, value2, value)
-        trust = np.where(up, np.maximum(trust, 2.0 * length), length / 4.0)
-    return value
-
-
-def _jet(F: SpectralFunction, points: np.ndarray):
-    """f, its gradient and Hessian at each point, in the chart x -> point exp(x).
-
-    On a torus the chart is the angle shift, and each coefficient c_k
-    differentiates to i k c_k.  On SU(2) it is x -> g exp(sum x_a i sigma_a),
-    unit speed on the unit sphere S^3; there D^l(g exp X) = D^l(g)
-    exp(d pi_l(X)) with d pi_l(i sigma_a) = 2 i J_a, the spin-l matrices.
-    """
-    if F.group.kind == "torus":
-        k = F.index.astype(float)
-        terms = np.exp(1j * (points @ k.T)) * F.entries
-        return terms.sum(axis=1), 1j * (terms @ k), -np.einsum("sj,ja,jb->sab", terms, k, k)
-    a, b = points.T
-    tabs = wigner_d_half_angle_tables(int(F.index.max()), abs(a), abs(b))
-    # D^l_mn(g) = exp(-i ((m + n) phi + (m - n) psi)) d^l_mn(beta), phi = -arg a, psi = arg b
-    phi, psi = -np.angle(a), np.angle(b)
-    f, grad, hess = 0.0, 0.0, 0.0
-    for twoL, mat in F.items():
-        ms = twoL / 2.0 - np.arange(twoL + 1)
-        turn = (np.multiply.outer(phi, np.add.outer(ms, ms))
-                + np.multiply.outer(psi, np.subtract.outer(ms, ms)))
-        cd = (twoL + 1) * mat @ (np.exp(-1j * turn) * tabs[twoL].transpose(2, 0, 1))
-        gens, sym = _spin_generators(twoL)
-        f = f + np.trace(cd, axis1=1, axis2=2)
-        grad = grad + np.einsum("sij,aji->sa", cd, gens)
-        hess = hess + np.einsum("sij,abji->sab", cd, sym)
-    return f, grad, hess
-
-
-@lru_cache(maxsize=64)
-def _spin_generators(twoL: int) -> tuple[np.ndarray, np.ndarray]:
-    # 2 i J_a of spin l = twoL / 2, rows m = l, ..., -l, and their
-    # symmetrized products (G_a G_b + G_b G_a) / 2, the chart's Hessian terms.
-    l = twoL / 2.0
-    ms = l - np.arange(twoL + 1)
-    raise_m = np.diag(np.sqrt(l * (l + 1.0) - ms[1:] * (ms[1:] + 1.0)), 1)
-    gens = 2j * np.stack(((raise_m + raise_m.T) / 2.0, (raise_m - raise_m.T) / 2j, np.diag(ms)))
-    pairs = gens[:, None] @ gens[None, :]
-    sym = (pairs + pairs.transpose(1, 0, 2, 3)) / 2.0
-    gens.setflags(write=False)
-    sym.setflags(write=False)
-    return gens, sym
-
-
-def _chart_step(group, points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # point exp(x): the angle shift on a torus; on SU(2), (a, b) times
-    # exp(i x.sigma) = [[p, -conj q], [q, conj p]], kept on the unit sphere.
-    if group.kind == "torus":
-        return points + x
-    r = np.linalg.norm(x, axis=1)
-    sinc = np.sinc(r / math.pi)
-    p = np.cos(r) + 1j * sinc * x[:, 2]
-    q = sinc * (-x[:, 1] + 1j * x[:, 0])
-    a, b = points.T
-    moved = np.stack((a * p - b.conj() * q, b * p + a.conj() * q), axis=1)
-    return moved / np.linalg.norm(moved, axis=1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
+        lo = _finite(_grid_peak(_synth_values(F, rule)), f"L^inf value on {node_count} nodes")
+        return lo, _mesh_factor(tau) * (lo + SUP_ROUNDOFF * _abs_sum(F))
 
 
 def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
@@ -609,20 +471,11 @@ def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
     return low, False
 
 
-def _grid_peak(slabs) -> tuple[float, np.ndarray]:
+def _grid_peak(slabs) -> float:
     # The maximum of the values v over slabs (lo, hi, v), as _weighted_sum
-    # reads them, nan if any is nan, and the flat nodes of the SUP_SEEDS
-    # largest (all of them when there are fewer).
-    best, tops = np.zeros(0, dtype=np.intp), np.zeros(0)
-    for lo, hi, vals in slabs:
-        # Only values above the k-th best so far can enter; nan always does.
-        floor = tops.min() if tops.size == SUP_SEEDS else -INF
-        fresh = np.flatnonzero(~(vals <= floor))
-        values = np.concatenate((tops, vals[fresh]))
-        keep = (np.argpartition(values, -SUP_SEEDS)[-SUP_SEEDS:] if values.size > SUP_SEEDS
-                else slice(None))
-        best, tops = np.concatenate((best, fresh + lo))[keep], values[keep]
-    return tops.max(), best  # nan propagates through the maximum
+    # reads them; nan if any is nan, which numpy's maximum propagates and
+    # the builtin max, comparing, may drop.
+    return float(np.max([vals.max() for _, _, vals in slabs]))
 
 
 def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
@@ -632,11 +485,8 @@ def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
     degree, within = _sup_degree(F, max_nodes)
     rule = quadrature(F.group, degree / 2.0, max_nodes)
     grid = (rule.node_count, rule.bandlimit)
-    if F.sign_even:
-        rule = rule.folded()
-    with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
-        peak, nodes = _grid_peak(_synth_values(F, rule))
-    lo, hi = _sup_enclosure(F, rule, peak, nodes, _degree_tau(F, degree), grid[0])
+    lo, hi = _sup_enclosure(F, rule.folded() if F.sign_even else rule,
+                            _degree_tau(F, degree), grid[0])
     return lo, _provenance("enclosed" if within else "capped", *grid, upper=hi)
 
 
@@ -687,12 +537,15 @@ def lp_norms(
     Returns {p: (value, provenance)} where provenance records the bandlimit,
     node count, and certification: "exact" (polynomial integrand, or a
     pinned identity maximum, which builds no grid: nodes 0), "enclosed" (p =
-    inf: the sup lies between the value and provenance["upper"], within a
-    factor 1 + SUP_ENCLOSURE), "refined" (dyadic refinement met the stop
+    inf: the value is the grid maximum, a point value up to roundoff, and
+    the sup lies between it and provenance["upper"], within a factor 1 +
+    SUP_ENCLOSURE up to roundoff), "refined" (dyadic refinement met the stop
     rule), or "capped" (node cap reached first; value from the finest grid
     built).  Every p = inf provenance carries "upper", inf where the finest
-    grid the cap admits is too coarse for a finite bound.
+    grid the cap admits is too coarse for a finite bound.  A malformed node
+    cap raises DomainError, also where no grid is built.
     """
+    check_node_cap(max_nodes)
     ps = list(ps)
     for p in ps:
         if not p > 0:
@@ -751,6 +604,7 @@ def lp_enclosures(
     range, bounds nothing ([0, inf]); one refused by the cap makes the
     bound "capped".
     """
+    check_node_cap(max_nodes)
     ps = list(ps)
     for p in ps:
         if not p > 0:
@@ -1016,6 +870,7 @@ def norm_info(
     block's upper end, which bounds the norm since the aggregate increases
     in each term (inf when a term, or the aggregate, is past float range).
     """
+    check_node_cap(max_nodes)
     fam = spec.family
     if fam == "Lp":
         return lp_norm_info(F, spec.p, max_nodes)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from peterweyl import fourier, norms, verify
@@ -423,6 +424,24 @@ def test_weights_out_of_float_range_raise_domain_error():
             norm_info(F, parse_norm_spec(text))
 
 
+def test_a_malformed_node_cap_is_refused_where_no_grid_is_built():
+    # The zero function, an identity-pinned sup and coefficient-only norms
+    # build no grid; the cap is checked on entry all the same.
+    zero = zero_spectral(T1)
+    calls = [lambda cap: lp_norm(zero, 2.0, cap), lambda cap: lp_norm(ONE_PLUS, INF, cap),
+             lambda cap: lp_enclosures(zero, [3.0], cap),
+             lambda cap: norm_info(zero, parse_norm_spec("besov:r=1,p=2,q=2"), cap),
+             lambda cap: norm_info(zero, parse_norm_spec("wiener:1"), cap),
+             lambda cap: fourier.pointwise_power(zero, 2, max_nodes=cap)]
+    assert lp_norm_info(ONE_PLUS, INF)[1]["certified"] == "exact (identity-pinned)"
+    for call in calls:
+        for cap in (-5, 0, 2.5):
+            with pytest.raises(DomainError, match="node cap"):
+                call(cap)
+        call(None)
+        call(1)
+
+
 @pytest.mark.parametrize("L", [2.0, 8.0])
 @pytest.mark.parametrize("p", [1e-320, 1e-300, 1e-20, 1e-12])
 def test_root_that_underflows_raises_domain_error(L, p):
@@ -667,7 +686,7 @@ def test_slab_ladder_matches_full_grid_reduction(monkeypatch, group, L, cap, sla
         rules.append(quadrature(group, info["bandlimit"]))
         assert rules[-1].node_count == info["nodes"]
         ref = _full_grid_lp(F, rules[-1], p)
-        if p == INF:  # the grid maximum starts the enclosure's ascent
+        if p == INF:  # the grid maximum is the enclosure's lower end
             assert ref <= value <= info["upper"], (value, ref, info)
         else:
             assert abs(value - ref) <= 1e-13 * ref, (p, value, ref)
@@ -711,9 +730,7 @@ def test_level_reductions_weight_each_slab_by_its_rows(monkeypatch, group):
     def slabs():
         return ((lo, hi, v[lo:hi]) for _, _, lo, hi in bounds)
 
-    peak, nodes = norms._grid_peak(slabs())
-    assert peak == v.max()
-    assert sorted(nodes) == sorted(np.argsort(v)[-norms.SUP_SEEDS:])
+    assert norms._grid_peak(slabs()) == v.max()
     for p in NIKOLSKII_EXPONENTS[:-1]:
         ref = np.dot(rule.weights, v**p)
         assert abs(norms._weighted_sum(slabs(), rule, p) - ref) <= 1e-13 * ref, p
@@ -789,7 +806,7 @@ def _full_grid_root(slabs, rule, p):
     # The ladder's reduction of one level on the full rule, kept as the
     # reference for a folded level.
     if p == INF:
-        return float(norms._grid_peak(slabs)[0])
+        return norms._grid_peak(slabs)
     return float(norms._weighted_sum(slabs, rule, p) ** (1.0 / p))
 
 
@@ -863,10 +880,9 @@ def test_fold_matches_full_grid_reference(ladder_spy, n):
                 assert full.node_count == info["nodes"]
                 parities.add(full.shape[0] % 2)
                 want = _full_grid_root(norms._synth_values(F, full), full, p)
-                if p == INF:  # the same grid maximum, then an ascent from it
+                if p == INF:  # the same grid maximum, and the bound above it
                     assert abs(info["upper"] - ref[p][1]["upper"]) <= 1e-13 * want
-                    assert want <= value <= info["upper"]
-                    assert abs(value - ref[p][0]) <= 1e-12 * want
+                    assert abs(value - want) <= 1e-13 * want and value <= info["upper"]
                 else:
                     assert abs(value - want) <= 1e-13 * want, (L, p, value, want)
     assert parities == {0, 1}
@@ -920,7 +936,10 @@ def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
         for p, (value, info) in out.items():
             full = quadrature(group, info["bandlimit"])
             want = _full_grid_root(norms._synth_values(F, full), full, p)
-            assert want <= value <= info["upper"] if p == INF else value == want
+            if p == INF:
+                assert abs(value - want) <= 1e-13 * want and value <= info["upper"]
+            else:
+                assert value == want
 
 
 def test_sign_even_is_decided_exactly():
@@ -962,15 +981,35 @@ def test_sign_even_ladder_builds_no_phase_table():
 # the sup enclosure
 
 
+def _series(F):
+    # x -> f(x), the Fourier series summed term by term: exp(i k.x) on a
+    # torus, d tr(fhat D(x)) with groups.matrix_coefficient on SU(2).
+    if F.group.kind == "torus":
+        k = F.index.astype(float)
+        return lambda x: np.exp(1j * (k @ x)) @ F.entries
+    def f(x):  # any angles, brought to the canonical ranges
+        angles = su2_to_euler(euler_to_su2(*x))
+        return sum((d + 1) * np.trace(mat @ matrix_coefficient(SU2, d, angles))
+                   for d, mat in F.items())
+    return f
+
+
 def _reference_sup(F, band, seeds):
-    # max |f| on the rule of this band, raised by the ascent from its best
-    # nodes: the reference a sup enclosure must contain.
+    # max |f| on the rule of this band, raised by polishing its best nodes
+    # with scipy's minimizer on the series itself: the reference a sup
+    # enclosure must contain, sharing no code with norms.
     rule = quadrature(F.group, band)
     v = np.abs(synthesize(F, rule).values)
-    scale = norms._abs_sum(F)
-    points = norms._node_points(rule, np.argsort(v)[-seeds:])
-    seen = norms._ascend(F, points, norms._node_gap(rule), scale).max()
-    return max(float(v.max()), scale * math.sqrt(seen))
+    f = _series(F)
+    polished = [minimize(lambda x: -abs(f(x)) ** 2, x0).fun
+                for x0 in rule.nodes[np.argsort(v)[-seeds:]]]
+    return max(float(v.max()), math.sqrt(-min(polished)))
+
+
+def _su2_nodes_in_c2(rule):
+    # The first columns (a, b) of the matrices at the nodes of an SU(2)
+    # rule: points of the unit sphere S^3 in C^2.
+    return np.array([euler_to_su2(*x)[:, 0] for x in rule.nodes])
 
 
 def _ladder_nodes(F, nodes):
@@ -979,6 +1018,28 @@ def _ladder_nodes(F, nodes):
     while counts[-1] < nodes:
         counts.append(quadrature(F.group, F.max_weight() * 2.0 ** (len(counts) - 1)).node_count)
     return counts[1:]
+
+
+def test_grid_peak_propagates_nan_from_a_later_slab():
+    # the builtin max(3.0, nan) is 3.0: a nan past the first slab must
+    # still reach _finite, which refuses it
+    slabs = [(0, 3, np.array([1.0, 3.0, 2.0])), (3, 5, np.array([0.5, np.nan])),
+             (5, 6, np.array([2.5]))]
+    assert math.isnan(norms._grid_peak(iter(slabs)))
+    assert norms._grid_peak(iter(slabs[::2])) == 3.0
+
+
+@pytest.mark.parametrize("group", [T1, torus(2), SU2], ids=str)
+def test_sup_of_coefficients_that_overflow_synthesis_is_refused(group):
+    zero = (0,) * group.dim if group.kind == "torus" else 0
+    one = (1,) + (0,) * (group.dim - 1) if group.kind == "torus" else 1
+    d = rep_dim(group, one)
+    big = {zero: [[1e308]], one: 1e308 * (np.eye(d) - 1j * np.eye(d)[::-1])}
+    pinned = {zero: [[1e308]], one: 1e308 * np.eye(d)}  # positive central: f(e)
+    for coeffs in (big, pinned):
+        norms.clear_memos()
+        with pytest.raises(DomainError, match="not finite"):
+            lp_norm(SpectralFunction(group, coeffs), INF)
 
 
 def _sup_cases():
@@ -1009,11 +1070,11 @@ def test_sup_enclosure_contains_the_maximum(F):
         lo, info = lp_norms(F, [INF], cap)[INF]
         rule = quadrature(F.group, info["bandlimit"])
         assert rule.node_count == info["nodes"]
-        assert np.abs(synthesize(F, rule).values).max() <= lo
+        # the grid maximum, up to the roundoff of a folded or slabbed synthesis
+        assert abs(np.abs(synthesize(F, rule).values).max() - lo) <= 1e-13 * lo
         assert lo <= ref * (1.0 + 1e-12) and ref <= info["upper"], (cap, lo, ref, info)
         if cap is None:
             assert info["upper"] <= 1.02 * lo
-            assert lo >= ref * (1.0 - 1e-12)  # the ascent found the maximum
         else:
             assert info["certified"] == "capped"
 
@@ -1034,14 +1095,16 @@ def test_sup_enclosure_holds_where_the_mesh_bound_is_tight(group):
         m = quadrature(group, info["bandlimit"]).shape[0]
         lo, info = lp_norms(peak(math.pi / m), [INF], cap)[INF]
         assert info["nodes"] == m**group.dim
+        # the grid maximum, synthesized: up to SUP_ROUNDOFF A below its
+        # exact value, with A = |1| + |exp(i theta)| = 2
         grid_max = 2.0 * math.cos(math.pi / (2 * m))
-        assert grid_max <= lo <= 2.0 * (1.0 + 1e-15) <= info["upper"], (cap, lo, info)
+        assert grid_max - norms.SUP_ROUNDOFF * 2.0 <= lo <= 2.0 <= info["upper"], (cap, lo, info)
 
 
 @pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
 def test_sup_enclosure_allows_for_roundoff(group):
-    # A complex constant: the mesh factor is 1, the ascent reads |c| from
-    # the series itself, and the synthesized grid may fall an ulp short.
+    # A complex constant: the mesh factor is 1, and the synthesized grid
+    # maximum may fall an ulp short of |c|, which the bound still covers.
     rng = np.random.default_rng(63)
     zero = (0,) * group.dim if group.kind == "torus" else 0
     for _ in range(40):
@@ -1050,62 +1113,6 @@ def test_sup_enclosure_allows_for_roundoff(group):
         lo, info = lp_norms(SpectralFunction(group, {zero: [[c]]}), [INF])[INF]
         assert info["certified"] == "enclosed"
         assert abs(lo - abs(c)) <= 1e-15 * abs(c) and lo <= info["upper"] <= 1.02 * lo
-
-
-@pytest.mark.parametrize("group,L", [(T1, 6.0), (torus(2), 3.0), (SU2, 2.0)], ids=str)
-def test_sup_ascent_never_descends(monkeypatch, group, L):
-    # From random points, with a trust radius far past the node gap so that
-    # many proposed steps overshoot: no point may end below its start.
-    F = _random_spectral(group, L, 64)
-    rng = np.random.default_rng(65)
-    if group.kind == "torus":
-        points = rng.uniform(0.0, 2.0 * math.pi, (64, group.dim))
-    else:
-        q = rng.standard_normal((64, 4))
-        q /= np.linalg.norm(q, axis=1)[:, None]
-        points = q[:, 0:2] + 1j * q[:, 2:4]
-    scale = norms._abs_sum(F)
-    start = np.abs(norms._jet(F, points)[0] / scale) ** 2
-    for steps in (1, 2, norms.ASCENT_STEPS):
-        monkeypatch.setattr(norms, "ASCENT_STEPS", steps)
-        end = norms._ascend(F, points, 1.0, scale)
-        assert (end >= start).all(), steps
-    assert (end > start * (1.0 + 1e-3)).mean() > 0.5  # and most of them climb
-
-
-def test_su2_jet_matches_the_matrix_coefficients():
-    # f, its gradient and Hessian in the chart g exp(sum x_a i sigma_a),
-    # against the series summed from groups.matrix_coefficient and central
-    # differences along unit-speed directions.
-    F = _random_spectral(SU2, 2.0, 66)
-
-    def series(angles):
-        return sum((d + 1) * np.trace(mat @ matrix_coefficient(SU2, d, angles))
-                   for d, mat in F.items())
-
-    rng = np.random.default_rng(67)
-    for _ in range(4):
-        angles = random_element(SU2, rng)
-        u = euler_to_su2(*angles)
-        point = np.array([[u[0, 0], u[1, 0]]])
-        f, grad, hess = norms._jet(F, point)
-        assert abs(f[0] - series(angles)) <= 1e-13 * norms._abs_sum(F)
-        for x in [*np.eye(3), rng.standard_normal(3)]:
-            x = x / np.linalg.norm(x)
-            h = 1e-4
-            moved = [norms._chart_step(SU2, point, t * h * x[None, :]) for t in (-1, 1)]
-            ends = [series(su2_to_euler(np.array([[a, -b.conjugate()], [b, a.conjugate()]])))
-                    for a, b in (m[0] for m in moved)]
-            # the chart is unit speed on the unit sphere S^3
-            assert abs(np.linalg.norm(moved[1] - point) - h) <= 1e-8
-            assert abs((ends[1] - ends[0]) / (2 * h) - grad[0] @ x) <= 1e-6 * norms._abs_sum(F)
-            second = (ends[1] - 2 * f[0] + ends[0]) / h**2
-            assert abs(second - x @ hess[0] @ x) <= 1e-4 * norms._abs_sum(F)
-    # at every node of a rule, the poles beta = 0 and pi included, where the
-    # half angles rebuilt from cos(beta) would lose half their digits
-    rule = quadrature(SU2, 6.0)
-    f = norms._jet(F, norms._node_points(rule, np.arange(rule.node_count)))[0]
-    assert np.abs(f - synthesize(F, rule).values).max() <= 1e-14 * norms._abs_sum(F)
 
 
 def test_mesh_tau_matches_its_derivation():
@@ -1126,7 +1133,7 @@ def test_mesh_tau_matches_its_derivation():
     assert norms._degree_tau(G, rule.degree) == pytest.approx(want, rel=1e-12)
     # the covering radius tau / (2 twoL_max) in the unit-S^3 metric bounds
     # the distance from Haar-random points to the nearest node
-    nodes = norms._node_points(rule, np.arange(rule.node_count))
+    nodes = _su2_nodes_in_c2(rule)
     rng = np.random.default_rng(69)
     for _ in range(200):
         u = euler_to_su2(*random_element(SU2, rng))
@@ -1157,25 +1164,11 @@ def test_sup_mesh_bound_is_sharp_to_second_order(group):
                                      [[complex(math.cos(math.pi / m), -math.sin(math.pi / m))]]})
         tau = norms._degree_tau(F, rule.degree)
         assert tau == pytest.approx(math.pi / m, rel=1e-15)
-        peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
-        lo, hi = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
-        assert 2.0 * math.cos(tau / 2.0) <= lo <= 2.0 * (1.0 + 1e-15) <= hi
+        lo, hi = norms._sup_enclosure(F, rule, tau, rule.node_count)
+        # lo, the synthesized grid maximum, may fall up to SUP_ROUNDOFF A
+        # (A = 2) short of the exact 2 cos(tau / 2)
+        assert 2.0 * math.cos(tau / 2.0) - norms.SUP_ROUNDOFF * 2.0 <= lo <= 2.0 <= hi
         assert hi / 2.0 - 1.0 <= tau**4 / 300.0, (m, hi)
-
-
-def test_sup_ascent_reaches_the_peak_where_the_hessian_is_only_semidefinite():
-    # |1 + exp(i (x_0 - pi / m))|^2 on T^2 is flat along x_1, so the Hessian
-    # of |f|^2 has a zero eigenvalue at every point: the Newton step along
-    # the negative one still lands on the peak 2, half a node gap away.
-    for degree in range(4, 56):
-        rule = quadrature(torus(2), degree / 2.0)
-        m = rule.shape[0]
-        F = SpectralFunction(torus(2), {(0, 0): [[1.0]], (1, 0): [[complex(
-            math.cos(math.pi / m), -math.sin(math.pi / m))]]})
-        peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
-        tau = norms._degree_tau(F, rule.degree)
-        lo, _ = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
-        assert abs(lo - 2.0) <= 4 * math.ulp(2.0), (degree, lo)
 
 
 @pytest.mark.parametrize("degree", [12, 24])
@@ -1187,7 +1180,7 @@ def test_su2_nodes_cover_within_the_mesh_radius(degree):
     assert rule.degree == degree
     h_alpha, h_beta, h_gamma = axis_gaps(SU2, degree)
     delta = math.hypot(h_beta, h_alpha + h_gamma) / 4.0
-    nodes = norms._node_points(rule, np.arange(rule.node_count))
+    nodes = _su2_nodes_in_c2(rule)
     tree = cKDTree(np.column_stack((nodes.real, nodes.imag)))
     rng = np.random.default_rng(72)
     u = np.array([euler_to_su2(*random_element(SU2, rng))[:, 0] for _ in range(3000)])
@@ -1276,11 +1269,11 @@ def test_sized_sup_matches_the_ladder_level_sup(F):
     tau = norms._degree_tau(F, rule.degree)
     if F.sign_even:
         rule = rule.folded()
-    peak, nodes = norms._grid_peak(norms._synth_values(F, rule))
-    want, _ = norms._sup_enclosure(F, rule, peak, nodes, tau, rule.node_count)
+    want, want_hi = norms._sup_enclosure(F, rule, tau, rule.node_count)
     norms.clear_memos()
     lo, info = lp_norms(F, [INF])[INF]
-    assert abs(lo - want) <= 1e-13 * want
+    # two grid maxima, each under the other's bound: the enclosures meet
+    assert want <= info["upper"] and lo <= want_hi
     assert info["nodes"] < quadrature(F.group, F.max_weight() * 2.0**level).node_count
 
 
@@ -1290,6 +1283,56 @@ def test_tau_does_not_increase_with_the_degree():
         F = _random_spectral(group, 2.0, 84)
         taus = [norms._degree_tau(F, c) for c in range(2, 300)]
         assert all(b <= a for a, b in zip(taus, taus[1:])), group
+
+
+# ---------------------------------------------------------------------------
+# exact even norms against rational coefficient convolutions
+
+
+def _exact_even_power(F, k):
+    # ||f||_2k^2k = ||f^k||_2^2: f^k by convolving the coefficients k times
+    # as Gaussian rationals (pairs of Fractions), then Parseval.
+    coeffs = {tuple(i): (Fraction(c.real), Fraction(c.imag))
+              for i, c in zip(F.index.tolist(), F.entries.tolist())}
+    power = {(0,) * F.group.dim: (Fraction(1), Fraction(0))}
+    for _ in range(k):
+        product = {}
+        for a, (ar, ai) in power.items():
+            for b, (br, bi) in coeffs.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                re, im = product.get(key, (0, 0))
+                product[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+        power = product
+    return sum(re * re + im * im for re, im in power.values())
+
+
+def _dyadic_case(group, L, kind):
+    # Coefficients in (1/64)Z + i (1/64)Z: "dense" draws each, and the
+    # sign-even kinds one per sign orbit, so they take the folded rule,
+    # "even-real" summed there as cosines.
+    rng = np.random.default_rng(95 + group.dim)
+    drawn, coeffs = {}, {}
+    for k in enumerate_dual(group, L):
+        key = k if kind == "dense" else tuple(map(abs, k))
+        if key not in drawn:
+            re, im = rng.integers(-64, 65, 2) / 64
+            drawn[key] = complex(re, 0.0 if kind == "even-real" else im)
+        coeffs[k] = [[drawn[key]]]
+    return SpectralFunction(group, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["dense", "even-real", "even-complex"])
+@pytest.mark.parametrize("group,L", [(T1, 8.0), (torus(2), 4.0)], ids=str)
+def test_even_norms_match_the_exact_rational_values(group, L, kind):
+    F = _dyadic_case(group, L, kind)
+    assert F.sign_even == (kind != "dense")
+    norms.clear_memos()
+    scale = sum(abs(c) for c in F.entries.tolist())  # A: d = 1 on a torus
+    for k in (1, 2, 3):
+        value, info = lp_norm_info(F, 2.0 * k)
+        assert info["certified"] == "exact"
+        exact = float(_exact_even_power(F, k)) ** (1.0 / (2 * k))
+        assert abs(value - exact) <= norms.LP_ROUNDOFF * scale, (k, value, exact)
 
 
 # ---------------------------------------------------------------------------
