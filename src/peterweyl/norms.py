@@ -517,7 +517,7 @@ def _ladder(
         grid = (rule.node_count, band)
         if F.sign_even:
             rule = rule.folded()
-        with np.errstate(over="ignore"):  # an overflow ends as inf, refused by _finite
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
             total = _weighted_sum(values_of(rule), rule, p)
         cur = _root(float(total), p, f"L^{p:g} value on {grid[0]} nodes")
         if exact_level is not None:

@@ -1042,6 +1042,16 @@ def test_sup_of_coefficients_that_overflow_synthesis_is_refused(group):
             lp_norm(SpectralFunction(group, coeffs), INF)
 
 
+def test_finite_p_of_coefficients_that_overflow_synthesis_is_refused():
+    # inf - inf at a node is nan: a DomainError, with no numpy RuntimeWarning
+    # on the way (pyproject turns those into errors), as for the sup above
+    F = SpectralFunction(T1, {(0,): [[1e308]], (1,): [[-1e308j]]})
+    for spec in ("Lp:1.5", "Lp:3", "tl:r=0.5,p=3,q=1.5"):
+        norms.clear_memos()
+        with pytest.raises(DomainError, match="not finite"):
+            norm_info(F, parse_norm_spec(spec))
+
+
 def _sup_cases():
     cases = []
     for group, L, even_L, sparse_L in ((T1, 6.0, 5.0, 12.0), (torus(2), 3.0, 3.0, 4.0),

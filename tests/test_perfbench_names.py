@@ -36,7 +36,8 @@ def test_every_traced_function_exists(tracer):
         assert callable(getattr(module, fn_name, None)), f"{mod}.{fn_name}"
     for mod in tracer.MODULES:
         assert getattr(peterweyl, mod) is importlib.import_module(f"peterweyl.{mod}")
-    assert set(tracer.SUITES) == set(peterweyl.verify._SUITE_RUNNERS)
+    # the tracer's per-suite metrics name verify's suites in its order
+    assert tracer.SUITES == tuple(peterweyl.verify._SUITE_RUNNERS)
 
 
 def test_lp_norms_returns_value_and_provenance_per_exponent():

@@ -21,9 +21,9 @@ from peterweyl.groups import (
 from peterweyl.norms import INF, NormSpec, lp_norm, lp_norm_info, seq_lp_norm
 from peterweyl.verify import (
     PROFILES,
+    SUITES,
     RunConfig,
     _conjugate,
-    _ring_kernel,
     besov_besov_pair,
     besov_linf_pair,
     besov_lq_pair,
@@ -410,37 +410,6 @@ def test_embedding_suite_corpus_finiteness():
     assert not any(r.name.startswith("embedding-slope") for r in reports)
 
 
-def test_embedding_suite_single_block_family():
-    pairs = [besov_linf_pair(T1, 2.0)]
-    reports = embedding_suite(T1, "single_block", pairs, L_grid=[0, 1, 2, 3])
-    assert any(r.name.startswith("embedding-slope") for r in reports)
-    assert all(r.holds for r in reports)
-
-
-def _ring_kernel_by_filter(group, s):
-    # reference: enumerate past the shell's outer edge, keep the reps of shell s
-    keep = [
-        xi
-        for xi in enumerate_dual(group, 2.0 ** (s + 1) * 1.01)
-        if 4**s <= weight_sq(group, xi) < 4 ** (s + 1)
-    ]
-    return SpectralFunction(
-        group, {xi: np.eye(rep_dim(group, xi), dtype=complex) for xi in keep}
-    )
-
-
-@pytest.mark.parametrize("group", [T1, T2, torus(3), SU2], ids=str)
-def test_ring_kernel_matches_enumerate_and_filter(group):
-    for s in range(4):
-        ref = _ring_kernel_by_filter(group, s)
-        got = _ring_kernel(group, s)
-        assert ref
-        assert list(got.coeffs) == list(ref.coeffs)
-        for xi, mat in ref.coeffs.items():
-            assert np.array_equal(got.coeffs[xi], mat)
-        assert got.digest == ref.digest
-
-
 # ---------------------------------------------------------------------------
 # Weyl fits
 
@@ -590,11 +559,36 @@ def test_run_suite_all_passes_tiny():
     assert reports and all(r.holds for r in reports)
     for rep in reports:  # every record's JSON form is strict JSON
         json.dumps(rep.to_record(), allow_nan=False)
-    counts = summarize(reports)
-    assert set(counts) == {
-        "sharpness", "nikolskii", "hausdorff-young", "weyl", "corollary",
-        "embeddings", "wiener-chain",
-    }
+    # one contiguous run of records per suite, in canonical order
+    assert list(dict.fromkeys(r.suite for r in reports)) == list(SUITES[:-1])
+    order = [SUITES.index(r.suite) for r in reports]
+    assert order == sorted(order)
+    assert set(summarize(reports)) == set(SUITES[:-1])
+
+
+def test_verdict_edges():
+    tol = 1e-6
+    assert verify._verdict(1.0 + tol, 1.0, tol) == (1.0 + tol, True)
+    assert verify._verdict(math.nextafter(1.0 + tol, 2.0), 1.0, tol)[1] is False
+    assert verify._verdict(0.0, 0.0, tol) == (1.0, True)
+    assert verify._verdict(1e-300, 0.0, tol) == (math.inf, False)
+    assert verify._verdict(math.inf, 1.0, tol) == (math.inf, False)
+    assert verify._verdict(math.inf, math.inf, tol) == (math.inf, False)
+    # tol = inf: a record holds iff its ratio is finite
+    assert verify._verdict(1e12, 1.0, INF) == (1e12, True)
+    assert verify._verdict(1e300, 1e-300, INF) == (math.inf, False)
+    assert verify._verdict(1.0, 0.0, INF) == (math.inf, False)
+    assert verify._verdict(0.0, 0.0, INF) == (1.0, True)
+
+
+def test_equality_record_scales_by_its_second_value():
+    rep = verify._equality("e", "s", {}, 3.0, 2.0, 1e-9, notes="n")
+    assert (rep.lhs, rep.rhs, rep.tol, rep.notes) == (1.0, 2e-9, 0.0, "n")
+    assert not rep.holds
+    # a zero scale still leaves a positive budget; a = b holds at any scale
+    assert verify._equality("e", "s", {}, 0.0, 0.0, 1e-9).rhs == 1e-9 * 1e-300
+    assert verify._equality("e", "s", {}, 0.0, 0.0, 1e-9).holds
+    assert verify._equality("e", "s", {}, 2.0, 2.0, 1e-12).ratio == 0.0
 
 
 def test_render_report_stable_and_complete():
