@@ -24,15 +24,14 @@ leading axis per slab: m^n K work for a box K wide on an m^n grid.  On T^1,
 where such a table would outgrow the grid, synthesis is one inverse FFT.  A
 folded torus rule (QuadratureRule.folded) keeps the nodes 0 <= i <= m // 2
 of each axis, and the tables hold only those rows, still reduced mod the
-full axis length m.  For a sign-even F (SpectralFunction.sign_even) with
-real coefficients a folded rule sums each sign orbit as one real term,
-c_k 2^#{a : k_a != 0} prod_a cos(2 pi x_a k_a / m_a) over the rows k >= 0,
-the structure of the DCT-I (Makhoul, IEEE Trans. ASSP 28, 1980): a box 2^n
-times narrower against real tables, and on T^1 one inverse real FFT of the
-half spectrum; its slabs are float64.  Any other F on a folded rule sums
-the exponentials of its whole box at the kept nodes.  On SU(2)
-both directions factor through the Euler angles: dense phase contractions
-over alpha and gamma, and a Wigner-d contraction over the cos(beta) nodes.
+full axis length m.  It takes only a sign-even F (SpectralFunction.sign_even:
+real coefficients, each equal to its sign images), and sums each sign orbit
+as one real term, c_k 2^#{a : k_a != 0} prod_a cos(2 pi x_a k_a / m_a) over
+the rows k >= 0, the structure of the DCT-I (Makhoul, IEEE Trans. ASSP 28,
+1980): a box 2^n times narrower against real tables, and on T^1 one inverse
+real FFT of the half spectrum; its slabs are float64.  On SU(2) both
+directions factor through the Euler angles: dense phase contractions over
+alpha and gamma, and a Wigner-d contraction over the cos(beta) nodes.
 On the torus, analysis is one FFT over the uniform product grid.  All paths
 are exact for band-limited inputs on rules whose band covers the support,
 and deterministic, so serialized outputs are byte-stable.
@@ -179,9 +178,9 @@ class SpectralFunction:
 
     @property
     def sign_even(self) -> bool:
-        """True for a torus function even in every coordinate: each nonzero
-        coefficient equals, exactly, the one at its image under every
-        coordinate sign flip.  Decided once per instance."""
+        """True for a torus function with real coefficients, each nonzero one
+        equal, exactly, to the one at its image under every coordinate sign
+        flip: the functions folded rules take.  Decided once per instance."""
         if self._sign_even is None:
             object.__setattr__(self, "_sign_even", _decide_sign_even(self))
         return self._sign_even
@@ -201,11 +200,11 @@ class SpectralFunction:
 
 
 def _decide_sign_even(F: SpectralFunction) -> bool:
-    # SpectralFunction.sign_even: whether each nonzero coefficient equals
-    # its image under each coordinate sign flip; these flips generate all
-    # 2^n sign images.  The support is in lexicographic order, so an image
+    # SpectralFunction.sign_even: real coefficients, each nonzero one equal to
+    # its image under each coordinate sign flip; these flips generate all 2^n
+    # sign images.  The support is in lexicographic order, so an image
     # matches it iff, sorted the same way, it lists the same rows.
-    if F.group.kind != "torus":
+    if F.group.kind != "torus" or F.entries.imag.any():
         return False
     keep = F.entries != 0
     index, entries = F.index[keep], F.entries[keep]
@@ -252,11 +251,6 @@ def _slab_bounds(rule: QuadratureRule):
     for a in range(0, lead, rows):
         b = min(a + rows, lead)
         yield a, b, a * inner, b * inner
-
-
-def _zero_slabs(rule: QuadratureRule):
-    for _, _, lo, hi in _slab_bounds(rule):
-        yield lo, hi, np.zeros(hi - lo, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +324,9 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # its rows.  The work is m^n K multiply-adds, against m^n log m for an
 # inverse FFT of the whole zero-padded grid, and no m^n spectrum is built.
 # The terms are the support against the phases
-# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a), or, for a
-# sign-even F with real coefficients on a folded rule, the rows k >= 0
-# weighted by their orbit sizes 2^#{a : k_a != 0} against the real cosines
+# E[x, j] = exp(2 pi i ((x (kmin_a + j)) mod m_a) / m_a), or, on a folded
+# rule, whose F is sign-even, the rows k >= 0 weighted by their orbit sizes
+# 2^#{a : k_a != 0} against the real cosines
 # C[x, j] = cos(2 pi ((x (kmin_a + j)) mod m_a) / m_a): a box 2^n times
 # narrower, summed in real arithmetic.
 
@@ -359,7 +353,7 @@ def _torus_cosines(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
 
 
 def _cosine_terms(F: SpectralFunction) -> tuple[np.ndarray, np.ndarray]:
-    # A real sign-even F's rows k >= 0 and their real coefficients: each row
+    # A sign-even F's rows k >= 0 and their real coefficients: each row
     # stands for its sign orbit.
     keep = (F.index >= 0).all(axis=1)
     return F.index[keep], F.entries[keep].real
@@ -381,17 +375,17 @@ def _torus_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, table
         yield lo, hi, (lead[a:b] @ tail).ravel()
 
 
-def _line_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, cosines: bool):
+def _line_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule):
     # On T^1 an m x K phase table would outgrow the m values it fills: one
-    # slab, the inverse FFT, of which a folded rule keeps the first half.
-    # For cosines, the inverse real FFT of the real half spectrum c_k,
-    # k >= 0: f(x) = c_0 + 2 sum_{k > 0} c_k cos(2 pi k x / m).
+    # slab, the inverse FFT.  A folded rule keeps the first half of the
+    # inverse real FFT of the real half spectrum c_k, k >= 0:
+    # f(x) = c_0 + 2 sum_{k > 0} c_k cos(2 pi k x / m).
     (m,) = rule.moduli
     n = rule.node_count
-    if not cosines:
+    if not rule.is_folded:
         spec = np.zeros(m, dtype=complex)
         spec[ks[:, 0] % m] = coeffs
-        yield 0, n, np.fft.ifft(spec)[:n] * m
+        yield 0, n, np.fft.ifft(spec) * m
         return
     spec = np.zeros(m // 2 + 1)
     spec[ks[:, 0]] = coeffs
@@ -404,11 +398,10 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
     Returns an iterator of (lo, hi, values): the values at the flat C-order
     nodes [lo, hi), which cover the grid in order.  Slabs split the leading
     grid axis into runs of about SLAB_NODES nodes, the same for every
-    function on one rule; T^1 is one slab.  On a folded rule the values are
-    those at its kept half-axis nodes, whatever the symmetry of F; when F is
-    sign-even with real coefficients they are summed as cosines and are
-    float64.  Otherwise values are complex.  Every stored rep must have
-    packed weight wsq <= rule.degree^2, so later grid integrals of
+    function on one rule; T^1 is one slab.  A folded rule takes a sign-even
+    F only, whose values at its kept half-axis nodes are summed as cosines
+    and are float64; on a full rule values are complex.  Every stored rep
+    must have packed weight wsq <= rule.degree^2, so later grid integrals of
     coefficient products stay exact; the checks run before the iterator is
     returned.
     """
@@ -421,18 +414,17 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
             f"support weight {F.max_weight():.6g} exceeds rule band "
             f"{rule.bandlimit:g}"
         )
-    if not len(F.dims):
-        return _zero_slabs(rule)
+    if rule.is_folded and not F.sign_even:
+        raise DomainError(f"a folded rule sums sign-even functions only, not {F!r}")
+    if not F:
+        return ((lo, hi, np.zeros(hi - lo, dtype=complex)) for _, _, lo, hi in _slab_bounds(rule))
     if rule.group.kind == "su2":
         return _su2_slabs(F, rule)
-    cosines = rule.is_folded and F.sign_even and not F.entries.imag.any()
     # every torus d = 1, so entries holds one value per rep
-    ks, coeffs = _cosine_terms(F) if cosines else (F.index, F.entries)
-    if not len(ks):  # only stored zeros, all off the orthant
-        return _zero_slabs(rule)
+    ks, coeffs = _cosine_terms(F) if rule.is_folded else (F.index, F.entries)
     if rule.group.dim == 1:
-        return _line_slabs(ks, coeffs, rule, cosines)
-    if not cosines:
+        return _line_slabs(ks, coeffs, rule)
+    if not rule.is_folded:
         return _torus_slabs(ks, coeffs, rule, _torus_phases)
     # each row stands for its 2^#{a : k_a != 0} sign images, an exact scaling
     return _torus_slabs(ks, coeffs * np.exp2(np.count_nonzero(ks, axis=1)), rule, _torus_cosines)

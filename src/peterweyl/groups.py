@@ -153,16 +153,14 @@ def validate_rep(group: GroupId, xi) -> None:
 
 
 def weight_sq(group: GroupId, xi) -> Fraction:
-    """Exact rational <xi>^2 = 1 + lambda_xi."""
+    """Exact rational <xi>^2 = 1 + lambda_xi, as rep_arrays packs it."""
     validate_rep(group, xi)
-    if group.kind == "torus":
-        return Fraction(1 + sum(k * k for k in xi))
-    return 1 + Fraction(xi * (xi + 2), WEIGHT_SQ_DEN)
+    return Fraction(int(rep_arrays(group, [xi])[2][0]), WEIGHT_SQ_DEN)
 
 
 def rep_dim(group: GroupId, xi) -> int:
     validate_rep(group, xi)
-    return 1 if group.kind == "torus" else xi + 1
+    return int(rep_arrays(group, [xi])[1][0])
 
 
 def rep_arrays(group: GroupId, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -486,7 +484,8 @@ def matrix_coefficient(group: GroupId, xi, x: tuple) -> np.ndarray:
 #          at the cost of one extra node for the same exact degree) keeps the
 #          identity element in the node set with a positive weight.
 # The identity element is always node 0.  A torus rule folds onto its half
-# axes 0 <= i <= m // 2 for functions even in every coordinate (folded()).
+# axes 0 <= i <= m // 2 for real functions even in every coordinate
+# (folded(), which marks the rule it builds is_folded).
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,9 +525,12 @@ class QuadratureRule:
     bandlimit = degree / 2.  nodes/weights are exposed flat in C order over
     the axis grids; the identity element sits at index 0.  On a torus, node
     i of axis a is the angle 2 pi i / moduli[a]; moduli equals shape except
-    on a folded rule.  All arrays are read-only; instances are safe to share
-    across threads.
+    on a folded rule, which folded() builds and marks is_folded.  All arrays
+    are read-only, and the caches (the fold, the Wigner-d tables) only ever
+    hand out finished values, so instances are safe to share across threads.
     """
+
+    is_folded = False
 
     def __init__(self, group: GroupId, degree: int, axes, axis_weights, z=None,
                  moduli=None):
@@ -550,21 +552,17 @@ class QuadratureRule:
         self._nodes = None
         self._weights = None
         self._folded = None
-        self._dtab_max = -1
         self._dtabs: list[np.ndarray] = []
-
-    @property
-    def is_folded(self) -> bool:
-        return self.moduli != self.shape
 
     identity_index = 0
 
     @property
     def nodes(self) -> np.ndarray:
-        if self._nodes is None:
+        if self._nodes is None:  # published only once read-only
             mesh = np.meshgrid(*self.axes, indexing="ij")
-            self._nodes = np.stack([m.ravel() for m in mesh], axis=1)
-            self._nodes.setflags(write=False)
+            nodes = np.stack([m.ravel() for m in mesh], axis=1)
+            nodes.setflags(write=False)
+            self._nodes = nodes
         return self._nodes
 
     @property
@@ -573,18 +571,20 @@ class QuadratureRule:
             w = self.axis_weights[0]
             for wi in self.axis_weights[1:]:
                 w = np.multiply.outer(w, wi)
-            self._weights = np.ascontiguousarray(w.ravel())
-            self._weights.setflags(write=False)
+            w = np.ascontiguousarray(w.ravel())
+            w.setflags(write=False)
+            self._weights = w
         return self._weights
 
     def d_tables(self, twoL_max: int) -> list[np.ndarray]:
-        """Cached Wigner-d tables at this rule's cos(beta) nodes (SU(2) only)."""
+        """Cached Wigner-d tables at this rule's cos(beta) nodes (SU(2) only):
+        a list of at least twoL_max + 1 tables, the one found or built."""
         if self.group.kind != "su2":
             raise DomainError("d_tables is only defined for su2 rules")
-        if twoL_max > self._dtab_max:
-            self._dtabs = wigner_d_tables(twoL_max, self._z)
-            self._dtab_max = twoL_max
-        return self._dtabs
+        tabs = self._dtabs
+        if len(tabs) <= twoL_max:
+            self._dtabs = tabs = wigner_d_tables(twoL_max, self._z)
+        return tabs
 
     def folded(self) -> "QuadratureRule":
         """This torus rule on the nodes 0 <= i_a <= m_a // 2 of every axis.
@@ -593,7 +593,7 @@ class QuadratureRule:
         orbit {i, m - i}, so weight mult(i) / m, with mult(i) = 2 except at
         i = 0 and, for even m, at i = m / 2, integrates it as this rule does;
         the maximum is over the same values.  Same degree; moduli keeps the
-        full axis lengths.  Built once per rule.
+        full axis lengths, and is_folded is set.  Built once per rule.
         """
         if self.group.kind != "torus" or self.is_folded:
             raise DomainError(f"only a full torus rule folds, not {self!r}")
@@ -606,8 +606,9 @@ class QuadratureRule:
                     mult[-1] = 1.0
                 axes.append(x[: m // 2 + 1])
                 weights.append(mult / m)
-            self._folded = QuadratureRule(self.group, self.degree, axes, weights,
-                                          moduli=self.shape)
+            half = QuadratureRule(self.group, self.degree, axes, weights, moduli=self.shape)
+            half.is_folded = True
+            self._folded = half
         return self._folded
 
     def __repr__(self) -> str:

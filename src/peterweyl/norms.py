@@ -8,15 +8,15 @@ L^p norms and the Triebel-Lizorkin pointwise aggregate.  Each level is one
 streaming pass over the slabs of fourier.synthesize_slabs: per slab the
 modulus and a weighted sum of its |f|^p, with weights from the rule's
 per-axis factors, so no array of the grid's size is built.  A torus
-function whose coefficients equal their images under every coordinate sign
-flip, compared exactly (SpectralFunction.sign_even, decided once per
-function), is even in every coordinate; its levels run on the folded rule
-(QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with orbit weights,
-2^n times fewer nodes for the same sums up to reassociation and the same
-maximum.  When its coefficients are real too, synthesis sums it there as
-real cosines over the indices k >= 0, into real slabs.  Dirichlet
-and ring kernels, their dyadic blocks and Sobolev rescalings are such
-functions; all others keep the full grid.  Each value carries a
+function whose coefficients are real and equal their images under every
+coordinate sign flip, compared exactly (SpectralFunction.sign_even, decided
+once per function), is real and even in every coordinate; its levels run on
+the folded rule (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2
+with orbit weights, 2^n times fewer nodes for the same sums up to
+reassociation and the same maximum, where synthesis sums it as real cosines
+over the indices k >= 0, into real slabs.  Dirichlet kernels, their dyadic
+blocks and Sobolev rescalings are such functions; all others, a complex
+even one included, keep the full grid.  Each value carries a
 provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin
 values carry the weakest certification over their blocks and ladder
 levels, with the largest grid; coefficient-only norms and

@@ -171,7 +171,8 @@ def rho_of(p: float) -> int:
 
 
 def _support_counts(T, rho, threshold, max_nodes):
-    raw = pointwise_power(T, rho, threshold=0.0, max_nodes=max_nodes)
+    # T^1 is T: its support is counted from its own coefficients.
+    raw = T if rho == 1 else pointwise_power(T, rho, threshold=0.0, max_nodes=max_nodes)
     return {
         "count": support_count(raw, threshold),
         "count_x10": support_count(raw, threshold * 10.0),

@@ -417,35 +417,49 @@ def test_support_count_thresholds():
 # serialization
 
 
+def _orbit_scaled(group, L, phase):
+    # The Dirichlet kernel with coefficient phase(t) at every index k, t a
+    # fixed real function of |k|: one value per sign orbit.
+    kernel = dirichlet(group, L)
+    return kernel.scaled(phase(np.abs(kernel.index) @ [1.0, 0.37, 0.11][:group.dim]))
+
+
 @pytest.mark.parametrize("group,L", [(T1, 6.0), (T2, 3.0), (T3, 2.0)], ids=str)
 def test_folded_rule_synthesizes_the_kept_nodes(group, L):
-    # Any function, sign-even or not: its values at the half-axis nodes of
-    # the full grid.  A sign-even one with real coefficients (dirichlet) is
-    # summed as cosines into float64 slabs; one with complex coefficients,
-    # a phase per sign orbit, sums exponentials.  Analysis refuses the
+    # A sign-even function: its values at the half-axis nodes of the full
+    # grid, summed as cosines into float64 slabs.  Analysis refuses the
     # folded grid.
-    F = _random_spectral(group, L, 61)
-    real = dirichlet(group, L)
-    even = real.scaled(np.exp(1j * (np.abs(real.index) @ [1.0, 0.37, 0.11][:group.dim])))
-    assert real.sign_even and even.sign_even and not F.sign_even
+    cases = (dirichlet(group, L), _orbit_scaled(group, L, np.cos))
+    assert all(G.sign_even for G in cases)
     parities = set()
     for rule in (quadrature(group, f * L) for f in (1.0, 1.5, 2.0)):
         half = rule.folded()
         parities.add(rule.shape[0] % 2)
-        full = synthesize(F, rule).values.reshape(rule.shape)
-        kept = full[tuple(slice(0, h) for h in half.shape)].ravel()
-        got = synthesize(F, half).values
-        assert np.abs(got - kept).max() <= 1e-13 * np.abs(kept).max()
-        with pytest.raises(DomainError):
-            analyze(GridFunction(half, got), 1.0)
-        for G, dtype in ((real, np.float64), (even, np.complex128)):
+        for G in cases:
             full = synthesize(G, rule).values.reshape(rule.shape)
             kept = full[tuple(slice(0, h) for h in half.shape)].ravel()
             slabs = [v for _, _, v in synthesize_slabs(G, half)]
-            assert {v.dtype for v in slabs} == {np.dtype(dtype)}
+            assert {v.dtype for v in slabs} == {np.dtype(np.float64)}
             got = np.concatenate(slabs)
             assert np.abs(got - kept).max() <= 1e-13 * np.abs(kept).max()
+        with pytest.raises(DomainError):
+            analyze(GridFunction(half, got), 1.0)
     assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("group,L", [(T1, 6.0), (T2, 3.0), (T3, 2.0)], ids=str)
+def test_folded_rule_refuses_functions_that_are_not_sign_even(group, L):
+    # A folded rule sums cosines, so before the first slab it refuses a
+    # function that is not even, and one even in every coordinate whose
+    # coefficients are complex.
+    even = _orbit_scaled(group, L, lambda t: np.exp(1j * t))
+    half = quadrature(group, L).folded()
+    for F in (_random_spectral(group, L, 61), even):
+        assert not F.sign_even
+        with pytest.raises(DomainError, match="sign-even"):
+            synthesize_slabs(F, half)
+        with pytest.raises(DomainError, match="sign-even"):
+            synthesize(F, half)
 
 
 def test_serialization_round_trip_bytes():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -688,6 +689,46 @@ def test_quadrature_refuses_huge_bands_before_any_fft_length(monkeypatch):
             quadrature(g, 1e18, max_nodes=10**20)
 
 
+def test_d_tables_hand_each_caller_its_tables_under_a_race():
+    # A worker's d_tables(20) is paused by a line hook at its first line
+    # after its tables are built; d_tables(10) runs meanwhile on this thread
+    # and releases it on return.  Each call gets at least twoL_max + 1
+    # tables, and so does a later d_tables(15), whichever list was stored.
+    rule = groups._build_rule.__wrapped__(SU2, 8)  # a fresh rule, no tables yet
+    built, paused, release = threading.Event(), threading.Event(), threading.Event()
+    got = {}
+
+    def local(frame, event, arg):
+        name = frame.f_code.co_name
+        if name == "wigner_d_tables" and event == "return":
+            built.set()
+        elif name == "d_tables" and event == "line" and built.is_set() and not paused.is_set():
+            paused.set()
+            release.wait(30.0)
+        return local
+
+    def hook(frame, event, arg):
+        return local if frame.f_code.co_name in ("d_tables", "wigner_d_tables") else None
+
+    def larger():
+        sys.settrace(hook)
+        try:
+            got["larger"] = rule.d_tables(20)
+        finally:
+            sys.settrace(None)
+
+    worker = threading.Thread(target=larger)
+    worker.start()
+    try:
+        assert paused.wait(30.0)
+        got["smaller"] = rule.d_tables(10)
+    finally:
+        release.set()
+        worker.join(30.0)
+    assert len(got["larger"]) >= 21 and len(got["smaller"]) >= 11
+    assert len(rule.d_tables(15)) >= 16
+
+
 @pytest.mark.parametrize("g", [T1, T2, T3], ids=str)
 def test_folded_rule_keeps_half_axes_with_orbit_weights(g):
     parities = set()
@@ -717,3 +758,10 @@ def test_weight_sq_exact_rationals():
     assert weight_sq(T2, (2, 1)) == 6
     assert weight_sq(SU2, 1) * 4 == 7
     assert weight_sq(SU2, 2) == 3
+    # exact at the ends of the index range, as Fraction and int
+    big = MAX_REP_INDEX
+    assert weight_sq(T3, (big, -big, big)) == 1 + 3 * big * big
+    assert weight_sq(SU2, big) == 1 + Fraction(big * (big + 2), 4)
+    for g, xi in ((T1, (0,)), (T3, (big, -big, big)), (SU2, big)):
+        assert type(weight_sq(g, xi)) is Fraction and type(rep_dim(g, xi)) is int
+    assert (rep_dim(T3, (big, -big, big)), rep_dim(SU2, big)) == (1, big + 1)

@@ -788,16 +788,19 @@ def test_slab_passes_take_their_temporaries_from_the_heap():
 # the sign-even fold
 
 
-def _sign_even_random(group, L, seed):
-    # Random complex coefficients, one per sign orbit of the dual: even in
-    # every coordinate, but neither real nor positive-type.
+def _sign_even_random(group, L, seed, imag=False):
+    # Random real coefficients, one per sign orbit of the dual: sign-even,
+    # but neither positive-type nor identity-pinned.  imag=True adds a
+    # random imaginary part per orbit: even in every coordinate, but not
+    # sign-even, which needs real coefficients too.
     rng = np.random.default_rng(seed)
     orbit_values = {}
     coeffs = {}
     for k in enumerate_dual(group, L):
         orbit = tuple(map(abs, k))
         if orbit not in orbit_values:
-            orbit_values[orbit] = complex(rng.standard_normal(), rng.standard_normal())
+            orbit_values[orbit] = complex(rng.standard_normal(),
+                                          rng.standard_normal() if imag else 0.0)
         coeffs[k] = [[orbit_values[orbit]]]
     return SpectralFunction(group, coeffs)
 
@@ -925,7 +928,8 @@ def _real_not_even(group, L, seed):
 def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
     group = torus(n)
     even = _sign_even_random(group, 2.5, 50)
-    cases = [_real_not_even(group, 2.5, 51)]
+    # real and not even; even with complex coefficients
+    cases = [_real_not_even(group, 2.5, 51), _sign_even_random(group, 2.5, 52, imag=True)]
     if n > 1:
         # even in every coordinate but the last
         cases.append(even.scaled(np.where(even.index[:, -1] > 0, 2.0, 1.0)))
@@ -945,6 +949,12 @@ def test_functions_not_sign_even_take_the_full_grid(ladder_spy, n):
 def test_sign_even_is_decided_exactly():
     F = _sign_even_random(torus(2), 3.0, 6)
     assert F.sign_even
+    # even in every coordinate with complex coefficients is not sign-even,
+    # nor is one imaginary part of one ulp
+    assert not _sign_even_random(torus(2), 3.0, 6, imag=True).sign_even
+    tilted = F.entries.copy()
+    tilted[-1] += 1j * np.nextafter(0.0, 1.0)
+    assert not SpectralFunction._packed(F.group, F.index, F.dims, F.wsq, tilted).sign_even
     last = F.entries[-1]
     nudged = F.entries.copy()
     nudged[-1] = complex(np.nextafter(last.real, INF), last.imag)
@@ -1317,9 +1327,9 @@ def _exact_even_power(F, k):
 
 
 def _dyadic_case(group, L, kind):
-    # Coefficients in (1/64)Z + i (1/64)Z: "dense" draws each, and the
-    # sign-even kinds one per sign orbit, so they take the folded rule,
-    # "even-real" summed there as cosines.
+    # Coefficients in (1/64)Z + i (1/64)Z: "dense" draws each, and the even
+    # kinds one per sign orbit; "even-real" is sign-even, so it takes the
+    # folded rule, summed there as cosines, and "even-complex" the full one.
     rng = np.random.default_rng(95 + group.dim)
     drawn, coeffs = {}, {}
     for k in enumerate_dual(group, L):
@@ -1335,7 +1345,7 @@ def _dyadic_case(group, L, kind):
 @pytest.mark.parametrize("group,L", [(T1, 8.0), (torus(2), 4.0)], ids=str)
 def test_even_norms_match_the_exact_rational_values(group, L, kind):
     F = _dyadic_case(group, L, kind)
-    assert F.sign_even == (kind != "dense")
+    assert F.sign_even == (kind == "even-real")
     norms.clear_memos()
     scale = sum(abs(c) for c in F.entries.tolist())  # A: d = 1 on a torus
     for k in (1, 2, 3):

@@ -1,10 +1,12 @@
 """The package names and shapes the benchmark harness's tracer relies on.
 
 perfbench/tracer.py wraps package functions by name in every timed run,
-reads lp_norms' provenance and counts the entries of the Wigner-d tables.
-It is loaded here read-only (nothing installed), so a change that removes
-or renames one of those names, or changes one of those shapes, fails a test
-rather than the traced benchmark run.
+reads lp_norms' provenance and counts the entries of the Wigner-d tables;
+perfbench/workloads.py counts every record failed when a workload writes
+other than its fixed number of records.  Both are loaded here read-only
+(nothing installed), so a change that removes or renames one of those
+names, or changes one of those shapes or counts, fails a test rather than
+the benchmark run.
 """
 
 import importlib.util
@@ -19,15 +21,24 @@ from peterweyl.fourier import SpectralFunction, dirichlet, zero_spectral
 from peterweyl.groups import torus, wigner_d_tables
 from peterweyl.norms import INF, lp_norms
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_traced_function_exists(tracer):
@@ -62,3 +73,14 @@ def test_wigner_d_tables_returns_one_square_table_per_spin(tracer):
         assert [t.shape for t in tabs] == [(t + 1, t + 1, z.size) for t in range(twoL_max + 1)]
         attrs = tracer._attrs("groups.wigner_d_tables", (twoL_max, z), tabs)
         assert attrs == {"entries": z.size * sum((t + 1) ** 2 for t in range(twoL_max + 1))}
+
+
+def test_workloads_write_the_record_counts_perfbench_expects(workloads, tmp_path):
+    # Through the workloads' own set-up, run and check: a record count other
+    # than VERIFY_ALL_RECORDS or BULK_RECORDS fails every record.
+    for name, records in (("verify-all", workloads.VERIFY_ALL_RECORDS),
+                          ("nikolskii-bulk", workloads.BULK_RECORDS)):
+        setup, run, check = workloads.WORKLOADS[name]
+        state = setup(peterweyl, 7, str(tmp_path))
+        attempted, failed, _ = check(state, run(state))
+        assert (attempted, failed) == (records, 0), name

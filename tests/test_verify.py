@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from peterweyl import verify
-from peterweyl.fourier import SpectralFunction, dirichlet, dump_spectral, partial_sum
+from peterweyl.fourier import (
+    SpectralFunction,
+    dirichlet,
+    dump_spectral,
+    partial_sum,
+    support_count,
+)
 from peterweyl.groups import (
     DomainError,
     ResourceLimitError,
@@ -89,6 +95,25 @@ def test_nikolskii_corpus_holds():
     for T in corpus.functions:
         rep = nikolskii_check(T, 1.0, 2.0)
         assert rep.holds and rep.ratio <= 1.0 + 1e-6
+
+
+def test_support_counts_at_rho_one_read_the_function_itself(monkeypatch):
+    # T^1 is T: no pointwise power is formed, and the three counts are T's
+    # own at the threshold, ten times it and a tenth of it.
+    T = make_corpus(T2, 4.0, 1, seed=7).functions[0]
+    T = T.scaled(np.geomspace(1.0, 1e-14, len(T.dims)))  # spans every threshold
+    calls, power = [], verify.pointwise_power
+    monkeypatch.setattr(verify, "pointwise_power",
+                        lambda *a, **k: calls.append(a) or power(*a, **k))
+    t = RunConfig().support_threshold
+    counts = verify._support_counts(T, 1, t, None)
+    want = [support_count(T, t), support_count(T, 10.0 * t), support_count(T, t / 10.0)]
+    assert [counts["count"], counts["count_x10"], counts["count_d10"]] == want
+    assert len(set(want)) == 3
+    nikolskii_check(T, 2.0, INF)  # rho = 1
+    assert calls == []
+    nikolskii_check(T, 3.0, INF)  # rho = 2 still forms the power
+    assert len(calls) == 1
 
 
 def test_nikolskii_validation():
