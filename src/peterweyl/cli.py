@@ -104,35 +104,29 @@ def cmd_norm(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    cfg.suite = args.suite
+    # The settings the arguments override, in one RunConfig.
+    over = {"suite": args.suite, "seed": args.seed}
+    groups = RunConfig.groups
     if args.group:
-        cfg.groups = tuple(g.strip() for g in args.group.split(","))
-        for g in cfg.groups:
+        groups = over["groups"] = tuple(g.strip() for g in args.group.split(","))
+        for g in groups:
             parse_group(g)
-    cfg.seed = args.seed
     if args.count is not None:
-        cfg.corpus_count = args.count
+        over["corpus_count"] = args.count
     if args.profile is not None:
-        cfg.profile = args.profile
+        over["profile"] = args.profile
     if args.bandlimit is not None:
-        cfg.bandlimits = {g: args.bandlimit for g in cfg.groups}
+        over["bandlimits"] = {g: args.bandlimit for g in groups}
     if args.L is not None:
         grid = _parse_floats(args.L)
-        cfg.sharpness_L = grid
-        cfg.corollary_L = grid
-        cfg.dirichlet_grids = {g: grid for g in cfg.groups}
-        cfg.weyl_grids = {**cfg.weyl_grids, **{g: grid for g in cfg.groups}}
-    if args.p is not None:
-        cfg.p_grid = _parse_floats(args.p)
-    if args.q is not None:
-        cfg.q_grid = _parse_floats(args.q)
-    if args.r is not None:
-        cfg.r_grid = _parse_floats(args.r)
-    if args.beta is not None:
-        cfg.betas = _parse_floats(args.beta)
+        over.update(sharpness_L=grid, corollary_L=grid, dirichlet_grids={g: grid for g in groups},
+                    weyl_grids={**RunConfig().weyl_grids, **{g: grid for g in groups}})
+    for key, text in (("p_grid", args.p), ("q_grid", args.q), ("r_grid", args.r),
+                      ("betas", args.beta)):
+        if text is not None:
+            over[key] = _parse_floats(text)
     if args.max_nodes is not None:
-        cfg.max_nodes = args.max_nodes
+        over["max_nodes"] = args.max_nodes
     for item in args.tol or []:
         key, eq, val = item.partition("=")
         if not eq or key not in ("exact", "grid", "identity"):
@@ -142,18 +136,17 @@ def _config_from_args(args) -> RunConfig:
         tol = float(val)
         if math.isnan(tol):
             raise DomainError(f"--tol {item!r} is not a number")
-        setattr(cfg, f"tol_{key}", tol)
-    cfg.out = args.out
-    return cfg
+        over[f"tol_{key}"] = tol
+    return RunConfig(**over)
 
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     reports = run_suite(cfg.suite, cfg)
     content = render_report(reports, cfg)
-    if cfg.out:
-        write_atomic(cfg.out, content)
-        print(f"wrote {len(reports)} records to {cfg.out}")
+    if args.out:
+        write_atomic(args.out, content)
+        print(f"wrote {len(reports)} records to {args.out}")
     else:
         sys.stdout.write(content)
     failures = sum(1 for r in reports if not r.holds)

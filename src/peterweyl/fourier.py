@@ -502,22 +502,25 @@ def pointwise_power(
 ) -> SpectralFunction:
     """Spectral coefficients of the pointwise power T(x)^rho.
 
-    Computed on an oversampled grid with band (rho+1) * L_T by synthesis,
-    pointwise multiplication, and re-analysis at the reps with packed weight
-    wsq <= rho^2 max wsq of T, the exact product budget, so boundary reps
-    are never misclassified.  threshold = 0 keeps every analyzed matrix
-    (support-count sensitivity checks rely on this).
+    T^rho has packed weights wsq <= rho^2 max wsq of T, the exact product
+    budget: on tori <k_1 + ... + k_rho>^2 <= rho^2 max <k_i>^2, and on SU(2)
+    spins add.  It is computed on the rule of least degree c with c^2 at
+    least that budget (band rho * L_T), which integrates its products with
+    every rep of the budget exactly, by synthesis, pointwise multiplication,
+    and re-analysis at those reps, so boundary reps are never misclassified.
+    threshold = 0 keeps every analyzed matrix (support-count sensitivity
+    checks rely on this).
     """
     if not isinstance(rho, int) or rho < 1:
         raise DomainError(f"power must be a positive integer, got {rho!r}")
     check_node_cap(max_nodes)
     if not T:
         return zero_spectral(T.group)
-    rule = quadrature(T.group, (rho + 1) * T.max_weight(), max_nodes)
+    budget = rho * rho * int(T.wsq.max())
+    rule = quadrature(T.group, (math.isqrt(budget - 1) + 1) / 2.0, max_nodes)
     values = synthesize(T, rule).values ** rho
     reps = dirichlet(T.group, rule.bandlimit)
-    reps = reps.restricted(reps.wsq <= rho * rho * int(T.wsq.max()))
-    return _analyze_reps(GridFunction(rule, values), reps, threshold)
+    return _analyze_reps(GridFunction(rule, values), reps.restricted(reps.wsq <= budget), threshold)
 
 
 def support_count(F: SpectralFunction, threshold: float = SUPPORT_THRESHOLD) -> int:

@@ -36,11 +36,17 @@ value is lo = M, the grid maximum, a point value up to roundoff.  No search
 for the peak runs between the nodes: every verdict on a sup reads its upper
 end, which the provenance adds as "upper":
 
-    hi = (M + SUP_ROUNDOFF A) / (1 - tau^2 / 8),
+    hi = min((M + SUP_ROUNDOFF A) / (1 - tau^2 / 8), (1 + SUP_ROUNDOFF) A),
 
 certified "enclosed", so hi <= (1 + SUP_ENCLOSURE)(lo + SUP_ROUNDOFF A).
+The first term is the mesh bound, inf where tau^2 / 8 >= 1; the second is
+the coefficient bound, with A (below) the sum of d |coefficient entry|.
 When the node cap refuses that degree, lo and hi come from the largest
-degree it admits and the value is "capped"; hi is inf where tau^2 / 8 >= 1.
+degree it admits and the value is "capped".  The coefficient bound is the
+sup itself, up to SUP_ROUNDOFF, where the phases of a few torus terms align
+(any two terms do somewhere): there the mesh bound, above the grid maximum
+by up to the factor, is above the sup, and a verdict that is an equality
+(Hausdorff-Young at p = 1) needs the coefficient bound.
 
 Why hi bounds the sup (Bernstein's inequality for entire functions of
 exponential type: Boas, Entire Functions, 1954, ch. 11; on compact
@@ -72,9 +78,15 @@ g(1) >= S (1 - tau^2 / 8): S <= M / (1 - tau^2 / 8) whenever tau^2 < 8.
 Roundoff: M is a synthesized value, off from the true node value by at most
 the summation error of the series.  Each node value sums terms bounded by A
 = sum over reps of d times the entrywise l^1 norm of the coefficient, which
-also bounds |f|; synthesized values match the series summed at the node to
-under 1e-14 A at the ladder's sizes, and SUP_ROUNDOFF = 1e-12 allows 100
-times that.  So lo = M lies at most SUP_ROUNDOFF A above the sup.
+also bounds |f|: |d Tr(fhat(xi) xi(x))| <= d ||fhat(xi)||_{S^1}, xi(x) being
+unitary, and the trace norm of a matrix is at most the sum of its entries'
+moduli (one rank-one term per entry).  Synthesized values match the series
+summed at the node to under 1e-14 A at the ladder's sizes, and SUP_ROUNDOFF
+= 1e-12 allows 100 times that.  So lo = M lies at most SUP_ROUNDOFF A above
+the sup.  A itself is a correctly rounded sum (math.fsum) of the terms d |c|,
+each within 2 ulps (the modulus within one, the product by d within half of
+one), so it is at most 3 ulps below the exact value: (1 + SUP_ROUNDOFF) A,
+rounded, lies above the exact A, hence above the sup, and above lo.
 
 Finite p that is not even also has bounds that need no refined ladder
 (lp_enclosures), from the even norms, which are exact, and the sup.  Let
@@ -424,20 +436,24 @@ def _mesh_factor(tau: float) -> float:
 
 
 def _abs_sum(F: SpectralFunction) -> float:
-    # sum over reps of d times the entrywise l^1 norm of the coefficient:
-    # bounds |f| and each term a synthesized value sums.
-    return float(np.abs(F.entries) @ np.repeat(F.dims, F.dims * F.dims))
+    # A: the sum over reps of d times the entrywise l^1 norm of the
+    # coefficient, correctly rounded (math.fsum) from terms each within 2
+    # ulps.  It bounds |f| and each term a synthesized value sums.
+    return math.fsum((np.abs(F.entries) * np.repeat(F.dims, F.dims * F.dims)).tolist())
 
 
 def _sup_enclosure(F: SpectralFunction, rule, tau: float, node_count: int) -> tuple[float, float]:
     """(lo, hi) around sup |f| from one pass over the nodes of a rule.
 
-    lo is the grid maximum M, a point value up to roundoff; hi = factor(tau)
-    (M + SUP_ROUNDOFF A).  node_count names the grid in a refusal.
+    lo is the grid maximum M, a point value up to roundoff; hi is the
+    smaller of the mesh bound factor(tau) (M + SUP_ROUNDOFF A) and the
+    coefficient bound (1 + SUP_ROUNDOFF) A.  node_count names the grid in a
+    refusal.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
         lo = _finite(_grid_peak(_synth_values(F, rule)), f"L^inf value on {node_count} nodes")
-        return lo, _mesh_factor(tau) * (lo + SUP_ROUNDOFF * _abs_sum(F))
+        a = _abs_sum(F)
+        return lo, min(_mesh_factor(tau) * (lo + SUP_ROUNDOFF * a), (1.0 + SUP_ROUNDOFF) * a)
 
 
 def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
@@ -541,8 +557,8 @@ def lp_norms(
     the sup lies between it and provenance["upper"], within a factor 1 +
     SUP_ENCLOSURE up to roundoff), "refined" (dyadic refinement met the stop
     rule), or "capped" (node cap reached first; value from the finest grid
-    built).  Every p = inf provenance carries "upper", inf where the finest
-    grid the cap admits is too coarse for a finite bound.  A malformed node
+    built).  Every p = inf provenance carries "upper", at most the coefficient
+    bound (1 + SUP_ROUNDOFF) A of the module docstring.  A malformed node
     cap raises DomainError, also where no grid is built.
     """
     check_node_cap(max_nodes)

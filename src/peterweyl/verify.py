@@ -78,12 +78,13 @@ TOL_IDENTITY = 1e-12
 SLOPE_MAX = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class InequalityReport:
     """One checked inequality instance, serializable as a single record.
 
     instance holds plain values (q = inf stays a float); to_record makes
-    the JSON form, once per record.
+    the JSON form, once per record.  ratio and holds follow from lhs, rhs
+    and tol (_verdict) when the record is built.
     """
 
     name: str
@@ -91,10 +92,15 @@ class InequalityReport:
     instance: dict
     lhs: float
     rhs: float
-    ratio: float
-    holds: bool
     tol: float
     notes: str = ""
+    ratio: float = field(init=False)
+    holds: bool = field(init=False)
+
+    def __post_init__(self):
+        ratio, holds = _verdict(float(self.lhs), float(self.rhs), self.tol)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "holds", holds)
 
     def to_record(self) -> dict:
         return {
@@ -135,26 +141,9 @@ def _verdict(lhs: float, rhs: float, tol: float) -> tuple[float, bool]:
     return ratio, math.isfinite(ratio) and ratio <= 1.0 + tol
 
 
-def _report(name, suite, instance, lhs, rhs, tol, notes="") -> InequalityReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    ratio, holds = _verdict(lhs, rhs, tol)
-    return InequalityReport(
-        name=name,
-        suite=suite,
-        instance=instance,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        holds=holds,
-        tol=tol,
-        notes=notes,
-    )
-
-
 def _equality(name, suite, instance, a, b, tol, notes="") -> InequalityReport:
     # An exact equality a = b: |a - b| against tol times the scale b.
-    return _report(name, suite, instance, abs(a - b), tol * max(b, 1e-300), 0.0, notes)
+    return InequalityReport(name, suite, instance, abs(a - b), tol * max(b, 1e-300), 0.0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def _nikolskii(T, p, q, norms, counts, tol, suite, instance) -> InequalityReport
         f"x0.1 -> {counts['count_d10']}); "
         f"{lhs_note}, {_note('rhs', norms[p])}"
     )
-    return _report("nikolskii", suite, inst, lhs, rhs, tol, notes)
+    return InequalityReport("nikolskii", suite, inst, lhs, rhs, tol, notes)
 
 
 def nikolskii_check(
@@ -268,7 +257,7 @@ def _remark(T, p, q, L, norms, tol, instance) -> InequalityReport:
     rhs = _support_factor(n_rho_l, p, q) * norms[p][0]
     inst = {**instance, "group": str(T.group), "p": p, "q": q, "rho": rho, "L": L}
     notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
-    return _report("nikolskii-remark", "nikolskii", inst, lhs, rhs, tol, notes)
+    return InequalityReport("nikolskii-remark", "nikolskii", inst, lhs, rhs, tol, notes)
 
 
 def nikolskii_remark_check(
@@ -335,11 +324,11 @@ def _conjugate(p: float) -> float:
 def _hausdorff_young(F, p, pp, norms, tol, instance) -> list[InequalityReport]:
     # Both records of one exponent, from one norms dict.
     inst = {**instance, "group": str(F.group), "p": p, "p_conj": pp}
-    coeff = _report("hy-coefficient", "hausdorff-young", inst, seq_lp_norm(F, pp),
-                    norms[p][0], tol, notes=_note("rhs", norms[p]))
+    coeff = InequalityReport("hy-coefficient", "hausdorff-young", inst, seq_lp_norm(F, pp),
+                             norms[p][0], tol, notes=_note("rhs", norms[p]))
     lhs, lhs_note = _lhs(norms[pp])
-    func = _report("hy-function", "hausdorff-young", inst, lhs, seq_lp_norm(F, p), tol,
-                   notes=lhs_note)
+    func = InequalityReport("hy-function", "hausdorff-young", inst, lhs, seq_lp_norm(F, p), tol,
+                            notes=lhs_note)
     return [coeff, func]
 
 
@@ -371,13 +360,13 @@ def plancherel_check(
     F: SpectralFunction,
     tol: float = TOL_EXACT,
     max_nodes: int | None = None,
-    suite: str = "hausdorff-young",
     instance: dict | None = None,
 ) -> InequalityReport:
     a = lp_norm(F, 2.0, max_nodes)
     b = seq_lp_norm(F, 2.0)
     inst = {**(instance or {}), "group": str(F.group)}
-    return _equality("plancherel", suite, inst, a, b, tol, notes=f"l2={a!r} seq2={b!r}")
+    return _equality("plancherel", "hausdorff-young", inst, a, b, tol,
+                     notes=f"l2={a!r} seq2={b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +479,11 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-def besov_besov_pair(
-    group: GroupId, p1: float, p2: float, q: float, r1: float, r2: float | None = None
-) -> EmbeddingPair:
+def besov_besov_pair(group: GroupId, p1: float, p2: float, q: float, r1: float) -> EmbeddingPair:
     """Smoothness-for-integrability trade: r2 = r1 - n (1/p1 - 1/p2)."""
     _require(0 < p1 <= p2 <= INF, f"need 0 < p1 <= p2 <= inf, got {p1}, {p2}")
     _require(0 < q <= INF, f"need 0 < q <= inf, got {q}")
-    n = group.dim
-    derived = r1 - n * (1.0 / p1 - 1.0 / p2)
-    if r2 is not None and abs(r2 - derived) > 1e-12:
-        raise DomainError(
-            f"exponent relation violated: r2 must be r1 - n(1/p1 - 1/p2) = {derived}, got {r2}"
-        )
+    derived = r1 - group.dim * (1.0 / p1 - 1.0 / p2)
     return EmbeddingPair(
         label=f"besov({r1:g},{p1:g},{q:g})->besov({derived:g},{p2:g},{q:g})",
         target=NormSpec("besov", r=derived, p=p2, q=q),
@@ -657,24 +639,11 @@ def embedding_suite(
         xs = []
         for x, label, func in members:
             ratio = embedding_ratio(func, pair.target, pair.source, max_nodes)
-            inst = {
-                "group": str(group),
-                "pair": pair.label,
-                "family": family,
-                "member": label,
-            }
-            reports.append(
-                _report(
-                    f"embedding:{pair.label}",
-                    suite,
-                    inst,
-                    ratio,
-                    1.0,
-                    INF,
-                    notes=(pair.notes + "; " if pair.notes else "")
-                    + "constant-bound claim: finiteness checked here, growth by slope record",
-                )
-            )
+            inst = {"group": str(group), "pair": pair.label, "family": family, "member": label}
+            notes = ((pair.notes + "; " if pair.notes else "")
+                     + "constant-bound claim: finiteness checked here, growth by slope record")
+            reports.append(InequalityReport(f"embedding:{pair.label}", suite, inst, ratio, 1.0,
+                                            INF, notes))
             if x is not None:
                 xs.append(x)
                 ratios.append(ratio)
@@ -682,23 +651,11 @@ def embedding_suite(
             slope = float(
                 np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ratios)), 1)[0]
             )
-            inst = {
-                "group": str(group),
-                "pair": pair.label,
-                "family": family,
-                "grid": [float(x) for x in xs],
-            }
-            reports.append(
-                _report(
-                    f"embedding-slope:{pair.label}",
-                    suite,
-                    inst,
-                    slope,
-                    slope_max,
-                    0.0,
-                    notes=f"ratios={[round(r, 6) for r in ratios]}",
-                )
-            )
+            inst = {"group": str(group), "pair": pair.label, "family": family,
+                    "grid": [float(x) for x in xs]}
+            reports.append(InequalityReport(f"embedding-slope:{pair.label}", suite, inst, slope,
+                                            slope_max, 0.0,
+                                            f"ratios={[round(r, 6) for r in ratios]}"))
     return reports
 
 
@@ -823,9 +780,15 @@ def _default_weyl_grids():
     }
 
 
-@dataclass
+# The Hausdorff-Young exponents the suite checks, and the Weyl slope band of
+# each group: settings no run changes, so they are not in the report header.
+HY_P_GRID = (1.0, 4.0 / 3.0, 2.0)
+WEYL_SLOPE_TOL = {"torus:1": 0.05, "torus:2": 0.1, "torus:3": 0.15, "su2": 0.2}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a verification run depends on; embedded in every report."""
+    """The settings a verification run takes; embedded in every report."""
 
     suite: str = "all"
     groups: tuple = ("torus:1", "torus:2", "su2")
@@ -835,42 +798,27 @@ class RunConfig:
     bandlimits: dict = field(default_factory=_default_bandlimits)
     p_grid: tuple = (1.0, 1.5, 2.0, 3.0, 4.0)
     q_grid: tuple = (2.0, 3.0, 4.0, INF)
-    hy_p_grid: tuple = (1.0, 4.0 / 3.0, 2.0)
     sharpness_L: tuple = (2.0, 4.0, 8.0)
     dirichlet_grids: dict = field(default_factory=_default_dirichlet_grids)
     weyl_grids: dict = field(default_factory=_default_weyl_grids)
-    weyl_slope_tol: dict = field(
-        default_factory=lambda: {"torus:1": 0.05, "torus:2": 0.1, "torus:3": 0.15, "su2": 0.2}
-    )
     corollary_L: tuple = tuple(range(2, 33, 2))
     betas: tuple = (0.5, 1.0, 2.0)
     r_grid: tuple = (-1.0, 0.5, 2.0)
     tol_exact: float = TOL_EXACT
     tol_grid: float = TOL_GRID
     tol_identity: float = TOL_IDENTITY
-    slope_max: float = SLOPE_MAX
-    support_threshold: float = SUPPORT_THRESHOLD
     max_nodes: int | None = None
-    out: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            f.name: _json_safe(getattr(self, f.name)) for f in fields(self) if f.name != "out"
-        }
+        return {f.name: _json_safe(getattr(self, f.name)) for f in fields(self)}
 
 
 def _config_groups(cfg: RunConfig) -> list[GroupId]:
     return [parse_group(g) for g in cfg.groups]
 
 
-def _corpus_for(cfg: RunConfig, group: GroupId, profile: str | None = None) -> Corpus:
-    return make_corpus(
-        group,
-        cfg.bandlimits[str(group)],
-        cfg.corpus_count,
-        cfg.seed,
-        profile or cfg.profile,
-    )
+def _corpus_for(cfg: RunConfig, group: GroupId) -> Corpus:
+    return make_corpus(group, cfg.bandlimits[str(group)], cfg.corpus_count, cfg.seed, cfg.profile)
 
 
 def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
@@ -886,7 +834,7 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                 continue
             enclosures = lp_enclosures(T, exponents, cfg.max_nodes)
             counts = {
-                rho: _support_counts(T, rho, cfg.support_threshold, cfg.max_nodes)
+                rho: _support_counts(T, rho, SUPPORT_THRESHOLD, cfg.max_nodes)
                 for rho in sorted({rho_of(p) for p, _ in pairs})
             }
             inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L}
@@ -906,26 +854,12 @@ def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
     rep = _nikolskii(T, p, q, norms, cts, cfg.tol_grid, "nikolskii", inst)
     remark = _remark(T, p, q, L, norms, cfg.tol_grid, inst)
     pair = {**inst, "group": str(T.group), "p": p, "q": q}
-    dom = _report(
-        "nikolskii-remark-dominance",
-        "nikolskii",
-        pair,
-        rep.rhs,
-        remark.rhs,
-        0.0,
-        notes="remark bound must dominate the support bound",
-    )
+    dom = InequalityReport("nikolskii-remark-dominance", "nikolskii", pair, rep.rhs, remark.rhs,
+                           0.0, "remark bound must dominate the support bound")
     verdicts = {_verdict(rep.lhs, _support_factor(cts[key], p, q) * norms[p][0], cfg.tol_grid)[1]
                 for key in ("count", "count_x10", "count_d10")}
-    sens = _report(
-        "nikolskii-sensitivity-stable",
-        "nikolskii",
-        pair,
-        float(len(verdicts) - 1),
-        0.5,
-        0.0,
-        notes=f"counts {cts}",
-    )
+    sens = InequalityReport("nikolskii-sensitivity-stable", "nikolskii", pair,
+                            float(len(verdicts) - 1), 0.5, 0.0, f"counts {cts}")
     return [rep, remark, dom, sens]
 
 
@@ -941,7 +875,7 @@ def sharpness_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
 
 def hausdorff_young_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
-    conjugates = [(p, _hy_exponent(p)) for p in cfg.hy_p_grid]
+    conjugates = [(p, _hy_exponent(p)) for p in HY_P_GRID]
     exps = sorted({2.0, *(x for pp in conjugates for x in pp)})
     for group in _config_groups(cfg):
         corpus = _corpus_for(cfg, group)
@@ -967,33 +901,15 @@ def weyl_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
         grid = cfg.weyl_grids[key]
         slope, intercept, residual = weyl_fit(group, grid)
         inst = {"group": key, "grid": [float(L) for L in grid]}
-        reports.append(
-            _report(
-                "weyl-slope",
-                "weyl",
-                inst,
-                abs(slope - group.dim),
-                cfg.weyl_slope_tol[key],
-                0.0,
-                notes=(
-                    f"slope={slope!r} intercept={intercept!r} residual={residual!r} "
-                    f"C0~{math.exp(intercept)!r} (empirical; symbol integral out of scope)"
-                ),
-            )
-        )
+        notes = (f"slope={slope!r} intercept={intercept!r} residual={residual!r} "
+                 f"C0~{math.exp(intercept)!r} (empirical; symbol integral out of scope)")
+        reports.append(InequalityReport("weyl-slope", "weyl", inst, abs(slope - group.dim),
+                                        WEYL_SLOPE_TOL[key], 0.0, notes))
         if group.kind == "su2":
             n10 = weyl_count(group, 10.0)
-            reports.append(
-                _report(
-                    "weyl-spot-su2",
-                    "weyl",
-                    {"group": key, "L": 10.0},
-                    abs(n10 - 2470),
-                    0.5,
-                    0.0,
-                    notes=f"N(10)={n10}, expected 2470 exactly",
-                )
-            )
+            reports.append(InequalityReport("weyl-spot-su2", "weyl", {"group": key, "L": 10.0},
+                                            abs(n10 - 2470), 0.5, 0.0,
+                                            f"N(10)={n10}, expected 2470 exactly"))
     return reports
 
 
@@ -1018,22 +934,12 @@ def corollary_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
             f"a_L={[round(v, 8) for v in values]}; truncated weighted sum={stat!r} "
             "(reported only; infinite sum truncated to the grid)"
         )
-        reports.append(
-            _report(
-                "corollary-decay", "corollary", inst, values[-1], 0.1 * values[0],
-                0.0, notes,
-            )
-        )
+        reports.append(InequalityReport("corollary-decay", "corollary", inst, values[-1],
+                                        0.1 * values[0], 0.0, notes))
         tail_start = next(i for i, (L, _) in enumerate(seq) if L >= 8.0)
-        steps = [
-            values[i + 1] / values[i] for i in range(tail_start, len(values) - 1)
-        ]
-        reports.append(
-            _report(
-                "corollary-monotone", "corollary", inst, max(steps), 1.0, 0.0,
-                notes="every step ratio beyond L=8 must stay below 1",
-            )
-        )
+        steps = [values[i + 1] / values[i] for i in range(tail_start, len(values) - 1)]
+        reports.append(InequalityReport("corollary-monotone", "corollary", inst, max(steps), 1.0,
+                                        0.0, "every step ratio beyond L=8 must stay below 1"))
     return reports
 
 
@@ -1063,18 +969,12 @@ def _structural_reports(cfg: RunConfig) -> list[InequalityReport]:
                 ratio = b / sobolev_norm(F, r, 2.0, cfg.max_nodes)
                 lo = 2.0 ** -abs(r)
                 hi = 2.0 ** abs(r)
-                reports.append(
-                    _report(
-                        "besov-sobolev-bracket-upper", "embeddings",
-                        {**inst, "r": r}, ratio, hi * (1.0 + cfg.tol_grid), 0.0,
-                    )
-                )
-                reports.append(
-                    _report(
-                        "besov-sobolev-bracket-lower", "embeddings",
-                        {**inst, "r": r}, lo * (1.0 - cfg.tol_grid), ratio, 0.0,
-                    )
-                )
+                reports.append(InequalityReport("besov-sobolev-bracket-upper", "embeddings",
+                                                {**inst, "r": r}, ratio,
+                                                hi * (1.0 + cfg.tol_grid), 0.0))
+                reports.append(InequalityReport("besov-sobolev-bracket-lower", "embeddings",
+                                                {**inst, "r": r}, lo * (1.0 - cfg.tol_grid),
+                                                ratio, 0.0))
     return reports
 
 
@@ -1118,7 +1018,7 @@ def _family_reports(
     pairs = pairs_of(group)
     reports = embedding_suite(
         group, "dirichlet", pairs, L_grid=cfg.dirichlet_grids[str(group)],
-        slope_max=cfg.slope_max, max_nodes=cfg.max_nodes, suite=suite,
+        max_nodes=cfg.max_nodes, suite=suite,
     )
     return reports + embedding_suite(
         group, "corpus", pairs, corpus=corpus or _corpus_for(cfg, group),

@@ -37,6 +37,7 @@ from peterweyl.groups import (
     torus,
     weyl_count,
 )
+from peterweyl.verify import PROFILES, make_corpus
 
 T1 = torus(1)
 T2 = torus(2)
@@ -405,6 +406,48 @@ def test_power_validation():
     assert not pointwise_power(zero_spectral(T1), 3)
 
 
+def _power_on_wider_band(T, rho):
+    # The power on the wider rule of band (rho + 1) W, analyzed at the same
+    # reps of the exact product budget.
+    rule = quadrature(T.group, (rho + 1) * T.max_weight())
+    reps = dirichlet(T.group, rule.bandlimit)
+    reps = reps.restricted(reps.wsq <= rho * rho * int(T.wsq.max()))
+    values = synthesize(T, rule).values ** rho
+    return fourier._analyze_reps(GridFunction(rule, values), reps, 0.0), rule
+
+
+@pytest.mark.parametrize("group,band", [(T1, 8.0), (T2, 4.0), (T3, 3.0), (SU2, 2.5)], ids=str)
+def test_power_grid_of_band_rho_w_matches_a_wider_one(monkeypatch, group, band):
+    # T^rho has packed weights <= rho^2 max wsq, and analysis pairs it with
+    # reps of that budget, so the least degree c with c^2 >= that budget
+    # gives the coefficients a wider grid gives, up to roundoff, and the
+    # same support counts at the threshold, x10 and x0.1.
+    rules, build = [], fourier.quadrature
+    monkeypatch.setattr(fourier, "quadrature", lambda *a: rules.append(build(*a)) or rules[-1])
+    for profile in PROFILES:
+        for T in make_corpus(group, band, 2, seed=5, profile=profile).functions:
+            for rho in (2, 3):
+                budget = rho * rho * int(T.wsq.max())
+                got = pointwise_power(T, rho, threshold=0.0)
+                rule = rules[-1]
+                assert rule.degree**2 >= budget > (rule.degree - 1) ** 2
+                want, wide = _power_on_wider_band(T, rho)
+                assert rule.node_count < wide.node_count
+                assert got.index.tolist() == want.index.tolist()
+                scale = np.abs(want.entries).max()
+                assert np.abs(got.entries - want.entries).max() <= 1e-13 * scale
+                for t in (1e-12, 1e-11, 1e-13):
+                    assert support_count(got, t) == support_count(want, t)
+
+
+def test_analysis_of_a_zero_grid_is_the_zero_function():
+    for group, band in ((T2, 3.0), (SU2, 2.0)):
+        rule = quadrature(group, band)
+        for threshold in (fourier.SUPPORT_THRESHOLD, 0.0):
+            F = analyze(GridFunction(rule, np.zeros(rule.node_count)), band, threshold)
+            assert not F and F.support() == [] and F.group == group
+
+
 def test_support_count_thresholds():
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1e-6]], (2,): [[1e-13]]})
     assert support_count(F, 1e-12) == 2
@@ -526,6 +569,15 @@ def test_serialization_header_and_errors():
     # index lengths that miss the rank even where their total matches it
     with pytest.raises(DomainError, match=r"int 2-tuple .* got \(1, 2, 3\)"):
         load_spectral("specfun v1\ngroup torus:2\nrep 1,2,3 1 1 0\nrep 4 1 1 0\n")
+
+
+def test_load_spectral_names_a_dimension_that_does_not_match_its_rep():
+    # the first mismatch in canonical order, whatever the record order
+    with pytest.raises(DomainError, match=r"rep \(0,\) must be 1x1, got \(2, 2\)"):
+        load_spectral("specfun v1\ngroup torus:1\nrep 0 2 " + "1 0 " * 4 + "\n")
+    text = "specfun v1\ngroup su2\nrep 2 2 " + "1 0 " * 4 + "\nrep 1 1 1 0\n"
+    with pytest.raises(DomainError, match=r"rep 1 must be 2x2, got \(1, 1\)"):
+        load_spectral(text)
 
 
 _NUMBERS = st.floats(-1e3, 1e3).map(repr) | st.integers(-9, 9).map(str) | st.sampled_from(

@@ -631,8 +631,8 @@ def _ceil_2b_counts(g, band):
 
 @pytest.mark.parametrize("g", [T1, T2, T3, SU2], ids=str)
 def test_degree_sizes_ladder_and_power_bands_as_ceil_2b(monkeypatch, g):
-    # The bands the norm ladder (W 2^j) and pointwise_power ((rho+1) W) ask
-    # for, W = max_weight of a support, get the grids ceil(2B) gave them.
+    # The bands the norm ladder asks for (W 2^j) and multiples (rho + 1) W,
+    # W = max_weight of a support, get the grids ceil(2B) gave them.
     monkeypatch.setattr(groups, "_build_rule", lambda group, degree: degree)
     if g.kind == "torus":
         weights = [WEIGHT_SQ_DEN * (1 + m) for m in range(2000)]  # every T^n weight up to it

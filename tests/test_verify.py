@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from peterweyl import verify
 from peterweyl.fourier import (
+    SUPPORT_THRESHOLD,
     SpectralFunction,
     dirichlet,
     dump_spectral,
@@ -15,6 +17,7 @@ from peterweyl.fourier import (
     support_count,
 )
 from peterweyl.groups import (
+    MAX_DUAL_ENTRIES,
     DomainError,
     ResourceLimitError,
     enumerate_dual,
@@ -105,7 +108,7 @@ def test_support_counts_at_rho_one_read_the_function_itself(monkeypatch):
     calls, power = [], verify.pointwise_power
     monkeypatch.setattr(verify, "pointwise_power",
                         lambda *a, **k: calls.append(a) or power(*a, **k))
-    t = RunConfig().support_threshold
+    t = SUPPORT_THRESHOLD
     counts = verify._support_counts(T, 1, t, None)
     want = [support_count(T, t), support_count(T, 10.0 * t), support_count(T, t / 10.0)]
     assert [counts["count"], counts["count_x10"], counts["count_d10"]] == want
@@ -182,6 +185,18 @@ def test_hy_checks_hold():
         hausdorff_young_checks(corpus.functions[0], 3.0)
 
 
+def test_hy_equality_of_a_two_term_function_holds_on_the_coefficient_bound():
+    # |a e^{-ix} + b e^{2ix}| reaches |a| + |b| where the phases align, so
+    # at p = 1 ||f||_inf = ||fhat||_1 = A: an equality, which a mesh bound
+    # above the grid maximum fails and the coefficient bound
+    # (1 + SUP_ROUNDOFF) A holds.
+    F = SpectralFunction(T1, {(-1,): [[0.6j]], (2,): [[1.0]]})
+    coeff, func = hausdorff_young_checks(F, 1.0)
+    assert coeff.holds and func.holds
+    assert func.rhs == 1.6 and 1.6 <= func.lhs <= (1.0 + 1e-12) * 1.6
+    assert func.notes.startswith("lhs enclosed [")
+
+
 def test_conjugate_is_taken_on_the_rational():
     # 4/3 stands for the rational 4/3, whose conjugate is exactly 4
     for p, pp in ((4.0 / 3.0, 4.0), (1.5, 3.0), (1.2, 6.0), (1.25, 5.0), (1.1, 11.0),
@@ -225,11 +240,11 @@ def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_val
     # (0.67).
     T = _fejer(8)
     corpus = verify.Corpus(7, T1, 9.0, "fejer", (T,))
-    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group, profile=None: corpus)
+    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group: corpus)
     cfg = RunConfig(suite="nikolskii", groups=("torus:1",), tol_grid=-0.3)
     reports = verify.nikolskii_suite_reports(cfg)
     pairs = [(p, q) for p in cfg.p_grid for q in cfg.q_grid if p < q]
-    counts = {rho: verify._support_counts(T, rho, cfg.support_threshold, None) for rho in (1, 2)}
+    counts = {rho: verify._support_counts(T, rho, SUPPORT_THRESHOLD, None) for rho in (1, 2)}
     exponents = sorted({x for pq in pairs for x in pq})
     settled = rescued = 0
     for (p, q), got in zip(pairs, _instances(reports, 4), strict=True):
@@ -273,7 +288,7 @@ def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monke
     assert [r.to_record() for r in got] == [r.to_record() for r in want]
     # the same in the suite
     corpus = verify.Corpus(7, T1, 1.0, "one-plus", (F,))
-    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group, profile=None: corpus)
+    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group: corpus)
     reports = verify.hausdorff_young_suite_reports(RunConfig(groups=("torus:1",)))
     assert [r.name for r in reports] == ["plancherel"] + ["hy-coefficient", "hy-function"] * 3
     assert [r.to_record() for r in reports[1:3]] == [r.to_record() for r in want]
@@ -524,6 +539,13 @@ def test_corpus_validation():
         make_corpus(T1, 4.0, 1, seed=1, profile="nope")
 
 
+def test_corpus_past_the_entry_cap_is_refused_before_drawing():
+    # 15 reps in band 8 on T^1; su2 counts d^2 entries per rep, N(L) in all
+    for group, band, per in ((T1, 8.0, 15), (SU2, 2.5, weyl_count(SU2, 2.5))):
+        with pytest.raises(ResourceLimitError, match="coefficient entries, cap is"):
+            make_corpus(group, band, MAX_DUAL_ENTRIES // per + 1, seed=1)
+
+
 def test_corpus_dense_active_modes():
     corpus = make_corpus(T1, 8.0, 3, seed=2)
     for F in corpus.functions:
@@ -552,30 +574,30 @@ def test_corpus_smooth_decay_envelope():
 
 
 def _tiny_config():
-    cfg = RunConfig()
-    cfg.groups = ("torus:1",)
-    cfg.corpus_count = 2
-    cfg.bandlimits = {"torus:1": 4.0}
-    cfg.p_grid = (1.0, 2.0, 3.0)
-    cfg.q_grid = (2.0, INF)
-    cfg.sharpness_L = (2.0, 4.0)
-    cfg.dirichlet_grids = {"torus:1": (4, 8, 16)}
-    cfg.corollary_L = tuple(range(2, 33, 2))
-    return cfg
+    return RunConfig(groups=("torus:1",), corpus_count=2, bandlimits={"torus:1": 4.0},
+                     p_grid=(1.0, 2.0, 3.0), q_grid=(2.0, INF), sharpness_L=(2.0, 4.0),
+                     dirichlet_grids={"torus:1": (4, 8, 16)}, corollary_L=tuple(range(2, 33, 2)))
 
 
 def test_corollary_suite_grid_and_band():
     cfg = _tiny_config()
-    cfg.corollary_L = (2.0, 4.0, 8.0)  # one step ratio needs two points from L = 8
+    # one step ratio needs two points from L = 8
     with pytest.raises(DomainError, match="two band limits >= 8"):
-        corollary_suite_reports(cfg)
+        corollary_suite_reports(replace(cfg, corollary_L=(2.0, 4.0, 8.0)))
     # the suite runs on torus:1; a band override for other groups leaves it
     # the default band
-    cfg.corollary_L = tuple(range(2, 33, 2))
-    cfg.bandlimits = {"su2": 2.0}
-    reports = corollary_suite_reports(cfg)
+    reports = corollary_suite_reports(replace(cfg, bandlimits={"su2": 2.0}))
     assert reports and all(r.holds for r in reports)
     assert {r.instance["group"] for r in reports} == {"torus:1"}
+
+
+@pytest.mark.parametrize("profile", ["sparse", "smooth_decay"])
+def test_every_record_of_all_suites_holds_on_each_corpus_profile(profile):
+    # A few-term torus function of a sparse corpus can have its sup equal
+    # to the sum A of its coefficient moduli: its p = 1 Hausdorff-Young and
+    # (2, inf) Nikolskii records are then equalities up to roundoff.
+    reports = run_suite("all", RunConfig(profile=profile))
+    assert [(r.name, r.instance) for r in reports if not r.holds] == []
 
 
 def test_run_suite_all_passes_tiny():
@@ -655,12 +677,11 @@ def test_malformed_node_cap_is_a_domain_error(cap):
 
 
 def test_run_config_header_lists_every_setting():
-    # the report header embeds every RunConfig field except the output path
+    # the report header embeds every RunConfig field
     keys = {
         "suite", "groups", "seed", "corpus_count", "profile", "bandlimits",
-        "p_grid", "q_grid", "hy_p_grid", "sharpness_L", "dirichlet_grids",
-        "weyl_grids", "weyl_slope_tol", "corollary_L", "betas", "r_grid",
-        "tol_exact", "tol_grid", "tol_identity", "slope_max",
-        "support_threshold", "max_nodes",
+        "p_grid", "q_grid", "sharpness_L", "dirichlet_grids", "weyl_grids",
+        "corollary_L", "betas", "r_grid", "tol_exact", "tol_grid",
+        "tol_identity", "max_nodes",
     }
     assert set(RunConfig().to_dict()) == keys
