@@ -28,7 +28,7 @@ from .groups import (
     parse_group,
 )
 from .fourier import read_spectral, save_spectral, write_atomic
-from .norms import lp_enclosures, norm_info, parse_norm_spec
+from .norms import norm_enclosure, norm_info, parse_norm_spec
 from .verify import (
     SUITES,
     RunConfig,
@@ -92,12 +92,12 @@ def cmd_norm(args) -> int:
     value, info = norm_info(F, spec, args.max_nodes)
     print(f"{args.spec} = {value!r}")
     print(f"certification: {info['certified']}")
-    if "upper" not in info and spec.family == "Lp" and spec.p % 2 != 0:
-        # a finite p that is not even: the enclosure needing no refined ladder
-        lo, bound = lp_enclosures(F, [spec.p], args.max_nodes)[spec.p]
-        print(f"enclosure: [{lo!r}, {bound['upper']!r}]")
-    elif "upper" in info:
+    if "upper" in info:
         print(f"enclosure: [{value!r}, {info['upper']!r}]")
+    elif info["certified"] != "exact":
+        # a refined or capped value: the enclosure needing no refined ladder
+        lo, bound = norm_enclosure(F, spec, args.max_nodes)
+        print(f"enclosure: [{lo!r}, {bound['upper']!r}]")
     if info.get("nodes"):
         print(f"grid: {info['nodes']} nodes (band {info['bandlimit']:g})")
     return EXIT_OK

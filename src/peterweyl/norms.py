@@ -116,6 +116,25 @@ On T^1 and T^2 corpora the computed N_2, N_4 and N_6 match the exact
 rational ||f^(x/2)||_2 (a coefficient convolution in fractions) to 6.2e-17
 A.  The bounds' own powers and roots add a few ulps, far below delta / N.
 
+Every family has such bounds (norm_enclosure), in the shape of one
+lp_enclosures entry.  Sobolev norms are lp_enclosures of the rescaled
+function.  A Besov norm is the l^q aggregate of 2^(sr) times the block
+norms at p; the aggregate increases in every term, so the aggregates of the
+blocks' lo and of their hi enclose it (_besov_aggregate, whose upper end is
+also the p = inf value's "upper").  A Triebel-Lizorkin norm at p < inf sits
+in a finite-block form of the sandwich B_{p,min(p,q)} <= F_{p,q} <=
+B_{p,max(p,q)}.  With B nonempty shells, at each point the vector of the B
+terms |2^(sr) f_s(x)| has l^q and l^p norms within B^|1/q - 1/p| of each
+other: ||x||_q <= ||x||_p <= B^(1/p - 1/q) ||x||_q for q >= p (Hoelder), and
+the same with p and q exchanged for q < p.  The L^p norm of the pointwise
+l^p aggregate is Besov(r, p, p), since ||(sum_s |2^(sr) f_s|^p)^(1/p)||_p^p
+= sum_s 2^(spr) ||f_s||_p^p.  So Besov(r, p, p)'s enclosure [lo, hi]
+gives [B^(1/q - 1/p) lo, hi] for q >= p and [lo, B^(1/q - 1/p) hi] for q <
+p.  At q = 2 and even p the Triebel-Lizorkin value is itself exact on one
+grid, and the enclosure is that point.  Powers v^p of node values with 2p
+an integer up to 16 are taken by squarings and at most one square root
+(_power), within a few ulps of pow.
+
 Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
 digest and, for norm values, the node cap.  It is bounded, least recently
@@ -378,7 +397,7 @@ def _even_level(p: float) -> int | None:
 
 
 # Certifications from strongest to weakest; a merged record keeps the weakest.
-_CERT_ORDER = ("exact (identity-pinned)", "exact", "enclosed", "refined", "capped")
+CERT_ORDER = ("exact (identity-pinned)", "exact", "enclosed", "refined", "capped")
 
 
 def _provenance(certified: str, nodes: int = 0, bandlimit: float = 0.0,
@@ -391,10 +410,36 @@ def _provenance(certified: str, nodes: int = 0, bandlimit: float = 0.0,
 def _merge_provenance(records: list[dict]) -> dict:
     # Weakest certification over the records, together with the largest grid.
     return _provenance(
-        max((rec["certified"] for rec in records), key=_CERT_ORDER.index, default="exact"),
+        max((rec["certified"] for rec in records), key=CERT_ORDER.index, default="exact"),
         max((rec["nodes"] for rec in records), default=0),
         max((rec["bandlimit"] for rec in records), default=0.0),
     )
+
+
+# The largest 2p that _power takes by multiplication.
+_POWER_MAX_TWICE = 16
+
+
+def _power(v: np.ndarray, p: float) -> np.ndarray:
+    """v^p of nonnegative values, within a few ulps of np.power.
+
+    Where 2p is an integer from 1 to _POWER_MAX_TWICE: binary powering by
+    squarings times at most one np.sqrt, a few times cheaper per element
+    than np.power's pow (v itself at p = 1).  np.power otherwise.
+    """
+    twice = 2.0 * p
+    if not (1.0 <= twice <= _POWER_MAX_TWICE and twice == int(twice)):
+        return np.power(v, p)
+    k = int(twice)
+    out = np.sqrt(v) if k % 2 else None
+    base, k = v, k // 2
+    while k:
+        if k % 2:
+            out = base if out is None else out * base
+        k //= 2
+        if k:
+            base = base * base
+    return out
 
 
 def _weighted_sum(slabs, rule, p: float) -> float:
@@ -411,7 +456,8 @@ def _weighted_sum(slabs, rule, p: float) -> float:
         tail = np.multiply.outer(tail, w).ravel()
     total = np.float64(0.0)
     for lo, hi, vals in slabs:
-        total += lead[lo // tail.size:hi // tail.size] @ (vals.reshape(-1, tail.size)**p @ tail)
+        total += lead[lo // tail.size:hi // tail.size] @ (_power(vals.reshape(-1, tail.size), p)
+                                                          @ tail)
     return total
 
 
@@ -803,10 +849,10 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
                 if q == INF:
                     acc = term if acc is None else np.maximum(acc, term)
                 else:
-                    term **= q
+                    term = _power(term, q)
                     acc = term if acc is None else acc + term
             if q != INF:
-                total, acc = acc, acc ** (1.0 / q)
+                total, acc = acc, np.sqrt(np.sqrt(acc)) if q == 4.0 else _power(acc, 1.0 / q)
                 # finite q-th powers whose root, to the power p, overflows
                 if not np.isfinite(acc.max() ** p) and np.isfinite(total).all():
                     raise DomainError(f"pointwise l^{q:g} aggregate leaves float range at "
@@ -876,6 +922,39 @@ def beurling_r_norm(F: SpectralFunction, r: float, beta: float) -> float:
 # Dispatch
 
 
+def _sobolev_scaled(F: SpectralFunction, r: float) -> SpectralFunction:
+    # F with each coefficient scaled by <xi>^r, the function whose L^p norm
+    # is the Bessel-potential norm.  Entries that overflow become inf, which
+    # the norm refuses (DomainError) with no warning on the way.
+    with np.errstate(over="ignore"):
+        factors = (F.wsq / WEIGHT_SQ_DEN) ** (r / 2.0)
+        if not np.isfinite(factors).all():
+            raise DomainError(f"Sobolev weight <xi>^{r:g} leaves float range")
+        return F.scaled(factors)
+
+
+def _besov_aggregate(F: SpectralFunction, spec: NormSpec, block_norm) -> tuple[float, dict]:
+    # The l^q aggregate over the dyadic blocks of 2^(sr) times the block
+    # value of block_norm(block) -> (value, provenance), with the merged
+    # provenance and, as "upper", the same aggregate of the blocks' upper
+    # ends (their values where they carry none): the aggregate increases in
+    # every term, so it bounds the norm.  inf when a term or the aggregate
+    # is past float range.
+    terms, uppers, records = [], [], []
+    for s, block in dyadic_blocks(F).items():
+        weight = _shell_weight(s, spec.r)
+        value, info = block_norm(block)
+        terms.append(weight * value)
+        uppers.append(weight * info.get("upper", value))
+        records.append(info)
+    merged = _merge_provenance(records)
+    try:
+        merged["upper"] = _lq_aggregate(uppers, spec.q)
+    except DomainError:
+        merged["upper"] = INF
+    return _lq_aggregate(terms, spec.q), merged
+
+
 def norm_info(
     F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
 ) -> tuple[float, dict]:
@@ -883,36 +962,19 @@ def norm_info(
 
     A Besov value carries the merged provenance of its block L^p norms; at
     p = inf also "upper", the same l^q aggregate of 2^(sr) times each
-    block's upper end, which bounds the norm since the aggregate increases
-    in each term (inf when a term, or the aggregate, is past float range).
+    block's upper end (_besov_aggregate).
     """
     check_node_cap(max_nodes)
     fam = spec.family
     if fam == "Lp":
         return lp_norm_info(F, spec.p, max_nodes)
     if fam == "sobolev":
-        with np.errstate(over="ignore"):
-            factors = (F.wsq / WEIGHT_SQ_DEN) ** (spec.r / 2.0)
-        if not np.isfinite(factors).all():
-            raise DomainError(f"Sobolev weight <xi>^{spec.r:g} leaves float range")
-        return lp_norm_info(F.scaled(factors), spec.p, max_nodes)
+        return lp_norm_info(_sobolev_scaled(F, spec.r), spec.p, max_nodes)
     if fam == "besov":
-        terms = []
-        uppers = []
-        records = []
-        for s, block in dyadic_blocks(F).items():
-            weight = _shell_weight(s, spec.r)
-            value, info = lp_norm_info(block, spec.p, max_nodes)
-            terms.append(weight * value)
-            uppers.append(weight * info.get("upper", value))
-            records.append(info)
-        merged = _merge_provenance(records)
-        if spec.p == INF:
-            try:
-                merged["upper"] = _lq_aggregate(uppers, spec.q)
-            except DomainError:
-                merged["upper"] = INF
-        return _lq_aggregate(terms, spec.q), merged
+        value, info = _besov_aggregate(F, spec, lambda b: lp_norm_info(b, spec.p, max_nodes))
+        if spec.p != INF:
+            del info["upper"]
+        return value, info
     if fam == "tl":
         return _tl_info(F, spec, max_nodes)
     if fam == "seq":
@@ -926,6 +988,59 @@ def norm_info(
     else:
         raise NormSpecError(f"unknown family {fam!r}")
     return value, _provenance("exact")
+
+
+def norm_enclosure(
+    F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
+) -> tuple[float, dict]:
+    """Two-sided bounds on a NormSpec's norm with no refined ladder.
+
+    Returns (lo, provenance) with provenance["upper"] = hi and lo <= norm
+    <= hi, as one entry of lp_enclosures: Lp is lp_enclosures, sobolev
+    lp_enclosures of the rescaled function, besov the l^q aggregate of
+    2^(sr) times the block enclosures' ends at p, and tl the sandwich around
+    Besov(r, p, p) of the module docstring (at q = 2 and even p, its exact
+    value, one grid).  Coefficient families are exact points, lo = hi.  The
+    certification is the weakest over the parts; a grid the node cap
+    refuses leaves [0, inf], "capped".
+    """
+    check_node_cap(max_nodes)
+    fam = spec.family
+    try:
+        if fam == "Lp":
+            return lp_enclosures(F, [spec.p], max_nodes)[spec.p]
+        if fam == "sobolev":
+            return lp_enclosures(_sobolev_scaled(F, spec.r), [spec.p], max_nodes)[spec.p]
+        if fam == "besov":
+            return _besov_aggregate(
+                F, spec, lambda b: lp_enclosures(b, [spec.p], max_nodes)[spec.p])
+        if fam == "tl":
+            return _tl_enclosure(F, spec, max_nodes)
+    except ResourceLimitError:
+        return 0.0, _provenance("capped", upper=INF)
+    value, info = norm_info(F, spec, max_nodes)  # a coefficient family: exact
+    return value, {**info, "upper": value}
+
+
+def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dict]:
+    # norm_enclosure of a Triebel-Lizorkin norm: Besov(r, p, p)'s enclosure
+    # [lo, hi] with lo scaled by B^(1/q - 1/p) where q >= p, or hi where
+    # q < p, B the number of nonempty shells (module docstring).
+    p, q = spec.p, spec.q
+    if not F or (q == 2.0 and _even_level(p) is not None):
+        value, info = _tl_info(F, spec, max_nodes)
+        return value, {**info, "upper": value}
+    lo, info = norm_enclosure(F, NormSpec("besov", r=spec.r, p=p, q=p), max_nodes)
+    hi = info["upper"]
+    try:
+        factor = len(dyadic_blocks(F)) ** (1.0 / q - 1.0 / p)
+    except OverflowError:  # q < p only, where the factor scales hi
+        factor = INF
+    if q >= p:
+        lo *= factor
+    else:
+        hi *= factor
+    return lo, {**_merge_provenance([_provenance("enclosed"), info]), "upper": hi}
 
 
 def norm_value(

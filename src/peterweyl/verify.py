@@ -19,7 +19,9 @@ non-divergence: along a canonical scaling family (Dirichlet kernels of
 growing band) the least-squares slope of log(ratio) against log(L) must stay
 below 0.1, and on random corpora every ratio must be finite.  Member records
 for constant-bound claims therefore carry tol = inf (finiteness is the
-check); the slope record is the quantitative gate.
+check); the slope record is the quantitative gate.  A corpus member reads
+the upper end of its ratio's enclosure (norms.norm_enclosure), which needs
+no refined ladder; a Dirichlet member reads values, which the slope fits.
 
 Default tolerances: 1e-9 where quadrature is exact, 1e-6 where dyadic grid
 refinement is involved, 1e-12 for algebraic identities.
@@ -57,6 +59,7 @@ from .fourier import (
     support_count,
 )
 from .norms import (
+    CERT_ORDER,
     INF,
     NormSpec,
     besov_norm,
@@ -66,6 +69,7 @@ from .norms import (
     lp_enclosures,
     lp_norm,
     lp_norms,
+    norm_enclosure,
     norm_value,
     seq_lp_norm,
     sobolev_norm,
@@ -624,8 +628,12 @@ def embedding_suite(
 ) -> list[InequalityReport]:
     """Ratios of each pair along a family, plus a slope record per pair.
 
-    family "dirichlet" scales Dirichlet kernels over L_grid, and "corpus"
-    evaluates the given corpus functions (finiteness only; no scaling axis).
+    family "dirichlet" scales Dirichlet kernels over L_grid: each member's
+    lhs is the ratio of the two norm values, which the slope fit reads.
+    family "corpus" evaluates the given corpus functions, finiteness only
+    (no scaling axis): each member's lhs is the upper end of the ratio's
+    enclosure from the two norm_enclosure bounds, which needs no refined
+    ladder (_corpus_ratio).
     """
     if family == "dirichlet":
         members = [(float(L), f"L={L:g}", dirichlet(group, L)) for L in L_grid]
@@ -638,15 +646,18 @@ def embedding_suite(
         ratios = []
         xs = []
         for x, label, func in members:
-            ratio = embedding_ratio(func, pair.target, pair.source, max_nodes)
             inst = {"group": str(group), "pair": pair.label, "family": family, "member": label}
             notes = ((pair.notes + "; " if pair.notes else "")
                      + "constant-bound claim: finiteness checked here, growth by slope record")
-            reports.append(InequalityReport(f"embedding:{pair.label}", suite, inst, ratio, 1.0,
-                                            INF, notes))
-            if x is not None:
+            if x is None:
+                ratio, ratio_note = _corpus_ratio(func, pair, max_nodes)
+                notes += "; " + ratio_note
+            else:
+                ratio = embedding_ratio(func, pair.target, pair.source, max_nodes)
                 xs.append(x)
                 ratios.append(ratio)
+            reports.append(InequalityReport(f"embedding:{pair.label}", suite, inst, ratio, 1.0,
+                                            INF, notes))
         if len(xs) >= 2:
             slope = float(
                 np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ratios)), 1)[0]
@@ -657,6 +668,23 @@ def embedding_suite(
                                             slope_max, 0.0,
                                             f"ratios={[round(r, 6) for r in ratios]}"))
     return reports
+
+
+def _corpus_ratio(F: SpectralFunction, pair: EmbeddingPair, max_nodes) -> tuple[float, str]:
+    # The lhs of a corpus record and its note: the upper end t_hi / s_lo of
+    # the ratio's enclosure [t_lo / s_hi, t_hi / s_lo], the side the verdict
+    # reads, with the weaker certification of the two norms.  Where that end
+    # is not finite (an anchor the cap refuses, or past float range), the
+    # ratio of norm values instead, so an enclosure never fails a verdict
+    # that holds on values.
+    t_lo, target = norm_enclosure(F, pair.target, max_nodes)
+    s_lo, source = norm_enclosure(F, pair.source, max_nodes)
+    hi = target["upper"] / s_lo if s_lo > 0.0 else INF
+    if math.isfinite(hi):
+        cert = max(target["certified"], source["certified"], key=CERT_ORDER.index)
+        return hi, f"ratio {cert} [{t_lo / source['upper']!r}, {hi!r}]"
+    return (embedding_ratio(F, pair.target, pair.source, max_nodes),
+            "ratio from values (its enclosure has no finite upper end)")
 
 
 # ---------------------------------------------------------------------------

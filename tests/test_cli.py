@@ -17,7 +17,14 @@ from peterweyl.cli import (
 )
 from peterweyl.fourier import dirichlet, read_spectral, save_spectral
 from peterweyl.groups import enumerate_dual, parse_group, rep_info, torus
-from peterweyl.norms import SUP_ROUNDOFF, lp_norm
+from peterweyl.norms import (
+    REFINE_STOP,
+    SUP_ROUNDOFF,
+    lp_norm,
+    norm_enclosure,
+    norm_info,
+    parse_norm_spec,
+)
 from peterweyl.verify import SUITES, make_corpus
 
 
@@ -336,15 +343,18 @@ def _write(tmp_path, name, text):
 BIG = "specfun v1\ngroup torus:1\nrep 0 1 1e200 0\nrep 3 1 1e200 0\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("spec", ["Lp:3", "Lp:2", "seq:2", "beurling:2",
-                                  "besov:r=0.5,p=2,q=1", "tl:r=0.5,p=2,q=2"])
+                                  "besov:r=0.5,p=2,q=1", "tl:r=0.5,p=2,q=2",
+                                  "sobolev:r=400,p=2"])
 def test_norm_of_huge_coefficients_exit_2(tmp_path, spec, capsys):
-    # |f|^p and the coefficient sums leave float range: an error, not "inf ... exact"
+    # |f|^p, the coefficient sums or the Sobolev rescaling leave float range:
+    # an error, not "inf ... exact", and stderr holds that one line, no
+    # numpy warning
     path = _write(tmp_path, "big.spectral", BIG)
     assert main(["norm", path, spec]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "not finite" in captured.err or "float range" in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "inf" not in captured.out
 
 
@@ -414,6 +424,28 @@ def test_norm_prints_the_lp_enclosure_of_a_finite_p(tmp_path, capsys):
     path = _write(tmp_path, "big.spectral", BIG)
     assert main(["norm", path, "Lp:1"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[2] == "enclosure: [0.0, inf]"
+
+
+def test_norm_prints_the_enclosure_of_every_refined_value(tmp_path, capsys):
+    # Besov, Triebel-Lizorkin and Sobolev values that are refined print the
+    # ladder-free enclosure of norm_enclosure; exact ones print none.
+    path = str(tmp_path / "f.spectral")
+    F = make_corpus(torus(2), 3.0, 1, 3).functions[0]
+    save_spectral(F, path)
+    for text in ("besov:r=0.5,p=1,q=2", "tl:r=0.5,p=2,q=4", "tl:r=0.5,p=2,q=1",
+                 "sobolev:r=0.5,p=3"):
+        assert main(["norm", path, text]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        value, _ = norm_info(F, parse_norm_spec(text))
+        assert lines[0] == f"{text} = {value!r}" and lines[1] == "certification: refined"
+        lo, hi = _enclosure_line(lines[2])
+        bound = norm_enclosure(F, parse_norm_spec(text))
+        assert (lo, hi) == (bound[0], bound[1]["upper"])
+        assert lo <= value * (1.0 + REFINE_STOP) and value <= hi * (1.0 + REFINE_STOP)
+        assert lines[3].startswith("grid: ")
+    for text in ("besov:r=0.5,p=2,q=1", "sobolev:r=0.5,p=4", "tl:r=0.5,p=2,q=2"):
+        assert main(["norm", path, text]) == EXIT_OK
+        assert "enclosure" not in capsys.readouterr().out
 
 
 def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):

@@ -1515,6 +1515,86 @@ def test_besov_sup_carries_the_aggregate_of_its_block_enclosures():
 
 
 # ---------------------------------------------------------------------------
+# Enclosures of every norm family
+
+
+# Lebesgue, Sobolev and Besov at even, odd and infinite p, Triebel-Lizorkin
+# at q > p, q < p, q = inf and the exact q = 2, and the coefficient families.
+_FAMILY_SPECS = (
+    "Lp:1", "Lp:1.5", "Lp:3", "Lp:4", "Lp:inf", "sobolev:r=0.5,p=1.5", "sobolev:r=-1,p=2",
+    "besov:r=0.5,p=1,q=2", "besov:r=-1,p=3,q=inf", "besov:r=0.5,p=inf,q=1",
+    "tl:r=0.5,p=2,q=4", "tl:r=0.5,p=2,q=1", "tl:r=-1,p=1.5,q=inf", "tl:r=0.5,p=4,q=2",
+    "seq:1.5", "wiener:1", "beurling:2", "beurlingR:r=0.5,beta=2",
+)
+
+
+def _family_cases():
+    cases = []
+    for group, L in ((T1, 8.0), (torus(2), 3.0), (torus(3), 2.0), (SU2, 2.0)):
+        cases += [make_corpus(group, L, 1, 95, profile).functions[0] for profile in PROFILES]
+        cases.append(dirichlet(group, L))
+    return cases
+
+
+@pytest.mark.parametrize("F", _family_cases(), ids=lambda F: f"{F.group}-{len(F.dims)}")
+def test_norm_enclosure_brackets_the_value_of_every_family(F):
+    # Exact values lie in [lo, hi] as computed; refined and capped ones
+    # within the stop rule's REFINE_STOP of it.  Coefficient families are
+    # exact points.
+    for text in _FAMILY_SPECS:
+        spec = parse_norm_spec(text)
+        value, info = norm_info(F, spec)
+        lo, bound = norms.norm_enclosure(F, spec)
+        if spec.family in ("seq", "wiener", "beurling", "beurlingR"):
+            assert lo == bound["upper"] == value and bound["certified"] == "exact", text
+            continue
+        slack = norms.REFINE_STOP if info["certified"] in ("refined", "capped") else 0.0
+        assert lo <= value * (1.0 + slack) and value <= bound["upper"] * (1.0 + slack), (
+            text, lo, value, bound)
+        assert bound["certified"] in norms.CERT_ORDER
+
+
+def test_tl_enclosure_is_the_besov_sandwich():
+    # B nonempty shells: [B^(1/q - 1/p) lo, hi] for q >= p and [lo,
+    # B^(1/q - 1/p) hi] for q < p, around Besov(r, p, p)'s enclosure.
+    F = make_corpus(torus(2), 4.0, 1, 97).functions[0]
+    count = len(dyadic_blocks(F))
+    lo, info = norms.norm_enclosure(F, NormSpec("besov", r=0.5, p=1.5, q=1.5))
+    for q in (1.0, 4.0, INF):
+        t_lo, t_info = norms.norm_enclosure(F, NormSpec("tl", r=0.5, p=1.5, q=q))
+        factor = count ** (1.0 / q - 1.0 / 1.5)
+        want = (lo * factor, info["upper"]) if q >= 1.5 else (lo, info["upper"] * factor)
+        assert (t_lo, t_info["upper"]) == want and t_info["certified"] == "enclosed"
+
+
+def test_norm_enclosure_of_zero_and_of_a_refused_grid():
+    for group in (T1, SU2):
+        for text in _FAMILY_SPECS:
+            lo, info = norms.norm_enclosure(zero_spectral(group), parse_norm_spec(text))
+            assert lo == info["upper"] == 0.0 and info["certified"] == "exact", text
+    # a cap below the base grid bounds nothing, where norm_info refuses
+    F = make_corpus(torus(2), 3.0, 1, 98).functions[0]
+    for text in ("Lp:3", "besov:r=0.5,p=1,q=2", "tl:r=0.5,p=2,q=4", "sobolev:r=1,p=2"):
+        with pytest.raises(norms.ResourceLimitError):
+            norm_info(F, parse_norm_spec(text), 10)
+        assert norms.norm_enclosure(F, parse_norm_spec(text), 10) == (
+            0.0, {"certified": "capped", "nodes": 0, "bandlimit": 0.0, "upper": INF})
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+def test_power_by_multiplication_matches_np_power(p):
+    # Squarings and one square root stay within a few ulps of pow over a
+    # range where v^6 neither overflows nor underflows.
+    rng = np.random.default_rng(96)
+    v = np.concatenate([[0.0, 1.0], 10.0 ** rng.uniform(-40.0, 40.0, 4000), rng.random(4000)])
+    np.testing.assert_allclose(norms._power(v, p), np.power(v, p), rtol=1e-15, atol=0.0)
+    # exponents whose double is not an integer up to 16 are np.power itself
+    w = 10.0 * rng.random(4000)
+    for q in (0.3, 2.2, 8.5, 10.0):
+        assert np.array_equal(norms._power(w, q), np.power(w, q))
+
+
+# ---------------------------------------------------------------------------
 # memo of finished evaluations
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from peterweyl import verify
+from peterweyl import norms, verify
 from peterweyl.fourier import (
     SUPPORT_THRESHOLD,
     SpectralFunction,
@@ -21,6 +21,8 @@ from peterweyl.groups import (
     DomainError,
     ResourceLimitError,
     enumerate_dual,
+    parse_group,
+    quadrature,
     rep_dim,
     su2,
     torus,
@@ -448,6 +450,51 @@ def test_embedding_suite_corpus_finiteness():
     reports = embedding_suite(T1, "corpus", pairs, corpus=corpus)
     assert all(r.holds for r in reports)
     assert not any(r.name.startswith("embedding-slope") for r in reports)
+
+
+def test_corpus_members_read_enclosures_and_run_no_refined_ladder(monkeypatch):
+    # Every corpus member of the default embedding suites settles on its
+    # ratio's enclosure: no ladder refines to the stop rule, and the lhs is
+    # the enclosure's upper end, at least the ratio of refined values.
+    refined = []
+    ladder = norms._ladder
+
+    def spy(F, values_of, p, exact_level, max_nodes):
+        if exact_level is None:
+            refined.append((str(F.group), p))
+        return ladder(F, values_of, p, exact_level, max_nodes)
+
+    cfg = RunConfig()
+    suites = []
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_ladder", spy)
+        for name in cfg.groups:
+            group = parse_group(name)
+            corpus = make_corpus(group, cfg.bandlimits[name], cfg.corpus_count, cfg.seed)
+            pairs = verify._embedding_pairs(group) + verify._wiener_chain_pairs(group)
+            suites.append((corpus, pairs, embedding_suite(group, "corpus", pairs, corpus=corpus)))
+    assert refined == []
+    for corpus, pairs, reports in suites:
+        assert len(reports) == len(pairs) * len(corpus.functions)
+        for rep, (pair, F) in zip(reports, ((a, b) for a in pairs for b in corpus.functions)):
+            cert, interval = rep.notes.split("; ratio ")[-1].split(" ", 1)
+            lo, hi = map(float, interval.strip("[]").split(", "))
+            assert rep.holds and cert in ("exact", "enclosed") and hi == rep.lhs
+            value = embedding_ratio(F, pair.target, pair.source)
+            assert lo * (1.0 - 1e-6) <= value <= rep.lhs * (1.0 + 1e-6), (rep.instance, value)
+
+
+def test_corpus_records_fall_back_to_values_without_a_finite_enclosure():
+    # The cap admits the base grid but not ||f||_4's: ||f||_3 has no finite
+    # upper end, so the ratio comes from (capped) values and still holds.
+    corpus = make_corpus(T1, 8.0, 3, seed=7)
+    cap = quadrature(T1, corpus.functions[0].max_weight()).node_count
+    pair = besov_lq_pair(T1, 1.5, 3.0)
+    reports = embedding_suite(T1, "corpus", [pair], corpus=corpus, max_nodes=cap)
+    assert len(reports) == 3
+    for rep, F in zip(reports, corpus.functions):
+        assert rep.holds and rep.lhs == embedding_ratio(F, pair.target, pair.source, cap)
+        assert rep.notes.endswith("; ratio from values (its enclosure has no finite upper end)")
 
 
 # ---------------------------------------------------------------------------
