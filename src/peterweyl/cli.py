@@ -92,12 +92,10 @@ def cmd_norm(args) -> int:
     value, info = norm_info(F, spec, args.max_nodes)
     print(f"{args.spec} = {value!r}")
     print(f"certification: {info['certified']}")
-    if "upper" in info:
-        print(f"enclosure: [{value!r}, {info['upper']!r}]")
-    elif info["certified"] != "exact":
-        # a refined or capped value: the enclosure needing no refined ladder
-        lo, bound = norm_enclosure(F, spec, args.max_nodes)
-        print(f"enclosure: [{lo!r}, {bound['upper']!r}]")
+    if "upper" in info or info["certified"] != "exact":
+        # a sup's own enclosure, else the ladder-free one of a refined or capped value
+        bound = norm_enclosure(F, spec, args.max_nodes)
+        print(f"enclosure: [{bound.lo!r}, {bound.hi!r}]")
     if info.get("nodes"):
         print(f"grid: {info['nodes']} nodes (band {info['bandlimit']:g})")
     return EXIT_OK

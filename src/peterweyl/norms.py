@@ -23,7 +23,12 @@ levels, with the largest grid; coefficient-only norms and
 identity-pinned sups, which build no grid, are "exact" with nodes 0; a
 folded level records the full rule's nodes and band.  A value that is not
 a finite float (coefficients too large or not finite, or a root 1/p past
-float range) raises DomainError.
+float range) raises DomainError.  So does a root 1/p, of a sum or of a
+pointwise l^q aggregate, at p below MIN_ROOT_EXPONENT = 2^-53 / REFINE_STOP
+(about 1.1e-10): the last rounding of a sum S alone may make it S (1 + d),
+|d| up to 2^-53, and its root S^(1/p) (1 + d)^(1/p), about 1 + d / p times
+the root, past the stop rule (for f = 2 at p = 1e-16, every |f|^p rounds
+to 1, and a ladder "refined" 1.0).
 
 The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
@@ -116,24 +121,25 @@ On T^1 and T^2 corpora the computed N_2, N_4 and N_6 match the exact
 rational ||f^(x/2)||_2 (a coefficient convolution in fractions) to 6.2e-17
 A.  The bounds' own powers and roots add a few ulps, far below delta / N.
 
-Every family has such bounds (norm_enclosure), in the shape of one
-lp_enclosures entry.  Sobolev norms are lp_enclosures of the rescaled
-function.  A Besov norm is the l^q aggregate of 2^(sr) times the block
-norms at p; the aggregate increases in every term, so the aggregates of the
-blocks' lo and of their hi enclose it (_besov_aggregate, whose upper end is
-also the p = inf value's "upper").  A Triebel-Lizorkin norm at p < inf sits
-in a finite-block form of the sandwich B_{p,min(p,q)} <= F_{p,q} <=
+Every family has such bounds (norm_enclosure), each a frozen Enclosure(lo,
+hi, certified, nodes, bandlimit) as an lp_enclosures entry is, with the
+weakest certification of its parts.  Sobolev norms are lp_enclosures of the
+rescaled function.  A Besov norm is the l^q aggregate of 2^(sr) times the
+block norms at p; the aggregate increases in every term, so the aggregates
+of the blocks' lo and of their hi enclose it (_besov_aggregate, whose upper
+end is also the p = inf value's "upper").  A Triebel-Lizorkin norm at p <
+inf sits in a finite-block form of the sandwich B_{p,min(p,q)} <= F_{p,q} <=
 B_{p,max(p,q)}.  With B nonempty shells, at each point the vector of the B
 terms |2^(sr) f_s(x)| has l^q and l^p norms within B^|1/q - 1/p| of each
 other: ||x||_q <= ||x||_p <= B^(1/p - 1/q) ||x||_q for q >= p (Hoelder), and
 the same with p and q exchanged for q < p.  The L^p norm of the pointwise
 l^p aggregate is Besov(r, p, p), since ||(sum_s |2^(sr) f_s|^p)^(1/p)||_p^p
-= sum_s 2^(spr) ||f_s||_p^p.  So Besov(r, p, p)'s enclosure [lo, hi]
-gives [B^(1/q - 1/p) lo, hi] for q >= p and [lo, B^(1/q - 1/p) hi] for q <
-p.  At q = 2 and even p the Triebel-Lizorkin value is itself exact on one
-grid, and the enclosure is that point.  Powers v^p of node values with 2p
-an integer up to 16 are taken by squarings and at most one square root
-(_power), within a few ulps of pow.
+= sum_s 2^(spr) ||f_s||_p^p.  So Besov(r, p, p)'s enclosure [lo, hi] gives
+[B^(1/q - 1/p) lo, hi] for q >= p and [lo, B^(1/q - 1/p) hi] for q < p.  At
+q = 2 and even p the Triebel-Lizorkin value is itself exact on one grid, and
+the enclosure is that point.  Powers v^p of node values with 2p an integer
+up to 16 are taken by squarings and at most one square root (_power), within
+a few ulps of pow.
 
 Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
@@ -196,6 +202,8 @@ SUP_ROUNDOFF = 1e-12
 # Roundoff allowance of a computed even L^p norm, relative to the same sum A,
 # by which lp_enclosures widens each norm it builds on (module docstring).
 LP_ROUNDOFF = 1e-13
+# The least p of a root 1/p: one rounding of a sum moves it REFINE_STOP.
+MIN_ROOT_EXPONENT = 2.0**-53 / REFINE_STOP
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +355,10 @@ class _Memo:
             self.size = 0
 
 
-# Finished evaluations: L^p values keyed by (digest, p, node cap) and
-# Triebel-Lizorkin values by (digest, spec, node cap), each of size 1, and
-# dyadic splits keyed by digest, sized in stored coefficient entries.
+# Finished evaluations, each a frozen Enclosure of size 1: L^p values keyed
+# by (digest, p, node cap) and Triebel-Lizorkin values by (digest, spec,
+# node cap); and dyadic splits keyed by digest, sized in stored coefficient
+# entries.
 _MEMO_BUDGET = 100_000
 _MEMO = _Memo(_MEMO_BUDGET)
 
@@ -357,17 +366,6 @@ _MEMO = _Memo(_MEMO_BUDGET)
 def clear_memos() -> None:
     """Empty the evaluation memo; later calls evaluate from scratch."""
     _MEMO.clear()
-
-
-def _recall(key) -> tuple[float, dict] | None:
-    # A memoized (value, provenance) with its own provenance dict, so no
-    # caller can change what the next hit returns.
-    hit = _MEMO.get(key)
-    return None if hit is None else (hit[0], dict(hit[1]))
-
-
-def _remember(key, value: float, info: dict) -> None:
-    _MEMO.put(key, (value, dict(info)))
 
 
 def _synth_values(F: SpectralFunction, rule):
@@ -400,20 +398,39 @@ def _even_level(p: float) -> int | None:
 CERT_ORDER = ("exact (identity-pinned)", "exact", "enclosed", "refined", "capped")
 
 
-def _provenance(certified: str, nodes: int = 0, bandlimit: float = 0.0,
-                upper: float | None = None) -> dict:
-    # upper: the upper end of a sup's enclosure, carried by p = inf alone.
-    info = {"certified": certified, "nodes": nodes, "bandlimit": bandlimit}
-    return info if upper is None else {**info, "upper": upper}
+@dataclass(frozen=True, slots=True)
+class Enclosure:
+    """A norm's bound lo <= norm <= hi, with its provenance: certified (of
+    CERT_ORDER) and the largest grid it rests on (0 where none is built).
+    A "refined" or "capped" point (lo == hi) is a stop-rule value, not a
+    bound: the norm may lie outside it."""
+
+    lo: float
+    hi: float
+    certified: str
+    nodes: int = 0
+    bandlimit: float = 0.0
+
+    @classmethod
+    def of(cls, result: tuple[float, dict]) -> Enclosure:
+        # Lift a (value, provenance): hi is its "upper" where it has one.
+        value, info = result
+        return cls(value, info.get("upper", value), info["certified"], info["nodes"],
+                   info["bandlimit"])
+
+    def result(self, upper: bool = False) -> tuple[float, dict]:
+        # lp_norms' (value, provenance), a fresh dict, with hi as "upper" if asked.
+        info = {"certified": self.certified, "nodes": self.nodes, "bandlimit": self.bandlimit}
+        return self.lo, ({**info, "upper": self.hi} if upper else info)
 
 
-def _merge_provenance(records: list[dict]) -> dict:
-    # Weakest certification over the records, together with the largest grid.
-    return _provenance(
-        max((rec["certified"] for rec in records), key=CERT_ORDER.index, default="exact"),
-        max((rec["nodes"] for rec in records), default=0),
-        max((rec["bandlimit"] for rec in records), default=0.0),
-    )
+def weakest(parts, floor: str = CERT_ORDER[0]) -> tuple[str, int, float]:
+    """(certified, nodes, bandlimit): the weakest certification of the parts
+    ("exact" for none), never above floor, with their largest grid."""
+    parts = list(parts)
+    certs = [e.certified for e in parts] or ["exact"]
+    return (max(certs + [floor], key=CERT_ORDER.index), max([e.nodes for e in parts], default=0),
+            max([e.bandlimit for e in parts], default=0.0))
 
 
 # The largest 2p that _power takes by multiplication.
@@ -540,7 +557,7 @@ def _grid_peak(slabs) -> float:
     return float(np.max([vals.max() for _, _, vals in slabs]))
 
 
-def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
+def _sup(F: SpectralFunction, max_nodes: int | None) -> Enclosure:
     # sup |f| from one pass over the rule of _sup_degree, on its fold when F
     # is sign-even: "enclosed" at the least degree whose mesh factor is
     # within 1 + SUP_ENCLOSURE, "capped" at the largest the cap admits.
@@ -549,12 +566,12 @@ def _sup(F: SpectralFunction, max_nodes: int | None) -> tuple[float, dict]:
     grid = (rule.node_count, rule.bandlimit)
     lo, hi = _sup_enclosure(F, rule.folded() if F.sign_even else rule,
                             _degree_tau(F, degree), grid[0])
-    return lo, _provenance("enclosed" if within else "capped", *grid, upper=hi)
+    return Enclosure(lo, hi, "enclosed" if within else "capped", *grid)
 
 
 def _ladder(
     F: SpectralFunction, values_of, p: float, exact_level: int | None, max_nodes: int | None
-) -> tuple[float, dict]:
+) -> Enclosure:
     """The L^p norm of nonnegative node values on a grid ladder.
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
@@ -562,8 +579,8 @@ def _ladder(
     blocks are too); values_of(rule) yields the level's values as (lo, hi,
     slab), which one pass reduces.  exact_level is the level at which the
     integrand is band-limited, evaluated once and exact; None refines from
-    level 0 until the stop rule holds.  Returns (value, provenance), with
-    the full rule's nodes and band.
+    level 0 until the stop rule holds.  Returns the value as a point
+    Enclosure, with the full rule's nodes and band.
     """
     level = exact_level or 0
     w = F.max_weight()
@@ -575,19 +592,20 @@ def _ladder(
         except ResourceLimitError:
             if exact_level is not None or prev is None:
                 raise  # the exact level, or not even the base grid, is past the cap
-            return prev, _provenance("capped", *grid)
+            return Enclosure(prev, prev, "capped", *grid)
         grid = (rule.node_count, band)
         if F.sign_even:
             rule = rule.folded()
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
             total = _weighted_sum(values_of(rule), rule, p)
-        cur = _root(float(total), p, f"L^{p:g} value on {grid[0]} nodes")
+        # a tiny p is refused by the callers, after every level's range check
+        cur = _root(float(total), p, f"L^{p:g} value on {grid[0]} nodes", checked=False)
         if exact_level is not None:
-            return cur, _provenance("exact", *grid)
+            return Enclosure(cur, cur, "exact", *grid)
         if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
-            return cur, _provenance("refined", *grid)
+            return Enclosure(cur, cur, "refined", *grid)
         if level >= MAX_REFINE_LEVELS:
-            return cur, _provenance("capped", *grid)
+            return Enclosure(cur, cur, "capped", *grid)
         prev, level = cur, level + 1
 
 
@@ -607,31 +625,37 @@ def lp_norms(
     bound (1 + SUP_ROUNDOFF) A of the module docstring.  A malformed node
     cap raises DomainError, also where no grid is built.
     """
+    ps = _exponents(ps, max_nodes)
+    if not F:
+        return {p: Enclosure(0.0, 0.0, "exact").result(p == INF) for p in ps}
+    return {p: _lp_norm(F, p, max_nodes) for p in sorted(ps, key=lambda p: p != INF)}
+
+
+def _exponents(ps, max_nodes) -> list:
+    # The exponents of lp_norms or lp_enclosures, each positive; the cap first.
     check_node_cap(max_nodes)
     ps = list(ps)
     for p in ps:
         if not p > 0:
             raise DomainError(f"Lebesgue exponent must be positive, got {p}")
-    if not F:
-        return {p: (0.0, _provenance("exact", upper=0.0 if p == INF else None)) for p in ps}
-    return {p: _lp_norm(F, p, max_nodes) for p in sorted(ps, key=lambda p: p != INF)}
+    return ps
 
 
 def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> tuple[float, dict]:
     # One exponent of lp_norms: the memo, else the identity-pinned or
     # enclosed sup, or the ladder, exact at the level _even_level names.
     key = ("lp", F.digest, p, max_nodes)
-    hit = _recall(key)
-    if hit is not None:
-        return hit
-    if p == INF:
-        peak = _identity_value(F)
-        value, info = (_sup(F, max_nodes) if peak is None
-                       else (peak, _provenance("exact (identity-pinned)", upper=peak)))
-    else:
-        value, info = _ladder(F, lambda rule: _synth_values(F, rule), p, _even_level(p), max_nodes)
-    _remember(key, value, info)
-    return value, info
+    e = _MEMO.get(key)
+    if e is None:
+        if p == INF:
+            peak = _identity_value(F)
+            e = (_sup(F, max_nodes) if peak is None
+                 else Enclosure(peak, peak, "exact (identity-pinned)"))
+        else:
+            e = _ladder(F, lambda rule: _synth_values(F, rule), p, _even_level(p), max_nodes)
+            _root_exponent(p, f"L^{p:g} value")
+        _MEMO.put(key, e)
+    return e.result(p == INF)
 
 
 def lp_norm_info(
@@ -652,30 +676,25 @@ _ANCHORS = (2.0, 4.0, 6.0, INF)
 
 def lp_enclosures(
     F: SpectralFunction, ps, max_nodes: int | None = None
-) -> dict[float, tuple[float, dict]]:
+) -> dict[float, Enclosure]:
     """Two-sided bounds on Lebesgue norms with no refined ladder.
 
-    Returns {p: (lo, provenance)} with provenance["upper"] = hi and lo <=
-    ||f||_p <= hi.  Even p and p = inf are lp_norms' values (lo = hi for
-    even p).  Any other p is bounded from the memoized norms at 2, 4 and 6
-    and, for p > 4 only, the sup's enclosure, each widened by LP_ROUNDOFF A:
-    hi by Lyapunov between the exponents around p (below 2, monotonicity),
-    lo by Lyapunov from the two nearest above p and by monotonicity (module
-    docstring); certified "enclosed", or the weakest certification of the
-    norms it rests on.  A norm the node cap refuses, or that leaves float
-    range, bounds nothing ([0, inf]); one refused by the cap makes the
-    bound "capped".
+    Returns {p: Enclosure} with lo <= ||f||_p <= hi.  Even p and p = inf are
+    lp_norms' values, lifted (Enclosure.of: lo = hi for even p).  Any other
+    p is bounded from the memoized norms at 2, 4 and 6 and, for p > 4 only,
+    the sup's enclosure, each widened by LP_ROUNDOFF A: hi by Lyapunov
+    between the exponents around p (below 2, monotonicity), lo by Lyapunov
+    from the two nearest above p and by monotonicity (module docstring);
+    certified "enclosed", or the weakest certification of the norms it
+    rests on.  A norm the node cap refuses, or that leaves float range,
+    bounds nothing ([0, inf]); one refused by the cap makes the bound
+    "capped".
     """
-    check_node_cap(max_nodes)
-    ps = list(ps)
-    for p in ps:
-        if not p > 0:
-            raise DomainError(f"Lebesgue exponent must be positive, got {p}")
+    ps = _exponents(ps, max_nodes)
     if not F:
-        return {p: (0.0, _provenance("exact", upper=0.0)) for p in ps}
+        return {p: Enclosure(0.0, 0.0, "exact") for p in ps}
     direct = [p for p in ps if p == INF or _even_level(p) is not None]
-    out = {p: (value, {**info, "upper": info.get("upper", value)})
-           for p, (value, info) in lp_norms(F, direct, max_nodes).items()}
+    out = {p: Enclosure.of(v) for p, v in lp_norms(F, direct, max_nodes).items()}
     # the anchor below p, if any, and the (one or) two above it
     bounded = {p: ([a for a in _ANCHORS if a < p][-1:], [a for a in _ANCHORS if a > p][:2])
                for p in ps if p not in out}
@@ -684,33 +703,31 @@ def lp_enclosures(
                for a in sorted({a for below, above in bounded.values() for a in below + above})}
     for p, (below, above) in bounded.items():
         b = above[0]
-        b_lo, b_hi, _ = anchors[b]
+        b_lo, b_hi = anchors[b].lo, anchors[b].hi
         lo, hi = 0.0, b_hi  # below 2: monotonicity
         if below:
             a = below[0]
-            a_lo, a_hi, _ = anchors[a]
             theta = (1.0 / p - 1.0 / b) / (1.0 / a - 1.0 / b)
-            lo, hi = a_lo, a_hi**theta * b_hi ** (1.0 - theta)
+            lo, hi = anchors[a].lo, anchors[a].hi**theta * b_hi ** (1.0 - theta)
         if len(above) == 2:
             c = above[1]
             theta = (1.0 / b - 1.0 / c) / (1.0 / p - 1.0 / c)
             if theta > 0.0:  # 0 once 1/p leaves float range: monotonicity's lo stands
-                lo = max(lo, b_lo * min(1.0, b_lo / anchors[c][1]) ** ((1.0 - theta) / theta))
-        info = _merge_provenance([_provenance("enclosed")] + [anchors[a][2] for a in below + above])
-        out[p] = (lo, {**info, "upper": hi})
+                lo = max(lo, b_lo * min(1.0, b_lo / anchors[c].hi) ** ((1.0 - theta) / theta))
+        out[p] = Enclosure(lo, hi, *weakest([anchors[a] for a in below + above], "enclosed"))
     return {p: out[p] for p in ps}
 
 
-def _anchor(F: SpectralFunction, a: float, max_nodes, slack: float) -> tuple[float, float, dict]:
-    # (lo, hi, provenance) around ||f||_a: its lp_norms value (the sup's
-    # upper end as hi), widened by slack; (0, inf) where it cannot be had.
+def _anchor(F: SpectralFunction, a: float, max_nodes, slack: float) -> Enclosure:
+    # ||f||_a's lp_norms value lifted (the sup's upper end as hi) and
+    # widened by slack; [0, inf] where it cannot be had.
     try:
-        value, info = lp_norm_info(F, a, max_nodes)
+        e = Enclosure.of(lp_norm_info(F, a, max_nodes))
     except ResourceLimitError:
-        return 0.0, INF, _provenance("capped")
+        return Enclosure(0.0, INF, "capped")
     except DomainError:  # past float range: [0, inf] still encloses it
-        return 0.0, INF, _provenance("enclosed")
-    return max(0.0, value - slack), info.get("upper", value) + slack, info
+        return Enclosure(0.0, INF, "enclosed")
+    return Enclosure(max(0.0, e.lo - slack), e.hi + slack, e.certified, e.nodes, e.bandlimit)
 
 
 # ---------------------------------------------------------------------------
@@ -724,16 +741,26 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _root(total: float, p: float, what: str) -> float:
+def _root(total: float, p: float, what: str, checked: bool = True) -> float:
     # total^(1/p) as a finite float; a tiny p can take it past float range,
-    # above it or, for a positive total below 1, down to 0.0.
+    # above it or, for a positive total below 1, down to 0.0.  Where checked,
+    # p below MIN_ROOT_EXPONENT is refused in range too.
     try:
         value = float(total ** (1.0 / p))
     except OverflowError:
         value = None
     if value is None or (value == 0.0 and total > 0):
         raise DomainError(f"{what} leaves float range at the root 1/{p:g}")
+    if checked:
+        _root_exponent(p, what)
     return _finite(value, what)
+
+
+def _root_exponent(p: float, what: str) -> None:
+    # Refuse a p where one rounding of a sum moves its root past the stop rule.
+    if p < MIN_ROOT_EXPONENT:
+        raise DomainError(f"{what} at exponent {p:g}: below {MIN_ROOT_EXPONENT:.3g}, one "
+                          f"rounding of the sum moves the root 1/{p:g} past {REFINE_STOP:g}")
 
 
 def _hs_norms(F: SpectralFunction) -> np.ndarray:
@@ -814,9 +841,10 @@ def _lq_aggregate(terms: list[float], q: float) -> float:
     if q == INF:
         return _finite(max(terms), "l^inf aggregate")
     try:
-        return _finite(float(sum(t**q for t in terms) ** (1.0 / q)), f"l^{q:g} aggregate")
+        total = sum(t**q for t in terms)
     except OverflowError:
         raise DomainError(f"l^{q:g} aggregate leaves float range") from None
+    return _root(total, q, f"l^{q:g} aggregate")
 
 
 def besov_norm(
@@ -829,11 +857,12 @@ def besov_norm(
 def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dict]:
     p, q = spec.p, spec.q
     if not F:
-        return 0.0, _provenance("exact")
+        return Enclosure(0.0, 0.0, "exact").result()
+    _root_exponent(min(p, q), f"L^{p:g} norm of the pointwise l^{q:g} aggregate")
     key = ("tl", F.digest, spec, max_nodes)
-    hit = _recall(key)
+    hit = _MEMO.get(key)
     if hit is not None:
-        return hit
+        return hit.result()
     blocks = dyadic_blocks(F)
     weights = {s: _shell_weight(s, spec.r) for s in blocks}
 
@@ -859,9 +888,9 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
                                       f"the root 1/{q:g}, to the power {p:g}")
             yield lo, hi, acc
 
-    value, info = _ladder(F, aggregate, p, _even_level(p) if q == 2.0 else None, max_nodes)
-    _remember(key, value, info)
-    return value, info
+    e = _ladder(F, aggregate, p, _even_level(p) if q == 2.0 else None, max_nodes)
+    _MEMO.put(key, e)
+    return e.result()
 
 
 def tl_norm(
@@ -933,26 +962,18 @@ def _sobolev_scaled(F: SpectralFunction, r: float) -> SpectralFunction:
         return F.scaled(factors)
 
 
-def _besov_aggregate(F: SpectralFunction, spec: NormSpec, block_norm) -> tuple[float, dict]:
-    # The l^q aggregate over the dyadic blocks of 2^(sr) times the block
-    # value of block_norm(block) -> (value, provenance), with the merged
-    # provenance and, as "upper", the same aggregate of the blocks' upper
-    # ends (their values where they carry none): the aggregate increases in
-    # every term, so it bounds the norm.  inf when a term or the aggregate
-    # is past float range.
-    terms, uppers, records = [], [], []
-    for s, block in dyadic_blocks(F).items():
-        weight = _shell_weight(s, spec.r)
-        value, info = block_norm(block)
-        terms.append(weight * value)
-        uppers.append(weight * info.get("upper", value))
-        records.append(info)
-    merged = _merge_provenance(records)
+def _besov_aggregate(F: SpectralFunction, spec: NormSpec, block_norm) -> Enclosure:
+    # The l^q aggregates over the dyadic blocks of 2^(sr) times both ends of
+    # block_norm(block), an Enclosure, which enclose the norm (module
+    # docstring); hi is inf where a term or its aggregate leaves float range.
+    parts = [(_shell_weight(s, spec.r), block_norm(block))
+             for s, block in dyadic_blocks(F).items()]
     try:
-        merged["upper"] = _lq_aggregate(uppers, spec.q)
+        hi = _lq_aggregate([w * e.hi for w, e in parts], spec.q)
     except DomainError:
-        merged["upper"] = INF
-    return _lq_aggregate(terms, spec.q), merged
+        hi = INF
+    return Enclosure(_lq_aggregate([w * e.lo for w, e in parts], spec.q), hi,
+                     *weakest(e for _, e in parts))
 
 
 def norm_info(
@@ -960,7 +981,7 @@ def norm_info(
 ) -> tuple[float, dict]:
     """Evaluate a NormSpec; returns (value, provenance).
 
-    A Besov value carries the merged provenance of its block L^p norms; at
+    A Besov value carries the weakest provenance of its block L^p norms; at
     p = inf also "upper", the same l^q aggregate of 2^(sr) times each
     block's upper end (_besov_aggregate).
     """
@@ -971,10 +992,8 @@ def norm_info(
     if fam == "sobolev":
         return lp_norm_info(_sobolev_scaled(F, spec.r), spec.p, max_nodes)
     if fam == "besov":
-        value, info = _besov_aggregate(F, spec, lambda b: lp_norm_info(b, spec.p, max_nodes))
-        if spec.p != INF:
-            del info["upper"]
-        return value, info
+        e = _besov_aggregate(F, spec, lambda b: Enclosure.of(lp_norm_info(b, spec.p, max_nodes)))
+        return e.result(spec.p == INF)
     if fam == "tl":
         return _tl_info(F, spec, max_nodes)
     if fam == "seq":
@@ -987,22 +1006,21 @@ def norm_info(
         value = beurling_r_norm(F, spec.r, spec.beta)
     else:
         raise NormSpecError(f"unknown family {fam!r}")
-    return value, _provenance("exact")
+    return Enclosure(value, value, "exact").result()
 
 
 def norm_enclosure(
     F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
-) -> tuple[float, dict]:
+) -> Enclosure:
     """Two-sided bounds on a NormSpec's norm with no refined ladder.
 
-    Returns (lo, provenance) with provenance["upper"] = hi and lo <= norm
-    <= hi, as one entry of lp_enclosures: Lp is lp_enclosures, sobolev
-    lp_enclosures of the rescaled function, besov the l^q aggregate of
-    2^(sr) times the block enclosures' ends at p, and tl the sandwich around
-    Besov(r, p, p) of the module docstring (at q = 2 and even p, its exact
-    value, one grid).  Coefficient families are exact points, lo = hi.  The
-    certification is the weakest over the parts; a grid the node cap
-    refuses leaves [0, inf], "capped".
+    An Enclosure, lo <= norm <= hi, as one entry of lp_enclosures: Lp is
+    lp_enclosures, sobolev lp_enclosures of the rescaled function, besov
+    the l^q aggregate of 2^(sr) times the block enclosures' ends at p, and
+    tl the sandwich around Besov(r, p, p) of the module docstring (at q = 2
+    and even p, its exact value, one grid).  Coefficient families are exact
+    points, lo = hi.  The certification is the weakest over the parts; a
+    grid the node cap refuses leaves [0, inf], "capped".
     """
     check_node_cap(max_nodes)
     fam = spec.family
@@ -1017,30 +1035,24 @@ def norm_enclosure(
         if fam == "tl":
             return _tl_enclosure(F, spec, max_nodes)
     except ResourceLimitError:
-        return 0.0, _provenance("capped", upper=INF)
-    value, info = norm_info(F, spec, max_nodes)  # a coefficient family: exact
-    return value, {**info, "upper": value}
+        return Enclosure(0.0, INF, "capped")
+    return Enclosure.of(norm_info(F, spec, max_nodes))  # a coefficient family: exact
 
 
-def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dict]:
+def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     # norm_enclosure of a Triebel-Lizorkin norm: Besov(r, p, p)'s enclosure
     # [lo, hi] with lo scaled by B^(1/q - 1/p) where q >= p, or hi where
     # q < p, B the number of nonempty shells (module docstring).
     p, q = spec.p, spec.q
     if not F or (q == 2.0 and _even_level(p) is not None):
-        value, info = _tl_info(F, spec, max_nodes)
-        return value, {**info, "upper": value}
-    lo, info = norm_enclosure(F, NormSpec("besov", r=spec.r, p=p, q=p), max_nodes)
-    hi = info["upper"]
+        return Enclosure.of(_tl_info(F, spec, max_nodes))
+    b = norm_enclosure(F, NormSpec("besov", r=spec.r, p=p, q=p), max_nodes)
     try:
         factor = len(dyadic_blocks(F)) ** (1.0 / q - 1.0 / p)
     except OverflowError:  # q < p only, where the factor scales hi
         factor = INF
-    if q >= p:
-        lo *= factor
-    else:
-        hi *= factor
-    return lo, {**_merge_provenance([_provenance("enclosed"), info]), "upper": hi}
+    lo, hi = (b.lo * factor, b.hi) if q >= p else (b.lo, b.hi * factor)
+    return Enclosure(lo, hi, *weakest([b], "enclosed"))
 
 
 def norm_value(

@@ -19,9 +19,12 @@ non-divergence: along a canonical scaling family (Dirichlet kernels of
 growing band) the least-squares slope of log(ratio) against log(L) must stay
 below 0.1, and on random corpora every ratio must be finite.  Member records
 for constant-bound claims therefore carry tol = inf (finiteness is the
-check); the slope record is the quantitative gate.  A corpus member reads
-the upper end of its ratio's enclosure (norms.norm_enclosure), which needs
-no refined ladder; a Dirichlet member reads values, which the slope fits.
+check); the slope record is the quantitative gate.  Every member reads the
+upper end of its ratio's enclosure, whose ends and certification close its
+notes: a corpus member's from norm_enclosure bounds, a Dirichlet member's
+from norm values (lo == hi), which the slope fits and whose certification
+its notes name.  Lebesgue records and corpus members are decided by one
+rule (_settled): on norms.Enclosure bounds first, else on values.
 
 Default tolerances: 1e-9 where quadrature is exact, 1e-6 where dyadic grid
 refinement is involved, 1e-12 for algebraic identities.
@@ -59,8 +62,8 @@ from .fourier import (
     support_count,
 )
 from .norms import (
-    CERT_ORDER,
     INF,
+    Enclosure,
     NormSpec,
     besov_norm,
     beurling_norm,
@@ -70,10 +73,12 @@ from .norms import (
     lp_norm,
     lp_norms,
     norm_enclosure,
+    norm_info,
     norm_value,
     seq_lp_norm,
     sobolev_norm,
     tl_norm,
+    weakest,
 )
 
 TOL_EXACT = 1e-9
@@ -173,36 +178,28 @@ def _support_counts(T, rho, threshold, max_nodes):
     }
 
 
-def _note(side: str, norm: tuple[float, dict]) -> str:
-    # How a Lebesgue norm on this side was had: its enclosure [lo, hi] where
-    # it has one that is not a single exact value, else its grid's word.
-    value, info = norm
-    if "upper" in info and info["certified"] != "exact":
-        return f"{side} {info['certified']} [{value!r}, {info['upper']!r}]"
-    return f"{side} grid {info['certified']}"
+def _note(side: str, e: Enclosure) -> str:
+    # How a Lebesgue norm on this side (an lhs reads e.hi, an rhs e.lo) was
+    # had: a point from a grid (exact, or a refined or capped stop-rule
+    # value) by its grid's word, any other by its enclosure [lo, hi].
+    if e.lo == e.hi and e.certified in ("exact", "refined", "capped"):
+        return f"{side} grid {e.certified}"
+    return f"{side} {e.certified} [{e.lo!r}, {e.hi!r}]"
 
 
-def _lhs(norm: tuple[float, dict]) -> tuple[float, str]:
-    # The side of a Lebesgue norm a checker's lhs reads, and its note: the
-    # upper end of its enclosure, so the verdict is certified.  (An rhs
-    # reads the value, the lower end.)
-    return norm[1].get("upper", norm[0]), _note("lhs", norm)
-
-
-def _settled(records_of, F: SpectralFunction, ps, max_nodes, enclosures: dict | None = None):
-    """The records of one instance, decided on L^p enclosures when all hold.
-
-    records_of(norms) builds every record of the instance from one norms
-    dict.  If any of them fails on lp_enclosures (or the given enclosures
-    of F), all are rebuilt from lp_norms values of the exponents ps, so an
-    enclosure never turns a verdict that holds into one that fails.  This
-    is the one place the checkers fetch norms and fall back to lp_norms.
-    """
-    records = records_of(enclosures if enclosures is not None
-                         else lp_enclosures(F, ps, max_nodes))
+def _settled(records_of, bounds, values):
+    """The records of one instance: records_of(bounds), on the norms'
+    Enclosures, when all hold, else records_of(values()), on their values
+    lifted, so an enclosure never fails a verdict that holds on values."""
+    records = records_of(bounds)
     if all(rep.holds for rep in records):
         return records
-    return records_of(lp_norms(F, ps, max_nodes))
+    return records_of(values())
+
+
+def _lp_values(F: SpectralFunction, ps, max_nodes):
+    # The fallback of a Lebesgue instance: its lp_norms values, lifted.
+    return lambda: {p: Enclosure.of(v) for p, v in lp_norms(F, ps, max_nodes).items()}
 
 
 def _support_factor(count: int, p: float, q: float) -> float:
@@ -218,15 +215,14 @@ def _support_factor(count: int, p: float, q: float) -> float:
 
 def _nikolskii(T, p, q, norms, counts, tol, suite, instance) -> InequalityReport:
     # The support-bound record of one instance, from one norms dict.
-    lhs, lhs_note = _lhs(norms[q])
-    rhs = _support_factor(counts["count"], p, q) * norms[p][0]
+    rhs = _support_factor(counts["count"], p, q) * norms[p].lo
     inst = {**instance, "group": str(T.group), "p": p, "q": q, "rho": rho_of(p)}
     notes = (
         f"support={counts['count']} (x10 -> {counts['count_x10']}, "
         f"x0.1 -> {counts['count_d10']}); "
-        f"{lhs_note}, {_note('rhs', norms[p])}"
+        f"{_note('lhs', norms[q])}, {_note('rhs', norms[p])}"
     )
-    return InequalityReport("nikolskii", suite, inst, lhs, rhs, tol, notes)
+    return InequalityReport("nikolskii", suite, inst, norms[q].hi, rhs, tol, notes)
 
 
 def nikolskii_check(
@@ -250,18 +246,17 @@ def nikolskii_check(
     _require(0 < p < q <= INF, f"need 0 < p < q <= inf, got p={p}, q={q}")
     counts = _support_counts(T, rho_of(p), threshold, max_nodes)
     return _settled(lambda norms: [_nikolskii(T, p, q, norms, counts, tol, suite, instance or {})],
-                    T, [p, q], max_nodes)[0]
+                    lp_enclosures(T, [p, q], max_nodes), _lp_values(T, [p, q], max_nodes))[0]
 
 
 def _remark(T, p, q, L, norms, tol, instance) -> InequalityReport:
     # The remark-bound record of one instance, from one norms dict.
-    lhs, lhs_note = _lhs(norms[q])
     rho = rho_of(p)
     n_rho_l = weyl_count(T.group, rho * L)
-    rhs = _support_factor(n_rho_l, p, q) * norms[p][0]
+    rhs = _support_factor(n_rho_l, p, q) * norms[p].lo
     inst = {**instance, "group": str(T.group), "p": p, "q": q, "rho": rho, "L": L}
-    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {lhs_note}"
-    return InequalityReport("nikolskii-remark", "nikolskii", inst, lhs, rhs, tol, notes)
+    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {_note('lhs', norms[q])}"
+    return InequalityReport("nikolskii-remark", "nikolskii", inst, norms[q].hi, rhs, tol, notes)
 
 
 def nikolskii_remark_check(
@@ -283,7 +278,7 @@ def nikolskii_remark_check(
     if T.wsq.max(initial=0) > band_budget(L):
         raise DomainError(f"support of T exceeds the stated band L={L}")
     return _settled(lambda norms: [_remark(T, p, q, L, norms, tol, instance or {})],
-                    T, [p, q], max_nodes)[0]
+                    lp_enclosures(T, [p, q], max_nodes), _lp_values(T, [p, q], max_nodes))[0]
 
 
 def sharpness_check(
@@ -329,10 +324,9 @@ def _hausdorff_young(F, p, pp, norms, tol, instance) -> list[InequalityReport]:
     # Both records of one exponent, from one norms dict.
     inst = {**instance, "group": str(F.group), "p": p, "p_conj": pp}
     coeff = InequalityReport("hy-coefficient", "hausdorff-young", inst, seq_lp_norm(F, pp),
-                             norms[p][0], tol, notes=_note("rhs", norms[p]))
-    lhs, lhs_note = _lhs(norms[pp])
-    func = InequalityReport("hy-function", "hausdorff-young", inst, lhs, seq_lp_norm(F, p), tol,
-                            notes=lhs_note)
+                             norms[p].lo, tol, notes=_note("rhs", norms[p]))
+    func = InequalityReport("hy-function", "hausdorff-young", inst, norms[pp].hi,
+                            seq_lp_norm(F, p), tol, notes=_note("lhs", norms[pp]))
     return [coeff, func]
 
 
@@ -357,7 +351,7 @@ def hausdorff_young_checks(
     """
     pp = _hy_exponent(p)
     return _settled(lambda norms: _hausdorff_young(F, p, pp, norms, tol, instance or {}),
-                    F, [p, pp], max_nodes)
+                    lp_enclosures(F, [p, pp], max_nodes), _lp_values(F, [p, pp], max_nodes))
 
 
 def plancherel_check(
@@ -628,63 +622,57 @@ def embedding_suite(
 ) -> list[InequalityReport]:
     """Ratios of each pair along a family, plus a slope record per pair.
 
-    family "dirichlet" scales Dirichlet kernels over L_grid: each member's
-    lhs is the ratio of the two norm values, which the slope fit reads.
-    family "corpus" evaluates the given corpus functions, finiteness only
-    (no scaling axis): each member's lhs is the upper end of the ratio's
-    enclosure from the two norm_enclosure bounds, which needs no refined
-    ladder (_corpus_ratio).
+    Each member's lhs is the upper end of its ratio's enclosure (_member).
+    family "dirichlet" scales Dirichlet kernels over L_grid, at least two
+    strictly increasing band limits: members read the norm values, lifted,
+    and the slope fits their ratios.  family "corpus" checks finiteness on
+    the corpus functions, decided by _settled on norm_enclosure bounds.
     """
     if family == "dirichlet":
-        members = [(float(L), f"L={L:g}", dirichlet(group, L)) for L in L_grid]
+        grid = [float(L) for L in L_grid]
+        _require(len(grid) >= 2 and all(a < b for a, b in zip(grid, grid[1:])),
+                 f"degenerate grid: need >= 2 strictly increasing band limits, got {grid}")
+        members = [(f"L={L:g}", dirichlet(group, L)) for L in L_grid]
     elif family == "corpus":
-        members = [(None, f"fn={i}", f) for i, f in enumerate(corpus.functions)]
+        members = [(f"fn={i}", f) for i, f in enumerate(corpus.functions)]
     else:
         raise DomainError(f"unknown family {family!r}")
     reports = []
     for pair in pairs:
-        ratios = []
-        xs = []
-        for x, label, func in members:
+        notes = ((pair.notes + "; " if pair.notes else "")
+                 + "constant-bound claim: finiteness checked here, growth by slope record")
+        specs = (pair.target, pair.source)
+        rows, parts = [], []
+        for label, func in members:
             inst = {"group": str(group), "pair": pair.label, "family": family, "member": label}
-            notes = ((pair.notes + "; " if pair.notes else "")
-                     + "constant-bound claim: finiteness checked here, growth by slope record")
-            if x is None:
-                ratio, ratio_note = _corpus_ratio(func, pair, max_nodes)
-                notes += "; " + ratio_note
+            record = lambda norms: [_member(pair, suite, inst, notes, *norms)]
+            values = lambda: [Enclosure.of(norm_info(func, s, max_nodes)) for s in specs]
+            if family == "corpus":
+                bounds = [norm_enclosure(func, s, max_nodes) for s in specs]
+                rows += _settled(record, bounds, values)
             else:
-                ratio = embedding_ratio(func, pair.target, pair.source, max_nodes)
-                xs.append(x)
-                ratios.append(ratio)
-            reports.append(InequalityReport(f"embedding:{pair.label}", suite, inst, ratio, 1.0,
-                                            INF, notes))
-        if len(xs) >= 2:
-            slope = float(
-                np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ratios)), 1)[0]
-            )
-            inst = {"group": str(group), "pair": pair.label, "family": family,
-                    "grid": [float(x) for x in xs]}
-            reports.append(InequalityReport(f"embedding-slope:{pair.label}", suite, inst, slope,
-                                            slope_max, 0.0,
-                                            f"ratios={[round(r, 6) for r in ratios]}"))
+                parts += values()
+                rows += record(parts[-2:])
+        reports += rows
+        if family == "dirichlet":
+            ratios = [rep.lhs for rep in rows]
+            slope = float(np.polyfit(np.log(grid), np.log(np.asarray(ratios)), 1)[0])
+            inst = {"group": str(group), "pair": pair.label, "family": family, "grid": grid}
+            reports.append(InequalityReport(
+                f"embedding-slope:{pair.label}", suite, inst, slope, slope_max, 0.0,
+                f"ratios={[round(r, 6) for r in ratios]}; members {weakest(parts)[0]}"))
     return reports
 
 
-def _corpus_ratio(F: SpectralFunction, pair: EmbeddingPair, max_nodes) -> tuple[float, str]:
-    # The lhs of a corpus record and its note: the upper end t_hi / s_lo of
-    # the ratio's enclosure [t_lo / s_hi, t_hi / s_lo], the side the verdict
-    # reads, with the weaker certification of the two norms.  Where that end
-    # is not finite (an anchor the cap refuses, or past float range), the
-    # ratio of norm values instead, so an enclosure never fails a verdict
-    # that holds on values.
-    t_lo, target = norm_enclosure(F, pair.target, max_nodes)
-    s_lo, source = norm_enclosure(F, pair.source, max_nodes)
-    hi = target["upper"] / s_lo if s_lo > 0.0 else INF
-    if math.isfinite(hi):
-        cert = max(target["certified"], source["certified"], key=CERT_ORDER.index)
-        return hi, f"ratio {cert} [{t_lo / source['upper']!r}, {hi!r}]"
-    return (embedding_ratio(F, pair.target, pair.source, max_nodes),
-            "ratio from values (its enclosure has no finite upper end)")
+def _member(pair: EmbeddingPair, suite, inst, notes, t: Enclosure, s: Enclosure):
+    # A family member's record from Enclosures t and s of its target and
+    # source norms: lhs t.hi / s.lo (inf where s.lo = 0), the upper end of
+    # the ratio's enclosure, which closes the notes with the weaker cert.
+    if s.hi == 0.0:
+        raise DomainError("embedding ratio undefined for the zero function")
+    hi = t.hi / s.lo if s.lo > 0.0 else INF
+    return InequalityReport(f"embedding:{pair.label}", suite, inst, hi, 1.0, INF,
+                            f"{notes}; ratio {weakest([t, s])[0]} [{t.lo / s.hi!r}, {hi!r}]")
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +858,7 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
                 reports.extend(_settled(
                     lambda norms: _nikolskii_records(T, p, q, L, cfg, counts[rho_of(p)], inst,
                                                      norms),
-                    T, [p, q], cfg.max_nodes, enclosures))
+                    enclosures, _lp_values(T, [p, q], cfg.max_nodes)))
     return reports
 
 
@@ -884,7 +872,7 @@ def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
     pair = {**inst, "group": str(T.group), "p": p, "q": q}
     dom = InequalityReport("nikolskii-remark-dominance", "nikolskii", pair, rep.rhs, remark.rhs,
                            0.0, "remark bound must dominate the support bound")
-    verdicts = {_verdict(rep.lhs, _support_factor(cts[key], p, q) * norms[p][0], cfg.tol_grid)[1]
+    verdicts = {_verdict(rep.lhs, _support_factor(cts[key], p, q) * norms[p].lo, cfg.tol_grid)[1]
                 for key in ("count", "count_x10", "count_d10")}
     sens = InequalityReport("nikolskii-sensitivity-stable", "nikolskii", pair,
                             float(len(verdicts) - 1), 0.5, 0.0, f"counts {cts}")
@@ -918,7 +906,7 @@ def hausdorff_young_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
             for p, pp in conjugates:
                 reports.extend(_settled(
                     lambda norms: _hausdorff_young(F, p, pp, norms, cfg.tol_exact, inst),
-                    F, [p, pp], cfg.max_nodes, enclosures))
+                    enclosures, _lp_values(F, [p, pp], cfg.max_nodes)))
     return reports
 
 

@@ -120,9 +120,9 @@ def test_criterion_2_plancherel_hausdorff_young(roundtrip_corpora):
                 enclosures = lp_enclosures(F, exponents)
                 for p in ps:
                     pp = conj[p]
-                    upper = enclosures[pp][1]["upper"]
+                    upper = enclosures[pp].hi
                     assert math.isfinite(upper), (str(g), pp)
-                    assert seq_lp_norm(F, pp) <= enclosures[p][0] * (1 + 1e-9)
+                    assert seq_lp_norm(F, pp) <= enclosures[p].lo * (1 + 1e-9)
                     assert upper <= seq_lp_norm(F, p) * (1 + 1e-9)
 
 

@@ -279,6 +279,33 @@ def test_norm_exponents_past_float_range_or_every_grid(tmp_path, capsys):
     assert "leaves float range at the root" in capsys.readouterr().err
 
 
+def test_norm_refuses_an_exponent_too_small_to_root(tmp_path, capsys):
+    # At p = 1e-16 every |f|^p rounds to about 1 and the ladder "refined"
+    # 1.0 for a function whose geometric mean is about 4.3: exit 2.  Down
+    # to p = 1e-9 the value stands.
+    out = str(tmp_path / "c7")
+    assert main(["corpus", "--group", "torus:2", "--bandlimit", "4", "--count", "1",
+                 "--seed", "7", "--out", out]) == EXIT_OK
+    path = os.path.join(out, "fn_000.spectral")
+    capsys.readouterr()
+    assert main(["norm", path, "Lp:1e-16"]) == EXIT_USAGE
+    assert "at exponent 1e-16: below 1.11e-10" in capsys.readouterr().err
+    assert main(["norm", path, "Lp:1e-9"]) == EXIT_OK
+    value = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+    assert 4.0 < value < 4.7
+
+
+@pytest.mark.parametrize("grid", ["4,4,4", "8"])
+def test_verify_embeddings_refuses_a_degenerate_family_grid(tmp_path, grid, capsys):
+    # A repeated band limit gave a rank-deficient slope fit (false
+    # violations, numpy RankWarnings); a single one dropped every slope
+    # record: both exit 2.
+    argv = ["verify", "embeddings", "--group", "torus:1", "--L", grid,
+            "--out", str(tmp_path / "report")]
+    assert main(argv) == EXIT_USAGE
+    assert "degenerate grid" in capsys.readouterr().err
+
+
 def test_norm_grids_no_array_can_hold_exit_3(two_shell_file, monkeypatch, capsys):
     # a node cap past any array does not let through a grid past MAX_GRID_NODES
     argv = ["norm", two_shell_file, "Lp:1e18", "--max-nodes", "99999999999999999999"]
@@ -440,7 +467,7 @@ def test_norm_prints_the_enclosure_of_every_refined_value(tmp_path, capsys):
         assert lines[0] == f"{text} = {value!r}" and lines[1] == "certification: refined"
         lo, hi = _enclosure_line(lines[2])
         bound = norm_enclosure(F, parse_norm_spec(text))
-        assert (lo, hi) == (bound[0], bound[1]["upper"])
+        assert (lo, hi) == (bound.lo, bound.hi)
         assert lo <= value * (1.0 + REFINE_STOP) and value <= hi * (1.0 + REFINE_STOP)
         assert lines[3].startswith("grid: ")
     for text in ("besov:r=0.5,p=2,q=1", "sobolev:r=0.5,p=4", "tl:r=0.5,p=2,q=2"):

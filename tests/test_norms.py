@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from peterweyl.groups import (
 )
 from peterweyl.norms import (
     INF,
+    Enclosure,
     NormSpec,
     NormSpecError,
     besov_norm,
@@ -376,13 +378,42 @@ def test_besov_provenance_is_weakest_block_with_largest_grid():
     assert pinned["certified"] == "exact (identity-pinned)"
 
 
-def test_merge_provenance_keeps_weakest_certification():
+def test_weakest_keeps_the_weakest_certification_and_the_largest_grid():
     order = ["exact (identity-pinned)", "exact", "enclosed", "refined", "capped"]
+    assert list(norms.CERT_ORDER) == order
     for i, weakest in enumerate(order):
-        records = [norms._provenance(c, 10 * j, 2.0 * j) for j, c in enumerate(order[: i + 1])]
-        merged = norms._merge_provenance(records[::-1])
-        assert merged == {"certified": weakest, "nodes": 10 * i, "bandlimit": 2.0 * i}
-    assert norms._merge_provenance([]) == {"certified": "exact", "nodes": 0, "bandlimit": 0.0}
+        parts = [Enclosure(1.0, 2.0, c, 10 * j, 2.0 * j) for j, c in enumerate(order[: i + 1])]
+        assert norms.weakest(parts[::-1]) == (weakest, 10 * i, 2.0 * i)
+        # a floor weakens a stronger certification and leaves a weaker one
+        assert norms.weakest(parts, "enclosed")[0] == order[max(i, 2)]
+    # one identity-pinned part stays pinned; no parts are exact on no grid
+    assert norms.weakest([Enclosure(1.0, 1.0, order[0])]) == (order[0], 0, 0.0)
+    assert norms.weakest([]) == ("exact", 0, 0.0)
+    assert norms.weakest([], "enclosed") == ("enclosed", 0, 0.0)
+
+
+def test_enclosure_of_lifts_every_certification():
+    # hi is the sup's "upper" where the value has one, else the value: an
+    # identity-pinned sup is a point, an enclosed or capped sup keeps both
+    # ends, and an exact, refined or capped ladder value is a point.
+    F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.3]], (-2,): [[0.5j]]})
+    G = _random_spectral(torus(2), 3.0, 70)
+    base = quadrature(G.group, G.max_weight()).node_count
+    cases = {("exact (identity-pinned)", True): lp_norm_info(dirichlet(T1, 4.0), INF),
+             ("enclosed", False): lp_norm_info(F, INF),
+             ("capped", False): lp_norm_info(G, INF, base),
+             ("exact", True): lp_norm_info(F, 2.0),
+             ("refined", True): lp_norm_info(F, 3.0),
+             ("capped", True): lp_norm_info(G, 3.0, base)}
+    for (certified, point), (value, info) in cases.items():
+        e = Enclosure.of((value, info))
+        assert e == Enclosure(value, info.get("upper", value), certified, info["nodes"],
+                              info["bandlimit"]), (certified, e, info)
+        assert e.lo <= e.hi and (e.lo == e.hi) == point, (certified, e)
+        # and back: the (value, provenance) it was lifted from, "upper" where asked
+        assert e.result("upper" in info) == (value, info)
+    with pytest.raises(FrozenInstanceError):
+        e.lo = 0.0
 
 
 def test_tl_even_p_q2_is_exact_from_one_grid(monkeypatch):
@@ -450,6 +481,27 @@ def test_root_that_underflows_raises_domain_error(L, p):
     # "agree" and certify a refined 0.0 for a positive norm.
     with pytest.raises(DomainError, match="leaves float range at the root"):
         lp_norm_info(dirichlet(T1, L), p)
+
+
+def test_tiny_exponents_are_refused_where_one_rounding_passes_the_stop_rule():
+    # For f = 2 every |f|^p rounds to 1 once p ln 2 < 2^-53: the ladder
+    # "refined" 1.0 at p = 1e-16 and 2.000152 at p = 1e-12.  Below
+    # MIN_ROOT_EXPONENT = 2^-53 / REFINE_STOP every root 1/p is refused.
+    F = SpectralFunction(T1, {(0,): [[2.0]]})
+    assert norms.MIN_ROOT_EXPONENT == pytest.approx(1.11e-10, rel=1e-3)
+    for p in (1e-16, 1e-12, 1e-10):
+        for call in (lambda: lp_norm_info(F, p), lambda: seq_lp_norm(F, p),
+                     lambda: beurling_norm(F, p), lambda: besov_norm(F, 0.5, 2.0, p),
+                     lambda: tl_norm(F, 0.5, 2.0, p), lambda: tl_norm(F, 0.5, p, 2.0)):
+            with pytest.raises(DomainError, match=f"at exponent {p:g}: below"):
+                call()
+        # the enclosures take no root at p
+        e = lp_enclosures(F, [p])[p]
+        assert e.lo <= 2.0 <= e.hi
+    for p in (1e-9, 1e-6):
+        value, info = lp_norm_info(F, p)
+        assert abs(value - 2.0) <= norms.REFINE_STOP * 2.0 and info["certified"] == "refined"
+        assert seq_lp_norm(F, p) == pytest.approx(2.0, rel=norms.REFINE_STOP)
 
 
 def test_hs_norm_rescales_only_past_overflow():
@@ -1221,8 +1273,8 @@ def test_sup_capped_below_every_finite_bound():
     assert info["certified"] == "capped" and info["upper"] == upper
     assert lo >= np.abs(synthesize(F, base).values).max() and lo < upper
     counts = verify._support_counts(F, 1, verify.SUPPORT_THRESHOLD, None)
-    rep = verify._nikolskii(F, 2.0, INF, lp_norms(F, [2.0, INF], base.node_count), counts,
-                            verify.TOL_GRID, "nikolskii", {})
+    values = {p: Enclosure.of(v) for p, v in lp_norms(F, [2.0, INF], base.node_count).items()}
+    rep = verify._nikolskii(F, 2.0, INF, values, counts, verify.TOL_GRID, "nikolskii", {})
     assert rep.lhs == upper and rep.holds
     assert rep.notes.endswith(f"lhs capped [{lo!r}, {upper!r}], rhs grid exact")
     # a base grid with tau^2 / 8 < 1 is capped with a finite, if wide, bound
@@ -1382,19 +1434,19 @@ def test_lp_enclosures_contain_the_refined_norms(F):
     got = norms.lp_enclosures(F, ENCLOSED_EXPONENTS + (2.0, INF))
     refined = lp_norms(F, ENCLOSED_EXPONENTS)
     for p in ENCLOSED_EXPONENTS:
-        lo, info = got[p]
+        e = got[p]
         value = refined[p][0]
-        assert lo <= value * (1.0 + 1e-6) and value <= info["upper"] * (1.0 + 1e-6), (p, lo, value)
-        assert info["certified"] == "enclosed" and 0.0 < lo < info["upper"]
+        assert e.lo <= value * (1.0 + 1e-6) and value <= e.hi * (1.0 + 1e-6), (p, e, value)
+        assert e.certified == "enclosed" and 0.0 < e.lo < e.hi
     assert list(got) == list(ENCLOSED_EXPONENTS + (2.0, INF))
 
 
 def test_lp_enclosures_of_even_p_are_the_exact_values():
     F = _random_spectral(torus(2), 2.0, 91)
     got = norms.lp_enclosures(F, [2.0, 4.0, 6.0, 8.0])
-    for p, (lo, info) in got.items():
-        assert info["certified"] == "exact" and lo == info["upper"]
-        assert (lo, {k: v for k, v in info.items() if k != "upper"}) == lp_norms(F, [p])[p]
+    for p, e in got.items():
+        assert e.certified == "exact" and e.lo == e.hi
+        assert e == Enclosure.of(lp_norms(F, [p])[p])
 
 
 @pytest.mark.parametrize("group", RunConfig().groups)
@@ -1421,8 +1473,8 @@ def test_lp_enclosures_of_a_character_are_tight(F):
     # to 13 times at p = 1/2 and 5 times at p = 1.
     one, _ = lp_norm_info(F, 1.0)
     for p in ENCLOSED_EXPONENTS:
-        lo, info = norms.lp_enclosures(F, [p])[p]
-        for x in (lo, info["upper"]):
+        e = norms.lp_enclosures(F, [p])[p]
+        for x in (e.lo, e.hi):
             assert abs(x - one) <= (1e-12 if p == 1.0 else 2e-12) * one, (p, x, one)
 
 
@@ -1437,34 +1489,32 @@ def test_lp_enclosures_allow_for_roundoff(group):
         c = complex(rng.standard_normal(), rng.standard_normal())
         norms.clear_memos()
         got = norms.lp_enclosures(SpectralFunction(group, {zero: [[c]]}), ENCLOSED_EXPONENTS)
-        for p, (lo, info) in got.items():
-            assert lo <= abs(c) <= info["upper"], (p, c, lo, info["upper"])
+        for p, e in got.items():
+            assert e.lo <= abs(c) <= e.hi, (p, c, e)
 
 
 def test_lp_enclosures_of_zero_and_identity_pinned_functions():
     for group in (T1, SU2):
         got = norms.lp_enclosures(zero_spectral(group), ENCLOSED_EXPONENTS + (INF,))
-        assert all(v == (0.0, {"certified": "exact", "nodes": 0, "bandlimit": 0.0, "upper": 0.0})
-                   for v in got.values())
+        assert all(v == Enclosure(0.0, 0.0, "exact") for v in got.values())
     # Dirichlet kernels peak at the identity: the sup is pinned, and p > 4
     # builds on it
     for F in (dirichlet(T1, 5.0), dirichlet(torus(2), 2.0), dirichlet(SU2, 2.0)):
         got = norms.lp_enclosures(F, ENCLOSED_EXPONENTS + (INF,))
-        peak, info = got[INF]
-        assert info["certified"] == "exact (identity-pinned)" and info["upper"] == peak
+        assert got[INF].certified == "exact (identity-pinned)" and got[INF].lo == got[INF].hi
         for p in ENCLOSED_EXPONENTS:
             value = lp_norm(F, p)
-            lo, info = got[p]
-            assert lo <= value * (1.0 + 1e-6) and value <= info["upper"] * (1.0 + 1e-6)
-            assert info["certified"] == "enclosed"
+            e = got[p]
+            assert e.lo <= value * (1.0 + 1e-6) and value <= e.hi * (1.0 + 1e-6)
+            assert e.certified == "enclosed"
 
 
 def test_lp_enclosures_at_an_exponent_whose_reciprocal_leaves_float_range():
     # 1/p = inf makes the second Lyapunov exponent 0; lo from monotonicity
     # stands.
     for F in (dirichlet(T1, 2.0), _random_spectral(torus(2), 2.0, 94)):
-        lo, info = norms.lp_enclosures(F, [1e-320])[1e-320]
-        assert 0.0 <= lo <= info["upper"] < INF, (F.group, lo, info)
+        e = norms.lp_enclosures(F, [1e-320])[1e-320]
+        assert 0.0 <= e.lo <= e.hi < INF, (F.group, e)
 
 
 def test_lp_enclosures_rest_on_what_the_cap_admits():
@@ -1477,13 +1527,13 @@ def test_lp_enclosures_rest_on_what_the_cap_admits():
     norms.clear_memos()
     got = norms.lp_enclosures(F, [1.0, 3.0, 5.0], cap)
     assert got[1.0] == full[1.0]
-    lo, info = got[3.0]
-    assert info["certified"] == "capped" and info["upper"] == full[3.0][1]["upper"]
-    assert lo == pytest.approx(lp_norm(F, 2.0), rel=1e-12) and lo < full[3.0][0]
-    assert got[5.0][1]["certified"] == "capped"
-    for p, (lo, info) in got.items():
+    e = got[3.0]
+    assert e.certified == "capped" and e.hi == full[3.0].hi
+    assert e.lo == pytest.approx(lp_norm(F, 2.0), rel=1e-12) and e.lo < full[3.0].lo
+    assert got[5.0].certified == "capped"
+    for p, e in got.items():
         value = lp_norm(F, p)
-        assert lo <= value * (1.0 + 1e-6) and value <= info["upper"] * (1.0 + 1e-6)
+        assert e.lo <= value * (1.0 + 1e-6) and value <= e.hi * (1.0 + 1e-6)
 
 
 def test_besov_sup_carries_the_aggregate_of_its_block_enclosures():
@@ -1544,14 +1594,15 @@ def test_norm_enclosure_brackets_the_value_of_every_family(F):
     for text in _FAMILY_SPECS:
         spec = parse_norm_spec(text)
         value, info = norm_info(F, spec)
-        lo, bound = norms.norm_enclosure(F, spec)
+        bound = norms.norm_enclosure(F, spec)
+        assert type(bound) is Enclosure and bound.lo <= bound.hi, (text, bound)
         if spec.family in ("seq", "wiener", "beurling", "beurlingR"):
-            assert lo == bound["upper"] == value and bound["certified"] == "exact", text
+            assert bound.lo == bound.hi == value and bound.certified == "exact", text
             continue
         slack = norms.REFINE_STOP if info["certified"] in ("refined", "capped") else 0.0
-        assert lo <= value * (1.0 + slack) and value <= bound["upper"] * (1.0 + slack), (
-            text, lo, value, bound)
-        assert bound["certified"] in norms.CERT_ORDER
+        assert bound.lo <= value * (1.0 + slack) and value <= bound.hi * (1.0 + slack), (
+            text, value, bound)
+        assert bound.certified in norms.CERT_ORDER
 
 
 def test_tl_enclosure_is_the_besov_sandwich():
@@ -1559,26 +1610,25 @@ def test_tl_enclosure_is_the_besov_sandwich():
     # B^(1/q - 1/p) hi] for q < p, around Besov(r, p, p)'s enclosure.
     F = make_corpus(torus(2), 4.0, 1, 97).functions[0]
     count = len(dyadic_blocks(F))
-    lo, info = norms.norm_enclosure(F, NormSpec("besov", r=0.5, p=1.5, q=1.5))
+    b = norms.norm_enclosure(F, NormSpec("besov", r=0.5, p=1.5, q=1.5))
     for q in (1.0, 4.0, INF):
-        t_lo, t_info = norms.norm_enclosure(F, NormSpec("tl", r=0.5, p=1.5, q=q))
+        t = norms.norm_enclosure(F, NormSpec("tl", r=0.5, p=1.5, q=q))
         factor = count ** (1.0 / q - 1.0 / 1.5)
-        want = (lo * factor, info["upper"]) if q >= 1.5 else (lo, info["upper"] * factor)
-        assert (t_lo, t_info["upper"]) == want and t_info["certified"] == "enclosed"
+        want = (b.lo * factor, b.hi) if q >= 1.5 else (b.lo, b.hi * factor)
+        assert (t.lo, t.hi) == want and t.certified == "enclosed" and t.lo <= t.hi
 
 
 def test_norm_enclosure_of_zero_and_of_a_refused_grid():
     for group in (T1, SU2):
         for text in _FAMILY_SPECS:
-            lo, info = norms.norm_enclosure(zero_spectral(group), parse_norm_spec(text))
-            assert lo == info["upper"] == 0.0 and info["certified"] == "exact", text
+            e = norms.norm_enclosure(zero_spectral(group), parse_norm_spec(text))
+            assert e == Enclosure(0.0, 0.0, "exact"), text
     # a cap below the base grid bounds nothing, where norm_info refuses
     F = make_corpus(torus(2), 3.0, 1, 98).functions[0]
     for text in ("Lp:3", "besov:r=0.5,p=1,q=2", "tl:r=0.5,p=2,q=4", "sobolev:r=1,p=2"):
         with pytest.raises(norms.ResourceLimitError):
             norm_info(F, parse_norm_spec(text), 10)
-        assert norms.norm_enclosure(F, parse_norm_spec(text), 10) == (
-            0.0, {"certified": "capped", "nodes": 0, "bandlimit": 0.0, "upper": INF})
+        assert norms.norm_enclosure(F, parse_norm_spec(text), 10) == Enclosure(0.0, INF, "capped")
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0])

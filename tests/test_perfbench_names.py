@@ -84,3 +84,19 @@ def test_workloads_write_the_record_counts_perfbench_expects(workloads, tmp_path
         state = setup(peterweyl, 7, str(tmp_path))
         attempted, failed, _ = check(state, run(state))
         assert (attempted, failed) == (records, 0), name
+
+
+def test_verify_all_certification_counts(tracer, tmp_path):
+    # perfbench's uncapped_frac on verify-all is 1 - capped / all of these
+    # counts (1 - 49/2974), so a change that moves an L^p evaluation onto or
+    # off norms.lp_norms, or changes its certification, moves that metric.
+    original = peterweyl.norms.lp_norms
+    certs = tracer.count_certifications(peterweyl)
+    wrapper = peterweyl.norms.lp_norms
+    try:
+        rc = peterweyl.cli.main(["verify", "all", "--seed", "7", "--out", str(tmp_path / "r")])
+    finally:
+        tracer._rebind(peterweyl, wrapper, original)
+    assert peterweyl.norms.lp_norms is original and peterweyl.verify.lp_norms is original
+    assert rc == 0
+    assert dict(certs) == {"exact": 2435, "enclosed": 156, "refined": 334, "capped": 49}

@@ -15,6 +15,7 @@ from peterweyl.fourier import (
     dump_spectral,
     partial_sum,
     support_count,
+    zero_spectral,
 )
 from peterweyl.groups import (
     MAX_DUAL_ENTRIES,
@@ -29,7 +30,7 @@ from peterweyl.groups import (
     weight_sq,
     weyl_count,
 )
-from peterweyl.norms import INF, NormSpec, lp_norm, lp_norm_info, seq_lp_norm
+from peterweyl.norms import INF, Enclosure, NormSpec, lp_norm, lp_norm_info, norm_info, seq_lp_norm
 from peterweyl.verify import (
     PROFILES,
     SUITES,
@@ -235,6 +236,11 @@ def _instances(reports, size):
     return [reports[i:i + size] for i in range(0, len(reports), size)]
 
 
+def _lifted(values):
+    # lp_norms values as the Enclosures _settled falls back on
+    return {p: Enclosure.of(v) for p, v in values.items()}
+
+
 def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_values(monkeypatch):
     # On the Fejer kernel at p = 1 the lower end of ||T||_1 is 0.79 against
     # 1, so a gate of 1 - 0.3 fails on the enclosure where the refined
@@ -258,7 +264,7 @@ def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_val
         on_enclosures = records(verify.lp_enclosures(T, exponents))
         want = on_enclosures
         if not all(r.holds for r in on_enclosures):
-            want = records(verify.lp_norms(T, [p, q]))
+            want = records(_lifted(verify.lp_norms(T, [p, q])))
             rescued += all(r.holds for r in want)
         else:
             settled += 1
@@ -283,7 +289,7 @@ def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monke
                                             verify.TOL_EXACT, inst)
     assert [r.holds for r in on_enclosures] == [False, True]
     assert on_enclosures[0].notes.startswith("rhs enclosed [")
-    want = verify._hausdorff_young(F, 1.0, INF, verify.lp_norms(F, [1.0, INF]),
+    want = verify._hausdorff_young(F, 1.0, INF, _lifted(verify.lp_norms(F, [1.0, INF])),
                                    verify.TOL_EXACT, inst)
     assert all(r.holds for r in want) and want[0].notes == "rhs grid refined"
     got = hausdorff_young_checks(F, 1.0, instance=inst)
@@ -444,6 +450,60 @@ def test_embedding_suite_dirichlet_slopes():
     assert len(members) == len(pairs) * 4
 
 
+def test_dirichlet_members_and_slopes_name_their_certification():
+    # A Dirichlet member reads its two norm values lifted to points, so its
+    # notes end in the ratio's enclosure [r, r] with the weaker of the two
+    # certifications; a slope's notes end in the weakest over its members.
+    pairs = [besov_lq_pair(T1, 2.0, 4.0), besov_lq_pair(T1, 1.5, 3.0)]
+    grid = [4, 8, 16]
+    reports = embedding_suite(T1, "dirichlet", pairs, L_grid=grid)
+    slope_certs = []
+    for pair, rows in zip(pairs, _instances(reports, len(grid) + 1), strict=True):
+        *members, slope = rows
+        certs = []
+        for rep, L in zip(members, grid, strict=True):
+            F = dirichlet(T1, L)
+            t, s = (Enclosure.of(norm_info(F, spec)) for spec in (pair.target, pair.source))
+            certs.append(norms.weakest([t, s])[0])
+            assert rep.lhs == t.hi / s.lo == embedding_ratio(F, pair.target, pair.source)
+            assert rep.notes.endswith(f"; ratio {certs[-1]} [{rep.lhs!r}, {rep.lhs!r}]")
+        assert slope.name.startswith("embedding-slope") and slope.holds
+        slope_certs.append(slope.notes.split("; members ")[1])
+        assert slope_certs[-1] == max(certs, key=norms.CERT_ORDER.index)
+    # L^4 and B^{1/4}_{2,4} are exact; L^3 and B_{1.5,3} refine
+    assert slope_certs == ["exact", "refined"]
+
+
+def test_a_zero_source_raises_and_a_zero_lower_end_fails_the_bounds():
+    pair = besov_lq_pair(T1, 2.0, 4.0)
+    zero = zero_spectral(T1)
+    with pytest.raises(DomainError, match="zero function"):
+        embedding_ratio(zero, pair.target, pair.source)
+    with pytest.raises(DomainError, match="zero function"):
+        embedding_suite(T1, "corpus", [pair], corpus=verify.Corpus(7, T1, 4.0, "zero", (zero,)))
+    # on bounds, a source whose lower end is 0 leaves the ratio no finite
+    # upper end: the record fails there, and _settled reads the values
+    t = Enclosure(1.0, 2.0, "enclosed")
+    with pytest.raises(DomainError, match="zero function"):
+        verify._member(pair, "embeddings", {}, "n", t, Enclosure(0.0, 0.0, "exact"))
+    rep = verify._member(pair, "embeddings", {}, "n", t, Enclosure(0.0, 4.0, "capped"))
+    assert rep.lhs == INF and not rep.holds and rep.notes == "n; ratio capped [0.25, inf]"
+
+
+@pytest.mark.parametrize("grid", [[4, 4, 4], [16, 16], [8], [], [8, 4, 16]], ids=str)
+def test_embedding_suite_refuses_a_degenerate_dirichlet_grid(monkeypatch, grid):
+    # A repeated band limit makes the slope fit rank-deficient (arbitrary
+    # slopes, and false violations), and a single one leaves no slope at
+    # all: refused before any kernel is built or norm evaluated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evaluated on a degenerate grid")
+
+    monkeypatch.setattr(verify, "dirichlet", unreachable)
+    monkeypatch.setattr(verify, "norm_info", unreachable)
+    with pytest.raises(DomainError, match="degenerate grid"):
+        embedding_suite(T1, "dirichlet", [besov_lq_pair(T1, 2.0, 4.0)], L_grid=grid)
+
+
 def test_embedding_suite_corpus_finiteness():
     corpus = make_corpus(T1, 6.0, 3, seed=1)
     pairs = tl_sandwich_pairs(T1, 0.5, 2.0, 4.0)
@@ -486,7 +546,8 @@ def test_corpus_members_read_enclosures_and_run_no_refined_ladder(monkeypatch):
 
 def test_corpus_records_fall_back_to_values_without_a_finite_enclosure():
     # The cap admits the base grid but not ||f||_4's: ||f||_3 has no finite
-    # upper end, so the ratio comes from (capped) values and still holds.
+    # upper end, so the ratio comes from (capped) values and still holds,
+    # and its notes say so as a Dirichlet member's do: a capped point.
     corpus = make_corpus(T1, 8.0, 3, seed=7)
     cap = quadrature(T1, corpus.functions[0].max_weight()).node_count
     pair = besov_lq_pair(T1, 1.5, 3.0)
@@ -494,7 +555,7 @@ def test_corpus_records_fall_back_to_values_without_a_finite_enclosure():
     assert len(reports) == 3
     for rep, F in zip(reports, corpus.functions):
         assert rep.holds and rep.lhs == embedding_ratio(F, pair.target, pair.source, cap)
-        assert rep.notes.endswith("; ratio from values (its enclosure has no finite upper end)")
+        assert rep.notes.endswith(f"; ratio capped [{rep.lhs!r}, {rep.lhs!r}]")
 
 
 # ---------------------------------------------------------------------------
