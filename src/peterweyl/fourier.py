@@ -31,7 +31,9 @@ the rows k >= 0, the structure of the DCT-I (Makhoul, IEEE Trans. ASSP 28,
 1980): a box 2^n times narrower against real tables, and on T^1 one inverse
 real FFT of the half spectrum; its slabs are float64.  On SU(2) both
 directions factor through the Euler angles: dense phase contractions over
-alpha and gamma, and a Wigner-d contraction over the cos(beta) nodes.
+alpha and gamma against the rule's phase tables, and a Wigner-d contraction
+over the cos(beta) nodes, each spin's block a stride-2 slice of the
+frequency plane.
 On the torus, analysis is one FFT over the uniform product grid.  All paths
 are exact for band-limited inputs on rules whose band covers the support,
 and deterministic, so serialized outputs are byte-stable.
@@ -58,8 +60,9 @@ from .groups import (
     GroupId,
     QuadratureRule,
     band_budget,
+    budget_dual_arrays,
     check_node_cap,
-    dual_arrays,
+    dual_size,
     parse_group,
     quadrature,
     rep_arrays,
@@ -87,6 +90,16 @@ SLAB_NODES = 1 << 13
 
 class BandLimitError(DomainError):
     """Requested operation exceeds the exactness band of the quadrature rule."""
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise DomainError unless the relative support threshold is finite.
+
+    A nan threshold compares false with every entry and an infinite one
+    clears every entry, so either would stand for an unstated cut.
+    """
+    if not math.isfinite(threshold):
+        raise DomainError(f"support threshold must be finite, got {threshold!r}")
 
 
 def diagonal_mask(dims: np.ndarray) -> np.ndarray:
@@ -264,34 +277,39 @@ def _slab_bounds(rule: QuadratureRule):
 # per slab of alpha rows (the per-angle factorization of Kostelec &
 # Rockmore, "FFTs on the rotation group", JFAA 14, 2008).  Analysis runs
 # the adjoint phase contractions first, then integrates against little-d
-# tables over beta.
+# tables over beta.  Frequencies are stored shifted by the top spin tl,
+# u = tl + 2m, so spin twoL's rows m = l, l-1, ..., -l sit at u = tl + twoL
+# - 2i: a stride -2 slice of each frequency axis (_spin_block), which each
+# spin's block is accumulated into and read from as a basic-slice view.
+# The phase matrices are the rule's (QuadratureRule.phase_tables), built
+# once per top spin, as its Wigner-d tables are.
 # Node storage is C order over (alpha, beta, gamma).
 
 
-def _phase_matrix(angles: np.ndarray, twoL_max: int) -> np.ndarray:
-    # E[a, u] = exp(-i * m_u * angles[a]),  m_u = (u - twoL_max) / 2
-    ms = (np.arange(2 * twoL_max + 1) - twoL_max) / 2.0
-    return np.exp(-1j * np.outer(angles, ms))
+def _spin_block(tl: int, twoL: int) -> slice:
+    # The frequencies u = tl + twoL - 2i, i = 0..twoL, of spin twoL.
+    return slice(tl + twoL, tl - twoL - 1 if twoL < tl else None, -2)
 
 
 def _su2_slabs(F: SpectralFunction, rule: QuadratureRule):
     nb = rule.shape[1]
     tl = int(F.index.max())
     tabs = rule.d_tables(tl)
+    e_alpha, e_gamma, _, _ = rule.phase_tables(tl)
     nfreq = 2 * tl + 1
     gmat = np.zeros((nfreq, nfreq, nb), dtype=complex)
-    for twoL, mat in F.items():
+    ends = F.offsets.tolist()
+    for twoL, start, stop in zip(F.index[:, 0].tolist(), ends, ends[1:]):
         dim = twoL + 1
-        term = dim * mat.T[:, :, None] * tabs[twoL]  # indexed [j, i, node]
-        pos = tl + twoL - 2 * np.arange(dim)
-        gmat[pos[:, None], pos[None, :], :] += term
+        mat = F.entries[start:stop].reshape(dim, dim)
+        block = _spin_block(tl, twoL)
+        gmat[block, block] += dim * mat.T[:, :, None] * tabs[twoL]  # indexed [j, i, node]
     # The alpha step once, as (na, nb, nfreq); then per alpha-slab the gamma
-    # contraction, whose rows come out in (alpha, beta, gamma) C order.
-    e_alpha = _phase_matrix(rule.axes[0], tl)
+    # contraction, whose rows come out in (alpha, beta, gamma) C order.  The
+    # contractions are the np.dot calls np.tensordot would make.
     by_alpha = np.ascontiguousarray(
-        np.tensordot(e_alpha, gmat, axes=([1], [0])).transpose(0, 2, 1)
+        np.dot(e_alpha, gmat.reshape(nfreq, -1)).reshape(-1, nfreq, nb).transpose(0, 2, 1)
     )
-    e_gamma = np.ascontiguousarray(_phase_matrix(rule.axes[2], tl).T)  # (nfreq, ng)
     for a, b, lo, hi in _slab_bounds(rule):
         yield lo, hi, (by_alpha[a:b].reshape(-1, nfreq) @ e_gamma).ravel()
 
@@ -301,17 +319,15 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
     na, nb, ng = rule.shape
     tl = max(reps)
     tabs = rule.d_tables(tl)
-    mesh = values.reshape(na, nb, ng)
-    e_alpha = _phase_matrix(rule.axes[0], tl)
-    e_gamma = _phase_matrix(rule.axes[2], tl)
-    t1 = np.tensordot(np.conj(e_alpha), mesh, axes=([0], [0])) / na  # (nf, nb, ng)
-    h = np.tensordot(t1, np.conj(e_gamma), axes=([2], [0])) / ng  # (nf, nb, nf)
+    _, _, conj_alpha, conj_gamma = rule.phase_tables(tl)
+    nfreq = 2 * tl + 1
+    t1 = np.dot(conj_alpha.T, values.reshape(na, -1)).reshape(nfreq, nb, ng) / na
+    h = np.dot(t1.reshape(-1, ng), conj_gamma).reshape(nfreq, nb, nfreq) / ng
     h *= rule.axis_weights[1][:, None]  # the beta weights, folded in once
     out = []
     for twoL in reps:
-        pos = tl + twoL - 2 * np.arange(twoL + 1)
-        sub = h[np.ix_(pos, np.arange(nb), pos)]  # indexed [j, node, i]
-        out.append(np.einsum("jbi,jib->ij", sub, tabs[twoL]).ravel())
+        block = _spin_block(tl, twoL)
+        out.append(np.einsum("jbi,jib->ij", h[block, :, block], tabs[twoL]).ravel())
     return np.concatenate(out)
 
 
@@ -474,6 +490,7 @@ def analyze(
     coefficient entry are stored as exact zeros, and all-zero matrices are
     dropped; threshold = 0 keeps every analyzed matrix.
     """
+    check_threshold(threshold)
     if f.rule.is_folded:
         raise DomainError(f"analysis needs a full grid, not {f.rule!r}")
     if band_budget(L) > f.rule.degree**2:
@@ -484,8 +501,20 @@ def analyze(
 
 
 def dirichlet(group: GroupId, L: float) -> SpectralFunction:
-    """Dirichlet kernel: identity coefficient matrix at every weight <= L."""
-    index, dims, wsq = dual_arrays(group, L)
+    """Dirichlet kernel: identity coefficient matrix at every weight <= L.
+
+    Cached per (group, band_budget(L)), so callers at one budget share an
+    instance; a listing past the cap of groups.dual_size is refused first.
+    """
+    dual_size(group, L)
+    return _dirichlet_within(group, band_budget(L))
+
+
+@lru_cache(maxsize=64)
+def _dirichlet_within(group: GroupId, budget: int) -> SpectralFunction:
+    # The Dirichlet kernel of the reps with packed weight wsq <= budget: the
+    # rep set analyze and pointwise_power analyze at, one per exact budget.
+    index, dims, wsq = budget_dual_arrays(group, budget)
     return SpectralFunction._packed(group, index, dims, wsq, diagonal_mask(dims))
 
 
@@ -514,17 +543,19 @@ def pointwise_power(
     if not isinstance(rho, int) or rho < 1:
         raise DomainError(f"power must be a positive integer, got {rho!r}")
     check_node_cap(max_nodes)
+    check_threshold(threshold)
     if not T:
         return zero_spectral(T.group)
     budget = rho * rho * int(T.wsq.max())
     rule = quadrature(T.group, (math.isqrt(budget - 1) + 1) / 2.0, max_nodes)
     values = synthesize(T, rule).values ** rho
-    reps = dirichlet(T.group, rule.bandlimit)
-    return _analyze_reps(GridFunction(rule, values), reps.restricted(reps.wsq <= budget), threshold)
+    dual_size(T.group, rule.bandlimit)  # the listing cap, at the rule's band
+    return _analyze_reps(GridFunction(rule, values), _dirichlet_within(T.group, budget), threshold)
 
 
 def support_count(F: SpectralFunction, threshold: float = SUPPORT_THRESHOLD) -> int:
     """Sum of d_xi^2 over reps whose matrix survives the relative threshold."""
+    check_threshold(threshold)
     peaks = np.maximum.reduceat(np.abs(F.entries), F.offsets[:-1])
     gmax = peaks.max(initial=0.0)
     if gmax == 0.0:

@@ -250,10 +250,16 @@ def dual_arrays(group: GroupId, L: float) -> tuple[np.ndarray, np.ndarray, np.nd
     L < 1 is a DomainError (the trivial rep has weight 1); a listing past
     MAX_DUAL_ENTRIES reps raises ResourceLimitError before it is built.
     """
-    reps = dual_size(group, L)
+    dual_size(group, L)
+    return budget_dual_arrays(group, band_budget(L))
+
+
+def budget_dual_arrays(group: GroupId, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dual_arrays of the reps with packed weight wsq <= budget, an exact
+    integer, with no cap check: callers bound the listing first."""
     if group.kind == "su2":
-        return rep_arrays(group, np.arange(reps))
-    return rep_arrays(group, _lattice_rows(band_budget(L) // WEIGHT_SQ_DEN - 1, group.dim))
+        return rep_arrays(group, np.arange(_su2_rep_count(budget)))
+    return rep_arrays(group, _lattice_rows(budget // WEIGHT_SQ_DEN - 1, group.dim))
 
 
 def enumerate_dual(group: GroupId, L: float) -> list:
@@ -526,8 +532,9 @@ class QuadratureRule:
     the axis grids; the identity element sits at index 0.  On a torus, node
     i of axis a is the angle 2 pi i / moduli[a]; moduli equals shape except
     on a folded rule, which folded() builds and marks is_folded.  All arrays
-    are read-only, and the caches (the fold, the Wigner-d tables) only ever
-    hand out finished values, so instances are safe to share across threads.
+    are read-only, and the caches (the fold, the Wigner-d tables, the SU(2)
+    phase tables) only ever hand out finished values, so instances are safe
+    to share across threads.
     """
 
     is_folded = False
@@ -553,6 +560,7 @@ class QuadratureRule:
         self._weights = None
         self._folded = None
         self._dtabs: list[np.ndarray] = []
+        self._phases: dict[int, tuple[np.ndarray, ...]] = {}
 
     identity_index = 0
 
@@ -585,6 +593,29 @@ class QuadratureRule:
         if len(tabs) <= twoL_max:
             self._dtabs = tabs = wigner_d_tables(twoL_max, self._z)
         return tabs
+
+    def phase_tables(self, twoL_max: int) -> tuple[np.ndarray, ...]:
+        """Cached Euler-angle phase tables of the spins twoL <= twoL_max at
+        this rule's alpha and gamma nodes (SU(2) only).
+
+        E[x, u] = exp(-i m_u x), m_u = (u - twoL_max) / 2 for u <= 2 twoL_max,
+        as (E at alpha, E at gamma transposed, conj E at alpha, conj E at
+        gamma), each C-contiguous and read-only: synthesis reads the first
+        two, analysis the last two.  Built once per twoL_max; a caller that
+        races another may build a set, but every call returns the stored one.
+        """
+        if self.group.kind != "su2":
+            raise DomainError("phase_tables is only defined for su2 rules")
+        tables = self._phases.get(twoL_max)
+        if tables is None:
+            ms = (np.arange(2 * twoL_max + 1) - twoL_max) / 2.0
+            e_alpha, e_gamma = (np.exp(-1j * np.outer(self.axes[i], ms)) for i in (0, 2))
+            tables = (e_alpha, np.ascontiguousarray(e_gamma.T), np.conj(e_alpha),
+                      np.conj(e_gamma))
+            for table in tables:
+                table.setflags(write=False)
+            tables = self._phases.setdefault(twoL_max, tables)
+        return tables
 
     def folded(self) -> "QuadratureRule":
         """This torus rule on the nodes 0 <= i_a <= m_a // 2 of every axis.

@@ -482,14 +482,28 @@ def _weighted_sum(slabs, rule, p: float) -> float:
 # Sup norms: the grid maximum and a Bernstein mesh bound
 
 
-def _degree_tau(F: SpectralFunction, degree: int) -> float:
-    # tau of the module docstring from the largest node gaps h of the full
-    # rule of this degree.
-    gaps = axis_gaps(F.group, degree)
-    if F.group.kind == "torus":
+def _tau_of(F: SpectralFunction):
+    # tau of the module docstring as a function of the degree, from the
+    # largest node gaps h of the full rule of that degree; the support's
+    # span (the box widths on a torus, the top spin on SU(2)) is read once.
+    group = F.group
+    if group.kind == "torus":
         span = (F.index.max(axis=0) - F.index.min(axis=0)).tolist()
-        return sum(k * h for k, h in zip(span, gaps)) / 2.0
-    return int(F.index.max()) * math.hypot(gaps[1], gaps[0] + gaps[2]) / 2.0
+
+        def tau(degree: int) -> float:
+            return sum(k * h for k, h in zip(span, axis_gaps(group, degree))) / 2.0
+    else:
+        top = int(F.index.max())
+
+        def tau(degree: int) -> float:
+            gaps = axis_gaps(group, degree)
+            return top * math.hypot(gaps[1], gaps[0] + gaps[2]) / 2.0
+    return tau
+
+
+def _degree_tau(F: SpectralFunction, degree: int) -> float:
+    # tau of the full rule of this degree.
+    return _tau_of(F)(degree)
 
 
 def _mesh_factor(tau: float) -> float:
@@ -532,10 +546,11 @@ def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
     """
     group = F.group
     low = quadrature_degree(group, F.max_weight(), max_nodes)
+    tau = _tau_of(F)
 
     def short(degree: int) -> bool:  # admitted by the cap, mesh factor too large
         return (degree_fits(group, degree, max_nodes)
-                and _mesh_factor(_degree_tau(F, degree)) > 1.0 + SUP_ENCLOSURE)
+                and _mesh_factor(tau(degree)) > 1.0 + SUP_ENCLOSURE)
 
     if not short(low):
         return low, True
@@ -719,15 +734,16 @@ def lp_enclosures(
 
 
 def _anchor(F: SpectralFunction, a: float, max_nodes, slack: float) -> Enclosure:
-    # ||f||_a's lp_norms value lifted (the sup's upper end as hi) and
-    # widened by slack; [0, inf] where it cannot be had.
+    # ||f||_a's lp_norms value (the sup's upper end as hi) widened by slack,
+    # built once from its provenance; [0, inf] where it cannot be had.
     try:
-        e = Enclosure.of(lp_norm_info(F, a, max_nodes))
+        value, info = lp_norm_info(F, a, max_nodes)
     except ResourceLimitError:
         return Enclosure(0.0, INF, "capped")
     except DomainError:  # past float range: [0, inf] still encloses it
         return Enclosure(0.0, INF, "enclosed")
-    return Enclosure(max(0.0, e.lo - slack), e.hi + slack, e.certified, e.nodes, e.bandlimit)
+    return Enclosure(max(0.0, value - slack), info.get("upper", value) + slack, info["certified"],
+                     info["nodes"], info["bandlimit"])
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .groups import (
 from .fourier import (
     SUPPORT_THRESHOLD,
     SpectralFunction,
+    check_threshold,
     dirichlet,
     partial_sum,
     pointwise_power,
@@ -244,18 +245,19 @@ def nikolskii_check(
     x10 / x0.1 ride along in the notes.
     """
     _require(0 < p < q <= INF, f"need 0 < p < q <= inf, got p={p}, q={q}")
+    check_threshold(threshold)
     counts = _support_counts(T, rho_of(p), threshold, max_nodes)
     return _settled(lambda norms: [_nikolskii(T, p, q, norms, counts, tol, suite, instance or {})],
                     lp_enclosures(T, [p, q], max_nodes), _lp_values(T, [p, q], max_nodes))[0]
 
 
-def _remark(T, p, q, L, norms, tol, instance) -> InequalityReport:
-    # The remark-bound record of one instance, from one norms dict.
+def _remark(T, p, q, L, n_of, norms, tol, instance) -> InequalityReport:
+    # The remark-bound record of one instance, from one norms dict; n_of[rho]
+    # is weyl_count(T.group, rho * L), n_of[1] = N(L).
     rho = rho_of(p)
-    n_rho_l = weyl_count(T.group, rho * L)
-    rhs = _support_factor(n_rho_l, p, q) * norms[p].lo
+    rhs = _support_factor(n_of[rho], p, q) * norms[p].lo
     inst = {**instance, "group": str(T.group), "p": p, "q": q, "rho": rho, "L": L}
-    notes = f"N(rho*L)={n_rho_l}; N(L)={weyl_count(T.group, L)}; {_note('lhs', norms[q])}"
+    notes = f"N(rho*L)={n_of[rho]}; N(L)={n_of[1]}; {_note('lhs', norms[q])}"
     return InequalityReport("nikolskii-remark", "nikolskii", inst, norms[q].hi, rhs, tol, notes)
 
 
@@ -277,7 +279,8 @@ def nikolskii_remark_check(
     _require(0 < p < q <= INF, f"need 0 < p < q <= inf, got p={p}, q={q}")
     if T.wsq.max(initial=0) > band_budget(L):
         raise DomainError(f"support of T exceeds the stated band L={L}")
-    return _settled(lambda norms: [_remark(T, p, q, L, norms, tol, instance or {})],
+    n_of = {rho: weyl_count(T.group, rho * L) for rho in {1, rho_of(p)}}
+    return _settled(lambda norms: [_remark(T, p, q, L, n_of, norms, tol, instance or {})],
                     lp_enclosures(T, [p, q], max_nodes), _lp_values(T, [p, q], max_nodes))[0]
 
 
@@ -845,6 +848,7 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
         corpus = _corpus_for(cfg, group)
         L = corpus.bandlimit
         exponents = sorted({x for pq in pairs for x in pq})
+        n_of = {rho: weyl_count(group, rho * L) for rho in {1} | {rho_of(p) for p, _ in pairs}}
         for idx, T in enumerate(corpus.functions):
             if not T:
                 continue
@@ -856,19 +860,19 @@ def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
             inst = {"fn": idx, "seed": cfg.seed, "profile": corpus.profile, "L": L}
             for p, q in pairs:
                 reports.extend(_settled(
-                    lambda norms: _nikolskii_records(T, p, q, L, cfg, counts[rho_of(p)], inst,
-                                                     norms),
+                    lambda norms: _nikolskii_records(T, p, q, L, cfg, counts[rho_of(p)], n_of,
+                                                     inst, norms),
                     enclosures, _lp_values(T, [p, q], cfg.max_nodes)))
     return reports
 
 
-def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, inst: dict,
+def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, n_of: dict, inst: dict,
                        norms: dict) -> list[InequalityReport]:
     # The records of one bulk instance, all from one norms dict: the support
     # bound, the remark bound, the dominance of the second over the first
     # and the stability of the verdict over the three support counts.
     rep = _nikolskii(T, p, q, norms, cts, cfg.tol_grid, "nikolskii", inst)
-    remark = _remark(T, p, q, L, norms, cfg.tol_grid, inst)
+    remark = _remark(T, p, q, L, n_of, norms, cfg.tol_grid, inst)
     pair = {**inst, "group": str(T.group), "p": p, "q": q}
     dom = InequalityReport("nikolskii-remark-dominance", "nikolskii", pair, rep.rhs, remark.rhs,
                            0.0, "remark bound must dominate the support bound")

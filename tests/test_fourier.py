@@ -1,14 +1,17 @@
 """Analysis/synthesis, distinguished kernels, powers, serialization."""
 
 import itertools
+import linecache
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import ifftn
 
-from peterweyl import fourier
+from peterweyl import fourier, groups
 from peterweyl.fourier import (
     BandLimitError,
     GridFunction,
@@ -130,6 +133,184 @@ def test_su2_synthesis_matches_trace_formula():
             for twoL, mat in F.items()
         )
         assert abs(vals[idx] - direct) < 1e-10
+
+
+def _per_rep_phases(angles, twoL_max):
+    # E[a, u] = exp(-i m_u angles[a]), m_u = (u - twoL_max) / 2, rebuilt per call.
+    ms = (np.arange(2 * twoL_max + 1) - twoL_max) / 2.0
+    return np.exp(-1j * np.outer(angles, ms))
+
+
+def _per_rep_su2_slabs(F, rule):
+    # The per-rep SU(2) synthesis the strided spin blocks replaced, kept as
+    # the reference for their bits: each rep's block scattered by fancy
+    # indexing, phase tables rebuilt per call.
+    nb = rule.shape[1]
+    tl = int(F.index.max())
+    tabs = rule.d_tables(tl)
+    nfreq = 2 * tl + 1
+    gmat = np.zeros((nfreq, nfreq, nb), dtype=complex)
+    for twoL, mat in F.items():
+        dim = twoL + 1
+        term = dim * mat.T[:, :, None] * tabs[twoL]
+        pos = tl + twoL - 2 * np.arange(dim)
+        gmat[pos[:, None], pos[None, :], :] += term
+    e_alpha = _per_rep_phases(rule.axes[0], tl)
+    by_alpha = np.ascontiguousarray(
+        np.tensordot(e_alpha, gmat, axes=([1], [0])).transpose(0, 2, 1))
+    e_gamma = np.ascontiguousarray(_per_rep_phases(rule.axes[2], tl).T)
+    for a, b, lo, hi in fourier._slab_bounds(rule):
+        yield lo, hi, (by_alpha[a:b].reshape(-1, nfreq) @ e_gamma).ravel()
+
+
+def _per_rep_su2_analysis(values, rule, reps):
+    # The per-rep SU(2) analysis the strided spin blocks replaced: each rep's
+    # block gathered by np.ix_, phase tables rebuilt per call.
+    na, nb, ng = rule.shape
+    tl = max(reps)
+    tabs = rule.d_tables(tl)
+    mesh = values.reshape(na, nb, ng)
+    t1 = np.tensordot(np.conj(_per_rep_phases(rule.axes[0], tl)), mesh, axes=([0], [0])) / na
+    h = np.tensordot(t1, np.conj(_per_rep_phases(rule.axes[2], tl)), axes=([2], [0])) / ng
+    h *= rule.axis_weights[1][:, None]
+    out = []
+    for twoL in reps:
+        pos = tl + twoL - 2 * np.arange(twoL + 1)
+        sub = h[np.ix_(pos, np.arange(nb), pos)]
+        out.append(np.einsum("jbi,jib->ij", sub, tabs[twoL]).ravel())
+    return np.concatenate(out)
+
+
+def _bits(slabs):
+    # The float64 view of slabs (lo, hi, values) laid end to end: signed
+    # zeros and every last bit count.
+    return np.concatenate([v for _, _, v in slabs]).view(np.float64)
+
+
+def _su2_supports():
+    # Dense corpora at three bands, then gapped supports: odd spins only,
+    # the top spin alone, the trivial rep alone, and a top spin below the
+    # rule's band.
+    rng = np.random.default_rng(27)
+
+    def spins(twoLs):
+        return SpectralFunction(SU2, {t: rng.standard_normal((t + 1, t + 1))
+                                      + 1j * rng.standard_normal((t + 1, t + 1))
+                                      for t in twoLs})
+
+    for band in (2.5, 4.0, 8.0):
+        for profile in PROFILES:
+            for F in make_corpus(SU2, band, 2, seed=3, profile=profile).functions:
+                yield F, band
+    yield spins([1, 3, 5]), 4.0
+    yield spins([7]), 4.5
+    yield spins([0]), 2.0
+    yield spins([0, 1, 2]), 8.0
+
+
+def test_su2_kernels_match_the_per_rep_loops_bit_for_bit():
+    checked = 0
+    for F, band in _su2_supports():
+        if not F:
+            continue
+        rule = quadrature(SU2, band)
+        got = list(synthesize_slabs(F, rule))
+        assert [s[:2] for s in got] == [s[:2] for s in _per_rep_su2_slabs(F, rule)]
+        assert np.array_equal(_bits(got), _bits(_per_rep_su2_slabs(F, rule)))
+        f = synthesize(F, rule)
+        reps = dirichlet(SU2, band).index[:, 0].tolist()
+        back = analyze(f, band, threshold=0.0)
+        assert back.index[:, 0].tolist() == reps
+        want = _per_rep_su2_analysis(f.values, rule, reps)
+        assert np.array_equal(back.entries.view(np.float64), want.view(np.float64))
+        # a rep set whose top spin is below the rule's
+        low = reps[: max(1, len(reps) // 2)]
+        assert np.array_equal(fourier._su2_analyze(f.values, rule, low).view(np.float64),
+                              _per_rep_su2_analysis(f.values, rule, low).view(np.float64))
+        checked += 1
+    assert checked >= 20
+
+
+def test_su2_phase_tables_are_built_once_and_read_only():
+    rule = quadrature(SU2, 4.0)
+    for tl in (0, 3, 6):
+        tables = rule.phase_tables(tl)
+        assert rule.phase_tables(tl) is tables
+        e_alpha, e_gamma_t, conj_alpha, conj_gamma = tables
+        assert np.array_equal(e_alpha, _per_rep_phases(rule.axes[0], tl))
+        assert np.array_equal(e_gamma_t, _per_rep_phases(rule.axes[2], tl).T)
+        assert np.array_equal(conj_alpha, np.conj(e_alpha))
+        assert np.array_equal(conj_gamma, np.conj(e_gamma_t.T))
+        for table in tables:
+            assert table.flags.c_contiguous and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+    # synthesis and analysis read the stored tables, building none
+    F = _random_spectral(SU2, 4.0, seed=3)
+    tl = int(F.index.max())
+    stored = rule.phase_tables(tl)
+    analyze(synthesize(F, rule), 4.0)
+    assert rule.phase_tables(tl) is stored
+    with pytest.raises(DomainError):
+        quadrature(T2, 2.0).phase_tables(1)
+
+
+def test_su2_phase_tables_hand_every_caller_the_stored_set_under_a_race():
+    # A worker's phase_tables(12) is paused by a line hook just before it
+    # stores its tables; phase_tables(12) runs meanwhile on this thread,
+    # stores its own, and releases the worker on return.  The worker then
+    # returns the stored set, so every caller reads one set of tables.
+    rule = groups._build_rule.__wrapped__(SU2, 16)  # a fresh rule, no tables yet
+    paused, release = threading.Event(), threading.Event()
+    got = {}
+
+    def local(frame, event, arg):
+        line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+        if event == "line" and "setdefault" in line and not paused.is_set():
+            paused.set()
+            release.wait(30.0)
+        return local
+
+    def hook(frame, event, arg):
+        return local if frame.f_code.co_name == "phase_tables" else None
+
+    def worker():
+        sys.settrace(hook)
+        try:
+            got["worker"] = rule.phase_tables(12)
+        finally:
+            sys.settrace(None)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert paused.wait(30.0)
+        got["main"] = rule.phase_tables(12)
+    finally:
+        release.set()
+        thread.join(30.0)
+    assert got["worker"] is got["main"] is rule.phase_tables(12)
+    assert not any(table.flags.writeable for table in got["main"])
+
+
+def test_su2_phase_tables_under_contention_hand_out_one_set_per_spin():
+    # More threads than cores ask a fresh rule for the same spins with a
+    # short switch interval; every thread reads the one stored set per spin.
+    from concurrent.futures import ThreadPoolExecutor
+
+    rule = groups._build_rule.__wrapped__(SU2, 24)
+    spins = range(0, 23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda: [rule.phase_tables(t) for t in spins])
+                       for _ in range(6)]
+            results = [f.result(timeout=60.0) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for t in spins:
+        assert all(r[t] is rule.phase_tables(t) for r in results), t
 
 
 def _ifftn_synthesis(F, rule):
@@ -446,6 +627,34 @@ def test_analysis_of_a_zero_grid_is_the_zero_function():
         for threshold in (fourier.SUPPORT_THRESHOLD, 0.0):
             F = analyze(GridFunction(rule, np.zeros(rule.node_count)), band, threshold)
             assert not F and F.support() == [] and F.group == group
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_threshold_that_is_not_finite_is_refused(threshold):
+    # nan compares false with every entry and kept them all; inf cleared
+    # every entry, and analysis returned the zero function
+    for group, band in ((T2, 2.0), (SU2, 2.5)):
+        T = _random_spectral(group, band, seed=4)
+        f = synthesize(T, quadrature(group, band))
+        for call in (lambda: analyze(f, band, threshold),
+                     lambda: pointwise_power(T, 2, threshold=threshold),
+                     lambda: pointwise_power(zero_spectral(group), 2, threshold=threshold),
+                     lambda: support_count(T, threshold)):
+            with pytest.raises(DomainError, match="threshold must be finite"):
+                call()
+
+
+def test_dirichlet_is_one_instance_per_exact_band_budget():
+    # analyze and pointwise_power read their rep sets from it, so every call
+    # at one budget shares one listing
+    for group in (T1, T2, T3, SU2):
+        D = dirichlet(group, 3.0)
+        assert dirichlet(group, 3.0 + 1e-9) is D  # the same budget, 36
+        assert dirichlet(group, 3.1) is not D
+        for arr in (D.index, D.dims, D.wsq, D.entries):
+            assert not arr.flags.writeable
+        f = synthesize(_random_spectral(group, 3.0, seed=8), quadrature(group, 3.0))
+        assert analyze(f, 3.0, threshold=0.0).index.tolist() == D.index.tolist()
 
 
 def test_support_count_thresholds():

@@ -25,6 +25,7 @@ from peterweyl.groups import (
     _lattice_count,
     ResourceLimitError,
     band_budget,
+    budget_dual_arrays,
     compose,
     dual_arrays,
     dual_size,
@@ -256,7 +257,8 @@ def test_band_membership_matches_fraction_reference(g, top):
         assert band_budget(L) == math.floor(WEIGHT_SQ_DEN * budget)
         assert enumerate_dual(g, L) == reps, L
         D = dirichlet(g, L)
-        for got in (dual_arrays(g, L), (D.index, D.dims, D.wsq)):
+        for got in (dual_arrays(g, L), budget_dual_arrays(g, band_budget(L)),
+                    (D.index, D.dims, D.wsq)):
             assert [a.tolist() for a in got] == [a.tolist() for a in rep_arrays(g, reps)], L
         assert dual_size(g, L) == len(reps)
         assert weyl_count(g, L) == sum(rep_dim(g, xi) ** 2 for xi in reps)

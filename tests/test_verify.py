@@ -130,6 +130,16 @@ def test_nikolskii_validation():
         nikolskii_check(T, INF, INF)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, INF, -INF])
+def test_nikolskii_check_refuses_a_threshold_that_is_not_finite(threshold):
+    # a nan threshold counted no support at all (support=0, rhs 0, a failing
+    # record); an infinite one cleared every coefficient
+    T = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.5]]})
+    for p in (2.0, 4.0):  # rho = 1 counts T itself, rho = 2 its square
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            nikolskii_check(T, p, INF, threshold=threshold)
+
+
 def test_record_instance_holds_plain_values_and_to_record_the_json_form():
     rep = nikolskii_check(dirichlet(T1, 2.0), 2.0, INF)
     assert rep.instance["q"] == INF
@@ -241,6 +251,32 @@ def _lifted(values):
     return {p: Enclosure.of(v) for p, v in values.items()}
 
 
+def test_bulk_remark_records_count_each_band_once(monkeypatch):
+    # One weyl_count per (group, rho * L) of the run, where each record used
+    # to count N(rho L) and N(L) itself; every remark record is still the
+    # one nikolskii_remark_check writes for its instance.
+    cfg = RunConfig(suite="nikolskii", groups=("torus:1", "su2"), corpus_count=3)
+    corpora = {g: verify._corpus_for(cfg, parse_group(g)) for g in cfg.groups}
+    monkeypatch.setattr(verify, "_corpus_for", lambda cfg, group: corpora[str(group)])
+    calls, count = [], verify.weyl_count
+    monkeypatch.setattr(verify, "weyl_count", lambda g, L: calls.append((g, L)) or count(g, L))
+    reports = verify.nikolskii_suite_reports(cfg)
+    rhos = {1} | {rho_of(p) for p in cfg.p_grid}
+    assert sorted(calls, key=str) == sorted(
+        ((c.group, rho * c.bandlimit) for c in corpora.values() for rho in rhos), key=str)
+    monkeypatch.setattr(verify, "weyl_count", count)
+    remarks = [r for r in reports if r.name == "nikolskii-remark"]
+    pairs = [(p, q) for p in cfg.p_grid for q in cfg.q_grid if p < q]
+    assert len(remarks) == len(pairs) * sum(len(c.functions) for c in corpora.values())
+    for r in remarks:
+        inst = {k: r.instance[k] for k in ("fn", "seed", "profile", "L")}
+        g = parse_group(r.instance["group"])
+        T = corpora[str(g)].functions[inst["fn"]]
+        want = nikolskii_remark_check(T, r.instance["p"], r.instance["q"], inst["L"],
+                                      tol=cfg.tol_grid, instance=inst)
+        assert r.to_record() == want.to_record()
+
+
 def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_values(monkeypatch):
     # On the Fejer kernel at p = 1 the lower end of ||T||_1 is 0.79 against
     # 1, so a gate of 1 - 0.3 fails on the enclosure where the refined
@@ -253,13 +289,15 @@ def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_val
     reports = verify.nikolskii_suite_reports(cfg)
     pairs = [(p, q) for p in cfg.p_grid for q in cfg.q_grid if p < q]
     counts = {rho: verify._support_counts(T, rho, SUPPORT_THRESHOLD, None) for rho in (1, 2)}
+    n_of = {rho: weyl_count(T1, rho * 9.0) for rho in (1, 2)}
     exponents = sorted({x for pq in pairs for x in pq})
     settled = rescued = 0
     for (p, q), got in zip(pairs, _instances(reports, 4), strict=True):
         inst = {"fn": 0, "seed": 7, "profile": "fejer", "L": 9.0}
 
         def records(norms):
-            return verify._nikolskii_records(T, p, q, 9.0, cfg, counts[rho_of(p)], inst, norms)
+            return verify._nikolskii_records(T, p, q, 9.0, cfg, counts[rho_of(p)], n_of, inst,
+                                             norms)
 
         on_enclosures = records(verify.lp_enclosures(T, exponents))
         want = on_enclosures
