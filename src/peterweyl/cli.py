@@ -89,15 +89,15 @@ def cmd_dual(args) -> int:
 def cmd_norm(args) -> int:
     F = read_spectral(args.input)
     spec = parse_norm_spec(args.spec)
-    value, info = norm_info(F, spec, args.max_nodes)
-    print(f"{args.spec} = {value!r}")
-    print(f"certification: {info['certified']}")
-    if "upper" in info or info["certified"] != "exact":
+    e = norm_info(F, spec, args.max_nodes)
+    print(f"{args.spec} = {e.lo!r}")
+    print(f"certification: {e.certified}")
+    if e.lo != e.hi or e.certified != "exact":
         # a sup's own enclosure, else the ladder-free one of a refined or capped value
         bound = norm_enclosure(F, spec, args.max_nodes)
         print(f"enclosure: [{bound.lo!r}, {bound.hi!r}]")
-    if info.get("nodes"):
-        print(f"grid: {info['nodes']} nodes (band {info['bandlimit']:g})")
+    if e.nodes:
+        print(f"grid: {e.nodes} nodes (band {e.bandlimit:g})")
     return EXIT_OK
 
 

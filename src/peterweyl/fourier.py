@@ -93,13 +93,11 @@ class BandLimitError(DomainError):
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise DomainError unless the relative support threshold is finite.
-
-    A nan threshold compares false with every entry and an infinite one
-    clears every entry, so either would stand for an unstated cut.
-    """
-    if not math.isfinite(threshold):
-        raise DomainError(f"support threshold must be finite, got {threshold!r}")
+    """Raise DomainError unless the relative support threshold is finite and
+    nonnegative: nan compares false with every entry, inf clears every one,
+    and a negative one keeps every one as 0 does, each an unstated cut."""
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise DomainError(f"support threshold must be finite and nonnegative, got {threshold!r}")
 
 
 def diagonal_mask(dims: np.ndarray) -> np.ndarray:
@@ -460,7 +458,7 @@ def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
 def _analyze_reps(f: GridFunction, reps: SpectralFunction, threshold: float) -> SpectralFunction:
     # The coefficients of f at the support of reps, which holds the trivial
     # rep.  Entries below threshold relative to the largest become exact
-    # zeros and all-zero matrices are dropped; threshold <= 0 keeps them.
+    # zeros and all-zero matrices are dropped; threshold 0 keeps them.
     rule = f.rule
     if rule.group.kind == "torus":
         # numpy works through the axes list last-first, so the reversed list

@@ -16,19 +16,21 @@ with orbit weights, 2^n times fewer nodes for the same sums up to
 reassociation and the same maximum, where synthesis sums it as real cosines
 over the indices k >= 0, into real slabs.  Dirichlet kernels, their dyadic
 blocks and Sobolev rescalings are such functions; all others, a complex
-even one included, keep the full grid.  Each value carries a
-provenance record {certified, nodes, bandlimit}; Besov and Triebel-Lizorkin
-values carry the weakest certification over their blocks and ladder
-levels, with the largest grid; coefficient-only norms and
-identity-pinned sups, which build no grid, are "exact" with nodes 0; a
-folded level records the full rule's nodes and band.  A value that is not
-a finite float (coefficients too large or not finite, or a root 1/p past
-float range) raises DomainError.  So does a root 1/p, of a sum or of a
-pointwise l^q aggregate, at p below MIN_ROOT_EXPONENT = 2^-53 / REFINE_STOP
-(about 1.1e-10): the last rounding of a sum S alone may make it S (1 + d),
-|d| up to 2^-53, and its root S^(1/p) (1 + d)^(1/p), about 1 + d / p times
-the root, past the stop rule (for f = 2 at p = 1e-16, every |f|^p rounds
-to 1, and a ladder "refined" 1.0).
+even one included, keep the full grid.  Each value is the lo of a frozen
+Enclosure(lo, hi, certified, nodes, bandlimit), its provenance; lp_norms
+alone returns it as (value, {certified, nodes, bandlimit}), with hi as
+"upper" at p = inf.  Besov and Triebel-Lizorkin values carry the weakest
+certification over their blocks and ladder levels, with the largest grid;
+coefficient-only norms and identity-pinned sups, which build no grid, are
+"exact" with nodes 0; a folded level records the full rule's nodes and
+band.  A value that is not a finite float (coefficients too large or not
+finite, or a root 1/p past float range) raises DomainError.  So does a
+root 1/p, of a sum or of a pointwise l^q aggregate, at p below
+MIN_ROOT_EXPONENT = 2^-53 / REFINE_STOP (about 1.1e-10): the last rounding
+of a sum S alone may make it S (1 + d), |d| up to 2^-53, and its root
+S^(1/p) (1 + d)^(1/p), about 1 + d / p times the root, past the stop rule
+(for f = 2 at p = 1e-16, every |f|^p rounds to 1, and a ladder "refined"
+1.0).
 
 The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
@@ -39,7 +41,7 @@ its fold when F is sign-even.  tau does not increase with c, so _sup_degree
 bisects on axis counts and builds no rule per candidate.  The reported
 value is lo = M, the grid maximum, a point value up to roundoff.  No search
 for the peak runs between the nodes: every verdict on a sup reads its upper
-end, which the provenance adds as "upper":
+end, the Enclosure's hi (lp_norms' "upper"):
 
     hi = min((M + SUP_ROUNDOFF A) / (1 - tau^2 / 8), (1 + SUP_ROUNDOFF) A),
 
@@ -127,7 +129,7 @@ weakest certification of its parts.  Sobolev norms are lp_enclosures of the
 rescaled function.  A Besov norm is the l^q aggregate of 2^(sr) times the
 block norms at p; the aggregate increases in every term, so the aggregates
 of the blocks' lo and of their hi enclose it (_besov_aggregate, whose upper
-end is also the p = inf value's "upper").  A Triebel-Lizorkin norm at p <
+end is also norm_info's hi at p = inf).  A Triebel-Lizorkin norm at p <
 inf sits in a finite-block form of the sandwich B_{p,min(p,q)} <= F_{p,q} <=
 B_{p,max(p,q)}.  With B nonempty shells, at each point the vector of the B
 terms |2^(sr) f_s(x)| has l^q and l^p norms within B^|1/q - 1/p| of each
@@ -144,9 +146,9 @@ a few ulps of pow.
 Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
 digest and, for norm values, the node cap.  It is bounded, least recently
-used entries go first, and it affects only speed: a hit returns what a
-fresh evaluation would, with its own provenance dict.  Node values are not
-kept; a level recomputes them slab by slab.
+used entries go first, and it affects only speed: a hit returns the frozen
+Enclosure a fresh evaluation would.  Node values are not kept; a level
+recomputes them slab by slab.
 
 Coefficient-only norms are array reductions over the packed layout of
 SpectralFunction (dims, wsq, and the Hilbert-Schmidt norm of each rep's
@@ -413,15 +415,11 @@ class Enclosure:
 
     @classmethod
     def of(cls, result: tuple[float, dict]) -> Enclosure:
-        # Lift a (value, provenance): hi is its "upper" where it has one.
+        # Lift one lp_norms entry (value, provenance): hi is its "upper"
+        # where it has one.
         value, info = result
         return cls(value, info.get("upper", value), info["certified"], info["nodes"],
                    info["bandlimit"])
-
-    def result(self, upper: bool = False) -> tuple[float, dict]:
-        # lp_norms' (value, provenance), a fresh dict, with hi as "upper" if asked.
-        info = {"certified": self.certified, "nodes": self.nodes, "bandlimit": self.bandlimit}
-        return self.lo, ({**info, "upper": self.hi} if upper else info)
 
 
 def weakest(parts, floor: str = CERT_ORDER[0]) -> tuple[str, int, float]:
@@ -638,12 +636,16 @@ def lp_norms(
     rule), or "capped" (node cap reached first; value from the finest grid
     built).  Every p = inf provenance carries "upper", at most the coefficient
     bound (1 + SUP_ROUNDOFF) A of the module docstring.  A malformed node
-    cap raises DomainError, also where no grid is built.
+    cap raises DomainError, also where no grid is built.  Each entry is a
+    fresh (value, dict) made from the exponent's one Enclosure, the only
+    such form in the package: every caller above it reads Enclosures.
     """
-    ps = _exponents(ps, max_nodes)
-    if not F:
-        return {p: Enclosure(0.0, 0.0, "exact").result(p == INF) for p in ps}
-    return {p: _lp_norm(F, p, max_nodes) for p in sorted(ps, key=lambda p: p != INF)}
+    out = {}
+    for p in sorted(_exponents(ps, max_nodes), key=lambda p: p != INF):
+        e = _lp_norm(F, p, max_nodes) if F else Enclosure(0.0, 0.0, "exact")
+        info = {"certified": e.certified, "nodes": e.nodes, "bandlimit": e.bandlimit}
+        out[p] = e.lo, ({**info, "upper": e.hi} if p == INF else info)
+    return out
 
 
 def _exponents(ps, max_nodes) -> list:
@@ -656,7 +658,7 @@ def _exponents(ps, max_nodes) -> list:
     return ps
 
 
-def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> tuple[float, dict]:
+def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> Enclosure:
     # One exponent of lp_norms: the memo, else the identity-pinned or
     # enclosed sup, or the ladder, exact at the level _even_level names.
     key = ("lp", F.digest, p, max_nodes)
@@ -670,18 +672,12 @@ def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> tuple[floa
             e = _ladder(F, lambda rule: _synth_values(F, rule), p, _even_level(p), max_nodes)
             _root_exponent(p, f"L^{p:g} value")
         _MEMO.put(key, e)
-    return e.result(p == INF)
-
-
-def lp_norm_info(
-    F: SpectralFunction, p: float, max_nodes: int | None = None
-) -> tuple[float, dict]:
-    return lp_norms(F, [p], max_nodes)[p]
+    return e
 
 
 def lp_norm(F: SpectralFunction, p: float, max_nodes: int | None = None) -> float:
     """L^p(G) norm of the Fourier series of F under normalized Haar measure."""
-    return lp_norm_info(F, p, max_nodes)[0]
+    return lp_norms(F, [p], max_nodes)[p][0]
 
 
 # The exponents whose norms lp_enclosures builds on: exact for even p, and
@@ -737,7 +733,7 @@ def _anchor(F: SpectralFunction, a: float, max_nodes, slack: float) -> Enclosure
     # ||f||_a's lp_norms value (the sup's upper end as hi) widened by slack,
     # built once from its provenance; [0, inf] where it cannot be had.
     try:
-        value, info = lp_norm_info(F, a, max_nodes)
+        value, info = lp_norms(F, [a], max_nodes)[a]
     except ResourceLimitError:
         return Enclosure(0.0, INF, "capped")
     except DomainError:  # past float range: [0, inf] still encloses it
@@ -813,7 +809,7 @@ def sobolev_norm(
     F: SpectralFunction, r: float, p: float, max_nodes: int | None = None
 ) -> float:
     """Bessel-potential norm: scale each coefficient by <xi>^r, then L^p."""
-    return norm_info(F, NormSpec("sobolev", r=r, p=p), max_nodes)[0]
+    return norm_info(F, NormSpec("sobolev", r=r, p=p), max_nodes).lo
 
 
 # ---------------------------------------------------------------------------
@@ -867,18 +863,18 @@ def besov_norm(
     F: SpectralFunction, r: float, p: float, q: float, max_nodes: int | None = None
 ) -> float:
     """l^q over shells of 2^(sr) times the block L^p norm."""
-    return norm_info(F, NormSpec("besov", r=r, p=p, q=q), max_nodes)[0]
+    return norm_info(F, NormSpec("besov", r=r, p=p, q=q), max_nodes).lo
 
 
-def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dict]:
+def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     p, q = spec.p, spec.q
     if not F:
-        return Enclosure(0.0, 0.0, "exact").result()
+        return Enclosure(0.0, 0.0, "exact")
     _root_exponent(min(p, q), f"L^{p:g} norm of the pointwise l^{q:g} aggregate")
     key = ("tl", F.digest, spec, max_nodes)
     hit = _MEMO.get(key)
     if hit is not None:
-        return hit.result()
+        return hit
     blocks = dyadic_blocks(F)
     weights = {s: _shell_weight(s, spec.r) for s in blocks}
 
@@ -906,7 +902,7 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple[float, dic
 
     e = _ladder(F, aggregate, p, _even_level(p) if q == 2.0 else None, max_nodes)
     _MEMO.put(key, e)
-    return e.result()
+    return e
 
 
 def tl_norm(
@@ -918,7 +914,7 @@ def tl_norm(
     is a single exact evaluation (at p = 2 it coincides with the Besov
     norm); other parameters refine dyadically under the usual stop rule.
     """
-    return norm_info(F, NormSpec("tl", r=r, p=p, q=q), max_nodes)[0]
+    return norm_info(F, NormSpec("tl", r=r, p=p, q=q), max_nodes).lo
 
 
 def wiener_norm(F: SpectralFunction, beta: float) -> float:
@@ -994,22 +990,23 @@ def _besov_aggregate(F: SpectralFunction, spec: NormSpec, block_norm) -> Enclosu
 
 def norm_info(
     F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
-) -> tuple[float, dict]:
-    """Evaluate a NormSpec; returns (value, provenance).
+) -> Enclosure:
+    """Evaluate a NormSpec: its value lo, with its provenance, an Enclosure.
 
-    A Besov value carries the weakest provenance of its block L^p norms; at
-    p = inf also "upper", the same l^q aggregate of 2^(sr) times each
-    block's upper end (_besov_aggregate).
+    Lp and sobolev are the lp_norms entry, lifted (Enclosure.of: hi is the
+    sup's upper end, else lo).  A Besov value carries the weakest provenance
+    of its block L^p norms and, as hi, the same l^q aggregate of 2^(sr)
+    times each block's hi (_besov_aggregate).  Other families are points.
     """
     check_node_cap(max_nodes)
     fam = spec.family
+    lp = lambda G: Enclosure.of(lp_norms(G, [spec.p], max_nodes)[spec.p])
     if fam == "Lp":
-        return lp_norm_info(F, spec.p, max_nodes)
+        return lp(F)
     if fam == "sobolev":
-        return lp_norm_info(_sobolev_scaled(F, spec.r), spec.p, max_nodes)
+        return lp(_sobolev_scaled(F, spec.r))
     if fam == "besov":
-        e = _besov_aggregate(F, spec, lambda b: Enclosure.of(lp_norm_info(b, spec.p, max_nodes)))
-        return e.result(spec.p == INF)
+        return _besov_aggregate(F, spec, lp)
     if fam == "tl":
         return _tl_info(F, spec, max_nodes)
     if fam == "seq":
@@ -1022,7 +1019,7 @@ def norm_info(
         value = beurling_r_norm(F, spec.r, spec.beta)
     else:
         raise NormSpecError(f"unknown family {fam!r}")
-    return Enclosure(value, value, "exact").result()
+    return Enclosure(value, value, "exact")
 
 
 def norm_enclosure(
@@ -1052,7 +1049,7 @@ def norm_enclosure(
             return _tl_enclosure(F, spec, max_nodes)
     except ResourceLimitError:
         return Enclosure(0.0, INF, "capped")
-    return Enclosure.of(norm_info(F, spec, max_nodes))  # a coefficient family: exact
+    return norm_info(F, spec, max_nodes)  # a coefficient family: exact
 
 
 def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
@@ -1061,7 +1058,7 @@ def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     # q < p, B the number of nonempty shells (module docstring).
     p, q = spec.p, spec.q
     if not F or (q == 2.0 and _even_level(p) is not None):
-        return Enclosure.of(_tl_info(F, spec, max_nodes))
+        return _tl_info(F, spec, max_nodes)
     b = norm_enclosure(F, NormSpec("besov", r=spec.r, p=p, q=p), max_nodes)
     try:
         factor = len(dyadic_blocks(F)) ** (1.0 / q - 1.0 / p)
@@ -1074,4 +1071,4 @@ def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
 def norm_value(
     F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
 ) -> float:
-    return norm_info(F, spec, max_nodes)[0]
+    return norm_info(F, spec, max_nodes).lo

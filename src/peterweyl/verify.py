@@ -22,9 +22,10 @@ for constant-bound claims therefore carry tol = inf (finiteness is the
 check); the slope record is the quantitative gate.  Every member reads the
 upper end of its ratio's enclosure, whose ends and certification close its
 notes: a corpus member's from norm_enclosure bounds, a Dirichlet member's
-from norm values (lo == hi), which the slope fits and whose certification
-its notes name.  Lebesgue records and corpus members are decided by one
-rule (_settled): on norms.Enclosure bounds first, else on values.
+from norm_info values (points, lo == hi, on these kernels), which the slope
+fits and whose certification its notes name.  Lebesgue records and corpus
+members are decided by one rule (_settled): on norms.Enclosure bounds
+first, else on values, which _lp_values lifts from lp_norms.
 
 Default tolerances: 1e-9 where quadrature is exact, 1e-6 where dyadic grid
 refinement is involved, 1e-12 for algebraic identities.
@@ -242,10 +243,12 @@ def nikolskii_check(
     the support of the rho-th power's coefficients)^(1/p - 1/q) * ||T||_p,
     the lower end of its enclosure; from lp_norms values instead when that
     fails (_settled).  The support count and its sensitivity to threshold
-    x10 / x0.1 ride along in the notes.
+    x10 / x0.1 ride along in the notes.  threshold lies in [0, 1]: above 1
+    no coefficient is kept.
     """
     _require(0 < p < q <= INF, f"need 0 < p < q <= inf, got p={p}, q={q}")
     check_threshold(threshold)
+    _require(threshold <= 1.0, f"support threshold must lie in [0, 1], got {threshold!r}")
     counts = _support_counts(T, rho_of(p), threshold, max_nodes)
     return _settled(lambda norms: [_nikolskii(T, p, q, norms, counts, tol, suite, instance or {})],
                     lp_enclosures(T, [p, q], max_nodes), _lp_values(T, [p, q], max_nodes))[0]
@@ -619,7 +622,6 @@ def embedding_suite(
     pairs: list[EmbeddingPair],
     L_grid=None,
     corpus=None,
-    slope_max: float = SLOPE_MAX,
     max_nodes: int | None = None,
     suite: str = "embeddings",
 ) -> list[InequalityReport]:
@@ -627,9 +629,10 @@ def embedding_suite(
 
     Each member's lhs is the upper end of its ratio's enclosure (_member).
     family "dirichlet" scales Dirichlet kernels over L_grid, at least two
-    strictly increasing band limits: members read the norm values, lifted,
-    and the slope fits their ratios.  family "corpus" checks finiteness on
-    the corpus functions, decided by _settled on norm_enclosure bounds.
+    strictly increasing band limits: members read the norm_info values,
+    points on these kernels, and the slope fits their ratios.  family
+    "corpus" checks finiteness on the corpus functions, decided by _settled
+    on norm_enclosure bounds.
     """
     if family == "dirichlet":
         grid = [float(L) for L in L_grid]
@@ -649,7 +652,7 @@ def embedding_suite(
         for label, func in members:
             inst = {"group": str(group), "pair": pair.label, "family": family, "member": label}
             record = lambda norms: [_member(pair, suite, inst, notes, *norms)]
-            values = lambda: [Enclosure.of(norm_info(func, s, max_nodes)) for s in specs]
+            values = lambda: [norm_info(func, s, max_nodes) for s in specs]
             if family == "corpus":
                 bounds = [norm_enclosure(func, s, max_nodes) for s in specs]
                 rows += _settled(record, bounds, values)
@@ -662,7 +665,7 @@ def embedding_suite(
             slope = float(np.polyfit(np.log(grid), np.log(np.asarray(ratios)), 1)[0])
             inst = {"group": str(group), "pair": pair.label, "family": family, "grid": grid}
             reports.append(InequalityReport(
-                f"embedding-slope:{pair.label}", suite, inst, slope, slope_max, 0.0,
+                f"embedding-slope:{pair.label}", suite, inst, slope, SLOPE_MAX, 0.0,
                 f"ratios={[round(r, 6) for r in ratios]}; members {weakest(parts)[0]}"))
     return reports
 

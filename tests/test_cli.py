@@ -15,7 +15,7 @@ from peterweyl.cli import (
     EXIT_VIOLATION,
     main,
 )
-from peterweyl.fourier import dirichlet, read_spectral, save_spectral
+from peterweyl.fourier import dirichlet, read_spectral, save_spectral, zero_spectral
 from peterweyl.groups import enumerate_dual, parse_group, rep_info, torus
 from peterweyl.norms import (
     REFINE_STOP,
@@ -453,26 +453,61 @@ def test_norm_prints_the_lp_enclosure_of_a_finite_p(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[2] == "enclosure: [0.0, inf]"
 
 
+# (file, spec, node cap, certification, prints an enclosure line, prints a grid line)
+_NORM_LINES = [
+    ("f", "Lp:4", None, "exact", False, True),
+    ("f", "besov:r=0.5,p=2,q=1", None, "exact", False, True),
+    ("f", "sobolev:r=0.5,p=4", None, "exact", False, True),
+    ("f", "tl:r=0.5,p=2,q=2", None, "exact", False, True),
+    ("f", "seq:2", None, "exact", False, False),
+    ("f", "beurlingR:r=0.5,beta=2", None, "exact", False, False),
+    ("dirichlet", "Lp:inf", None, "exact (identity-pinned)", True, False),
+    ("dirichlet", "besov:r=0.5,p=inf,q=2", None, "exact (identity-pinned)", True, False),
+    ("f", "Lp:inf", None, "enclosed", True, True),
+    ("f", "besov:r=0.5,p=inf,q=2", None, "enclosed", True, True),
+    ("f", "sobolev:r=0.5,p=inf", None, "enclosed", True, True),
+    ("f", "Lp:3", None, "refined", True, True),
+    ("f", "besov:r=0.5,p=1,q=2", None, "refined", True, True),
+    ("f", "tl:r=0.5,p=2,q=4", None, "refined", True, True),
+    ("f", "tl:r=0.5,p=2,q=1", None, "refined", True, True),
+    ("f", "sobolev:r=0.5,p=3", None, "refined", True, True),
+    ("f", "Lp:inf", 200, "capped", True, True),
+    ("f", "besov:r=0.5,p=1,q=2", 20000, "capped", True, True),
+    # the zero function is an exact point everywhere, p = inf included
+    ("zero", "Lp:inf", None, "exact", False, False),
+    ("zero", "sobolev:r=0.5,p=inf", None, "exact", False, False),
+    ("zero", "besov:r=0.5,p=inf,q=2", None, "exact", False, False),
+    ("zero", "Lp:3", None, "exact", False, False),
+    ("zero", "tl:r=0.5,p=2,q=4", None, "exact", False, False),
+]
+
+
 def test_norm_prints_the_enclosure_of_every_refined_value(tmp_path, capsys):
-    # Besov, Triebel-Lizorkin and Sobolev values that are refined print the
-    # ladder-free enclosure of norm_enclosure; exact ones print none.
-    path = str(tmp_path / "f.spectral")
-    F = make_corpus(torus(2), 3.0, 1, 3).functions[0]
-    save_spectral(F, path)
-    for text in ("besov:r=0.5,p=1,q=2", "tl:r=0.5,p=2,q=4", "tl:r=0.5,p=2,q=1",
-                 "sobolev:r=0.5,p=3"):
-        assert main(["norm", path, text]) == EXIT_OK
+    # Every line of `peterweyl norm`, per certification: the value is
+    # norm_info's lo; the enclosure line, norm_enclosure's bounds, stands
+    # unless the value is an exact point; the grid line names norm_info's
+    # grid where it has one.  A refined or capped value lies within the
+    # stop rule of its enclosure.
+    functions = {"f": make_corpus(torus(2), 3.0, 1, 3).functions[0],
+                 "dirichlet": dirichlet(torus(2), 4.0), "zero": zero_spectral(torus(1))}
+    for name, F in functions.items():
+        save_spectral(F, str(tmp_path / f"{name}.spectral"))
+    for name, text, cap, cert, enclosed, grid in _NORM_LINES:
+        F, spec = functions[name], parse_norm_spec(text)
+        argv = ["norm", str(tmp_path / f"{name}.spectral"), text]
+        assert main(argv + (["--max-nodes", str(cap)] if cap else [])) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        value, _ = norm_info(F, parse_norm_spec(text))
-        assert lines[0] == f"{text} = {value!r}" and lines[1] == "certification: refined"
-        lo, hi = _enclosure_line(lines[2])
-        bound = norm_enclosure(F, parse_norm_spec(text))
-        assert (lo, hi) == (bound.lo, bound.hi)
-        assert lo <= value * (1.0 + REFINE_STOP) and value <= hi * (1.0 + REFINE_STOP)
-        assert lines[3].startswith("grid: ")
-    for text in ("besov:r=0.5,p=2,q=1", "sobolev:r=0.5,p=4", "tl:r=0.5,p=2,q=2"):
-        assert main(["norm", path, text]) == EXIT_OK
-        assert "enclosure" not in capsys.readouterr().out
+        e = norm_info(F, spec, cap)
+        want = [f"{text} = {e.lo!r}", f"certification: {e.certified}"]
+        if enclosed:
+            bound = norm_enclosure(F, spec, cap)
+            want.append(f"enclosure: [{bound.lo!r}, {bound.hi!r}]")
+            slack = 1.0 + REFINE_STOP
+            assert bound.lo <= e.lo * slack and e.lo <= bound.hi * slack, (name, text)
+        if grid:
+            want.append(f"grid: {e.nodes} nodes (band {e.bandlimit:g})")
+        assert lines == want and e.certified == cert, (name, text, lines)
+        assert (e.nodes > 0) == grid and (e.lo == e.hi and cert == "exact") != enclosed
 
 
 def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):

@@ -629,10 +629,11 @@ def test_analysis_of_a_zero_grid_is_the_zero_function():
             assert not F and F.support() == [] and F.group == group
 
 
-@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1e-3])
 def test_a_threshold_that_is_not_finite_is_refused(threshold):
     # nan compares false with every entry and kept them all; inf cleared
-    # every entry, and analysis returned the zero function
+    # every entry, and analysis returned the zero function; a negative one
+    # kept every entry as 0 does
     for group, band in ((T2, 2.0), (SU2, 2.5)):
         T = _random_spectral(group, band, seed=4)
         f = synthesize(T, quadrature(group, band))

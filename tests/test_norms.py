@@ -48,7 +48,6 @@ from peterweyl.norms import (
     format_norm_spec,
     lp_enclosures,
     lp_norm,
-    lp_norm_info,
     lp_norms,
     norm_info,
     parse_norm_spec,
@@ -95,17 +94,17 @@ def test_single_mode_all_p():
 
 def test_dirichlet_t1_values():
     D = dirichlet(T1, 2.0)
-    v2, info2 = lp_norm_info(D, 2.0)
+    v2, info2 = lp_norms(D, [2.0])[2.0]
     assert v2 == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert info2["certified"] == "exact"
-    vinf, infoinf = lp_norm_info(D, INF)
+    vinf, infoinf = lp_norms(D, [INF])[INF]
     assert vinf == pytest.approx(3.0, abs=1e-12)
     assert infoinf["certified"] == "exact (identity-pinned)"
 
 
 def test_one_plus_exponential_l1():
     # (1/2pi) int |1 + e^{ix}| dx = (1/2pi) int 2|cos(x/2)| dx = 4/pi
-    val, info = lp_norm_info(ONE_PLUS, 1.0)
+    val, info = lp_norms(ONE_PLUS, [1.0])[1.0]
     assert info["certified"] == "refined"
     assert val == pytest.approx(4.0 / math.pi, rel=3e-6)
 
@@ -358,24 +357,24 @@ def test_lp_norms_of_several_exponents_match_each_alone():
 def test_besov_tl_provenance_reports_capped_grids():
     F = make_corpus(torus(2), 4.0, 1, 7).functions[0]
     for text in ("besov:r=0.5,p=1,q=2", "tl:r=0.5,p=2,q=4"):
-        _, info = norm_info(F, parse_norm_spec(text), 20000)
-        assert info["certified"] == "capped"
-        assert info["nodes"] > 0
+        e = norm_info(F, parse_norm_spec(text), 20000)
+        assert e.certified == "capped"
+        assert e.nodes > 0
     for text in ("besov:r=0.5,p=2,q=2", "tl:r=0.5,p=2,q=2"):
-        _, info = norm_info(F, parse_norm_spec(text), 20000)
-        assert info["certified"] == "exact"
-        assert info["nodes"] > 0
+        e = norm_info(F, parse_norm_spec(text), 20000)
+        assert e.certified == "exact"
+        assert e.nodes > 0
 
 
 def test_besov_provenance_is_weakest_block_with_largest_grid():
     F = make_corpus(torus(2), 4.0, 1, 7).functions[0]
-    blocks = [lp_norm_info(b, 1.0, 20000)[1] for b in dyadic_blocks(F).values()]
-    _, info = norm_info(F, parse_norm_spec("besov:r=0.5,p=1,q=2"), 20000)
-    assert info["nodes"] == max(b["nodes"] for b in blocks)
-    assert info["bandlimit"] == max(b["bandlimit"] for b in blocks)
+    blocks = [lp_norms(b, [1.0], 20000)[1.0][1] for b in dyadic_blocks(F).values()]
+    e = norm_info(F, parse_norm_spec("besov:r=0.5,p=1,q=2"), 20000)
+    assert e.nodes == max(b["nodes"] for b in blocks)
+    assert e.bandlimit == max(b["bandlimit"] for b in blocks)
     # Dirichlet blocks are positive central: every block sup is pinned
-    _, pinned = norm_info(dirichlet(T1, 6.0), parse_norm_spec("besov:r=1,p=inf,q=2"))
-    assert pinned["certified"] == "exact (identity-pinned)"
+    pinned = norm_info(dirichlet(T1, 6.0), parse_norm_spec("besov:r=1,p=inf,q=2"))
+    assert pinned.certified == "exact (identity-pinned)"
 
 
 def test_weakest_keeps_the_weakest_certification_and_the_largest_grid():
@@ -399,19 +398,21 @@ def test_enclosure_of_lifts_every_certification():
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.3]], (-2,): [[0.5j]]})
     G = _random_spectral(torus(2), 3.0, 70)
     base = quadrature(G.group, G.max_weight()).node_count
-    cases = {("exact (identity-pinned)", True): lp_norm_info(dirichlet(T1, 4.0), INF),
-             ("enclosed", False): lp_norm_info(F, INF),
-             ("capped", False): lp_norm_info(G, INF, base),
-             ("exact", True): lp_norm_info(F, 2.0),
-             ("refined", True): lp_norm_info(F, 3.0),
-             ("capped", True): lp_norm_info(G, 3.0, base)}
+    cases = {("exact (identity-pinned)", True): lp_norms(dirichlet(T1, 4.0), [INF])[INF],
+             ("enclosed", False): lp_norms(F, [INF])[INF],
+             ("capped", False): lp_norms(G, [INF], base)[INF],
+             ("exact", True): lp_norms(F, [2.0])[2.0],
+             ("refined", True): lp_norms(F, [3.0])[3.0],
+             ("capped", True): lp_norms(G, [3.0], base)[3.0]}
     for (certified, point), (value, info) in cases.items():
         e = Enclosure.of((value, info))
         assert e == Enclosure(value, info.get("upper", value), certified, info["nodes"],
                               info["bandlimit"]), (certified, e, info)
         assert e.lo <= e.hi and (e.lo == e.hi) == point, (certified, e)
-        # and back: the (value, provenance) it was lifted from, "upper" where asked
-        assert e.result("upper" in info) == (value, info)
+        # nothing is lost: the provenance holds these fields, "upper" at p = inf
+        upper = {"upper": e.hi} if "upper" in info else {}
+        assert info == {"certified": e.certified, "nodes": e.nodes, "bandlimit": e.bandlimit,
+                        **upper}
     with pytest.raises(FrozenInstanceError):
         e.lo = 0.0
 
@@ -426,17 +427,17 @@ def test_tl_even_p_q2_is_exact_from_one_grid(monkeypatch):
         return quadrature(group, band, max_nodes)
 
     monkeypatch.setattr(norms, "quadrature", counting_quadrature)
-    value, info = norm_info(F, NormSpec("tl", r=0.5, p=4.0, q=2.0))
-    assert info["certified"] == "exact"
-    assert built == [2.0 * F.max_weight()] == [info["bandlimit"]]
-    assert value == tl_norm(F, 0.5, 4.0, 2.0)
+    e = norm_info(F, NormSpec("tl", r=0.5, p=4.0, q=2.0))
+    assert e.certified == "exact"
+    assert built == [2.0 * F.max_weight()] == [e.bandlimit]
+    assert e.lo == tl_norm(F, 0.5, 4.0, 2.0)
 
 
 def test_coefficient_norms_carry_exact_provenance():
     F = _random_spectral(SU2, 2.0, 6)
     for text in ("seq:1.5", "wiener:1", "beurling:0.5", "beurlingR:r=0.5,beta=2"):
-        _, info = norm_info(F, parse_norm_spec(text))
-        assert info == {"certified": "exact", "nodes": 0, "bandlimit": 0.0}
+        e = norm_info(F, parse_norm_spec(text))
+        assert (e.certified, e.nodes, e.bandlimit) == ("exact", 0, 0.0)
 
 
 def test_spec_rejects_non_finite_r():
@@ -464,7 +465,7 @@ def test_a_malformed_node_cap_is_refused_where_no_grid_is_built():
              lambda cap: norm_info(zero, parse_norm_spec("besov:r=1,p=2,q=2"), cap),
              lambda cap: norm_info(zero, parse_norm_spec("wiener:1"), cap),
              lambda cap: fourier.pointwise_power(zero, 2, max_nodes=cap)]
-    assert lp_norm_info(ONE_PLUS, INF)[1]["certified"] == "exact (identity-pinned)"
+    assert lp_norms(ONE_PLUS, [INF])[INF][1]["certified"] == "exact (identity-pinned)"
     for call in calls:
         for cap in (-5, 0, 2.5):
             with pytest.raises(DomainError, match="node cap"):
@@ -480,7 +481,7 @@ def test_root_that_underflows_raises_domain_error(L, p):
     # below 1 and its 1/p-th power underflows; two levels at 0.0 would
     # "agree" and certify a refined 0.0 for a positive norm.
     with pytest.raises(DomainError, match="leaves float range at the root"):
-        lp_norm_info(dirichlet(T1, L), p)
+        lp_norms(dirichlet(T1, L), [p])
 
 
 def test_tiny_exponents_are_refused_where_one_rounding_passes_the_stop_rule():
@@ -490,7 +491,7 @@ def test_tiny_exponents_are_refused_where_one_rounding_passes_the_stop_rule():
     F = SpectralFunction(T1, {(0,): [[2.0]]})
     assert norms.MIN_ROOT_EXPONENT == pytest.approx(1.11e-10, rel=1e-3)
     for p in (1e-16, 1e-12, 1e-10):
-        for call in (lambda: lp_norm_info(F, p), lambda: seq_lp_norm(F, p),
+        for call in (lambda: lp_norms(F, [p]), lambda: seq_lp_norm(F, p),
                      lambda: beurling_norm(F, p), lambda: besov_norm(F, 0.5, 2.0, p),
                      lambda: tl_norm(F, 0.5, 2.0, p), lambda: tl_norm(F, 0.5, p, 2.0)):
             with pytest.raises(DomainError, match=f"at exponent {p:g}: below"):
@@ -499,7 +500,7 @@ def test_tiny_exponents_are_refused_where_one_rounding_passes_the_stop_rule():
         e = lp_enclosures(F, [p])[p]
         assert e.lo <= 2.0 <= e.hi
     for p in (1e-9, 1e-6):
-        value, info = lp_norm_info(F, p)
+        value, info = lp_norms(F, [p])[p]
         assert abs(value - 2.0) <= norms.REFINE_STOP * 2.0 and info["certified"] == "refined"
         assert seq_lp_norm(F, p) == pytest.approx(2.0, rel=norms.REFINE_STOP)
 
@@ -757,7 +758,7 @@ def test_ladder_stops_at_the_refinement_ceiling(monkeypatch):
     # and reports that level's value, nodes and band as capped.
     monkeypatch.setattr(norms, "REFINE_STOP", 0.0)
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1.0]]})
-    value, info = lp_norm_info(F, 1.0)
+    value, info = lp_norms(F, [1.0])[1.0]
     band = F.max_weight() * 2.0**norms.MAX_REFINE_LEVELS
     rule = quadrature(T1, band)
     assert info == {"certified": "capped", "nodes": rule.node_count, "bandlimit": band}
@@ -796,19 +797,19 @@ def test_tl_aggregate_matches_stacked_full_grids(monkeypatch, group, L, r, p, q,
                                                  slab_nodes):
     monkeypatch.setattr(fourier, "SLAB_NODES", slab_nodes)
     F = _random_spectral(group, L, 22)
-    value, info = norm_info(F, NormSpec("tl", r=r, p=p, q=q), cap)
-    rule = quadrature(group, info["bandlimit"])
-    assert rule.node_count == info["nodes"]
+    e = norm_info(F, NormSpec("tl", r=r, p=p, q=q), cap)
+    rule = quadrature(group, e.bandlimit)
+    assert rule.node_count == e.nodes
     arr = np.stack([2.0 ** (s * r) * np.abs(synthesize(b, rule).values)
                     for s, b in dyadic_blocks(F).items()])
     agg = arr.max(axis=0) if q == INF else np.sum(arr**q, axis=0) ** (1.0 / q)
     ref = float(np.dot(rule.weights, agg**p) ** (1.0 / p))
-    assert abs(value - ref) <= 1e-13 * ref
+    assert abs(e.lo - ref) <= 1e-13 * ref
     assert len(dyadic_blocks(F)) > 1
     if cap or p != 4.0:
-        assert info["certified"] in (("capped",) if cap else ("refined", "capped"))
+        assert e.certified in (("capped",) if cap else ("refined", "capped"))
     else:
-        assert info["certified"] == "exact"
+        assert e.certified == "exact"
 
 
 @pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc",
@@ -950,17 +951,18 @@ def test_fold_matches_full_grid_reference(ladder_spy, n):
 def test_fold_tl_aggregate_matches_full_grid_reference(ladder_spy, group, L, cap, r, p, q):
     F = _sign_even_random(group, L, 40)
     spec = NormSpec("tl", r=r, p=p, q=q)
-    (value, info), levels, calls = _fresh(lambda: norm_info(F, spec, cap), ladder_spy)
+    e, levels, calls = _fresh(lambda: norm_info(F, spec, cap), ladder_spy)
     ref, _, full_calls = _fresh(lambda: norm_info(F, spec, cap), ladder_spy, fold=False)
     assert levels and all(rule.is_folded for rule in levels)
-    assert info == ref[1] and calls == full_calls
-    full = quadrature(group, info["bandlimit"])
-    assert full.node_count == info["nodes"]
+    assert (e.certified, e.nodes, e.bandlimit) == (ref.certified, ref.nodes, ref.bandlimit)
+    assert calls == full_calls
+    full = quadrature(group, e.bandlimit)
+    assert full.node_count == e.nodes
     arr = np.stack([2.0 ** (s * r) * np.abs(synthesize(b, full).values)
                     for s, b in dyadic_blocks(F).items()])
     agg = arr.max(axis=0) if q == INF else np.sum(arr**q, axis=0) ** (1.0 / q)
     want = _full_grid_root([(0, full.node_count, agg)], full, p)
-    assert abs(value - want) <= 1e-13 * want
+    assert abs(e.lo - want) <= 1e-13 * want
     assert len(dyadic_blocks(F)) > 1
 
 
@@ -1033,7 +1035,7 @@ def test_sign_even_ladder_builds_no_phase_table():
     # T^2 Dirichlet kernel reads no complex phase table.
     fourier._torus_phases.cache_clear()
     fourier._torus_cosines.cache_clear()
-    value, info = lp_norm_info(dirichlet(torus(2), 16.0), 1.0)
+    value, info = lp_norms(dirichlet(torus(2), 16.0), [1.0])[1.0]
     assert info["certified"] in ("refined", "capped") and value > 0.0
     assert fourier._torus_phases.cache_info().misses == 0
     assert fourier._torus_cosines.cache_info().misses > 0
@@ -1407,7 +1409,7 @@ def test_even_norms_match_the_exact_rational_values(group, L, kind):
     norms.clear_memos()
     scale = sum(abs(c) for c in F.entries.tolist())  # A: d = 1 on a torus
     for k in (1, 2, 3):
-        value, info = lp_norm_info(F, 2.0 * k)
+        value, info = lp_norms(F, [2.0 * k])[2.0 * k]
         assert info["certified"] == "exact"
         exact = float(_exact_even_power(F, k)) ** (1.0 / (2 * k))
         assert abs(value - exact) <= norms.LP_ROUNDOFF * scale, (k, value, exact)
@@ -1471,7 +1473,7 @@ def test_lp_enclosures_of_a_character_are_tight(F):
     # |f| is constant, so every norm is that constant: only the roundoff
     # allowance separates lo and hi.  Lyapunov's exponents amplify it, up
     # to 13 times at p = 1/2 and 5 times at p = 1.
-    one, _ = lp_norm_info(F, 1.0)
+    one = lp_norm(F, 1.0)
     for p in ENCLOSED_EXPONENTS:
         e = norms.lp_enclosures(F, [p])[p]
         for x in (e.lo, e.hi):
@@ -1539,29 +1541,29 @@ def test_lp_enclosures_rest_on_what_the_cap_admits():
 def test_besov_sup_carries_the_aggregate_of_its_block_enclosures():
     F = make_corpus(torus(2), 3.0, 1, 3).functions[0]
     for q in (1.0, 2.0, INF):
-        value, info = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=q))
+        e = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=q))
         ups, los = [], []
         for s, block in dyadic_blocks(F).items():
-            lo, block_info = lp_norm_info(block, INF)
+            lo, block_info = lp_norms(block, [INF])[INF]
             los.append(2.0 ** (s * 0.5) * lo)
             ups.append(2.0 ** (s * 0.5) * block_info["upper"])
         agg = max if q == INF else (lambda t: sum(x**q for x in t) ** (1.0 / q))
-        assert info["certified"] == "enclosed"
-        assert value == pytest.approx(agg(los), rel=1e-15)
-        assert info["upper"] == pytest.approx(agg(ups), rel=1e-15)
-        assert value <= info["upper"] <= 1.02 * value
+        assert e.certified == "enclosed"
+        assert e.lo == pytest.approx(agg(los), rel=1e-15)
+        assert e.hi == pytest.approx(agg(ups), rel=1e-15)
+        assert e.lo <= e.hi <= 1.02 * e.lo
     # a capped block with no finite mesh bound (the shell of +-2 e_a has
     # tau^2 / 8 >= 1 on the base grid) brings its coefficient bound into the
     # aggregate
     F = _coarse_case()
     base = quadrature(torus(3), F.max_weight()).node_count
-    _, info = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=2.0), base)
+    e = norm_info(F, NormSpec("besov", r=0.5, p=INF, q=2.0), base)
     blocks = dyadic_blocks(F)
-    ups = {s: lp_norm_info(block, INF, base)[1]["upper"] for s, block in blocks.items()}
+    ups = {s: lp_norms(block, [INF], base)[INF][1]["upper"] for s, block in blocks.items()}
     assert ups[1] == (1.0 + norms.SUP_ROUNDOFF) * norms._abs_sum(blocks[1])
-    assert info["certified"] == "capped"
+    assert e.certified == "capped"
     agg = math.hypot(*(2.0 ** (s * 0.5) * up for s, up in ups.items()))
-    assert info["upper"] == pytest.approx(agg, rel=1e-15)
+    assert e.hi == pytest.approx(agg, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -1593,16 +1595,46 @@ def test_norm_enclosure_brackets_the_value_of_every_family(F):
     # exact points.
     for text in _FAMILY_SPECS:
         spec = parse_norm_spec(text)
-        value, info = norm_info(F, spec)
+        e = norm_info(F, spec)
+        value = e.lo
         bound = norms.norm_enclosure(F, spec)
         assert type(bound) is Enclosure and bound.lo <= bound.hi, (text, bound)
         if spec.family in ("seq", "wiener", "beurling", "beurlingR"):
             assert bound.lo == bound.hi == value and bound.certified == "exact", text
             continue
-        slack = norms.REFINE_STOP if info["certified"] in ("refined", "capped") else 0.0
+        slack = norms.REFINE_STOP if e.certified in ("refined", "capped") else 0.0
         assert bound.lo <= value * (1.0 + slack) and value <= bound.hi * (1.0 + slack), (
             text, value, bound)
         assert bound.certified in norms.CERT_ORDER
+
+
+@pytest.mark.parametrize("F", [make_corpus(torus(2), 3.0, 1, 95).functions[0],
+                               make_corpus(SU2, 2.0, 1, 95, "sparse").functions[0],
+                               dirichlet(T1, 8.0), zero_spectral(T1)],
+                         ids=lambda F: f"{F.group}-{len(F.dims)}")
+def test_norm_info_is_an_enclosure_of_every_family(F):
+    # Its lo is the value.  Lp and sobolev are the lp_norms entry, lifted;
+    # Besov's hi aggregates its blocks' hi (above lo at p = inf only), tl is
+    # a point and coefficient families are exact points on no grid.
+    for text in _FAMILY_SPECS + ("besov:r=0.5,p=inf,q=2", "besov:r=-1,p=inf,q=inf"):
+        spec = parse_norm_spec(text)
+        e = norm_info(F, spec)
+        assert type(e) is Enclosure and e.lo == norms.norm_value(F, spec), text
+        if spec.family in ("Lp", "sobolev"):
+            G = F if spec.family == "Lp" else norms._sobolev_scaled(F, spec.r)
+            assert e == Enclosure.of(lp_norms(G, [spec.p])[spec.p]), text
+        elif spec.family == "besov" and spec.p != INF:
+            assert e.hi == e.lo, text
+        elif spec.family == "besov":
+            his = [2.0 ** (s * spec.r) * lp_norms(b, [INF])[INF][1]["upper"]
+                   for s, b in dyadic_blocks(F).items()]
+            q = spec.q
+            agg = max(his, default=0.0) if q == INF else sum(h**q for h in his) ** (1.0 / q)
+            assert e.hi == agg and e.lo <= e.hi, text
+        elif spec.family == "tl":
+            assert e.lo == e.hi == tl_norm(F, spec.r, spec.p, spec.q), text
+        else:
+            assert e == Enclosure(e.lo, e.lo, "exact", 0, 0.0), text
 
 
 def test_tl_enclosure_is_the_besov_sandwich():
@@ -1710,12 +1742,13 @@ def test_memo_hits_return_fresh_provenance():
     norms.clear_memos()
     saved = None
     for _ in range(3):  # a miss, then two hits
-        got = [lp_norms(F, [3.0])[3.0], norm_info(F, TL_SPEC)]
-        assert saved is None or got == saved
-        saved = [(value, dict(info)) for value, info in got]
-        for _, info in got:
-            info["certified"] = "tampered"
-            info["nodes"] = -1
+        (value, info), tl = lp_norms(F, [3.0])[3.0], norm_info(F, TL_SPEC)
+        assert saved is None or [(value, info), tl] == saved
+        saved = [(value, dict(info)), tl]
+        info["certified"] = "tampered"
+        info["nodes"] = -1
+        with pytest.raises(FrozenInstanceError):  # norm_info's Enclosure
+            tl.certified = "tampered"
         blocks = dyadic_blocks(F)
         assert sorted(blocks) == [0, 1, 2]
         blocks.clear()

@@ -100,3 +100,20 @@ def test_verify_all_certification_counts(tracer, tmp_path):
     assert peterweyl.norms.lp_norms is original and peterweyl.verify.lp_norms is original
     assert rc == 0
     assert dict(certs) == {"exact": 2435, "enclosed": 156, "refined": 334, "capped": 49}
+
+
+def test_nikolskii_bulk_certification_counts(tracer, workloads, tmp_path):
+    # perfbench's uncapped_frac on nikolskii-bulk reads the same counts
+    # (the workload's own set-up and run, at seed 7), so it is pinned too.
+    original = peterweyl.norms.lp_norms
+    certs = tracer.count_certifications(peterweyl)
+    wrapper = peterweyl.norms.lp_norms
+    try:
+        setup, run, check = workloads.WORKLOADS["nikolskii-bulk"]
+        state = setup(peterweyl, 7, str(tmp_path))
+        attempted, failed, _ = check(state, run(state))
+    finally:
+        tracer._rebind(peterweyl, wrapper, original)
+    assert peterweyl.norms.lp_norms is original and peterweyl.verify.lp_norms is original
+    assert (attempted, failed) == (workloads.BULK_RECORDS, 0)
+    assert dict(certs) == {"exact": 750, "enclosed": 150}

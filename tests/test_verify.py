@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from peterweyl.groups import (
     weight_sq,
     weyl_count,
 )
-from peterweyl.norms import INF, Enclosure, NormSpec, lp_norm, lp_norm_info, norm_info, seq_lp_norm
+from peterweyl.norms import INF, Enclosure, NormSpec, lp_norm, lp_norms, norm_info, seq_lp_norm
 from peterweyl.verify import (
     PROFILES,
     SUITES,
@@ -130,13 +131,17 @@ def test_nikolskii_validation():
         nikolskii_check(T, INF, INF)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, INF, -INF])
+@pytest.mark.parametrize("threshold", [math.nan, INF, -INF, -1e-3, 2.0, 1e308])
 def test_nikolskii_check_refuses_a_threshold_that_is_not_finite(threshold):
     # a nan threshold counted no support at all (support=0, rhs 0, a failing
-    # record); an infinite one cleared every coefficient
+    # record); an infinite one cleared every coefficient.  Above 1 no
+    # coefficient is kept either: 2.0 wrote a failing support=0 record, and
+    # 1e308 was refused for its x10 sensitivity, inf, not by its own name.
     T = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.5]]})
+    match = (re.escape(f"threshold must lie in [0, 1], got {threshold!r}")
+             if 1.0 < threshold < INF else "threshold must be finite")
     for p in (2.0, 4.0):  # rho = 1 counts T itself, rho = 2 its square
-        with pytest.raises(DomainError, match="threshold must be finite"):
+        with pytest.raises(DomainError, match=match):
             nikolskii_check(T, p, INF, threshold=threshold)
 
 
@@ -228,7 +233,7 @@ def test_hy_at_four_thirds_reads_an_exact_l4_grid():
     assert func.lhs == lp_norm(F, 4.0)
     # at p = 1 the conjugate is inf: the lhs is the upper end of the sup's enclosure
     _, func = hausdorff_young_checks(F, 1.0)
-    value, info = lp_norm_info(F, INF)
+    value, info = lp_norms(F, [INF])[INF]
     assert func.lhs == info["upper"] and value <= info["upper"] <= 1.02 * value
     assert func.notes == f"lhs enclosed [{value!r}, {info['upper']!r}]"
 
@@ -501,7 +506,7 @@ def test_dirichlet_members_and_slopes_name_their_certification():
         certs = []
         for rep, L in zip(members, grid, strict=True):
             F = dirichlet(T1, L)
-            t, s = (Enclosure.of(norm_info(F, spec)) for spec in (pair.target, pair.source))
+            t, s = (norm_info(F, spec) for spec in (pair.target, pair.source))
             certs.append(norms.weakest([t, s])[0])
             assert rep.lhs == t.hi / s.lo == embedding_ratio(F, pair.target, pair.source)
             assert rep.notes.endswith(f"; ratio {certs[-1]} [{rep.lhs!r}, {rep.lhs!r}]")
