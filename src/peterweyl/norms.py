@@ -19,18 +19,18 @@ blocks and Sobolev rescalings are such functions; all others, a complex
 even one included, keep the full grid.  Each value is the lo of a frozen
 Enclosure(lo, hi, certified, nodes, bandlimit), its provenance; lp_norms
 alone returns it as (value, {certified, nodes, bandlimit}), with hi as
-"upper" at p = inf.  Besov and Triebel-Lizorkin values carry the weakest
-certification over their blocks and ladder levels, with the largest grid;
-coefficient-only norms and identity-pinned sups, which build no grid, are
-"exact" with nodes 0; a folded level records the full rule's nodes and
-band.  A value that is not a finite float (coefficients too large or not
-finite, or a root 1/p past float range) raises DomainError.  So does a
-root 1/p, of a sum or of a pointwise l^q aggregate, at p below
-MIN_ROOT_EXPONENT = 2^-53 / REFINE_STOP (about 1.1e-10): the last rounding
-of a sum S alone may make it S (1 + d), |d| up to 2^-53, and its root
-S^(1/p) (1 + d)^(1/p), about 1 + d / p times the root, past the stop rule
-(for f = 2 at p = 1e-16, every |f|^p rounds to 1, and a ladder "refined"
-1.0).
+"upper" at p = inf, and _read_lp_norms alone reads that form.  Besov and
+Triebel-Lizorkin values carry the weakest certification over their blocks
+and ladder levels, with the largest grid; coefficient-only norms and
+identity-pinned sups, which build no grid, are "exact" with nodes 0; a
+folded level records the full rule's nodes and band.  A value that is not
+a finite float (coefficients too large or not finite, or a root 1/p past
+float range) raises DomainError.  So does a root 1/p, of a sum or of a
+pointwise l^q aggregate, at p below MIN_ROOT_EXPONENT = 2^-53 /
+REFINE_STOP (about 1.1e-10): the last rounding of a sum S alone may make
+it S (1 + d), |d| up to 2^-53, and its root S^(1/p) (1 + d)^(1/p), about
+1 + d / p times the root, past the stop rule (for f = 2 at p = 1e-16,
+every |f|^p rounds to 1, and a ladder "refined" 1.0).
 
 The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
@@ -125,7 +125,9 @@ A.  The bounds' own powers and roots add a few ulps, far below delta / N.
 
 Every family has such bounds (norm_enclosure), each a frozen Enclosure(lo,
 hi, certified, nodes, bandlimit) as an lp_enclosures entry is, with the
-weakest certification of its parts.  Sobolev norms are lp_enclosures of the
+weakest certification of its parts.  norm_enclosure and norm_info share
+one family dispatch (_by_family) and differ in their L^p and
+Triebel-Lizorkin evaluators.  Sobolev norms are lp_enclosures of the
 rescaled function.  A Besov norm is the l^q aggregate of 2^(sr) times the
 block norms at p; the aggregate increases in every term, so the aggregates
 of the blocks' lo and of their hi enclose it (_besov_aggregate, whose upper
@@ -192,7 +194,9 @@ INF = math.inf
 
 # Stop rule for dyadic grid refinement of non-polynomial integrands.
 REFINE_STOP = 1e-6
-# Hard ceiling on doubling steps; the node cap normally binds first.
+# Hard ceiling on doubling steps.  On T^1 it binds before the default node
+# cap: level 12 is about 16,400 W nodes, under 4e6 for every W < 244.  On
+# T^2, T^3 and SU(2) the cap binds first (T^2 admits level 8 at most).
 MAX_REFINE_LEVELS = 12
 # A sup is evaluated once, on the least degree whose Bernstein mesh factor
 # is within 1 + SUP_ENCLOSURE: its enclosure [lo, hi] is then at most 2%
@@ -413,14 +417,6 @@ class Enclosure:
     nodes: int = 0
     bandlimit: float = 0.0
 
-    @classmethod
-    def of(cls, result: tuple[float, dict]) -> Enclosure:
-        # Lift one lp_norms entry (value, provenance): hi is its "upper"
-        # where it has one.
-        value, info = result
-        return cls(value, info.get("upper", value), info["certified"], info["nodes"],
-                   info["bandlimit"])
-
 
 def weakest(parts, floor: str = CERT_ORDER[0]) -> tuple[str, int, float]:
     """(certified, nodes, bandlimit): the weakest certification of the parts
@@ -499,11 +495,6 @@ def _tau_of(F: SpectralFunction):
     return tau
 
 
-def _degree_tau(F: SpectralFunction, degree: int) -> float:
-    # tau of the full rule of this degree.
-    return _tau_of(F)(degree)
-
-
 def _mesh_factor(tau: float) -> float:
     # 1 / (1 - tau^2 / 8) bounds sup |f| over the grid maximum (inf: no bound).
     slack = 1.0 - tau * tau / 8.0
@@ -578,7 +569,7 @@ def _sup(F: SpectralFunction, max_nodes: int | None) -> Enclosure:
     rule = quadrature(F.group, degree / 2.0, max_nodes)
     grid = (rule.node_count, rule.bandlimit)
     lo, hi = _sup_enclosure(F, rule.folded() if F.sign_even else rule,
-                            _degree_tau(F, degree), grid[0])
+                            _tau_of(F)(degree), grid[0])
     return Enclosure(lo, hi, "enclosed" if within else "capped", *grid)
 
 
@@ -638,7 +629,8 @@ def lp_norms(
     bound (1 + SUP_ROUNDOFF) A of the module docstring.  A malformed node
     cap raises DomainError, also where no grid is built.  Each entry is a
     fresh (value, dict) made from the exponent's one Enclosure, the only
-    such form in the package: every caller above it reads Enclosures.
+    such form in the package, and _read_lp_norms its only reader: every
+    other caller reads the Enclosures it lifts.
     """
     out = {}
     for p in sorted(_exponents(ps, max_nodes), key=lambda p: p != INF):
@@ -675,9 +667,17 @@ def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> Enclosure:
     return e
 
 
+def _read_lp_norms(F: SpectralFunction, ps, max_nodes, slack: float = 0.0) -> dict:
+    # lp_norms' entries as {p: Enclosure}, lo the value and hi the sup's
+    # "upper" (else the value), both widened by slack (lo not below 0).
+    return {p: Enclosure(max(0.0, value - slack), info.get("upper", value) + slack,
+                         info["certified"], info["nodes"], info["bandlimit"])
+            for p, (value, info) in lp_norms(F, ps, max_nodes).items()}
+
+
 def lp_norm(F: SpectralFunction, p: float, max_nodes: int | None = None) -> float:
     """L^p(G) norm of the Fourier series of F under normalized Haar measure."""
-    return lp_norms(F, [p], max_nodes)[p][0]
+    return _read_lp_norms(F, [p], max_nodes)[p].lo
 
 
 # The exponents whose norms lp_enclosures builds on: exact for even p, and
@@ -691,7 +691,7 @@ def lp_enclosures(
     """Two-sided bounds on Lebesgue norms with no refined ladder.
 
     Returns {p: Enclosure} with lo <= ||f||_p <= hi.  Even p and p = inf are
-    lp_norms' values, lifted (Enclosure.of: lo = hi for even p).  Any other
+    lp_norms' values, lifted (_read_lp_norms: lo = hi for even p).  Any other
     p is bounded from the memoized norms at 2, 4 and 6 and, for p > 4 only,
     the sup's enclosure, each widened by LP_ROUNDOFF A: hi by Lyapunov
     between the exponents around p (below 2, monotonicity), lo by Lyapunov
@@ -705,7 +705,7 @@ def lp_enclosures(
     if not F:
         return {p: Enclosure(0.0, 0.0, "exact") for p in ps}
     direct = [p for p in ps if p == INF or _even_level(p) is not None]
-    out = {p: Enclosure.of(v) for p, v in lp_norms(F, direct, max_nodes).items()}
+    out = _read_lp_norms(F, direct, max_nodes)
     # the anchor below p, if any, and the (one or) two above it
     bounded = {p: ([a for a in _ANCHORS if a < p][-1:], [a for a in _ANCHORS if a > p][:2])
                for p in ps if p not in out}
@@ -730,16 +730,14 @@ def lp_enclosures(
 
 
 def _anchor(F: SpectralFunction, a: float, max_nodes, slack: float) -> Enclosure:
-    # ||f||_a's lp_norms value (the sup's upper end as hi) widened by slack,
-    # built once from its provenance; [0, inf] where it cannot be had.
+    # ||f||_a's lp_norms value (the sup's upper end as hi) widened by slack;
+    # [0, inf] where it cannot be had.
     try:
-        value, info = lp_norms(F, [a], max_nodes)[a]
+        return _read_lp_norms(F, [a], max_nodes, slack)[a]
     except ResourceLimitError:
         return Enclosure(0.0, INF, "capped")
     except DomainError:  # past float range: [0, inf] still encloses it
         return Enclosure(0.0, INF, "enclosed")
-    return Enclosure(max(0.0, value - slack), info.get("upper", value) + slack, info["certified"],
-                     info["nodes"], info["bandlimit"])
 
 
 # ---------------------------------------------------------------------------
@@ -988,19 +986,13 @@ def _besov_aggregate(F: SpectralFunction, spec: NormSpec, block_norm) -> Enclosu
                      *weakest(e for _, e in parts))
 
 
-def norm_info(
-    F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
-) -> Enclosure:
-    """Evaluate a NormSpec: its value lo, with its provenance, an Enclosure.
-
-    Lp and sobolev are the lp_norms entry, lifted (Enclosure.of: hi is the
-    sup's upper end, else lo).  A Besov value carries the weakest provenance
-    of its block L^p norms and, as hi, the same l^q aggregate of 2^(sr)
-    times each block's hi (_besov_aggregate).  Other families are points.
-    """
+def _by_family(F: SpectralFunction, spec: NormSpec, max_nodes, lp, tl) -> Enclosure:
+    # The family dispatch of norm_info and norm_enclosure: lp(G) is G's
+    # Enclosure at spec.p, for F or its Sobolev rescaling and for each of
+    # F's Besov blocks; tl(F, spec, max_nodes) the Triebel-Lizorkin one.
+    # Coefficient families build no grid and are exact points.
     check_node_cap(max_nodes)
     fam = spec.family
-    lp = lambda G: Enclosure.of(lp_norms(G, [spec.p], max_nodes)[spec.p])
     if fam == "Lp":
         return lp(F)
     if fam == "sobolev":
@@ -1008,18 +1000,31 @@ def norm_info(
     if fam == "besov":
         return _besov_aggregate(F, spec, lp)
     if fam == "tl":
-        return _tl_info(F, spec, max_nodes)
+        return tl(F, spec, max_nodes)
     if fam == "seq":
         value = seq_lp_norm(F, spec.p)
     elif fam == "wiener":
         value = wiener_norm(F, spec.beta)
     elif fam == "beurling":
         value = beurling_norm(F, spec.beta)
-    elif fam == "beurlingR":
+    else:  # beurlingR, the last family NormSpec admits
         value = beurling_r_norm(F, spec.r, spec.beta)
-    else:
-        raise NormSpecError(f"unknown family {fam!r}")
     return Enclosure(value, value, "exact")
+
+
+def norm_info(
+    F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
+) -> Enclosure:
+    """Evaluate a NormSpec: its value lo, with its provenance, an Enclosure.
+
+    Lp and sobolev are the lp_norms entry, lifted (_read_lp_norms: hi is
+    the sup's upper end, else lo).  A Besov value carries the weakest
+    provenance of its block L^p norms and, as hi, the same l^q aggregate of
+    2^(sr) times each block's hi (_besov_aggregate).  Other families are
+    points.
+    """
+    return _by_family(F, spec, max_nodes,
+                      lambda G: _read_lp_norms(G, [spec.p], max_nodes)[spec.p], _tl_info)
 
 
 def norm_enclosure(
@@ -1035,21 +1040,11 @@ def norm_enclosure(
     points, lo = hi.  The certification is the weakest over the parts; a
     grid the node cap refuses leaves [0, inf], "capped".
     """
-    check_node_cap(max_nodes)
-    fam = spec.family
     try:
-        if fam == "Lp":
-            return lp_enclosures(F, [spec.p], max_nodes)[spec.p]
-        if fam == "sobolev":
-            return lp_enclosures(_sobolev_scaled(F, spec.r), [spec.p], max_nodes)[spec.p]
-        if fam == "besov":
-            return _besov_aggregate(
-                F, spec, lambda b: lp_enclosures(b, [spec.p], max_nodes)[spec.p])
-        if fam == "tl":
-            return _tl_enclosure(F, spec, max_nodes)
+        return _by_family(F, spec, max_nodes,
+                          lambda G: lp_enclosures(G, [spec.p], max_nodes)[spec.p], _tl_enclosure)
     except ResourceLimitError:
         return Enclosure(0.0, INF, "capped")
-    return norm_info(F, spec, max_nodes)  # a coefficient family: exact
 
 
 def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
@@ -1059,7 +1054,8 @@ def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     p, q = spec.p, spec.q
     if not F or (q == 2.0 and _even_level(p) is not None):
         return _tl_info(F, spec, max_nodes)
-    b = norm_enclosure(F, NormSpec("besov", r=spec.r, p=p, q=p), max_nodes)
+    b = _besov_aggregate(F, NormSpec("besov", r=spec.r, p=p, q=p),
+                         lambda block: lp_enclosures(block, [p], max_nodes)[p])
     try:
         factor = len(dyadic_blocks(F)) ** (1.0 / q - 1.0 / p)
     except OverflowError:  # q < p only, where the factor scales hi

@@ -25,7 +25,7 @@ notes: a corpus member's from norm_enclosure bounds, a Dirichlet member's
 from norm_info values (points, lo == hi, on these kernels), which the slope
 fits and whose certification its notes name.  Lebesgue records and corpus
 members are decided by one rule (_settled): on norms.Enclosure bounds
-first, else on values, which _lp_values lifts from lp_norms.
+first, else on values, which _lp_values reads from norm_info.
 
 Default tolerances: 1e-9 where quadrature is exact, 1e-6 where dyadic grid
 refinement is involved, 1e-12 for algebraic identities.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import repeat
@@ -73,7 +74,6 @@ from .norms import (
     dyadic_blocks,
     lp_enclosures,
     lp_norm,
-    lp_norms,
     norm_enclosure,
     norm_info,
     norm_value,
@@ -191,8 +191,8 @@ def _note(side: str, e: Enclosure) -> str:
 
 def _settled(records_of, bounds, values):
     """The records of one instance: records_of(bounds), on the norms'
-    Enclosures, when all hold, else records_of(values()), on their values
-    lifted, so an enclosure never fails a verdict that holds on values."""
+    Enclosures, when all hold, else records_of(values()), on norm_info
+    values, so an enclosure never fails a verdict that holds on values."""
     records = records_of(bounds)
     if all(rep.holds for rep in records):
         return records
@@ -200,8 +200,8 @@ def _settled(records_of, bounds, values):
 
 
 def _lp_values(F: SpectralFunction, ps, max_nodes):
-    # The fallback of a Lebesgue instance: its lp_norms values, lifted.
-    return lambda: {p: Enclosure.of(v) for p, v in lp_norms(F, ps, max_nodes).items()}
+    # The fallback of a Lebesgue instance: each exponent's norm_info value.
+    return lambda: {p: norm_info(F, NormSpec("Lp", p=p), max_nodes) for p in ps}
 
 
 def _support_factor(count: int, p: float, q: float) -> float:
@@ -241,7 +241,7 @@ def nikolskii_check(
 
     lhs = ||T||_q, the upper end of its enclosure, rhs = (sum of d^2 over
     the support of the rho-th power's coefficients)^(1/p - 1/q) * ||T||_p,
-    the lower end of its enclosure; from lp_norms values instead when that
+    the lower end of its enclosure; from norm_info values instead when that
     fails (_settled).  The support count and its sensitivity to threshold
     x10 / x0.1 ride along in the notes.  threshold lies in [0, 1]: above 1
     no coefficient is kept.
@@ -352,7 +352,7 @@ def hausdorff_young_checks(
     """Both directions at one exponent 1 <= p <= 2 (p' conjugate).
 
     The function norm on the rhs is the lower end of its enclosure and the
-    one on the lhs the upper end; both records come from lp_norms values
+    one on the lhs the upper end; both records come from norm_info values
     when either fails on the enclosures (_settled).
     """
     pp = _hy_exponent(p)
@@ -416,6 +416,7 @@ def corollary_decays(
             f"decay requires 1/p > 1/q + 1/2, got p={p}, q={q}"
         )
     functions, L_grid = list(functions), list(L_grid)
+    _require(len(L_grid) > 0, "L_grid must hold at least one band limit, got none")
     if not functions:
         return []
     if len({F.group for F in functions}) > 1:
@@ -499,7 +500,7 @@ def besov_lq_pair(group: GroupId, p: float, q: float, r: float | None = None) ->
     """Besov into Lebesgue at the critical smoothness r = n (1/p - 1/q)."""
     _require(1 < p < q < INF, f"need 1 < p < q < inf, got {p}, {q}")
     derived = group.dim * (1.0 / p - 1.0 / q)
-    if r is not None and abs(r - derived) > 1e-12:
+    if r is not None and not abs(r - derived) <= 1e-12:  # nan fails too
         raise DomainError(
             f"exponent relation violated: r must be n(1/p - 1/q) = {derived}, got {r}"
         )
@@ -635,11 +636,13 @@ def embedding_suite(
     on norm_enclosure bounds.
     """
     if family == "dirichlet":
+        _require(L_grid is not None, "family 'dirichlet' needs L_grid, got None")
         grid = [float(L) for L in L_grid]
         _require(len(grid) >= 2 and all(a < b for a, b in zip(grid, grid[1:])),
                  f"degenerate grid: need >= 2 strictly increasing band limits, got {grid}")
         members = [(f"L={L:g}", dirichlet(group, L)) for L in L_grid]
     elif family == "corpus":
+        _require(corpus is not None, "family 'corpus' needs corpus, got None")
         members = [(f"fn={i}", f) for i, f in enumerate(corpus.functions)]
     else:
         raise DomainError(f"unknown family {family!r}")
@@ -738,8 +741,8 @@ def make_corpus(
     by exp(-<xi>), so magnitudes are the deterministic envelope and partial
     sums decay reproducibly.
     """
-    if count < 1:
-        raise DomainError(f"corpus count must be >= 1, got {count}")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise DomainError(f"corpus count must be an integer >= 1, got {count!r}")
     if profile not in PROFILES:
         raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
     n = dual_size(group, bandlimit)  # refuses a huge band before counting; d = 1 on tori

@@ -391,21 +391,23 @@ def test_weakest_keeps_the_weakest_certification_and_the_largest_grid():
     assert norms.weakest([], "enclosed") == ("enclosed", 0, 0.0)
 
 
-def test_enclosure_of_lifts_every_certification():
-    # hi is the sup's "upper" where the value has one, else the value: an
-    # identity-pinned sup is a point, an enclosed or capped sup keeps both
-    # ends, and an exact, refined or capped ladder value is a point.
+def test_read_lp_norms_lifts_every_certification():
+    # lp_norms' one reader: hi is the sup's "upper" where the value has one,
+    # else the value: an identity-pinned sup is a point, an enclosed or
+    # capped sup keeps both ends, and an exact, refined or capped ladder
+    # value is a point.
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[0.3]], (-2,): [[0.5j]]})
     G = _random_spectral(torus(2), 3.0, 70)
     base = quadrature(G.group, G.max_weight()).node_count
-    cases = {("exact (identity-pinned)", True): lp_norms(dirichlet(T1, 4.0), [INF])[INF],
-             ("enclosed", False): lp_norms(F, [INF])[INF],
-             ("capped", False): lp_norms(G, [INF], base)[INF],
-             ("exact", True): lp_norms(F, [2.0])[2.0],
-             ("refined", True): lp_norms(F, [3.0])[3.0],
-             ("capped", True): lp_norms(G, [3.0], base)[3.0]}
-    for (certified, point), (value, info) in cases.items():
-        e = Enclosure.of((value, info))
+    cases = {("exact (identity-pinned)", True): (dirichlet(T1, 4.0), INF, None),
+             ("enclosed", False): (F, INF, None),
+             ("capped", False): (G, INF, base),
+             ("exact", True): (F, 2.0, None),
+             ("refined", True): (F, 3.0, None),
+             ("capped", True): (G, 3.0, base)}
+    for (certified, point), (H, p, cap) in cases.items():
+        value, info = lp_norms(H, [p], cap)[p]
+        e = norms._read_lp_norms(H, [p], cap)[p]
         assert e == Enclosure(value, info.get("upper", value), certified, info["nodes"],
                               info["bandlimit"]), (certified, e, info)
         assert e.lo <= e.hi and (e.lo == e.hi) == point, (certified, e)
@@ -1196,7 +1198,7 @@ def test_mesh_tau_matches_its_derivation():
     F = SpectralFunction(torus(2), {(-1, 2): [[1.0]], (3, -4): [[1.0]]})
     rule = quadrature(torus(2), 5.0)
     m = rule.shape
-    tau = norms._degree_tau(F, rule.degree)
+    tau = norms._tau_of(F)(rule.degree)
     assert tau == pytest.approx(math.pi * (4 / m[0] + 6 / m[1]), rel=1e-15)
     assert rule.folded().degree == rule.degree
     G = _random_spectral(SU2, 2.0, 68)  # twoL <= 2
@@ -1204,7 +1206,7 @@ def test_mesh_tau_matches_its_derivation():
     na, nb, ng = rule.shape
     beta_gap = np.diff(np.sort(np.arccos(np.clip(rule._z, -1.0, 1.0)))).max()
     want = 2 * math.sqrt(beta_gap**2 + (2 * math.pi / na + 4 * math.pi / ng) ** 2) / 2
-    assert norms._degree_tau(G, rule.degree) == pytest.approx(want, rel=1e-12)
+    assert norms._tau_of(G)(rule.degree) == pytest.approx(want, rel=1e-12)
     # the covering radius tau / (2 twoL_max) in the unit-S^3 metric bounds
     # the distance from Haar-random points to the nearest node
     nodes = _su2_nodes_in_c2(rule)
@@ -1236,7 +1238,7 @@ def test_sup_mesh_bound_is_sharp_to_second_order(group):
         m = rule.shape[0]
         F = SpectralFunction(group, {(0,) * group.dim: [[1.0]], (1,) + (0,) * (group.dim - 1):
                                      [[complex(math.cos(math.pi / m), -math.sin(math.pi / m))]]})
-        tau = norms._degree_tau(F, rule.degree)
+        tau = norms._tau_of(F)(rule.degree)
         assert tau == pytest.approx(math.pi / m, rel=1e-15)
         lo, hi = norms._sup_enclosure(F, rule, tau, rule.node_count)
         # lo, the synthesized grid maximum, may fall up to SUP_ROUNDOFF A
@@ -1269,20 +1271,20 @@ def test_sup_capped_below_every_finite_bound():
     # Nikolskii rhs sqrt(support) ||f||_2, so the record holds on it.
     F = _coarse_case()
     base = quadrature(torus(3), F.max_weight())
-    assert norms._degree_tau(F, base.degree) ** 2 / 8.0 >= 1.0
+    assert norms._tau_of(F)(base.degree) ** 2 / 8.0 >= 1.0
     lo, info = lp_norms(F, [INF], base.node_count)[INF]
     upper = (1.0 + norms.SUP_ROUNDOFF) * norms._abs_sum(F)
     assert info["certified"] == "capped" and info["upper"] == upper
     assert lo >= np.abs(synthesize(F, base).values).max() and lo < upper
     counts = verify._support_counts(F, 1, verify.SUPPORT_THRESHOLD, None)
-    values = {p: Enclosure.of(v) for p, v in lp_norms(F, [2.0, INF], base.node_count).items()}
+    values = norms._read_lp_norms(F, [2.0, INF], base.node_count)
     rep = verify._nikolskii(F, 2.0, INF, values, counts, verify.TOL_GRID, "nikolskii", {})
     assert rep.lhs == upper and rep.holds
     assert rep.notes.endswith(f"lhs capped [{lo!r}, {upper!r}], rhs grid exact")
     # a base grid with tau^2 / 8 < 1 is capped with a finite, if wide, bound
     F = _random_spectral(torus(2), 3.0, 70)
     base = quadrature(torus(2), F.max_weight())
-    assert norms._degree_tau(F, base.degree) ** 2 / 8.0 < 1.0
+    assert norms._tau_of(F)(base.degree) ** 2 / 8.0 < 1.0
     lo, info = lp_norms(F, [INF], base.node_count)[INF]
     assert info["certified"] == "capped" and lo <= info["upper"] < INF
     assert info["upper"] > 1.02 * lo
@@ -1294,7 +1296,7 @@ def _sizing_cases():
 
 
 def _factor(F, degree):
-    return norms._mesh_factor(norms._degree_tau(F, degree))
+    return norms._mesh_factor(norms._tau_of(F)(degree))
 
 
 @pytest.mark.parametrize("F", _sizing_cases(), ids=lambda F: f"{F.group}-{F.sign_even}")
@@ -1346,7 +1348,7 @@ def test_sized_sup_matches_the_ladder_level_sup(F):
         if _factor(F, rule.degree) <= 1.0 + norms.SUP_ENCLOSURE:
             break
         level += 1
-    tau = norms._degree_tau(F, rule.degree)
+    tau = norms._tau_of(F)(rule.degree)
     if F.sign_even:
         rule = rule.folded()
     want, want_hi = norms._sup_enclosure(F, rule, tau, rule.node_count)
@@ -1361,7 +1363,7 @@ def test_tau_does_not_increase_with_the_degree():
     # what the bisection of _sup_degree rests on
     for group in (T1, torus(2), torus(3), SU2):
         F = _random_spectral(group, 2.0, 84)
-        taus = [norms._degree_tau(F, c) for c in range(2, 300)]
+        taus = [norms._tau_of(F)(c) for c in range(2, 300)]
         assert all(b <= a for a, b in zip(taus, taus[1:])), group
 
 
@@ -1448,7 +1450,7 @@ def test_lp_enclosures_of_even_p_are_the_exact_values():
     got = norms.lp_enclosures(F, [2.0, 4.0, 6.0, 8.0])
     for p, e in got.items():
         assert e.certified == "exact" and e.lo == e.hi
-        assert e == Enclosure.of(lp_norms(F, [p])[p])
+        assert e == norm_info(F, NormSpec("Lp", p=p))
 
 
 @pytest.mark.parametrize("group", RunConfig().groups)
@@ -1622,7 +1624,9 @@ def test_norm_info_is_an_enclosure_of_every_family(F):
         assert type(e) is Enclosure and e.lo == norms.norm_value(F, spec), text
         if spec.family in ("Lp", "sobolev"):
             G = F if spec.family == "Lp" else norms._sobolev_scaled(F, spec.r)
-            assert e == Enclosure.of(lp_norms(G, [spec.p])[spec.p]), text
+            value, info = lp_norms(G, [spec.p])[spec.p]
+            assert e == Enclosure(value, info.get("upper", value), info["certified"],
+                                  info["nodes"], info["bandlimit"]), text
         elif spec.family == "besov" and spec.p != INF:
             assert e.hi == e.lo, text
         elif spec.family == "besov":

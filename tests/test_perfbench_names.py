@@ -9,6 +9,7 @@ names, or changes one of those shapes or counts, fails a test rather than
 the benchmark run.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from peterweyl.groups import torus, wigner_d_tables
 from peterweyl.norms import INF, lp_norms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(peterweyl.__file__).resolve().parent
 
 
 def _load(name):
@@ -97,7 +99,7 @@ def test_verify_all_certification_counts(tracer, tmp_path):
         rc = peterweyl.cli.main(["verify", "all", "--seed", "7", "--out", str(tmp_path / "r")])
     finally:
         tracer._rebind(peterweyl, wrapper, original)
-    assert peterweyl.norms.lp_norms is original and peterweyl.verify.lp_norms is original
+    assert peterweyl.norms.lp_norms is original and "lp_norms" not in vars(peterweyl.verify)
     assert rc == 0
     assert dict(certs) == {"exact": 2435, "enclosed": 156, "refined": 334, "capped": 49}
 
@@ -114,6 +116,31 @@ def test_nikolskii_bulk_certification_counts(tracer, workloads, tmp_path):
         attempted, failed, _ = check(state, run(state))
     finally:
         tracer._rebind(peterweyl, wrapper, original)
-    assert peterweyl.norms.lp_norms is original and peterweyl.verify.lp_norms is original
+    assert peterweyl.norms.lp_norms is original and "lp_norms" not in vars(peterweyl.verify)
     assert (attempted, failed) == (workloads.BULK_RECORDS, 0)
     assert dict(certs) == {"exact": 750, "enclosed": 150}
+
+
+def _names_lp_norms(node) -> bool:
+    # a name, attribute or imported alias spelled lp_norms
+    return "lp_norms" in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+
+
+def test_lp_norms_has_one_caller_and_verify_and_cli_never_name_it():
+    # lp_norms' (value, dict) entries are the shape the tracer pins; one
+    # function in the package reads them (norms._read_lp_norms), so a change
+    # of that shape has one reader to change, and verify and the CLI reach
+    # L^p values only through the Enclosures it returns.
+    callers, naming = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                if any(isinstance(node, ast.Call) and _names_lp_norms(node.func)
+                       for node in ast.walk(fn)):
+                    callers.add((path.stem, getattr(fn, "name", "<lambda>")))
+        if any(_names_lp_norms(node) for node in ast.walk(tree)):
+            naming.add(path.stem)
+    assert callers == {("norms", "_read_lp_norms")}
+    assert not naming & {"verify", "cli"}

@@ -253,7 +253,8 @@ def _instances(reports, size):
 
 def _lifted(values):
     # lp_norms values as the Enclosures _settled falls back on
-    return {p: Enclosure.of(v) for p, v in values.items()}
+    return {p: Enclosure(v, info.get("upper", v), info["certified"], info["nodes"],
+                         info["bandlimit"]) for p, (v, info) in values.items()}
 
 
 def test_bulk_remark_records_count_each_band_once(monkeypatch):
@@ -307,7 +308,7 @@ def test_nikolskii_instances_failing_on_enclosures_are_reported_from_refined_val
         on_enclosures = records(verify.lp_enclosures(T, exponents))
         want = on_enclosures
         if not all(r.holds for r in on_enclosures):
-            want = records(_lifted(verify.lp_norms(T, [p, q])))
+            want = records(_lifted(lp_norms(T, [p, q])))
             rescued += all(r.holds for r in want)
         else:
             settled += 1
@@ -332,7 +333,7 @@ def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monke
                                             verify.TOL_EXACT, inst)
     assert [r.holds for r in on_enclosures] == [False, True]
     assert on_enclosures[0].notes.startswith("rhs enclosed [")
-    want = verify._hausdorff_young(F, 1.0, INF, _lifted(verify.lp_norms(F, [1.0, INF])),
+    want = verify._hausdorff_young(F, 1.0, INF, _lifted(lp_norms(F, [1.0, INF])),
                                    verify.TOL_EXACT, inst)
     assert all(r.holds for r in want) and want[0].notes == "rhs grid refined"
     got = hausdorff_young_checks(F, 1.0, instance=inst)
@@ -365,6 +366,8 @@ def test_corollary_preconditions():
     with pytest.raises(DomainError, match="share a group"):
         corollary_decays([F, dirichlet(T2, 2.0)], 1.0, INF, [2, 4, 8])
     assert corollary_decays([], 1.0, INF, [2, 4, 8]) == []
+    with pytest.raises(DomainError, match="L_grid must hold at least one band limit"):
+        corollary_decay(F, 1.0, INF, [])
 
 
 def _corollary_stat_by_scan(F, p, q, L_grid):
@@ -450,6 +453,9 @@ def test_embedding_ratio_zero_rejected():
 def test_pair_constructors_validate_exponents():
     with pytest.raises(DomainError):
         besov_lq_pair(T1, 2.0, 4.0, r=0.3)  # r != n(1/p - 1/q)
+    for r in (math.nan, INF):
+        with pytest.raises(DomainError, match="exponent relation violated"):
+            besov_lq_pair(T1, 2.0, 4.0, r=r)
     with pytest.raises(DomainError):
         besov_lq_pair(T1, 4.0, 2.0)  # needs p < q
     with pytest.raises(DomainError):
@@ -533,17 +539,18 @@ def test_a_zero_source_raises_and_a_zero_lower_end_fails_the_bounds():
     assert rep.lhs == INF and not rep.holds and rep.notes == "n; ratio capped [0.25, inf]"
 
 
-@pytest.mark.parametrize("grid", [[4, 4, 4], [16, 16], [8], [], [8, 4, 16]], ids=str)
+@pytest.mark.parametrize("grid", [[4, 4, 4], [16, 16], [8], [], [8, 4, 16], None], ids=str)
 def test_embedding_suite_refuses_a_degenerate_dirichlet_grid(monkeypatch, grid):
     # A repeated band limit makes the slope fit rank-deficient (arbitrary
     # slopes, and false violations), and a single one leaves no slope at
-    # all: refused before any kernel is built or norm evaluated.
+    # all: refused before any kernel is built or norm evaluated, as is a
+    # missing grid.
     def unreachable(*args, **kwargs):
         raise AssertionError("evaluated on a degenerate grid")
 
     monkeypatch.setattr(verify, "dirichlet", unreachable)
     monkeypatch.setattr(verify, "norm_info", unreachable)
-    with pytest.raises(DomainError, match="degenerate grid"):
+    with pytest.raises(DomainError, match="needs L_grid" if grid is None else "degenerate grid"):
         embedding_suite(T1, "dirichlet", [besov_lq_pair(T1, 2.0, 4.0)], L_grid=grid)
 
 
@@ -688,6 +695,10 @@ def test_corpus_validation():
         make_corpus(T1, 4.0, 0, seed=1)
     with pytest.raises(DomainError):
         make_corpus(T1, 4.0, 1, seed=1, profile="nope")
+    with pytest.raises(DomainError, match="corpus count must be an integer >= 1, got 2.5"):
+        make_corpus(T1, 4.0, 2.5, 1)
+    with pytest.raises(DomainError, match="family 'corpus' needs corpus"):
+        embedding_suite(T1, "corpus", [besov_lq_pair(T1, 2.0, 4.0)])
 
 
 def test_corpus_past_the_entry_cap_is_refused_before_drawing():
