@@ -471,8 +471,8 @@ def _analyze_reps(f: GridFunction, reps: SpectralFunction, threshold: float) -> 
     mod = np.abs(entries)
     if mod.max() == 0.0:
         return zero_spectral(rule.group)
-    if threshold > 0.0:
-        entries = np.where(mod < threshold * mod.max(), 0.0, entries)
+    if threshold > 0.0:  # a float product: past float range it is inf, keeping nothing
+        entries = np.where(mod < threshold * float(mod.max()), 0.0, entries)
     F = SpectralFunction._packed(rule.group, reps.index, reps.dims, reps.wsq, entries)
     return F if threshold <= 0.0 else F.restricted(
         np.logical_or.reduceat(entries != 0.0, F.offsets[:-1]))
@@ -555,10 +555,10 @@ def support_count(F: SpectralFunction, threshold: float = SUPPORT_THRESHOLD) -> 
     """Sum of d_xi^2 over reps whose matrix survives the relative threshold."""
     check_threshold(threshold)
     peaks = np.maximum.reduceat(np.abs(F.entries), F.offsets[:-1])
-    gmax = peaks.max(initial=0.0)
+    gmax = float(peaks.max(initial=0.0))
     if gmax == 0.0:
         return 0
-    return int(np.sum(F.dims[peaks >= threshold * gmax] ** 2))
+    return int(np.sum(F.dims[peaks >= threshold * gmax] ** 2))  # inf past float range
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,8 @@ def su2_to_euler(u: np.ndarray) -> tuple[float, float, float]:
 
 def compose(group: GroupId, x: tuple, y: tuple) -> tuple:
     """Group product in the native parameterization."""
+    _check_element(group, x)
+    _check_element(group, y)
     if group.kind == "torus":
         return tuple((xi + yi) % TWO_PI for xi, yi in zip(x, y))
     u = euler_to_su2(*x) @ euler_to_su2(*y)
@@ -453,15 +455,20 @@ def _check_su2_angles(x: tuple) -> None:
         raise DomainError(f"gamma out of range [0, 4pi): {gamma}")
 
 
+def _check_element(group: GroupId, x: tuple) -> None:
+    if group.kind == "su2":
+        _check_su2_angles(x)
+    elif len(x) != group.dim or not all(map(math.isfinite, x)):
+        raise DomainError(f"torus element must have {group.dim} finite angles, got {x!r}")
+
+
 def matrix_coefficient(group: GroupId, xi, x: tuple) -> np.ndarray:
     """Unitary matrix xi(x) of the representation at the group element x."""
     validate_rep(group, xi)
+    _check_element(group, x)
     if group.kind == "torus":
-        if len(x) != group.dim:
-            raise DomainError(f"torus element must have {group.dim} angles, got {x!r}")
         phase = sum(k * t for k, t in zip(xi, x))
         return np.array([[complex(math.cos(phase), math.sin(phase))]])
-    _check_su2_angles(x)
     alpha, beta, gamma = x
     d = wigner_d_matrix(xi, beta)
     ms = (xi - 2 * np.arange(xi + 1)) / 2.0

@@ -2,35 +2,36 @@
 
 Lebesgue norms are quadrature sums of |f|^p over Haar grids: exact (one
 evaluation on a sufficient grid) when |f|^p is itself band-limited, i.e.
-for even integer p, and dyadically refined until the value stabilizes
-otherwise.  One grid ladder, for one exponent at a time, serves both the
-L^p norms and the Triebel-Lizorkin pointwise aggregate.  Each level is one
-streaming pass over the slabs of fourier.synthesize_slabs: per slab the
-modulus and a weighted sum of its |f|^p, with weights from the rule's
-per-axis factors, so no array of the grid's size is built.  A torus
-function whose coefficients are real and equal their images under every
-coordinate sign flip, compared exactly (SpectralFunction.sign_even, decided
-once per function), is real and even in every coordinate; its levels run on
-the folded rule (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2
-with orbit weights, 2^n times fewer nodes for the same sums up to
-reassociation and the same maximum, where synthesis sums it as real cosines
-over the indices k >= 0, into real slabs.  Dirichlet kernels, their dyadic
-blocks and Sobolev rescalings are such functions; all others, a complex
-even one included, keep the full grid.  Each value is the lo of a frozen
-Enclosure(lo, hi, certified, nodes, bandlimit), its provenance; lp_norms
-alone returns it as (value, {certified, nodes, bandlimit}), with hi as
-"upper" at p = inf, and _read_lp_norms alone reads that form.  Besov and
-Triebel-Lizorkin values carry the weakest certification over their blocks
-and ladder levels, with the largest grid; coefficient-only norms and
-identity-pinned sups, which build no grid, are "exact" with nodes 0; a
-folded level records the full rule's nodes and band.  A value that is not
-a finite float (coefficients too large or not finite, or a root 1/p past
-float range) raises DomainError.  So does a root 1/p, of a sum or of a
-pointwise l^q aggregate, at p below MIN_ROOT_EXPONENT = 2^-53 /
-REFINE_STOP (about 1.1e-10): the last rounding of a sum S alone may make
-it S (1 + d), |d| up to 2^-53, and its root S^(1/p) (1 + d)^(1/p), about
-1 + d / p times the root, past the stop rule (for f = 2 at p = 1e-16,
-every |f|^p rounds to 1, and a ladder "refined" 1.0).
+for even integer p, and otherwise dyadically refined until the value
+stabilizes or the node cap refuses the next grid.  One grid ladder, for one
+exponent at a time, serves the L^p norms and the Triebel-Lizorkin pointwise
+aggregate.  Each level is one streaming pass over the slabs of
+fourier.synthesize_slabs: per slab the modulus and a weighted sum of its
+|f|^p, with weights from the rule's per-axis factors, so no array of the
+grid's size is built.  A torus function whose coefficients are real and
+equal their images under every coordinate sign flip, compared exactly
+(SpectralFunction.sign_even, decided once per function), is real and even
+in every coordinate; its levels run on the folded rule
+(QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with orbit weights,
+2^n times fewer nodes for the same sums up to reassociation and the same
+maximum, where synthesis sums it as real cosines over the indices k >= 0,
+into real slabs.  Dirichlet kernels, their dyadic blocks and Sobolev
+rescalings are such functions; all others, a complex even one included,
+keep the full grid.  Each value is the lo of a frozen Enclosure(lo, hi,
+certified, nodes, bandlimit), its provenance; lp_norms alone returns it as
+(value, {certified, nodes, bandlimit}), with hi as "upper" at p = inf, and
+_read_lp_norms alone reads that form.  Besov and Triebel-Lizorkin values
+carry the weakest certification over their blocks and ladder levels, with
+the largest grid; coefficient-only norms and identity-pinned sups, which
+build no grid, are "exact" with nodes 0; a grid value records its full
+rule's nodes and bandlimit.  A value that is not a finite float
+(coefficients too large or not finite, or a root 1/p past float range)
+raises DomainError.  So does a root 1/p, of a sum or of a pointwise l^q
+aggregate, at p below MIN_ROOT_EXPONENT = 2^-53 / REFINE_STOP (about
+1.1e-10): the last rounding of a sum S alone may make it S (1 + d), |d| up
+to 2^-53, and its root S^(1/p) (1 + d)^(1/p), about 1 + d / p times the
+root, past the stop rule (for f = 2 at p = 1e-16, every |f|^p rounds to 1,
+and a ladder "refined" 1.0).
 
 The sup norm is not refined.  For central positive-type functions (all
 coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
@@ -194,10 +195,6 @@ INF = math.inf
 
 # Stop rule for dyadic grid refinement of non-polynomial integrands.
 REFINE_STOP = 1e-6
-# Hard ceiling on doubling steps.  On T^1 it binds before the default node
-# cap: level 12 is about 16,400 W nodes, under 4e6 for every W < 244.  On
-# T^2, T^3 and SU(2) the cap binds first (T^2 admits level 8 at most).
-MAX_REFINE_LEVELS = 12
 # A sup is evaluated once, on the least degree whose Bernstein mesh factor
 # is within 1 + SUP_ENCLOSURE: its enclosure [lo, hi] is then at most 2%
 # wide, up to the roundoff allowance.
@@ -583,21 +580,20 @@ def _ladder(
     blocks are too); values_of(rule) yields the level's values as (lo, hi,
     slab), which one pass reduces.  exact_level is the level at which the
     integrand is band-limited, evaluated once and exact; None refines from
-    level 0 until the stop rule holds.  Returns the value as a point
-    Enclosure, with the full rule's nodes and band.
+    level 0 until two levels meet REFINE_STOP ("refined") or the node cap
+    refuses the next ("capped", the last value).  Returns a point Enclosure
+    with the full rule's nodes and bandlimit.
     """
     level = exact_level or 0
-    w = F.max_weight()
     prev = None  # the last level's value
     while True:
-        band = w * (2.0**level)
         try:
-            rule = quadrature(F.group, band, max_nodes)
+            rule = quadrature(F.group, F.max_weight() * 2.0**level, max_nodes)
         except ResourceLimitError:
-            if exact_level is not None or prev is None:
+            if prev is None:
                 raise  # the exact level, or not even the base grid, is past the cap
             return Enclosure(prev, prev, "capped", *grid)
-        grid = (rule.node_count, band)
+        grid = (rule.node_count, rule.bandlimit)
         if F.sign_even:
             rule = rule.folded()
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
@@ -608,8 +604,6 @@ def _ladder(
             return Enclosure(cur, cur, "exact", *grid)
         if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
             return Enclosure(cur, cur, "refined", *grid)
-        if level >= MAX_REFINE_LEVELS:
-            return Enclosure(cur, cur, "capped", *grid)
         prev, level = cur, level + 1
 
 
@@ -618,19 +612,20 @@ def lp_norms(
 ) -> dict[float, tuple[float, dict]]:
     """Lebesgue norms for several exponents, each evaluated on its own.
 
-    Returns {p: (value, provenance)} where provenance records the bandlimit,
-    node count, and certification: "exact" (polynomial integrand, or a
-    pinned identity maximum, which builds no grid: nodes 0), "enclosed" (p =
-    inf: the value is the grid maximum, a point value up to roundoff, and
-    the sup lies between it and provenance["upper"], within a factor 1 +
-    SUP_ENCLOSURE up to roundoff), "refined" (dyadic refinement met the stop
-    rule), or "capped" (node cap reached first; value from the finest grid
-    built).  Every p = inf provenance carries "upper", at most the coefficient
-    bound (1 + SUP_ROUNDOFF) A of the module docstring.  A malformed node
-    cap raises DomainError, also where no grid is built.  Each entry is a
-    fresh (value, dict) made from the exponent's one Enclosure, the only
-    such form in the package, and _read_lp_norms its only reader: every
-    other caller reads the Enclosures it lifts.
+    Returns {p: (value, provenance)} where provenance records the node count
+    and bandlimit of the rule the value ran on, and certification: "exact"
+    (polynomial integrand, or a pinned identity maximum, which builds no
+    grid: nodes 0), "enclosed" (p = inf: the value is the grid maximum, a
+    point value up to roundoff, and the sup lies between it and
+    provenance["upper"], within a factor 1 + SUP_ENCLOSURE up to roundoff),
+    "refined" (dyadic refinement met the stop rule), or "capped" (the node
+    cap refused a finer grid first; value from the finest grid built).
+    Every p = inf provenance carries "upper", at most the coefficient bound
+    (1 + SUP_ROUNDOFF) A of the module docstring.  A malformed node cap
+    raises DomainError, also where no grid is built.  Each entry is a fresh
+    (value, dict) made from the exponent's one Enclosure, the only such form
+    in the package, and _read_lp_norms its only reader: every other caller
+    reads the Enclosures it lifts.
     """
     out = {}
     for p in sorted(_exponents(ps, max_nodes), key=lambda p: p != INF):

@@ -23,9 +23,9 @@ check); the slope record is the quantitative gate.  Every member reads the
 upper end of its ratio's enclosure, whose ends and certification close its
 notes: a corpus member's from norm_enclosure bounds, a Dirichlet member's
 from norm_info values (points, lo == hi, on these kernels), which the slope
-fits and whose certification its notes name.  Lebesgue records and corpus
-members are decided by one rule (_settled): on norms.Enclosure bounds
-first, else on values, which _lp_values reads from norm_info.
+fits and whose certification its notes name.  Lebesgue records and every
+family member are decided by one rule (_settled): on norms.Enclosure bounds
+first, else on norm_info values, which a Dirichlet member's bounds are.
 
 Default tolerances: 1e-9 where quadrature is exact, 1e-6 where dyadic grid
 refinement is involved, 1e-12 for algebraic identities.
@@ -628,12 +628,12 @@ def embedding_suite(
 ) -> list[InequalityReport]:
     """Ratios of each pair along a family, plus a slope record per pair.
 
-    Each member's lhs is the upper end of its ratio's enclosure (_member).
+    Each member's lhs is the upper end of its ratio's enclosure (_member),
+    settled by _settled on the family's bounds, else on norm_info values.
     family "dirichlet" scales Dirichlet kernels over L_grid, at least two
-    strictly increasing band limits: members read the norm_info values,
-    points on these kernels, and the slope fits their ratios.  family
-    "corpus" checks finiteness on the corpus functions, decided by _settled
-    on norm_enclosure bounds.
+    strictly increasing band limits; its bounds are those values, points on
+    these kernels, and the slope fits their ratios.  family "corpus" checks
+    finiteness on the corpus functions, on norm_enclosure bounds.
     """
     if family == "dirichlet":
         _require(L_grid is not None, "family 'dirichlet' needs L_grid, got None")
@@ -646,6 +646,7 @@ def embedding_suite(
         members = [(f"fn={i}", f) for i, f in enumerate(corpus.functions)]
     else:
         raise DomainError(f"unknown family {family!r}")
+    bound = norm_info if family == "dirichlet" else norm_enclosure
     reports = []
     for pair in pairs:
         notes = ((pair.notes + "; " if pair.notes else "")
@@ -655,13 +656,9 @@ def embedding_suite(
         for label, func in members:
             inst = {"group": str(group), "pair": pair.label, "family": family, "member": label}
             record = lambda norms: [_member(pair, suite, inst, notes, *norms)]
-            values = lambda: [norm_info(func, s, max_nodes) for s in specs]
-            if family == "corpus":
-                bounds = [norm_enclosure(func, s, max_nodes) for s in specs]
-                rows += _settled(record, bounds, values)
-            else:
-                parts += values()
-                rows += record(parts[-2:])
+            bounds = [bound(func, s, max_nodes) for s in specs]
+            parts += bounds
+            rows += _settled(record, bounds, lambda: [norm_info(func, s, max_nodes) for s in specs])
         reports += rows
         if family == "dirichlet":
             ratios = [rep.lhs for rep in rows]

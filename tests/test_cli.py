@@ -527,6 +527,7 @@ def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
      ["verify", "sharpness", "--group", "torus:1", "--L", "2,inf"],
      ["verify", "corollary", "--L", "2,4"],
      ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--tol", "exact=nan"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--tol", "bogus=1"],
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "nan"],
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "nan"],
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "5", "--q", "2"],

@@ -483,6 +483,9 @@ def test_synthesize_band_guard():
 def test_shape_mismatch_rejected():
     with pytest.raises(DomainError):
         SpectralFunction(SU2, {2: np.eye(2)})  # l = 1 needs 3x3
+    rule = quadrature(T1, 2.0)
+    with pytest.raises(DomainError, match="value count"):
+        GridFunction(rule, np.zeros(rule.node_count + 1))
 
 
 def test_linearity_and_conjugation():
@@ -643,6 +646,18 @@ def test_a_threshold_that_is_not_finite_is_refused(threshold):
                      lambda: support_count(T, threshold)):
             with pytest.raises(DomainError, match="threshold must be finite"):
                 call()
+
+
+def test_a_threshold_past_float_range_of_the_peak_keeps_nothing_quietly():
+    # threshold times the largest entry overflows to inf, which no entry
+    # reaches: nothing is kept, as before, but numpy warned of the overflow
+    # (an error under this suite's RuntimeWarning filter)
+    F = make_corpus(T2, 3.0, 1, 7).functions[0]
+    f = synthesize(F, quadrature(T2, 3.0))
+    assert support_count(F, 1e308) == 0
+    assert not analyze(f, 3.0, 1e308)
+    assert not pointwise_power(F, 2, threshold=1e308)
+    assert support_count(F, 1e-300) == support_count(F, 0.0)  # a finite product
 
 
 def test_dirichlet_is_one_instance_per_exact_band_budget():

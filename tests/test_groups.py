@@ -21,6 +21,7 @@ from peterweyl.groups import (
     MAX_REP_INDEX,
     WEIGHT_SQ_DEN,
     DomainError,
+    GroupId,
     _isqrt,
     _lattice_count,
     ResourceLimitError,
@@ -67,6 +68,12 @@ def test_parse_group_round_trip():
         parse_group("so3")
     with pytest.raises(DomainError):
         parse_group("torus:9")
+
+
+@pytest.mark.parametrize("kind,dim", [("su2", 2), ("sphere", 2)])
+def test_group_id_refuses_a_malformed_group(kind, dim):
+    with pytest.raises(DomainError):
+        GroupId(kind, dim)
 
 
 def test_enumerate_dual_torus_examples():
@@ -427,6 +434,13 @@ def test_wigner_d_tables_are_orthogonal_up_to_spin_100():
         assert np.abs(gram - np.eye(twoL + 1)).max() < 1e-12, twoL
 
 
+def test_wigner_d_tables_refuse_a_negative_spin_and_a_torus_rule():
+    with pytest.raises(DomainError, match="twoL_max"):
+        wigner_d_tables(-1, np.zeros(3))
+    with pytest.raises(DomainError, match="su2"):
+        quadrature(T2, 2.0).d_tables(2)
+
+
 def test_unitarity_random_elements():
     rng = np.random.default_rng(7)
     for g, reps in [(T2, enumerate_dual(T2, 3.0)), (SU2, enumerate_dual(SU2, 3.0))]:
@@ -471,6 +485,29 @@ def test_su2_angle_range_check():
         matrix_coefficient(SU2, 1, (0.5, 4.0, 0.5))
     with pytest.raises(DomainError):
         matrix_coefficient(SU2, 1, (0.5, 0.5, 13.0))
+
+
+@pytest.mark.parametrize("group,x", [
+    (T2, (0.1,)),  # one angle short
+    (T1, (0.1, 0.2)),  # one too many
+    (T1, (math.nan,)),
+    (T1, (math.inf,)),
+    (T2, (0.1, -math.inf)),
+    (SU2, (0.1, 0.2)),  # not three Euler angles
+    (SU2, (math.nan, 0.1, 0.1)),
+    (SU2, (math.inf, 0.2, 0.1)),
+    (SU2, (0.1, math.nan, 0.1)),
+], ids=str)
+def test_malformed_group_elements_are_refused(group, x):
+    # compose dropped a torus angle past the shorter element and carried
+    # nan through; a nan torus angle gave a nan coefficient and an inf one
+    # a math domain error
+    xi = (1,) * group.dim if group.kind == "torus" else 1
+    e = identity_element(group)
+    for call in (lambda: compose(group, x, e), lambda: compose(group, e, x),
+                 lambda: matrix_coefficient(group, xi, x)):
+        with pytest.raises(DomainError):
+            call()
 
 
 # ---------------------------------------------------------------------------

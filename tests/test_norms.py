@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
@@ -20,6 +21,7 @@ from peterweyl.groups import (
     WEIGHT_SQ_DEN,
     DomainError,
     QuadratureRule,
+    ResourceLimitError,
     axis_gaps,
     degree_fits,
     enumerate_dual,
@@ -27,6 +29,7 @@ from peterweyl.groups import (
     matrix_coefficient,
     parse_group,
     quadrature,
+    quadrature_degree,
     random_element,
     rep_dim,
     rep_info,
@@ -113,6 +116,10 @@ def test_lp_zero_and_validation():
     assert lp_norm(zero_spectral(T1), 2.0) == 0.0
     with pytest.raises(Exception):
         lp_norm(E3, 0.0)
+    for call in (lambda: seq_lp_norm(E3, 0.0), lambda: beurling_norm(E3, 0.0),
+                 lambda: beurling_r_norm(E3, 1.0, 0.0)):
+        with pytest.raises(DomainError, match="must be positive"):
+            call()
 
 
 def test_monotone_in_p_probability_space():
@@ -321,6 +328,16 @@ def test_spec_parse_errors_name_rule():
         parse_norm_spec("Lp:abc")
     with pytest.raises(NormSpecError):
         parse_norm_spec("besov:r=1,p=2")  # missing q
+    with pytest.raises(NormSpecError, match="rule 'spec'"):
+        parse_norm_spec("Lp")
+    with pytest.raises(NormSpecError, match="key=value"):
+        parse_norm_spec("besov:r=1,p")
+    with pytest.raises(NormSpecError, match="duplicate parameter 'r'"):
+        parse_norm_spec("besov:r=1,r=2,p=1,q=1")
+    with pytest.raises(NormSpecError, match="unknown family"):
+        NormSpec("nope")
+    with pytest.raises(NormSpecError, match="must be positive"):
+        NormSpec("Lp", p=0.0)
     with pytest.raises(NormSpecError):
         NormSpec("tl", r=0.0, p=INF, q=2.0)
 
@@ -419,19 +436,26 @@ def test_read_lp_norms_lifts_every_certification():
         e.lo = 0.0
 
 
-def test_tl_even_p_q2_is_exact_from_one_grid(monkeypatch):
-    F = _random_spectral(T1, 6.0, 8)
-    quadrature = norms.quadrature
-    built = []
+def _recorded_bands(monkeypatch):
+    # The bands norms asks quadrature for from here on, in order, refused
+    # ones included.
+    bands = []
 
-    def counting_quadrature(group, band, max_nodes=None):
-        built.append(band)
+    def recording_quadrature(group, band, max_nodes=None):
+        bands.append(band)
         return quadrature(group, band, max_nodes)
 
-    monkeypatch.setattr(norms, "quadrature", counting_quadrature)
+    monkeypatch.setattr(norms, "quadrature", recording_quadrature)
+    return bands
+
+
+def test_tl_even_p_q2_is_exact_from_one_grid(monkeypatch):
+    F = _random_spectral(T1, 6.0, 8)
+    built = _recorded_bands(monkeypatch)
     e = norm_info(F, NormSpec("tl", r=0.5, p=4.0, q=2.0))
     assert e.certified == "exact"
-    assert built == [2.0 * F.max_weight()] == [e.bandlimit]
+    assert built == [2.0 * F.max_weight()]
+    assert e.bandlimit == quadrature(T1, built[0]).bandlimit  # the rule's band
     assert e.lo == tl_norm(F, 0.5, 4.0, 2.0)
 
 
@@ -754,18 +778,67 @@ def test_slab_ladder_matches_full_grid_reduction(monkeypatch, group, L, cap, sla
         assert any(map(_ragged, rules))
 
 
-def test_ladder_stops_at_the_refinement_ceiling(monkeypatch):
+def test_ladder_stops_at_the_node_cap(monkeypatch):
     # |1 + e^{ix}| has a kink at x = pi, so consecutive levels never agree
-    # exactly: with a zero stop tolerance the ladder runs to its last level
-    # and reports that level's value, nodes and band as capped.
+    # exactly: with a zero stop tolerance the ladder runs until the node cap
+    # refuses the next level, twice the band of the last, and reports the
+    # last level's value, nodes and band as capped.
     monkeypatch.setattr(norms, "REFINE_STOP", 0.0)
-    F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1.0]]})
-    value, info = lp_norms(F, [1.0])[1.0]
-    band = F.max_weight() * 2.0**norms.MAX_REFINE_LEVELS
-    rule = quadrature(T1, band)
-    assert info == {"certified": "capped", "nodes": rule.node_count, "bandlimit": band}
-    ref = _full_grid_lp(F, rule, 1.0)
+    bands = _recorded_bands(monkeypatch)
+    cap = 2000
+    value, info = lp_norms(ONE_PLUS, [1.0], cap)[1.0]
+    w = ONE_PLUS.max_weight()
+    assert bands == [w * 2.0**j for j in range(len(bands))] and len(bands) > 2
+    with pytest.raises(ResourceLimitError):
+        quadrature_degree(T1, bands[-1], cap)
+    rule = quadrature(T1, bands[-2], cap)
+    assert info == {"certified": "capped", "nodes": rule.node_count, "bandlimit": rule.bandlimit}
+    ref = _full_grid_lp(ONE_PLUS, rule, 1.0)
     assert abs(value - ref) <= 1e-13 * ref
+
+
+def test_a_slow_ladder_refines_past_twelve_levels():
+    # |1 + e^{ix}|^0.1 = |2 cos(x/2)|^0.1 is steep where f vanishes, so its
+    # trapezoid sums converge slowly: the ladder refines past level 12 (23,232
+    # nodes) to meet the stop rule, checked against adaptive quadrature
+    # split at the zero x = pi, which shares no code with the package.
+    p = 0.1
+    value, info = lp_norms(ONE_PLUS, [p])[p]
+    assert info["certified"] == "refined" and info["nodes"] > 23_232
+
+    def integrand(x):
+        return abs(2.0 * math.cos(x / 2.0)) ** p
+
+    mean = sum(quad(integrand, a, b, limit=200)[0]
+               for a, b in ((0.0, math.pi), (math.pi, 2.0 * math.pi))) / (2.0 * math.pi)
+    assert value == pytest.approx(mean ** (1.0 / p), rel=1e-5)
+
+
+@pytest.mark.parametrize("group,L,cap", [(T1, 6.0, 600), (torus(2), 2.0, 3000),
+                                         (torus(3), 2.0, 20000), (SU2, 1.5, 5000)], ids=str)
+def test_ladder_values_name_their_rule_and_cap_only_where_refused(monkeypatch, group, L, cap):
+    # Every ladder value (L^p and Triebel-Lizorkin) records the nodes and
+    # band of the last rule the ladder built, and a capped one has its next
+    # level, twice the band of its own, refused by the node cap: the ladder
+    # has no other stop.
+    F = _random_spectral(group, L, 5)
+    bands = _recorded_bands(monkeypatch)
+    norms.clear_memos()
+    specs = [NormSpec("Lp", p=p) for p in (0.5, 1.0, 1.5, 4.0)]
+    specs += [NormSpec("tl", r=0.5, p=1.5, q=q) for q in (1.0, 3.0, INF)]
+    certs = []
+    for spec in specs:
+        bands.clear()
+        e = norm_info(F, spec, cap)
+        certs.append(e.certified)
+        if e.certified == "capped":
+            assert bands[-1] == 2.0 * bands[-2]
+            with pytest.raises(ResourceLimitError):
+                quadrature_degree(group, bands[-1], cap)
+            bands.pop()
+        rule = quadrature(group, bands[-1], cap)
+        assert (e.nodes, e.bandlimit) == (rule.node_count, rule.bandlimit), e
+    assert {"exact", "capped"} <= set(certs), certs
 
 
 @pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
@@ -1700,14 +1773,7 @@ def test_memo_hit_equals_fresh_evaluation(monkeypatch):
     F = make_corpus(torus(2), 2.0, 1, 3).functions[0]
     norms.clear_memos()
     first = _evaluations(F)
-    quadrature = norms.quadrature
-    built = []
-
-    def counting_quadrature(group, band, max_nodes=None):
-        built.append(band)
-        return quadrature(group, band, max_nodes)
-
-    monkeypatch.setattr(norms, "quadrature", counting_quadrature)
+    built = _recorded_bands(monkeypatch)
     assert _evaluations(F) == first
     assert built == []  # served from the memo
     norms.clear_memos()
@@ -1716,7 +1782,8 @@ def test_memo_hit_equals_fresh_evaluation(monkeypatch):
     assert certs == {"exact", "enclosed", "refined"}
     # a small node cap gives capped values under their own key
     capped = _evaluations(F, 300)
-    assert capped[0][1.0][1] == {"certified": "capped", "nodes": 225, "bandlimit": 2.0 * F.max_weight()}
+    band = quadrature(torus(2), 2.0 * F.max_weight()).bandlimit  # the rule's band
+    assert capped[0][1.0][1] == {"certified": "capped", "nodes": 225, "bandlimit": band}
     assert _evaluations(F, 300) == capped
     norms.clear_memos()
     assert _evaluations(F, 300) == capped

@@ -462,6 +462,8 @@ def test_pair_constructors_validate_exponents():
         besov_besov_pair(T1, 2.0, 1.0, 2.0, r1=1.0)  # needs p1 <= p2
     with pytest.raises(DomainError):
         wiener_besov_pair(T1, 1.0, 3.0, "into-wiener")  # needs p <= 2
+    with pytest.raises(DomainError, match="direction"):
+        wiener_besov_pair(T1, 1.0, 2.0, "sideways")
     with pytest.raises(DomainError):
         beurling_pairs(T1, 1.0, 1.5)  # needs p >= 2
     ok = besov_lq_pair(T1, 2.0, 4.0, r=0.25)
@@ -552,6 +554,8 @@ def test_embedding_suite_refuses_a_degenerate_dirichlet_grid(monkeypatch, grid):
     monkeypatch.setattr(verify, "norm_info", unreachable)
     with pytest.raises(DomainError, match="needs L_grid" if grid is None else "degenerate grid"):
         embedding_suite(T1, "dirichlet", [besov_lq_pair(T1, 2.0, 4.0)], L_grid=grid)
+    with pytest.raises(DomainError, match="unknown family"):
+        embedding_suite(T1, "other", [besov_lq_pair(T1, 2.0, 4.0)], L_grid=grid)
 
 
 def test_embedding_suite_corpus_finiteness():
