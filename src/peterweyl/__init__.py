@@ -1,7 +1,7 @@
 """Harmonic analysis on compact Lie groups at desk scale.
 
 Concrete groups (flat tori T^n with n <= 3, and SU(2)), their unitary duals
-and matrix coefficients, band-limited-exact Haar quadrature, forward and
+and Wigner-d tables, band-limited-exact Haar quadrature, forward and
 inverse Fourier transforms, the function-space norms built from matrix
 Fourier coefficients (Lebesgue, sequence-space, Sobolev, Besov,
 Triebel-Lizorkin, Wiener, Beurling), and checkers that verify the classical
@@ -15,13 +15,10 @@ from .groups import (
     DomainError,
     GroupId,
     QuadratureRule,
-    RepInfo,
     ResourceLimitError,
     enumerate_dual,
-    matrix_coefficient,
     parse_group,
     quadrature,
-    rep_info,
     su2,
     torus,
     weyl_count,
@@ -47,7 +44,6 @@ from .norms import (
     beurling_r_norm,
     format_norm_spec,
     lp_norm,
-    norm_value,
     parse_norm_spec,
     seq_lp_norm,
     sobolev_norm,
@@ -59,7 +55,6 @@ from .verify import (
     InequalityReport,
     RunConfig,
     corollary_decay,
-    embedding_ratio,
     embedding_suite,
     make_corpus,
     nikolskii_check,
@@ -80,7 +75,6 @@ __all__ = [
     "NormSpec",
     "NormSpecError",
     "QuadratureRule",
-    "RepInfo",
     "ResourceLimitError",
     "RunConfig",
     "analyze",
@@ -90,23 +84,19 @@ __all__ = [
     "corollary_decay",
     "dirichlet",
     "dump_spectral",
-    "embedding_ratio",
     "embedding_suite",
     "enumerate_dual",
     "format_norm_spec",
     "load_spectral",
     "lp_norm",
     "make_corpus",
-    "matrix_coefficient",
     "nikolskii_check",
     "nikolskii_remark_check",
-    "norm_value",
     "parse_group",
     "parse_norm_spec",
     "partial_sum",
     "pointwise_power",
     "quadrature",
-    "rep_info",
     "rho_of",
     "run_suite",
     "save_spectral",

@@ -24,6 +24,7 @@ from .groups import (
     WEIGHT_SQ_DEN,
     DomainError,
     ResourceLimitError,
+    check_plain_number,
     dual_arrays,
     parse_group,
 )
@@ -44,6 +45,7 @@ EXIT_RESOURCE = 3
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
+    check_plain_number(text)
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -57,9 +59,21 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _number(kind):
+    # argparse type: kind(text) of plain number text, else a usage error
+    # that names the type
+    def read(text: str):
+        check_plain_number(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
 def _node_cap(text: str) -> int:
     # argparse type of --max-nodes: a positive integer, or a usage error
     try:
+        check_plain_number(text)
         cap = int(text)
     except ValueError:
         cap = 0
@@ -131,6 +145,7 @@ def _config_from_args(args) -> RunConfig:
             raise DomainError(
                 f"bad --tol {item!r}; expected exact=..., grid=..., or identity=..."
             )
+        check_plain_number(val)
         tol = float(val)
         if math.isnan(tol):
             raise DomainError(f"--tol {item!r} is not a number")
@@ -175,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dual = sub.add_parser("dual", help="list the unitary dual up to a weight cut")
     p_dual.add_argument("--group", required=True, help="torus:N or su2")
-    p_dual.add_argument("--L", type=float, required=True, help="weight cut (>= 1)")
+    p_dual.add_argument("--L", type=_number(float), required=True, help="weight cut (>= 1)")
     p_dual.set_defaults(func=cmd_dual)
 
     p_norm = sub.add_parser("norm", help="evaluate a norm on a spectral file")
@@ -187,10 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--group", default=None, help="comma list of torus:N|su2")
-    p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--count", type=int, default=None, help="corpus size")
+    p_verify.add_argument("--seed", type=_number(int), default=7)
+    p_verify.add_argument("--count", type=_number(int), default=None, help="corpus size")
     p_verify.add_argument("--profile", default=None, help="corpus profile")
-    p_verify.add_argument("--bandlimit", type=float, default=None, help="corpus band")
+    p_verify.add_argument("--bandlimit", type=_number(float), default=None, help="corpus band")
     p_verify.add_argument("--L", default=None, help="comma list of family band limits")
     p_verify.add_argument("--p", default=None, help="comma list of p exponents")
     p_verify.add_argument("--q", default=None, help="comma list of q exponents")
@@ -208,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="generate seeded coefficient files")
     p_corpus.add_argument("--group", required=True)
-    p_corpus.add_argument("--bandlimit", type=float, required=True)
-    p_corpus.add_argument("--count", type=int, required=True)
-    p_corpus.add_argument("--seed", type=int, required=True)
+    p_corpus.add_argument("--bandlimit", type=_number(float), required=True)
+    p_corpus.add_argument("--count", type=_number(int), required=True)
+    p_corpus.add_argument("--seed", type=_number(int), required=True)
     p_corpus.add_argument(
         "--profile", default="dense_gaussian",
         choices=("dense_gaussian", "sparse", "smooth_decay"),

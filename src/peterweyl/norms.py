@@ -185,6 +185,7 @@ from .groups import (
     ResourceLimitError,
     axis_gaps,
     check_node_cap,
+    check_plain_number,
     degree_fits,
     quadrature,
     quadrature_degree,
@@ -270,6 +271,7 @@ def _parse_num(tok: str) -> float:
     if tok == "inf":
         return INF
     try:
+        check_plain_number(tok)
         return float(tok)
     except ValueError:
         raise NormSpecError(f"bad number {tok!r} (rule 'number')") from None
@@ -1057,9 +1059,3 @@ def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
         factor = INF
     lo, hi = (b.lo * factor, b.hi) if q >= p else (b.lo, b.hi * factor)
     return Enclosure(lo, hi, *weakest([b], "enclosed"))
-
-
-def norm_value(
-    F: SpectralFunction, spec: NormSpec, max_nodes: int | None = None
-) -> float:
-    return norm_info(F, spec, max_nodes).lo

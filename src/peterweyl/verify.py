@@ -76,7 +76,6 @@ from .norms import (
     lp_norm,
     norm_enclosure,
     norm_info,
-    norm_value,
     seq_lp_norm,
     sobolev_norm,
     tl_norm,
@@ -456,19 +455,6 @@ def corollary_decays(
 # Embeddings
 
 
-def embedding_ratio(
-    F: SpectralFunction,
-    target: NormSpec,
-    source: NormSpec,
-    max_nodes: int | None = None,
-) -> float:
-    """||f||_target / ||f||_source; finite iff the embedding bound is seen."""
-    denom = norm_value(F, source, max_nodes)
-    if denom == 0.0:
-        raise DomainError("embedding ratio undefined for the zero function")
-    return norm_value(F, target, max_nodes) / denom
-
-
 @dataclass(frozen=True)
 class EmbeddingPair:
     """Source space embeds into target space: ||f||_target <= C ||f||_source."""
@@ -723,6 +709,13 @@ class Corpus:
 PROFILES = ("dense_gaussian", "sparse", "smooth_decay")
 
 
+def _check_corpus_args(count, profile) -> None:
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise DomainError(f"corpus count must be an integer >= 1, got {count!r}")
+    if profile not in PROFILES:
+        raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
+
+
 def make_corpus(
     group: GroupId,
     bandlimit: float,
@@ -738,10 +731,7 @@ def make_corpus(
     by exp(-<xi>), so magnitudes are the deterministic envelope and partial
     sums decay reproducibly.
     """
-    if not (isinstance(count, numbers.Integral) and count >= 1):
-        raise DomainError(f"corpus count must be an integer >= 1, got {count!r}")
-    if profile not in PROFILES:
-        raise DomainError(f"unknown profile {profile!r} (choices {PROFILES})")
+    _check_corpus_args(count, profile)
     n = dual_size(group, bandlimit)  # refuses a huge band before counting; d = 1 on tori
     entries = count * (n if group.kind == "torus" else weyl_count(group, bandlimit))
     if entries > MAX_DUAL_ENTRIES:
@@ -830,6 +820,9 @@ class RunConfig:
     tol_grid: float = TOL_GRID
     tol_identity: float = TOL_IDENTITY
     max_nodes: int | None = None
+
+    def __post_init__(self):
+        _check_corpus_args(self.corpus_count, self.profile)
 
     def to_dict(self) -> dict:
         return {f.name: _json_safe(getattr(self, f.name)) for f in fields(self)}

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from peterweyl.cli import (
     main,
 )
 from peterweyl.fourier import dirichlet, read_spectral, save_spectral, zero_spectral
-from peterweyl.groups import enumerate_dual, parse_group, rep_info, torus
+from peterweyl.groups import enumerate_dual, parse_group, torus, weight_sq
 from peterweyl.norms import (
     REFINE_STOP,
     SUP_ROUNDOFF,
@@ -26,6 +27,8 @@ from peterweyl.norms import (
     parse_norm_spec,
 )
 from peterweyl.verify import SUITES, make_corpus
+
+from elements import rep_dim
 
 
 @pytest.fixture()
@@ -50,7 +53,8 @@ def test_dual_su2(capsys):
 
 @pytest.mark.parametrize("group", ["torus:1", "torus:2", "torus:3", "su2"])
 def test_dual_table_matches_rep_info_rows(group, capsys):
-    # the table as it was printed from rep_info row by row, kept as the reference
+    # the table as it was printed from rep_info row by row (dimension,
+    # <xi>^2 - 1 and <xi> from the exact weight), kept as the reference
     g = parse_group(group)
     for L in (1.0, 2.5, 7.0):
         assert main(["dual", "--group", group, "--L", repr(L)]) == EXIT_OK
@@ -61,9 +65,10 @@ def test_dual_table_matches_rep_info_rows(group, capsys):
                 label = "(" + ",".join(str(k) for k in xi) + ")"
             else:
                 label = f"l={xi // 2}" if xi % 2 == 0 else f"l={xi}/2"
-            info = rep_info(g, xi)
-            lines.append(f"{label}\t{info.dim}\t{info.casimir:.12g}\t{info.weight:.12g}")
-        lines.append(f"N({L:g}) = {sum(rep_info(g, xi).dim ** 2 for xi in reps)}")
+            wsq = weight_sq(g, xi)
+            lines.append(f"{label}\t{rep_dim(g, xi)}\t{float(wsq - 1):.12g}\t"
+                         f"{math.sqrt(float(wsq)):.12g}")
+        lines.append(f"N({L:g}) = {sum(rep_dim(g, xi) ** 2 for xi in reps)}")
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
@@ -534,7 +539,21 @@ def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "-1"],
      ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "1e-300"],
      ["verify", "wiener-chain", "--group", "torus:1", "--count", "1", "--beta", "0.001",
-      "--max-nodes", "600"]],
+      "--max-nodes", "600"],
+     # int and float read '_' and any Unicode digit: no number option or list may hold them
+     ["dual", "--group", "su2", "--L", "1_0"],
+     ["dual", "--group", "torus:\u0662", "--L", "2"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4_0"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,\uff14"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--tol", "exact=1_0"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--seed", "\u0667"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--max-nodes", "1_000"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1_0"],
+     ["corpus", "--group", "torus:1", "--bandlimit", "4_0", "--count", "1", "--seed", "1"],
+     # a corpus no run could build
+     ["verify", "sharpness", "--group", "torus:1", "--count", "-3", "--profile", "bogus"],
+     ["verify", "sharpness", "--group", "torus:1", "--count", "0"],
+     ["verify", "sharpness", "--group", "torus:1", "--profile", "bogus"]],
     ids=" ".join,
 )
 def test_non_finite_or_short_grids_exit_2(tmp_path, argv, capsys):

@@ -32,15 +32,14 @@ from peterweyl.groups import (
     DomainError,
     band_budget,
     enumerate_dual,
-    matrix_coefficient,
     quadrature,
-    rep_dim,
-    rep_info,
     su2,
     torus,
     weyl_count,
 )
 from peterweyl.verify import PROFILES, make_corpus
+
+from elements import matrix_coefficient, nodes, rep_dim
 
 T1 = torus(1)
 T2 = torus(2)
@@ -52,7 +51,7 @@ def _random_spectral(group, L, seed):
     rng = np.random.default_rng(seed)
     coeffs = {}
     for xi in enumerate_dual(group, L):
-        d = rep_info(group, xi).dim
+        d = rep_dim(group, xi)
         coeffs[xi] = (
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         ) / math.sqrt(2.0)
@@ -127,7 +126,7 @@ def test_su2_synthesis_matches_trace_formula():
     vals = synthesize(F, rule).values
     rng = np.random.default_rng(0)
     for idx in rng.integers(0, rule.node_count, size=8):
-        x = tuple(rule.nodes[idx])
+        x = tuple(nodes(rule)[idx])
         direct = sum(
             (twoL + 1) * np.trace(mat @ matrix_coefficient(SU2, twoL, x))
             for twoL, mat in F.items()
@@ -523,7 +522,7 @@ def test_dirichlet_small():
 def test_dirichlet_identity_value_is_weyl_count(group, L):
     rule = quadrature(group, L)
     vals = synthesize(dirichlet(group, L), rule)
-    assert vals.values[rule.identity_index].real == pytest.approx(
+    assert vals.values[0].real == pytest.approx(  # node 0 is the identity
         weyl_count(group, L), rel=1e-12
     )
 
@@ -775,6 +774,7 @@ def _spectral_functions(draw):
 def test_spectral_files_round_trip_bit_for_bit_in_any_record_order(F, rnd):
     text = dump_spectral(F)
     assert text == _per_rep_dump(F)
+    assert text.isascii() and "_" not in text  # which load_spectral refuses
     assert load_spectral(text).digest == F.digest
     lines = text.splitlines()
     records = lines[2:]
@@ -794,6 +794,12 @@ def test_serialization_header_and_errors():
     # index lengths that miss the rank even where their total matches it
     with pytest.raises(DomainError, match=r"int 2-tuple .* got \(1, 2, 3\)"):
         load_spectral("specfun v1\ngroup torus:2\nrep 1,2,3 1 1 0\nrep 4 1 1 0\n")
+    # int and float read '_' and any Unicode digit; no record may hold either
+    for bad in ("rep 0 1 1_0 0", "rep 1_0 1 1 0", "rep \u0662 1 1 0", "rep 0 1 \uff11 0"):
+        with pytest.raises(DomainError, match=f"bad number text {bad!r}"):
+            load_spectral(f"specfun v1\ngroup torus:1\nrep 1 1 1 0\n{bad}\n")
+    with pytest.raises(DomainError, match="bad torus rank"):
+        load_spectral("specfun v1\ngroup torus:\u0661\nrep 0 1 1 0\n")
 
 
 def test_load_spectral_names_a_dimension_that_does_not_match_its_rep():

@@ -1,11 +1,13 @@
 """Group data: duals, weights, matrix coefficients, Haar quadrature."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import expm
 from scipy.special import roots_jacobi
 
+import peterweyl
 from peterweyl import groups
 from peterweyl.fourier import dirichlet, partial_sum
 from peterweyl.groups import (
@@ -27,28 +30,28 @@ from peterweyl.groups import (
     ResourceLimitError,
     band_budget,
     budget_dual_arrays,
-    compose,
     dual_arrays,
     dual_size,
     enumerate_dual,
-    euler_to_su2,
-    identity_element,
-    matrix_coefficient,
     parse_group,
     quadrature,
-    random_element,
     rep_arrays,
-    rep_dim,
-    rep_info,
     su2,
-    su2_to_euler,
     torus,
     validate_rep,
     weight_sq,
     weyl_count,
-    wigner_d_half_angle_tables,
-    wigner_d_matrix,
     wigner_d_tables,
+)
+
+from elements import (
+    euler_to_su2,
+    matrix_coefficient,
+    nodes,
+    random_element,
+    rep_dim,
+    spin_matrix,
+    weights,
 )
 
 T1 = torus(1)
@@ -107,35 +110,13 @@ def test_enumerate_dual_boundary_exact():
     assert 2 in enumerate_dual(SU2, above)
 
 
-def test_rep_info_values():
-    info = rep_info(T1, (3,))
-    assert info.dim == 1 and info.casimir == 9.0
-    assert info.weight == pytest.approx(math.sqrt(10), abs=0)
-
-    info = rep_info(SU2, 1)  # l = 1/2
-    assert info.dim == 2
-    assert info.casimir == pytest.approx(0.75, abs=0)
-    assert info.weight == pytest.approx(math.sqrt(7) / 2, rel=1e-15)
-
-    info = rep_info(SU2, 2)  # l = 1
-    assert info.dim == 3 and info.casimir == pytest.approx(2.0)
-    assert info.weight == pytest.approx(math.sqrt(3), rel=1e-15)
-
-
-def test_rep_info_weight_consistency():
-    for g, xi in [(T2, (2, -1)), (T3, (1, 0, 2)), (SU2, 5)]:
-        info = rep_info(g, xi)
-        assert info.weight**2 - 1 == pytest.approx(info.casimir, rel=1e-14)
-        assert info.weight >= 1.0
-
-
 def test_malformed_rep_index():
     with pytest.raises(DomainError):
-        rep_info(T2, (1,))
+        validate_rep(T2, (1,))
     with pytest.raises(DomainError):
-        rep_info(SU2, -1)
+        validate_rep(SU2, -1)
     with pytest.raises(DomainError):
-        rep_info(SU2, (1,))
+        validate_rep(SU2, (1,))
 
 
 def test_weyl_count_examples():
@@ -148,7 +129,7 @@ def test_weyl_count_examples():
 
 def test_weyl_count_matches_enumeration():
     for g, L in [(T1, 7.3), (T2, 4.5), (SU2, 5.0)]:
-        total = sum(rep_info(g, xi).dim ** 2 for xi in enumerate_dual(g, L))
+        total = sum(rep_dim(g, xi) ** 2 for xi in enumerate_dual(g, L))
         assert weyl_count(g, L) == total
 
 
@@ -362,14 +343,14 @@ def test_weyl_count_nondecreasing(L, bump):
 
 
 # ---------------------------------------------------------------------------
-# matrix coefficients
+# matrix coefficients: the package's Wigner-d tables, and the per-element
+# reference of tests/elements.py
 
 
 def test_identity_matrix_coefficient():
     for g, xi in [(T1, (2,)), (T2, (1, -1)), (SU2, 0), (SU2, 1), (SU2, 3)]:
-        mat = matrix_coefficient(g, xi, identity_element(g))
-        d = rep_info(g, xi).dim
-        assert np.abs(mat - np.eye(d)).max() < 1e-14
+        mat = matrix_coefficient(g, xi, (0.0,) * g.dim)  # SU(2): three Euler angles
+        assert np.abs(mat - np.eye(rep_dim(g, xi))).max() < 1e-14
 
 
 def test_torus_character_value():
@@ -379,7 +360,7 @@ def test_torus_character_value():
 
 def test_wigner_half_entry():
     beta = 0.7
-    d = wigner_d_matrix(1, beta)
+    d = wigner_d_tables(1, [math.cos(beta)])[1][:, :, 0]
     assert d[0, 0] == pytest.approx(math.cos(beta / 2), rel=1e-15, abs=0.0)
     assert d[0, 1] == pytest.approx(-math.sin(beta / 2), rel=1e-15)
     assert d[1, 0] == pytest.approx(math.sin(beta / 2), rel=1e-15, abs=0.0)
@@ -400,27 +381,21 @@ def _jy(twoL: int) -> np.ndarray:
 @pytest.mark.parametrize("twoL", [0, 1, 2, 3, 5, 8, 13, 20, 40, 100])
 def test_wigner_d_against_exponential_oracle(twoL):
     rng = np.random.default_rng(42 + twoL)
-    for beta in rng.uniform(0.0, math.pi, 4):
-        ours = wigner_d_matrix(twoL, beta)
+    betas = rng.uniform(0.0, math.pi, 4)
+    ours = wigner_d_tables(twoL, np.cos(betas))[twoL]
+    for k, beta in enumerate(betas):
         oracle = expm(-1j * beta * _jy(twoL)).real
-        assert np.abs(ours - oracle).max() < 1e-12
+        assert np.abs(ours[:, :, k] - oracle).max() < 1e-12
 
 
-def test_wigner_d_matrix_keeps_the_half_angles_at_the_poles():
-    # cos(beta) rounds to +-1 within 1e-8 of a pole, where the half angles
-    # rebuilt from it vanish; d^(1/2) reads them from beta itself.
-    for beta, entry, half in ((1e-9, (1, 0), math.sin(5e-10)), (1e-6, (1, 0), math.sin(5e-7)),
-                              (math.pi - 1e-9, (0, 0), math.cos((math.pi - 1e-9) / 2))):
-        assert wigner_d_matrix(1, beta)[entry] == pytest.approx(half, rel=1e-15, abs=0.0)
-
-
-def test_wigner_d_half_angle_tables_at_and_next_to_the_poles():
-    betas = np.array([0.0, 1e-9, math.pi - 1e-9, math.pi])
-    c, s = np.cos(betas / 2), np.sin(betas / 2)
-    tabs = wigner_d_half_angle_tables(8, c, s)
-    assert [t.shape for t in tabs] == [(t + 1, t + 1, 4) for t in range(9)]
-    half = np.array([[c, -s], [s, c]])  # d^(1/2) in closed form
-    assert np.array_equal(tabs[1], half)
+def test_wigner_d_tables_at_the_poles():
+    # The Lobatto beta nodes of every SU(2) rule include both poles z = +-1,
+    # where the half angles are exactly 1 and 0.
+    betas = np.array([0.0, math.pi])
+    tabs = wigner_d_tables(8, [1.0, -1.0])
+    assert [t.shape for t in tabs] == [(t + 1, t + 1, 2) for t in range(9)]
+    c, s = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    assert np.array_equal(tabs[1], np.array([[c, -s], [s, c]]))  # d^(1/2) in closed form
     for twoL in range(9):
         for k, beta in enumerate(betas):
             oracle = expm(-1j * beta * _jy(twoL)).real
@@ -441,11 +416,26 @@ def test_wigner_d_tables_refuse_a_negative_spin_and_a_torus_rule():
         quadrature(T2, 2.0).d_tables(2)
 
 
+@pytest.mark.parametrize("twoL", range(9))
+def test_reference_matches_the_exponential_oracle(twoL):
+    # D^l(alpha, beta, gamma) = expm(-i alpha Jz) expm(-i beta Jy)
+    # expm(-i gamma Jz), gamma over [0, 4 pi) for half-integer spins; the
+    # spin-1/2 matrix is the element itself.
+    rng = np.random.default_rng(50 + twoL)
+    jz = np.diag(twoL / 2.0 - np.arange(twoL + 1))
+    for _ in range(4):
+        alpha, beta, gamma = random_element(SU2, rng)
+        oracle = expm(-1j * alpha * jz) @ expm(-1j * beta * _jy(twoL)) @ expm(-1j * gamma * jz)
+        assert np.abs(matrix_coefficient(SU2, twoL, (alpha, beta, gamma)) - oracle).max() < 1e-12
+        u = euler_to_su2(alpha, beta, gamma)
+        assert np.array_equal(spin_matrix(1, u), u)
+
+
 def test_unitarity_random_elements():
     rng = np.random.default_rng(7)
     for g, reps in [(T2, enumerate_dual(T2, 3.0)), (SU2, enumerate_dual(SU2, 3.0))]:
         for xi in reps:
-            d = rep_info(g, xi).dim
+            d = rep_dim(g, xi)
             for _ in range(100):
                 x = random_element(g, rng)
                 mat = matrix_coefficient(g, xi, x)
@@ -453,61 +443,38 @@ def test_unitarity_random_elements():
 
 
 def test_homomorphism_random_pairs():
+    # torus elements compose by adding angles, SU(2) ones as 2x2 matrices
     rng = np.random.default_rng(11)
-    for g in (T1, T2, SU2):
-        reps = enumerate_dual(g, 3.0)
+    for g in (T1, T2):
         for _ in range(25):
-            x = random_element(g, rng)
-            y = random_element(g, rng)
-            xy = compose(g, x, y)
-            for xi in reps:
+            x, y = random_element(g, rng), random_element(g, rng)
+            xy = tuple(a + b for a, b in zip(x, y))
+            for xi in enumerate_dual(g, 3.0):
                 lhs = matrix_coefficient(g, xi, xy)
                 rhs = matrix_coefficient(g, xi, x) @ matrix_coefficient(g, xi, y)
                 assert np.abs(lhs - rhs).max() < 1e-9
+    for _ in range(25):
+        u, v = (euler_to_su2(*random_element(SU2, rng)) for _ in range(2))
+        for twoL in enumerate_dual(SU2, 3.0):
+            lhs = spin_matrix(twoL, u @ v)
+            assert np.abs(lhs - spin_matrix(twoL, u) @ spin_matrix(twoL, v)).max() < 1e-9
 
 
-@given(
-    st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9),
-    st.floats(min_value=0.0, max_value=math.pi),
-    st.floats(min_value=0.0, max_value=4 * math.pi - 1e-9),
-)
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_euler_round_trip(alpha, beta, gamma):
-    u = euler_to_su2(alpha, beta, gamma)
-    back = euler_to_su2(*su2_to_euler(u))
-    assert np.abs(u - back).max() < 1e-9
+def test_elements_reference_imports_nothing_from_the_package():
+    # tests/elements.py is a reference only while it shares no code with peterweyl
+    tree = ast.parse(Path(__file__).with_name("elements.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    roots = {alias.name.split(".")[0] for node in imports if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in imports if isinstance(node, ast.ImportFrom)}
+    assert imports and all(getattr(node, "level", 0) == 0 for node in imports)
+    assert "peterweyl" not in roots, roots
 
 
-def test_su2_angle_range_check():
-    with pytest.raises(DomainError):
-        matrix_coefficient(SU2, 1, (7.0, 0.5, 0.5))
-    with pytest.raises(DomainError):
-        matrix_coefficient(SU2, 1, (0.5, 4.0, 0.5))
-    with pytest.raises(DomainError):
-        matrix_coefficient(SU2, 1, (0.5, 0.5, 13.0))
-
-
-@pytest.mark.parametrize("group,x", [
-    (T2, (0.1,)),  # one angle short
-    (T1, (0.1, 0.2)),  # one too many
-    (T1, (math.nan,)),
-    (T1, (math.inf,)),
-    (T2, (0.1, -math.inf)),
-    (SU2, (0.1, 0.2)),  # not three Euler angles
-    (SU2, (math.nan, 0.1, 0.1)),
-    (SU2, (math.inf, 0.2, 0.1)),
-    (SU2, (0.1, math.nan, 0.1)),
-], ids=str)
-def test_malformed_group_elements_are_refused(group, x):
-    # compose dropped a torus angle past the shorter element and carried
-    # nan through; a nan torus angle gave a nan coefficient and an inf one
-    # a math domain error
-    xi = (1,) * group.dim if group.kind == "torus" else 1
-    e = identity_element(group)
-    for call in (lambda: compose(group, x, e), lambda: compose(group, e, x),
-                 lambda: matrix_coefficient(group, xi, x)):
-        with pytest.raises(DomainError):
-            call()
+def test_every_exported_name_resolves():
+    assert len(set(peterweyl.__all__)) == len(peterweyl.__all__)
+    for name in peterweyl.__all__:
+        assert hasattr(peterweyl, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +484,9 @@ def test_malformed_group_elements_are_refused(group, x):
 def test_torus_rule_basics():
     rule = quadrature(T1, 4.0)
     assert rule.node_count >= 9
-    assert abs(rule.weights.sum() - 1.0) < 1e-12
-    assert np.all(rule.weights > 0)
-    assert np.abs(rule.nodes[rule.identity_index]).max() == 0.0
+    assert abs(weights(rule).sum() - 1.0) < 1e-12
+    assert np.all(weights(rule) > 0)
+    assert np.abs(nodes(rule)[0]).max() == 0.0  # the identity element
     xs = rule.axes[0]
     for k in range(-8, 9):
         val = (np.exp(1j * k * xs) / rule.node_count).sum()
@@ -530,11 +497,11 @@ def test_torus_rule_basics():
 @pytest.mark.parametrize("g,band", [(T1, 3.0), (T2, 2.5), (SU2, 2.5)])
 def test_rule_normalization_and_identity_node(g, band):
     rule = quadrature(g, band)
-    assert abs(rule.weights.sum() - 1.0) < 1e-12
-    assert np.all(rule.weights > 0)
-    x0 = tuple(rule.nodes[rule.identity_index])
+    assert abs(weights(rule).sum() - 1.0) < 1e-12
+    assert np.all(weights(rule) > 0)
+    x0 = tuple(nodes(rule)[0])
     for xi in enumerate_dual(g, band):
-        d = rep_info(g, xi).dim
+        d = rep_dim(g, xi)
         assert np.abs(matrix_coefficient(g, xi, x0) - np.eye(d)).max() < 1e-13
 
 
@@ -545,15 +512,15 @@ def test_peter_weyl_orthonormality(g, band):
     rule = quadrature(g, band)
     cols = []
     for xi in enumerate_dual(g, band):
-        d = rep_info(g, xi).dim
+        d = rep_dim(g, xi)
         vals = np.array(
-            [matrix_coefficient(g, xi, tuple(x)) for x in rule.nodes]
+            [matrix_coefficient(g, xi, tuple(x)) for x in nodes(rule)]
         )  # (N, d, d)
         for i in range(d):
             for j in range(d):
                 cols.append(math.sqrt(d) * vals[:, i, j])
     mat = np.array(cols)
-    gram = (mat * rule.weights) @ mat.conj().T
+    gram = (mat * weights(rule)) @ mat.conj().T
     assert np.abs(gram - np.eye(len(cols))).max() < 1e-10
 
 
@@ -561,9 +528,9 @@ def test_su2_character_normalization():
     # the L=2 rule integrates |chi_{1/2}|^2 to exactly 1
     rule = quadrature(SU2, 2.0)
     chi = np.array(
-        [np.trace(matrix_coefficient(SU2, 1, tuple(x))) for x in rule.nodes]
+        [np.trace(matrix_coefficient(SU2, 1, tuple(x))) for x in nodes(rule)]
     )
-    val = float(np.real((np.abs(chi) ** 2 * rule.weights).sum()))
+    val = float(np.real((np.abs(chi) ** 2 * weights(rule)).sum()))
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -802,5 +769,6 @@ def test_weight_sq_exact_rationals():
     assert weight_sq(T3, (big, -big, big)) == 1 + 3 * big * big
     assert weight_sq(SU2, big) == 1 + Fraction(big * (big + 2), 4)
     for g, xi in ((T1, (0,)), (T3, (big, -big, big)), (SU2, big)):
-        assert type(weight_sq(g, xi)) is Fraction and type(rep_dim(g, xi)) is int
-    assert (rep_dim(T3, (big, -big, big)), rep_dim(SU2, big)) == (1, big + 1)
+        assert type(weight_sq(g, xi)) is Fraction
+    dims = [rep_arrays(g, [xi])[1].tolist() for g, xi in ((T3, (big, -big, big)), (SU2, big))]
+    assert dims == [[1], [big + 1]]

@@ -25,7 +25,6 @@ from peterweyl.groups import (
     enumerate_dual,
     parse_group,
     quadrature,
-    rep_dim,
     su2,
     torus,
     weight_sq,
@@ -45,7 +44,6 @@ from peterweyl.verify import (
     corollary_decay,
     corollary_decays,
     corollary_suite_reports,
-    embedding_ratio,
     embedding_suite,
     hausdorff_young_checks,
     make_corpus,
@@ -60,6 +58,8 @@ from peterweyl.verify import (
     weyl_fit,
     wiener_besov_pair,
 )
+
+from elements import rep_dim
 
 T1 = torus(1)
 T2 = torus(2)
@@ -435,19 +435,16 @@ def test_corollary_exponential_coefficients_oracle():
 # embeddings
 
 
+def _ratio(F, pair, max_nodes=None):
+    # ||f||_target / ||f||_source from the two norm values
+    return norm_info(F, pair.target, max_nodes).lo / norm_info(F, pair.source, max_nodes).lo
+
+
 def test_embedding_ratio_single_mode_thm_structure():
     # B^{n/p}_{p,1} -> L^inf on a single mode in shell s: ratio = 2^{-s n/p}
     e3 = SpectralFunction(T1, {(3,): [[1.0]]})
     pair = besov_linf_pair(T1, 2.0)
-    assert embedding_ratio(e3, pair.target, pair.source) == pytest.approx(
-        2.0**-0.5, rel=1e-9
-    )
-
-
-def test_embedding_ratio_zero_rejected():
-    pair = besov_linf_pair(T1, 2.0)
-    with pytest.raises(DomainError):
-        embedding_ratio(SpectralFunction(T1, {}), pair.target, pair.source)
+    assert _ratio(e3, pair) == pytest.approx(2.0**-0.5, rel=1e-9)
 
 
 def test_pair_constructors_validate_exponents():
@@ -483,9 +480,7 @@ def test_chain_equalities_beta_two():
     for F in corpus.functions:
         a = seq_lp_norm(F, 2.0)
         mid = chain_pairs(SU2, 2.0)[0].source
-        from peterweyl.norms import norm_value
-
-        b = norm_value(F, mid)
+        b = norm_info(F, mid).lo
         c = lp_norm(F, 2.0)
         assert a == pytest.approx(b, rel=1e-9)
         assert b == pytest.approx(c, rel=1e-9)
@@ -516,7 +511,7 @@ def test_dirichlet_members_and_slopes_name_their_certification():
             F = dirichlet(T1, L)
             t, s = (norm_info(F, spec) for spec in (pair.target, pair.source))
             certs.append(norms.weakest([t, s])[0])
-            assert rep.lhs == t.hi / s.lo == embedding_ratio(F, pair.target, pair.source)
+            assert rep.lhs == t.hi / s.lo == _ratio(F, pair)
             assert rep.notes.endswith(f"; ratio {certs[-1]} [{rep.lhs!r}, {rep.lhs!r}]")
         assert slope.name.startswith("embedding-slope") and slope.holds
         slope_certs.append(slope.notes.split("; members ")[1])
@@ -528,8 +523,6 @@ def test_dirichlet_members_and_slopes_name_their_certification():
 def test_a_zero_source_raises_and_a_zero_lower_end_fails_the_bounds():
     pair = besov_lq_pair(T1, 2.0, 4.0)
     zero = zero_spectral(T1)
-    with pytest.raises(DomainError, match="zero function"):
-        embedding_ratio(zero, pair.target, pair.source)
     with pytest.raises(DomainError, match="zero function"):
         embedding_suite(T1, "corpus", [pair], corpus=verify.Corpus(7, T1, 4.0, "zero", (zero,)))
     # on bounds, a source whose lower end is 0 leaves the ratio no finite
@@ -594,7 +587,7 @@ def test_corpus_members_read_enclosures_and_run_no_refined_ladder(monkeypatch):
             cert, interval = rep.notes.split("; ratio ")[-1].split(" ", 1)
             lo, hi = map(float, interval.strip("[]").split(", "))
             assert rep.holds and cert in ("exact", "enclosed") and hi == rep.lhs
-            value = embedding_ratio(F, pair.target, pair.source)
+            value = _ratio(F, pair)
             assert lo * (1.0 - 1e-6) <= value <= rep.lhs * (1.0 + 1e-6), (rep.instance, value)
 
 
@@ -608,7 +601,7 @@ def test_corpus_records_fall_back_to_values_without_a_finite_enclosure():
     reports = embedding_suite(T1, "corpus", [pair], corpus=corpus, max_nodes=cap)
     assert len(reports) == 3
     for rep, F in zip(reports, corpus.functions):
-        assert rep.holds and rep.lhs == embedding_ratio(F, pair.target, pair.source, cap)
+        assert rep.holds and rep.lhs == _ratio(F, pair, cap)
         assert rep.notes.endswith(f"; ratio capped [{rep.lhs!r}, {rep.lhs!r}]")
 
 
