@@ -14,8 +14,9 @@ is that checkout's src:
   * the bulk Nikolskii suite, 50 functions per group (`peterweyl verify
     nikolskii --count 50`), at seeds 7 and 101.
 
-For each file it prints `same` when the two are byte-identical, else the
-number of records that moved and the number of changed verdicts.  Records
+For each file it prints `same` when the two are byte-identical, `headers
+differ` when only `#` lines differ, else the number of records that moved
+and the number of changed verdicts.  Records
 are the report's JSON lines, paired by position; a record present in one
 report only counts as moved and as a changed verdict.  The exit status is
 1 if any verdict changed, 2 if a run did not finish, else 0.  Standard
@@ -105,6 +106,8 @@ def main(argv: list[str]) -> int:
             diff = compare(*paths)
             if diff is None:
                 print(f"{name}: same")
+            elif diff == (0, 0):
+                print(f"{name}: headers differ")
             else:
                 print(f"{name}: {diff[0]} moved records, {diff[1]} changed verdicts")
                 if diff[1] and status == 0:

@@ -27,6 +27,7 @@ from .groups import (
     check_plain_number,
     dual_arrays,
     parse_group,
+    parse_number,
 )
 from .fourier import read_spectral, save_spectral, write_atomic
 from .norms import norm_enclosure, norm_info, parse_norm_spec
@@ -45,26 +46,17 @@ EXIT_RESOURCE = 3
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    check_plain_number(text)
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(math.inf if tok == "inf" else float(tok))
-        if math.isnan(out[-1]):
-            raise DomainError(f"not a number in {text!r}")
+    check_plain_number(text)  # a Unicode space is no empty entry
+    out = tuple(parse_number(tok) for tok in text.split(",") if tok.strip())
     if not out:
         raise DomainError(f"empty number list {text!r}")
-    return tuple(out)
+    return out
 
 
 def _number(kind):
-    # argparse type: kind(text) of plain number text, else a usage error
-    # that names the type
+    # argparse type: parse_number as kind, else a usage error that names the type
     def read(text: str):
-        check_plain_number(text)
-        return kind(text)
+        return parse_number(text, kind)
 
     read.__name__ = kind.__name__
     return read
@@ -73,9 +65,8 @@ def _number(kind):
 def _node_cap(text: str) -> int:
     # argparse type of --max-nodes: a positive integer, or a usage error
     try:
-        check_plain_number(text)
-        cap = int(text)
-    except ValueError:
+        cap = parse_number(text, int)
+    except DomainError:
         cap = 0
     if cap < 1:
         raise argparse.ArgumentTypeError(f"node cap must be a positive integer, got {text!r}")
@@ -118,38 +109,23 @@ def cmd_norm(args) -> int:
 def _config_from_args(args) -> RunConfig:
     # The settings the arguments override, in one RunConfig.
     over = {"suite": args.suite, "seed": args.seed}
-    groups = RunConfig.groups
+    for key, value in (("corpus_count", args.count), ("profile", args.profile),
+                       ("bandlimit", args.bandlimit), ("max_nodes", args.max_nodes)):
+        if value is not None:
+            over[key] = value
     if args.group:
-        groups = over["groups"] = tuple(g.strip() for g in args.group.split(","))
-        for g in groups:
-            parse_group(g)
-    if args.count is not None:
-        over["corpus_count"] = args.count
-    if args.profile is not None:
-        over["profile"] = args.profile
-    if args.bandlimit is not None:
-        over["bandlimits"] = {g: args.bandlimit for g in groups}
-    if args.L is not None:
-        grid = _parse_floats(args.L)
-        over.update(sharpness_L=grid, corollary_L=grid, dirichlet_grids={g: grid for g in groups},
-                    weyl_grids={**RunConfig().weyl_grids, **{g: grid for g in groups}})
-    for key, text in (("p_grid", args.p), ("q_grid", args.q), ("r_grid", args.r),
-                      ("betas", args.beta)):
+        over["groups"] = tuple(args.group.split(","))
+    for key, text in (("L", args.L), ("p_grid", args.p), ("q_grid", args.q),
+                      ("r_grid", args.r), ("betas", args.beta)):
         if text is not None:
             over[key] = _parse_floats(text)
-    if args.max_nodes is not None:
-        over["max_nodes"] = args.max_nodes
     for item in args.tol or []:
         key, eq, val = item.partition("=")
         if not eq or key not in ("exact", "grid", "identity"):
             raise DomainError(
                 f"bad --tol {item!r}; expected exact=..., grid=..., or identity=..."
             )
-        check_plain_number(val)
-        tol = float(val)
-        if math.isnan(tol):
-            raise DomainError(f"--tol {item!r} is not a number")
-        over[f"tol_{key}"] = tol
+        over[f"tol_{key}"] = parse_number(val)
     return RunConfig(**over)
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,6 +78,25 @@ def check_plain_number(text: str) -> None:
         raise DomainError(f"bad number text {text!r}: numbers are ASCII, without '_'")
 
 
+def parse_number(text: str, kind=float):
+    """Read plain number text (check_plain_number) as an int or a float.
+
+    A float is finite or exactly 'inf': float also reads 'Infinity', 'INF'
+    and literals that overflow, such as '1e999', as infinity, and 'nan'.
+    Raise DomainError on any other text.
+    """
+    check_plain_number(text)
+    if kind is float and text.strip() == "inf":
+        return math.inf
+    try:
+        value = kind(text)
+    except ValueError:
+        raise DomainError(f"bad number {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise DomainError(f"bad number {text!r}: a float is finite or exactly 'inf'")
+    return value
+
+
 @dataclass(frozen=True)
 class GroupId:
     """Identifier of a supported compact group.
@@ -118,14 +138,13 @@ def su2() -> GroupId:
 
 def parse_group(text: str) -> GroupId:
     """Parse "torus:N" or "su2" into a GroupId."""
-    text = text.strip()
+    text = text.strip(string.whitespace)  # str.strip() drops Unicode spaces too
     if text == "su2":
         return su2()
     if text.startswith("torus:"):
         try:
-            check_plain_number(text)
-            n = int(text.split(":", 1)[1])
-        except ValueError:
+            n = parse_number(text.split(":", 1)[1], int)
+        except DomainError:
             raise DomainError(f"bad torus rank in group spec {text!r}") from None
         return torus(n)
     raise DomainError(f"unknown group spec {text!r} (expected torus:N or su2)")

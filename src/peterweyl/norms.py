@@ -185,8 +185,8 @@ from .groups import (
     ResourceLimitError,
     axis_gaps,
     check_node_cap,
-    check_plain_number,
     degree_fits,
+    parse_number,
     quadrature,
     quadrature_degree,
 )
@@ -268,13 +268,10 @@ def _fmt_num(x: float) -> str:
 
 
 def _parse_num(tok: str) -> float:
-    if tok == "inf":
-        return INF
     try:
-        check_plain_number(tok)
-        return float(tok)
-    except ValueError:
-        raise NormSpecError(f"bad number {tok!r} (rule 'number')") from None
+        return parse_number(tok)
+    except DomainError as exc:
+        raise NormSpecError(f"{exc} (rule 'number')") from None
 
 
 def format_norm_spec(spec: NormSpec) -> str:

@@ -766,54 +766,46 @@ def make_corpus(
 # Suite driver
 
 
-def _default_bandlimits():
-    return {"torus:1": 8.0, "torus:2": 4.0, "torus:3": 3.0, "su2": 2.5}
-
-
-def _default_dirichlet_grids():
-    # The torus families start at L = 4: below that the dyadic block structure
-    # is degenerate (one or two shells) and the ratios are still transient.
-    # The su2 grid starts at 2 and is never read: _family_reports returns
-    # early for su2, whose equality case the sharpness suite covers.
-    return {
-        "torus:1": (4, 8, 16, 32, 64),
-        "torus:2": (4, 8, 16, 32),
-        "torus:3": (4, 8, 16),
-        "su2": (2, 4, 8),
-    }
-
-
-def _default_weyl_grids():
-    return {
-        "torus:1": tuple(range(10, 101, 5)),
-        "torus:2": tuple(range(10, 61, 5)),
-        "torus:3": tuple(range(10, 41, 5)),
-        "su2": tuple(range(10, 41, 5)),
-    }
-
-
-# The Hausdorff-Young exponents the suite checks, and the Weyl slope band of
-# each group: settings no run changes, so they are not in the report header.
+# The per-group defaults of RunConfig's bandlimit and L, and the settings no
+# run changes (the Hausdorff-Young exponents, the Weyl slope band of each
+# group), which are not in the report header.
+BANDLIMITS = {"torus:1": 8.0, "torus:2": 4.0, "torus:3": 3.0, "su2": 2.5}
+# The torus families start at L = 4: below that the dyadic block structure
+# is degenerate (one or two shells) and the ratios are still transient.
+# su2 has none: _family_reports returns early for su2, whose equality case
+# the sharpness suite covers.
+DIRICHLET_GRIDS = {"torus:1": (4, 8, 16, 32, 64), "torus:2": (4, 8, 16, 32), "torus:3": (4, 8, 16)}
+WEYL_GRIDS = {
+    "torus:1": tuple(range(10, 101, 5)),
+    "torus:2": tuple(range(10, 61, 5)),
+    "torus:3": tuple(range(10, 41, 5)),
+    "su2": tuple(range(10, 41, 5)),
+}
+SHARPNESS_L = (2.0, 4.0, 8.0)
+COROLLARY_L = tuple(range(2, 33, 2))
 HY_P_GRID = (1.0, 4.0 / 3.0, 2.0)
 WEYL_SLOPE_TOL = {"torus:1": 0.05, "torus:2": 0.1, "torus:3": 0.15, "su2": 0.2}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settings a verification run takes; embedded in every report."""
+    """The settings a verification run takes; embedded in every report.
+
+    groups holds canonical group names.  bandlimit is the corpus band of
+    every group and L the grid of the sharpness, Dirichlet, Weyl and
+    corollary suites; unset (None, or an empty L) leaves each suite its
+    default above.
+    """
 
     suite: str = "all"
     groups: tuple = ("torus:1", "torus:2", "su2")
     seed: int = 7
     corpus_count: int = 6
     profile: str = "dense_gaussian"
-    bandlimits: dict = field(default_factory=_default_bandlimits)
+    bandlimit: float | None = None
     p_grid: tuple = (1.0, 1.5, 2.0, 3.0, 4.0)
     q_grid: tuple = (2.0, 3.0, 4.0, INF)
-    sharpness_L: tuple = (2.0, 4.0, 8.0)
-    dirichlet_grids: dict = field(default_factory=_default_dirichlet_grids)
-    weyl_grids: dict = field(default_factory=_default_weyl_grids)
-    corollary_L: tuple = tuple(range(2, 33, 2))
+    L: tuple | None = None
     betas: tuple = (0.5, 1.0, 2.0)
     r_grid: tuple = (-1.0, 0.5, 2.0)
     tol_exact: float = TOL_EXACT
@@ -823,6 +815,9 @@ class RunConfig:
 
     def __post_init__(self):
         _check_corpus_args(self.corpus_count, self.profile)
+        groups = tuple(str(parse_group(g)) for g in self.groups)
+        _require(len(set(groups)) == len(groups), f"repeated group in {self.groups}")
+        object.__setattr__(self, "groups", groups)
 
     def to_dict(self) -> dict:
         return {f.name: _json_safe(getattr(self, f.name)) for f in fields(self)}
@@ -833,7 +828,8 @@ def _config_groups(cfg: RunConfig) -> list[GroupId]:
 
 
 def _corpus_for(cfg: RunConfig, group: GroupId) -> Corpus:
-    return make_corpus(group, cfg.bandlimits[str(group)], cfg.corpus_count, cfg.seed, cfg.profile)
+    band = BANDLIMITS[str(group)] if cfg.bandlimit is None else cfg.bandlimit
+    return make_corpus(group, band, cfg.corpus_count, cfg.seed, cfg.profile)
 
 
 def nikolskii_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
@@ -882,7 +878,7 @@ def _nikolskii_records(T, p, q, L, cfg: RunConfig, cts: dict, n_of: dict, inst: 
 def sharpness_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
     for group in _config_groups(cfg):
-        for L in cfg.sharpness_L:
+        for L in cfg.L or SHARPNESS_L:
             reports.extend(
                 sharpness_check(group, float(L), cfg.tol_exact, cfg.max_nodes)
             )
@@ -914,7 +910,7 @@ def weyl_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
     for group in _config_groups(cfg):
         key = str(group)
-        grid = cfg.weyl_grids[key]
+        grid = cfg.L or WEYL_GRIDS[key]
         slope, intercept, residual = weyl_fit(group, grid)
         inst = {"group": key, "grid": [float(L) for L in grid]}
         notes = (f"slope={slope!r} intercept={intercept!r} residual={residual!r} "
@@ -932,14 +928,18 @@ def weyl_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
 def corollary_suite_reports(cfg: RunConfig) -> list[InequalityReport]:
     reports = []
     group = parse_group("torus:1")
-    grid = [float(L) for L in cfg.corollary_L]
+    grid = [float(L) for L in cfg.L or COROLLARY_L]
     _require(
         sum(L >= 8.0 for L in grid) >= 2,
         f"corollary grid needs two band limits >= 8, got {grid}",
     )
-    # The suite runs on torus:1 whatever the groups; a band override that
-    # names other groups only leaves it the default band.
-    band = cfg.bandlimits.get("torus:1", _default_bandlimits()["torus:1"])
+    _require(all(a < b for a, b in zip(grid, grid[1:])),
+             f"corollary grid must be strictly increasing, got {grid}")
+    # The suite runs on torus:1 whatever the groups; a band override of a
+    # run without torus:1 leaves it the default band.
+    band = BANDLIMITS["torus:1"]
+    if cfg.bandlimit is not None and "torus:1" in cfg.groups:
+        band = cfg.bandlimit
     corpus = make_corpus(group, band, cfg.corpus_count, cfg.seed, "smooth_decay")
     decays = corollary_decays(corpus.functions, 1.0, INF, grid, cfg.max_nodes)
     for idx, (seq, stat) in enumerate(decays):
@@ -1033,7 +1033,7 @@ def _family_reports(
         return []
     pairs = pairs_of(group)
     reports = embedding_suite(
-        group, "dirichlet", pairs, L_grid=cfg.dirichlet_grids[str(group)],
+        group, "dirichlet", pairs, L_grid=cfg.L or DIRICHLET_GRIDS[str(group)],
         max_nodes=cfg.max_nodes, suite=suite,
     )
     return reports + embedding_suite(

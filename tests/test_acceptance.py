@@ -28,6 +28,7 @@ from peterweyl.norms import (
     tl_norm,
 )
 from peterweyl.verify import (
+    BANDLIMITS,
     RunConfig,
     _conjugate,
     besov_besov_pair,
@@ -140,8 +141,8 @@ def test_criterion_3_sharpness():
 # documented desk scale: torus:1 at 8, torus:2 at 4, su2 at 2.5.
 @pytest.fixture(scope="module")
 def bulk_reports():
-    cfg = RunConfig(groups=("torus:1", "torus:2", "su2"), seed=SEED, corpus_count=200,
-                    bandlimits={"torus:1": 8.0, "torus:2": 4.0, "su2": 2.5})
+    cfg = RunConfig(groups=("torus:1", "torus:2", "su2"), seed=SEED, corpus_count=200)
+    assert [BANDLIMITS[g] for g in cfg.groups] == [8.0, 4.0, 2.5]
     return nikolskii_suite_reports(cfg)
 
 

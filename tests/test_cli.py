@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
+import json
 import math
 import os
 import subprocess
@@ -192,6 +193,28 @@ def test_verify_weyl_and_corollary_answer_or_refuse_huge_bands(tmp_path, capsys)
         assert '"name": "weyl-slope"' in fh.read()
     assert main(["verify", "corollary", "--L", "2,4,8,16,1e300", "--out", out]) == EXIT_RESOURCE
     assert "weighted sum" in capsys.readouterr().err
+
+
+def test_verify_overrides_apply_to_any_spelling_of_a_group(tmp_path):
+    # The config stores each group by its canonical name, so --bandlimit
+    # and --L reach a group however it is spelled.
+    out = str(tmp_path / "r.txt")
+
+    def run(*argv):
+        assert main(["verify", *argv, "--out", out]) == EXIT_OK
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        config = json.loads(lines[2].removeprefix("# config "))
+        return config, [json.loads(ln) for ln in lines if not ln.startswith("#")]
+
+    config, records = run("all", "--group", "torus:+1", "--bandlimit", "4", "--count", "1")
+    assert (config["groups"], config["bandlimit"], config["L"]) == (["torus:1"], 4.0, None)
+    assert {r["instance"]["L"] for r in records if r["name"] == "nikolskii"} == {4.0}
+    config, records = run("embeddings", "--group", "torus:01", "--L", "4,8,16", "--count", "1")
+    slopes = [r for r in records if r["name"].startswith("embedding-slope:")]
+    assert slopes and all(r["instance"]["grid"] == [4.0, 8.0, 16.0] for r in slopes)
+    config, records = run("weyl", "--group", "torus:01", "--L", "10,20,30,40,50")
+    assert [r["instance"]["grid"] for r in records] == [[10.0, 20.0, 30.0, 40.0, 50.0]]
 
 
 def test_verify_reports_byte_identical(tmp_path):
@@ -553,7 +576,16 @@ def test_norm_of_huge_coefficients_in_range(tmp_path, capsys):
      # a corpus no run could build
      ["verify", "sharpness", "--group", "torus:1", "--count", "-3", "--profile", "bogus"],
      ["verify", "sharpness", "--group", "torus:1", "--count", "0"],
-     ["verify", "sharpness", "--group", "torus:1", "--profile", "bogus"]],
+     ["verify", "sharpness", "--group", "torus:1", "--profile", "bogus"],
+     # 'inf' is the only spelling of infinity, and no literal may overflow to it
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--q", "2,1e999"],
+     ["verify", "nikolskii", "--group", "torus:1", "--count", "1", "--p", "1,Infinity"],
+     ["verify", "sharpness", "--group", "torus:1", "--L", "2,4", "--tol", "exact=Infinity"],
+     ["dual", "--group", "\u2003su2", "--L", "2"],
+     # a corollary grid that does not increase, and a repeated group
+     ["verify", "corollary", "--L", "32,16,8,4"],
+     ["verify", "corollary", "--L", "8,8,16"],
+     ["verify", "weyl", "--group", "torus:1,torus:1"]],
     ids=" ".join,
 )
 def test_non_finite_or_short_grids_exit_2(tmp_path, argv, capsys):

@@ -34,6 +34,7 @@ from peterweyl.groups import (
     dual_size,
     enumerate_dual,
     parse_group,
+    parse_number,
     quadrature,
     rep_arrays,
     su2,
@@ -71,6 +72,22 @@ def test_parse_group_round_trip():
         parse_group("so3")
     with pytest.raises(DomainError):
         parse_group("torus:9")
+    # spaces around a spec are ASCII, as in every number text
+    assert parse_group(" torus:02\t") == T2
+    for text in ("\u2003su2", "su2\u00a0", "torus:\u20032"):
+        with pytest.raises(DomainError):
+            parse_group(text)
+
+
+def test_parse_number_reads_plain_finite_text_or_inf():
+    assert parse_number(" 2.5 ") == 2.5 and parse_number("inf") == math.inf
+    assert parse_number("-3", int) == -3
+    for text in ("Infinity", "INF", "-inf", "1e999", "nan", "1_0", "\uff11", "", "x"):
+        with pytest.raises(DomainError):
+            parse_number(text)
+    for text in ("2.0", "inf", "1e3", "9" * 5000):
+        with pytest.raises(DomainError):
+            parse_number(text, int)
 
 
 @pytest.mark.parametrize("kind,dim", [("su2", 2), ("sphere", 2)])

@@ -326,6 +326,12 @@ def test_spec_parse_errors_name_rule():
     for text in ("Lp:1_5", "Lp:\uff11", "besov:r=1,p=2_0,q=1", "seq:\u0662", "Lp:\u20032"):
         with pytest.raises(NormSpecError, match="rule 'number'"):
             parse_norm_spec(text)
+    # float also reads other spellings of infinity, and overflows to it
+    for text in ("Lp:Infinity", "Lp:INF", "Lp:1e999", "beurling:infinity",
+                 "besov:r=1,p=2,q=Inf"):
+        with pytest.raises(NormSpecError, match="exactly 'inf' \\(rule 'number'\\)"):
+            parse_norm_spec(text)
+    assert parse_norm_spec("besov:r=1,p=2,q=inf").q == INF
     with pytest.raises(NormSpecError):
         parse_norm_spec("besov:r=1,p=2")  # missing q
     with pytest.raises(NormSpecError, match="rule 'spec'"):
@@ -897,7 +903,7 @@ def test_slab_passes_take_their_temporaries_from_the_heap():
     code = (
         "import resource\n"
         "from peterweyl import groups, norms, verify\n"
-        "band = verify.RunConfig().bandlimits['su2']\n"
+        "band = verify.BANDLIMITS['su2']\n"
         "F = verify.make_corpus(groups.su2(), band, 10, 7).functions\n"
         "norms._sup(F[0], None)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
@@ -1530,7 +1536,7 @@ def test_lp_enclosures_make_one_pass_per_exact_norm_and_one_for_the_sup(ladder_s
     # corpus: the sup's pass, then one pass for each even norm the bounds
     # rest on, at its exact level, and no refined level.
     cfg = RunConfig(suite="nikolskii")
-    F = make_corpus(parse_group(group), cfg.bandlimits[group], 1, cfg.seed,
+    F = make_corpus(parse_group(group), verify.BANDLIMITS[group], 1, cfg.seed,
                     cfg.profile).functions[0]
     exponents = sorted({x for p in cfg.p_grid for q in cfg.q_grid if p < q for x in (p, q)})
     _, passes, _ = _fresh(lambda: norms.lp_enclosures(F, exponents), ladder_spy)

@@ -353,6 +353,25 @@ def test_hy_instance_failing_on_enclosures_is_reported_from_refined_values(monke
     assert reports[3].notes.startswith("rhs enclosed [")
 
 
+def test_sparse_corpus_hy_records_rest_on_refined_values(monkeypatch):
+    # On a sparse corpus the enclosure of ||f||_1 fails p = 1 for four
+    # functions at seed 7: their hy-coefficient records are read on the
+    # refined value, and every record holds.  Without that fallback exactly
+    # those four fail.
+    cfg = RunConfig(groups=("torus:1", "torus:2"), profile="sparse")
+    rescued = {("torus:1", 2), ("torus:1", 5), ("torus:2", 2), ("torus:2", 5)}
+    reports = verify.hausdorff_young_suite_reports(cfg)
+    assert reports and all(r.holds for r in reports)
+    refined = [r for r in reports if "refined" in r.notes]
+    assert {(r.instance["group"], r.instance["fn"]) for r in refined} == rescued
+    assert all(r.name == "hy-coefficient" and r.instance["p"] == 1.0
+               and r.notes == "rhs grid refined" for r in refined)
+    monkeypatch.setattr(verify, "_settled", lambda records_of, bounds, values: records_of(bounds))
+    failed = [r for r in verify.hausdorff_young_suite_reports(cfg) if not r.holds]
+    assert {(r.instance["group"], r.instance["fn"]) for r in failed} == rescued
+    assert {r.name for r in failed} == {"hy-coefficient"}
+
+
 # ---------------------------------------------------------------------------
 # corollary decay
 
@@ -577,7 +596,7 @@ def test_corpus_members_read_enclosures_and_run_no_refined_ladder(monkeypatch):
         m.setattr(norms, "_ladder", spy)
         for name in cfg.groups:
             group = parse_group(name)
-            corpus = make_corpus(group, cfg.bandlimits[name], cfg.corpus_count, cfg.seed)
+            corpus = make_corpus(group, verify.BANDLIMITS[name], cfg.corpus_count, cfg.seed)
             pairs = verify._embedding_pairs(group) + verify._wiener_chain_pairs(group)
             suites.append((corpus, pairs, embedding_suite(group, "corpus", pairs, corpus=corpus)))
     assert refined == []
@@ -733,21 +752,28 @@ def test_corpus_smooth_decay_envelope():
 
 
 def _tiny_config():
-    return RunConfig(groups=("torus:1",), corpus_count=2, bandlimits={"torus:1": 4.0},
-                     p_grid=(1.0, 2.0, 3.0), q_grid=(2.0, INF), sharpness_L=(2.0, 4.0),
-                     dirichlet_grids={"torus:1": (4, 8, 16)}, corollary_L=tuple(range(2, 33, 2)))
+    # one grid L for the sharpness, Dirichlet, Weyl and corollary suites: five
+    # points for the Weyl fit, and a_L down tenfold over the corollary grid
+    return RunConfig(groups=("torus:1",), corpus_count=2, bandlimit=4.0,
+                     p_grid=(1.0, 2.0, 3.0), q_grid=(2.0, INF), L=(4.0, 8.0, 16.0, 32.0, 64.0))
 
 
 def test_corollary_suite_grid_and_band():
     cfg = _tiny_config()
-    # one step ratio needs two points from L = 8
+    # one step ratio needs two points from L = 8, and the grid increases
     with pytest.raises(DomainError, match="two band limits >= 8"):
-        corollary_suite_reports(replace(cfg, corollary_L=(2.0, 4.0, 8.0)))
-    # the suite runs on torus:1; a band override for other groups leaves it
-    # the default band
-    reports = corollary_suite_reports(replace(cfg, bandlimits={"su2": 2.0}))
+        corollary_suite_reports(replace(cfg, L=(2.0, 4.0, 8.0)))
+    for grid in ((32.0, 16.0, 8.0, 4.0), (8.0, 8.0, 16.0)):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            corollary_suite_reports(replace(cfg, L=grid))
+    # the suite runs on torus:1: a band override applies when torus:1 is
+    # listed, and a run without it leaves the suite the default band
+    reports = corollary_suite_reports(replace(cfg, groups=("su2",), bandlimit=2.0))
     assert reports and all(r.holds for r in reports)
     assert {r.instance["group"] for r in reports} == {"torus:1"}
+    default, banded = ([r.to_record() for r in corollary_suite_reports(c)]
+                       for c in (replace(cfg, bandlimit=None), cfg))
+    assert [r.to_record() for r in reports] == default != banded
 
 
 @pytest.mark.parametrize("profile", ["sparse", "smooth_decay"])
@@ -838,9 +864,21 @@ def test_malformed_node_cap_is_a_domain_error(cap):
 def test_run_config_header_lists_every_setting():
     # the report header embeds every RunConfig field
     keys = {
-        "suite", "groups", "seed", "corpus_count", "profile", "bandlimits",
-        "p_grid", "q_grid", "sharpness_L", "dirichlet_grids", "weyl_grids",
-        "corollary_L", "betas", "r_grid", "tol_exact", "tol_grid",
+        "suite", "groups", "seed", "corpus_count", "profile", "bandlimit",
+        "p_grid", "q_grid", "L", "betas", "r_grid", "tol_exact", "tol_grid",
         "tol_identity", "max_nodes",
     }
     assert set(RunConfig().to_dict()) == keys
+    # one value per setting: the per-group defaults are module constants
+    assert not any(isinstance(v, dict) for v in RunConfig().to_dict().values())
+
+
+def test_run_config_stores_canonical_groups():
+    # each group by its canonical name, so the per-group defaults are found
+    # whatever the spelling; a malformed or repeated group is refused
+    cfg = RunConfig(groups=("torus:01", " torus:+2 ", "su2"))
+    assert cfg.groups == ("torus:1", "torus:2", "su2")
+    assert replace(cfg, bandlimit=3.0).groups == cfg.groups
+    for groups in (("torus:1", "torus:01"), ("torus:9",), ("so3",), ("\u2003su2",)):
+        with pytest.raises(DomainError):
+            RunConfig(groups=groups)
