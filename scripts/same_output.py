@@ -5,14 +5,17 @@ Usage: python3 scripts/same_output.py PARENT
 
 PARENT is an unpacked copy of the parent commit, for example made with
 `git archive REV | tar -x -C PARENT`.  For this checkout and for PARENT the
-script writes 14 report files, each from a fresh process whose PYTHONPATH
+script writes 16 report files, each from a fresh process whose PYTHONPATH
 is that checkout's src:
 
   * `peterweyl verify all` at seeds 7 and 11, under the corpus profiles
     dense_gaussian, sparse and smooth_decay, on the default groups and on
     torus:1,torus:2,torus:3,su2 (12 reports);
   * the bulk Nikolskii suite, 50 functions per group (`peterweyl verify
-    nikolskii --count 50`), at seeds 7 and 101.
+    nikolskii --count 50`), at seeds 7 and 101;
+  * the embeddings and wiener-chain suites at seed 7 under a node cap of
+    200,000 (`--max-nodes 200000`), where ladders end capped (35 of the
+    338 embeddings records and 37 of the 458 wiener-chain records say so).
 
 For each file it prints `same` when the two are byte-identical, `headers
 differ` when only `#` lines differ, else the number of records that moved
@@ -36,6 +39,9 @@ PROFILES = ("dense_gaussian", "sparse", "smooth_decay")
 GROUP_SETS = (None, "torus:1,torus:2,torus:3,su2")  # None: the default groups
 BULK_SEEDS = (7, 101)
 BULK_COUNT = 50
+CAPPED_SUITES = ("embeddings", "wiener-chain")
+CAPPED_SEED = 7
+CAPPED_NODES = 200_000
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -53,6 +59,9 @@ def runs() -> list[tuple[str, list[str]]]:
     for seed in BULK_SEEDS:
         out.append((f"bulk-{seed}.txt",
                     ["nikolskii", "--count", str(BULK_COUNT), "--seed", str(seed)]))
+    for suite in CAPPED_SUITES:
+        out.append((f"{suite}-{CAPPED_SEED}-cap{CAPPED_NODES}.txt",
+                    [suite, "--seed", str(CAPPED_SEED), "--max-nodes", str(CAPPED_NODES)]))
     return out
 
 

@@ -119,7 +119,7 @@ class SpectralFunction:
     """
 
     __slots__ = ("group", "index", "dims", "wsq", "offsets", "entries", "_coeffs", "_digest",
-                 "_sign_even")
+                 "_sign_even", "_nonzero", "_max_weight")
 
     def __new__(cls, group: GroupId, coeffs: dict):
         for xi in coeffs:
@@ -144,7 +144,7 @@ class SpectralFunction:
             arr.setflags(write=False)
             object.__setattr__(F, name, arr)
         for name, value in (("group", group), ("_coeffs", None), ("_digest", None),
-                            ("_sign_even", None)):
+                            ("_sign_even", None), ("_nonzero", None), ("_max_weight", None)):
             object.__setattr__(F, name, value)
         return F
 
@@ -171,11 +171,16 @@ class SpectralFunction:
         return list(self.coeffs.items())
 
     def __bool__(self) -> bool:
-        return bool(self.entries.any())
+        if self._nonzero is None:  # decided once per instance, as max_weight is
+            object.__setattr__(self, "_nonzero", bool(self.entries.any()))
+        return self._nonzero
 
     def max_weight(self) -> float:
         """<xi> of the heaviest stored rep (0 for empty support)."""
-        return math.sqrt(int(self.wsq.max(initial=0)) / WEIGHT_SQ_DEN)
+        if self._max_weight is None:
+            object.__setattr__(self, "_max_weight",
+                               math.sqrt(int(self.wsq.max(initial=0)) / WEIGHT_SQ_DEN))
+        return self._max_weight
 
     @property
     def digest(self) -> str:

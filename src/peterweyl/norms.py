@@ -3,12 +3,21 @@
 Lebesgue norms are quadrature sums of |f|^p over Haar grids: exact (one
 evaluation on a sufficient grid) when |f|^p is itself band-limited, i.e.
 for even integer p, and otherwise dyadically refined until the value
-stabilizes or the node cap refuses the next grid.  One grid ladder, for one
-exponent at a time, serves the L^p norms and the Triebel-Lizorkin pointwise
-aggregate.  Each level is one streaming pass over the slabs of
-fourier.synthesize_slabs: per slab the modulus and a weighted sum of its
-|f|^p, with weights from the rule's per-axis factors, so no array of the
-grid's size is built.  A torus function whose coefficients are real and
+stabilizes or the node cap refuses the next grid.  One grid ladder serves
+the L^p norms and the Triebel-Lizorkin pointwise aggregate, and the ladders
+of one request run as one sweep (_evaluate): lp_norms sweeps the exponents
+it is asked for, and _prefetch every ladder that norm_info climbs for
+several specs of one function (an exponent of F, of a Sobolev rescaling or
+of each Besov block, and each Triebel-Lizorkin aggregate over F's blocks),
+into the memo, which norm_info then reads.  The sweep goes grid by grid,
+each step the least grid a pending ladder climbs to next, so every ladder
+whose level lands on that grid (the same group, degree and fold) takes it
+in one streaming pass over the slabs of fourier.synthesize_slabs, which
+synthesizes every function those ladders read once per slab.  Per slab each
+ladder takes the modulus and adds a weighted sum of its |f|^p, with weights
+from the rule's per-axis factors, so no array of the grid's size is built.
+Each ladder keeps its own sum, exact level, stop rule and cap outcome, so
+its value is the one it reaches alone.  A torus function whose coefficients are real and
 equal their images under every coordinate sign flip, compared exactly
 (SpectralFunction.sign_even, decided once per function), is real and even
 in every coordinate; its levels run on the folded rule
@@ -80,9 +89,12 @@ g(1) >= S (1 - tau^2 / 8): S <= M / (1 - tau^2 / 8) whenever tau^2 < 8.
     nearest node on each axis, h its largest node gap (alpha over its 2 pi
     period, gamma over its 4 pi period, beta between Lobatto nodes, which
     include 0 and pi), is at most delta = sqrt(h_beta^2 + (h_alpha +
-    h_gamma)^2) / 4 long.  Crossing alpha = 2 pi lands on a node, since
-    (alpha + 2 pi, beta, gamma) = (alpha, beta, gamma + 2 pi) and the gamma
-    grid is invariant under a shift by 2 pi.
+    h_gamma)^2) / 4 long.  Across alpha = 2 pi the chart continues as
+    (alpha + 2 pi, beta, gamma) = (alpha, beta, gamma + 2 pi), so the nodes
+    past the seam sit on the gamma grid shifted by 2 pi.  With 2c - 3 gamma
+    nodes over 4 pi, an odd number, that is half a node step, not a grid
+    symmetry; but the shifted grid has the same spacing h_gamma, so some
+    node lies within h_gamma / 2 of gamma* + 2 pi, and the bound stands.
 Roundoff: M is a synthesized value, off from the true node value by at most
 the summation error of the series.  Each node value sums terms bounded by A
 = sum over reps of d times the entrywise l^1 norm of the coefficient, which
@@ -126,9 +138,9 @@ A.  The bounds' own powers and roots add a few ulps, far below delta / N.
 
 Every family has such bounds (norm_enclosure), each a frozen Enclosure(lo,
 hi, certified, nodes, bandlimit) as an lp_enclosures entry is, with the
-weakest certification of its parts.  norm_enclosure and norm_info share
-one family dispatch (_by_family) and differ in their L^p and
-Triebel-Lizorkin evaluators.  Sobolev norms are lp_enclosures of the
+weakest certification of its parts.  norm_enclosure, norm_info and
+_prefetch share one family dispatch (_by_family) and differ in their L^p,
+Triebel-Lizorkin and coefficient-norm evaluators.  Sobolev norms are lp_enclosures of the
 rescaled function.  A Besov norm is the l^q aggregate of 2^(sr) times the
 block norms at p; the aggregate increases in every term, so the aggregates
 of the blocks' lo and of their hi enclose it (_besov_aggregate, whose upper
@@ -150,8 +162,9 @@ Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
 dyadic splits are a process-local memo keyed by the function's content
 digest and, for norm values, the node cap.  It is bounded, least recently
 used entries go first, and it affects only speed: a hit returns the frozen
-Enclosure a fresh evaluation would.  Node values are not kept; a level
-recomputes them slab by slab.
+Enclosure a fresh evaluation would.  A ladder the cap refuses, or whose
+value leaves float range, is not kept, and raises wherever it is read.
+Node values are not kept; a level recomputes them slab by slab.
 
 Coefficient-only norms are array reductions over the packed layout of
 SpectralFunction (dims, wsq, and the Hilbert-Schmidt norm of each rep's
@@ -175,6 +188,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,23 +463,30 @@ def _power(v: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _weighted_sum(slabs, rule, p: float) -> float:
-    """Quadrature sum of v^p over one pass of the node slabs of a rule.
+class _WeightedSum:
+    """Running quadrature sum of v^p over one pass of the node slabs of a rule.
 
-    slabs yields (lo, hi, v), nonnegative values at the flat C-order nodes
-    [lo, hi), whole rows of the leading grid axis.  Each weight is the
-    product of the rule's axis weights, taken leading rows times the
-    trailing product, so no weight vector of the grid's size is built.
+    add(lo, hi, v) takes nonnegative values v at the flat C-order nodes
+    [lo, hi), whole rows of the leading grid axis, in order; total is the
+    sum so far.  Each weight is the product of the rule's axis weights,
+    taken leading rows times the trailing product, so no weight vector of
+    the grid's size is built.
     """
-    lead = rule.axis_weights[0]
-    tail = np.ones(1)
-    for w in rule.axis_weights[1:]:
-        tail = np.multiply.outer(tail, w).ravel()
-    total = np.float64(0.0)
-    for lo, hi, vals in slabs:
-        total += lead[lo // tail.size:hi // tail.size] @ (_power(vals.reshape(-1, tail.size), p)
-                                                          @ tail)
-    return total
+
+    __slots__ = ("lead", "tail", "p", "total")
+
+    def __init__(self, rule, p: float):
+        self.lead = rule.axis_weights[0]
+        self.tail = np.ones(1)
+        for w in rule.axis_weights[1:]:
+            self.tail = np.multiply.outer(self.tail, w).ravel()
+        self.p = p
+        self.total = np.float64(0.0)
+
+    def add(self, lo: int, hi: int, vals: np.ndarray) -> None:
+        size = self.tail.size
+        self.total += self.lead[lo // size:hi // size] @ (_power(vals.reshape(-1, size), self.p)
+                                                          @ self.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -569,47 +590,149 @@ def _sup(F: SpectralFunction, max_nodes: int | None) -> Enclosure:
     return Enclosure(lo, hi, "enclosed" if within else "capped", *grid)
 
 
-def _ladder(
-    F: SpectralFunction, values_of, p: float, exact_level: int | None, max_nodes: int | None
-) -> Enclosure:
-    """The L^p norm of nonnegative node values on a grid ladder.
+class _Job:
+    """One ladder: the L^p norm of nonnegative node values made from the
+    slabs of the functions in reads, in order: their moduli where values is
+    None (one function), else values(moduli), a list of arrays (a
+    Triebel-Lizorkin aggregate of F's blocks).
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
-    weight in the support of F, folded when F is sign-even (its dyadic
-    blocks are too); values_of(rule) yields the level's values as (lo, hi,
-    slab), which one pass reduces.  exact_level is the level at which the
-    integrand is band-limited, evaluated once and exact; None refines from
-    level 0 until two levels meet REFINE_STOP ("refined") or the node cap
-    refuses the next ("capped", the last value).  Returns a point Enclosure
-    with the full rule's nodes and bandlimit.
+    weight in the support of ladder, folded when ladder is sign-even (its
+    dyadic blocks and Sobolev rescalings are too).  exact_level is the level
+    at which the integrand is band-limited, evaluated once and exact; None
+    refines from level 0 until two levels meet REFINE_STOP ("refined") or
+    the node cap refuses the next ("capped", the last value).  key is the
+    job's _MEMO key.  A plain class, not a dataclass: the package imports
+    faster without the generated methods, which nothing uses.
     """
-    level = exact_level or 0
-    prev = None  # the last level's value
+
+    __slots__ = ("key", "ladder", "p", "exact_level", "reads", "values", "level", "rule", "step",
+                 "prev", "grid", "outcome")
+
+    def __init__(self, key: tuple, ladder: SpectralFunction, p: float, exact_level: int | None,
+                 reads: tuple, values: Callable | None):
+        self.key, self.ladder, self.p, self.exact_level = key, ladder, p, exact_level
+        self.reads, self.values = reads, values
+        self.level = exact_level or 0  # the next level
+        self.rule = None  # the next level's full rule, once the node cap admits it
+        self.step = ()  # that rule's degree and the fold: the grid the level runs on
+        self.prev = None  # the last level's value
+        self.grid = ()  # the last level's full rule: (nodes, bandlimit)
+        self.outcome = None  # its Enclosure or exception, once it ends
+
+
+def _lp_key(F: SpectralFunction, p: float, max_nodes) -> tuple:
+    return ("lp", F.digest, p, max_nodes)
+
+
+def _lp_job(G: SpectralFunction, p: float, max_nodes) -> _Job:
+    # ||g||_p for finite p: the moduli of G, exact at the level _even_level names.
+    return _Job(_lp_key(G, p, max_nodes), G, p, _even_level(p), (G,), None)
+
+
+def _evaluate(jobs, max_nodes) -> None:
+    """Run the ladders of jobs, all on one group, with distinct keys and
+    none in the memo, to their outcomes: an Enclosure, which then enters the
+    memo, or the exception the ladder alone raises, a ResourceLimitError
+    where the node cap refuses its first level and a DomainError where a
+    level's value or its root 1/p leaves float range.
+
+    One sweep runs them all, grid by grid: each step takes the least grid
+    (degree, then fold) a pending ladder climbs to next, and every ladder
+    due there makes its level in one pass (_grid_pass).  No ladder's degree
+    falls, so each function meets each grid at most once.
+    """
+    jobs = list(jobs)
     while True:
+        due = []  # the pending ladders on the least next grid
+        for job in jobs:
+            if job.outcome is not None:
+                continue
+            if job.rule is None:
+                F = job.ladder
+                try:
+                    job.rule = quadrature(F.group, F.max_weight() * 2.0**job.level, max_nodes)
+                except ResourceLimitError as exc:
+                    # the exact level, or not even the base grid, is past the cap
+                    job.outcome = exc if job.prev is None else Enclosure(job.prev, job.prev,
+                                                                         "capped", *job.grid)
+                    continue
+                job.step = (job.rule.degree, F.sign_even)
+            if not due or job.step < due[0].step:
+                due = [job]
+            elif job.step == due[0].step:
+                due.append(job)
+        if not due:
+            break
+        _grid_pass(due)
+    for job in jobs:
+        if isinstance(job.outcome, Enclosure):
+            try:  # a tiny p, refused once the ladder ends, after every level's range check
+                _root_exponent(job.p, f"L^{job.p:g} value")
+            except DomainError as exc:
+                job.outcome = exc
+            else:
+                _MEMO.put(job.key, job.outcome)
+
+
+def _grid_pass(due: list) -> None:
+    # One level of each due ladder on the grid they share, in one pass over
+    # its slabs that synthesizes every function they read once per slab.
+    # Each ladder keeps its own sum, exact level, stop rule and cap outcome,
+    # so its outcome is the one it reaches alone; a ladder that goes on
+    # moves to its next level.
+    full = due[0].rule
+    grid = (full.node_count, full.bandlimit)
+    rule = full.folded() if due[0].ladder.sign_even else full
+    sums = [_WeightedSum(rule, job.p) for job in due]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
+        if len(due) == 1 and due[0].values is None:  # one L^p ladder: no slab bookkeeping
+            acc = sums[0]
+            for lo, hi, vals in _synth_values(due[0].ladder, rule):
+                acc.add(lo, hi, vals)
+        else:
+            reads = {G.digest: G for job in due for G in job.reads}
+            slot = {d: i for i, d in enumerate(reads)}
+            slots = [[slot[G.digest] for G in job.reads] for job in due]
+            for parts in zip(*(_synth_values(G, rule) for G in reads.values()), strict=True):
+                lo, hi, _ = parts[0]
+                moduli = [vals for _, _, vals in parts]
+                for job, acc, at in zip(due, sums, slots):
+                    if job.outcome is None:
+                        try:
+                            acc.add(lo, hi, moduli[at[0]] if job.values is None
+                                    else job.values([moduli[i] for i in at]))
+                        except DomainError as exc:
+                            job.outcome = exc
+    for job, acc in zip(due, sums):
+        if job.outcome is not None:
+            continue
         try:
-            rule = quadrature(F.group, F.max_weight() * 2.0**level, max_nodes)
-        except ResourceLimitError:
-            if prev is None:
-                raise  # the exact level, or not even the base grid, is past the cap
-            return Enclosure(prev, prev, "capped", *grid)
-        grid = (rule.node_count, rule.bandlimit)
-        if F.sign_even:
-            rule = rule.folded()
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
-            total = _weighted_sum(values_of(rule), rule, p)
-        # a tiny p is refused by the callers, after every level's range check
-        cur = _root(float(total), p, f"L^{p:g} value on {grid[0]} nodes", checked=False)
-        if exact_level is not None:
-            return Enclosure(cur, cur, "exact", *grid)
-        if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
-            return Enclosure(cur, cur, "refined", *grid)
-        prev, level = cur, level + 1
+            cur = _root(float(acc.total), job.p, f"L^{job.p:g} value on {grid[0]} nodes",
+                        checked=False)
+        except DomainError as exc:
+            job.outcome = exc
+            continue
+        if job.exact_level is not None:
+            job.outcome = Enclosure(cur, cur, "exact", *grid)
+        elif job.prev is not None and abs(cur - job.prev) <= REFINE_STOP * max(cur, 1e-300):
+            job.outcome = Enclosure(cur, cur, "refined", *grid)
+        else:
+            job.prev, job.grid, job.rule, job.level = cur, grid, None, job.level + 1
+
+
+def _outcome(job: _Job) -> Enclosure:
+    # A finished job's Enclosure; its exception raises.
+    if not isinstance(job.outcome, Enclosure):
+        raise job.outcome
+    return job.outcome
 
 
 def lp_norms(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, tuple[float, dict]]:
-    """Lebesgue norms for several exponents, each evaluated on its own.
+    """Lebesgue norms for several exponents: the sup first, then one ladder
+    per finite exponent, all in one sweep.
 
     Returns {p: (value, provenance)} where provenance records the node count
     and bandlimit of the rule the value ran on, and certification: "exact"
@@ -624,11 +747,35 @@ def lp_norms(
     raises DomainError, also where no grid is built.  Each entry is a fresh
     (value, dict) made from the exponent's one Enclosure, the only such form
     in the package, and _read_lp_norms its only reader: every other caller
-    reads the Enclosures it lifts.
+    reads the Enclosures it lifts.  Where exponents fail, the first in
+    that order raises.
     """
+    ps = sorted(_exponents(ps, max_nodes), key=lambda p: p != INF)
+    # memo hits (exact 0 for the zero function), the identity-pinned or
+    # enclosed sup, which raises before any ladder runs, and the other
+    # misses in one sweep
+    found, jobs = {}, []
+    for p in dict.fromkeys(ps):
+        key = _lp_key(F, p, max_nodes)
+        e = _MEMO.get(key)
+        if e is not None:
+            found[p] = e
+        elif not F:
+            found[p] = Enclosure(0.0, 0.0, "exact")
+        elif p == INF:
+            peak = _identity_value(F)
+            found[p] = e = (_sup(F, max_nodes) if peak is None
+                            else Enclosure(peak, peak, "exact (identity-pinned)"))
+            _MEMO.put(key, e)
+        else:
+            jobs.append(_lp_job(F, p, max_nodes))
+    if jobs:
+        _evaluate(jobs, max_nodes)
+        for job in jobs:
+            found[job.p] = _outcome(job)
     out = {}
-    for p in sorted(_exponents(ps, max_nodes), key=lambda p: p != INF):
-        e = _lp_norm(F, p, max_nodes) if F else Enclosure(0.0, 0.0, "exact")
+    for p in ps:
+        e = found[p]
         info = {"certified": e.certified, "nodes": e.nodes, "bandlimit": e.bandlimit}
         out[p] = e.lo, ({**info, "upper": e.hi} if p == INF else info)
     return out
@@ -642,23 +789,6 @@ def _exponents(ps, max_nodes) -> list:
         if not p > 0:
             raise DomainError(f"Lebesgue exponent must be positive, got {p}")
     return ps
-
-
-def _lp_norm(F: SpectralFunction, p: float, max_nodes: int | None) -> Enclosure:
-    # One exponent of lp_norms: the memo, else the identity-pinned or
-    # enclosed sup, or the ladder, exact at the level _even_level names.
-    key = ("lp", F.digest, p, max_nodes)
-    e = _MEMO.get(key)
-    if e is None:
-        if p == INF:
-            peak = _identity_value(F)
-            e = (_sup(F, max_nodes) if peak is None
-                 else Enclosure(peak, peak, "exact (identity-pinned)"))
-        else:
-            e = _ladder(F, lambda rule: _synth_values(F, rule), p, _even_level(p), max_nodes)
-            _root_exponent(p, f"L^{p:g} value")
-        _MEMO.put(key, e)
-    return e
 
 
 def _read_lp_norms(F: SpectralFunction, ps, max_nodes, slack: float = 0.0) -> dict:
@@ -858,43 +988,50 @@ def besov_norm(
     return norm_info(F, NormSpec("besov", r=r, p=p, q=q), max_nodes).lo
 
 
-def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
+def _tl_key(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple:
+    return ("tl", F.digest, spec, max_nodes)
+
+
+def _tl_job(F: SpectralFunction, spec: NormSpec, max_nodes) -> _Job:
+    # The ladder of a Triebel-Lizorkin norm of a nonzero F: its values are
+    # the pointwise l^q aggregate of 2^(sr) |f_s| over F's blocks, whose
+    # slabs line up on F's rules.
     p, q = spec.p, spec.q
+    _root_exponent(min(p, q), f"L^{p:g} norm of the pointwise l^{q:g} aggregate")
+    blocks = dyadic_blocks(F)
+    weights = [_shell_weight(s, spec.r) for s in blocks]
+
+    def aggregate(parts):
+        acc = None
+        for w, vals in zip(weights, parts):
+            term = w * vals
+            if q == INF:
+                acc = term if acc is None else np.maximum(acc, term)
+            else:
+                term = _power(term, q)
+                acc = term if acc is None else acc + term
+        if q != INF:
+            total, acc = acc, np.sqrt(np.sqrt(acc)) if q == 4.0 else _power(acc, 1.0 / q)
+            # finite q-th powers whose root, to the power p, overflows
+            if not np.isfinite(acc.max() ** p) and np.isfinite(total).all():
+                raise DomainError(f"pointwise l^{q:g} aggregate leaves float range at "
+                                  f"the root 1/{q:g}, to the power {p:g}")
+        return acc
+
+    return _Job(_tl_key(F, spec, max_nodes), F, p, _even_level(p) if q == 2.0 else None,
+                tuple(blocks.values()), aggregate)
+
+
+def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
+    # the memo first: an exponent _tl_job refuses never enters it
     if not F:
         return Enclosure(0.0, 0.0, "exact")
-    _root_exponent(min(p, q), f"L^{p:g} norm of the pointwise l^{q:g} aggregate")
-    key = ("tl", F.digest, spec, max_nodes)
-    hit = _MEMO.get(key)
+    hit = _MEMO.get(_tl_key(F, spec, max_nodes))
     if hit is not None:
         return hit
-    blocks = dyadic_blocks(F)
-    weights = {s: _shell_weight(s, spec.r) for s in blocks}
-
-    def aggregate(rule):
-        # The pointwise l^q aggregate, one slab of every block at a time;
-        # the blocks share the rule, so their slabs line up.
-        streams = [_synth_values(b, rule) for b in blocks.values()]
-        for parts in zip(*streams, strict=True):
-            lo, hi, _ = parts[0]
-            acc = None
-            for s, (_, _, vals) in zip(blocks, parts):
-                term = weights[s] * vals
-                if q == INF:
-                    acc = term if acc is None else np.maximum(acc, term)
-                else:
-                    term = _power(term, q)
-                    acc = term if acc is None else acc + term
-            if q != INF:
-                total, acc = acc, np.sqrt(np.sqrt(acc)) if q == 4.0 else _power(acc, 1.0 / q)
-                # finite q-th powers whose root, to the power p, overflows
-                if not np.isfinite(acc.max() ** p) and np.isfinite(total).all():
-                    raise DomainError(f"pointwise l^{q:g} aggregate leaves float range at "
-                                      f"the root 1/{q:g}, to the power {p:g}")
-            yield lo, hi, acc
-
-    e = _ladder(F, aggregate, p, _even_level(p) if q == 2.0 else None, max_nodes)
-    _MEMO.put(key, e)
-    return e
+    job = _tl_job(F, spec, max_nodes)
+    _evaluate([job], max_nodes)
+    return _outcome(job)
 
 
 def tl_norm(
@@ -980,11 +1117,26 @@ def _besov_aggregate(F: SpectralFunction, spec: NormSpec, block_norm) -> Enclosu
                      *weakest(e for _, e in parts))
 
 
-def _by_family(F: SpectralFunction, spec: NormSpec, max_nodes, lp, tl) -> Enclosure:
-    # The family dispatch of norm_info and norm_enclosure: lp(G) is G's
-    # Enclosure at spec.p, for F or its Sobolev rescaling and for each of
-    # F's Besov blocks; tl(F, spec, max_nodes) the Triebel-Lizorkin one.
-    # Coefficient families build no grid and are exact points.
+def _point_norm(F: SpectralFunction, spec: NormSpec) -> Enclosure:
+    # A coefficient family's norm, which builds no grid: an exact point.
+    fam = spec.family
+    if fam == "seq":
+        value = seq_lp_norm(F, spec.p)
+    elif fam == "wiener":
+        value = wiener_norm(F, spec.beta)
+    elif fam == "beurling":
+        value = beurling_norm(F, spec.beta)
+    else:  # beurlingR, the last family NormSpec admits
+        value = beurling_r_norm(F, spec.r, spec.beta)
+    return Enclosure(value, value, "exact")
+
+
+def _by_family(F: SpectralFunction, spec: NormSpec, max_nodes, lp, tl,
+               point=_point_norm) -> Enclosure:
+    # The family dispatch of norm_info, norm_enclosure and _prefetch: lp(G)
+    # is G's Enclosure at spec.p, for F or its Sobolev rescaling and for
+    # each of F's Besov blocks; tl(F, spec, max_nodes) the Triebel-Lizorkin
+    # one; point(F, spec) that of a coefficient family.
     check_node_cap(max_nodes)
     fam = spec.family
     if fam == "Lp":
@@ -995,15 +1147,7 @@ def _by_family(F: SpectralFunction, spec: NormSpec, max_nodes, lp, tl) -> Enclos
         return _besov_aggregate(F, spec, lp)
     if fam == "tl":
         return tl(F, spec, max_nodes)
-    if fam == "seq":
-        value = seq_lp_norm(F, spec.p)
-    elif fam == "wiener":
-        value = wiener_norm(F, spec.beta)
-    elif fam == "beurling":
-        value = beurling_norm(F, spec.beta)
-    else:  # beurlingR, the last family NormSpec admits
-        value = beurling_r_norm(F, spec.r, spec.beta)
-    return Enclosure(value, value, "exact")
+    return point(F, spec)
 
 
 def norm_info(
@@ -1019,6 +1163,45 @@ def norm_info(
     """
     return _by_family(F, spec, max_nodes,
                       lambda G: _read_lp_norms(G, [spec.p], max_nodes)[spec.p], _tl_info)
+
+
+# What _prefetch's plan hands _by_family for a norm it does not evaluate.
+_PLANNED = Enclosure(0.0, 0.0, "exact")
+
+
+def _prefetch(F: SpectralFunction, specs, max_nodes: int | None = None) -> None:
+    """Run, in one sweep, every ladder norm_info climbs for the specs and
+    the memo lacks: an L^p exponent of F, of a Sobolev rescaling or of a
+    Besov block, or a Triebel-Lizorkin aggregate.  Each function then meets
+    each grid once, and the finished ladders enter the memo, under the keys
+    norm_info reads.  The plan is _by_family's own dispatch, with readers
+    that record each ladder instead of evaluating it.  It changes no value:
+    a spec whose plan or ladder fails raises where norm_info evaluates it,
+    since a failed ladder is not kept.
+    """
+    planned = {}
+
+    def plan(key, make) -> Enclosure:
+        if key not in planned and _MEMO.get(key) is None:
+            planned[key] = make()
+        return _PLANNED
+
+    def tl(G, spec, max_nodes) -> Enclosure:
+        if not G:
+            return _PLANNED
+        return plan(_tl_key(G, spec, max_nodes), lambda: _tl_job(G, spec, max_nodes))
+
+    for spec in dict.fromkeys(specs):
+        def lp(G, p=spec.p) -> Enclosure:
+            if p == INF or not G:  # the sup is no ladder; the zero function needs none
+                return _PLANNED
+            return plan(_lp_key(G, p, max_nodes), lambda: _lp_job(G, p, max_nodes))
+
+        try:
+            _by_family(F, spec, max_nodes, lp, tl, lambda F, spec: _PLANNED)
+        except DomainError:
+            pass  # norm_info raises it for this spec
+    _evaluate(planned.values(), max_nodes)
 
 
 def norm_enclosure(

@@ -68,6 +68,7 @@ from .norms import (
     INF,
     Enclosure,
     NormSpec,
+    _prefetch,
     besov_norm,
     beurling_norm,
     beurling_r_norm,
@@ -618,8 +619,11 @@ def embedding_suite(
     settled by _settled on the family's bounds, else on norm_info values.
     family "dirichlet" scales Dirichlet kernels over L_grid, at least two
     strictly increasing band limits; its bounds are those values, points on
-    these kernels, and the slope fits their ratios.  family "corpus" checks
-    finiteness on the corpus functions, on norm_enclosure bounds.
+    these kernels, and the slope fits their ratios.  Each member's ladders
+    run first, in one sweep over all its specs (_prefetch), so they share
+    their grids.
+    family "corpus" checks finiteness on the corpus functions, on
+    norm_enclosure bounds.
     """
     if family == "dirichlet":
         _require(L_grid is not None, "family 'dirichlet' needs L_grid, got None")
@@ -627,6 +631,11 @@ def embedding_suite(
         _require(len(grid) >= 2 and all(a < b for a, b in zip(grid, grid[1:])),
                  f"degenerate grid: need >= 2 strictly increasing band limits, got {grid}")
         members = [(f"L={L:g}", dirichlet(group, L)) for L in L_grid]
+        # The records below read these values from the memo through
+        # norm_info, and raise a failure where the spec that reads it comes.
+        specs = [s for pair in pairs for s in (pair.target, pair.source)]
+        for _, func in members:
+            _prefetch(func, specs, max_nodes)
     elif family == "corpus":
         _require(corpus is not None, "family 'corpus' needs corpus, got None")
         members = [(f"fn={i}", f) for i, f in enumerate(corpus.functions)]
@@ -967,6 +976,9 @@ def _structural_reports(cfg: RunConfig) -> list[InequalityReport]:
         corpus = _corpus_for(cfg, group)
         for idx, F in enumerate(corpus.functions[: min(3, len(corpus.functions))]):
             inst = {"fn": idx, "seed": cfg.seed, "group": str(group)}
+            # the rows' ladders, whose blocks share grids, in one sweep
+            _prefetch(F, [NormSpec(fam, r=r, p=2.0, q=2.0) for r in cfg.r_grid
+                          for fam in ("tl", "besov")], cfg.max_nodes)
             blocks = dyadic_blocks(F)
             if blocks:
                 s, block = sorted(blocks.items())[-1]

@@ -535,6 +535,15 @@ def test_tiny_exponents_are_refused_where_one_rounding_passes_the_stop_rule():
         value, info = lp_norms(F, [p])[p]
         assert abs(value - 2.0) <= norms.REFINE_STOP * 2.0 and info["certified"] == "refined"
         assert seq_lp_norm(F, p) == pytest.approx(2.0, rel=norms.REFINE_STOP)
+    # A cap that admits level 0 only ends a non-constant function's ladder
+    # "capped", and the root is refused there too.
+    G = SpectralFunction(T1, {(0,): [[2.0]], (1,): [[1e-3]]})
+    cap = quadrature(T1, G.max_weight()).node_count
+    assert lp_norms(G, [1e-6], cap)[1e-6][1]["certified"] == "capped"
+    for call in (lambda: lp_norms(G, [1e-12], cap), lambda: besov_norm(G, 0.5, 1e-12, 2.0, cap),
+                 lambda: sobolev_norm(G, 1.0, 1e-12, cap)):
+        with pytest.raises(DomainError, match="at exponent 1e-12: below"):
+            call()
 
 
 def test_hs_norm_rescales_only_past_overflow():
@@ -847,6 +856,53 @@ def test_ladder_values_name_their_rule_and_cap_only_where_refused(monkeypatch, g
     assert {"exact", "capped"} <= set(certs), certs
 
 
+def _family_specs(group):
+    # Every target and source norm of the embedding and wiener-chain pairs.
+    pairs = verify._embedding_pairs(group) + verify._wiener_chain_pairs(group)
+    return list(dict.fromkeys(s for pair in pairs for s in (pair.target, pair.source)))
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["default-cap", "level-0-cap"])
+@pytest.mark.parametrize("group,L", [(T1, 16.0), (torus(2), 8.0)], ids=str)
+def test_prefetch_changes_no_norm_info_and_leaves_no_ladder_to_run(monkeypatch, group, L, capped):
+    # After one _prefetch of every spec, each norm_info gives the Enclosure
+    # a fresh evaluation gives, or the same exception, and runs a ladder
+    # only where it raises (a failed ladder is not kept).  The level-0 cap
+    # admits the kernel's own grid only: refined ladders end capped there,
+    # and the exact L^4 ladders (level 1) are refused.
+    F = dirichlet(group, L)
+    specs = _family_specs(group)
+    cap = quadrature(group, F.max_weight()).node_count if capped else None
+
+    def outcome(spec):
+        try:
+            return norm_info(F, spec, cap)
+        except (DomainError, ResourceLimitError) as exc:
+            return type(exc), str(exc)
+
+    fresh = {}
+    for spec in specs:
+        norms.clear_memos()
+        fresh[spec] = outcome(spec)
+    norms.clear_memos()
+    norms._prefetch(F, specs, cap)
+    ran, evaluate = [], norms._evaluate
+
+    def spy(jobs, max_nodes):
+        ran.append(jobs)
+        return evaluate(jobs, max_nodes)
+
+    monkeypatch.setattr(norms, "_evaluate", spy)
+    for spec in specs:
+        ran.clear()
+        got = outcome(spec)
+        assert got == fresh[spec], spec
+        assert not ran or not isinstance(got, Enclosure), spec
+    certs = {e.certified if isinstance(e, Enclosure) else e[0].__name__ for e in fresh.values()}
+    assert {"exact", "capped" if capped else "refined"} <= certs, certs
+    assert ("ResourceLimitError" in certs) == capped, certs
+
+
 @pytest.mark.parametrize("group", [T1, torus(2), torus(3), SU2], ids=str)
 def test_level_reductions_weight_each_slab_by_its_rows(monkeypatch, group):
     # Random values and random positive axis weights (real rules have
@@ -867,7 +923,7 @@ def test_level_reductions_weight_each_slab_by_its_rows(monkeypatch, group):
     assert norms._grid_peak(slabs()) == v.max()
     for p in NIKOLSKII_EXPONENTS[:-1]:
         ref = np.dot(weights(rule), v**p)
-        assert abs(norms._weighted_sum(slabs(), rule, p) - ref) <= 1e-13 * ref, p
+        assert abs(_weighted_sum(slabs(), rule, p) - ref) <= 1e-13 * ref, p
 
 
 @pytest.mark.parametrize("slab_nodes", [700, 1 << 16, fourier.SLAB_NODES])
@@ -939,36 +995,45 @@ def _sign_even_random(group, L, seed, imag=False):
     return SpectralFunction(group, coeffs)
 
 
+def _weighted_sum(slabs, rule, p):
+    # One ladder level's quadrature sum of v^p over a pass of slabs.
+    acc = norms._WeightedSum(rule, p)
+    for lo, hi, vals in slabs:
+        acc.add(lo, hi, vals)
+    return acc.total
+
+
 def _full_grid_root(slabs, rule, p):
     # The ladder's reduction of one level on the full rule, kept as the
     # reference for a folded level.
     if p == INF:
         return norms._grid_peak(slabs)
-    return float(norms._weighted_sum(slabs, rule, p) ** (1.0 / p))
+    return float(_weighted_sum(slabs, rule, p) ** (1.0 / p))
 
 
 @pytest.fixture()
 def ladder_spy(monkeypatch):
     # As they happen: the rule of every pass over node values (a ladder
     # level, the sup's, or one block's at a Triebel-Lizorkin level), the
-    # exponent of every weighted sum, and the quadrature calls.
+    # exponent of every weighted sum (one per ladder and level), and the
+    # quadrature calls.
     seen = {"levels": [], "sums": [], "quadrature": 0}
-    synth, weigh, build = norms._synth_values, norms._weighted_sum, norms.quadrature
+    synth, weigh, build = norms._synth_values, norms._WeightedSum, norms.quadrature
 
     def values(F, rule):
         seen["levels"].append(rule)
         return synth(F, rule)
 
-    def weighted_sum(slabs, rule, p):
+    def weighted_sum(rule, p):
         seen["sums"].append(p)
-        return weigh(slabs, rule, p)
+        return weigh(rule, p)
 
     def rule_of(*args):
         seen["quadrature"] += 1
         return build(*args)
 
     monkeypatch.setattr(norms, "_synth_values", values)
-    monkeypatch.setattr(norms, "_weighted_sum", weighted_sum)
+    monkeypatch.setattr(norms, "_WeightedSum", weighted_sum)
     monkeypatch.setattr(norms, "quadrature", rule_of)
     return seen
 
@@ -1292,6 +1357,30 @@ def test_mesh_tau_matches_its_derivation():
         u = euler_to_su2(*random_element(SU2, rng))
         inner = (nodes[:, 0].conj() * u[0, 0] + nodes[:, 1].conj() * u[1, 0]).real
         assert math.acos(min(1.0, inner.max())) <= want / 4
+
+
+@pytest.mark.parametrize("degree", [9, 24, 57])
+def test_su2_points_across_the_alpha_seam_have_a_node_within_delta(degree):
+    # Past alpha = 2 pi the chart continues as (alpha, beta, gamma + 2 pi),
+    # a shift of the gamma axis (2c - 3 nodes over 4 pi, an odd number) by
+    # half a node step.  The shifted axis keeps its spacing, so points with
+    # alpha within h_alpha / 2 of 2 pi still have a node within delta =
+    # sqrt(h_beta^2 + (h_alpha + h_gamma)^2) / 4 in the S^3 distance
+    # arccos(Re tr(U1^* U2) / 2).  Candidates: the nodes on the two alpha
+    # lines either side of the seam, alpha = 0 and 2 pi - h_alpha.
+    rule = quadrature(SU2, degree / 2.0)
+    assert rule.degree == degree and rule.shape[2] % 2 == 1
+    h_alpha, h_beta, h_gamma = axis_gaps(SU2, degree)
+    delta = math.hypot(h_beta, h_alpha + h_gamma) / 4.0
+    x = nodes(rule)
+    seam = x[(x[:, 0] == rule.axes[0][0]) | (x[:, 0] == rule.axes[0][-1])]
+    mats = np.array([euler_to_su2(*row) for row in seam])
+    rng = np.random.default_rng(degree)
+    for _ in range(400):
+        u = euler_to_su2(2.0 * math.pi + rng.uniform(-0.5, 0.5) * h_alpha,
+                         math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 4.0 * math.pi))
+        cos_dist = np.einsum("nij,ij->n", mats.conj(), u).real.max() / 2.0
+        assert math.acos(min(1.0, cos_dist)) <= delta
 
 
 def _coarse_case():

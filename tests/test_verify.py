@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -578,22 +579,48 @@ def test_embedding_suite_corpus_finiteness():
     assert not any(r.name.startswith("embedding-slope") for r in reports)
 
 
+@pytest.mark.parametrize("group", ["torus:1", "torus:2", "torus:3"])
+def test_dirichlet_members_synthesize_each_grid_once(monkeypatch, group):
+    # Each member's ladders run in one _prefetch sweep, which meets each
+    # (function, grid) pair once: none passes through _synth_values twice
+    # for one member, over the default grids of both family suites.
+    g = parse_group(group)
+    member, seen = [None], Counter()
+    synth, prefetch = norms._synth_values, verify._prefetch
+
+    def values(F, rule):
+        seen[(member[0], F.digest, rule.degree, rule.is_folded)] += 1
+        return synth(F, rule)
+
+    def member_prefetch(F, specs, max_nodes=None):
+        member[0] = F.digest
+        return prefetch(F, specs, max_nodes)
+
+    monkeypatch.setattr(norms, "_synth_values", values)
+    monkeypatch.setattr(verify, "_prefetch", member_prefetch)
+    for pairs_of in (verify._embedding_pairs, verify._wiener_chain_pairs):
+        norms.clear_memos()
+        seen.clear()
+        embedding_suite(g, "dirichlet", pairs_of(g), L_grid=verify.DIRICHLET_GRIDS[group])
+        assert seen and max(seen.values()) == 1, [k for k, n in seen.items() if n > 1]
+
+
 def test_corpus_members_read_enclosures_and_run_no_refined_ladder(monkeypatch):
     # Every corpus member of the default embedding suites settles on its
     # ratio's enclosure: no ladder refines to the stop rule, and the lhs is
     # the enclosure's upper end, at least the ratio of refined values.
     refined = []
-    ladder = norms._ladder
+    evaluate = norms._evaluate
 
-    def spy(F, values_of, p, exact_level, max_nodes):
-        if exact_level is None:
-            refined.append((str(F.group), p))
-        return ladder(F, values_of, p, exact_level, max_nodes)
+    def spy(jobs, max_nodes):
+        jobs = list(jobs)
+        refined.extend((str(job.ladder.group), job.p) for job in jobs if job.exact_level is None)
+        return evaluate(jobs, max_nodes)
 
     cfg = RunConfig()
     suites = []
     with monkeypatch.context() as m:
-        m.setattr(norms, "_ladder", spy)
+        m.setattr(norms, "_evaluate", spy)
         for name in cfg.groups:
             group = parse_group(name)
             corpus = make_corpus(group, verify.BANDLIMITS[name], cfg.corpus_count, cfg.seed)
