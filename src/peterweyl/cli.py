@@ -32,6 +32,7 @@ from .groups import (
 from .fourier import read_spectral, save_spectral, write_atomic
 from .norms import norm_enclosure, norm_info, parse_norm_spec
 from .verify import (
+    PROFILES,
     SUITES,
     RunConfig,
     make_corpus,
@@ -202,10 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--bandlimit", type=_number(float), required=True)
     p_corpus.add_argument("--count", type=_number(int), required=True)
     p_corpus.add_argument("--seed", type=_number(int), required=True)
-    p_corpus.add_argument(
-        "--profile", default="dense_gaussian",
-        choices=("dense_gaussian", "sparse", "smooth_decay"),
-    )
+    p_corpus.add_argument("--profile", default="dense_gaussian", choices=PROFILES)
     p_corpus.add_argument("--out", required=True, help="output directory")
     p_corpus.set_defaults(func=cmd_corpus)
     return parser

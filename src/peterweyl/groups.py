@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 import numbers
 import string
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -540,8 +542,69 @@ def _axis_counts(group: GroupId, c: int) -> tuple[int, ...]:
     return (c - 1, c // 2 + 1, 2 * c - 3)
 
 
-@lru_cache(maxsize=64)
+class _Memo:
+    """Bounded least-recently-used map with a running size total.
+
+    An evaluation cache only: a hit returns what a miss would compute.  The
+    lock guards the map and the total, never a computation, so concurrent
+    callers may duplicate work but never see a torn entry.  An entry larger
+    than the whole budget is not kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.size = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, size)
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, size: int = 1) -> None:
+        if size > self.budget:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.size -= old[1]
+            while self.size + size > self.budget:
+                _, (_, freed) = self._entries.popitem(last=False)
+                self.size -= freed
+            self._entries[key] = (value, size)
+            self.size += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.size = 0
+
+
+# Built rules keyed by (group, degree), sized in the floats their axes and
+# weights hold: cos(beta) too on SU(2), and on a torus the weights of the
+# fold, which a rule builds on demand and keeps (its axes are views of the
+# full ones).  The budget is below the 337,764 such floats of the 64 rules
+# `verify all` kept at its end under a count bound of 64, so a ladder's long
+# T^1 rules, millions of floats each, are not kept.
+_RULES = _Memo(300_000)
+
+
 def _build_rule(group: GroupId, degree: int) -> QuadratureRule:
+    # The rule of this degree, from _RULES or built (_make_rule) and kept.
+    rule = _RULES.get((group, degree))
+    if rule is None:
+        rule = _make_rule(group, degree)
+        counts = rule.shape
+        extra = sum(m // 2 + 1 for m in counts) if group.kind == "torus" else counts[1]
+        _RULES.put((group, degree), rule, 2 * sum(counts) + extra)
+    return rule
+
+
+def _make_rule(group: GroupId, degree: int) -> QuadratureRule:
     counts = _axis_counts(group, degree)
     if group.kind == "torus":
         axes = [TWO_PI * np.arange(m) / m for m in counts]
@@ -615,8 +678,8 @@ def quadrature_degree(group: GroupId, bandlimit: float, max_nodes: int | None = 
 def quadrature(group: GroupId, bandlimit: float, max_nodes: int | None = None) -> QuadratureRule:
     """Haar rule of least degree c with c^2 >= band_budget(bandlimit).
 
-    Cached per (group, degree): bands of one degree share a grid.  Raises
-    ResourceLimitError before building a grid past the node cap, or past
-    MAX_GRID_NODES whatever the cap.
+    Kept per (group, degree) within the float budget of _RULES: bands of
+    one degree share a grid.  Raises ResourceLimitError before building a
+    grid past the node cap, or past MAX_GRID_NODES whatever the cap.
     """
     return _build_rule(group, quadrature_degree(group, bandlimit, max_nodes))

@@ -9,16 +9,18 @@ of one request run as one sweep (_evaluate): lp_norms sweeps the exponents
 it is asked for, and _prefetch every ladder that norm_info climbs for
 several specs of one function (an exponent of F, of a Sobolev rescaling or
 of each Besov block, and each Triebel-Lizorkin aggregate over F's blocks),
-into the memo, which norm_info then reads.  The sweep goes grid by grid,
-each step the least grid a pending ladder climbs to next, so every ladder
-whose level lands on that grid (the same group, degree and fold) takes it
-in one streaming pass over the slabs of fourier.synthesize_slabs, which
-synthesizes every function those ladders read once per slab.  Per slab each
-ladder takes the modulus and adds a weighted sum of its |f|^p, with weights
-from the rule's per-axis factors, so no array of the grid's size is built.
-Each ladder keeps its own sum, exact level, stop rule and cap outcome, so
-its value is the one it reaches alone.  A torus function whose coefficients are real and
-equal their images under every coordinate sign flip, compared exactly
+into the memo, which norm_info then reads.  Each ladder is one generator
+(_climb) that yields each level's rule, is sent that level's sum, and makes
+every level, cap and stop decision itself, so its value is the one it
+reaches alone.  The sweep only schedules grids and sums passes: it goes grid
+by grid, each step the least grid a pending ladder climbs to next, so every
+ladder whose level lands on that grid (the same group, degree and fold)
+takes it in one streaming pass over the slabs of fourier.synthesize_slabs,
+which synthesizes every function those ladders read once per slab.  Per slab
+each ladder takes the modulus and adds a weighted sum of its |f|^p, with
+weights from the rule's per-axis factors, so no array of the grid's size is
+built.  A torus function whose coefficients are real and equal their images
+under every coordinate sign flip, compared exactly
 (SpectralFunction.sign_even, decided once per function), is real and even
 in every coordinate; its levels run on the folded rule
 (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with orbit weights,
@@ -186,8 +188,6 @@ Parameters q and beta equal to inf uniformly mean sup-aggregation.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -197,6 +197,7 @@ from .groups import (
     WEIGHT_SQ_DEN,
     DomainError,
     ResourceLimitError,
+    _Memo,
     axis_gaps,
     check_node_cap,
     degree_fits,
@@ -328,48 +329,6 @@ def parse_norm_spec(text: str) -> NormSpec:
 
 # ---------------------------------------------------------------------------
 # Lebesgue norms: the grid ladder
-
-class _Memo:
-    """Bounded least-recently-used map with a running size total.
-
-    An evaluation cache only: a hit returns what a miss would compute.  The
-    lock guards the map and the total, never a computation, so concurrent
-    callers may duplicate work but never see a torn entry.  An entry larger
-    than the whole budget is not kept.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.size = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (value, size)
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key, value, size: int = 1) -> None:
-        if size > self.budget:
-            return
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.size -= old[1]
-            while self.size + size > self.budget:
-                _, (_, freed) = self._entries.popitem(last=False)
-                self.size -= freed
-            self._entries[key] = (value, size)
-            self.size += size
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.size = 0
-
 
 # Finished evaluations, each a frozen Enclosure of size 1: L^p values keyed
 # by (digest, p, node cap) and Triebel-Lizorkin values by (digest, spec,
@@ -596,29 +555,22 @@ class _Job:
     None (one function), else values(moduli), a list of arrays (a
     Triebel-Lizorkin aggregate of F's blocks).
 
-    Level j integrates on the quadrature rule of band W * 2^j, W the largest
-    weight in the support of ladder, folded when ladder is sign-even (its
-    dyadic blocks and Sobolev rescalings are too).  exact_level is the level
-    at which the integrand is band-limited, evaluated once and exact; None
-    refines from level 0 until two levels meet REFINE_STOP ("refined") or
-    the node cap refuses the next ("capped", the last value).  key is the
-    job's _MEMO key.  A plain class, not a dataclass: the package imports
-    faster without the generated methods, which nothing uses.
+    Its levels run on the grids of ladder, exact at exact_level (_climb);
+    key is the job's _MEMO key.  While the sweep runs, climb is the running
+    ladder, rule the full rule of its pending level, and outcome its
+    Enclosure or exception, once it ends.  A plain class, not a dataclass:
+    the package imports faster without the generated methods, which nothing
+    uses.
     """
 
-    __slots__ = ("key", "ladder", "p", "exact_level", "reads", "values", "level", "rule", "step",
-                 "prev", "grid", "outcome")
+    __slots__ = ("key", "ladder", "p", "exact_level", "reads", "values", "climb", "rule",
+                 "outcome")
 
     def __init__(self, key: tuple, ladder: SpectralFunction, p: float, exact_level: int | None,
                  reads: tuple, values: Callable | None):
         self.key, self.ladder, self.p, self.exact_level = key, ladder, p, exact_level
         self.reads, self.values = reads, values
-        self.level = exact_level or 0  # the next level
-        self.rule = None  # the next level's full rule, once the node cap admits it
-        self.step = ()  # that rule's degree and the fold: the grid the level runs on
-        self.prev = None  # the last level's value
-        self.grid = ()  # the last level's full rule: (nodes, bandlimit)
-        self.outcome = None  # its Enclosure or exception, once it ends
+        self.climb = self.rule = self.outcome = None
 
 
 def _lp_key(F: SpectralFunction, p: float, max_nodes) -> tuple:
@@ -630,59 +582,87 @@ def _lp_job(G: SpectralFunction, p: float, max_nodes) -> _Job:
     return _Job(_lp_key(G, p, max_nodes), G, p, _even_level(p), (G,), None)
 
 
+def _climb(F: SpectralFunction, p: float, exact_level: int | None, max_nodes):
+    """One L^p ladder, as a generator: it yields each level's full rule, is
+    sent that level's quadrature sum of the values to the power p (or
+    thrown the DomainError of values that leave float range, which it
+    raises), and returns its point Enclosure, with the full rule's nodes and
+    bandlimit.  Every level, cap and stop decision is made here.
+
+    Level j integrates on the quadrature rule of band W * 2^j, W the largest
+    weight in the support of F, folded when F is sign-even (its dyadic
+    blocks and Sobolev rescalings are too).  exact_level is the level at
+    which the integrand is band-limited, evaluated once and "exact"; None
+    refines from level 0 until two levels meet REFINE_STOP ("refined") or
+    the node cap refuses the next ("capped", the last level's value and
+    grid).  Raises ResourceLimitError where the cap refuses the first level,
+    and DomainError where a level's value or its root 1/p leaves float
+    range, or, once the ladder ends, where p is below MIN_ROOT_EXPONENT.
+    """
+    level, prev = exact_level or 0, None
+    while True:
+        try:
+            rule = quadrature(F.group, F.max_weight() * 2.0**level, max_nodes)
+        except ResourceLimitError:
+            if prev is None:
+                raise  # the exact level, or not even the base grid, is past the cap
+            certified = "capped"
+            break
+        grid = (rule.node_count, rule.bandlimit)
+        cur = _root((yield rule), p, f"L^{p:g} value on {grid[0]} nodes", checked=False)
+        if exact_level is not None:
+            certified = "exact"
+            break
+        if prev is not None and abs(cur - prev) <= REFINE_STOP * max(cur, 1e-300):
+            certified = "refined"
+            break
+        prev, level = cur, level + 1
+    # a tiny p is refused on every ending, after every level's range check
+    _root_exponent(p, f"L^{p:g} value")
+    return Enclosure(cur, cur, certified, *grid)
+
+
 def _evaluate(jobs, max_nodes) -> None:
     """Run the ladders of jobs, all on one group, with distinct keys and
     none in the memo, to their outcomes: an Enclosure, which then enters the
-    memo, or the exception the ladder alone raises, a ResourceLimitError
-    where the node cap refuses its first level and a DomainError where a
-    level's value or its root 1/p leaves float range.
+    memo, or the exception the ladder alone raises (_climb).
 
-    One sweep runs them all, grid by grid: each step takes the least grid
-    (degree, then fold) a pending ladder climbs to next, and every ladder
-    due there makes its level in one pass (_grid_pass).  No ladder's degree
-    falls, so each function meets each grid at most once.
+    A scheduler only: it starts each job's ladder, and each step takes the
+    least grid (degree, then fold) a pending ladder climbs to next, makes
+    one pass there for every ladder due (_grid_pass) and sends each its sum.
+    No ladder's degree falls, so each function meets each grid at most once.
     """
+    def advance(job: _Job, total) -> None:
+        # send the ladder its sum (None starts it) or throw in its
+        # DomainError; keep its next rule, or its outcome once it ends
+        try:
+            job.rule = (job.climb.throw(total) if isinstance(total, DomainError)
+                        else job.climb.send(total))
+        except StopIteration as end:
+            job.outcome = end.value
+        except (DomainError, ResourceLimitError) as exc:
+            job.outcome = exc
+
     jobs = list(jobs)
-    while True:
-        due = []  # the pending ladders on the least next grid
-        for job in jobs:
-            if job.outcome is not None:
-                continue
-            if job.rule is None:
-                F = job.ladder
-                try:
-                    job.rule = quadrature(F.group, F.max_weight() * 2.0**job.level, max_nodes)
-                except ResourceLimitError as exc:
-                    # the exact level, or not even the base grid, is past the cap
-                    job.outcome = exc if job.prev is None else Enclosure(job.prev, job.prev,
-                                                                         "capped", *job.grid)
-                    continue
-                job.step = (job.rule.degree, F.sign_even)
-            if not due or job.step < due[0].step:
-                due = [job]
-            elif job.step == due[0].step:
-                due.append(job)
-        if not due:
-            break
-        _grid_pass(due)
+    for job in jobs:
+        job.climb = _climb(job.ladder, job.p, job.exact_level, max_nodes)
+        advance(job, None)
+    while pending := [job for job in jobs if job.outcome is None]:
+        step = min((job.rule.degree, job.ladder.sign_even) for job in pending)
+        due = [job for job in pending if (job.rule.degree, job.ladder.sign_even) == step]
+        for job, total in zip(due, _grid_pass(due)):
+            advance(job, total)
     for job in jobs:
         if isinstance(job.outcome, Enclosure):
-            try:  # a tiny p, refused once the ladder ends, after every level's range check
-                _root_exponent(job.p, f"L^{job.p:g} value")
-            except DomainError as exc:
-                job.outcome = exc
-            else:
-                _MEMO.put(job.key, job.outcome)
+            _MEMO.put(job.key, job.outcome)
 
 
-def _grid_pass(due: list) -> None:
-    # One level of each due ladder on the grid they share, in one pass over
-    # its slabs that synthesizes every function they read once per slab.
-    # Each ladder keeps its own sum, exact level, stop rule and cap outcome,
-    # so its outcome is the one it reaches alone; a ladder that goes on
-    # moves to its next level.
+def _grid_pass(due: list) -> list:
+    # The sums of the due ladders on the grid they share, in one pass over
+    # its slabs that synthesizes every function they read once per slab:
+    # each ladder's quadrature sum of its values to the power p, as a float,
+    # or the DomainError its values raised.
     full = due[0].rule
-    grid = (full.node_count, full.bandlimit)
     rule = full.folded() if due[0].ladder.sign_even else full
     sums = [_WeightedSum(rule, job.p) for job in due]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
@@ -697,28 +677,14 @@ def _grid_pass(due: list) -> None:
             for parts in zip(*(_synth_values(G, rule) for G in reads.values()), strict=True):
                 lo, hi, _ = parts[0]
                 moduli = [vals for _, _, vals in parts]
-                for job, acc, at in zip(due, sums, slots):
-                    if job.outcome is None:
+                for i, (job, at) in enumerate(zip(due, slots)):
+                    if not isinstance(sums[i], DomainError):
                         try:
-                            acc.add(lo, hi, moduli[at[0]] if job.values is None
-                                    else job.values([moduli[i] for i in at]))
+                            sums[i].add(lo, hi, moduli[at[0]] if job.values is None
+                                        else job.values([moduli[k] for k in at]))
                         except DomainError as exc:
-                            job.outcome = exc
-    for job, acc in zip(due, sums):
-        if job.outcome is not None:
-            continue
-        try:
-            cur = _root(float(acc.total), job.p, f"L^{job.p:g} value on {grid[0]} nodes",
-                        checked=False)
-        except DomainError as exc:
-            job.outcome = exc
-            continue
-        if job.exact_level is not None:
-            job.outcome = Enclosure(cur, cur, "exact", *grid)
-        elif job.prev is not None and abs(cur - job.prev) <= REFINE_STOP * max(cur, 1e-300):
-            job.outcome = Enclosure(cur, cur, "refined", *grid)
-        else:
-            job.prev, job.grid, job.rule, job.level = cur, grid, None, job.level + 1
+                            sums[i] = exc
+    return [acc if isinstance(acc, DomainError) else float(acc.total) for acc in sums]
 
 
 def _outcome(job: _Job) -> Enclosure:

@@ -234,8 +234,6 @@ def nikolskii_check(
     tol: float = TOL_GRID,
     threshold: float = SUPPORT_THRESHOLD,
     max_nodes: int | None = None,
-    suite: str = "nikolskii",
-    instance: dict | None = None,
 ) -> InequalityReport:
     """Norm comparison with the spectral-support constant.
 
@@ -250,7 +248,7 @@ def nikolskii_check(
     check_threshold(threshold)
     _require(threshold <= 1.0, f"support threshold must lie in [0, 1], got {threshold!r}")
     counts = _support_counts(T, rho_of(p), threshold, max_nodes)
-    return _settled(lambda norms: [_nikolskii(T, p, q, norms, counts, tol, suite, instance or {})],
+    return _settled(lambda norms: [_nikolskii(T, p, q, norms, counts, tol, "nikolskii", {})],
                     lp_enclosures(T, [p, q], max_nodes), _lp_values(T, [p, q], max_nodes))[0]
 
 
@@ -291,11 +289,9 @@ def sharpness_check(
     group: GroupId, L: float, tol: float = TOL_EXACT, max_nodes: int | None = None
 ) -> list[InequalityReport]:
     """Equality case: T = Dirichlet kernel, p = 2, q = inf, ratio must be 1."""
-    rep = replace(
-        nikolskii_check(dirichlet(group, L), 2.0, INF, tol=tol, max_nodes=max_nodes,
-                        suite="sharpness", instance={"L": L, "T": "dirichlet"}),
-        name="nikolskii-sharpness",
-    )
+    rep = nikolskii_check(dirichlet(group, L), 2.0, INF, tol=tol, max_nodes=max_nodes)
+    rep = replace(rep, name="nikolskii-sharpness", suite="sharpness",
+                  instance={"L": L, "T": "dirichlet", **rep.instance})
     eq = _equality(
         "nikolskii-sharpness-equality", "sharpness",
         {"group": str(group), "L": L, "p": 2.0, "q": "inf"},

@@ -27,7 +27,7 @@ from peterweyl.norms import (
     norm_info,
     parse_norm_spec,
 )
-from peterweyl.verify import SUITES, make_corpus
+from peterweyl.verify import PROFILES, SUITES, make_corpus
 
 from elements import rep_dim
 
@@ -244,6 +244,18 @@ def test_corpus_command_roundtrip(tmp_path):
             assert fa.read() == fb.read()
     F = read_spectral(os.path.join(out1, "fn_000.spectral"))
     assert len(F.support()) == 15
+
+
+def test_corpus_profiles_are_the_corpus_generators(tmp_path, capsys):
+    # corpus --profile offers verify.PROFILES, the profiles make_corpus
+    # takes, and refuses any other name as a usage error.
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    profile = next(a for a in sub.choices["corpus"]._actions if a.dest == "profile")
+    assert profile.choices is PROFILES
+    args = ["corpus", "--group", "torus:1", "--bandlimit", "2", "--count", "1", "--seed", "7",
+            "--out", str(tmp_path)]
+    assert main(args + ["--profile", "uniform"]) == EXIT_USAGE
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_violation_exit_code(tmp_path, monkeypatch):

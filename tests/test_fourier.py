@@ -259,7 +259,7 @@ def test_su2_phase_tables_hand_every_caller_the_stored_set_under_a_race():
     # stores its tables; phase_tables(12) runs meanwhile on this thread,
     # stores its own, and releases the worker on return.  The worker then
     # returns the stored set, so every caller reads one set of tables.
-    rule = groups._build_rule.__wrapped__(SU2, 16)  # a fresh rule, no tables yet
+    rule = groups._make_rule(SU2, 16)  # a fresh rule, no tables yet
     paused, release = threading.Event(), threading.Event()
     got = {}
 
@@ -297,7 +297,7 @@ def test_su2_phase_tables_under_contention_hand_out_one_set_per_spin():
     # short switch interval; every thread reads the one stored set per spin.
     from concurrent.futures import ThreadPoolExecutor
 
-    rule = groups._build_rule.__wrapped__(SU2, 24)
+    rule = groups._make_rule(SU2, 24)
     spins = range(0, 23)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

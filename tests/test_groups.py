@@ -17,8 +17,8 @@ from scipy.linalg import expm
 from scipy.special import roots_jacobi
 
 import peterweyl
-from peterweyl import groups
-from peterweyl.fourier import dirichlet, partial_sum
+from peterweyl import groups, norms
+from peterweyl.fourier import SpectralFunction, dirichlet, partial_sum
 from peterweyl.groups import (
     MAX_DUAL_ENTRIES,
     MAX_REP_INDEX,
@@ -643,6 +643,43 @@ def test_quadrature_determinism_and_cap():
         quadrature(T1, 0.5)
 
 
+def _held_floats(rules):
+    # The floats the rules' axes and weights hold (cos(beta) too on SU(2)),
+    # their built folds' included, each buffer once: a fold's axes are views
+    # of its rule's.
+    owners = {}
+    for rule in rules:
+        for r in (rule,) if rule._folded is None else (rule, rule._folded):
+            for a in (*r.axes, *r.axis_weights, *(() if r._z is None else (r._z,))):
+                owner = a if a.base is None else a.base
+                owners[id(owner)] = owner.size
+    return sum(owners.values())
+
+
+def test_rule_cache_keeps_rules_within_its_float_budget():
+    # The cache counts what its rules hold, a torus rule's fold included;
+    # a slow T^1 ladder climbs to rules past the budget (uncapped, to
+    # millions of floats), which it does not keep, and what it keeps stays
+    # within the budget.
+    cache = groups._RULES
+    cache.clear()
+    norms.clear_memos()
+    norms.lp_norms(dirichlet(T2, 8.0), [1.0])  # sign-even: every level folds
+    kept = [rule for rule, _ in cache._entries.values()]
+    assert kept and all(rule._folded is not None for rule in kept)
+    assert _held_floats(kept) == cache.size
+    F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1.0]]})
+    info = norms.lp_norms(F, [0.1], 500_000)[0.1][1]
+    assert info["certified"] == "capped"
+    kept = [rule for rule, _ in cache._entries.values()]
+    assert 2 * info["nodes"] > cache.budget
+    assert all(rule.node_count < info["nodes"] for rule in kept)
+    assert _held_floats(kept) <= cache.size <= cache.budget
+    # a rule past the budget is built anew for each call, the same rule
+    rule = quadrature(T1, info["bandlimit"])
+    assert rule is not quadrature(T1, info["bandlimit"]) and rule.node_count == info["nodes"]
+
+
 def _ceil_2b_counts(g, band):
     # The grid sizes before rules were keyed by an integer degree: c =
     # ceil(2B) from the float band; kept as the reference.
@@ -717,7 +754,7 @@ def test_d_tables_hand_each_caller_its_tables_under_a_race():
     # after its tables are built; d_tables(10) runs meanwhile on this thread
     # and releases it on return.  Each call gets at least twoL_max + 1
     # tables, and so does a later d_tables(15), whichever list was stored.
-    rule = groups._build_rule.__wrapped__(SU2, 8)  # a fresh rule, no tables yet
+    rule = groups._make_rule(SU2, 8)  # a fresh rule, no tables yet
     built, paused, release = threading.Event(), threading.Event(), threading.Event()
     got = {}
 

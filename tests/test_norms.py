@@ -546,6 +546,53 @@ def test_tiny_exponents_are_refused_where_one_rounding_passes_the_stop_rule():
             call()
 
 
+def _climb_to_end(climb, sums):
+    # Drive a ladder generator by hand: send each level its sum, in order.
+    # Returns the rules it yielded and its Enclosure; a raise propagates.
+    rules = [next(climb)]
+    try:
+        for total in sums:
+            rules.append(climb.send(total))
+    except StopIteration as end:
+        return rules, end.value
+    raise AssertionError(f"the ladder asked for a level past {len(sums)} sums")
+
+
+def test_ladder_generator_makes_every_level_cap_and_stop_decision():
+    # norms._climb yields each level's full rule and is sent its quadrature
+    # sum; chosen sums, with no grid value synthesized, reach each ending.
+    F = SpectralFunction(T1, {(0,): [[2.0]], (1,): [[1.0]]})
+    levels = [quadrature(T1, F.max_weight() * 2.0**j) for j in range(3)]
+    grid = [(r.node_count, r.bandlimit) for r in levels]
+    # exact: one level, at the exact level it is given
+    rules, e = _climb_to_end(norms._climb(F, 4.0, 1, None), [16.0])
+    assert rules == [levels[1]] and e == Enclosure(2.0, 2.0, "exact", *grid[1])
+    # refined: at the first level that agrees with the one before, on its grid
+    agree = 3.0 * (1.0 + 0.5 * norms.REFINE_STOP)
+    rules, e = _climb_to_end(norms._climb(F, 1.0, None, None), [1.0, 3.0, agree])
+    assert rules == levels and e == Enclosure(agree, agree, "refined", *grid[2])
+    # capped: the cap refuses level 2, so the ladder ends on level 1's value and grid
+    rules, e = _climb_to_end(norms._climb(F, 1.0, None, grid[1][0]), [1.0, 3.0])
+    assert rules == levels[:2] and e == Enclosure(3.0, 3.0, "capped", *grid[1])
+    # the cap refuses the first level: nothing to end on
+    with pytest.raises(ResourceLimitError):
+        next(norms._climb(F, 1.0, None, grid[0][0] - 1))
+    # values that leave float range are thrown in, and raise
+    climb = norms._climb(F, 1.0, None, None)
+    next(climb)
+    with pytest.raises(DomainError, match="thrown"):
+        climb.throw(DomainError("thrown"))
+    # a tiny p is refused on every ending, once every level's range check passed
+    tiny = 1e-12
+    for exact_level, cap, sums in ((0, None, [1.0]), (None, None, [1.0, 1.0]),
+                                   (None, grid[0][0], [1.0])):
+        with pytest.raises(DomainError, match=f"at exponent {tiny:g}: below"):
+            _climb_to_end(norms._climb(F, tiny, exact_level, cap), sums)
+        # a sum whose root 1/p overflows is refused first, by its range check
+        with pytest.raises(DomainError, match="leaves float range at the root"):
+            _climb_to_end(norms._climb(F, tiny, exact_level, cap), sums[:-1] + [2.0])
+
+
 def test_hs_norm_rescales_only_past_overflow():
     rng = np.random.default_rng(3)
     mats = {twoL: rng.standard_normal((twoL + 1,) * 2) + 1j * rng.standard_normal((twoL + 1,) * 2)
@@ -1609,6 +1656,26 @@ def test_lp_enclosures_contain_the_refined_norms(F):
         assert e.lo <= value * (1.0 + 1e-6) and value <= e.hi * (1.0 + 1e-6), (p, e, value)
         assert e.certified == "enclosed" and 0.0 < e.lo < e.hi
     assert list(got) == list(ENCLOSED_EXPONENTS + (2.0, INF))
+
+
+def _fejer_l1(n):
+    # ||D_n||_1 under normalized measure, the Lebesgue constant, in Fejer's
+    # closed form (J. reine angew. Math. 138, 1910):
+    # 1/(2n+1) + (2/pi) sum_{k<=n} tan(pi k / (2n+1)) / k.
+    return 1.0 / (2 * n + 1) + 2.0 / math.pi * math.fsum(
+        math.tan(math.pi * k / (2 * n + 1)) / k for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("L", [4.0, 8.0, 16.0, 32.0, 64.0])
+def test_dirichlet_l1_enclosures_contain_fejers_closed_form(L):
+    # An oracle that shares no code with norms or fourier: the T^1 Dirichlet
+    # kernel of band L is D_n, n = L - 1 (the weights sqrt(1 + k^2) <= L).
+    D = dirichlet(T1, L)
+    n = int(L) - 1
+    assert sorted(k for (k,) in D.index.tolist()) == list(range(-n, n + 1))
+    e = lp_enclosures(D, [1.0])[1.0]
+    assert e.certified == "enclosed"
+    assert e.lo <= _fejer_l1(n) <= e.hi, (n, e, _fejer_l1(n))
 
 
 def test_lp_enclosures_of_even_p_are_the_exact_values():
