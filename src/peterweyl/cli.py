@@ -109,9 +109,10 @@ def cmd_norm(args) -> int:
 
 def _config_from_args(args) -> RunConfig:
     # The settings the arguments override, in one RunConfig.
-    over = {"suite": args.suite, "seed": args.seed}
-    for key, value in (("corpus_count", args.count), ("profile", args.profile),
-                       ("bandlimit", args.bandlimit), ("max_nodes", args.max_nodes)):
+    over = {"suite": args.suite}
+    for key, value in (("seed", args.seed), ("corpus_count", args.count),
+                       ("profile", args.profile), ("bandlimit", args.bandlimit),
+                       ("max_nodes", args.max_nodes)):
         if value is not None:
             over[key] = value
     if args.group:
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--group", default=None, help="comma list of torus:N|su2")
-    p_verify.add_argument("--seed", type=_number(int), default=7)
+    p_verify.add_argument("--seed", type=_number(int), default=None)
     p_verify.add_argument("--count", type=_number(int), default=None, help="corpus size")
     p_verify.add_argument("--profile", default=None, help="corpus profile")
     p_verify.add_argument("--bandlimit", type=_number(float), default=None, help="corpus band")

@@ -59,6 +59,7 @@ from .groups import (
     DomainError,
     GroupId,
     QuadratureRule,
+    _Memo,
     band_budget,
     budget_dual_arrays,
     check_node_cap,
@@ -514,12 +515,26 @@ def dirichlet(group: GroupId, L: float) -> SpectralFunction:
     return _dirichlet_within(group, band_budget(L))
 
 
-@lru_cache(maxsize=64)
+# Built Dirichlet kernels keyed by (group, budget), sized in coefficient
+# entries.  `verify all` keeps 18 kernels of 6,325 entries and the run on
+# torus:1,torus:2,torus:3,su2 24 of 26,765 (the largest 17,071), which the
+# budget holds with room; at under 70 bytes an entry (its complex value and
+# its rep's index, dimension, weight and offset) it stays under 7 MB.  A
+# corpus kernel at a band of hundreds on T^2, hundreds of thousands of
+# entries, is built for each call instead of kept.
+_KERNELS = _Memo(100_000)
+
+
 def _dirichlet_within(group: GroupId, budget: int) -> SpectralFunction:
     # The Dirichlet kernel of the reps with packed weight wsq <= budget: the
-    # rep set analyze and pointwise_power analyze at, one per exact budget.
-    index, dims, wsq = budget_dual_arrays(group, budget)
-    return SpectralFunction._packed(group, index, dims, wsq, diagonal_mask(dims))
+    # rep set analyze and pointwise_power analyze at, one per exact budget,
+    # from _KERNELS or built and kept.
+    kernel = _KERNELS.get((group, budget))
+    if kernel is None:
+        index, dims, wsq = budget_dual_arrays(group, budget)
+        kernel = SpectralFunction._packed(group, index, dims, wsq, diagonal_mask(dims))
+        _KERNELS.put((group, budget), kernel, kernel.entries.size)
+    return kernel
 
 
 def partial_sum(F: SpectralFunction, L: float) -> SpectralFunction:

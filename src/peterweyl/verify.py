@@ -68,6 +68,7 @@ from .norms import (
     INF,
     Enclosure,
     NormSpec,
+    _FAMILY_KEYS,
     _prefetch,
     besov_norm,
     beurling_norm,
@@ -454,12 +455,27 @@ def corollary_decays(
 
 @dataclass(frozen=True)
 class EmbeddingPair:
-    """Source space embeds into target space: ||f||_target <= C ||f||_source."""
+    """Source space embeds into target space: ||f||_target <= C ||f||_source.
 
-    label: str
+    label, which names the pair's records in reports, follows from the two
+    specs when the pair is built: source first, as source->target, each
+    spec named by _spec_name, e.g. besov(0.25,2,4)->L4.
+    """
+
     target: NormSpec
     source: NormSpec
     notes: str = ""
+    label: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label", f"{_spec_name(self.source)}->{_spec_name(self.target)}")
+
+
+def _spec_name(spec: NormSpec) -> str:
+    # L{p} for Lebesgue (Linf at p = inf), else family(params): the family's
+    # parameters in the grammar's order, each with :g.
+    params = ",".join(f"{getattr(spec, key):g}" for key in _FAMILY_KEYS[spec.family])
+    return f"L{params}" if spec.family == "Lp" else f"{spec.family}({params})"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -471,10 +487,8 @@ def besov_besov_pair(group: GroupId, p1: float, p2: float, q: float, r1: float) 
     """Smoothness-for-integrability trade: r2 = r1 - n (1/p1 - 1/p2)."""
     _require(0 < p1 <= p2 <= INF, f"need 0 < p1 <= p2 <= inf, got {p1}, {p2}")
     _require(0 < q <= INF, f"need 0 < q <= inf, got {q}")
-    derived = r1 - group.dim * (1.0 / p1 - 1.0 / p2)
     return EmbeddingPair(
-        label=f"besov({r1:g},{p1:g},{q:g})->besov({derived:g},{p2:g},{q:g})",
-        target=NormSpec("besov", r=derived, p=p2, q=q),
+        target=NormSpec("besov", r=r1 - group.dim * (1.0 / p1 - 1.0 / p2), p=p2, q=q),
         source=NormSpec("besov", r=r1, p=p1, q=q),
     )
 
@@ -487,40 +501,24 @@ def besov_lq_pair(group: GroupId, p: float, q: float, r: float | None = None) ->
         raise DomainError(
             f"exponent relation violated: r must be n(1/p - 1/q) = {derived}, got {r}"
         )
-    return EmbeddingPair(
-        label=f"besov({derived:g},{p:g},{q:g})->L{q:g}",
-        target=NormSpec("Lp", p=q),
-        source=NormSpec("besov", r=derived, p=p, q=q),
-    )
+    return EmbeddingPair(target=NormSpec("Lp", p=q), source=NormSpec("besov", r=derived, p=p, q=q))
 
 
 def besov_linf_pair(group: GroupId, p: float) -> EmbeddingPair:
     """Critical summability into the sup norm: B^{n/p}_{p,1} -> L^inf."""
     _require(0 < p <= INF, f"need 0 < p <= inf, got {p}")
-    r = group.dim / p
-    return EmbeddingPair(
-        label=f"besov({r:g},{p:g},1)->Linf",
-        target=NormSpec("Lp", p=INF),
-        source=NormSpec("besov", r=r, p=p, q=1.0),
-    )
+    return EmbeddingPair(target=NormSpec("Lp", p=INF),
+                         source=NormSpec("besov", r=group.dim / p, p=p, q=1.0))
 
 
 def tl_sandwich_pairs(group: GroupId, r: float, p: float, q: float) -> list[EmbeddingPair]:
     """Both faces of B_{p,min(p,q)} -> F_{p,q} -> B_{p,max(p,q)}."""
     _require(0 < p < INF, f"need 0 < p < inf, got {p}")
     _require(0 < q <= INF, f"need 0 < q <= inf, got {q}")
-    lo, hi = min(p, q), max(p, q)
+    tl = NormSpec("tl", r=r, p=p, q=q)
     return [
-        EmbeddingPair(
-            label=f"besov({r:g},{p:g},{lo:g})->tl({r:g},{p:g},{q:g})",
-            target=NormSpec("tl", r=r, p=p, q=q),
-            source=NormSpec("besov", r=r, p=p, q=lo),
-        ),
-        EmbeddingPair(
-            label=f"tl({r:g},{p:g},{q:g})->besov({r:g},{p:g},{hi:g})",
-            target=NormSpec("besov", r=r, p=p, q=hi),
-            source=NormSpec("tl", r=r, p=p, q=q),
-        ),
+        EmbeddingPair(target=tl, source=NormSpec("besov", r=r, p=p, q=min(p, q))),
+        EmbeddingPair(target=NormSpec("besov", r=r, p=p, q=max(p, q)), source=tl),
     ]
 
 
@@ -538,21 +536,16 @@ def wiener_besov_pair(group: GroupId, alpha: float, p: float, direction: str) ->
     norm); "from-wiener" needs 2 <= p < inf.
     """
     beta = wiener_beta(group, alpha, p)
-    if direction == "into-wiener":
+    into = direction == "into-wiener"
+    if into:
         _require(1 < p <= 2, f"into-wiener needs 1 < p <= 2, got {p}")
-        return EmbeddingPair(
-            label=f"besov({alpha:g},{p:g},{beta:g})->wiener({beta:g})",
-            target=NormSpec("seq", p=beta),
-            source=NormSpec("besov", r=alpha, p=p, q=beta),
-        )
-    if direction == "from-wiener":
+    elif direction == "from-wiener":
         _require(2 <= p < INF, f"from-wiener needs 2 <= p < inf, got {p}")
-        return EmbeddingPair(
-            label=f"wiener({beta:g})->besov({alpha:g},{p:g},{beta:g})",
-            target=NormSpec("besov", r=alpha, p=p, q=beta),
-            source=NormSpec("seq", p=beta),
-        )
-    raise DomainError(f"direction must be into-wiener or from-wiener, got {direction!r}")
+    else:
+        raise DomainError(f"direction must be into-wiener or from-wiener, got {direction!r}")
+    wiener, besov = NormSpec("wiener", beta=beta), NormSpec("besov", r=alpha, p=p, q=beta)
+    target, source = (wiener, besov) if into else (besov, wiener)
+    return EmbeddingPair(target, source)
 
 
 def beurling_pairs(group: GroupId, beta: float, p: float) -> list[EmbeddingPair]:
@@ -565,38 +558,21 @@ def beurling_pairs(group: GroupId, beta: float, p: float) -> list[EmbeddingPair]
     _require(0 < beta < INF, f"need 0 < beta < inf, got {beta}")
     n = group.dim
     r_left = n * (1.0 / beta - 1.0 / _conjugate(p))
-    note = "negative smoothness" if r_left < 0 else ""
+    beurling = NormSpec("beurling", beta=beta)
     return [
-        EmbeddingPair(
-            label=f"beurling({beta:g})->besov({r_left:g},{p:g},{beta:g})",
-            target=NormSpec("besov", r=r_left, p=p, q=beta),
-            source=NormSpec("beurling", beta=beta),
-            notes=note,
-        ),
-        EmbeddingPair(
-            label=f"besov({n / beta:g},1,{beta:g})->beurling({beta:g})",
-            target=NormSpec("beurling", beta=beta),
-            source=NormSpec("besov", r=n / beta, p=1.0, q=beta),
-        ),
+        EmbeddingPair(target=NormSpec("besov", r=r_left, p=p, q=beta), source=beurling,
+                      notes="negative smoothness" if r_left < 0 else ""),
+        EmbeddingPair(target=beurling, source=NormSpec("besov", r=n / beta, p=1.0, q=beta)),
     ]
 
 
 def chain_pairs(group: GroupId, beta: float) -> list[EmbeddingPair]:
     """The consequence chain: wiener <= C besov(2, beta) <= C beurling."""
     _require(0 < beta < INF, f"need 0 < beta < inf, got {beta}")
-    r = group.dim * (1.0 / beta - 0.5)
-    mid = NormSpec("besov", r=r, p=2.0, q=beta)
+    mid = NormSpec("besov", r=group.dim * (1.0 / beta - 0.5), p=2.0, q=beta)
     return [
-        EmbeddingPair(
-            label=f"besov({r:g},2,{beta:g})->wiener({beta:g})",
-            target=NormSpec("seq", p=beta),
-            source=mid,
-        ),
-        EmbeddingPair(
-            label=f"beurling({beta:g})->besov({r:g},2,{beta:g})",
-            target=mid,
-            source=NormSpec("beurling", beta=beta),
-        ),
+        EmbeddingPair(target=NormSpec("wiener", beta=beta), source=mid),
+        EmbeddingPair(target=mid, source=NormSpec("beurling", beta=beta)),
     ]
 
 

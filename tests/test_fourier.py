@@ -672,6 +672,24 @@ def test_dirichlet_is_one_instance_per_exact_band_budget():
         assert analyze(f, 3.0, threshold=0.0).index.tolist() == D.index.tolist()
 
 
+def test_kernel_cache_keeps_kernels_within_its_entry_budget():
+    # The cache counts the coefficient entries of its kernels: kernels that
+    # together pass the budget evict the oldest, and what it keeps stays
+    # within the budget.
+    cache = fourier._KERNELS
+    cache.clear()
+    for L in (15_000.0, 20_000.0, 25_000.0, 30_000.0):  # 2L - 1 entries each on T^1
+        dirichlet(T1, L)
+    kept = [kernel for kernel, _ in cache._entries.values()]
+    assert 0 < len(kept) < 4
+    assert sum(kernel.entries.size for kernel in kept) == cache.size <= cache.budget
+    # a kernel past the budget is built anew for each call, the same kernel
+    L = cache.budget / 2.0 + 1.0
+    D = dirichlet(T1, L)
+    assert D.entries.size > cache.budget
+    assert dirichlet(T1, L) is not D and dirichlet(T1, L).index.tolist() == D.index.tolist()
+    assert cache.size <= cache.budget
+
 def test_support_count_thresholds():
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1e-6]], (2,): [[1e-13]]})
     assert support_count(F, 1e-12) == 2

@@ -490,10 +490,94 @@ def test_pair_constructors_validate_exponents():
 def test_wiener_pair_exponent_relation():
     pair = wiener_besov_pair(T1, 1.0, 2.0, "into-wiener")
     # 1/beta = n/alpha + 1/p' = 1 + 1/2
-    assert pair.target.family == "seq"
-    assert pair.target.p == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert pair.target.family == "wiener"
+    assert pair.target.beta == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert pair.source.q == pytest.approx(2.0 / 3.0, rel=1e-15)
 
+
+# The report names of the pairs verify runs, by group dimension (torus:3 and
+# su2 share theirs), as the hand-typed labels of the pair constructors were.
+_PAIR_LABELS_N1 = [
+    "besov(1,1,2)->besov(0.5,2,2)", "besov(1,2,1)->besov(0.75,4,1)", "besov(0.25,2,4)->L4",
+    "besov(0.333333,1.5,3)->L3", "besov(1,1,1)->Linf", "besov(0.5,2,1)->Linf",
+    "besov(0.5,2,2)->tl(0.5,2,4)", "tl(0.5,2,4)->besov(0.5,2,4)",
+    "besov(0.5,2,1)->tl(0.5,2,1)", "tl(0.5,2,1)->besov(0.5,2,2)",
+    "besov(1,2,0.666667)->wiener(0.666667)", "besov(2,1.5,1.2)->wiener(1.2)",
+    "wiener(0.666667)->besov(1,2,0.666667)", "wiener(0.6)->besov(1,3,0.6)",
+    "beurling(1)->besov(0.5,2,1)", "besov(1,1,1)->beurling(1)",
+    "beurling(1)->besov(0.333333,3,1)", "besov(1,1,1)->beurling(1)",
+    "besov(0.5,2,1)->wiener(1)", "beurling(1)->besov(0.5,2,1)",
+    "beurling(2)->besov(0,2,2)", "besov(0.5,1,2)->beurling(2)",
+    "beurling(2)->besov(-0.166667,3,2)", "besov(0.5,1,2)->beurling(2)",
+    "besov(0,2,2)->wiener(2)", "beurling(2)->besov(0,2,2)",
+]
+_PAIR_LABELS_N2 = [
+    "besov(1,1,2)->besov(0,2,2)", "besov(2,2,1)->besov(1.5,4,1)", "besov(0.5,2,4)->L4",
+    "besov(0.666667,1.5,3)->L3", "besov(2,1,1)->Linf", "besov(1,2,1)->Linf",
+    "besov(0.5,2,2)->tl(0.5,2,4)", "tl(0.5,2,4)->besov(0.5,2,4)",
+    "besov(0.5,2,1)->tl(0.5,2,1)", "tl(0.5,2,1)->besov(0.5,2,2)",
+    "besov(2,2,0.666667)->wiener(0.666667)", "besov(4,1.5,1.2)->wiener(1.2)",
+    "wiener(0.666667)->besov(2,2,0.666667)", "wiener(0.6)->besov(2,3,0.6)",
+    "beurling(1)->besov(1,2,1)", "besov(2,1,1)->beurling(1)",
+    "beurling(1)->besov(0.666667,3,1)", "besov(2,1,1)->beurling(1)",
+    "besov(1,2,1)->wiener(1)", "beurling(1)->besov(1,2,1)",
+    "beurling(2)->besov(0,2,2)", "besov(1,1,2)->beurling(2)",
+    "beurling(2)->besov(-0.333333,3,2)", "besov(1,1,2)->beurling(2)",
+    "besov(0,2,2)->wiener(2)", "beurling(2)->besov(0,2,2)",
+]
+_PAIR_LABELS_N3 = [
+    "besov(1,1,2)->besov(-0.5,2,2)", "besov(3,2,1)->besov(2.25,4,1)", "besov(0.75,2,4)->L4",
+    "besov(1,1.5,3)->L3", "besov(3,1,1)->Linf", "besov(1.5,2,1)->Linf",
+    "besov(0.5,2,2)->tl(0.5,2,4)", "tl(0.5,2,4)->besov(0.5,2,4)",
+    "besov(0.5,2,1)->tl(0.5,2,1)", "tl(0.5,2,1)->besov(0.5,2,2)",
+    "besov(3,2,0.666667)->wiener(0.666667)", "besov(6,1.5,1.2)->wiener(1.2)",
+    "wiener(0.666667)->besov(3,2,0.666667)", "wiener(0.6)->besov(3,3,0.6)",
+    "beurling(1)->besov(1.5,2,1)", "besov(3,1,1)->beurling(1)",
+    "beurling(1)->besov(1,3,1)", "besov(3,1,1)->beurling(1)",
+    "besov(1.5,2,1)->wiener(1)", "beurling(1)->besov(1.5,2,1)",
+    "beurling(2)->besov(0,2,2)", "besov(1.5,1,2)->beurling(2)",
+    "beurling(2)->besov(-0.5,3,2)", "besov(1.5,1,2)->beurling(2)",
+    "besov(0,2,2)->wiener(2)", "beurling(2)->besov(0,2,2)",
+]
+
+
+@pytest.mark.parametrize("name", ["torus:1", "torus:2", "torus:3", "su2"])
+def test_embedding_pair_labels_are_pinned(name):
+    # Each label names its pair's records in every report (embedding:<label>
+    # and instance.pair), so its spelling is part of the report bytes.
+    group = parse_group(name)
+    labels = {1: _PAIR_LABELS_N1, 2: _PAIR_LABELS_N2, 3: _PAIR_LABELS_N3}[group.dim]
+    pairs = verify._embedding_pairs(group) + verify._wiener_chain_pairs(group)
+    assert [pair.label for pair in pairs] == labels
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: besov_besov_pair(T1, 1.0, 2.0, 0.0, r1=1.0), "need 0 < q <= inf, got 0.0"),
+    (lambda: besov_besov_pair(T1, 1.0, 2.0, -1.0, r1=1.0), "need 0 < q <= inf, got -1.0"),
+    (lambda: besov_besov_pair(T1, 1.0, 2.0, math.nan, r1=1.0), "need 0 < q <= inf, got nan"),
+    (lambda: besov_linf_pair(T1, 0.0), "need 0 < p <= inf, got 0.0"),
+    (lambda: besov_linf_pair(T1, -2.0), "need 0 < p <= inf, got -2.0"),
+    (lambda: tl_sandwich_pairs(T1, 0.5, INF, 2.0), "need 0 < p < inf, got inf"),
+    (lambda: tl_sandwich_pairs(T1, 0.5, 2.0, 0.0), "need 0 < q <= inf, got 0.0"),
+    (lambda: tl_sandwich_pairs(T1, 0.5, 2.0, -1.0), "need 0 < q <= inf, got -1.0"),
+    (lambda: verify.wiener_beta(T1, 0.0, 2.0), "need alpha > 0, got 0.0"),
+    (lambda: verify.wiener_beta(T1, -1.0, 2.0), "need alpha > 0, got -1.0"),
+    (lambda: verify.wiener_beta(T1, 1.0, 1.0), "need 1 < p < inf, got 1.0"),
+    (lambda: verify.wiener_beta(T1, 1.0, INF), "need 1 < p < inf, got inf"),
+    (lambda: wiener_besov_pair(T1, 1.0, 1.5, "from-wiener"),
+     "from-wiener needs 2 <= p < inf, got 1.5"),
+    (lambda: beurling_pairs(T1, INF, 2.0), "need 0 < beta < inf, got inf"),
+    (lambda: beurling_pairs(T1, 0.0, 2.0), "need 0 < beta < inf, got 0.0"),
+    (lambda: beurling_pairs(T1, -1.0, 3.0), "need 0 < beta < inf, got -1.0"),
+    (lambda: chain_pairs(T1, 0.0), "need 0 < beta < inf, got 0.0"),
+    (lambda: chain_pairs(T1, -0.5), "need 0 < beta < inf, got -0.5"),
+])
+def test_pair_constructors_refuse_before_building_a_spec(build, message):
+    # Each check runs before any NormSpec is built, so the refusal is the
+    # check's own DomainError, never a NormSpecError of a spec.
+    with pytest.raises(DomainError) as refused:
+        build()
+    assert type(refused.value) is DomainError and str(refused.value) == message
 
 def test_chain_equalities_beta_two():
     corpus = make_corpus(SU2, 2.5, 3, seed=9)
