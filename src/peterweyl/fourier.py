@@ -47,8 +47,7 @@ import os
 import secrets
 import stat
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -352,25 +351,29 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # narrower, summed in real arithmetic.
 
 
-def _axis_table(kernel, m: int, rows: int, kmin: int, width: int) -> np.ndarray:
-    # kernel at the nodes x < rows of an axis of length m.  The angle is
-    # reduced mod m in integers, as FFT twiddles are, so large products x k
-    # lose no accuracy to the float angle.  Read-only: the caches hand one
-    # array to every block, function and level that shares the four integers.
-    turns = np.outer(np.arange(rows), np.arange(kmin, kmin + width)) % m
-    table = kernel((2.0 * math.pi / m) * turns)
-    table.setflags(write=False)
+# Built axis tables keyed by (kind, m, rows, kmin, width), sized in table
+# entries.  `verify all` builds 73 tables of 100,843 entries and the run on
+# torus:1,torus:2,torus:3,su2 80 of 102,183 (the largest 16,480), which the
+# budget holds with room; at 16 bytes a complex entry it stays under 2.4 MB.
+# A corpus function at a band of hundreds on T^2, tables of hundreds of
+# thousands of entries each, builds its tables for each call instead.
+_TABLES = _Memo(150_000)
+
+
+def _axis_table(kind: str, m: int, rows: int, kmin: int, width: int) -> np.ndarray:
+    # The "phase" or "cosine" kernel at the nodes x < rows of an axis of
+    # length m, from _TABLES or built and kept.  The angle is reduced mod m
+    # in integers, as FFT twiddles are, so large products x k lose no
+    # accuracy to the float angle.  Read-only: the cache hands one array to
+    # every block, function and level that shares the key.
+    key = (kind, m, rows, kmin, width)
+    table = _TABLES.get(key)
+    if table is None:
+        angle = (2.0 * math.pi / m) * (np.outer(np.arange(rows), np.arange(kmin, kmin + width)) % m)
+        table = np.cos(angle) if kind == "cosine" else np.exp(1j * angle)
+        table.setflags(write=False)
+        _TABLES.put(key, table, table.size)
     return table
-
-
-@lru_cache(maxsize=32)
-def _torus_phases(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
-    return _axis_table(lambda angle: np.exp(1j * angle), m, rows, kmin, width)
-
-
-@lru_cache(maxsize=32)
-def _torus_cosines(m: int, rows: int, kmin: int, width: int) -> np.ndarray:
-    return _axis_table(np.cos, m, rows, kmin, width)
 
 
 def _cosine_terms(F: SpectralFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -380,18 +383,23 @@ def _cosine_terms(F: SpectralFunction) -> tuple[np.ndarray, np.ndarray]:
     return F.index[keep], F.entries[keep].real
 
 
-def _torus_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, table):
+def _torus_slabs(ks: np.ndarray, coeffs: np.ndarray, rule: QuadratureRule, kind: str):
     kmin = ks.min(axis=0)
     box = np.zeros(tuple(ks.max(axis=0) - kmin + 1), dtype=coeffs.dtype)
     box[tuple((ks - kmin).T)] = coeffs
     # The trailing axes once: each step contracts axis 1, the next K axis,
     # and appends its grid axis, so (K_0, ..., K_{n-1}) ends as
     # (K_0, m_1, ..., m_{n-1}).  The leading axis is contracted per slab.
+    # Axes with equal keys share one table, so a table past the _TABLES
+    # budget (a square box at a band of hundreds) is built once, not per axis.
+    keys = [(kind, m, rows, int(k0), width)
+            for m, rows, k0, width in zip(rule.moduli, rule.shape, kmin, box.shape)]
+    tables = {key: _axis_table(*key) for key in dict.fromkeys(keys)}
     tail = box
-    for m, rows, k0, width in zip(rule.moduli[1:], rule.shape[1:], kmin[1:], box.shape[1:]):
-        tail = np.tensordot(tail, table(m, rows, int(k0), width), axes=([1], [1]))
+    for key in keys[1:]:
+        tail = np.tensordot(tail, tables[key], axes=([1], [1]))
     tail = tail.reshape(box.shape[0], -1)
-    lead = table(rule.moduli[0], rule.shape[0], int(kmin[0]), box.shape[0])
+    lead = tables[keys[0]]
     for a, b, lo, hi in _slab_bounds(rule):
         yield lo, hi, (lead[a:b] @ tail).ravel()
 
@@ -446,9 +454,9 @@ def synthesize_slabs(F: SpectralFunction, rule: QuadratureRule):
     if rule.group.dim == 1:
         return _line_slabs(ks, coeffs, rule)
     if not rule.is_folded:
-        return _torus_slabs(ks, coeffs, rule, _torus_phases)
+        return _torus_slabs(ks, coeffs, rule, "phase")
     # each row stands for its 2^#{a : k_a != 0} sign images, an exact scaling
-    return _torus_slabs(ks, coeffs * np.exp2(np.count_nonzero(ks, axis=1)), rule, _torus_cosines)
+    return _torus_slabs(ks, coeffs * np.exp2(np.count_nonzero(ks, axis=1)), rule, "cosine")
 
 
 def synthesize(F: SpectralFunction, rule: QuadratureRule) -> GridFunction:
@@ -610,61 +618,35 @@ def dump_spectral(F: SpectralFunction) -> str:
 
 
 def _read_records(group: GroupId, records: list[str]):
-    # The checks a record passes on its own and against the records before
-    # it, over all records at once: plain ASCII text, shape, index syntax,
-    # duplicates, numbers, dimension sign, entry count and finiteness, each
-    # naming the first record that fails it.  Returns (keys, rep index ints,
-    # parsed indices, dims, numbers, numbers per record).
-    try:
-        check_plain_number("\n".join(records))
-    except DomainError:
-        for ln in records:
-            check_plain_number(ln)  # raises at the first record int or float misreads
-    parts = [ln.split() for ln in records]
-    bad = [p[0] != "rep" or len(p) < 3 for p in parts]
-    if any(bad):
-        raise DomainError(f"bad record {records[bad.index(True)]!r}")
-    keys = [p[1] for p in parts]
-    torus = group.kind == "torus"
-    try:
-        ints = list(map(int, ",".join(keys).split(",") if torus else keys))
-    except ValueError:
-        for key in keys:
-            _parse_index(group, key)  # raises at the first bad index
-    xis = ints
-    if torus:  # the parsed tuples, of whatever length each record gave
-        widths = [k.count(",") + 1 for k in keys]
-        flat = iter(ints)
-        xis = (list(zip(*[flat] * group.dim)) if widths.count(group.dim) == len(keys)
-               else [tuple(islice(flat, w)) for w in widths])
-    if len(set(xis)) < len(xis):
-        seen = set()
-        for key, xi in zip(keys, xis):
-            if xi in seen:
-                raise DomainError(f"duplicate record for rep {key}")
-            seen.add(xi)
-    try:
-        ds = list(map(int, (p[2] for p in parts)))
-        vals = np.array(list(map(float, chain.from_iterable(p[3:] for p in parts))))
-    except ValueError:
-        for ln, p in zip(records, parts):
-            try:
-                int(p[2]), list(map(float, p[3:]))
-            except ValueError:
-                raise DomainError(f"rep {p[1]}: bad number in {ln!r}") from None
-    if min(ds) < 1:
-        i = next(i for i, d in enumerate(ds) if d < 1)
-        raise DomainError(f"rep {keys[i]}: dimension must be positive, got {ds[i]}")
-    lens = [len(p) - 3 for p in parts]
-    want = [2 * d * d for d in ds]
-    if lens != want:
-        i = next(i for i, (n, w) in enumerate(zip(lens, want)) if n != w)
-        raise DomainError(f"rep {keys[i]}: expected {want[i]} entries, got {lens[i]}")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i = int(np.searchsorted(np.cumsum(lens), np.argmin(finite), side="right"))
-        raise DomainError(f"rep {keys[i]}: entries must be finite")
-    return keys, ints, xis, ds, vals, lens
+    # Each record in turn through the checks it passes on its own and against
+    # the records before it: plain ASCII text, shape, index syntax,
+    # duplicates, numbers, dimension sign, entry count and finiteness.
+    # Raises the first failure, else returns (parsed indices, their ints,
+    # dims, numbers), all in file order.
+    dims, vals = {}, []  # parsed index -> dimension, in file order
+    for ln in records:
+        check_plain_number(ln)
+        p = ln.split()
+        if p[0] != "rep" or len(p) < 3:
+            raise DomainError(f"bad record {ln!r}")
+        xi = _parse_index(group, p[1])
+        if xi in dims:
+            raise DomainError(f"duplicate record for rep {p[1]}")
+        try:
+            d, nums = int(p[2]), list(map(float, p[3:]))
+        except ValueError:
+            raise DomainError(f"rep {p[1]}: bad number in {ln!r}") from None
+        if d < 1:
+            raise DomainError(f"rep {p[1]}: dimension must be positive, got {d}")
+        if len(nums) != 2 * d * d:
+            raise DomainError(f"rep {p[1]}: expected {2 * d * d} entries, got {len(nums)}")
+        if not all(map(math.isfinite, nums)):
+            raise DomainError(f"rep {p[1]}: entries must be finite")
+        dims[xi] = d
+        vals += nums
+    xis = list(dims)
+    ints = list(chain.from_iterable(xis)) if group.kind == "torus" else xis
+    return xis, ints, list(dims.values()), np.array(vals)
 
 
 def load_spectral(text: str) -> SpectralFunction:
@@ -684,28 +666,14 @@ def load_spectral(text: str) -> SpectralFunction:
     records = lines[2:]
     if not records:
         return zero_spectral(group)
-    try:
-        keys, ints, xis, ds, vals, lens = _read_records(group, records)
-    except DomainError:
-        # records[:lo] passes and records[:hi] fails: bisect to the shortest
-        # failing prefix, whose last record is the one to name.
-        lo, hi = 0, len(records)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _read_records(group, records[:mid])
-                lo = mid
-            except DomainError:
-                hi = mid
-        _read_records(group, records[:hi])
-        raise
+    xis, ints, ds, vals = _read_records(group, records)
     # Lengths and range before int64 packing; validate_rep names the first bad rep.
     torus = group.kind == "torus"
     if (torus and set(map(len, xis)) != {group.dim}) or max(ints) > MAX_REP_INDEX or (
             min(ints) < (-MAX_REP_INDEX if torus else 0)):
         for xi in xis:
             validate_rep(group, xi)
-    rows = np.array(ints, dtype=np.int64).reshape(len(keys), group.rank)
+    rows = np.array(ints, dtype=np.int64).reshape(len(ds), group.rank)
     order = np.lexsort(rows.T[::-1])
     index, dims, wsq = rep_arrays(group, rows[order])
     got = np.array(ds)[order]
@@ -716,10 +684,11 @@ def load_spectral(text: str) -> SpectralFunction:
         raise DomainError(f"coefficient for rep {xi!r} must be {dims[i]}x{dims[i]}, "
                           f"got {(int(got[i]), int(got[i]))}")
     # The records' numbers in canonical order, re/im pairs read as complex.
-    starts = np.cumsum(lens) - lens
-    sizes = np.asarray(lens)[order]
-    take = np.repeat(starts[order] - np.cumsum(sizes) + sizes, sizes)
-    entries = vals[take + np.arange(take.size)].view(complex)
+    sizes = np.array(ds) ** 2
+    starts = (np.cumsum(sizes) - sizes)[order]
+    sizes = sizes[order]
+    take = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    entries = vals.view(complex)[take + np.arange(take.size)]
     return SpectralFunction._packed(group, index, dims, wsq, entries)
 
 

@@ -690,6 +690,39 @@ def test_kernel_cache_keeps_kernels_within_its_entry_budget():
     assert dirichlet(T1, L) is not D and dirichlet(T1, L).index.tolist() == D.index.tolist()
     assert cache.size <= cache.budget
 
+
+def test_table_cache_keeps_tables_within_its_entry_budget():
+    # The cache counts the entries of its axis tables: tables that together
+    # pass the budget evict the oldest, and what it keeps stays within the
+    # budget.
+    cache = fourier._TABLES
+    cache.clear()
+    for width in (40_000, 50_000, 60_000, 70_000):  # one row each
+        fourier._axis_table("cosine", 7, 1, 0, width)
+    kept = [table for table, _ in cache._entries.values()]
+    assert 0 < len(kept) < 4
+    assert sum(table.size for table in kept) == cache.size <= cache.budget
+    # a table past the budget is built anew for each call, the same table
+    table = fourier._axis_table("phase", 7, 2, -3, cache.budget // 2 + 1)
+    again = fourier._axis_table("phase", 7, 2, -3, cache.budget // 2 + 1)
+    assert table.size > cache.budget and again is not table and np.array_equal(again, table)
+    assert cache.size <= cache.budget
+
+
+def test_square_torus_box_builds_its_shared_table_once(monkeypatch):
+    # Both axes of a square T^2 box have one key: with nothing kept, one
+    # synthesis builds that table once, and the values are unchanged.
+    F = SpectralFunction(T2, {(-1, -1): [[1.0]], (1, 1): [[2.0 - 1.0j]], (0, 1): [[0.5]]})
+    rule = quadrature(T2, 3.0)
+    want = synthesize(F, rule).values
+    built, keep_nothing = [], groups._Memo(0)
+    put = keep_nothing.put
+    monkeypatch.setattr(keep_nothing, "put", lambda key, *rest: built.append(key) or put(key, *rest))
+    monkeypatch.setattr(fourier, "_TABLES", keep_nothing)
+    assert np.array_equal(synthesize(F, rule).values, want)
+    assert len(built) == 1 and keep_nothing.size == 0
+
+
 def test_support_count_thresholds():
     F = SpectralFunction(T1, {(0,): [[1.0]], (1,): [[1e-6]], (2,): [[1e-13]]})
     assert support_count(F, 1e-12) == 2
@@ -873,6 +906,38 @@ def test_load_spectral_fuzz_returns_or_raises_domain_error(text):
         return
     assert isinstance(F, SpectralFunction)
     assert all(np.isfinite(mat).all() for mat in F.coeffs.values())
+
+
+_FAR = MAX_REP_INDEX + 1
+
+
+@pytest.mark.parametrize("records, message", [
+    # one record per check, in the order the reader runs them
+    ("rep 0,0 1 1_0 0", "bad number text 'rep 0,0 1 1_0 0': numbers are ASCII, without '_'"),
+    ("rec 0,0 1 1 0", "bad record 'rec 0,0 1 1 0'"),
+    ("rep 0,0", "bad record 'rep 0,0'"),
+    ("rep 0,x 1 1 0", "bad rep index '0,x' for torus:2"),
+    ("rep 0,0 1 1 0\nrep 00,-0 1 2 0", "duplicate record for rep 00,-0"),
+    ("rep 0,0 1 1 x", "rep 0,0: bad number in 'rep 0,0 1 1 x'"),
+    ("rep 0,0 0", "rep 0,0: dimension must be positive, got 0"),
+    ("rep 0,0 1 1", "rep 0,0: expected 2 entries, got 1"),
+    ("rep 0,0 1 1 nan", "rep 0,0: entries must be finite"),
+    (f"rep 0,{_FAR} 1 1 0", f"torus rep index must be an int 2-tuple within +-{MAX_REP_INDEX}, "
+                            f"got (0, {_FAR})"),
+    ("rep 1,0 1 1 0\nrep 0,1 2 " + "1 0 " * 4,
+     "coefficient for rep (0, 1) must be 1x1, got (2, 2)"),
+    # an earlier record failing a later check beats a later record failing
+    # an earlier one
+    ("rep 0,0 1 1 nan\nrep 1,x 1 1 0", "rep 0,0: entries must be finite"),
+    ("rep 0,0 1 1 0 0\nrep 1,1 1 1_0 0", "rep 0,0: expected 2 entries, got 3"),
+    # every record's own checks come before any index range
+    (f"rep 0,{_FAR} 1 1 0\nrep 1,1 1 1 x", "rep 1,1: bad number in 'rep 1,1 1 1 x'"),
+    (f"rep 0,{_FAR} 1 1 0\nrep 0,{_FAR} 1 1 0", f"duplicate record for rep 0,{_FAR}"),
+], ids=range(15))
+def test_load_spectral_names_the_first_failure_of_a_record_by_record_reader(records, message):
+    with pytest.raises(DomainError) as err:
+        load_spectral(f"specfun v1\ngroup torus:2\n{records}\n")
+    assert str(err.value) == message
 
 
 def test_determinism_byte_identical():

@@ -1223,15 +1223,18 @@ def test_sign_even_is_decided_once_per_function(monkeypatch):
     assert calls == [F]
 
 
-def test_sign_even_ladder_builds_no_phase_table():
+def test_sign_even_ladder_builds_no_phase_table(monkeypatch):
     # A folded level of a sign-even function sums cosines: the ladder of a
-    # T^2 Dirichlet kernel reads no complex phase table.
-    fourier._torus_phases.cache_clear()
-    fourier._torus_cosines.cache_clear()
+    # T^2 Dirichlet kernel reads no complex phase table.  Every table built
+    # is offered to the cache, kept or not.
+    built, put = [], fourier._TABLES.put
+    monkeypatch.setattr(fourier._TABLES, "put",
+                        lambda key, *rest: built.append(key[0]) or put(key, *rest))
+    fourier._TABLES.clear()
+    norms.clear_memos()
     value, info = lp_norms(dirichlet(torus(2), 16.0), [1.0])[1.0]
     assert info["certified"] in ("refined", "capped") and value > 0.0
-    assert fourier._torus_phases.cache_info().misses == 0
-    assert fourier._torus_cosines.cache_info().misses > 0
+    assert "phase" not in built and "cosine" in built
 
 
 # ---------------------------------------------------------------------------
