@@ -31,7 +31,7 @@ the rows k >= 0, the structure of the DCT-I (Makhoul, IEEE Trans. ASSP 28,
 1980): a box 2^n times narrower against real tables, and on T^1 one inverse
 real FFT of the half spectrum; its slabs are float64.  On SU(2) both
 directions factor through the Euler angles: dense phase contractions over
-alpha and gamma against the rule's phase tables, and a Wigner-d contraction
+alpha and gamma against phase tables at the rule's nodes, and a Wigner-d contraction
 over the cos(beta) nodes, each spin's block a stride-2 slice of the
 frequency plane.
 On the torus, analysis is one FFT over the uniform product grid.  All paths
@@ -68,6 +68,7 @@ from .groups import (
     quadrature,
     rep_arrays,
     validate_rep,
+    wigner_d_tables,
 )
 
 # Relative magnitude below which analyzed coefficient entries are stored as
@@ -271,6 +272,22 @@ def _slab_bounds(rule: QuadratureRule):
 
 
 # ---------------------------------------------------------------------------
+# Transform tables
+#
+# Built tables, sized in table entries: the torus axis tables keyed by
+# (kind, m, rows, kmin, width) (_axis_table), and on SU(2) the Wigner-d
+# list of a rule, keyed by ("wigner-d", group, degree), and its phase
+# tables, keyed by ("su2-phase", group, degree, top spin) (_su2_tables).
+# `verify all` keeps 122,491 entries (100,843 torus, 14,182 Wigner-d and
+# 7,466 phase) and the run on torus:1,torus:2,torus:3,su2 123,831 (the
+# largest entry 16,480), so the budget evicts nothing there; at 16 bytes
+# an entry it stays under 2.4 MB.  A corpus function at a band of hundreds
+# on T^2, or an SU(2) ladder at millions of nodes, whose tables hold
+# hundreds of thousands of entries, builds its tables for each call instead.
+_TABLES = _Memo(150_000)
+
+
+# ---------------------------------------------------------------------------
 # SU(2) transform kernels
 #
 # With D^l_{mn} = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma) and the
@@ -285,8 +302,7 @@ def _slab_bounds(rule: QuadratureRule):
 # u = tl + 2m, so spin twoL's rows m = l, l-1, ..., -l sit at u = tl + twoL
 # - 2i: a stride -2 slice of each frequency axis (_spin_block), which each
 # spin's block is accumulated into and read from as a basic-slice view.
-# The phase matrices are the rule's (QuadratureRule.phase_tables), built
-# once per top spin, as its Wigner-d tables are.
+# The Wigner-d and phase tables come from _TABLES (_su2_tables).
 # Node storage is C order over (alpha, beta, gamma).
 
 
@@ -295,11 +311,43 @@ def _spin_block(tl: int, twoL: int) -> slice:
     return slice(tl + twoL, tl - twoL - 1 if twoL < tl else None, -2)
 
 
+def _su2_tables(rule: QuadratureRule, tl: int):
+    # The Wigner-d tables of the spins twoL <= tl at the rule's cos(beta)
+    # nodes (at least tl + 1 of them), and the phase tables
+    # E[x, u] = exp(-i m_u x), m_u = (u - tl) / 2 for u <= 2 tl, as (E at
+    # alpha, E at gamma transposed, conj E at alpha, conj E at gamma), each
+    # C-contiguous: synthesis reads the first two, analysis the last two.
+    # From _TABLES or built and kept, read-only.  A rule's Wigner-d list is
+    # rebuilt only for a top spin past its end, so it serves every lower top
+    # spin too; a racing caller may store a shorter one, but every caller
+    # gets the tables its top spin needs.
+    key = ("wigner-d", rule.group, rule.degree)
+    tabs = _TABLES.get(key)
+    if tabs is None or len(tabs) <= tl:
+        tabs = _keep(key, wigner_d_tables(tl, rule.z))
+    key = ("su2-phase", rule.group, rule.degree, tl)
+    phases = _TABLES.get(key)
+    if phases is None:
+        ms = (np.arange(2 * tl + 1) - tl) / 2.0
+        e_alpha, e_gamma = (np.exp(-1j * np.outer(rule.axes[i], ms)) for i in (0, 2))
+        phases = _keep(key, [e_alpha, e_gamma.T, np.conj(e_alpha), np.conj(e_gamma)])
+    return tabs, phases
+
+
+def _keep(key, tables: list) -> tuple:
+    # The tables as a tuple of C-contiguous, read-only arrays, put into
+    # _TABLES charged their entries.
+    tables = tuple(np.ascontiguousarray(table) for table in tables)
+    for table in tables:
+        table.setflags(write=False)
+    _TABLES.put(key, tables, sum(table.size for table in tables))
+    return tables
+
+
 def _su2_slabs(F: SpectralFunction, rule: QuadratureRule):
     nb = rule.shape[1]
     tl = int(F.index.max())
-    tabs = rule.d_tables(tl)
-    e_alpha, e_gamma, _, _ = rule.phase_tables(tl)
+    tabs, (e_alpha, e_gamma, _, _) = _su2_tables(rule, tl)
     nfreq = 2 * tl + 1
     gmat = np.zeros((nfreq, nfreq, nb), dtype=complex)
     ends = F.offsets.tolist()
@@ -322,8 +370,7 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
     # The coefficient matrices of the reps twoL in reps, row-major, end to end.
     na, nb, ng = rule.shape
     tl = max(reps)
-    tabs = rule.d_tables(tl)
-    _, _, conj_alpha, conj_gamma = rule.phase_tables(tl)
+    tabs, (_, _, conj_alpha, conj_gamma) = _su2_tables(rule, tl)
     nfreq = 2 * tl + 1
     t1 = np.dot(conj_alpha.T, values.reshape(na, -1)).reshape(nfreq, nb, ng) / na
     h = np.dot(t1.reshape(-1, ng), conj_gamma).reshape(nfreq, nb, nfreq) / ng
@@ -349,15 +396,6 @@ def _su2_analyze(values: np.ndarray, rule: QuadratureRule, reps: list[int]) -> n
 # 2^#{a : k_a != 0} against the real cosines
 # C[x, j] = cos(2 pi ((x (kmin_a + j)) mod m_a) / m_a): a box 2^n times
 # narrower, summed in real arithmetic.
-
-
-# Built axis tables keyed by (kind, m, rows, kmin, width), sized in table
-# entries.  `verify all` builds 73 tables of 100,843 entries and the run on
-# torus:1,torus:2,torus:3,su2 80 of 102,183 (the largest 16,480), which the
-# budget holds with room; at 16 bytes a complex entry it stays under 2.4 MB.
-# A corpus function at a band of hundreds on T^2, tables of hundreds of
-# thousands of entries each, builds its tables for each call instead.
-_TABLES = _Memo(150_000)
 
 
 def _axis_table(kind: str, m: int, rows: int, kmin: int, width: int) -> np.ndarray:

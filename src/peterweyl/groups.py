@@ -18,7 +18,8 @@ Conventions
   is D^l_{mn}(alpha, beta, gamma) = exp(-i m alpha) d^l_{mn}(beta)
   exp(-i n gamma), rows ordered m = l, l-1, ..., -l (so D^(1/2) has
   cos(beta/2) in the top-left corner).  Synthesis and analysis apply it
-  through wigner_d_tables and QuadratureRule.phase_tables.
+  through wigner_d_tables and Euler-angle phase tables at a rule's nodes,
+  which fourier builds and keeps.
 * The weight of a representation is <xi> = sqrt(1 + lambda_xi), the
   eigenvalue of (I - Laplacian)^(1/2) on its matrix coefficients, with
   lambda_l = l(l + 1) on SU(2) (the round bi-invariant metric).
@@ -379,7 +380,10 @@ def wigner_d_tables(twoL_max: int, z: np.ndarray) -> list[np.ndarray]:
 #          identity element in the node set with a positive weight.
 # The identity element is always node 0.  A torus rule folds onto its half
 # axes 0 <= i <= m // 2 for real functions even in every coordinate
-# (folded(), which marks the rule it builds is_folded).
+# (folded(), which marks the rule it builds is_folded).  A rule holds its
+# axes, weights and cos(beta) nodes only: the Wigner-d and phase tables the
+# SU(2) transforms read at those nodes are fourier's, kept in its bounded
+# table cache.
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,10 +424,10 @@ class QuadratureRule:
     with weights axis_weights; grid values run over them in C order, and the
     identity element is the first node.  On a torus, node i of axis a is the
     angle 2 pi i / moduli[a]; moduli equals shape except on a folded rule,
-    which folded() builds and marks is_folded.  All arrays are read-only,
-    and the caches (the fold, the Wigner-d tables, the SU(2) phase tables)
-    only ever hand out finished values, so instances are safe to share
-    across threads.
+    which folded() builds and marks is_folded.  On SU(2), z holds cos(beta)
+    at the beta nodes (None on a torus).  All arrays are read-only, and the
+    one cache, the fold, only ever hands out a finished rule, so instances
+    are safe to share across threads.
     """
 
     is_folded = False
@@ -437,50 +441,13 @@ class QuadratureRule:
         self.axis_weights = tuple(
             np.ascontiguousarray(w, dtype=float) for w in axis_weights
         )
-        self._z = None if z is None else np.ascontiguousarray(z, dtype=float)
-        for arr in self.axes + self.axis_weights:
+        self.z = None if z is None else np.ascontiguousarray(z, dtype=float)
+        for arr in self.axes + self.axis_weights + (() if z is None else (self.z,)):
             arr.setflags(write=False)
-        if self._z is not None:
-            self._z.setflags(write=False)
         self.shape = tuple(len(a) for a in self.axes)
         self.node_count = math.prod(self.shape)
         self.moduli = self.shape if moduli is None else tuple(moduli)
         self._folded = None
-        self._dtabs: list[np.ndarray] = []
-        self._phases: dict[int, tuple[np.ndarray, ...]] = {}
-
-    def d_tables(self, twoL_max: int) -> list[np.ndarray]:
-        """Cached Wigner-d tables at this rule's cos(beta) nodes (SU(2) only):
-        a list of at least twoL_max + 1 tables, the one found or built."""
-        if self.group.kind != "su2":
-            raise DomainError("d_tables is only defined for su2 rules")
-        tabs = self._dtabs
-        if len(tabs) <= twoL_max:
-            self._dtabs = tabs = wigner_d_tables(twoL_max, self._z)
-        return tabs
-
-    def phase_tables(self, twoL_max: int) -> tuple[np.ndarray, ...]:
-        """Cached Euler-angle phase tables of the spins twoL <= twoL_max at
-        this rule's alpha and gamma nodes (SU(2) only).
-
-        E[x, u] = exp(-i m_u x), m_u = (u - twoL_max) / 2 for u <= 2 twoL_max,
-        as (E at alpha, E at gamma transposed, conj E at alpha, conj E at
-        gamma), each C-contiguous and read-only: synthesis reads the first
-        two, analysis the last two.  Built once per twoL_max; a caller that
-        races another may build a set, but every call returns the stored one.
-        """
-        if self.group.kind != "su2":
-            raise DomainError("phase_tables is only defined for su2 rules")
-        tables = self._phases.get(twoL_max)
-        if tables is None:
-            ms = (np.arange(2 * twoL_max + 1) - twoL_max) / 2.0
-            e_alpha, e_gamma = (np.exp(-1j * np.outer(self.axes[i], ms)) for i in (0, 2))
-            tables = (e_alpha, np.ascontiguousarray(e_gamma.T), np.conj(e_alpha),
-                      np.conj(e_gamma))
-            for table in tables:
-                table.setflags(write=False)
-            tables = self._phases.setdefault(twoL_max, tables)
-        return tables
 
     def folded(self) -> "QuadratureRule":
         """This torus rule on the nodes 0 <= i_a <= m_a // 2 of every axis.

@@ -247,7 +247,9 @@ class NormSpecError(DomainError):
 
 @dataclass(frozen=True)
 class NormSpec:
-    """One norm functional: family tag plus its numeric parameters."""
+    """One norm functional: family tag plus its numeric parameters, exactly
+    the ones its family takes (_FAMILY_KEYS), so format_norm_spec writes
+    all of them."""
 
     family: str
     p: float | None = None
@@ -261,9 +263,13 @@ class NormSpec:
                 f"unknown family {self.family!r} (rule 'family'; choices "
                 f"{sorted(_FAMILY_KEYS)})"
             )
-        for key in _FAMILY_KEYS[self.family]:
-            if getattr(self, key) is None:
+        keys = _FAMILY_KEYS[self.family]
+        for key in ("r", "p", "q", "beta"):
+            if key in keys and getattr(self, key) is None:
                 raise NormSpecError(f"{self.family} requires parameter {key}")
+            if key not in keys and getattr(self, key) is not None:
+                raise NormSpecError(
+                    f"{self.family} does not take parameter {key!r} (expects {keys})")
         for key in ("p", "q", "beta"):
             val = getattr(self, key)
             if val is not None and not val > 0:

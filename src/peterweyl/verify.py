@@ -23,9 +23,10 @@ check); the slope record is the quantitative gate.  Every member reads the
 upper end of its ratio's enclosure, whose ends and certification close its
 notes: a corpus member's from norm_enclosure bounds, a Dirichlet member's
 from norm_info values (points, lo == hi, on these kernels), which the slope
-fits and whose certification its notes name.  Lebesgue records and every
-family member are decided by one rule (_settled): on norms.Enclosure bounds
-first, else on norm_info values, which a Dirichlet member's bounds are.
+fits and whose certification its notes name.  Lebesgue records and corpus
+members are decided by one rule (_settled): on norms.Enclosure bounds first,
+else on norm_info values.  A Dirichlet member's bounds are those values
+already, so they decide it directly.
 
 Default tolerances: 1e-9 where quadrature is exact, 1e-6 where dyadic grid
 refinement is involved, 1e-12 for algebraic identities.
@@ -587,15 +588,15 @@ def embedding_suite(
 ) -> list[InequalityReport]:
     """Ratios of each pair along a family, plus a slope record per pair.
 
-    Each member's lhs is the upper end of its ratio's enclosure (_member),
-    settled by _settled on the family's bounds, else on norm_info values.
+    Each member's lhs is the upper end of its ratio's enclosure (_member).
     family "dirichlet" scales Dirichlet kernels over L_grid, at least two
-    strictly increasing band limits; its bounds are those values, points on
-    these kernels, and the slope fits their ratios.  Each member's ladders
+    strictly increasing band limits; its bounds are norm_info values, points
+    on these kernels, which decide its members directly, and the slope fits
+    their ratios.  Each member's ladders
     run first, in one sweep over all its specs (_prefetch), so they share
     their grids.
-    family "corpus" checks finiteness on the corpus functions, on
-    norm_enclosure bounds.
+    family "corpus" checks finiteness on the corpus functions, settled by
+    _settled on norm_enclosure bounds, else on norm_info values.
     """
     if family == "dirichlet":
         _require(L_grid is not None, "family 'dirichlet' needs L_grid, got None")
@@ -625,7 +626,10 @@ def embedding_suite(
             record = lambda norms: [_member(pair, suite, inst, notes, *norms)]
             bounds = [bound(func, s, max_nodes) for s in specs]
             parts += bounds
-            rows += _settled(record, bounds, lambda: [norm_info(func, s, max_nodes) for s in specs])
+            if family == "dirichlet":  # its bounds are the norm_info values
+                rows += record(bounds)
+            else:
+                rows += _settled(record, bounds, lambda: [norm_info(func, s, max_nodes) for s in specs])
         reports += rows
         if family == "dirichlet":
             ratios = [rep.lhs for rep in rows]

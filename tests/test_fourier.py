@@ -1,17 +1,15 @@
 """Analysis/synthesis, distinguished kernels, powers, serialization."""
 
 import itertools
-import linecache
 import math
 import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import ifftn
 
-from peterweyl import fourier, groups
+from peterweyl import fourier, groups, norms
 from peterweyl.fourier import (
     BandLimitError,
     GridFunction,
@@ -36,6 +34,7 @@ from peterweyl.groups import (
     su2,
     torus,
     weyl_count,
+    wigner_d_tables,
 )
 from peterweyl.verify import PROFILES, make_corpus
 
@@ -146,7 +145,7 @@ def _per_rep_su2_slabs(F, rule):
     # indexing, phase tables rebuilt per call.
     nb = rule.shape[1]
     tl = int(F.index.max())
-    tabs = rule.d_tables(tl)
+    tabs = wigner_d_tables(tl, rule.z)
     nfreq = 2 * tl + 1
     gmat = np.zeros((nfreq, nfreq, nb), dtype=complex)
     for twoL, mat in F.items():
@@ -167,7 +166,7 @@ def _per_rep_su2_analysis(values, rule, reps):
     # block gathered by np.ix_, phase tables rebuilt per call.
     na, nb, ng = rule.shape
     tl = max(reps)
-    tabs = rule.d_tables(tl)
+    tabs = wigner_d_tables(tl, rule.z)
     mesh = values.reshape(na, nb, ng)
     t1 = np.tensordot(np.conj(_per_rep_phases(rule.axes[0], tl)), mesh, axes=([0], [0])) / na
     h = np.tensordot(t1, np.conj(_per_rep_phases(rule.axes[2], tl)), axes=([2], [0])) / ng
@@ -230,86 +229,89 @@ def test_su2_kernels_match_the_per_rep_loops_bit_for_bit():
     assert checked >= 20
 
 
+def _table_entries(cache):
+    # The entries of the tables a table cache keeps: an axis table, or a
+    # tuple of SU(2) tables.
+    return sum(sum(t.size for t in (v if isinstance(v, tuple) else (v,)))
+               for v, _ in cache._entries.values())
+
+
+def _su2_reference_tables(rule, tl):
+    # The Wigner-d and phase tables of top spin tl, rebuilt per call.
+    e_alpha = _per_rep_phases(rule.axes[0], tl)
+    e_gamma = _per_rep_phases(rule.axes[2], tl)
+    return wigner_d_tables(tl, rule.z), (e_alpha, e_gamma.T, np.conj(e_alpha), np.conj(e_gamma))
+
+
 def test_su2_phase_tables_are_built_once_and_read_only():
     rule = quadrature(SU2, 4.0)
     for tl in (0, 3, 6):
-        tables = rule.phase_tables(tl)
-        assert rule.phase_tables(tl) is tables
-        e_alpha, e_gamma_t, conj_alpha, conj_gamma = tables
-        assert np.array_equal(e_alpha, _per_rep_phases(rule.axes[0], tl))
-        assert np.array_equal(e_gamma_t, _per_rep_phases(rule.axes[2], tl).T)
-        assert np.array_equal(conj_alpha, np.conj(e_alpha))
-        assert np.array_equal(conj_gamma, np.conj(e_gamma_t.T))
-        for table in tables:
+        tabs, tables = fourier._su2_tables(rule, tl)
+        assert fourier._su2_tables(rule, tl)[1] is tables
+        want_tabs, want = _su2_reference_tables(rule, tl)
+        assert len(tabs) > tl
+        assert all(np.array_equal(a, b) for a, b in zip(tabs, want_tabs))
+        assert all(np.array_equal(a, b) for a, b in zip(tables, want))
+        for table in (*tabs, *tables):
             assert table.flags.c_contiguous and not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
     # synthesis and analysis read the stored tables, building none
     F = _random_spectral(SU2, 4.0, seed=3)
     tl = int(F.index.max())
-    stored = rule.phase_tables(tl)
+    stored = fourier._su2_tables(rule, tl)
     analyze(synthesize(F, rule), 4.0)
-    assert rule.phase_tables(tl) is stored
-    with pytest.raises(DomainError):
-        quadrature(T2, 2.0).phase_tables(1)
+    assert all(a is b for a, b in zip(fourier._su2_tables(rule, tl), stored))
 
 
-def test_su2_phase_tables_hand_every_caller_the_stored_set_under_a_race():
-    # A worker's phase_tables(12) is paused by a line hook just before it
-    # stores its tables; phase_tables(12) runs meanwhile on this thread,
-    # stores its own, and releases the worker on return.  The worker then
-    # returns the stored set, so every caller reads one set of tables.
-    rule = groups._make_rule(SU2, 16)  # a fresh rule, no tables yet
-    paused, release = threading.Event(), threading.Event()
-    got = {}
-
-    def local(frame, event, arg):
-        line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
-        if event == "line" and "setdefault" in line and not paused.is_set():
-            paused.set()
-            release.wait(30.0)
-        return local
-
-    def hook(frame, event, arg):
-        return local if frame.f_code.co_name == "phase_tables" else None
-
-    def worker():
-        sys.settrace(hook)
-        try:
-            got["worker"] = rule.phase_tables(12)
-        finally:
-            sys.settrace(None)
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    try:
-        assert paused.wait(30.0)
-        got["main"] = rule.phase_tables(12)
-    finally:
-        release.set()
-        thread.join(30.0)
-    assert got["worker"] is got["main"] is rule.phase_tables(12)
-    assert not any(table.flags.writeable for table in got["main"])
-
-
-def test_su2_phase_tables_under_contention_hand_out_one_set_per_spin():
-    # More threads than cores ask a fresh rule for the same spins with a
-    # short switch interval; every thread reads the one stored set per spin.
+def test_su2_tables_under_contention_are_equal_read_only_and_within_budget():
+    # More threads than cores ask for the tables of one fresh rule, half of
+    # them from the lowest top spin up and half from the highest down, with
+    # a short switch interval.  Racing callers may each build a set, but
+    # every caller gets tables equal to a fresh build, read-only, and the
+    # cache counts what it keeps and stays within its budget.
     from concurrent.futures import ThreadPoolExecutor
 
+    cache = fourier._TABLES
+    cache.clear()
     rule = groups._make_rule(SU2, 24)
-    spins = range(0, 23)
+    spins = list(range(0, 23))
+    orders = [spins, spins[::-1]] * 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(lambda: [rule.phase_tables(t) for t in spins])
-                       for _ in range(6)]
+            futures = [pool.submit(lambda o=o: {t: fourier._su2_tables(rule, t) for t in o})
+                       for o in orders]
             results = [f.result(timeout=60.0) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for t in spins:
-        assert all(r[t] is rule.phase_tables(t) for r in results), t
+        want_tabs, want = _su2_reference_tables(rule, t)
+        for tabs, tables in (r[t] for r in results):
+            assert len(tabs) > t
+            assert all(np.array_equal(a, b) for a, b in zip(tabs, want_tabs)), t
+            assert all(np.array_equal(a, b) for a, b in zip(tables, want)), t
+            assert not any(table.flags.writeable for table in (*tabs, *tables))
+    assert _table_entries(cache) == cache.size <= cache.budget
+
+
+def test_su2_ladders_keep_their_tables_counted_within_the_budget():
+    # Sup and L^3 ladders of su2 corpora at bands 4, 8 and 12 climb to rules
+    # whose Wigner-d and phase tables together hold about a million entries.
+    # The table cache counts every entry it keeps and stays within its
+    # budget; the rule cache still counts only its rules' floats.
+    cache = fourier._TABLES
+    cache.clear()
+    groups._RULES.clear()
+    norms.clear_memos()
+    for band in (4.0, 8.0, 12.0):
+        for F in make_corpus(SU2, band, 5, 7).functions:
+            norms.lp_norms(F, [math.inf, 3.0])
+    assert any(key[0] == "wigner-d" for key in cache._entries)
+    assert _table_entries(cache) == cache.size <= cache.budget
+    kept = [rule for rule, _ in groups._RULES._entries.values()]
+    assert sum(a.size for r in kept for a in (*r.axes, *r.axis_weights, r.z)) == groups._RULES.size
 
 
 def _ifftn_synthesis(F, rule):

@@ -315,6 +315,19 @@ def test_spec_format_parse_round_trip(spec):
     assert parse_norm_spec(format_norm_spec(spec)) == spec
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_spec_refuses_a_parameter_its_family_does_not_take(data):
+    # A stray parameter would be dropped by format_norm_spec, so the round
+    # trip would lose it; the spec refuses it and names it.
+    spec = data.draw(_norm_specs())
+    foreign = [k for k in ("r", "p", "q", "beta") if k not in norms._FAMILY_KEYS[spec.family]]
+    key = data.draw(st.sampled_from(foreign))
+    params = {k: getattr(spec, k) for k in norms._FAMILY_KEYS[spec.family]}
+    with pytest.raises(NormSpecError, match=f"{spec.family} does not take parameter '{key}'"):
+        NormSpec(spec.family, **params, **{key: data.draw(_POSITIVE)})
+
+
 def test_spec_parse_errors_name_rule():
     with pytest.raises(NormSpecError, match="family"):
         parse_norm_spec("frobnitz:1")
@@ -1396,7 +1409,7 @@ def test_mesh_tau_matches_its_derivation():
     G = _random_spectral(SU2, 2.0, 68)  # twoL <= 2
     rule = quadrature(SU2, 6.0)
     na, nb, ng = rule.shape
-    beta_gap = np.diff(np.sort(np.arccos(np.clip(rule._z, -1.0, 1.0)))).max()
+    beta_gap = np.diff(np.sort(np.arccos(np.clip(rule.z, -1.0, 1.0)))).max()
     want = 2 * math.sqrt(beta_gap**2 + (2 * math.pi / na + 4 * math.pi / ng) ** 2) / 2
     assert norms._tau_of(G)(rule.degree) == pytest.approx(want, rel=1e-12)
     # the covering radius tau / (2 twoL_max) in the unit-S^3 metric bounds

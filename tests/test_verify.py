@@ -624,6 +624,23 @@ def test_dirichlet_members_and_slopes_name_their_certification():
     assert slope_certs == ["exact", "refined"]
 
 
+def test_a_failing_dirichlet_member_reads_each_norm_once(monkeypatch):
+    # A Dirichlet member's bounds already are its norm_info values: a record
+    # that fails on them is final, with no second read of the same values.
+    reads = []
+    norm_info_of = verify.norm_info
+    monkeypatch.setattr(verify, "norm_info",
+                        lambda F, spec, *rest: reads.append(spec) or norm_info_of(F, spec, *rest))
+    monkeypatch.setattr(verify, "_member",
+                        lambda pair, suite, inst, *rest: verify.InequalityReport(
+                            "embedding:x", suite, inst, 2.0, 1.0, 0.0, "failing"))
+    pairs = [besov_lq_pair(T1, 2.0, 4.0), besov_linf_pair(T1, 1.0)]
+    grid = [4, 8, 16]
+    reports = embedding_suite(T1, "dirichlet", pairs, L_grid=grid)
+    assert sum(not r.holds for r in reports) == len(pairs) * len(grid)
+    assert reads == [s for pair in pairs for _ in grid for s in (pair.target, pair.source)]
+
+
 def test_a_zero_source_raises_and_a_zero_lower_end_fails_the_bounds():
     pair = besov_lq_pair(T1, 2.0, 4.0)
     zero = zero_spectral(T1)
