@@ -160,13 +160,18 @@ the enclosure is that point.  Powers v^p of node values with 2p an integer
 up to 16 are taken by squarings and at most one square root (_power), within
 a few ulps of pow.
 
-Finished L^p values (per exponent), Triebel-Lizorkin values (per spec) and
-dyadic splits are a process-local memo keyed by the function's content
-digest and, for norm values, the node cap.  It is bounded, least recently
-used entries go first, and it affects only speed: a hit returns the frozen
-Enclosure a fresh evaluation would.  A ladder the cap refuses, or whose
-value leaves float range, is not kept, and raises wherever it is read.
-Node values are not kept; a level recomputes them slab by slab.
+Finished L^p values (per exponent), lp_enclosures' bounds (per finite
+exponent that is not even), Triebel-Lizorkin values, norm_info and
+norm_enclosure results (per spec) and dyadic splits are a process-local
+memo keyed by the function's content digest and, for norm values and
+bounds, the node cap.  So the embedding suites, which read the same
+function's bounds pair by pair, build each once.  The memo is bounded,
+least recently used entries go first, and it affects only speed: a hit
+returns the frozen Enclosure a fresh evaluation would.  Exceptions are not
+kept: a ladder the cap refuses, or a value that leaves float range, raises
+wherever it is read, on every call.  A refusal that norm_enclosure turns
+into a "capped" [0, inf] bound is a value, and is kept.  Node values are
+not kept; a level recomputes them slab by slab.
 
 Coefficient-only norms are array reductions over the packed layout of
 SpectralFunction (dims, wsq, and the Hilbert-Schmidt norm of each rep's
@@ -337,9 +342,10 @@ def parse_norm_spec(text: str) -> NormSpec:
 # Lebesgue norms: the grid ladder
 
 # Finished evaluations, each a frozen Enclosure of size 1: L^p values keyed
-# by (digest, p, node cap) and Triebel-Lizorkin values by (digest, spec,
-# node cap); and dyadic splits keyed by digest, sized in stored coefficient
-# entries.
+# by (digest, p, node cap), lp_enclosures' bounds at a finite p that is not
+# even by the same, Triebel-Lizorkin values by (digest, spec, node cap), and
+# norm_info's and norm_enclosure's results by the same; and dyadic splits
+# keyed by digest, sized in stored coefficient entries.
 _MEMO_BUDGET = 100_000
 _MEMO = _Memo(_MEMO_BUDGET)
 
@@ -347,6 +353,16 @@ _MEMO = _Memo(_MEMO_BUDGET)
 def clear_memos() -> None:
     """Empty the evaluation memo; later calls evaluate from scratch."""
     _MEMO.clear()
+
+
+def _memoized(key: tuple, make: Callable, size: int = 1):
+    # The memo's value under key, else make()'s, which then enters it with
+    # this size.  An exception of make is not kept: it raises on every call.
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = make()
+        _MEMO.put(key, hit, size)
+    return hit
 
 
 def _synth_values(F: SpectralFunction, rule):
@@ -781,6 +797,10 @@ def lp_norm(F: SpectralFunction, p: float, max_nodes: int | None = None) -> floa
 _ANCHORS = (2.0, 4.0, 6.0, INF)
 
 
+def _bound_key(F: SpectralFunction, p: float, max_nodes) -> tuple:
+    return ("lp bound", F.digest, p, max_nodes)
+
+
 def lp_enclosures(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, Enclosure]:
@@ -795,16 +815,23 @@ def lp_enclosures(
     certified "enclosed", or the weakest certification of the norms it
     rests on.  A norm the node cap refuses, or that leaves float range,
     bounds nothing ([0, inf]); one refused by the cap makes the bound
-    "capped".
+    "capped".  The bound at each such p, a capped one included, is
+    memoized under (digest, p, node cap); a call whose such exponents all
+    hit reads no anchor and sums no coefficient.
     """
     ps = _exponents(ps, max_nodes)
     if not F:
         return {p: Enclosure(0.0, 0.0, "exact") for p in ps}
     direct = [p for p in ps if p == INF or _even_level(p) is not None]
     out = _read_lp_norms(F, direct, max_nodes)
+    for p in ps:
+        if p not in out and (hit := _MEMO.get(_bound_key(F, p, max_nodes))) is not None:
+            out[p] = hit
     # the anchor below p, if any, and the (one or) two above it
     bounded = {p: ([a for a in _ANCHORS if a < p][-1:], [a for a in _ANCHORS if a > p][:2])
                for p in ps if p not in out}
+    if not bounded:
+        return {p: out[p] for p in ps}
     slack = LP_ROUNDOFF * _abs_sum(F)
     anchors = {a: _anchor(F, a, max_nodes, slack)
                for a in sorted({a for below, above in bounded.values() for a in below + above})}
@@ -822,6 +849,7 @@ def lp_enclosures(
             if theta > 0.0:  # 0 once 1/p leaves float range: monotonicity's lo stands
                 lo = max(lo, b_lo * min(1.0, b_lo / anchors[c].hi) ** ((1.0 - theta) / theta))
         out[p] = Enclosure(lo, hi, *weakest([anchors[a] for a in below + above], "enclosed"))
+        _MEMO.put(_bound_key(F, p, max_nodes), out[p])
     return {p: out[p] for p in ps}
 
 
@@ -924,13 +952,13 @@ def block_of(floors) -> np.ndarray:
 
 def dyadic_blocks(F: SpectralFunction) -> dict[int, SpectralFunction]:
     """Split the support into dyadic shells; empty shells are absent."""
-    key = ("blocks", F.digest)
-    blocks = _MEMO.get(key)
-    if blocks is None:
+    def split():
+        # the shells in increasing order, as plain ints (np.unique would
+        # import numpy.ma on its first call)
         shells = block_of(F.wsq // WEIGHT_SQ_DEN)
-        blocks = {int(s): F.restricted(shells == s) for s in np.unique(shells)}
-        _MEMO.put(key, blocks, max(1, F.entries.size))
-    return dict(blocks)
+        return {s: F.restricted(shells == s) for s in sorted(set(shells.tolist()))}
+
+    return dict(_memoized(("blocks", F.digest), split, max(1, F.entries.size)))
 
 
 def _shell_weight(s: int, r: float) -> float:
@@ -998,12 +1026,13 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     # the memo first: an exponent _tl_job refuses never enters it
     if not F:
         return Enclosure(0.0, 0.0, "exact")
-    hit = _MEMO.get(_tl_key(F, spec, max_nodes))
-    if hit is not None:
-        return hit
-    job = _tl_job(F, spec, max_nodes)
-    _evaluate([job], max_nodes)
-    return _outcome(job)
+
+    def run() -> Enclosure:  # _evaluate keeps it; _memoized's put only refreshes it
+        job = _tl_job(F, spec, max_nodes)
+        _evaluate([job], max_nodes)
+        return _outcome(job)
+
+    return _memoized(_tl_key(F, spec, max_nodes), run)
 
 
 def tl_norm(
@@ -1131,10 +1160,13 @@ def norm_info(
     the sup's upper end, else lo).  A Besov value carries the weakest
     provenance of its block L^p norms and, as hi, the same l^q aggregate of
     2^(sr) times each block's hi (_besov_aggregate).  Other families are
-    points.
+    points.  The result is memoized under (digest, spec, node cap); an
+    exception, a refusing node cap's ResourceLimitError included, is not
+    kept and raises on every call.
     """
-    return _by_family(F, spec, max_nodes,
-                      lambda G: _read_lp_norms(G, [spec.p], max_nodes)[spec.p], _tl_info)
+    check_node_cap(max_nodes)  # before the memo: a refused cap may equal a kept one
+    return _memoized(("info", F.digest, spec, max_nodes), lambda: _by_family(
+        F, spec, max_nodes, lambda G: _read_lp_norms(G, [spec.p], max_nodes)[spec.p], _tl_info))
 
 
 # What _prefetch's plan hands _by_family for a norm it does not evaluate.
@@ -1187,13 +1219,20 @@ def norm_enclosure(
     tl the sandwich around Besov(r, p, p) of the module docstring (at q = 2
     and even p, its exact value, one grid).  Coefficient families are exact
     points, lo = hi.  The certification is the weakest over the parts; a
-    grid the node cap refuses leaves [0, inf], "capped".
+    grid the node cap refuses leaves [0, inf], "capped".  The result, a
+    capped one included, is memoized under (digest, spec, node cap); a
+    DomainError is not kept and raises on every call.
     """
-    try:
-        return _by_family(F, spec, max_nodes,
-                          lambda G: lp_enclosures(G, [spec.p], max_nodes)[spec.p], _tl_enclosure)
-    except ResourceLimitError:
-        return Enclosure(0.0, INF, "capped")
+    def bound() -> Enclosure:
+        try:
+            return _by_family(F, spec, max_nodes,
+                              lambda G: lp_enclosures(G, [spec.p], max_nodes)[spec.p],
+                              _tl_enclosure)
+        except ResourceLimitError:
+            return Enclosure(0.0, INF, "capped")
+
+    check_node_cap(max_nodes)  # before the memo: a refused cap may equal a kept one
+    return _memoized(("enclosure", F.digest, spec, max_nodes), bound)
 
 
 def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:

@@ -2070,6 +2070,112 @@ def test_memo_stress_shared_across_threads(monkeypatch):
     assert memo.size == _entry_sizes(memo) <= 50
 
 
+# One spec of every family, at the exponents whose L^p bounds take
+# different paths: exact (even p), identity-pinned or enclosed (inf),
+# Lyapunov below 2 and between anchors, and the Triebel-Lizorkin sandwich.
+_MEMO_SPECS = tuple(parse_norm_spec(text) for text in (
+    "Lp:1", "Lp:1.5", "Lp:3", "Lp:inf", "sobolev:r=1,p=3", "besov:r=0.5,p=1,q=2",
+    "tl:r=0.5,p=4,q=2", "tl:r=0.5,p=3,q=1.5", "seq:1.5", "wiener:1", "beurling:2",
+    "beurlingR:r=0.5,beta=2",
+))
+
+
+def test_norm_info_and_norm_enclosure_hits_equal_fresh_evaluations():
+    # Every family, a refined torus function and a sign-even kernel: each
+    # result evaluated alone from an empty memo, then all of them in one
+    # memo, where the second read is a hit that hands back the kept
+    # Enclosure, equal to the fresh one.
+    funcs = (make_corpus(torus(2), 2.0, 1, 3).functions[0], dirichlet(T1, 6.0))
+    calls = [(F, spec, evaluate) for F in funcs for spec in _MEMO_SPECS
+             for evaluate in (norm_info, norms.norm_enclosure)]
+    fresh = []
+    for F, spec, evaluate in calls:
+        norms.clear_memos()
+        fresh.append(evaluate(F, spec))
+    norms.clear_memos()
+    first = [evaluate(F, spec) for F, spec, evaluate in calls]
+    hits = [evaluate(F, spec) for F, spec, evaluate in calls]
+    assert all(hit is kept for hit, kept in zip(hits, first))
+    assert hits == first == fresh
+    assert {e.certified for e in fresh} >= {"exact", "enclosed", "refined"}
+
+
+def test_lp_enclosures_hits_skip_the_anchors(monkeypatch):
+    # Bounded exponents (finite, not even) are kept one by one: a call whose
+    # bounded exponents all hit reads no anchor and sums no coefficient.
+    F = make_corpus(torus(2), 2.0, 1, 3).functions[0]
+    ps = [1.0, 1.5, 3.0, 4.0, 5.0, INF]
+    fresh = {}
+    for p in ps:
+        norms.clear_memos()
+        fresh[p] = lp_enclosures(F, [p])[p]
+    norms.clear_memos()
+    first = lp_enclosures(F, [3.0, 1.5, 5.0])  # 5 reads the sup
+    read = []
+    monkeypatch.setattr(norms, "_abs_sum", lambda G: read.append(G) or 0.0)
+    monkeypatch.setattr(norms, "_anchor", lambda *args: read.append(args))
+    assert lp_enclosures(F, [1.5, 3.0, 4.0, INF]) == {p: fresh[p] for p in (1.5, 3.0, 4.0, INF)}
+    assert read == []
+    assert lp_enclosures(F, [3.0])[3.0] is first[3.0]
+    monkeypatch.undo()
+    assert lp_enclosures(F, ps) == fresh
+
+
+def test_a_refused_norm_raises_on_every_call():
+    # Exceptions are not kept: a DomainError raises again, and a cap that
+    # equals a kept one (2.0 == 2) but is not an integer is still refused.
+    F = make_corpus(torus(2), 2.0, 1, 3).functions[0]
+    refused = [(text, evaluate) for text in ("sobolev:r=2000,p=2", "besov:r=1,p=2,q=1e-12")
+               for evaluate in (norm_info, norms.norm_enclosure)]
+    refused += [("tl:r=0.5,p=3,q=1e-12", norm_info), ("Lp:1e-12", norm_info)]
+    for text, evaluate in refused:
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                evaluate(F, parse_norm_spec(text))
+    for evaluate in (norm_info, norms.norm_enclosure):
+        kept = evaluate(F, parse_norm_spec("Lp:3"), 400_000)
+        assert evaluate(F, parse_norm_spec("Lp:3"), 400_000) is kept
+        with pytest.raises(DomainError, match="node cap"):
+            evaluate(F, parse_norm_spec("Lp:3"), 400_000.0)
+
+
+def test_the_node_cap_is_part_of_every_norm_key():
+    # A cap that refuses the base grid: norm_enclosure is capped [0, inf]
+    # there, kept under that cap; norm_info raises ResourceLimitError on
+    # every call.  Without the cap neither reads the other's entry, in
+    # either order.
+    F = make_corpus(torus(2), 3.0, 1, 98).functions[0]
+    for text in ("Lp:3", "sobolev:r=1,p=1.5", "tl:r=0.5,p=3,q=1.5"):
+        spec = parse_norm_spec(text)
+        for capped_first in (True, False):
+            norms.clear_memos()
+            for cap in ((10, None) if capped_first else (None, 10)):
+                for _ in range(2):
+                    bound = norms.norm_enclosure(F, spec, cap)
+                    if cap is None:
+                        assert bound.certified != "capped" and bound.hi < INF, text
+                        assert norm_info(F, spec, cap).certified != "capped", text
+                    else:
+                        assert bound == Enclosure(0.0, INF, "capped"), text
+                        with pytest.raises(ResourceLimitError):
+                            norm_info(F, spec, cap)
+
+
+def test_the_embeddings_suite_imports_no_numpy_ma():
+    # numpy's unique imports numpy.ma on its first call, some milliseconds
+    # and a megabyte of a process; the dyadic split calls no such function.
+    code = ("import sys\n"
+            "from peterweyl import verify\n"
+            "reports = verify.run_suite('embeddings', verify.RunConfig(groups=('torus:1',)))\n"
+            "assert reports and all(r.holds for r in reports)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(norms.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
 def _block_of_by_loop(wsq):
     # the earlier definition: climb powers of 4 on the exact rational
     s = 0

@@ -951,6 +951,18 @@ def test_equality_record_scales_by_its_second_value():
     assert verify._equality("e", "s", {}, 2.0, 2.0, 1e-12).ratio == 0.0
 
 
+def test_all_suites_render_the_same_report_cold_and_warm(monkeypatch):
+    # A second run in one process reads every norm from the memo: the same
+    # bytes, and no grid pass.
+    cfg = RunConfig(seed=7)
+    cold = render_report(run_suite("all", cfg), cfg)
+    passes = []
+    synth_values = norms._synth_values
+    monkeypatch.setattr(norms, "_synth_values", lambda *args: passes.append(args)
+                        or synth_values(*args))
+    assert render_report(run_suite("all", cfg), cfg) == cold
+    assert passes == []
+
 def test_render_report_stable_and_complete():
     cfg = _tiny_config()
     reports = run_suite("sharpness", cfg)
