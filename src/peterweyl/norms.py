@@ -160,18 +160,22 @@ the enclosure is that point.  Powers v^p of node values with 2p an integer
 up to 16 are taken by squarings and at most one square root (_power), within
 a few ulps of pow.
 
-Finished L^p values (per exponent), lp_enclosures' bounds (per finite
-exponent that is not even), Triebel-Lizorkin values, norm_info and
-norm_enclosure results (per spec) and dyadic splits are a process-local
-memo keyed by the function's content digest and, for norm values and
-bounds, the node cap.  So the embedding suites, which read the same
-function's bounds pair by pair, build each once.  The memo is bounded,
-least recently used entries go first, and it affects only speed: a hit
-returns the frozen Enclosure a fresh evaluation would.  Exceptions are not
-kept: a ladder the cap refuses, or a value that leaves float range, raises
-wherever it is read, on every call.  A refusal that norm_enclosure turns
-into a "capped" [0, inf] bound is a value, and is kept.  Node values are
-not kept; a level recomputes them slab by slab.
+Finished norms are a process-local memo, one entry per value, keyed by
+(kind, the function's content digest, at, node cap), where at is the
+exponent p for an L^p norm or an Lp spec, else the NormSpec.  Kind "value"
+holds L^p and Triebel-Lizorkin ladders, sups and norm_info results: an Lp
+or tl spec's norm_info is its ladder's (or sup's) entry.  Kind "bound"
+holds lp_enclosures' bounds at a finite p that is not even and
+norm_enclosure results: an Lp spec's norm_enclosure at such a p is that
+bound's entry.  Dyadic splits are kept under ("blocks", digest).  So the
+embedding suites, which read the same function's bounds pair by pair,
+build each once.  The memo is bounded, least recently used entries go
+first, and it affects only speed: a hit returns the frozen Enclosure a
+fresh evaluation would.  Exceptions are not kept: a ladder the cap
+refuses, or a value that leaves float range, raises wherever it is read,
+on every call.  A refusal that norm_enclosure turns into a "capped" [0,
+inf] bound is a value, and is kept as a bound, which no value read sees.
+Node values are not kept; a level recomputes them slab by slab.
 
 Coefficient-only norms are array reductions over the packed layout of
 SpectralFunction (dims, wsq, and the Hilbert-Schmidt norm of each rep's
@@ -341,11 +345,10 @@ def parse_norm_spec(text: str) -> NormSpec:
 # ---------------------------------------------------------------------------
 # Lebesgue norms: the grid ladder
 
-# Finished evaluations, each a frozen Enclosure of size 1: L^p values keyed
-# by (digest, p, node cap), lp_enclosures' bounds at a finite p that is not
-# even by the same, Triebel-Lizorkin values by (digest, spec, node cap), and
-# norm_info's and norm_enclosure's results by the same; and dyadic splits
-# keyed by digest, sized in stored coefficient entries.
+# Finished norms, each a frozen Enclosure of size 1 under _key: values
+# (ladders, sups and norm_info results) and bounds (lp_enclosures' and
+# norm_enclosure's); and dyadic splits keyed by ("blocks", digest), sized in
+# stored coefficient entries.
 _MEMO_BUDGET = 100_000
 _MEMO = _Memo(_MEMO_BUDGET)
 
@@ -363,6 +366,14 @@ def _memoized(key: tuple, make: Callable, size: int = 1):
         hit = make()
         _MEMO.put(key, hit, size)
     return hit
+
+
+def _key(kind: str, F: SpectralFunction, at, max_nodes) -> tuple:
+    # The memo key of F's finished norm at `at`, an exponent p or a NormSpec,
+    # an Lp spec standing for its p: kind "value" or "bound".
+    if isinstance(at, NormSpec) and at.family == "Lp":
+        at = at.p
+    return (kind, F.digest, at, max_nodes)
 
 
 def _synth_values(F: SpectralFunction, rule):
@@ -560,9 +571,14 @@ def _grid_peak(slabs) -> float:
 
 
 def _sup(F: SpectralFunction, max_nodes: int | None) -> Enclosure:
-    # sup |f| from one pass over the rule of _sup_degree, on its fold when F
-    # is sign-even: "enclosed" at the least degree whose mesh factor is
-    # within 1 + SUP_ENCLOSURE, "capped" at the largest the cap admits.
+    # sup |f| of a nonzero F: f(e), "exact (identity-pinned)", where the
+    # identity pins the peak (_identity_value); else from one pass over the
+    # rule of _sup_degree, on its fold when F is sign-even: "enclosed" at the
+    # least degree whose mesh factor is within 1 + SUP_ENCLOSURE, "capped" at
+    # the largest the cap admits.
+    peak = _identity_value(F)
+    if peak is not None:
+        return Enclosure(peak, peak, "exact (identity-pinned)")
     degree, within = _sup_degree(F, max_nodes)
     rule = quadrature(F.group, degree / 2.0, max_nodes)
     grid = (rule.node_count, rule.bandlimit)
@@ -595,13 +611,9 @@ class _Job:
         self.climb = self.rule = self.outcome = None
 
 
-def _lp_key(F: SpectralFunction, p: float, max_nodes) -> tuple:
-    return ("lp", F.digest, p, max_nodes)
-
-
 def _lp_job(G: SpectralFunction, p: float, max_nodes) -> _Job:
     # ||g||_p for finite p: the moduli of G, exact at the level _even_level names.
-    return _Job(_lp_key(G, p, max_nodes), G, p, _even_level(p), (G,), None)
+    return _Job(_key("value", G, p, max_nodes), G, p, _even_level(p), (G,), None)
 
 
 def _climb(F: SpectralFunction, p: float, exact_level: int | None, max_nodes):
@@ -735,26 +747,22 @@ def lp_norms(
     raises DomainError, also where no grid is built.  Each entry is a fresh
     (value, dict) made from the exponent's one Enclosure, the only such form
     in the package, and _read_lp_norms its only reader: every other caller
-    reads the Enclosures it lifts.  Where exponents fail, the first in
-    that order raises.
+    reads the Enclosures it lifts.  That Enclosure is the memo's "value" at
+    p, which an Lp spec's norm_info shares.  Where exponents fail, the first
+    in that order raises.
     """
     ps = sorted(_exponents(ps, max_nodes), key=lambda p: p != INF)
-    # memo hits (exact 0 for the zero function), the identity-pinned or
-    # enclosed sup, which raises before any ladder runs, and the other
-    # misses in one sweep
+    # exact 0 for the zero function, the sup, which raises before any ladder
+    # runs, memo hits, and the other misses in one sweep
     found, jobs = {}, []
     for p in dict.fromkeys(ps):
-        key = _lp_key(F, p, max_nodes)
-        e = _MEMO.get(key)
-        if e is not None:
-            found[p] = e
-        elif not F:
+        key = _key("value", F, p, max_nodes)
+        if not F:
             found[p] = Enclosure(0.0, 0.0, "exact")
         elif p == INF:
-            peak = _identity_value(F)
-            found[p] = e = (_sup(F, max_nodes) if peak is None
-                            else Enclosure(peak, peak, "exact (identity-pinned)"))
-            _MEMO.put(key, e)
+            found[p] = _memoized(key, lambda: _sup(F, max_nodes))
+        elif (e := _MEMO.get(key)) is not None:
+            found[p] = e
         else:
             jobs.append(_lp_job(F, p, max_nodes))
     if jobs:
@@ -797,10 +805,6 @@ def lp_norm(F: SpectralFunction, p: float, max_nodes: int | None = None) -> floa
 _ANCHORS = (2.0, 4.0, 6.0, INF)
 
 
-def _bound_key(F: SpectralFunction, p: float, max_nodes) -> tuple:
-    return ("lp bound", F.digest, p, max_nodes)
-
-
 def lp_enclosures(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, Enclosure]:
@@ -815,17 +819,18 @@ def lp_enclosures(
     certified "enclosed", or the weakest certification of the norms it
     rests on.  A norm the node cap refuses, or that leaves float range,
     bounds nothing ([0, inf]); one refused by the cap makes the bound
-    "capped".  The bound at each such p, a capped one included, is
-    memoized under (digest, p, node cap); a call whose such exponents all
-    hit reads no anchor and sums no coefficient.
+    "capped".  The bound at each such p, a capped one included, is the
+    memo's "bound" at p, which an Lp spec's norm_enclosure shares; a call
+    whose such exponents all hit reads no anchor and sums no coefficient,
+    and one with no even or infinite exponent calls no lp_norms.
     """
     ps = _exponents(ps, max_nodes)
     if not F:
         return {p: Enclosure(0.0, 0.0, "exact") for p in ps}
     direct = [p for p in ps if p == INF or _even_level(p) is not None]
-    out = _read_lp_norms(F, direct, max_nodes)
+    out = _read_lp_norms(F, direct, max_nodes) if direct else {}
     for p in ps:
-        if p not in out and (hit := _MEMO.get(_bound_key(F, p, max_nodes))) is not None:
+        if p not in out and (hit := _MEMO.get(_key("bound", F, p, max_nodes))) is not None:
             out[p] = hit
     # the anchor below p, if any, and the (one or) two above it
     bounded = {p: ([a for a in _ANCHORS if a < p][-1:], [a for a in _ANCHORS if a > p][:2])
@@ -849,7 +854,7 @@ def lp_enclosures(
             if theta > 0.0:  # 0 once 1/p leaves float range: monotonicity's lo stands
                 lo = max(lo, b_lo * min(1.0, b_lo / anchors[c].hi) ** ((1.0 - theta) / theta))
         out[p] = Enclosure(lo, hi, *weakest([anchors[a] for a in below + above], "enclosed"))
-        _MEMO.put(_bound_key(F, p, max_nodes), out[p])
+        _MEMO.put(_key("bound", F, p, max_nodes), out[p])
     return {p: out[p] for p in ps}
 
 
@@ -988,10 +993,6 @@ def besov_norm(
     return norm_info(F, NormSpec("besov", r=r, p=p, q=q), max_nodes).lo
 
 
-def _tl_key(F: SpectralFunction, spec: NormSpec, max_nodes) -> tuple:
-    return ("tl", F.digest, spec, max_nodes)
-
-
 def _tl_job(F: SpectralFunction, spec: NormSpec, max_nodes) -> _Job:
     # The ladder of a Triebel-Lizorkin norm of a nonzero F: its values are
     # the pointwise l^q aggregate of 2^(sr) |f_s| over F's blocks, whose
@@ -1018,21 +1019,18 @@ def _tl_job(F: SpectralFunction, spec: NormSpec, max_nodes) -> _Job:
                                   f"the root 1/{q:g}, to the power {p:g}")
         return acc
 
-    return _Job(_tl_key(F, spec, max_nodes), F, p, _even_level(p) if q == 2.0 else None,
+    return _Job(_key("value", F, spec, max_nodes), F, p, _even_level(p) if q == 2.0 else None,
                 tuple(blocks.values()), aggregate)
 
 
 def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
-    # the memo first: an exponent _tl_job refuses never enters it
+    # norm_info's Triebel-Lizorkin ladder, which _evaluate keeps under the
+    # key norm_info reads
     if not F:
         return Enclosure(0.0, 0.0, "exact")
-
-    def run() -> Enclosure:  # _evaluate keeps it; _memoized's put only refreshes it
-        job = _tl_job(F, spec, max_nodes)
-        _evaluate([job], max_nodes)
-        return _outcome(job)
-
-    return _memoized(_tl_key(F, spec, max_nodes), run)
+    job = _tl_job(F, spec, max_nodes)
+    _evaluate([job], max_nodes)
+    return _outcome(job)
 
 
 def tl_norm(
@@ -1160,12 +1158,13 @@ def norm_info(
     the sup's upper end, else lo).  A Besov value carries the weakest
     provenance of its block L^p norms and, as hi, the same l^q aggregate of
     2^(sr) times each block's hi (_besov_aggregate).  Other families are
-    points.  The result is memoized under (digest, spec, node cap); an
-    exception, a refusing node cap's ResourceLimitError included, is not
-    kept and raises on every call.
+    points.  The result is the memo's "value" at the spec, which for an Lp
+    or tl spec is its ladder's (or sup's) entry; an exception, a refusing
+    node cap's ResourceLimitError included, is not kept and raises on every
+    call.
     """
     check_node_cap(max_nodes)  # before the memo: a refused cap may equal a kept one
-    return _memoized(("info", F.digest, spec, max_nodes), lambda: _by_family(
+    return _memoized(_key("value", F, spec, max_nodes), lambda: _by_family(
         F, spec, max_nodes, lambda G: _read_lp_norms(G, [spec.p], max_nodes)[spec.p], _tl_info))
 
 
@@ -1177,9 +1176,11 @@ def _prefetch(F: SpectralFunction, specs, max_nodes: int | None = None) -> None:
     """Run, in one sweep, every ladder norm_info climbs for the specs and
     the memo lacks: an L^p exponent of F, of a Sobolev rescaling or of a
     Besov block, or a Triebel-Lizorkin aggregate.  Each function then meets
-    each grid once, and the finished ladders enter the memo, under the keys
-    norm_info reads.  The plan is _by_family's own dispatch, with readers
-    that record each ladder instead of evaluating it.  It changes no value:
+    each grid once, and the finished ladders enter the memo as "value"
+    entries, which norm_info reads: an Lp or tl spec of F as its own
+    result, a Sobolev or Besov spec through its rescaling or blocks.  The
+    plan is _by_family's own dispatch, with readers that record each ladder
+    instead of evaluating it.  It changes no value:
     a spec whose plan or ladder fails raises where norm_info evaluates it,
     since a failed ladder is not kept.
     """
@@ -1193,13 +1194,13 @@ def _prefetch(F: SpectralFunction, specs, max_nodes: int | None = None) -> None:
     def tl(G, spec, max_nodes) -> Enclosure:
         if not G:
             return _PLANNED
-        return plan(_tl_key(G, spec, max_nodes), lambda: _tl_job(G, spec, max_nodes))
+        return plan(_key("value", G, spec, max_nodes), lambda: _tl_job(G, spec, max_nodes))
 
     for spec in dict.fromkeys(specs):
         def lp(G, p=spec.p) -> Enclosure:
             if p == INF or not G:  # the sup is no ladder; the zero function needs none
                 return _PLANNED
-            return plan(_lp_key(G, p, max_nodes), lambda: _lp_job(G, p, max_nodes))
+            return plan(_key("value", G, p, max_nodes), lambda: _lp_job(G, p, max_nodes))
 
         try:
             _by_family(F, spec, max_nodes, lp, tl, lambda F, spec: _PLANNED)
@@ -1220,8 +1221,9 @@ def norm_enclosure(
     and even p, its exact value, one grid).  Coefficient families are exact
     points, lo = hi.  The certification is the weakest over the parts; a
     grid the node cap refuses leaves [0, inf], "capped".  The result, a
-    capped one included, is memoized under (digest, spec, node cap); a
-    DomainError is not kept and raises on every call.
+    capped one included, is the memo's "bound" at the spec, which for Lp at
+    a finite p that is not even is lp_enclosures' bound; a DomainError is
+    not kept and raises on every call.
     """
     def bound() -> Enclosure:
         try:
@@ -1232,7 +1234,7 @@ def norm_enclosure(
             return Enclosure(0.0, INF, "capped")
 
     check_node_cap(max_nodes)  # before the memo: a refused cap may equal a kept one
-    return _memoized(("enclosure", F.digest, spec, max_nodes), bound)
+    return _memoized(_key("bound", F, spec, max_nodes), bound)
 
 
 def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
@@ -1241,7 +1243,7 @@ def _tl_enclosure(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     # q < p, B the number of nonempty shells (module docstring).
     p, q = spec.p, spec.q
     if not F or (q == 2.0 and _even_level(p) is not None):
-        return _tl_info(F, spec, max_nodes)
+        return norm_info(F, spec, max_nodes)
     b = _besov_aggregate(F, NormSpec("besov", r=spec.r, p=p, q=p),
                          lambda block: lp_enclosures(block, [p], max_nodes)[p])
     try:

@@ -2161,6 +2161,64 @@ def test_the_node_cap_is_part_of_every_norm_key():
                             norm_info(F, spec, cap)
 
 
+def test_each_finished_norm_is_kept_once():
+    # A norm_info read of an Lp spec whose ladder lp_norms ran, of a tl spec
+    # whose ladder _prefetch ran, and a norm_enclosure read of an Lp bound
+    # that lp_enclosures made, each return the one kept Enclosure.
+    F = make_corpus(torus(2), 2.0, 1, 3).functions[0]
+    norms.clear_memos()
+    lp_norms(F, [1.5])
+    ladder = norms._MEMO.get(norms._key("value", F, 1.5, None))
+    assert norm_info(F, parse_norm_spec("Lp:1.5")) is ladder
+    norms._prefetch(F, [TL_SPEC])
+    ladder = norms._MEMO.get(norms._key("value", F, TL_SPEC, None))
+    assert ladder is not None and norm_info(F, TL_SPEC) is ladder
+    bound = lp_enclosures(F, [1.5])[1.5]
+    assert norms.norm_enclosure(F, parse_norm_spec("Lp:1.5")) is bound
+    assert lp_enclosures(F, [1.5])[1.5] is bound
+
+
+def test_verify_all_keeps_values_bounds_and_splits_only():
+    norms.clear_memos()
+    verify.run_suite("all", RunConfig(seed=7))
+    assert {key[0] for key in norms._MEMO._entries} == {"value", "bound", "blocks"}
+
+
+def test_lp_enclosures_sweeps_no_empty_exponent_list(monkeypatch):
+    # Exponents that are all bounded (finite, not even) read their anchors
+    # only; lp_norms is never asked for no exponent at all.
+    asked = []
+    original = norms.lp_norms
+
+    def spy(F, ps, max_nodes=None):
+        asked.append(list(ps))
+        return original(F, ps, max_nodes)
+
+    monkeypatch.setattr(norms, "lp_norms", spy)
+    F = make_corpus(torus(2), 2.0, 1, 3).functions[0]
+    norms.clear_memos()
+    for ps in ([1.0, 1.5, 3.0], [1.5], [5.0, 4.0], [3.0, INF]):
+        lp_enclosures(F, ps)
+    assert asked and [] not in asked
+
+
+def test_a_capped_bound_is_not_a_value():
+    # Under a cap that admits F's base grid but not the one ||f||_4 needs,
+    # norm_enclosure keeps a capped [0, inf] bound for Lp:4, and neither
+    # lp_enclosures at 4 nor norm_info reads it: both raise on every call.
+    F = make_corpus(torus(2), 3.0, 1, 98).functions[0]
+    cap = quadrature(F.group, F.max_weight()).node_count
+    spec = parse_norm_spec("Lp:4")
+    norms.clear_memos()
+    for _ in range(2):
+        assert norms.norm_enclosure(F, spec, cap) == Enclosure(0.0, INF, "capped")
+        with pytest.raises(ResourceLimitError):
+            lp_enclosures(F, [4.0], cap)
+        with pytest.raises(ResourceLimitError):
+            norm_info(F, spec, cap)
+    assert lp_enclosures(F, [2.0], cap)[2.0].certified == "exact"
+
+
 def test_the_embeddings_suite_imports_no_numpy_ma():
     # numpy's unique imports numpy.ma on its first call, some milliseconds
     # and a megabyte of a process; the dyadic split calls no such function.
