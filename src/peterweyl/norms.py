@@ -4,25 +4,26 @@ Lebesgue norms are quadrature sums of |f|^p over Haar grids: exact (one
 evaluation on a sufficient grid) when |f|^p is itself band-limited, i.e.
 for even integer p, and otherwise dyadically refined until the value
 stabilizes or the node cap refuses the next grid.  One grid ladder serves
-the L^p norms and the Triebel-Lizorkin pointwise aggregate, and the ladders
-of one request run as one sweep (_evaluate): lp_norms sweeps the exponents
-it is asked for, and _prefetch every ladder that norm_info climbs for
-several specs of one function (an exponent of F, of a Sobolev rescaling or
-of each Besov block, and each Triebel-Lizorkin aggregate over F's blocks),
-into the memo, which norm_info then reads.  Each ladder is one generator
-(_climb) that yields each level's rule, is sent that level's sum, and makes
-every level, cap and stop decision itself, so its value is the one it
-reaches alone.  The sweep only schedules grids and sums passes: it goes grid
-by grid, each step the least grid a pending ladder climbs to next, so every
+the L^p norms, the sup (one level, below) and the Triebel-Lizorkin
+aggregate, and the ladders of one request run as one sweep (_evaluate):
+lp_norms sweeps the exponents it is asked for, and _prefetch every ladder
+that norm_info climbs for several specs of one function (an exponent of F,
+of a Sobolev rescaling or of each Besov block, and each Triebel-Lizorkin
+aggregate over F's blocks), into the memo, which norm_info then reads.
+Each ladder is one generator (_climb; _sup_climb at p = inf) that yields
+each level's rule, is sent that level's sum (or maximum), and makes every
+level, cap and stop decision itself, so its value is the one it reaches
+alone.  The sweep only schedules grids and sums passes: it goes grid by
+grid, each step the least grid a pending ladder climbs to next, so every
 ladder whose level lands on that grid (the same group, degree and fold)
 takes it in one streaming pass over the slabs of fourier.synthesize_slabs,
 which synthesizes every function those ladders read once per slab.  Per slab
-each ladder takes the modulus and adds a weighted sum of its |f|^p, with
-weights from the rule's per-axis factors, so no array of the grid's size is
-built.  A torus function whose coefficients are real and equal their images
-under every coordinate sign flip, compared exactly
-(SpectralFunction.sign_even, decided once per function), is real and even
-in every coordinate; its levels run on the folded rule
+each ladder takes the modulus and adds a weighted sum of its |f|^p (or takes
+a running maximum), with weights from the rule's per-axis factors, so no
+array of the grid's size is built.  A torus function whose coefficients are
+real and equal their images under every coordinate sign flip, compared
+exactly (SpectralFunction.sign_even, decided once per function), is real and
+even in every coordinate; its levels run on the folded rule
 (QuadratureRule.folded), the nodes 0 <= i_a <= m_a // 2 with orbit weights,
 2^n times fewer nodes for the same sums up to reassociation and the same
 maximum, where synthesis sums it as real cosines over the indices k >= 0,
@@ -44,16 +45,16 @@ to 2^-53, and its root S^(1/p) (1 + d)^(1/p), about 1 + d / p times the
 root, past the stop rule (for f = 2 at p = 1e-16, every |f|^p rounds to 1,
 and a ladder "refined" 1.0).
 
-The sup norm is not refined.  For central positive-type functions (all
-coefficients nonnegative multiples of the identity, e.g. Dirichlet kernels)
-it is f(e), exact.  Otherwise it is evaluated once, in a pass of its own,
-on the rule of least degree c, never below that of F's own rule, whose full
-grid has a mesh factor 1 / (1 - tau^2 / 8) of at most 1 + SUP_ENCLOSURE, on
-its fold when F is sign-even.  tau does not increase with c, so _sup_degree
-bisects on axis counts and builds no rule per candidate.  The reported
-value is lo = M, the grid maximum, a point value up to roundoff.  No search
-for the peak runs between the nodes: every verdict on a sup reads its upper
-end, the Enclosure's hi (lp_norms' "upper"):
+The sup norm is not refined: its ladder has one level.  For central
+positive-type functions (all coefficients nonnegative multiples of the
+identity, e.g. Dirichlet kernels) it is f(e), exact.  Otherwise it is the
+sweep's pass over the rule of least degree c, never below that of F's own
+rule, whose full grid has a mesh factor 1 / (1 - tau^2 / 8) of at most 1 +
+SUP_ENCLOSURE, on its fold when F is sign-even.  tau does not increase with
+c, so _sup_degree bisects on axis counts and builds no rule per candidate.
+The reported value is lo = M, the grid maximum, a point value up to
+roundoff.  No search for the peak runs between the nodes: every verdict on a
+sup reads its upper end, the Enclosure's hi (lp_norms' "upper"):
 
     hi = min((M + SUP_ROUNDOFF A) / (1 - tau^2 / 8), (1 + SUP_ROUNDOFF) A),
 
@@ -167,8 +168,9 @@ holds L^p and Triebel-Lizorkin ladders, sups and norm_info results: an Lp
 or tl spec's norm_info is its ladder's (or sup's) entry.  Kind "bound"
 holds lp_enclosures' bounds at a finite p that is not even and
 norm_enclosure results: an Lp spec's norm_enclosure at such a p is that
-bound's entry.  Dyadic splits are kept under ("blocks", digest).  So the
-embedding suites, which read the same function's bounds pair by pair,
+bound's entry.  Dyadic splits are kept under ("blocks", digest), and the
+sum A (below), which the sup and lp_enclosures read, under ("abs", digest).
+So the embedding suites, which read the same function's bounds pair by pair,
 build each once.  The memo is bounded, least recently used entries go
 first, and it affects only speed: a hit returns the frozen Enclosure a
 fresh evaluation would.  Exceptions are not kept: a ladder the cap
@@ -347,8 +349,8 @@ def parse_norm_spec(text: str) -> NormSpec:
 
 # Finished norms, each a frozen Enclosure of size 1 under _key: values
 # (ladders, sups and norm_info results) and bounds (lp_enclosures' and
-# norm_enclosure's); and dyadic splits keyed by ("blocks", digest), sized in
-# stored coefficient entries.
+# norm_enclosure's); dyadic splits keyed by ("blocks", digest), sized in
+# stored coefficient entries; and coefficient sums A keyed by ("abs", digest).
 _MEMO_BUDGET = 100_000
 _MEMO = _Memo(_MEMO_BUDGET)
 
@@ -481,6 +483,15 @@ class _WeightedSum:
                                                           @ self.tail)
 
 
+class _Peak:
+    # The running maximum over one pass's slabs, as _WeightedSum takes them;
+    # nan once any is nan, as np.max (not the builtin max) propagates it.
+    total = 0.0  # the values are moduli
+
+    def add(self, lo: int, hi: int, vals: np.ndarray) -> None:
+        self.total = np.maximum(self.total, vals.max())
+
+
 # ---------------------------------------------------------------------------
 # Sup norms: the grid maximum and a Bernstein mesh bound
 
@@ -513,22 +524,20 @@ def _mesh_factor(tau: float) -> float:
 def _abs_sum(F: SpectralFunction) -> float:
     # A: the sum over reps of d times the entrywise l^1 norm of the
     # coefficient, correctly rounded (math.fsum) from terms each within 2
-    # ulps.  It bounds |f| and each term a synthesized value sums.
-    return math.fsum((np.abs(F.entries) * np.repeat(F.dims, F.dims * F.dims)).tolist())
+    # ulps.  It bounds |f| and each term a synthesized value sums.  Kept
+    # per digest; a term past float range is inf, with no warning.
+    with np.errstate(over="ignore"):
+        return _memoized(("abs", F.digest), lambda: math.fsum(
+            (np.abs(F.entries) * np.repeat(F.dims, F.dims * F.dims)).tolist()))
 
 
-def _sup_enclosure(F: SpectralFunction, rule, tau: float, node_count: int) -> tuple[float, float]:
-    """(lo, hi) around sup |f| from one pass over the nodes of a rule.
-
-    lo is the grid maximum M, a point value up to roundoff; hi is the
-    smaller of the mesh bound factor(tau) (M + SUP_ROUNDOFF A) and the
-    coefficient bound (1 + SUP_ROUNDOFF) A.  node_count names the grid in a
-    refusal.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
-        lo = _finite(_grid_peak(_synth_values(F, rule)), f"L^inf value on {node_count} nodes")
-        a = _abs_sum(F)
-        return lo, min(_mesh_factor(tau) * (lo + SUP_ROUNDOFF * a), (1.0 + SUP_ROUNDOFF) * a)
+def _sup_upper(F: SpectralFunction, degree: int, lo: float) -> float:
+    # hi around sup |f| from the grid maximum lo on the full rule of this
+    # degree (or its fold): the smaller of the mesh bound factor(tau) (lo +
+    # SUP_ROUNDOFF A) and the coefficient bound (1 + SUP_ROUNDOFF) A.
+    a = _abs_sum(F)
+    mesh = _mesh_factor(_tau_of(F)(degree)) * (lo + SUP_ROUNDOFF * a)
+    return min(mesh, (1.0 + SUP_ROUNDOFF) * a)
 
 
 def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
@@ -563,65 +572,55 @@ def _sup_degree(F: SpectralFunction, max_nodes: int | None) -> tuple[int, bool]:
     return low, False
 
 
-def _grid_peak(slabs) -> float:
-    # The maximum of the values v over slabs (lo, hi, v), as _weighted_sum
-    # reads them; nan if any is nan, which numpy's maximum propagates and
-    # the builtin max, comparing, may drop.
-    return float(np.max([vals.max() for _, _, vals in slabs]))
-
-
-def _sup(F: SpectralFunction, max_nodes: int | None) -> Enclosure:
-    # sup |f| of a nonzero F: f(e), "exact (identity-pinned)", where the
-    # identity pins the peak (_identity_value); else from one pass over the
-    # rule of _sup_degree, on its fold when F is sign-even: "enclosed" at the
-    # least degree whose mesh factor is within 1 + SUP_ENCLOSURE, "capped" at
-    # the largest the cap admits.
+def _sup_climb(F: SpectralFunction, max_nodes):
+    # The sup's ladder, of one level, as a generator of _climb's kind: f(e)
+    # with no grid where the identity pins the peak; else it yields the full
+    # rule of _sup_degree, is sent its grid maximum M and returns [M,
+    # _sup_upper], "enclosed", or "capped" where the cap cut the degree.
     peak = _identity_value(F)
     if peak is not None:
         return Enclosure(peak, peak, "exact (identity-pinned)")
     degree, within = _sup_degree(F, max_nodes)
     rule = quadrature(F.group, degree / 2.0, max_nodes)
-    grid = (rule.node_count, rule.bandlimit)
-    lo, hi = _sup_enclosure(F, rule.folded() if F.sign_even else rule,
-                            _tau_of(F)(degree), grid[0])
-    return Enclosure(lo, hi, "enclosed" if within else "capped", *grid)
+    lo = _finite((yield rule), f"L^inf value on {rule.node_count} nodes")
+    return Enclosure(lo, _sup_upper(F, degree, lo), "enclosed" if within else "capped",
+                     rule.node_count, rule.bandlimit)
 
 
 class _Job:
-    """One ladder: the L^p norm of nonnegative node values made from the
-    slabs of the functions in reads, in order: their moduli where values is
-    None (one function), else values(moduli), a list of arrays (a
-    Triebel-Lizorkin aggregate of F's blocks).
+    """One ladder: the L^p norm (p = inf: the sup) of nonnegative node
+    values made from the slabs of the functions in reads, in order: their
+    moduli where values is None (one function), else values(moduli), a
+    list of arrays (a Triebel-Lizorkin aggregate of F's blocks).
 
-    Its levels run on the grids of ladder, exact at exact_level (_climb);
-    key is the job's _MEMO key.  While the sweep runs, climb is the running
-    ladder, rule the full rule of its pending level, and outcome its
-    Enclosure or exception, once it ends.  A plain class, not a dataclass:
-    the package imports faster without the generated methods, which nothing
-    uses.
+    climb, not yet started, runs its levels on the grids of ladder; key is
+    the job's _MEMO key.  While the sweep runs, rule is the full rule of
+    its pending level, and outcome its Enclosure or exception, once it
+    ends.  A plain class, not a dataclass: the package imports faster
+    without the generated methods, which nothing uses.
     """
 
-    __slots__ = ("key", "ladder", "p", "exact_level", "reads", "values", "climb", "rule",
-                 "outcome")
+    __slots__ = ("key", "ladder", "p", "climb", "reads", "values", "rule", "outcome")
 
-    def __init__(self, key: tuple, ladder: SpectralFunction, p: float, exact_level: int | None,
-                 reads: tuple, values: Callable | None):
-        self.key, self.ladder, self.p, self.exact_level = key, ladder, p, exact_level
+    def __init__(self, key: tuple, ladder: SpectralFunction, p: float, climb, reads: tuple,
+                 values: Callable | None):
+        self.key, self.ladder, self.p, self.climb = key, ladder, p, climb
         self.reads, self.values = reads, values
-        self.climb = self.rule = self.outcome = None
+        self.rule = self.outcome = None
 
 
 def _lp_job(G: SpectralFunction, p: float, max_nodes) -> _Job:
-    # ||g||_p for finite p: the moduli of G, exact at the level _even_level names.
-    return _Job(_key("value", G, p, max_nodes), G, p, _even_level(p), (G,), None)
+    # ||g||_p: the moduli of G, on the sup's one level at p = inf, else on a
+    # ladder exact at the level _even_level names.
+    climb = _sup_climb(G, max_nodes) if p == INF else _climb(G, p, _even_level(p), max_nodes)
+    return _Job(_key("value", G, p, max_nodes), G, p, climb, (G,), None)
 
 
 def _climb(F: SpectralFunction, p: float, exact_level: int | None, max_nodes):
     """One L^p ladder, as a generator: it yields each level's full rule, is
-    sent that level's quadrature sum of the values to the power p (or
-    thrown the DomainError of values that leave float range, which it
-    raises), and returns its point Enclosure, with the full rule's nodes and
-    bandlimit.  Every level, cap and stop decision is made here.
+    sent that level's quadrature sum of the values to the power p, and
+    returns its point Enclosure, with the full rule's nodes and bandlimit.
+    Every level, cap and stop decision is made here.
 
     Level j integrates on the quadrature rule of band W * 2^j, W the largest
     weight in the support of F, folded when F is sign-even (its dyadic
@@ -656,52 +655,51 @@ def _climb(F: SpectralFunction, p: float, exact_level: int | None, max_nodes):
     return Enclosure(cur, cur, certified, *grid)
 
 
-def _evaluate(jobs, max_nodes) -> None:
+def _evaluate(jobs) -> None:
     """Run the ladders of jobs, all on one group, with distinct keys and
-    none in the memo, to their outcomes: an Enclosure, which then enters the
-    memo, or the exception the ladder alone raises (_climb).
+    none in the memo, to their outcomes: an Enclosure, which enters the
+    memo as its ladder ends, or the exception the ladder alone raises.  A
+    Triebel-Lizorkin aggregate's DomainError raises out of the sweep.
 
     A scheduler only: it starts each job's ladder, and each step takes the
     least grid (degree, then fold) a pending ladder climbs to next, makes
-    one pass there for every ladder due (_grid_pass) and sends each its sum.
-    No ladder's degree falls, so each function meets each grid at most once.
+    one pass there for every ladder due (_grid_pass) and sends each its
+    float.  No ladder's degree falls, so each function meets each grid at
+    most once.
     """
     def advance(job: _Job, total) -> None:
-        # send the ladder its sum (None starts it) or throw in its
-        # DomainError; keep its next rule, or its outcome once it ends
+        # send the ladder its float (None starts it); keep its next rule,
+        # or its outcome once it ends
         try:
-            job.rule = (job.climb.throw(total) if isinstance(total, DomainError)
-                        else job.climb.send(total))
+            job.rule = job.climb.send(total)
         except StopIteration as end:
             job.outcome = end.value
+            _MEMO.put(job.key, end.value)
         except (DomainError, ResourceLimitError) as exc:
             job.outcome = exc
 
     jobs = list(jobs)
     for job in jobs:
-        job.climb = _climb(job.ladder, job.p, job.exact_level, max_nodes)
         advance(job, None)
     while pending := [job for job in jobs if job.outcome is None]:
         step = min((job.rule.degree, job.ladder.sign_even) for job in pending)
         due = [job for job in pending if (job.rule.degree, job.ladder.sign_even) == step]
         for job, total in zip(due, _grid_pass(due)):
             advance(job, total)
-    for job in jobs:
-        if isinstance(job.outcome, Enclosure):
-            _MEMO.put(job.key, job.outcome)
 
 
-def _grid_pass(due: list) -> list:
-    # The sums of the due ladders on the grid they share, in one pass over
-    # its slabs that synthesizes every function they read once per slab:
-    # each ladder's quadrature sum of its values to the power p, as a float,
-    # or the DomainError its values raised.
+def _grid_pass(due: list) -> list[float]:
+    # The floats of the due ladders on the grid they share, on its fold
+    # where their function is sign-even, in one pass over its slabs that
+    # synthesizes every function they read once per slab: each ladder's
+    # quadrature sum of its values to the power p, or at p = inf their
+    # maximum.  A Triebel-Lizorkin aggregate's DomainError raises.
     full = due[0].rule
     rule = full.folded() if due[0].ladder.sign_even else full
-    sums = [_WeightedSum(rule, job.p) for job in due]
+    accs = [_Peak() if job.p == INF else _WeightedSum(rule, job.p) for job in due]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused by _finite
-        if len(due) == 1 and due[0].values is None:  # one L^p ladder: no slab bookkeeping
-            acc = sums[0]
+        if len(due) == 1 and due[0].values is None:  # one function: no slab bookkeeping
+            acc = accs[0]
             for lo, hi, vals in _synth_values(due[0].ladder, rule):
                 acc.add(lo, hi, vals)
         else:
@@ -711,14 +709,10 @@ def _grid_pass(due: list) -> list:
             for parts in zip(*(_synth_values(G, rule) for G in reads.values()), strict=True):
                 lo, hi, _ = parts[0]
                 moduli = [vals for _, _, vals in parts]
-                for i, (job, at) in enumerate(zip(due, slots)):
-                    if not isinstance(sums[i], DomainError):
-                        try:
-                            sums[i].add(lo, hi, moduli[at[0]] if job.values is None
-                                        else job.values([moduli[k] for k in at]))
-                        except DomainError as exc:
-                            sums[i] = exc
-    return [acc if isinstance(acc, DomainError) else float(acc.total) for acc in sums]
+                for acc, job, at in zip(accs, due, slots):
+                    acc.add(lo, hi, moduli[at[0]] if job.values is None
+                            else job.values([moduli[k] for k in at]))
+    return [float(acc.total) for acc in accs]
 
 
 def _outcome(job: _Job) -> Enclosure:
@@ -731,8 +725,8 @@ def _outcome(job: _Job) -> Enclosure:
 def lp_norms(
     F: SpectralFunction, ps, max_nodes: int | None = None
 ) -> dict[float, tuple[float, dict]]:
-    """Lebesgue norms for several exponents: the sup first, then one ladder
-    per finite exponent, all in one sweep.
+    """Lebesgue norms for several exponents: one ladder per exponent, the
+    sup's of one level, all in one sweep.
 
     Returns {p: (value, provenance)} where provenance records the node count
     and bandlimit of the rule the value ran on, and certification: "exact"
@@ -749,26 +743,23 @@ def lp_norms(
     in the package, and _read_lp_norms its only reader: every other caller
     reads the Enclosures it lifts.  That Enclosure is the memo's "value" at
     p, which an Lp spec's norm_info shares.  Where exponents fail, the first
-    in that order raises.
+    raises, the sup before the others, which follow in the order given.
     """
     ps = sorted(_exponents(ps, max_nodes), key=lambda p: p != INF)
-    # exact 0 for the zero function, the sup, which raises before any ladder
-    # runs, memo hits, and the other misses in one sweep
+    # exact 0 for the zero function, memo hits, and the misses in one
+    # sweep, whose outcomes are read in that order
     found, jobs = {}, []
     for p in dict.fromkeys(ps):
-        key = _key("value", F, p, max_nodes)
         if not F:
             found[p] = Enclosure(0.0, 0.0, "exact")
-        elif p == INF:
-            found[p] = _memoized(key, lambda: _sup(F, max_nodes))
-        elif (e := _MEMO.get(key)) is not None:
+        elif (e := _MEMO.get(_key("value", F, p, max_nodes))) is not None:
             found[p] = e
         else:
             jobs.append(_lp_job(F, p, max_nodes))
     if jobs:
-        _evaluate(jobs, max_nodes)
-        for job in jobs:
-            found[job.p] = _outcome(job)
+        _evaluate(jobs)
+    for job in jobs:
+        found[job.p] = _outcome(job)
     out = {}
     for p in ps:
         e = found[p]
@@ -1019,8 +1010,8 @@ def _tl_job(F: SpectralFunction, spec: NormSpec, max_nodes) -> _Job:
                                   f"the root 1/{q:g}, to the power {p:g}")
         return acc
 
-    return _Job(_key("value", F, spec, max_nodes), F, p, _even_level(p) if q == 2.0 else None,
-                tuple(blocks.values()), aggregate)
+    climb = _climb(F, p, _even_level(p) if q == 2.0 else None, max_nodes)
+    return _Job(_key("value", F, spec, max_nodes), F, p, climb, tuple(blocks.values()), aggregate)
 
 
 def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
@@ -1029,7 +1020,7 @@ def _tl_info(F: SpectralFunction, spec: NormSpec, max_nodes) -> Enclosure:
     if not F:
         return Enclosure(0.0, 0.0, "exact")
     job = _tl_job(F, spec, max_nodes)
-    _evaluate([job], max_nodes)
+    _evaluate([job])
     return _outcome(job)
 
 
@@ -1174,15 +1165,17 @@ _PLANNED = Enclosure(0.0, 0.0, "exact")
 
 def _prefetch(F: SpectralFunction, specs, max_nodes: int | None = None) -> None:
     """Run, in one sweep, every ladder norm_info climbs for the specs and
-    the memo lacks: an L^p exponent of F, of a Sobolev rescaling or of a
-    Besov block, or a Triebel-Lizorkin aggregate.  Each function then meets
+    the memo lacks: an L^p exponent (the sup included) of F, of a Sobolev
+    rescaling or of a Besov block, or a Triebel-Lizorkin aggregate.  Each
+    function then meets
     each grid once, and the finished ladders enter the memo as "value"
     entries, which norm_info reads: an Lp or tl spec of F as its own
     result, a Sobolev or Besov spec through its rescaling or blocks.  The
     plan is _by_family's own dispatch, with readers that record each ladder
-    instead of evaluating it.  It changes no value:
-    a spec whose plan or ladder fails raises where norm_info evaluates it,
-    since a failed ladder is not kept.
+    instead of evaluating it.  It changes no value: a spec whose plan or
+    ladder fails raises where norm_info evaluates it, since a failed ladder
+    is not kept, nor are those a Triebel-Lizorkin aggregate's DomainError
+    leaves pending.
     """
     planned = {}
 
@@ -1198,7 +1191,7 @@ def _prefetch(F: SpectralFunction, specs, max_nodes: int | None = None) -> None:
 
     for spec in dict.fromkeys(specs):
         def lp(G, p=spec.p) -> Enclosure:
-            if p == INF or not G:  # the sup is no ladder; the zero function needs none
+            if not G:  # the zero function needs no ladder
                 return _PLANNED
             return plan(_key("value", G, p, max_nodes), lambda: _lp_job(G, p, max_nodes))
 
@@ -1206,7 +1199,10 @@ def _prefetch(F: SpectralFunction, specs, max_nodes: int | None = None) -> None:
             _by_family(F, spec, max_nodes, lp, tl, lambda F, spec: _PLANNED)
         except DomainError:
             pass  # norm_info raises it for this spec
-    _evaluate(planned.values(), max_nodes)
+    try:
+        _evaluate(planned.values())
+    except DomainError:
+        pass  # a Triebel-Lizorkin aggregate's: its spec's norm_info raises it
 
 
 def norm_enclosure(

@@ -300,7 +300,9 @@ def test_su2_ladders_keep_their_tables_counted_within_the_budget():
     # Sup and L^3 ladders of su2 corpora at bands 4, 8 and 12 climb to rules
     # whose Wigner-d and phase tables together hold about a million entries.
     # The table cache counts every entry it keeps and stays within its
-    # budget; the rule cache still counts only its rules' floats.
+    # budget, after each band; the rule cache still counts only its rules'
+    # floats.  The band-4 Wigner-d tables fit and are kept; past band 4,
+    # which lists stay kept depends on the order of the sweep's passes.
     cache = fourier._TABLES
     cache.clear()
     groups._RULES.clear()
@@ -308,8 +310,9 @@ def test_su2_ladders_keep_their_tables_counted_within_the_budget():
     for band in (4.0, 8.0, 12.0):
         for F in make_corpus(SU2, band, 5, 7).functions:
             norms.lp_norms(F, [math.inf, 3.0])
-    assert any(key[0] == "wigner-d" for key in cache._entries)
-    assert _table_entries(cache) == cache.size <= cache.budget
+        if band == 4.0:
+            assert any(key[0] == "wigner-d" for key in cache._entries)
+        assert _table_entries(cache) == cache.size <= cache.budget
     kept = [rule for rule, _ in groups._RULES._entries.values()]
     assert sum(a.size for r in kept for a in (*r.axes, *r.axis_weights, r.z)) == groups._RULES.size
 

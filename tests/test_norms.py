@@ -3,6 +3,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -929,9 +930,11 @@ def test_prefetch_changes_no_norm_info_and_leaves_no_ladder_to_run(monkeypatch, 
     # a fresh evaluation gives, or the same exception, and runs a ladder
     # only where it raises (a failed ladder is not kept).  The level-0 cap
     # admits the kernel's own grid only: refined ladders end capped there,
-    # and the exact L^4 ladders (level 1) are refused.
+    # and the exact L^4 ladders (level 1) are refused.  The sup of an Lp:inf
+    # spec is planned as any other exponent's ladder.
     F = dirichlet(group, L)
     specs = _family_specs(group)
+    assert NormSpec("Lp", p=INF) in specs
     cap = quadrature(group, F.max_weight()).node_count if capped else None
 
     def outcome(spec):
@@ -945,14 +948,17 @@ def test_prefetch_changes_no_norm_info_and_leaves_no_ladder_to_run(monkeypatch, 
         norms.clear_memos()
         fresh[spec] = outcome(spec)
     norms.clear_memos()
-    norms._prefetch(F, specs, cap)
     ran, evaluate = [], norms._evaluate
 
-    def spy(jobs, max_nodes):
-        ran.append(jobs)
-        return evaluate(jobs, max_nodes)
+    def spy(jobs):
+        ran.append(list(jobs))
+        return evaluate(ran[-1])
 
     monkeypatch.setattr(norms, "_evaluate", spy)
+    norms._prefetch(F, specs, cap)
+    [planned] = ran
+    sups = [job.key for job in planned if job.p == INF]
+    assert sups == [norms._key("value", F, INF, cap)]
     for spec in specs:
         ran.clear()
         got = outcome(spec)
@@ -980,7 +986,7 @@ def test_level_reductions_weight_each_slab_by_its_rows(monkeypatch, group):
     def slabs():
         return ((lo, hi, v[lo:hi]) for _, _, lo, hi in bounds)
 
-    assert norms._grid_peak(slabs()) == v.max()
+    assert _grid_max(slabs()) == v.max()
     for p in NIKOLSKII_EXPONENTS[:-1]:
         ref = np.dot(weights(rule), v**p)
         assert abs(_weighted_sum(slabs(), rule, p) - ref) <= 1e-13 * ref, p
@@ -1021,10 +1027,10 @@ def test_slab_passes_take_their_temporaries_from_the_heap():
         "from peterweyl import groups, norms, verify\n"
         "band = verify.BANDLIMITS['su2']\n"
         "F = verify.make_corpus(groups.su2(), band, 10, 7).functions\n"
-        "norms._sup(F[0], None)\n"
+        "norms.lp_norms(F[0], [float('inf')])\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "for f in F[1:]:\n"
-        "    norms._sup(f, None)\n"
+        "    norms.lp_norms(f, [float('inf')])\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(norms.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -1063,11 +1069,19 @@ def _weighted_sum(slabs, rule, p):
     return acc.total
 
 
+def _grid_max(slabs):
+    # The pass's running maximum of the values over slabs (lo, hi, v).
+    peak = norms._Peak()
+    for lo, hi, vals in slabs:
+        peak.add(lo, hi, vals)
+    return float(peak.total)
+
+
 def _full_grid_root(slabs, rule, p):
     # The ladder's reduction of one level on the full rule, kept as the
     # reference for a folded level.
     if p == INF:
-        return norms._grid_peak(slabs)
+        return _grid_max(slabs)
     return float(_weighted_sum(slabs, rule, p) ** (1.0 / p))
 
 
@@ -1296,8 +1310,8 @@ def test_grid_peak_propagates_nan_from_a_later_slab():
     # still reach _finite, which refuses it
     slabs = [(0, 3, np.array([1.0, 3.0, 2.0])), (3, 5, np.array([0.5, np.nan])),
              (5, 6, np.array([2.5]))]
-    assert math.isnan(norms._grid_peak(iter(slabs)))
-    assert norms._grid_peak(iter(slabs[::2])) == 3.0
+    assert math.isnan(_grid_max(slabs))
+    assert _grid_max(slabs[::2]) == 3.0
 
 
 @pytest.mark.parametrize("group", [T1, torus(2), SU2], ids=str)
@@ -1321,6 +1335,15 @@ def test_finite_p_of_coefficients_that_overflow_synthesis_is_refused():
         norms.clear_memos()
         with pytest.raises(DomainError, match="not finite"):
             norm_info(F, parse_norm_spec(spec))
+
+
+def test_lp_norms_raise_the_sups_failure_first_then_in_order():
+    # Every exponent of F fails (its synthesis overflows); the sup's
+    # failure raises first, wherever it is listed, then the first given.
+    F = SpectralFunction(T1, {(0,): [[1e308]], (1,): [[-1e308j]]})
+    for ps, what in (([1.5, INF, 3.0], "L^inf"), ([1.5, 3.0], "L^1.5"), ([3.0, 1.5], "L^3")):
+        with pytest.raises(DomainError, match=rf"^{re.escape(what)} value on .* not finite"):
+            lp_norms(F, ps)
 
 
 def _sup_cases():
@@ -1469,7 +1492,8 @@ def test_sup_mesh_bound_is_sharp_to_second_order(group):
                                      [[complex(math.cos(math.pi / m), -math.sin(math.pi / m))]]})
         tau = norms._tau_of(F)(rule.degree)
         assert tau == pytest.approx(math.pi / m, rel=1e-15)
-        lo, hi = norms._sup_enclosure(F, rule, tau, rule.node_count)
+        lo = _grid_max(norms._synth_values(F, rule))
+        hi = norms._sup_upper(F, rule.degree, lo)
         # lo, the synthesized grid maximum, may fall up to SUP_ROUNDOFF A
         # (A = 2) short of the exact 2 cos(tau / 2)
         assert 2.0 * math.cos(tau / 2.0) - norms.SUP_ROUNDOFF * 2.0 <= lo <= 2.0 <= hi
@@ -1577,15 +1601,33 @@ def test_sized_sup_matches_the_ladder_level_sup(F):
         if _factor(F, rule.degree) <= 1.0 + norms.SUP_ENCLOSURE:
             break
         level += 1
-    tau = norms._tau_of(F)(rule.degree)
+    degree = rule.degree
     if F.sign_even:
         rule = rule.folded()
-    want, want_hi = norms._sup_enclosure(F, rule, tau, rule.node_count)
+    want = _grid_max(norms._synth_values(F, rule))
+    want_hi = norms._sup_upper(F, degree, want)
     norms.clear_memos()
     lo, info = lp_norms(F, [INF])[INF]
     # two grid maxima, each under the other's bound: the enclosures meet
     assert want <= info["upper"] and lo <= want_hi
     assert info["nodes"] < quadrature(F.group, F.max_weight() * 2.0**level).node_count
+
+
+def test_a_sup_on_a_ladder_level_shares_its_pass(ladder_spy):
+    # The sup of e^{i7x} - 0.5i e^{i8x} sits on its ladders' level 0
+    # (degree 17, 35 nodes): one pass there serves the sup, ||f||_2 (exact)
+    # and ||f||_1's first level, and one more of 70 nodes ends ||f||_1.
+    # Each value is the one a call for its exponent alone makes.
+    F = SpectralFunction(T1, {(7,): [[1.0]], (8,): [[-0.5j]]})
+    assert norms._sup_degree(F, None) == (17, True)
+    assert quadrature(T1, F.max_weight()).node_count == 35
+    ps = [1.0, 2.0, INF]
+    out, passes, _ = _fresh(lambda: lp_norms(F, ps), ladder_spy)
+    assert [rule.node_count for rule in passes] == [35, 70]
+    for p in ps:
+        alone, _, _ = _fresh(lambda: lp_norms(F, [p]), ladder_spy)
+        assert alone == {p: out[p]}
+    assert [out[p][1]["certified"] for p in ps] == ["refined", "exact", "enclosed"]
 
 
 def test_tau_does_not_increase_with_the_degree():
@@ -1705,8 +1747,10 @@ def test_lp_enclosures_of_even_p_are_the_exact_values():
 @pytest.mark.parametrize("group", RunConfig().groups)
 def test_lp_enclosures_make_one_pass_per_exact_norm_and_one_for_the_sup(ladder_spy, group):
     # The bulk Nikolskii suite's exponents on the first function of its
-    # corpus: the sup's pass, then one pass for each even norm the bounds
-    # rest on, at its exact level, and no refined level.
+    # corpus: the sup's pass and one pass for each even norm the bounds
+    # rest on, at its exact level, and no refined level.  The sup and the
+    # exponents 2 and 4 asked for run in one sweep, in degree order; then
+    # ||f||_6, which the bounds read as an anchor.
     cfg = RunConfig(suite="nikolskii")
     F = make_corpus(parse_group(group), verify.BANDLIMITS[group], 1, cfg.seed,
                     cfg.profile).functions[0]
@@ -1714,7 +1758,9 @@ def test_lp_enclosures_make_one_pass_per_exact_norm_and_one_for_the_sup(ladder_s
     _, passes, _ = _fresh(lambda: norms.lp_enclosures(F, exponents), ladder_spy)
     assert ladder_spy["sums"] == [2.0, 4.0, 6.0]
     levels = [quadrature(F.group, F.max_weight() * 2.0**j).degree for j in range(3)]
-    assert [rule.degree for rule in passes] == [norms._sup_degree(F, None)[0]] + levels
+    sup = norms._sup_degree(F, None)[0]
+    assert sup not in levels
+    assert [rule.degree for rule in passes] == sorted([sup] + levels[:2]) + levels[2:]
 
 
 @pytest.mark.parametrize("F", [SpectralFunction(T1, {(3,): [[2.0 - 1.0j]]}),
@@ -1815,6 +1861,54 @@ def test_besov_sup_carries_the_aggregate_of_its_block_enclosures():
     assert e.certified == "capped"
     agg = math.hypot(*(2.0 ** (s * 0.5) * up for s, up in ups.items()))
     assert e.hi == pytest.approx(agg, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# translation invariance
+
+
+def _translated(F, g, left):
+    # F moved by the group element g, which leaves Haar measure and so every
+    # L^p norm unchanged: on a torus fhat(k) e^{-i k.g}, f(x - g); on SU(2)
+    # fhat xi(g), f(g x), or with left false xi(g) fhat, f(x g).
+    if F.group.kind == "torus":
+        return F.scaled(np.exp(-1j * (F.index @ np.asarray(g))))
+    return SpectralFunction(F.group, {
+        twoL: mat @ matrix_coefficient(SU2, twoL, g) if left
+        else matrix_coefficient(SU2, twoL, g) @ mat for twoL, mat in F.items()})
+
+
+# Per group: the bands of three Dirichlet kernels, and of three corpus
+# functions.
+_TRANSLATION_BANDS = {"torus:1": ((3.0, 5.0, 8.0), 8.0), "torus:2": ((2.0, 3.0, 4.0), 3.0),
+                      "su2": ((1.5, 2.0, 2.5), 1.5)}
+
+
+@pytest.mark.parametrize("group", [T1, torus(2), SU2], ids=str)
+def test_translation_keeps_every_lebesgue_enclosure(group):
+    # Each side's enclosure holds the same norm: the two intervals overlap,
+    # each sup's lo is at most the other side's hi, and exact values agree
+    # within 1e-9.  A Dirichlet kernel's sup is pinned at the identity, its
+    # translate's is a grid maximum.
+    rng = np.random.default_rng(111)
+    bands, corpus_band = _TRANSLATION_BANDS[str(group)]
+    cases = [dirichlet(group, L) for L in bands]
+    cases += make_corpus(group, corpus_band, 3, 112).functions
+    ps = [1.0, 1.5, 3.0, 4.0, INF]
+    for i, F in enumerate(cases):
+        G = _translated(F, random_element(group, rng), left=i % 2 == 0)
+        a, b = lp_enclosures(F, ps), lp_enclosures(G, ps)
+        for p in ps:
+            x, y = a[p], b[p]
+            if x.certified.startswith("exact") and y.certified.startswith("exact"):
+                # two points, each up to its roundoff
+                assert abs(x.lo - y.lo) <= 1e-9 * x.lo, (i, p, x, y)
+            else:
+                assert max(x.lo, y.lo) <= min(x.hi, y.hi), (i, p, x, y)
+        assert a[INF].lo <= b[INF].hi and b[INF].lo <= a[INF].hi, (i, a[INF], b[INF])
+        assert a[4.0].certified == b[4.0].certified == "exact"
+        if i < len(bands):
+            assert (a[INF].certified, b[INF].certified) == ("exact (identity-pinned)", "enclosed")
 
 
 # ---------------------------------------------------------------------------
@@ -2178,10 +2272,10 @@ def test_each_finished_norm_is_kept_once():
     assert lp_enclosures(F, [1.5])[1.5] is bound
 
 
-def test_verify_all_keeps_values_bounds_and_splits_only():
+def test_verify_all_keeps_values_bounds_splits_and_abs_sums_only():
     norms.clear_memos()
     verify.run_suite("all", RunConfig(seed=7))
-    assert {key[0] for key in norms._MEMO._entries} == {"value", "bound", "blocks"}
+    assert {key[0] for key in norms._MEMO._entries} == {"value", "bound", "blocks", "abs"}
 
 
 def test_lp_enclosures_sweeps_no_empty_exponent_list(monkeypatch):

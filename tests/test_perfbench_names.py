@@ -90,14 +90,15 @@ def test_workloads_write_the_record_counts_perfbench_expects(workloads, tmp_path
 
 def test_verify_all_certification_counts(tracer, tmp_path):
     # perfbench's uncapped_frac on verify-all is 1 - capped / all of these
-    # counts (1 - 21/1603), so a change that moves an L^p evaluation onto or
+    # counts (1 - 21/1598), so a change that moves an L^p evaluation onto or
     # off norms.lp_norms, or changes its certification, moves that metric.
     # They count lp_norms' entries, not evaluations: a finished value or
     # bound is kept once, and a read of it that hits the memo above
     # lp_norms calls it no more.  So the embedding suites' pair-by-pair
     # rereads of one bound are not counted again, and neither is the first
-    # norm_info read of an Lp spec whose ladder lp_norms already ran, which
-    # shares that ladder's entry.  No certification changed with them.
+    # norm_info read of an Lp spec whose ladder lp_norms or _prefetch
+    # already ran (the sup's included), which shares that ladder's entry.
+    # No certification changed with them.
     original = peterweyl.norms.lp_norms
     certs = tracer.count_certifications(peterweyl)
     wrapper = peterweyl.norms.lp_norms
@@ -107,7 +108,7 @@ def test_verify_all_certification_counts(tracer, tmp_path):
         tracer._rebind(peterweyl, wrapper, original)
     assert peterweyl.norms.lp_norms is original and "lp_norms" not in vars(peterweyl.verify)
     assert rc == 0
-    assert dict(certs) == {"exact": 1201, "enclosed": 144, "refined": 237, "capped": 21}
+    assert dict(certs) == {"exact": 1196, "enclosed": 144, "refined": 237, "capped": 21}
 
 
 def test_nikolskii_bulk_certification_counts(tracer, workloads, tmp_path):

@@ -711,17 +711,17 @@ def test_corpus_members_read_enclosures_and_run_no_refined_ladder(monkeypatch):
     # ratio's enclosure: no ladder refines to the stop rule, and the lhs is
     # the enclosure's upper end, at least the ratio of refined values.
     refined = []
-    evaluate = norms._evaluate
+    climb = norms._climb
 
-    def spy(jobs, max_nodes):
-        jobs = list(jobs)
-        refined.extend((str(job.ladder.group), job.p) for job in jobs if job.exact_level is None)
-        return evaluate(jobs, max_nodes)
+    def spy(F, p, exact_level, max_nodes):
+        if exact_level is None:
+            refined.append((str(F.group), p))
+        return climb(F, p, exact_level, max_nodes)
 
     cfg = RunConfig()
     suites = []
     with monkeypatch.context() as m:
-        m.setattr(norms, "_evaluate", spy)
+        m.setattr(norms, "_climb", spy)
         for name in cfg.groups:
             group = parse_group(name)
             corpus = make_corpus(group, verify.BANDLIMITS[name], cfg.corpus_count, cfg.seed)
